@@ -12,10 +12,9 @@ import pytest
 
 from benchmarks.conftest import bench_threads
 from repro.bench.microbench import make_domain
-from repro.core.primitives import absorb_chunk, build_index_map, marg_chunk
+from repro.exec.kernels import absorb_chunk, marg_chunk, triples_to_map
 from repro.parallel.backend import ThreadBackend
 from repro.parallel.chunking import chunk_ranges
-from repro.parallel.sharedmem import ArrayRef
 
 SIZES = {"small(4^4)": (4, 4), "medium(4^6)": (6, 4), "large(4^9)": (9, 4)}
 
@@ -31,28 +30,25 @@ def _setup(num_vars, card):
 @pytest.mark.parametrize("label", SIZES, ids=list(SIZES))
 def test_marginalize_vectorised(benchmark, label):
     src, dst, values, triples = _setup(*SIZES[label])
-    ref = ArrayRef.wrap(values)
-    benchmark(marg_chunk, ref, 0, src.size, triples, dst.size)
+    benchmark(marg_chunk, values, 0, src.size, triples, dst.size)
 
 
 @pytest.mark.parametrize("label", SIZES, ids=list(SIZES))
 def test_marginalize_cached_map(benchmark, label):
     src, dst, values, triples = _setup(*SIZES[label])
-    ref = ArrayRef.wrap(values)
-    imap = build_index_map(src.size, triples)
-    benchmark(marg_chunk, ref, 0, src.size, triples, dst.size, imap)
+    imap = triples_to_map(src.size, triples)
+    benchmark(marg_chunk, values, 0, src.size, triples, dst.size, imap)
 
 
 @pytest.mark.parametrize("label", SIZES, ids=list(SIZES))
 def test_marginalize_chunked_parallel(benchmark, label):
     src, dst, values, triples = _setup(*SIZES[label])
-    ref = ArrayRef.wrap(values)
-    imap = build_index_map(src.size, triples)
+    imap = triples_to_map(src.size, triples)
     pool = ThreadBackend(bench_threads())
     chunks = chunk_ranges(src.size, bench_threads() * 2, min_chunk=1024)
 
     def run():
-        tasks = [(marg_chunk, (ref, lo, hi, triples, dst.size, imap))
+        tasks = [(marg_chunk, (values, lo, hi, triples, dst.size, imap))
                  for lo, hi in chunks]
         return np.sum(pool.run_batch(tasks), axis=0)
 
@@ -67,15 +63,13 @@ def test_extension_vectorised(benchmark, label):
     src, dst, values, triples = _setup(*SIZES[label])
     ratio = np.random.default_rng(1).random(dst.size)
     work = values.copy()
-    ref = ArrayRef.wrap(work)
-    benchmark(absorb_chunk, ref, 0, src.size, ((triples, None, ratio),))
+    benchmark(absorb_chunk, work, 0, src.size, ((triples, None, ratio),))
 
 
 @pytest.mark.parametrize("label", SIZES, ids=list(SIZES))
 def test_extension_cached_map(benchmark, label):
     src, dst, values, triples = _setup(*SIZES[label])
     ratio = np.random.default_rng(1).random(dst.size)
-    imap = build_index_map(src.size, triples)
+    imap = triples_to_map(src.size, triples)
     work = values.copy()
-    ref = ArrayRef.wrap(work)
-    benchmark(absorb_chunk, ref, 0, src.size, ((triples, imap, ratio),))
+    benchmark(absorb_chunk, work, 0, src.size, ((triples, imap, ratio),))

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.bn.network import BayesianNetwork
 from repro.core.config import FastBNIConfig
-from repro.core.fastbni import FastBNI, MessagePlan
-from repro.core.primitives import chunk_dst_indices
+from repro.core.fastbni import FastBNI
+from repro.exec.kernels import triples_to_map
 from repro.jt.engine import InferenceResult
 from repro.jt.structure import TreeState
 
@@ -47,47 +47,38 @@ class ElementEngine:
         state = engine.tree.fresh_state()
         if evidence:
             absorb_evidence(state, evidence)
-        tree = engine.tree
-        for cliques, _seps in engine.schedule.collect_layers():
-            for cid in cliques:
-                plan = engine.plans[cid]
-                self._message(state, src=cid, dst=plan.parent, plan=plan,
-                              up=True, track=True)
-        for cliques, _seps in engine.schedule.distribute_layers():
-            for cid in cliques:
-                for child, _sep in tree.children[cid]:
-                    plan = engine.plans[child]
-                    self._message(state, src=cid, dst=child, plan=plan,
-                                  up=False, track=False)
+        # Zheng's kernels index by thread id; the plan's cached maps go unused.
+        for upward, src, dst, sep_id, edge, _, _ in \
+                engine.plan.compiled_messages(maps=False):
+            self._message(state, upward, src, dst, sep_id, edge)
         return InferenceResult(
             posteriors=all_posteriors(state, targets),
             log_evidence=engine._log_evidence(state),
         )
 
-    def _message(self, state: TreeState, src: int, dst: int,
-                 plan: MessagePlan, up: bool, track: bool) -> None:
+    def _message(self, state: TreeState, upward: bool, src: int, dst: int,
+                 sep_id: int, edge) -> None:
         engine = self._engine
-        marg = plan.marg_up if up else plan.marg_down
-        absorb = plan.absorb_up if up else plan.absorb_down
+        marg, absorb = edge.triples(upward)
         src_vals = state.clique_pot[src].values
         dst_vals = state.clique_pot[dst].values
 
         # element-wise marginalization kernel (one thread per entry → scatter)
-        imap = chunk_dst_indices(0, src_vals.size, marg)
-        new_sep = np.bincount(imap, weights=src_vals, minlength=plan.sep_size)
-        new_sep = engine.normalize_message(state, new_sep, track=track)
+        imap = triples_to_map(src_vals.size, marg)
+        new_sep = np.bincount(imap, weights=src_vals, minlength=edge.sep_size)
+        new_sep = engine.normalize_message(state, new_sep, track=upward)
 
         # element-wise extension kernels: materialise both separator tables
         # at clique resolution (the per-element GPU formulation)
-        emap = chunk_dst_indices(0, dst_vals.size, absorb)
+        emap = triples_to_map(dst_vals.size, absorb)
         ext_new = new_sep[emap]
-        ext_old = state.sep_pot[plan.sep_id].values[emap]
+        ext_old = state.sep_pot[sep_id].values[emap]
 
         # element-wise divide-multiply kernel with 0/0 = 0
         quot = np.zeros_like(ext_new)
         np.divide(ext_new, ext_old, out=quot, where=ext_old != 0)
         dst_vals *= quot
-        state.sep_pot[plan.sep_id].values = new_sep
+        state.sep_pot[sep_id].values = new_sep
 
     def stats(self) -> dict[str, float]:
         return self._engine.stats()

@@ -17,23 +17,22 @@ import numpy as np
 
 from repro.bn.network import BayesianNetwork
 from repro.core.config import FastBNIConfig
-from repro.core.fastbni import FastBNI, MessagePlan
-from repro.core.primitives import chunk_dst_indices, marg_chunk, ratio_vector
+from repro.core.fastbni import FastBNI
+from repro.exec.kernels import chunk_dst_indices, marg_chunk, ratio_vector
 from repro.jt.engine import InferenceResult
 from repro.jt.structure import TreeState
 from repro.parallel.chunking import chunk_ranges
-from repro.parallel.sharedmem import ArrayRef
 
 
-def extend_chunk(out: ArrayRef, lo: int, hi: int, triples, sep_values: np.ndarray,
+def extend_chunk(out: np.ndarray, lo: int, hi: int, triples, sep_values: np.ndarray,
                  imap: np.ndarray | None = None) -> None:
     """Materialise ``extend(sep_values)`` over ``out[lo:hi]`` (X-P primitive 3)."""
-    out.resolve()[lo:hi] = sep_values[chunk_dst_indices(lo, hi, triples, imap)]
+    out[lo:hi] = sep_values[chunk_dst_indices(lo, hi, triples, imap)]
 
 
-def multiply_chunk(dst: ArrayRef, other: ArrayRef, lo: int, hi: int) -> None:
+def multiply_chunk(dst: np.ndarray, other: np.ndarray, lo: int, hi: int) -> None:
     """Pointwise ``dst[lo:hi] *= other[lo:hi]`` (X-P primitive 4)."""
-    dst.resolve()[lo:hi] *= other.resolve()[lo:hi]
+    dst[lo:hi] *= other[lo:hi]
 
 
 class PrimitiveEngine:
@@ -47,7 +46,7 @@ class PrimitiveEngine:
         heuristic: str = "min-fill",
         min_chunk: int = 2048,
     ) -> None:
-        # Reuse FastBNI's compile + plans; calibration below is X-P's own.
+        # Reuse FastBNI's compile + plan; calibration below is X-P's own.
         self._engine = FastBNI(net, FastBNIConfig(
             mode="intra",  # placeholder; we drive calibration ourselves
             backend=backend,
@@ -78,19 +77,8 @@ class PrimitiveEngine:
         state = engine.tree.fresh_state()
         if evidence:
             absorb_evidence(state, evidence)
-        refs = [ArrayRef.wrap(p.values) for p in state.clique_pot]
-        tree = engine.tree
-        for cliques, _seps in engine.schedule.collect_layers():
-            for cid in cliques:
-                plan = engine.plans[cid]
-                self._message(state, refs, src=cid, dst=plan.parent, plan=plan,
-                              up=True, track=True)
-        for cliques, _seps in engine.schedule.distribute_layers():
-            for cid in cliques:
-                for child, _sep in tree.children[cid]:
-                    plan = engine.plans[child]
-                    self._message(state, refs, src=cid, dst=child, plan=plan,
-                                  up=False, track=False)
+        for message in engine.plan.compiled_messages():
+            self._message(state, *message)
         return InferenceResult(
             posteriors=all_posteriors(state, targets),
             log_evidence=engine._log_evidence(state),
@@ -104,37 +92,33 @@ class PrimitiveEngine:
         return chunk_ranges(size, engine.backend.num_workers * engine.config.chunks_per_worker,
                             min_chunk=engine.config.min_chunk)
 
-    def _message(self, state: TreeState, refs: list[ArrayRef], src: int, dst: int,
-                 plan: MessagePlan, up: bool, track: bool) -> None:
+    def _message(self, state: TreeState, upward: bool, src: int, dst: int,
+                 sep_id: int, edge, marg_map, absorb_map) -> None:
         engine = self._engine
-        marg = plan.marg_up if up else plan.marg_down
-        absorb = plan.absorb_up if up else plan.absorb_down
-        src_size = engine.tree.cliques[src].size
-        dst_size = engine.tree.cliques[dst].size
+        marg, absorb = edge.triples(upward)
+        src_vals = state.clique_pot[src].values
+        dst_vals = state.clique_pot[dst].values
 
         # primitive 1: parallel marginalization (per-message dispatch)
-        marg_map = engine.get_map(src, plan.sep_id, src_size, marg)
-        absorb_map = engine.get_map(dst, plan.sep_id, dst_size, absorb)
-        tasks = [(marg_chunk, (refs[src], lo, hi, marg, plan.sep_size, marg_map))
-                 for lo, hi in self._chunks(src_size)]
+        tasks = [(marg_chunk, (src_vals, lo, hi, marg, edge.sep_size, marg_map))
+                 for lo, hi in self._chunks(src_vals.size)]
         new_sep = np.sum(engine.backend.run_batch(tasks), axis=0)
-        new_sep = engine.normalize_message(state, new_sep, track=track)
+        new_sep = engine.normalize_message(state, new_sep, track=upward)
 
         # primitive 2: separator division (serial: separator tables are small)
-        ratio = ratio_vector(new_sep, state.sep_pot[plan.sep_id].values)
-        state.sep_pot[plan.sep_id].values = new_sep
+        ratio = ratio_vector(new_sep, state.sep_pot[sep_id].values)
+        state.sep_pot[sep_id].values = new_sep
 
         # primitive 3: parallel extension, materialised into scratch
-        scratch = self._scratch[:dst_size]
-        scratch_ref = ArrayRef.wrap(scratch)
-        tasks = [(extend_chunk, (scratch_ref, lo, hi, absorb, ratio, absorb_map))
-                 for lo, hi in self._chunks(dst_size)]
-        engine.backend.run_batch(tasks)
+        scratch = self._scratch[:dst_vals.size]
+        chunks = self._chunks(dst_vals.size)
+        engine.backend.run_batch(
+            [(extend_chunk, (scratch, lo, hi, absorb, ratio, absorb_map))
+             for lo, hi in chunks])
 
         # primitive 4: parallel pointwise multiplication
-        tasks = [(multiply_chunk, (refs[dst], scratch_ref, lo, hi))
-                 for lo, hi in self._chunks(dst_size)]
-        engine.backend.run_batch(tasks)
+        engine.backend.run_batch(
+            [(multiply_chunk, (dst_vals, scratch, lo, hi)) for lo, hi in chunks])
 
     def stats(self) -> dict[str, float]:
         return self._engine.stats()

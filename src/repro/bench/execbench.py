@@ -209,8 +209,7 @@ def run_execbench(network: str = "hailfinder", num_cases: int = 24,
                 for case in cases:
                     state = engine.plan.fresh_state()
                     engine.plan.absorb_hard_evidence(state, case)
-                    run_message_schedule(engine.plan, state, engine.kernels,
-                                         map_limit=engine.MAP_CACHE_LIMIT)
+                    run_message_schedule(engine.plan, state, engine.kernels)
 
             best = _best_of(repeats, calibrate_loop)
             single_ms[kernels] = best / len(cases) * 1e3

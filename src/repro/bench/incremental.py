@@ -124,8 +124,7 @@ def run_incremental(network: str = "asia",
         full_results = [full.infer(e, targets) for e in sequence]
         full_s = time.perf_counter() - start
 
-        delta_engine = IncrementalEngine(
-            full.tree, getattr(full, "_batch_base_cliques", None))
+        delta_engine = IncrementalEngine(full.tree)
         before = dict(delta_engine.counters)
         delta_sizes = []
         start = time.perf_counter()

@@ -12,10 +12,9 @@ import numpy as np
 
 from repro.bench.report import fmt_seconds, format_table
 from repro.bn.variable import Variable
-from repro.core.primitives import absorb_chunk, marg_chunk
+from repro.exec.kernels import absorb_chunk, marg_chunk
 from repro.parallel.backend import ThreadBackend
 from repro.parallel.chunking import chunk_ranges
-from repro.parallel.sharedmem import ArrayRef
 from repro.potential.domain import Domain
 from repro.potential.index_map import map_indices_loop
 from repro.utils.timing import benchmark_callable
@@ -33,7 +32,6 @@ def bench_marginalize(num_vars: int, card: int, num_workers: int = 8,
     src, dst = make_domain(num_vars, card)
     rng = np.random.default_rng(0)
     values = rng.random(src.size)
-    ref = ArrayRef.wrap(values)
     triples = tuple((src.stride(v), src.card(v), dst.stride(v)) for v in dst.variables)
 
     def loop_impl() -> None:
@@ -43,13 +41,13 @@ def bench_marginalize(num_vars: int, card: int, num_workers: int = 8,
             out[m] += values[i]
 
     def vector_impl() -> None:
-        marg_chunk(ref, 0, src.size, triples, dst.size)
+        marg_chunk(values, 0, src.size, triples, dst.size)
 
     pool = ThreadBackend(num_workers)
     chunks = chunk_ranges(src.size, num_workers * 4, min_chunk=1024)
 
     def parallel_impl() -> None:
-        tasks = [(marg_chunk, (ref, lo, hi, triples, dst.size)) for lo, hi in chunks]
+        tasks = [(marg_chunk, (values, lo, hi, triples, dst.size)) for lo, hi in chunks]
         np.sum(pool.run_batch(tasks), axis=0)
 
     try:
@@ -71,7 +69,6 @@ def bench_extension(num_vars: int, card: int, num_workers: int = 8,
     rng = np.random.default_rng(0)
     clique = rng.random(dst.size)
     sep = rng.random(src.size)
-    ref = ArrayRef.wrap(clique)
     triples = tuple((dst.stride(v), dst.card(v), src.stride(v)) for v in src.variables)
     updates = ((triples, None, sep),)
 
@@ -81,13 +78,13 @@ def bench_extension(num_vars: int, card: int, num_workers: int = 8,
             clique[i] *= sep[m]
 
     def vector_impl() -> None:
-        absorb_chunk(ref, 0, dst.size, updates)
+        absorb_chunk(clique, 0, dst.size, updates)
 
     pool = ThreadBackend(num_workers)
     chunks = chunk_ranges(dst.size, num_workers * 4, min_chunk=1024)
 
     def parallel_impl() -> None:
-        pool.run_batch([(absorb_chunk, (ref, lo, hi, updates)) for lo, hi in chunks])
+        pool.run_batch([(absorb_chunk, (clique, lo, hi, updates)) for lo, hi in chunks])
 
     try:
         out = {

@@ -44,6 +44,7 @@ import math
 import sys
 
 from repro.bn.repository import PAPER_NETWORKS
+from repro.core.config import BACKENDS, MODES
 from repro.exec.kernels import KERNELS
 
 
@@ -870,8 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="starting particle count for --engine approx")
     q.add_argument("--tolerance", type=float, default=0.01,
                    help="target worst-case posterior standard error")
-    q.add_argument("--mode", default="hybrid")
-    q.add_argument("--backend", default="thread")
+    q.add_argument("--mode", default="hybrid", choices=MODES)
+    q.add_argument("--backend", default="thread", choices=BACKENDS)
     q.add_argument("--workers", type=int, default=4)
     q.add_argument("--kernels", default="fused", choices=KERNELS,
                    help="whole-message kernel backend: fused flat-arena "
@@ -947,10 +948,10 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--trace-slow-log", type=int, default=32,
                     help="slow-query log size (top-K slowest over the "
                          "threshold; 0 disables the log)")
-    sv.add_argument("--mode", default="seq",
+    sv.add_argument("--mode", default="seq", choices=MODES,
                     help="engine mode for served models (default: seq — "
                          "throughput comes from batching, not worker pools)")
-    sv.add_argument("--backend", default="thread")
+    sv.add_argument("--backend", default="thread", choices=BACKENDS)
     sv.add_argument("--workers", type=int, default=1)
     sv.add_argument("--kernels", default="fused", choices=KERNELS,
                     help="whole-message kernel backend for served models "

@@ -22,11 +22,9 @@ Parallelism composes on the orthogonal axis: case rows are independent, so
 the batch is split into contiguous case *blocks*
 (:func:`repro.parallel.chunking.chunk_cases`) and each block's full
 calibration is dispatched as a single task to the engine's backend — one
-dispatch per block for the whole batch, not two per layer.  On the process
-backend the batched tables live in a :class:`~repro.parallel.sharedmem.
-SharedArena` sized for the batch, and the worker receives the picklable
-:class:`~repro.exec.plan.PlanSpec` plus the kernel backend's *name* (a few
-kilobytes), never the tree.
+dispatch per block for the whole batch, not two per layer.  A block is a
+row slice of the batch state's ``(N, size)`` tables: threads share the
+arena, so nothing is copied in or out.
 
 Correctness contract: row *i* of every batched table evolves exactly as a
 per-case :class:`~repro.jt.structure.TreeState` would for case *i* (same
@@ -48,13 +46,11 @@ import numpy as np
 
 from repro.core.fastbni import FastBNI
 from repro.errors import EvidenceError
-from repro.exec.kernels import get_kernels
+from repro.exec.kernels import KernelBackend
 from repro.obs.trace import current_kernel_hooks
-from repro.exec.plan import PlanSpec
 from repro.jt.engine import BatchInferenceResult
 from repro.jt.query import all_posteriors_batch, log_evidence_batch
 from repro.parallel.chunking import chunk_cases
-from repro.parallel.sharedmem import ArrayRef, SharedArena
 
 
 def case_evidence(case) -> dict:
@@ -68,54 +64,30 @@ def case_soft_evidence(case):
 
 
 def calibrate_case_block(
-    clique_refs: list[ArrayRef],
-    sep_refs: list[ArrayRef],
-    spec: PlanSpec,
-    kernels_name: str,
-    n: int,
+    cliques: list[np.ndarray],
+    seps: list[np.ndarray],
+    kernels: KernelBackend,
+    messages: list[tuple],
     row_lo: int,
     row_hi: int,
-    maps: dict[tuple[int, int], np.ndarray],
 ) -> np.ndarray:
     """Two-phase calibration of case rows ``[row_lo, row_hi)``.
 
     The batched analogue of one full collect+distribute pass: every message
-    of the plan's layer schedule runs once, each as a ``(k, table)``-wide
-    kernel over the block's ``k`` cases.  Blocks touch disjoint rows of
-    every table, so any number of blocks runs concurrently with no
-    synchronisation; returns the block's per-case ``log_norm`` vector.
-
-    Runs unchanged on the serial, thread and process backends (``maps`` is
-    empty across a process boundary — the gather-based ``fused`` backend
-    then recomputes maps from the stride triples on the fly; the ndview
-    ``numpy`` backend never needs them).
+    of the plan's compiled sequence runs once, each as a ``(k, table)``-wide
+    kernel over the block's ``k`` rows of the batch state's ``(n, size)``
+    tables.  Blocks touch disjoint rows of every table, so any number of
+    blocks runs concurrently with no synchronisation; returns the block's
+    per-case ``log_norm`` vector.
     """
-    kernels = get_kernels(kernels_name)
-    k = row_hi - row_lo
-    log_norm = np.zeros(k)
-    no_maps = (None, None)
-
-    def send(child: int, upward: bool) -> None:
-        edge = spec.edges[child]
-        src, dst = (child, edge.parent) if upward else (edge.parent, child)
-        src_rows = clique_refs[src].resolve().reshape(n, -1)[row_lo:row_hi]
-        dst_rows = clique_refs[dst].resolve().reshape(n, -1)[row_lo:row_hi]
-        sep_rows = sep_refs[edge.sep_id].resolve().reshape(n, -1)[row_lo:row_hi]
-        if kernels.wants_maps:
-            mm = (maps.get((src, edge.sep_id)), maps.get((dst, edge.sep_id)))
-        else:
-            mm = no_maps
-        log_totals = kernels.message_batch(src_rows, dst_rows, sep_rows, edge,
-                                           upward, mm, case_offset=row_lo)
+    log_norm = np.zeros(row_hi - row_lo)
+    for upward, src, dst, sep_id, edge, m_marg, m_abs in messages:
+        log_totals = kernels.message_batch(
+            cliques[src][row_lo:row_hi], cliques[dst][row_lo:row_hi],
+            seps[sep_id][row_lo:row_hi], edge, upward, (m_marg, m_abs),
+            case_offset=row_lo)
         if upward:
-            log_norm[...] += log_totals
-
-    for layer in spec.up_layers:
-        for cid in layer:
-            send(cid, upward=True)
-    for layer in spec.down_layers:
-        for cid in layer:
-            send(cid, upward=False)
+            log_norm += log_totals
     return log_norm
 
 
@@ -166,20 +138,10 @@ def infer_cases(
         hooks.on_absorb(time.perf_counter() - absorb_start,
                         cliques=tree.num_cliques)
 
-    # Warm the plan's index-map cache serially (read-only once dispatched;
-    # empty on the process backend, whose workers recompute maps — and
-    # skipped entirely when the kernel backend never gathers).
-    maps: dict[tuple[int, int], np.ndarray] = {}
-    if engine.kernels.wants_maps:
-        for edge in spec.edges.values():
-            for cid, size, triples in (
-                (edge.child, spec.clique_sizes[edge.child], edge.marg_up),
-                (edge.parent, spec.clique_sizes[edge.parent], edge.absorb_up),
-            ):
-                if (cid, edge.sep_id) not in maps:
-                    cached = engine.get_map(cid, edge.sep_id, size, triples)
-                    if cached is not None:
-                        maps[(cid, edge.sep_id)] = cached
+    # The compiled sequence is built (and its index maps materialised, for
+    # kernel backends that gather) once per plan; blocks only read it.
+    kernels = engine.kernels
+    messages = plan.compiled_messages(maps=kernels.wants_maps)
 
     workers = 1 if engine.config.mode == "seq" else engine.backend.num_workers
     blocks = chunk_cases(n, workers, min_block=min_block,
@@ -188,53 +150,22 @@ def infer_cases(
                       "inline_layers": 0, "messages": spec.num_messages,
                       "batch_cases": n, "batch_blocks": len(blocks)}
 
-    use_arena = engine.config.mode != "seq" and engine.backend.name == "process"
-    arena: SharedArena | None = None
-    kernels_name = engine.kernels.name
-    try:
-        if use_arena:
-            sizes = [c.size for c in tree.cliques] + [s.size for s in tree.separators]
-            arena = SharedArena.for_batch(sizes, n)
-            nc = tree.num_cliques
-            for i, table in enumerate(state.clique_pot):
-                arena.view(i)[:] = table.reshape(-1)
-            for j, table in enumerate(state.sep_pot):
-                arena.view(nc + j)[:] = table.reshape(-1)
-            clique_refs = [arena.ref(i) for i in range(nc)]
-            sep_refs = [arena.ref(nc + j) for j in range(tree.num_separators)]
-            maps = {}
-        else:
-            clique_refs = [ArrayRef.wrap(t.reshape(-1)) for t in state.clique_pot]
-            sep_refs = [ArrayRef.wrap(t.reshape(-1)) for t in state.sep_pot]
-
-        tasks = [(calibrate_case_block,
-                  (clique_refs, sep_refs, spec, kernels_name, n, lo, hi, maps))
-                 for lo, hi in blocks]
-        schedule_start = time.perf_counter() if hooks is not None else 0.0
-        if len(tasks) == 1 or engine.backend.name == "serial":
-            engine.count("inline_layers")
-            for (lo, hi), (fn, args) in zip(blocks, tasks):
-                state.log_norm[lo:hi] = fn(*args)
-        else:
-            engine.count("dispatch_batches")
-            engine.count("dispatch_tasks", len(tasks))
-            for (lo, hi), block_norm in zip(blocks, engine.backend.run_batch(tasks)):
-                state.log_norm[lo:hi] = block_norm
-        if hooks is not None:
-            hooks.on_schedule(backend=kernels_name,
-                              messages=spec.num_messages,
-                              seconds=time.perf_counter() - schedule_start,
-                              arena_bytes=plan.arena_bytes, cases=n)
-
-        if arena is not None:
-            nc = tree.num_cliques
-            for i in range(nc):
-                state.clique_pot[i][...] = arena.view(i).reshape(n, -1)
-            for j in range(tree.num_separators):
-                state.sep_pot[j][...] = arena.view(nc + j).reshape(n, -1)
-    finally:
-        if arena is not None:
-            arena.close()
+    tasks = [(calibrate_case_block,
+              (state.clique_pot, state.sep_pot, kernels, messages, lo, hi))
+             for lo, hi in blocks]
+    schedule_start = time.perf_counter() if hooks is not None else 0.0
+    if len(tasks) == 1 or engine.backend.name == "serial":
+        engine.count("inline_layers")
+    else:
+        engine.count("dispatch_batches")
+        engine.count("dispatch_tasks", len(tasks))
+    for (lo, hi), block_norm in zip(blocks, engine.backend.run_batch(tasks)):
+        state.log_norm[lo:hi] = block_norm
+    if hooks is not None:
+        hooks.on_schedule(backend=kernels.name,
+                          messages=spec.num_messages,
+                          seconds=time.perf_counter() - schedule_start,
+                          arena_bytes=plan.arena_bytes, cases=n)
 
     return BatchInferenceResult(
         posteriors=all_posteriors_batch(state, targets),
@@ -270,12 +201,7 @@ class BatchedFastBNI(FastBNI):
         returns ``self`` for chaining.
         """
         self.plan.base_cliques
-        if self.kernels.wants_maps:
-            for edge in self.plan.spec.edges.values():
-                self.get_map(edge.child, edge.sep_id,
-                             self.tree.cliques[edge.child].size, edge.marg_up)
-                self.get_map(edge.parent, edge.sep_id,
-                             self.tree.cliques[edge.parent].size, edge.absorb_up)
+        self.plan.compiled_messages(maps=self.kernels.wants_maps)
         return self
 
     def infer_cases(

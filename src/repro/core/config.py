@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 from repro.errors import BackendError
 from repro.exec.kernels import KERNELS
+from repro.parallel.backend import BACKENDS
 
 MODES = ("seq", "inter", "intra", "hybrid")
-BACKENDS = ("serial", "thread", "process")
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,9 @@ class FastBNIConfig:
     mode:
         Parallel granularity (see :mod:`repro.core`).
     backend:
-        Execution backend; ``"thread"`` is the default parallel substrate,
-        ``"process"`` sidesteps the GIL for very large cliques.
+        Execution backend: ``"thread"`` (the parallel substrate — threads
+        over the shared plan arena, the paper's OpenMP model) or
+        ``"serial"`` (inline, the ``t=1`` configuration).
     num_workers:
         Worker count (the paper's *t*); ``None`` = CPU count capped at 32.
     heuristic:
@@ -30,8 +31,8 @@ class FastBNIConfig:
         ``"center"`` enables the paper's root selection; ``"first"``
         disables it (ablation).
     kernels:
-        Kernel backend for whole-message execution (the sequential and
-        batched paths): ``"fused"`` (one scatter/gather pass per message
+        Kernel backend for whole-message execution (the sequential, inter
+        and batched paths): ``"fused"`` (one scatter/gather pass per message
         over the flat arena, the default), ``"numpy"`` (the N-D-view
         reference) or ``"native"`` (the fused message compiled to a C
         library called GIL-free through ctypes; falls back to ``fused``

@@ -9,11 +9,14 @@ message ever needs).  Each :meth:`FastBNI.infer` then only touches table
 *values* — exactly the amortisation FastBN uses across the paper's
 2000-case workloads.
 
-Whole-message execution (the sequential and batched paths) goes through a
-pluggable kernel backend (:mod:`repro.exec.kernels`): ``"fused"`` runs
-marginalize+absorb as one pass per message over the arena, ``"numpy"`` is
-the unfused index-map reference.  The parallel modes chunk the same
-gather kernels across workers (:mod:`repro.core.primitives`).
+Whole-message execution (the sequential, inter and batched paths) goes
+through a pluggable kernel backend (:mod:`repro.exec.kernels`): ``"fused"``
+runs marginalize+absorb as one pass per message over the arena,
+``"numpy"`` is the N-D-view reference, ``"native"`` the C library.  The
+intra and hybrid modes chunk the same gather kernels over entry ranges
+(``marg_chunk``/``absorb_chunk``) across the backend's threads.  Every
+mode iterates the plan's compiled message sequence and touches tables
+through ndarray views into the plan arena.
 """
 
 from __future__ import annotations
@@ -24,23 +27,16 @@ import numpy as np
 
 from repro.bn.network import BayesianNetwork
 from repro.core.config import FastBNIConfig
-from repro.core.primitives import StrideTriples
 from repro.errors import BackendError, EvidenceError, JunctionTreeError
 from repro.exec.engine_api import EXACT_ENGINE
 from repro.exec.kernels import get_kernels, run_message_schedule
-from repro.exec.plan import EdgeGeometry, compile_plan
-from repro.exec.plan import MessagePlan as ExecPlan
+from repro.exec.plan import MessagePlan, compile_plan
 from repro.jt.engine import InferenceResult
 from repro.jt.evidence import check_evidence
 from repro.jt.layers import LayerSchedule
 from repro.jt.root import select_root
 from repro.jt.structure import JunctionTree, TreeState, compile_junction_tree
 from repro.parallel.backend import Backend, SerialBackend, make_backend
-from repro.parallel.sharedmem import ArrayRef, SharedArena
-
-#: Backwards-compatible alias: the per-edge plan type now lives in the
-#: shared execution layer (it carries the ndview geometry too).
-MessagePlan = EdgeGeometry  # noqa: F811 - intentional re-export
 
 
 class FastBNI:
@@ -57,10 +53,10 @@ class FastBNI:
         fields as keywords (never both — that raises
         :class:`~repro.errors.BackendError`).  The load-bearing ones:
         ``mode`` (``"seq"``/``"inter"``/``"intra"``/``"hybrid"``, see
-        :mod:`repro.core`), ``backend`` (``"serial"``/``"thread"``/
-        ``"process"``), ``num_workers``, ``kernels`` (``"fused"``/
-        ``"numpy"`` whole-message backend), ``heuristic`` (triangulation)
-        and ``root_strategy``.
+        :mod:`repro.core`), ``backend`` (``"serial"``/``"thread"``),
+        ``num_workers``, ``kernels`` (``"fused"``/``"numpy"``/``"native"``
+        whole-message backend), ``heuristic`` (triangulation) and
+        ``root_strategy``.
     tree:
         Optional pre-compiled junction tree (warm start).  Must have been
         compiled for this exact network *object* —
@@ -99,11 +95,9 @@ class FastBNI:
         select_root(self.tree, config.root_strategy)
         #: The shared execution plan (schedule + arena layout + geometry);
         #: engines over one tree share one plan (see repro.exec.plan).
-        self.plan: ExecPlan = compile_plan(self.tree)
+        self.plan: MessagePlan = compile_plan(self.tree)
         self.schedule: LayerSchedule = self.plan.schedule
-        #: Per-edge geometry keyed by child clique id (plan's edges).
-        self.plans: dict[int, EdgeGeometry] = self.plan.spec.edges
-        #: Whole-message kernel backend for the seq and batched paths.
+        #: Whole-message kernel backend (seq, inter and batched paths).
         self.kernels = get_kernels(config.kernels)
         if config.mode == "seq":
             self.backend: Backend = SerialBackend()
@@ -119,36 +113,6 @@ class FastBNI:
         """Instrumentation hook used by the calibration strategies."""
         if self.metrics is not None:
             self.metrics[key] = self.metrics.get(key, 0) + n
-
-    #: Stop materialising maps past this many cached int64 entries (~400 MB).
-    MAP_CACHE_LIMIT = 50_000_000
-
-    @property
-    def _map_cache(self) -> dict[tuple[int, int], np.ndarray]:
-        """The plan's per-edge index-map cache (shared across engines)."""
-        return self.plan._maps
-
-    @property
-    def _map_cache_entries(self) -> int:
-        return self.plan._map_entries
-
-    @property
-    def _batch_base_cliques(self) -> list[np.ndarray]:
-        """The plan's cached CPT-product clique tables (shared, immutable)."""
-        return self.plan.base_cliques
-
-    def get_map(self, clique_id: int, sep_id: int, size: int,
-                triples: StrideTriples) -> np.ndarray | None:
-        """Cached clique→separator index map, or None when unavailable.
-
-        Returns ``None`` on the process backend (shipping a table-sized
-        map across a process boundary would defeat it) and once the
-        plan's cache would exceed :attr:`MAP_CACHE_LIMIT` entries.
-        """
-        if self.backend.name == "process":
-            return None
-        return self.plan.index_map(clique_id, sep_id, size, triples,
-                                   limit=self.MAP_CACHE_LIMIT)
 
     # ----------------------------------------------------------------- naming
     @property
@@ -207,41 +171,18 @@ class FastBNI:
 
             absorb_soft_evidence(state, soft_evidence)
 
-        arena: SharedArena | None = None
-        try:
-            if self.config.mode != "seq" and self.backend.name == "process":
-                arena = self._move_to_arena(state)
-            if self.config.mode == "seq":
-                self._calibrate(state, [])
-            else:
-                refs = [ArrayRef.wrap(p.values) if arena is None else arena.ref(i)
-                        for i, p in enumerate(state.clique_pot)]
-                self._calibrate(state, refs)
-            result = InferenceResult(
-                posteriors=self.plan.read_posteriors(state, targets),
-                log_evidence=self._log_evidence(state),
-            )
-        finally:
-            if arena is not None:
-                # Copy results back to private memory before releasing shm.
-                for i, pot in enumerate(state.clique_pot):
-                    pot.values = np.array(pot.values)
-                arena.close()
-        return result
+        self._calibrate(state)
+        return InferenceResult(
+            posteriors=self.plan.read_posteriors(state, targets),
+            log_evidence=self._log_evidence(state),
+        )
 
     def posteriors(self, targets: tuple[str, ...] = (),
                    evidence: dict | None = None) -> dict[str, np.ndarray]:
         """Posterior vectors for ``targets`` (protocol convenience)."""
         return self.infer(evidence, targets=tuple(targets)).posteriors
 
-    def _move_to_arena(self, state: TreeState) -> SharedArena:
-        arena = SharedArena([p.size for p in state.clique_pot])
-        for i, pot in enumerate(state.clique_pot):
-            arena.load(i, pot.values)
-            pot.values = arena.view(i)
-        return arena
-
-    def _calibrate(self, state: TreeState, refs: list[ArrayRef]) -> None:
+    def _calibrate(self, state: TreeState) -> None:
         from repro.core import hybrid, inter, intra
 
         mode = self.config.mode
@@ -249,15 +190,14 @@ class FastBNI:
             # Fast-BNI-seq: whole-message execution through the kernel
             # backend over the plan arena (fused by default — one pass per
             # message, the paper's own fewer-fatter-invocations recipe).
-            sent = run_message_schedule(self.plan, state, self.kernels,
-                                        map_limit=self.MAP_CACHE_LIMIT)
+            sent = run_message_schedule(self.plan, state, self.kernels)
             self.count("messages", sent)
         elif mode == "inter":
-            inter.calibrate_inter(self, state, refs)
+            inter.calibrate_inter(self, state)
         elif mode == "intra":
-            intra.calibrate_intra(self, state, refs)
+            intra.calibrate_intra(self, state)
         elif mode == "hybrid":
-            hybrid.calibrate_hybrid(self, state, refs)
+            hybrid.calibrate_hybrid(self, state)
         else:  # pragma: no cover - config validates
             raise BackendError(f"unknown mode {mode!r}")
 
@@ -320,10 +260,11 @@ class FastBNI:
             return [self.infer(case_evidence(c), targets,
                                soft_evidence=case_soft_evidence(c))
                     for c in cases]
-        # Warm the map cache serially so concurrent reads never mutate it.
-        if cases:
-            self.infer(case_evidence(cases[0]), targets,
-                       soft_evidence=case_soft_evidence(cases[0]))
+        # Compile the message sequence (and with it every index map the
+        # mode gathers through) once, serially, so the concurrent cases
+        # only ever read the plan.
+        self.plan.compiled_messages(
+            maps=self.config.mode in ("intra", "hybrid") or self.kernels.wants_maps)
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=case_workers) as pool:

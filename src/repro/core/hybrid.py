@@ -23,165 +23,104 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.primitives import StrideTriples, marg_chunk, absorb_chunk, ratio_vector
+from repro.exec.kernels import absorb_chunk, marg_chunk, ratio_vector
 from repro.jt.structure import TreeState
 from repro.parallel.chunking import chunk_weighted
-from repro.parallel.sharedmem import ArrayRef
-
-#: one flattened marginalization sub-range:
-#: (msg_key, src ref, lo, hi, stride triples, sep size, cached map or None)
-MargSpec = tuple[int, ArrayRef, int, int, StrideTriples, int, "np.ndarray | None"]
-#: one flattened absorb sub-range: (dst ref, lo, hi, updates)
-AbsorbSpec = tuple[ArrayRef, int, int, tuple]
 
 
-def run_marg_group(specs: tuple[MargSpec, ...]) -> list[tuple[int, np.ndarray]]:
-    """Execute a group of marginalization sub-ranges; return partials."""
+def run_marg_group(specs: tuple[tuple, ...]) -> list[tuple[int, np.ndarray]]:
+    """Execute a group of marginalization sub-ranges; return partials.
+
+    Each spec is ``(lo, hi, msg_key, src values, stride triples, sep size,
+    cached map or None)``.
+    """
     return [
         (key, marg_chunk(src, lo, hi, triples, sep_size, imap))
-        for key, src, lo, hi, triples, sep_size, imap in specs
+        for lo, hi, key, src, triples, sep_size, imap in specs
     ]
 
 
-def run_absorb_group(specs: tuple[AbsorbSpec, ...]) -> None:
-    """Execute a group of absorb sub-ranges (write-disjoint)."""
-    for dst, lo, hi, updates in specs:
+def run_absorb_group(specs: tuple[tuple, ...]) -> None:
+    """Execute a group of absorb sub-ranges ``(lo, hi, dst values, updates)``
+    (write-disjoint)."""
+    for lo, hi, dst, updates in specs:
         absorb_chunk(dst, lo, hi, updates)
 
 
-def _pool_size(engine) -> int:
-    return engine.backend.num_workers * engine.config.chunks_per_worker
+def _runs_inline(engine, sizes: list[int]) -> bool:
+    """Whether a flattened pool is too small to be worth dispatching.
 
-
-def _parallel_threshold(engine) -> int:
-    """Smallest flattened pool worth dispatching to the backend.
-
-    Below this many entries the dispatch+GIL round-trip can only lose, so
-    the master runs the (already-flattened) specs inline.  This adaptive
+    Below the threshold the dispatch+GIL round-trip can only lose, so the
+    master runs the (already-flattened) specs inline.  This adaptive
     cut-off is the Python analogue of OpenMP's near-free fork/join on tiny
     regions and is what keeps the hybrid engine's overhead small on trees
     with many tiny cliques (paper advantage (ii)).
     """
-    return max(engine.config.parallel_threshold,
-               engine.config.min_chunk * engine.backend.num_workers)
+    threshold = max(engine.config.parallel_threshold,
+                    engine.config.min_chunk * engine.backend.num_workers)
+    return engine.backend.name == "serial" or sum(sizes) < threshold
 
 
-def _flatten_marg(engine, messages: list[tuple[int, ArrayRef, int, StrideTriples, int]],
-                  ) -> list[tuple]:
-    """Build the layer's flattened marginalization batch.
+def _run_pool(engine, run_group, items: list[tuple], sizes: list[int],
+              inline: bool) -> list:
+    """Run one flattened pool: table ``items[i]`` spans ``sizes[i]`` entries.
 
-    ``messages`` items are (msg_key, src ref, src size, triples, sep size).
+    ``run_group`` receives a tuple of ``(lo, hi, *item)`` sub-ranges; the
+    pool is cut into balanced groups across tables (one task each) unless
+    it runs ``inline`` as a single group.  Returns the groups' results.
     """
-    sizes = [m[2] for m in messages]
-    groups = chunk_weighted(sizes, _pool_size(engine), min_chunk=engine.config.min_chunk)
-    tasks = []
-    for group in groups:
-        specs = tuple(
-            (messages[item][0], messages[item][1], lo, hi,
-             messages[item][3], messages[item][4], messages[item][5])
-            for item, lo, hi in group
-        )
-        tasks.append((run_marg_group, (specs,)))
-    return tasks
+    if inline:
+        return [run_group(tuple((0, size, *item)
+                                for item, size in zip(items, sizes)))]
+    groups = chunk_weighted(
+        sizes, engine.backend.num_workers * engine.config.chunks_per_worker,
+        min_chunk=engine.config.min_chunk)
+    tasks = [(run_group, (tuple((lo, hi, *items[i]) for i, lo, hi in group),))
+             for group in groups]
+    engine.count("dispatch_batches")
+    engine.count("dispatch_tasks", len(tasks))
+    return engine.backend.run_batch(tasks)
 
 
-def _flatten_absorb(engine, targets: list[tuple[ArrayRef, int, tuple]]) -> list[tuple]:
-    """Build the layer's flattened absorb batch.
-
-    ``targets`` items are (dst ref, dst size, updates-for-this-dst).
-    """
-    sizes = [t[1] for t in targets]
-    groups = chunk_weighted(sizes, _pool_size(engine), min_chunk=engine.config.min_chunk)
-    tasks = []
-    for group in groups:
-        specs = tuple(
-            (targets[item][0], lo, hi, targets[item][2])
-            for item, lo, hi in group
-        )
-        tasks.append((run_absorb_group, (specs,)))
-    return tasks
-
-
-def _layer_pass(engine, state: TreeState, refs: list[ArrayRef],
-                messages: list[tuple[int, int, int]], track: bool) -> None:
-    """One layer of messages ``(src, dst, plan_child)`` with flattening.
-
-    ``plan_child`` selects the MessagePlan (keyed by child clique); whether
-    the message direction is up or down is derived from src == plan.child.
-    """
-    tree = engine.tree
-    if not messages:
-        return
+def _layer_pass(engine, state: TreeState, cliques: list[np.ndarray],
+                seps: list[np.ndarray], layer: list[tuple]) -> None:
+    """One layer of compiled messages with flattening."""
+    upward = layer[0][0]
+    engine.count("messages", len(layer))
 
     # ---- batch 1: flattened marginalizations.
-    marg_msgs = []
-    layer_entries = 0
-    for i, (src, _dst, pchild) in enumerate(messages):
-        plan = engine.plans[pchild]
-        triples = plan.marg_up if src == pchild else plan.marg_down
-        size = tree.cliques[src].size
-        layer_entries += size
-        imap = engine.get_map(src, plan.sep_id, size, triples)
-        marg_msgs.append((i, refs[src], size, triples, plan.sep_size, imap))
-    inline = (engine.backend.name == "serial"
-              or layer_entries < _parallel_threshold(engine))
-    engine.count("messages", len(messages))
-    partial_sums: list[np.ndarray | None] = [None] * len(messages)
+    margs = [(i, cliques[src], edge.triples(upward)[0], edge.sep_size, m_marg)
+             for i, (_, src, _dst, _sep, edge, m_marg, _) in enumerate(layer)]
+    sizes = [m[1].size for m in margs]
+    inline = _runs_inline(engine, sizes)
     if inline:
         engine.count("inline_layers")
-        batches = [run_marg_group(
-            tuple((k, ref, 0, size, triples, sep_size, imap)
-                  for k, ref, size, triples, sep_size, imap in marg_msgs))]
-    else:
-        tasks = _flatten_marg(engine, marg_msgs)
-        engine.count("dispatch_batches")
-        engine.count("dispatch_tasks", len(tasks))
-        batches = engine.backend.run_batch(tasks)
-    for results in batches:
+    new_seps: list[np.ndarray | None] = [None] * len(layer)
+    for results in _run_pool(engine, run_marg_group, margs, sizes, inline):
         for key, partial in results:
-            if partial_sums[key] is None:
-                partial_sums[key] = partial
-            else:
-                partial_sums[key] = partial_sums[key] + partial
+            new_seps[key] = (partial if new_seps[key] is None
+                             else new_seps[key] + partial)
 
     # ---- master: normalise messages, build ratios, group by destination.
     by_dst: dict[int, list] = {}
-    for i, (src, dst, pchild) in enumerate(messages):
-        plan = engine.plans[pchild]
-        new_sep = engine.normalize_message(state, partial_sums[i], track=track)
-        ratio = ratio_vector(new_sep, state.sep_pot[plan.sep_id].values)
-        state.sep_pot[plan.sep_id].values = new_sep
-        absorb_triples = plan.absorb_up if src == pchild else plan.absorb_down
-        absorb_map = engine.get_map(dst, plan.sep_id,
-                                    tree.cliques[dst].size, absorb_triples)
-        by_dst.setdefault(dst, []).append((absorb_triples, absorb_map, ratio))
+    for new_sep, (_, _src, dst, sep_id, edge, _, m_abs) in zip(new_seps, layer):
+        new_sep = engine.normalize_message(state, new_sep, track=upward)
+        ratio = ratio_vector(new_sep, seps[sep_id])
+        seps[sep_id][:] = new_sep
+        by_dst.setdefault(dst, []).append(
+            (edge.triples(upward)[1], m_abs, ratio))
 
     # ---- batch 2: flattened absorptions (chunks of one dst are disjoint;
     # all updates for a dst ride in every chunk of that dst).
-    targets = [
-        (refs[dst], tree.cliques[dst].size, tuple(updates))
-        for dst, updates in by_dst.items()
-    ]
-    if (engine.backend.name == "serial"
-            or sum(t[1] for t in targets) < _parallel_threshold(engine)):
-        run_absorb_group(tuple((ref, 0, size, updates) for ref, size, updates in targets))
-    else:
-        tasks = _flatten_absorb(engine, targets)
-        engine.count("dispatch_batches")
-        engine.count("dispatch_tasks", len(tasks))
-        engine.backend.run_batch(tasks)
+    targets = [(cliques[dst], tuple(updates)) for dst, updates in by_dst.items()]
+    sizes = [t[0].size for t in targets]
+    _run_pool(engine, run_absorb_group, targets, sizes,
+              _runs_inline(engine, sizes))
 
 
-def calibrate_hybrid(engine, state: TreeState, refs: list[ArrayRef]) -> None:
+def calibrate_hybrid(engine, state: TreeState) -> None:
     """Layer-synchronous hybrid collect + distribute."""
-    tree = engine.tree
-    for cliques, _seps in engine.schedule.collect_layers():
-        messages = [(cid, engine.plans[cid].parent, cid) for cid in cliques]
-        _layer_pass(engine, state, refs, messages, track=True)
-    for cliques, _seps in engine.schedule.distribute_layers():
-        messages = [
-            (cid, child, child)
-            for cid in cliques
-            for child, _sep in tree.children[cid]
-        ]
-        _layer_pass(engine, state, refs, messages, track=False)
+    cliques = [p.values for p in state.clique_pot]
+    seps = [p.values for p in state.sep_pot]
+    for layer in engine.plan.compiled_layers():
+        _layer_pass(engine, state, cliques, seps, layer)

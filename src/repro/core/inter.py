@@ -1,111 +1,50 @@
 """Inter-clique (coarse-grained) calibration.
 
-One task per *parent group*: all messages converging on the same parent
-clique in a layer run in a single task (their absorptions write the same
-table and must serialise); distinct parents proceed concurrently.  Layers
-are barriers.  This is Fast-BNI's coarse granularity in isolation — load
-balance suffers when one clique in a layer is much larger than its peers,
-which is precisely the shortcoming the hybrid mode fixes (paper §1/§2).
+One task per *destination clique*: all messages of a layer converging on
+the same clique run in a single task (their absorptions write the same
+table and must serialise); distinct destinations proceed concurrently.
+Each message is one whole-message call of the engine's kernel backend
+(:meth:`repro.exec.kernels.KernelBackend.message`) — the same unit the
+sequential schedule runs, so ``kernels="native"`` tasks overlap GIL-free.
+Layers are barriers.  This is Fast-BNI's coarse granularity in isolation —
+load balance suffers when one clique in a layer is much larger than its
+peers, which is precisely the shortcoming the hybrid mode fixes (paper
+§1/§2).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.primitives import StrideTriples, chunk_dst_indices, ratio_vector
-from repro.errors import EvidenceError
-from repro.exec.kernels import gather_absorb, gather_marginalize
 from repro.jt.structure import TreeState
-from repro.parallel.sharedmem import ArrayRef
 
 
-def message_task(
-    src: ArrayRef,
-    dst: ArrayRef,
-    old_sep: np.ndarray,
-    marg: StrideTriples,
-    absorb: StrideTriples,
-    sep_size: int,
-    sep_id: int,
-    marg_map: np.ndarray | None = None,
-    absorb_map: np.ndarray | None = None,
-) -> tuple[int, np.ndarray, float]:
-    """One full message src→dst executed in a worker.
+def run_messages(kernels, messages: tuple[tuple, ...]) -> list[float]:
+    """Run messages sharing a destination clique, in order.
 
-    Whole-table (unchunked) shared gather kernels
-    (:mod:`repro.exec.kernels`): marginalize src, normalise, divide by
-    the old separator, absorb into dst.  Returns ``(sep_id, new separator
-    values, log normalisation constant)`` for the master's bookkeeping.
+    Each item is the argument tuple of one ``kernels.message`` call;
+    returns the messages' log normalisation constants.
     """
-    src_vals = src.resolve()
-    imap = chunk_dst_indices(0, src_vals.size, marg, marg_map)
-    new_sep = gather_marginalize(src_vals, imap, sep_size)
-    total = float(new_sep.sum())
-    if total > 0.0:
-        new_sep /= total
-    ratio = ratio_vector(new_sep, old_sep)
-    dst_vals = dst.resolve()
-    gather_absorb(dst_vals, ratio, chunk_dst_indices(0, dst_vals.size, absorb, absorb_map))
-    return sep_id, new_sep, (np.log(total) if total > 0.0 else -np.inf)
+    return [kernels.message(*m) for m in messages]
 
 
-def group_task(messages: tuple[tuple, ...]) -> list[tuple[int, np.ndarray, float]]:
-    """Run several messages sharing a destination clique, sequentially."""
-    return [message_task(*m) for m in messages]
-
-
-def _message_args(engine, state: TreeState, refs, src: int, dst: int,
-                  plan, up: bool) -> tuple:
-    marg = plan.marg_up if up else plan.marg_down
-    absorb = plan.absorb_up if up else plan.absorb_down
-    # The child→sep map serves marg (up) / absorb (down); parent→sep serves
-    # the opposite role.  Either may be None (process backend / cache full).
-    child_map = engine.get_map(plan.child, plan.sep_id,
-                               engine.tree.cliques[plan.child].size, plan.marg_up)
-    parent_map = engine.get_map(plan.parent, plan.sep_id,
-                                engine.tree.cliques[plan.parent].size, plan.absorb_up)
-    marg_map, absorb_map = (child_map, parent_map) if up else (parent_map, child_map)
-    return (refs[src], refs[dst], state.sep_pot[plan.sep_id].values,
-            marg, absorb, plan.sep_size, plan.sep_id, marg_map, absorb_map)
-
-
-def calibrate_inter(engine, state: TreeState, refs: list[ArrayRef]) -> None:
+def calibrate_inter(engine, state: TreeState) -> None:
     """Layer-synchronous collect + distribute with message-level tasks."""
-    tree = engine.tree
-
-    # ---- collect: deepest layer first; group messages by parent clique.
-    for cliques, _seps in engine.schedule.collect_layers():
-        by_parent: dict[int, list[tuple]] = {}
-        for cid in cliques:
-            plan = engine.plans[cid]
-            by_parent.setdefault(plan.parent, []).append(
-                _message_args(engine, state, refs, cid, plan.parent, plan, up=True)
-            )
-        tasks = [(group_task, (tuple(msgs),)) for msgs in by_parent.values()]
+    kernels = engine.kernels
+    cliques = [p.values for p in state.clique_pot]
+    seps = [p.values for p in state.sep_pot]
+    for layer in engine.plan.compiled_layers(maps=kernels.wants_maps):
+        # Collect layers fan in (siblings share a parent); in distribute
+        # layers every destination is distinct, so each task is one message.
+        upward = layer[0][0]
+        by_dst: dict[int, list[tuple]] = {}
+        for _, src, dst, sep_id, edge, m_marg, m_abs in layer:
+            by_dst.setdefault(dst, []).append(
+                (cliques[src], cliques[dst], seps[sep_id], edge, upward,
+                 (m_marg, m_abs)))
+        tasks = [(run_messages, (kernels, tuple(msgs)))
+                 for msgs in by_dst.values()]
         engine.count("dispatch_batches")
         engine.count("dispatch_tasks", len(tasks))
-        engine.count("messages", len(cliques))
-        for results in engine.backend.run_batch(tasks):
-            for sep_id, new_sep, log_k in results:
-                if not np.isfinite(log_k):
-                    raise EvidenceError(
-                        "evidence has zero probability (empty message)"
-                    )
-                state.sep_pot[sep_id].values = new_sep
-                state.log_norm += log_k
-
-    # ---- distribute: shallowest first; each child is a distinct target.
-    for cliques, _seps in engine.schedule.distribute_layers():
-        tasks = []
-        for cid in cliques:
-            for child, _sep in tree.children[cid]:
-                plan = engine.plans[child]
-                tasks.append((message_task,
-                              _message_args(engine, state, refs, cid, child, plan, up=False)))
-        if not tasks:
-            continue
-        engine.count("dispatch_batches")
-        engine.count("dispatch_tasks", len(tasks))
-        engine.count("messages", len(tasks))
-        for sep_id, new_sep, _log_k in engine.backend.run_batch(tasks):
-            state.sep_pot[sep_id].values = new_sep  # distribute constants dropped
+        engine.count("messages", len(layer))
+        for log_totals in engine.backend.run_batch(tasks):
+            if upward:  # collect constants are factors of P(e)
+                state.log_norm += sum(log_totals)

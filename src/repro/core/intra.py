@@ -1,6 +1,6 @@
 """Intra-clique (fine-grained) calibration.
 
-Messages execute in sequential BFS-layer order; *within* each table
+Messages execute in the plan's sequential order; *within* each table
 operation the entry range is chunked across the backend's workers (two
 parallel batch invocations per message: marginalize, absorb).  This is
 Fast-BNI's fine granularity in isolation: it balances load inside big
@@ -13,80 +13,57 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.primitives import absorb_chunk, marg_chunk, ratio_vector
+from repro.exec.kernels import absorb_chunk, marg_chunk, ratio_vector
 from repro.jt.structure import TreeState
 from repro.parallel.chunking import chunk_ranges
-from repro.parallel.sharedmem import ArrayRef
 
 
-def _num_chunks(engine, size: int) -> int:
-    if size < engine.config.min_chunk:
-        return 1
-    return engine.backend.num_workers * engine.config.chunks_per_worker
+def _chunks(engine, size: int) -> list[tuple[int, int]]:
+    """Entry ranges of one table (a single range below ``min_chunk``)."""
+    return chunk_ranges(
+        size, engine.backend.num_workers * engine.config.chunks_per_worker,
+        min_chunk=engine.config.min_chunk)
 
 
-def parallel_marginalize(engine, src_ref: ArrayRef, src_size: int, triples,
-                         sep_size: int, imap: np.ndarray | None) -> np.ndarray:
+def parallel_marginalize(engine, src: np.ndarray, triples, sep_size: int,
+                         imap: np.ndarray | None) -> np.ndarray:
     """Chunked marginalization; master reduces the partial tables."""
-    chunks = chunk_ranges(src_size, _num_chunks(engine, src_size),
-                          min_chunk=engine.config.min_chunk)
+    chunks = _chunks(engine, src.size)
     if len(chunks) == 1:
         engine.count("inline_layers")
-        return marg_chunk(src_ref, 0, src_size, triples, sep_size, imap)
-    tasks = [(marg_chunk, (src_ref, lo, hi, triples, sep_size, imap))
+        return marg_chunk(src, 0, src.size, triples, sep_size, imap)
+    tasks = [(marg_chunk, (src, lo, hi, triples, sep_size, imap))
              for lo, hi in chunks]
     engine.count("dispatch_batches")
     engine.count("dispatch_tasks", len(tasks))
-    partials = engine.backend.run_batch(tasks)
-    return np.sum(partials, axis=0)
+    return np.sum(engine.backend.run_batch(tasks), axis=0)
 
 
-def parallel_absorb(engine, dst_ref: ArrayRef, dst_size: int, triples,
+def parallel_absorb(engine, dst: np.ndarray, triples,
                     imap: np.ndarray | None, ratio: np.ndarray) -> None:
     """Chunked ``dst *= extend(ratio)`` (write-disjoint ranges)."""
-    chunks = chunk_ranges(dst_size, _num_chunks(engine, dst_size),
-                          min_chunk=engine.config.min_chunk)
+    chunks = _chunks(engine, dst.size)
     updates = ((triples, imap, ratio),)
     if len(chunks) == 1:
-        absorb_chunk(dst_ref, 0, dst_size, updates)
+        absorb_chunk(dst, 0, dst.size, updates)
         return
-    tasks = [(absorb_chunk, (dst_ref, lo, hi, updates)) for lo, hi in chunks]
+    tasks = [(absorb_chunk, (dst, lo, hi, updates)) for lo, hi in chunks]
     engine.count("dispatch_batches")
     engine.count("dispatch_tasks", len(tasks))
     engine.backend.run_batch(tasks)
 
 
-def send_message_intra(engine, state: TreeState, refs: list[ArrayRef],
-                       src: int, dst: int, plan_triples_marg, plan_triples_absorb,
-                       sep_id: int, sep_size: int, track: bool) -> None:
-    """One Hugin message with both table ops chunked across the backend."""
-    src_size = engine.tree.cliques[src].size
-    dst_size = engine.tree.cliques[dst].size
-    marg_map = engine.get_map(src, sep_id, src_size, plan_triples_marg)
-    absorb_map = engine.get_map(dst, sep_id, dst_size, plan_triples_absorb)
-    new_sep = parallel_marginalize(
-        engine, refs[src], src_size, plan_triples_marg, sep_size, marg_map
-    )
-    new_sep = engine.normalize_message(state, new_sep, track=track)
-    ratio = ratio_vector(new_sep, state.sep_pot[sep_id].values)
-    parallel_absorb(engine, refs[dst], dst_size, plan_triples_absorb,
-                    absorb_map, ratio)
-    state.sep_pot[sep_id].values = new_sep
-
-
-def calibrate_intra(engine, state: TreeState, refs: list[ArrayRef]) -> None:
+def calibrate_intra(engine, state: TreeState) -> None:
     """Sequential message schedule, parallel table operations."""
-    tree = engine.tree
-    for cliques, _seps in engine.schedule.collect_layers():
-        for cid in cliques:
-            plan = engine.plans[cid]
-            send_message_intra(engine, state, refs, cid, plan.parent,
-                               plan.marg_up, plan.absorb_up,
-                               plan.sep_id, plan.sep_size, track=True)
-    for cliques, _seps in engine.schedule.distribute_layers():
-        for cid in cliques:
-            for child, _sep in tree.children[cid]:
-                plan = engine.plans[child]
-                send_message_intra(engine, state, refs, cid, child,
-                                   plan.marg_down, plan.absorb_down,
-                                   plan.sep_id, plan.sep_size, track=False)
+    cliques = [p.values for p in state.clique_pot]
+    seps = [p.values for p in state.sep_pot]
+    messages = engine.plan.compiled_messages()
+    for upward, src, dst, sep_id, edge, m_marg, m_abs in messages:
+        marg, absorb = edge.triples(upward)
+        new_sep = parallel_marginalize(engine, cliques[src], marg,
+                                       edge.sep_size, m_marg)
+        new_sep = engine.normalize_message(state, new_sep, track=upward)
+        ratio = ratio_vector(new_sep, seps[sep_id])
+        parallel_absorb(engine, cliques[dst], absorb, m_abs, ratio)
+        seps[sep_id][:] = new_sep
+    engine.count("messages", len(messages))

@@ -12,8 +12,10 @@ Two layers:
 * **Primitive functions** — ``gather_*`` (the paper-faithful index-mapping
   formulation: flat maps, ``bincount`` scatter, fancy-index gather) and
   ``nd_*`` (NumPy reshape/sum/broadcast over the N-D view).  Each comes in
-  a single-case and an ``(N, table)`` batched form.  These are what
-  :mod:`repro.potential.ops` and :mod:`repro.core.primitives` wrap.
+  a single-case and an ``(N, table)`` batched form, and the gather pair
+  also in an entry-*range* form (``marg_chunk``/``absorb_chunk``) — the
+  unit the parallel modes dispatch.  :mod:`repro.potential.ops` wraps
+  these.
 
 * **Kernel backends** — a :class:`KernelBackend` executes one whole Hugin
   message (marginalize → normalize → ratio → absorb) over arena tables:
@@ -73,10 +75,11 @@ StrideTriples = tuple[tuple[int, int, int], ...]
 FLAT_BINCOUNT_LIMIT = 1 << 22
 
 
-def triples_to_map(size: int, triples: StrideTriples) -> np.ndarray:
-    """Materialise the flat source→destination index map from stride triples."""
-    idx = np.arange(size, dtype=np.int64)
-    out = np.zeros(size, dtype=np.int64)
+def triples_to_map(size: int, triples: StrideTriples, lo: int = 0) -> np.ndarray:
+    """Materialise the flat source→destination index map from stride triples
+    (mixed-radix arithmetic), for source entries ``[lo, size)``."""
+    idx = np.arange(lo, size, dtype=np.int64)
+    out = np.zeros(size - lo, dtype=np.int64)
     for s_src, card, s_dst in triples:
         out += ((idx // s_src) % card) * s_dst
     return out
@@ -93,6 +96,43 @@ def gather_absorb(values: np.ndarray, msg: np.ndarray,
                   imap: np.ndarray) -> None:
     """In-place ``values *= extend(msg)`` through the index map (gather)."""
     values *= msg[imap]
+
+
+def chunk_dst_indices(lo: int, hi: int, triples: StrideTriples,
+                      imap: np.ndarray | None = None) -> np.ndarray:
+    """Destination indices of source entries ``[lo, hi)`` (the index mapping).
+
+    A view slice of the plan's cached map when there is one; otherwise
+    (map budget spent) the mixed-radix arithmetic runs on the fly.
+    """
+    if imap is not None:
+        return imap[lo:hi]
+    return triples_to_map(hi, triples, lo)
+
+
+def marg_chunk(values: np.ndarray, lo: int, hi: int, triples: StrideTriples,
+               dst_size: int, imap: np.ndarray | None = None) -> np.ndarray:
+    """Partial marginalization of ``values[lo:hi]`` into destination space.
+
+    Chunks of one table return *partial* tables the master sums, keeping
+    workers write-disjoint.
+    """
+    return gather_marginalize(values[lo:hi],
+                              chunk_dst_indices(lo, hi, triples, imap), dst_size)
+
+
+def absorb_chunk(values: np.ndarray, lo: int, hi: int,
+                 updates: tuple[tuple[StrideTriples, np.ndarray | None, np.ndarray], ...],
+                 ) -> None:
+    """``values[lo:hi] *= prod_k extend(ratio_k)[lo:hi]`` (write-disjoint).
+
+    ``updates`` carries one (stride triples, cached map or ``None``, ratio
+    vector) per pending message into this table, so several children
+    updating one parent in a layer cost one pass.
+    """
+    seg = values[lo:hi]
+    for triples, imap, ratio in updates:
+        gather_absorb(seg, ratio, chunk_dst_indices(lo, hi, triples, imap))
 
 
 def gather_marginalize_batch(values: np.ndarray, imap: np.ndarray,
@@ -179,6 +219,20 @@ def ratio_vector(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     out = np.zeros_like(new)
     np.divide(new, old, out=out, where=old != 0)
     return out
+
+
+def resolve_maps(src: np.ndarray, dst: np.ndarray, edge, upward: bool,
+                 maps: tuple[np.ndarray | None, np.ndarray | None],
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """A message's (marginalize, absorb) maps, building any the plan left out."""
+    m_marg, m_abs = maps
+    if m_marg is None or m_abs is None:
+        marg, absorb = edge.triples(upward)
+        if m_marg is None:
+            m_marg = triples_to_map(src.shape[-1], marg)
+        if m_abs is None:
+            m_abs = triples_to_map(dst.shape[-1], absorb)
+    return m_marg, m_abs
 
 
 def _normalize_batch(new_sep: np.ndarray, case_offset: int) -> np.ndarray:
@@ -274,9 +328,9 @@ class FusedKernels(KernelBackend):
     """Fused flat-arena backend: one scatter + one gather pass per message.
 
     Consumes the plan's precomputed index maps (falling back to on-the-fly
-    mixed-radix arithmetic when a map is unavailable, e.g. across a
-    process boundary) and never touches N-D views, so the per-message cost
-    is two single-pass C loops plus the tiny separator arithmetic.
+    mixed-radix arithmetic when the map budget is spent) and never touches
+    N-D views, so the per-message cost is two single-pass C loops plus the
+    tiny separator arithmetic.
 
     The separator update uses ``new / (old + (old == 0))`` instead of a
     masked divide: during propagation zeros only ever *grow* (a killed
@@ -292,35 +346,23 @@ class FusedKernels(KernelBackend):
     wants_maps = True
 
     def message(self, src, dst, sep, edge, upward, maps=(None, None)):
-        m_marg, m_abs = maps
-        if m_marg is None:
-            m_marg = triples_to_map(
-                src.size, edge.marg_up if upward else edge.marg_down)
+        m_marg, m_abs = resolve_maps(src, dst, edge, upward, maps)
         new_sep = gather_marginalize(src, m_marg, edge.sep_size)
         total = float(new_sep.sum())
         if total <= 0.0:
             raise EvidenceError("evidence has zero probability (empty message)")
         new_sep /= total
         ratio = new_sep / (sep + (sep == 0.0))
-        if m_abs is None:
-            m_abs = triples_to_map(
-                dst.size, edge.absorb_up if upward else edge.absorb_down)
         gather_absorb(dst, ratio, m_abs)
         sep[:] = new_sep
         return math.log(total)
 
     def message_batch(self, src, dst, sep, edge, upward, maps=(None, None),
                       case_offset=0):
-        m_marg, m_abs = maps
-        if m_marg is None:
-            m_marg = triples_to_map(
-                src.shape[1], edge.marg_up if upward else edge.marg_down)
+        m_marg, m_abs = resolve_maps(src, dst, edge, upward, maps)
         new_sep = gather_marginalize_batch(src, m_marg, edge.sep_size)
         log_totals = _normalize_batch(new_sep, case_offset)
         ratio = new_sep / (sep + (sep == 0.0))
-        if m_abs is None:
-            m_abs = triples_to_map(
-                dst.shape[1], edge.absorb_up if upward else edge.absorb_down)
         gather_absorb_batch(dst, ratio, m_abs)
         sep[:] = new_sep
         return log_totals
@@ -380,14 +422,14 @@ def get_kernels(name: str) -> KernelBackend:
 
 
 def run_message_schedule(plan, state, backend: KernelBackend,
-                         map_limit: int | None = None, hooks=None) -> int:
+                         hooks=None) -> int:
     """Full two-phase calibration of ``state`` via ``backend``.
 
     The single-case execution loop shared by the sequential engine: walks
-    the compiled plan's collect layers (tracking the normalisation
-    constants in ``state.log_norm``) then its distribute layers (constants
-    dropped), one :meth:`KernelBackend.message` per edge per phase.
-    Returns the number of messages executed.
+    the plan's compiled message sequence — collect layers (tracking the
+    normalisation constants in ``state.log_norm``) then distribute layers
+    (constants dropped), one :meth:`KernelBackend.message` per edge per
+    phase.  Returns the number of messages executed.
 
     ``hooks`` (or, when absent, the thread's recorder installed by
     :func:`repro.obs.trace.install_kernel_hooks`) receives per-message
@@ -402,15 +444,13 @@ def run_message_schedule(plan, state, backend: KernelBackend,
         # Schedule-compiling backends (native) run the whole calibration
         # as one GIL-free foreign call when nothing needs per-message
         # visibility; None means this plan/state can't take the fast path.
-        done = backend.run_schedule(plan, state, map_limit)
+        done = backend.run_schedule(plan, state)
         if done is not None:
             messages, log_norm = done
             state.log_norm += log_norm
             return messages
-    spec = plan.spec
     cliques = [p.values for p in state.clique_pot]
     seps = [p.values for p in state.sep_pot]
-    messages = 0
     log_norm = 0.0
     send = backend.message
     timer = time.perf_counter
@@ -422,39 +462,24 @@ def run_message_schedule(plan, state, backend: KernelBackend,
             hooks.on_message(args[4], timer() - t0)
             return out
 
-    if backend.wants_maps:
-        # Map-consuming backends run the pre-compiled sequence: maps
-        # prefetched, zero per-message plan lookups.  Skip-consuming
-        # backends (native) additionally get each endpoint's nonzero-run
-        # list so structurally-zero blocks of the base tables cost nothing.
-        skips = (plan.zero_skip_runs()
-                 if getattr(backend, "wants_skips", False) else None)
-        for upward, src, dst, sep_id, edge, m_marg, m_abs in \
-                plan.compiled_messages(limit=map_limit):
-            if skips is None:
-                log_total = send(cliques[src], cliques[dst], seps[sep_id],
-                                 edge, upward, (m_marg, m_abs))
-            else:
-                log_total = send(cliques[src], cliques[dst], seps[sep_id],
-                                 edge, upward, (m_marg, m_abs),
-                                 (skips[src], skips[dst]))
-            if upward:
-                log_norm += log_total
-            messages += 1
-    else:
-        no_maps = (None, None)
-        for layer in spec.up_layers:
-            for cid in layer:
-                edge = spec.edges[cid]
-                log_norm += send(cliques[cid], cliques[edge.parent],
-                                 seps[edge.sep_id], edge, True, no_maps)
-                messages += 1
-        for layer in spec.down_layers:
-            for cid in layer:
-                edge = spec.edges[cid]
-                send(cliques[edge.parent], cliques[cid],
-                     seps[edge.sep_id], edge, False, no_maps)
-                messages += 1
+    # The pre-compiled sequence: maps prefetched for the backends that
+    # gather, zero per-message plan lookups.  Skip-consuming backends
+    # (native) additionally get each endpoint's nonzero-run list so
+    # structurally-zero blocks of the base tables cost nothing.
+    compiled = plan.compiled_messages(maps=backend.wants_maps)
+    skips = (plan.zero_skip_runs()
+             if getattr(backend, "wants_skips", False) else None)
+    for upward, src, dst, sep_id, edge, m_marg, m_abs in compiled:
+        if skips is None:
+            log_total = send(cliques[src], cliques[dst], seps[sep_id],
+                             edge, upward, (m_marg, m_abs))
+        else:
+            log_total = send(cliques[src], cliques[dst], seps[sep_id],
+                             edge, upward, (m_marg, m_abs),
+                             (skips[src], skips[dst]))
+        if upward:
+            log_norm += log_total
+    messages = len(compiled)
     state.log_norm += log_norm
     if hooks is not None:
         hooks.on_schedule(backend=backend.name, messages=messages,
@@ -464,7 +489,7 @@ def run_message_schedule(plan, state, backend: KernelBackend,
 
 
 def calibrate_states(plan, states, backend: KernelBackend,
-                     workers: int = 1, map_limit: int | None = None) -> int:
+                     workers: int = 1) -> int:
     """Calibrate many independent single-case states, optionally threaded.
 
     The thread-dispatch path for per-case calibration: states are split
@@ -485,13 +510,12 @@ def calibrate_states(plan, states, backend: KernelBackend,
 
     def run_chunk(chunk) -> int:
         if getattr(backend, "compiles_schedule", False):
-            per_state = backend.run_schedules(plan, chunk, map_limit)
+            per_state = backend.run_schedules(plan, chunk)
             if per_state is not None:
                 return per_state * len(chunk)
         sent = 0
         for state in chunk:
-            sent += run_message_schedule(plan, state, backend,
-                                         map_limit=map_limit)
+            sent += run_message_schedule(plan, state, backend)
         return sent
 
     workers = max(1, min(workers, len(states)))

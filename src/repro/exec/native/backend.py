@@ -30,7 +30,7 @@ import threading
 import numpy as np
 
 from repro.errors import EvidenceError
-from repro.exec.kernels import KernelBackend, triples_to_map
+from repro.exec.kernels import KernelBackend, resolve_maps
 from repro.exec.native.build import META_STRIDE
 
 
@@ -87,7 +87,7 @@ class NativeKernels(KernelBackend):
         return status
 
     # ------------------------------------------------------ compiled schedule
-    def _compile_schedule(self, plan, map_limit):
+    def _compile_schedule(self, plan):
         """Build the per-plan metadata table ``fbni_run_schedule`` walks.
 
         Returns ``False`` (cached by the caller) when the plan's index
@@ -95,7 +95,7 @@ class NativeKernels(KernelBackend):
         the plan generically.
         """
         spec = plan.spec
-        msgs = plan.compiled_messages(limit=map_limit)
+        msgs = plan.compiled_messages()
         runs = plan.zero_skip_runs()
         meta = np.zeros((len(msgs), META_STRIDE), dtype=np.int64)
         keepalive = []
@@ -119,7 +119,7 @@ class NativeKernels(KernelBackend):
         max_sep = max(spec.sep_sizes, default=0)
         return meta, keepalive, max_sep, len(msgs)
 
-    def run_schedule(self, plan, state, map_limit=None):
+    def run_schedule(self, plan, state):
         """Calibrate ``state`` in one foreign call; ``(messages, log_norm)``.
 
         Returns ``None`` when this plan/state pair can't take the fast
@@ -131,7 +131,7 @@ class NativeKernels(KernelBackend):
         blob = plan.__dict__.get("_native_schedule")
         if blob is None:
             blob = plan.__dict__["_native_schedule"] = \
-                self._compile_schedule(plan, map_limit)
+                self._compile_schedule(plan)
         if blob is False:
             return None
         meta, _keepalive, max_sep, n_messages = blob
@@ -163,7 +163,7 @@ class NativeKernels(KernelBackend):
             return None
         return base
 
-    def run_schedules(self, plan, states, map_limit=None):
+    def run_schedules(self, plan, states):
         """Calibrate many single-case arena states in **one** foreign call.
 
         The coarsest dispatch unit: a thread-dispatched chunk of cases
@@ -176,7 +176,7 @@ class NativeKernels(KernelBackend):
         blob = plan.__dict__.get("_native_schedule")
         if blob is None:
             blob = plan.__dict__["_native_schedule"] = \
-                self._compile_schedule(plan, map_limit)
+                self._compile_schedule(plan)
         if blob is False:
             return None
         meta, _keepalive, max_sep, n_messages = blob
@@ -202,20 +202,9 @@ class NativeKernels(KernelBackend):
             state.log_norm += log_norm
         return n_messages
 
-    @staticmethod
-    def _maps_for(src, dst, edge, upward, maps):
-        m_marg, m_abs = maps
-        if m_marg is None:
-            m_marg = triples_to_map(
-                src.shape[-1], edge.marg_up if upward else edge.marg_down)
-        if m_abs is None:
-            m_abs = triples_to_map(
-                dst.shape[-1], edge.absorb_up if upward else edge.absorb_down)
-        return m_marg, m_abs
-
     def message(self, src, dst, sep, edge, upward, maps=(None, None),
                 skips=(None, None)):
-        m_marg, m_abs = self._maps_for(src, dst, edge, upward, maps)
+        m_marg, m_abs = resolve_maps(src, dst, edge, upward, maps)
         scratch = self._scratch(edge.sep_size)
         src_runs, dst_runs = skips
         total = self._message(
@@ -234,7 +223,7 @@ class NativeKernels(KernelBackend):
 
     def message_batch(self, src, dst, sep, edge, upward, maps=(None, None),
                       case_offset=0):
-        m_marg, m_abs = self._maps_for(src, dst, edge, upward, maps)
+        m_marg, m_abs = resolve_maps(src, dst, edge, upward, maps)
         k = src.shape[0]
         scratch = self._scratch(edge.sep_size)
         totals = np.empty(k)

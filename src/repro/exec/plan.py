@@ -16,15 +16,18 @@ all of it exactly once per (tree, root) and the engines share the result:
   N-D sum-axes/broadcast shapes (consumed by the fused kernel backend and
   the incremental engine, which previously derived them privately);
 * the **layer schedule** flattened to plain clique-id tuples
-  (``up_layers`` deepest-first, ``down_layers`` shallowest-first) — the
-  picklable form the batched engine ships to process workers;
+  (``up_layers`` deepest-first, ``down_layers`` shallowest-first) and,
+  from it, the **compiled message sequence**
+  (:meth:`MessagePlan.compiled_layers`) every engine iterates: one
+  ``(upward, src, dst, sep_id, edge, marg_map, absorb_map)`` tuple per
+  message, grouped by layer, index maps attached;
 * the cached **CPT-product base tables** and the per-edge **index-map
   cache**, so every engine sharing one tree shares one copy of each.
 
-:class:`PlanSpec` is the picklable slice of the plan (pure ints/tuples,
-no network or domain objects): it crosses process boundaries at the cost
-of a few kilobytes, while :class:`MessagePlan` itself stays in the master
-process holding the tree, the lazily-built base tables and the map cache.
+:class:`PlanSpec` is the plain-data slice of the plan (pure ints/tuples,
+no network or domain objects) — what the native backend compiles its
+metadata table from — while :class:`MessagePlan` binds it to the tree and
+holds the lazily-built base tables, index maps and compiled sequence.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class EdgeGeometry:
     broadcast shapes are valid because clique and separator domains are
     both ordered by network variable rank, making the separator's variable
     order a sub-order of both endpoints'.  Pure ints and tuples —
-    picklable, shareable, immutable.
+    shareable, immutable.
     """
 
     child: int
@@ -84,13 +87,19 @@ class EdgeGeometry:
     #: separator reshaped to broadcast against the parent's N-D view
     parent_bshape: tuple[int, ...]
 
+    def triples(self, upward: bool) -> tuple[StrideTriples, StrideTriples]:
+        """The (marginalize, absorb) stride triples of one message direction."""
+        if upward:
+            return self.marg_up, self.absorb_up
+        return self.marg_down, self.absorb_down
+
 
 @dataclass(frozen=True)
 class PlanSpec:
-    """The picklable message plan: geometry + schedule + arena layout.
+    """The plain-data message plan: geometry + schedule + arena layout.
 
-    Everything a worker needs to calibrate arena tables — no tree, no
-    network, no domain objects.  Offsets are in float64 entries; the
+    Everything needed to calibrate arena tables — no tree, no network, no
+    domain objects.  Offsets are in float64 entries; the
     single-case arena packs cliques first then separators, and the batched
     arena uses the same offsets scaled by the case count (table-major
     ``(N, size)`` blocks).
@@ -215,8 +224,9 @@ class MessagePlan:
         #: marginalize and absorb directions of that edge.
         self._maps: dict[tuple[int, int], np.ndarray] = {}
         self._map_entries = 0
-        #: Pre-compiled message sequence with maps attached (lazy).
-        self._compiled: list[tuple] | None = None
+        #: Pre-compiled message sequence as ``(layers, flat)``, keyed by
+        #: whether index maps are attached (lazy).
+        self._compiled: dict[bool, tuple[list[list[tuple]], list[tuple]]] = {}
         #: Per-clique nonzero-run skip lists over the base tables (lazy).
         self._zero_runs: list[np.ndarray | None] | None = None
         self._zero_skipped = 0
@@ -304,9 +314,8 @@ class MessagePlan:
         """A :class:`BatchTreeState` for ``n`` cases backed by one arena.
 
         Table-major layout: table *t* occupies the contiguous
-        ``(n, size_t)`` block at ``n * offset_t`` — the same shape the
-        shared-memory arena uses on the process backend, so case-block
-        kernels address both identically.
+        ``(n, size_t)`` block at ``n * offset_t``, so a case block is a
+        row slice of every table.
         """
         if n < 1:
             raise JunctionTreeError(f"batch needs at least one case, got {n}")
@@ -334,37 +343,33 @@ class MessagePlan:
         return state
 
     # ------------------------------------------------------------- index maps
-    def index_map(self, clique_id: int, sep_id: int, size: int,
-                  triples: StrideTriples,
-                  limit: int | None = None) -> np.ndarray | None:
+    def index_map(self, clique_id: int, sep_id: int,
+                  triples: StrideTriples) -> np.ndarray | None:
         """Cached clique→separator flat index map, or ``None`` over budget.
 
         The mapping depends only on table shapes — never on evidence — so
         one map per (clique, separator) pair serves both message
-        directions of that edge forever.
+        directions of that edge forever.  Once the cache would exceed
+        :attr:`MAP_CACHE_LIMIT` entries no further maps are materialised
+        and consumers run the mixed-radix arithmetic on the fly.
         """
         key = (clique_id, sep_id)
         cached = self._maps.get(key)
         if cached is not None:
             return cached
-        cap = self.MAP_CACHE_LIMIT if limit is None else limit
-        if self._map_entries + size > cap:
+        size = self.spec.clique_sizes[clique_id]
+        if self._map_entries + size > self.MAP_CACHE_LIMIT:
             return None
         imap = triples_to_map(size, triples)
         self._maps[key] = imap
         self._map_entries += size
         return imap
 
-    def message_maps(self, edge: EdgeGeometry, upward: bool,
-                     limit: int | None = None
+    def message_maps(self, edge: EdgeGeometry, upward: bool
                      ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """The (marginalize, absorb) maps for one message direction."""
-        child_map = self.index_map(
-            edge.child, edge.sep_id,
-            self.spec.clique_sizes[edge.child], edge.marg_up, limit)
-        parent_map = self.index_map(
-            edge.parent, edge.sep_id,
-            self.spec.clique_sizes[edge.parent], edge.absorb_up, limit)
+        child_map = self.index_map(edge.child, edge.sep_id, edge.marg_up)
+        parent_map = self.index_map(edge.parent, edge.sep_id, edge.absorb_up)
         return (child_map, parent_map) if upward else (parent_map, child_map)
 
     # -------------------------------------------------------- evidence/queries
@@ -498,33 +503,47 @@ class MessagePlan:
             self._zero_skipped = skipped
         return self._zero_runs
 
-    def compiled_messages(self, limit: int | None = None) -> list[tuple]:
-        """The full calibration as a flat, map-prefetched message sequence.
+    def _compile(self, maps: bool) -> tuple[list[list[tuple]], list[tuple]]:
+        compiled = self._compiled.get(maps)
+        if compiled is None:
+            spec = self.spec
+            layers = []
+            for upward, schedule in ((True, spec.up_layers),
+                                     (False, spec.down_layers)):
+                for layer in schedule:
+                    messages = []
+                    for cid in layer:
+                        edge = spec.edges[cid]
+                        src, dst = ((cid, edge.parent) if upward
+                                    else (edge.parent, cid))
+                        m_marg, m_abs = (self.message_maps(edge, upward)
+                                         if maps else (None, None))
+                        messages.append((upward, src, dst, edge.sep_id, edge,
+                                         m_marg, m_abs))
+                    layers.append(messages)
+            compiled = self._compiled[maps] = (
+                layers, [m for layer in layers for m in layer])
+        return compiled
+
+    def compiled_layers(self, maps: bool = True) -> list[list[tuple]]:
+        """The full calibration as map-prefetched messages, one list per layer.
 
         One ``(upward, src, dst, sep_id, edge, marg_map, absorb_map)``
-        tuple per message, collect phase first (deepest layer inward) then
-        distribute (root outward).  Built once per plan: the hot loop of a
-        map-consuming kernel backend then runs with zero per-message plan
-        lookups — the compile-once counterpart of the paper's "only touch
-        table values at inference time".
+        tuple per message; collect layers first (deepest inward) then
+        distribute layers (root outward), every layer a barrier and all
+        of a layer's messages sharing ``upward``.  Built once per plan:
+        every engine — the kernel backends' schedule loop and the parallel
+        modes alike — then runs with zero per-message plan lookups, the
+        compile-once counterpart of the paper's "only touch table values
+        at inference time".  ``maps=False`` leaves both map slots ``None``
+        for backends that never gather (no table-sized maps are built); a
+        map slot is also ``None`` once the cache budget is spent.
         """
-        if self._compiled is None:
-            spec = self.spec
-            seq: list[tuple] = []
-            for layer in spec.up_layers:
-                for cid in layer:
-                    edge = spec.edges[cid]
-                    m_marg, m_abs = self.message_maps(edge, True, limit)
-                    seq.append((True, cid, edge.parent, edge.sep_id, edge,
-                                m_marg, m_abs))
-            for layer in spec.down_layers:
-                for cid in layer:
-                    edge = spec.edges[cid]
-                    m_marg, m_abs = self.message_maps(edge, False, limit)
-                    seq.append((False, edge.parent, cid, edge.sep_id, edge,
-                                m_marg, m_abs))
-            self._compiled = seq
-        return self._compiled
+        return self._compile(maps)[0]
+
+    def compiled_messages(self, maps: bool = True) -> list[tuple]:
+        """:meth:`compiled_layers` flattened to one message sequence."""
+        return self._compile(maps)[1]
 
     def stats(self) -> dict[str, float]:
         """Plan-level statistics (surfaced by ``info``/CLI)."""

@@ -112,11 +112,6 @@ class IncrementalEngine:
         A compiled :class:`~repro.jt.structure.JunctionTree`.  The engine
         never re-roots it; the rooted topology in place at construction
         time defines the message directions for the engine's lifetime.
-    base_cliques:
-        Optional per-clique CPT-product tables (1-D float64 arrays, one per
-        clique in id order) so several engines can share the compile-time
-        product — :class:`~repro.core.FastBNI` engines cache exactly this
-        list.  Treated as immutable; a fresh product is built when omitted.
     evidence:
         Initial evidence (state labels or indices).  The constructor only
         *records* it — no propagation happens until the first query, so
@@ -134,7 +129,6 @@ class IncrementalEngine:
     capabilities = INCREMENTAL_ENGINE
 
     def __init__(self, tree: JunctionTree,
-                 base_cliques: list[np.ndarray] | None = None,
                  evidence: dict[str, str | int] | None = None) -> None:
         self.tree = tree
         #: The shared execution plan: per-edge ndview geometry + cached
@@ -142,9 +136,8 @@ class IncrementalEngine:
         #: every other engine over this tree.
         self.plan = compile_plan(tree)
         spec = self.plan.spec
-        if base_cliques is None:
-            base_cliques = self.plan.base_cliques
-        self._base: list[np.ndarray] = list(base_cliques)
+        #: The plan's CPT-product clique tables (shared, immutable).
+        self._base: list[np.ndarray] = self.plan.base_cliques
         n = tree.num_cliques
         #: N-D shape of each clique table (domain order = var-rank order).
         self._cshape: tuple[tuple[int, ...], ...] = spec.clique_shapes

@@ -1,40 +1,37 @@
 """Parallel execution runtime (the OpenMP substitute — see DESIGN.md).
 
-The paper's engines are C++/OpenMP; in Python the equivalents are:
+The paper's engines are C++/OpenMP: threads sharing one address space.
+In Python the equivalents are:
 
 * :class:`~repro.parallel.backend.SerialBackend` — inline execution
   (``t=1`` in the paper's sweeps);
 * :class:`~repro.parallel.backend.ThreadBackend` — a persistent
-  ``ThreadPoolExecutor``; NumPy kernels release the GIL on large arrays,
-  so chunked table ops genuinely overlap;
-* :class:`~repro.parallel.backend.ProcessBackend` — a persistent
-  ``ProcessPoolExecutor`` over :mod:`multiprocessing.shared_memory`
-  arrays; sidesteps the GIL at the cost of task-dispatch latency.
+  ``ThreadPoolExecutor``; NumPy kernels release the GIL on large arrays
+  and the native kernels for the whole of every call, so dispatched work
+  genuinely overlaps.
 
 Work units are *entry-range chunks* of potential tables
-(:mod:`repro.parallel.chunking`), referenced through
-:class:`~repro.parallel.sharedmem.ArrayRef` so the same kernel code runs
-on every backend.
+(:mod:`repro.parallel.chunking`) or case blocks of a batch; tasks receive
+ndarray views into the plan arena directly.  :mod:`repro.parallel.
+sharedmem` is separate: named read-only segments the cluster tier uses to
+share plan base tables *between server processes*.
 """
 
 from repro.parallel.backend import (
+    BACKENDS,
     Backend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     make_backend,
 )
 from repro.parallel.chunking import chunk_ranges, chunk_weighted
-from repro.parallel.sharedmem import ArrayRef, SharedArena
 
 __all__ = [
+    "BACKENDS",
     "Backend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "make_backend",
     "chunk_ranges",
     "chunk_weighted",
-    "ArrayRef",
-    "SharedArena",
 ]

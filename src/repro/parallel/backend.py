@@ -1,11 +1,11 @@
-"""Execution backends: serial, thread pool, process pool.
+"""Execution backends: serial and thread pool.
 
 A :class:`Backend` executes a batch of independent tasks and blocks until
 all complete — exactly the semantics of one OpenMP ``parallel for`` region,
 which is how the paper's engines consume it (one batch per layer, a barrier
 between layers).
 
-Pools are persistent: creating threads/processes per layer would swamp the
+Pools are persistent: creating threads per layer would swamp the
 measurement with setup cost (the "parallelization overhead" the paper
 analyses is *task dispatch*, which we keep).
 """
@@ -13,7 +13,7 @@ analyses is *task dispatch*, which we keep).
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from repro.errors import BackendError
@@ -85,44 +85,25 @@ class ThreadBackend(Backend):
         self._pool.shutdown(wait=True)
 
 
-class ProcessBackend(Backend):
-    """Persistent process pool over shared-memory array refs.
+#: name -> factory taking the worker count.
+_FACTORIES = {"serial": lambda num_workers: SerialBackend(),
+              "thread": ThreadBackend}
 
-    Tasks must reference tables through picklable
-    :class:`~repro.parallel.sharedmem.ArrayRef` objects backed by a
-    :class:`~repro.parallel.sharedmem.SharedArena`.  Sidesteps the GIL
-    entirely; per-task dispatch costs ~100µs, so it pays off only for
-    large cliques (the paper's large-scale regime).
-    """
-
-    name = "process"
-
-    def __init__(self, num_workers: int) -> None:
-        if num_workers < 1:
-            raise BackendError(f"num_workers must be >= 1, got {num_workers}")
-        self.num_workers = num_workers
-        self._pool = ProcessPoolExecutor(max_workers=num_workers)
-
-    def run_batch(self, tasks: Sequence[Task]) -> list[Any]:
-        futures = [self._pool.submit(fn, *args) for fn, args in tasks]
-        return [f.result() for f in futures]
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
+#: Accepted ``backend`` names (``FastBNIConfig`` and the CLI validate against
+#: this) — derived from the registry so they cannot drift from what resolves.
+BACKENDS = tuple(_FACTORIES)
 
 
 def make_backend(kind: str, num_workers: int | None = None) -> Backend:
-    """Factory: ``"serial"``, ``"thread"`` or ``"process"``.
+    """Factory: ``"serial"`` or ``"thread"``.
 
     ``num_workers`` defaults to the CPU count (capped at 32, the paper's
     maximum thread count).
     """
+    factory = _FACTORIES.get(kind)
+    if factory is None:
+        raise BackendError(
+            f"unknown backend {kind!r}; expected one of {BACKENDS}")
     if num_workers is None:
         num_workers = min(os.cpu_count() or 1, 32)
-    if kind == "serial":
-        return SerialBackend()
-    if kind == "thread":
-        return ThreadBackend(num_workers)
-    if kind == "process":
-        return ProcessBackend(num_workers)
-    raise BackendError(f"unknown backend {kind!r}; expected serial/thread/process")
+    return factory(num_workers)

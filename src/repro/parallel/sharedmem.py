@@ -1,23 +1,12 @@
-"""Array references and shared-memory arenas.
+"""Named read-only shared-memory segments (the cluster tier's plan sharing).
 
-Kernels (see :mod:`repro.core.primitives`) never hold raw arrays across a
-process boundary; they receive an :class:`ArrayRef` and resolve it:
-
-* in serial/thread backends a ref wraps the live ``ndarray`` directly
-  (zero cost, shared address space);
-* in the process backend a ref names a :class:`multiprocessing.shared_memory`
-  segment plus ``(offset, length)``, and workers attach lazily, caching the
-  mapping per process.
-
-:class:`SharedArena` packs all clique and separator tables of a
-:class:`~repro.jt.structure.TreeState` into one segment, so a whole
-calibration state is shared with a single mmap.
-
-For the cluster tier (:mod:`repro.cluster`), *named* segments let
-unrelated worker processes share one read-only buffer without a parent
-handing out pickled refs: :func:`share_readonly` publishes (or attaches
-to) a header-stamped float64 segment under a deterministic name, so N
-replicas of the same model map one copy of the compiled plan's base
+The inference engines never cross a process boundary — their parallel
+modes are threads over the plan arena.  The cluster tier
+(:mod:`repro.cluster`) does run several *server* processes, and *named*
+segments let those unrelated workers share one read-only buffer without a
+common parent handing anything out: :func:`share_readonly` publishes (or
+attaches to) a header-stamped float64 segment under a deterministic name,
+so N replicas of the same model map one copy of the compiled plan's base
 tables instead of N.  The module-level :class:`NamedSegmentRegistry`
 refcounts every named mapping in this process and unlinks owned segments
 when the last user releases them; :func:`cleanup_segments` sweeps
@@ -28,116 +17,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import BackendError
-
-_ATTACHED: dict[str, shared_memory.SharedMemory] = {}
-
-
-@dataclass
-class ArrayRef:
-    """Reference to a float64 vector, resolvable in any worker."""
-
-    #: Shared-memory segment name, or ``None`` for an in-process array.
-    shm_name: str | None
-    offset: int
-    length: int
-    direct: np.ndarray | None = None
-
-    def resolve(self) -> np.ndarray:
-        if self.direct is not None:
-            return self.direct
-        if self.shm_name is None:
-            raise BackendError("ArrayRef has neither direct array nor shm name")
-        shm = _ATTACHED.get(self.shm_name)
-        if shm is None:
-            shm = shared_memory.SharedMemory(name=self.shm_name)
-            _ATTACHED[self.shm_name] = shm
-        return np.frombuffer(shm.buf, dtype=np.float64,
-                             count=self.length, offset=self.offset)
-
-    def __reduce__(self):  # keep pickles small: never ship `direct` data
-        if self.shm_name is None:
-            raise BackendError(
-                "direct ArrayRef cannot cross a process boundary; allocate "
-                "the state in a SharedArena for the process backend"
-            )
-        return (ArrayRef, (self.shm_name, self.offset, self.length, None))
-
-    @classmethod
-    def wrap(cls, arr: np.ndarray) -> "ArrayRef":
-        """In-process reference (serial/thread backends)."""
-        if arr.dtype != np.float64 or arr.ndim != 1:
-            raise BackendError("ArrayRef.wrap expects a 1-D float64 array")
-        return cls(None, 0, arr.size, direct=arr)
-
-
-class SharedArena:
-    """One shared-memory segment holding many named float64 vectors."""
-
-    def __init__(self, sizes: list[int]) -> None:
-        if any(s < 0 for s in sizes):
-            raise BackendError("vector sizes must be non-negative")
-        self.offsets: list[int] = []
-        total = 0
-        for s in sizes:
-            self.offsets.append(total)
-            total += s * 8
-        self.shm = shared_memory.SharedMemory(create=True, size=max(total, 8))
-        self.sizes = list(sizes)
-        self._closed = False
-
-    @classmethod
-    def for_batch(cls, sizes: list[int], num_cases: int) -> "SharedArena":
-        """Arena sized for a batched state: each vector holds ``num_cases``
-        stacked copies of a table (flat ``num_cases * size`` float64)."""
-        if num_cases < 1:
-            raise BackendError(f"batch arena needs >= 1 case, got {num_cases}")
-        return cls([s * num_cases for s in sizes])
-
-    def view(self, i: int) -> np.ndarray:
-        """Live ndarray view of vector ``i`` in the arena."""
-        return np.frombuffer(self.shm.buf, dtype=np.float64,
-                             count=self.sizes[i], offset=self.offsets[i])
-
-    def ref(self, i: int) -> ArrayRef:
-        """Cross-process reference to vector ``i``."""
-        return ArrayRef(self.shm.name, self.offsets[i], self.sizes[i])
-
-    def load(self, i: int, values: np.ndarray) -> None:
-        self.view(i)[:] = values
-
-    def close(self) -> None:
-        """Release the segment (unlink + close); views become invalid."""
-        if not self._closed:
-            self._closed = True
-            self.shm.close()
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double unlink race
-                pass
-
-    def __enter__(self) -> "SharedArena":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-# --------------------------------------------------------------------------
-# Named segments: cross-process sharing without a common ancestor.
-# --------------------------------------------------------------------------
 
 #: Magic stamped into a published segment's header (int64[0]) once its
 #: payload is fully written.  Attachers spin on this, so a half-written

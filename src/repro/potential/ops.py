@@ -8,8 +8,8 @@ Each operation offers two equivalent implementations:
 * ``method="indexmap"`` — the paper-faithful formulation: compute the flat
   index mapping between source and destination entry spaces, then gather /
   scatter through it.  This is the formulation whose per-entry work the
-  parallel engines chunk across workers (see
-  :mod:`repro.core.primitives`).
+  parallel engines chunk across workers (``marg_chunk``/``absorb_chunk``
+  in :mod:`repro.exec.kernels`).
 
 ``method="auto"`` picks ``ndview``.  The two paths are cross-checked by the
 property-based test-suite.

@@ -122,10 +122,9 @@ class InferenceCache:
     Parameters
     ----------
     tree:
-        The model's compiled junction tree (shared with its engine).
-    base_cliques:
-        The engine's cached CPT-product clique tables, so cached states
-        share the compile-time product with the serving engine.
+        The model's compiled junction tree (shared with its engine, and
+        with it the execution plan: cached states read the same
+        CPT-product base tables the serving engine does).
     max_states / max_memo / max_bytes:
         LRU capacities: calibrated states, memo entries, and the combined
         byte budget (bytes are an upper bound — cloned states share
@@ -137,8 +136,7 @@ class InferenceCache:
         onto the delta path.
     """
 
-    def __init__(self, tree: JunctionTree,
-                 base_cliques: list | None = None, *,
+    def __init__(self, tree: JunctionTree, *,
                  max_states: int = DEFAULT_MAX_STATES,
                  max_memo: int = DEFAULT_MAX_MEMO,
                  max_bytes: int = DEFAULT_MAX_BYTES,
@@ -151,7 +149,7 @@ class InferenceCache:
         self.max_bytes = max_bytes
         self.min_overlap = min_overlap
         #: Never handed out, never updated: the clone source of last resort.
-        self._baseline = IncrementalEngine(tree, base_cliques)
+        self._baseline = IncrementalEngine(tree)
         self._states: "OrderedDict[EvidenceKey, IncrementalEngine]" = OrderedDict()
         self._memo: "OrderedDict[tuple, InferenceResult]" = OrderedDict()
         self._memo_bytes = 0

@@ -428,10 +428,7 @@ class ModelRegistry:
 
         inference_cache = None
         if self.cache_enabled:
-            inference_cache = InferenceCache(
-                engine.tree,
-                getattr(engine, "_batch_base_cliques", None),
-                **self.cache_options)
+            inference_cache = InferenceCache(engine.tree, **self.cache_options)
 
         return ModelEntry(
             name=name,
@@ -480,7 +477,7 @@ class ModelRegistry:
         table_entries = int(stats["total_clique_size"] + stats["total_separator_size"])
         n = 8 * table_entries                        # baseline TreeState
         n += 8 * int(stats["total_clique_size"])     # cached CPT products
-        n += 8 * int(engine._map_cache_entries)      # int64 index maps
+        n += 8 * int(engine.plan.stats()["plan_map_entries"])  # int64 index maps
         n += sum(8 * v.size for v in prior.values())
         return n
 

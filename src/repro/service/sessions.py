@@ -234,10 +234,8 @@ class SessionManager:
     @staticmethod
     def _cold_engine(entry: ModelEntry, evidence: dict | None):
         """A from-scratch session state: no cache base, no valid messages."""
-        return IncrementalEngine(
-            entry.engine.tree,
-            getattr(entry.engine, "_batch_base_cliques", None),
-            evidence=dict(evidence or {}))
+        return IncrementalEngine(entry.engine.tree,
+                                 evidence=dict(evidence or {}))
 
     @staticmethod
     def _recomputed(engine) -> int:

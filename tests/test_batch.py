@@ -7,16 +7,15 @@ from repro.baselines.enumeration import EnumerationEngine
 from repro.bn.generators import random_network
 from repro.bn.sampling import TestCase, generate_test_cases
 from repro.core import BatchedFastBNI, FastBNI
-from repro.core.primitives import (
-    FLAT_BINCOUNT_LIMIT,
-    absorb_batch_chunk,
-    build_index_map,
-    marg_batch_chunk,
-)
 from repro.errors import EvidenceError, PotentialError
+from repro.exec.kernels import (
+    FLAT_BINCOUNT_LIMIT,
+    gather_absorb_batch,
+    gather_marginalize_batch,
+    triples_to_map,
+)
 from repro.jt.engine import BatchInferenceResult
 from repro.parallel.chunking import chunk_cases
-from repro.parallel.sharedmem import ArrayRef, SharedArena
 from repro.potential.domain import Domain
 from repro.potential.factor import Potential
 from repro.potential.ops import absorb_batch, marginalize, marginalize_batch, multiply_into
@@ -58,14 +57,16 @@ class TestAgreement:
                 assert np.allclose(got.posteriors[name],
                                    truth.posteriors[name], atol=1e-9)
 
-    def test_process_backend_small_batch(self, asia):
+    @pytest.mark.parametrize("kernels", ["fused", "numpy", "native"])
+    def test_thread_backend_dispatches_case_blocks(self, asia, kernels):
         cases = generate_test_cases(asia, 4, 0.25, rng=3)
-        with BatchedFastBNI(asia, mode="hybrid", backend="process",
-                            num_workers=2) as engine, \
+        with BatchedFastBNI(asia, mode="hybrid", backend="thread",
+                            num_workers=2, kernels=kernels) as engine, \
                 FastBNI(asia, mode="seq") as seq:
-            # min_block=2 forces two blocks so real cross-process dispatch runs
+            # min_block=2 forces two blocks so real thread dispatch runs
             batch = engine.infer_cases(cases, min_block=2)
             loop = [seq.infer(c.evidence) for c in cases]
+            assert engine.metrics["dispatch_tasks"] == 2
         assert batch.meta["blocks"] == 2.0
         _assert_matches_loop(asia, cases, batch, loop)
 
@@ -274,40 +275,36 @@ class TestBatchedOps:
                          rng.random((2, 2)), other)
 
 
-class TestBatchedChunkPrimitives:
-    def test_marg_batch_chunk_matches_loop(self, rng):
+class TestBatchedGatherKernels:
+    """The (k, table) gather kernels over a row block of a batched table."""
+
+    def test_marginalize_batch_rows_match_loop(self, rng):
         triples = ((4, 2, 1), (1, 2, 2))  # src size 8 -> dst size 4
-        src = rng.random(5 * 8)
-        ref = ArrayRef.wrap(src)
-        imap = build_index_map(8, triples)
-        out = marg_batch_chunk(ref, 5, 1, 4, triples, 4, imap)
+        vals = rng.random((5, 8))
+        imap = triples_to_map(8, triples)
+        out = gather_marginalize_batch(vals[1:4], imap, 4)
         assert out.shape == (3, 4)
-        vals = src.reshape(5, 8)
         for row, i in enumerate(range(1, 4)):
             assert np.allclose(out[row],
                                np.bincount(imap, weights=vals[i], minlength=4))
 
-    def test_marg_batch_chunk_row_loop_fallback(self, rng, monkeypatch):
-        import repro.core.primitives as prim
-
-        monkeypatch.setattr(prim, "FLAT_BINCOUNT_LIMIT", 4)
-        triples = ((1, 2, 1),)
-        src = rng.random(3 * 2)
-        out = prim.marg_batch_chunk(ArrayRef.wrap(src), 3, 0, 3, triples, 2)
-        vals = src.reshape(3, 2)
+    def test_marginalize_batch_row_loop_fallback(self, rng):
+        vals = rng.random((3, 2))
+        imap = triples_to_map(2, ((1, 2, 1),))
+        out = gather_marginalize_batch(vals, imap, 2, flat_limit=4)
         assert np.allclose(out, vals)  # identity map at these strides
-        assert FLAT_BINCOUNT_LIMIT > 4  # module constant untouched elsewhere
+        assert FLAT_BINCOUNT_LIMIT > 4  # the default takes the flat path here
 
-    def test_absorb_batch_chunk_in_place(self, rng):
+    def test_absorb_batch_rows_in_place(self, rng):
         triples = ((2, 2, 1),)  # dst size 4 -> sep size 2 digits
-        dst = np.ones(3 * 4)
+        dst = np.ones((3, 4))
         ratio = rng.random((2, 2))
-        absorb_batch_chunk(ArrayRef.wrap(dst), 3, 1, 3, ((triples, None, ratio),))
-        m = build_index_map(4, triples)
+        m = triples_to_map(4, triples)
+        gather_absorb_batch(dst[1:3], ratio, m)
         expect = np.ones((3, 4))
         expect[1] = ratio[0][m]
         expect[2] = ratio[1][m]
-        assert np.allclose(dst.reshape(3, 4), expect)
+        assert np.allclose(dst, expect)
 
 
 class TestCaseChunking:
@@ -326,18 +323,3 @@ class TestCaseChunking:
 
         with pytest.raises(BackendError):
             chunk_cases(4, 0)
-
-    def test_arena_for_batch_sizes(self):
-        arena = SharedArena.for_batch([3, 5], 4)
-        try:
-            assert arena.sizes == [12, 20]
-            arena.view(0)[:] = np.arange(12)
-            assert np.allclose(arena.view(0).reshape(4, 3)[2], [6, 7, 8])
-        finally:
-            arena.close()
-
-    def test_arena_for_batch_validates(self):
-        from repro.errors import BackendError
-
-        with pytest.raises(BackendError):
-            SharedArena.for_batch([3], 0)

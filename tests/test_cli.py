@@ -38,6 +38,32 @@ class TestParser:
         assert args.max_wait_ms == 2.0
         assert args.mode == "seq"
 
+    @pytest.mark.parametrize("command", [["query", "asia"], ["serve"]])
+    @pytest.mark.parametrize("flag,value", [
+        ("--mode", "warp"), ("--backend", "gpu"), ("--backend", "process"),
+    ])
+    def test_unknown_mode_or_backend_is_a_parse_error(self, capsys, command,
+                                                      flag, value):
+        from repro.core.config import BACKENDS, MODES
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: invalid choice: '{value}'" in err
+        for accepted in (MODES if flag == "--mode" else BACKENDS):
+            assert f"'{accepted}'" in err
+
+    @pytest.mark.parametrize("command", [["query", "asia"], ["serve"]])
+    def test_every_mode_and_backend_parses(self, command):
+        from repro.core.config import BACKENDS, MODES
+
+        for mode in MODES:
+            for backend in BACKENDS:
+                args = build_parser().parse_args(
+                    [*command, "--mode", mode, "--backend", backend])
+                assert (args.mode, args.backend) == (mode, backend)
+
     def test_client_defaults(self):
         args = build_parser().parse_args(["client", "asia"])
         assert args.op == "query"

@@ -1,20 +1,16 @@
-"""Tests for the Fast-BNI chunk kernels (repro.core.primitives)."""
+"""Tests for the entry-range chunk kernels (repro.exec.kernels)."""
 
 import numpy as np
 import pytest
 
 from repro.bn.variable import Variable
-from repro.core.primitives import (
+from repro.exec.kernels import (
     absorb_chunk,
-    build_index_map,
     chunk_dst_indices,
     marg_chunk,
     ratio_vector,
-    reduce_chunk,
-    scale_chunk,
-    sum_chunk,
+    triples_to_map,
 )
-from repro.parallel.sharedmem import ArrayRef
 from repro.potential.domain import Domain
 from repro.potential.factor import Potential
 from repro.potential.index_map import map_indices
@@ -47,7 +43,7 @@ class TestChunkIndices:
 
     def test_precomputed_map_used(self, domains):
         src, dst = domains
-        imap = build_index_map(src.size, triples_of(src, dst))
+        imap = triples_to_map(src.size, triples_of(src, dst))
         got = chunk_dst_indices(5, 20, (), imap)  # triples ignored when map given
         assert np.array_equal(got, imap[5:20])
 
@@ -58,28 +54,26 @@ class TestMargChunk:
         vals = np.random.default_rng(0).random(src.size)
         pot = Potential(src, vals)
         expected = marginalize(pot, dst.names).values
-        got = marg_chunk(ArrayRef.wrap(vals), 0, src.size, triples_of(src, dst), dst.size)
+        got = marg_chunk(vals, 0, src.size, triples_of(src, dst), dst.size)
         assert np.allclose(got, expected)
 
     def test_partials_sum_to_whole(self, domains):
         src, dst = domains
         vals = np.random.default_rng(1).random(src.size)
-        ref = ArrayRef.wrap(vals)
         tr = triples_of(src, dst)
-        whole = marg_chunk(ref, 0, src.size, tr, dst.size)
-        parts = [marg_chunk(ref, lo, min(lo + 7, src.size), tr, dst.size)
+        whole = marg_chunk(vals, 0, src.size, tr, dst.size)
+        parts = [marg_chunk(vals, lo, min(lo + 7, src.size), tr, dst.size)
                  for lo in range(0, src.size, 7)]
         assert np.allclose(np.sum(parts, axis=0), whole)
 
     def test_cached_map_same_result(self, domains):
         src, dst = domains
         vals = np.random.default_rng(2).random(src.size)
-        ref = ArrayRef.wrap(vals)
         tr = triples_of(src, dst)
-        imap = build_index_map(src.size, tr)
+        imap = triples_to_map(src.size, tr)
         assert np.allclose(
-            marg_chunk(ref, 3, 40, tr, dst.size),
-            marg_chunk(ref, 3, 40, tr, dst.size, imap),
+            marg_chunk(vals, 3, 40, tr, dst.size),
+            marg_chunk(vals, 3, 40, tr, dst.size, imap),
         )
 
 
@@ -92,7 +86,7 @@ class TestAbsorbChunk:
         expected = clique * extend(Potential(dst, ratio), src).values
         work = clique.copy()
         tr = triples_of(src, dst)
-        absorb_chunk(ArrayRef.wrap(work), 0, src.size, ((tr, None, ratio),))
+        absorb_chunk(work, 0, src.size, ((tr, None, ratio),))
         assert np.allclose(work, expected)
 
     def test_disjoint_ranges_compose(self, domains):
@@ -102,11 +96,10 @@ class TestAbsorbChunk:
         ratio = rng.random(dst.size)
         tr = triples_of(src, dst)
         whole = clique.copy()
-        absorb_chunk(ArrayRef.wrap(whole), 0, src.size, ((tr, None, ratio),))
+        absorb_chunk(whole, 0, src.size, ((tr, None, ratio),))
         chunked = clique.copy()
-        ref = ArrayRef.wrap(chunked)
         for lo in range(0, src.size, 11):
-            absorb_chunk(ref, lo, min(lo + 11, src.size), ((tr, None, ratio),))
+            absorb_chunk(chunked, lo, min(lo + 11, src.size), ((tr, None, ratio),))
         assert np.allclose(chunked, whole)
 
     def test_multiple_updates_applied(self, domains):
@@ -119,41 +112,12 @@ class TestAbsorbChunk:
                     * extend(Potential(dst, r1), src).values
                     * extend(Potential(dst, r2), src).values)
         work = clique.copy()
-        absorb_chunk(ArrayRef.wrap(work), 0, src.size,
+        absorb_chunk(work, 0, src.size,
                      ((tr, None, r1), (tr, None, r2)))
         assert np.allclose(work, expected)
 
 
-class TestReduceChunk:
-    def test_zeroes_inconsistent(self, domains):
-        src, _ = domains
-        vals = np.ones(src.size)
-        v1 = src.variables[1]
-        conditions = ((src.stride(v1), src.card(v1), 1),)
-        reduce_chunk(ArrayRef.wrap(vals), 0, src.size, conditions)
-        idx = np.arange(src.size)
-        expected = ((idx // src.stride(v1)) % src.card(v1)) == 1
-        assert np.array_equal(vals, expected.astype(float))
-
-    def test_multiple_conditions(self, domains):
-        src, _ = domains
-        vals = np.ones(src.size)
-        v0, v2 = src.variables[0], src.variables[2]
-        conds = ((src.stride(v0), src.card(v0), 2), (src.stride(v2), src.card(v2), 0))
-        reduce_chunk(ArrayRef.wrap(vals), 0, src.size, conds)
-        assert vals.sum() == src.size / (src.card(v0) * src.card(v2))
-
-
 class TestSmallKernels:
-    def test_sum_chunk(self):
-        vals = np.arange(10.0)
-        assert sum_chunk(ArrayRef.wrap(vals), 2, 5) == pytest.approx(2 + 3 + 4)
-
-    def test_scale_chunk(self):
-        vals = np.ones(6)
-        scale_chunk(ArrayRef.wrap(vals), 0, 3, 2.0)
-        assert np.array_equal(vals, [2, 2, 2, 1, 1, 1])
-
     def test_ratio_vector_zero_convention(self):
         new = np.array([1.0, 0.0, 2.0])
         old = np.array([2.0, 0.0, 0.0])

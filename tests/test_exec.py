@@ -90,7 +90,7 @@ class TestMessagePlan:
         with FastBNI(asia, mode="seq") as a:
             with FastBNI(asia, tree=a.tree, mode="seq") as b:
                 assert a.plan is b.plan
-                assert a._batch_base_cliques is b._batch_base_cliques
+                assert a.plan.base_cliques is b.plan.base_cliques
 
     def test_plan_absorb_and_read_match_generic_paths(self, asia):
         from repro.jt.evidence import absorb_evidence

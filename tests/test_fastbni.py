@@ -30,6 +30,13 @@ class TestConfig:
         with pytest.raises(BackendError):
             FastBNIConfig(**bad)
 
+    def test_process_backend_rejected_naming_accepted(self):
+        from repro.core.config import BACKENDS
+
+        assert BACKENDS == ("serial", "thread")
+        with pytest.raises(BackendError, match=r"serial.*thread"):
+            FastBNIConfig(backend="process")
+
     def test_config_and_kwargs_mutually_exclusive(self, asia):
         with pytest.raises(BackendError):
             FastBNI(asia, FastBNIConfig(), mode="seq")
@@ -59,17 +66,6 @@ class TestCorrectness:
                 got = eng.infer(case.evidence)
                 want = en.infer(case.evidence)
                 for name in asia.variable_names:
-                    assert np.allclose(got.posteriors[name],
-                                       want.posteriors[name], atol=1e-9)
-
-    def test_process_backend_matches(self, sprinkler):
-        en = EnumerationEngine(sprinkler)
-        with FastBNI(sprinkler, mode="hybrid", backend="process",
-                     num_workers=2, min_chunk=2, parallel_threshold=0) as eng:
-            for case in generate_test_cases(sprinkler, 3, 0.25, rng=3):
-                got = eng.infer(case.evidence)
-                want = en.infer(case.evidence)
-                for name in sprinkler.variable_names:
                     assert np.allclose(got.posteriors[name],
                                        want.posteriors[name], atol=1e-9)
 
@@ -121,30 +117,151 @@ class TestCorrectness:
                 assert np.allclose(r1.posteriors[name], r3.posteriors[name])
 
 
+class TestThreadStress:
+    @pytest.mark.parametrize("kernels", ("fused", "native"))
+    def test_inter_messages_on_oversubscribed_threads(self, kernels):
+        """Inter tasks call the shared kernel backend concurrently: more
+        workers than cores, a short switch interval, and every answer —
+        log P(e) sums one constant per collect message — must match seq."""
+        import sys
+        import time
+
+        net = star_network(17, rng=0)  # one wide layer: 16 concurrent messages
+        cases = generate_test_cases(net, 6, 0.2, rng=3)
+        interval = sys.getswitchinterval()
+        try:
+            with FastBNI(net, mode="seq", kernels=kernels) as seq, \
+                    FastBNI(net, mode="inter", backend="thread", num_workers=8,
+                            kernels=kernels) as eng:
+                sys.setswitchinterval(1e-5)
+                want = [seq.infer(c.evidence) for c in cases]
+                deadline = time.monotonic() + 5.0
+                rounds = 0
+                while rounds < 15 and time.monotonic() < deadline:
+                    for case, ref in zip(cases, want):
+                        got = eng.infer(case.evidence)
+                        assert got.log_evidence == pytest.approx(
+                            ref.log_evidence, abs=1e-12)
+                        for name in net.variable_names:
+                            assert np.allclose(got.posteriors[name],
+                                               ref.posteriors[name], atol=1e-12)
+                    rounds += 1
+                assert rounds >= 1
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestMaplessPath:
+    """Map budget spent: every consumer computes the index mapping on the
+    fly — for a chunk that starts mid-table (``lo > 0``), by mixed-radix
+    arithmetic over the stride triples."""
+
+    @staticmethod
+    def _nets(asia):
+        return [asia, random_network(11, state_dist=3, avg_parents=1.5,
+                                     max_in_degree=3, window=4, rng=5,
+                                     name="mapless11")]
+
+    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    @pytest.mark.parametrize("mode", ("inter", "intra", "hybrid"))
+    def test_matches_enumeration_without_maps(self, asia, mode, backend,
+                                              monkeypatch):
+        import repro.exec.kernels as kernels
+
+        chunk_calls = []
+        chunk_dst_indices = kernels.chunk_dst_indices
+
+        def spy(lo, hi, triples, imap=None):
+            chunk_calls.append((lo, imap is None))
+            return chunk_dst_indices(lo, hi, triples, imap)
+
+        monkeypatch.setattr(kernels, "chunk_dst_indices", spy)
+        for net in self._nets(asia):
+            en = EnumerationEngine(net)
+            with FastBNI(net, mode=mode, backend=backend, num_workers=3,
+                         min_chunk=2, parallel_threshold=0) as eng:
+                eng.plan.MAP_CACHE_LIMIT = 0
+                for case in generate_test_cases(net, 4, 0.25, rng=7):
+                    got = eng.infer(case.evidence)
+                    want = en.infer(case.evidence)
+                    for name in net.variable_names:
+                        assert np.allclose(got.posteriors[name],
+                                           want.posteriors[name], atol=1e-9)
+                    assert got.log_evidence == pytest.approx(
+                        want.log_evidence, abs=1e-9)
+                assert eng.stats()["plan_map_entries"] == 0
+                if backend == "thread":
+                    # real dispatch: more tasks than batches
+                    assert (eng.metrics["dispatch_tasks"]
+                            > eng.metrics["dispatch_batches"] > 0)
+        if mode != "inter" and backend == "thread":
+            assert all(mapless for _, mapless in chunk_calls)
+            assert any(lo > 0 for lo, _ in chunk_calls)
+
+    def test_batched_case_blocks_without_maps(self, asia):
+        from repro.core import BatchedFastBNI
+
+        for net in self._nets(asia):
+            cases = generate_test_cases(net, 5, 0.25, rng=8)
+            en = EnumerationEngine(net)
+            with BatchedFastBNI(net, mode="hybrid", backend="thread",
+                                num_workers=2) as eng:
+                eng.plan.MAP_CACHE_LIMIT = 0
+                batch = eng.infer_cases(cases, min_block=2)
+                assert eng.stats()["plan_map_entries"] == 0
+                assert eng.metrics["dispatch_tasks"] >= 2
+            assert batch.meta["blocks"] >= 2.0
+            for i, case in enumerate(cases):
+                want = en.infer(case.evidence)
+                got = batch.case(i)
+                assert got.log_evidence == pytest.approx(want.log_evidence, abs=1e-9)
+                for name in net.variable_names:
+                    assert np.allclose(got.posteriors[name],
+                                       want.posteriors[name], atol=1e-9)
+
+
 class TestPlansAndCache:
-    def test_plans_cover_non_root_cliques(self, asia):
+    def test_plan_edges_cover_non_root_cliques(self, asia):
         with FastBNI(asia, mode="seq") as eng:
             expected = set(range(eng.tree.num_cliques)) - {eng.tree.root}
-            assert set(eng.plans) == expected
+            assert set(eng.plan.spec.edges) == expected
+
+    def test_compiled_layers_are_the_schedule(self, asia):
+        """Every mode iterates these tuples: one per message, grouped by
+        layer, collect before distribute, flat form the concatenation."""
+        with FastBNI(asia, mode="seq") as eng:
+            plan, spec = eng.plan, eng.plan.spec
+            layers = plan.compiled_layers()
+            assert len(layers) == len(spec.up_layers) + len(spec.down_layers)
+            assert [m for layer in layers for m in layer] == plan.compiled_messages()
+            ups = [all(m[0] for m in layer) for layer in layers]
+            assert ups == sorted(ups, reverse=True)  # collect layers first
+            for layer in layers:
+                for upward, src, dst, sep_id, edge, m_marg, m_abs in layer:
+                    assert {src, dst} == {edge.child, edge.parent}
+                    assert (src == edge.child) == upward
+                    assert sep_id == edge.sep_id
+                    assert m_marg.size == spec.clique_sizes[src]
+                    assert m_abs.size == spec.clique_sizes[dst]
+            assert all(m[5] is None and m[6] is None
+                       for m in plan.compiled_messages(maps=False))
 
     def test_map_cache_populated_by_parallel_modes(self, asia):
         with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2,
                      min_chunk=1, parallel_threshold=0) as eng:
             eng.infer({})
-            assert eng._map_cache  # maps were built and cached
+            assert eng.stats()["plan_map_entries"] > 0  # maps built and cached
 
     def test_map_cache_respects_limit(self, asia):
         with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2) as eng:
-            eng.MAP_CACHE_LIMIT = 0
-            assert eng.get_map(0, 0, 100, ()) is None
+            eng.plan.MAP_CACHE_LIMIT = 0
+            assert eng.plan.index_map(0, 0, ()) is None
 
     def test_cache_hit_returns_same_array(self, asia):
         with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2) as eng:
-            cid = next(iter(eng.plans))
-            plan = eng.plans[cid]
-            size = eng.tree.cliques[cid].size
-            m1 = eng.get_map(cid, plan.sep_id, size, plan.marg_up)
-            m2 = eng.get_map(cid, plan.sep_id, size, plan.marg_up)
+            cid, edge = next(iter(eng.plan.spec.edges.items()))
+            m1 = eng.plan.index_map(cid, edge.sep_id, edge.marg_up)
+            m2 = eng.plan.index_map(cid, edge.sep_id, edge.marg_up)
             assert m1 is m2
 
     def test_stats(self, asia):

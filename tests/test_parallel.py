@@ -1,4 +1,4 @@
-"""Tests for the parallel runtime: chunking, shared memory, backends."""
+"""Tests for the parallel runtime: chunking, backends, named segments."""
 
 import multiprocessing
 import os
@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import BackendError
 from repro.parallel.backend import (
-    ProcessBackend,
+    BACKENDS,
     SerialBackend,
     ThreadBackend,
     make_backend,
@@ -16,8 +16,6 @@ from repro.parallel.backend import (
 from repro.parallel.chunking import chunk_ranges, chunk_weighted
 from repro.parallel.sharedmem import (
     SEGMENTS,
-    ArrayRef,
-    SharedArena,
     cleanup_segments,
     list_segments,
     share_readonly,
@@ -89,8 +87,8 @@ def _add(a, b):
     return a + b
 
 
-def _write_ref(ref, lo, hi, value):
-    ref.resolve()[lo:hi] = value
+def _write_range(arr, lo, hi, value):
+    arr[lo:hi] = value
 
 
 class TestBackends:
@@ -107,19 +105,10 @@ class TestBackends:
 
     def test_thread_shares_memory(self):
         arr = np.zeros(100)
-        ref = ArrayRef.wrap(arr)
         with ThreadBackend(4) as be:
-            be.run_batch([(_write_ref, (ref, i * 25, (i + 1) * 25, float(i)))
+            be.run_batch([(_write_range, (arr, i * 25, (i + 1) * 25, float(i)))
                           for i in range(4)])
         assert np.all(arr[75:] == 3.0)
-
-    def test_process_backend_with_arena(self):
-        with SharedArena([100]) as arena, ProcessBackend(2) as be:
-            arena.view(0)[:] = 0.0
-            be.run_batch([(_write_ref, (arena.ref(0), i * 50, (i + 1) * 50, float(i + 1)))
-                          for i in range(2)])
-            assert np.all(arena.view(0)[:50] == 1.0)
-            assert np.all(arena.view(0)[50:] == 2.0)
 
     def test_make_backend_default_workers(self):
         be = make_backend("thread")
@@ -129,6 +118,13 @@ class TestBackends:
     def test_unknown_backend(self):
         with pytest.raises(BackendError):
             make_backend("gpu")
+
+    def test_process_backend_is_gone(self):
+        """Threads over the plan arena are the one parallel substrate; the
+        rejection names what is accepted."""
+        assert BACKENDS == ("serial", "thread")
+        with pytest.raises(BackendError, match=r"serial.*thread"):
+            make_backend("process", 2)
 
     def test_invalid_worker_count(self):
         with pytest.raises(BackendError):
@@ -143,65 +139,9 @@ class TestBackends:
                 be.run_batch([(boom, ()), (boom, ())])
 
 
-class TestArrayRef:
-    def test_wrap_resolve_roundtrip(self):
-        arr = np.arange(5.0)
-        assert np.array_equal(ArrayRef.wrap(arr).resolve(), arr)
-
-    def test_wrap_rejects_wrong_dtype(self):
-        with pytest.raises(BackendError):
-            ArrayRef.wrap(np.arange(5))  # int64
-
-    def test_direct_ref_not_picklable(self):
-        import pickle
-
-        with pytest.raises(BackendError):
-            pickle.dumps(ArrayRef.wrap(np.arange(5.0)))
-
-    def test_shm_ref_picklable(self):
-        import pickle
-
-        with SharedArena([10]) as arena:
-            ref = pickle.loads(pickle.dumps(arena.ref(0)))
-            arena.view(0)[:] = 7.0
-            assert np.all(ref.resolve() == 7.0)
-
-
-class TestSharedArena:
-    def test_views_are_disjoint(self):
-        with SharedArena([4, 6]) as arena:
-            arena.view(0)[:] = 1.0
-            arena.view(1)[:] = 2.0
-            assert np.all(arena.view(0) == 1.0)
-            assert np.all(arena.view(1) == 2.0)
-
-    def test_load(self):
-        with SharedArena([3]) as arena:
-            arena.load(0, np.array([1.0, 2.0, 3.0]))
-            assert np.array_equal(arena.view(0), [1.0, 2.0, 3.0])
-
-    def test_close_idempotent(self):
-        arena = SharedArena([2])
-        arena.close()
-        arena.close()
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(BackendError):
-            SharedArena([-1])
-
-    def test_empty_vector_ok(self):
-        with SharedArena([0, 5]) as arena:
-            assert arena.view(0).size == 0
-            assert arena.view(1).size == 5
-
-
 # -------------------------------------------------------- named segments
 # Spawn-context helpers must be module-level (the child imports this
 # module by name and looks the function up).
-
-def _resolve_ref_sum(ref: ArrayRef) -> float:
-    return float(ref.resolve().sum())
-
 
 def _publish_and_die(name: str) -> None:
     """Publish a named segment, then die without any cleanup."""
@@ -219,16 +159,6 @@ def _attach_readonly_sum(name: str) -> float:
 
 class TestNamedSegments:
     PREFIX = f"fbni_t_{os.getpid()}_"
-
-    def test_reduce_roundtrip_across_spawn_worker(self):
-        # __reduce__ ships (name, offset, length) only; the spawn child
-        # attaches to the segment by name and sees the parent's writes.
-        ctx = multiprocessing.get_context("spawn")
-        with SharedArena([6, 4]) as arena:
-            arena.view(1)[:] = 3.0
-            with ctx.Pool(1) as pool:
-                total = pool.apply(_resolve_ref_sum, (arena.ref(1),))
-        assert total == 12.0
 
     def test_publish_then_attach_shares_one_segment(self):
         name = self.PREFIX + "pub"

@@ -201,6 +201,34 @@ class TestModelRegistry:
                                            atol=1e-12)
 
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_cache_and_sessions_share_the_engines_base_tables(self, shared):
+        """The delta engines take their CPT-product tables from the plan they
+        share with the serving engine — also once a cluster worker's
+        ``adopt_base`` swapped them for a shared-memory segment."""
+        import os
+
+        from repro.cluster.worker import make_share_plan_hook
+        from repro.parallel.sharedmem import SEGMENTS, list_segments
+        from repro.service.sessions import SessionManager
+
+        prefix = f"fbni_t_{os.getpid()}_base_"
+        on_load = make_share_plan_hook(prefix) if shared else None
+        try:
+            with ModelRegistry(on_load=on_load) as registry:
+                entry = registry.get("asia")
+                base = entry.engine.plan.base_cliques
+                assert base[0].flags.writeable is not shared
+                assert entry.cache._baseline._base is base
+                assert SessionManager._cold_engine(entry, None)._base is base
+                assert len(list_segments(prefix)) == int(shared)
+        finally:
+            for name in SEGMENTS.attached():
+                if name.startswith(prefix):
+                    SEGMENTS.release(name)
+        assert list_segments(prefix) == []
+
+
 # --------------------------------------------------------------------- batcher
 def _make_batcher(cache: bool = True, **kwargs):
     metrics = ServiceMetrics()
@@ -605,12 +633,13 @@ class TestWarmStartHooks:
 
         with BatchedFastBNI(asia, mode="seq") as engine:
             engine.prepare_baseline()
-            maps_before = dict(engine._map_cache)
-            base_before = engine._batch_base_cliques
+            plan = engine.plan
+            messages = plan.compiled_messages()
+            base = plan.base_cliques
+            assert messages and all(m[5] is not None and m[6] is not None
+                                    for m in messages)  # maps prefetched
             engine.prepare_baseline()
-            assert engine._batch_base_cliques is base_before
-            assert set(engine._map_cache) == set(maps_before)
-            assert all(engine._map_cache[k] is v
-                       for k, v in maps_before.items())
+            assert plan.base_cliques is base
+            assert plan.compiled_messages() is messages
             result = engine.infer_cases([{"smoke": "yes"}])
             assert len(result) == 1
