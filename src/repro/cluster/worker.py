@@ -46,9 +46,8 @@ def make_share_plan_hook(prefix: str):
         plan = getattr(engine, "plan", None)
         if plan is None:
             return
-        plan.base_cliques  # materialise the private buffer once
         seg = segment_name(prefix, name, plan.spec.clique_entries)
-        flat, _ = share_readonly(seg, lambda: plan._base_flat)
+        flat, _ = share_readonly(seg, lambda: plan.base_flat)
         plan.adopt_base(flat)
 
     return share_plan

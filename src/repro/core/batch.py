@@ -18,13 +18,26 @@ a ``(k, table)``-wide operation.  The 2000-case workload becomes one pass
 of large contiguous NumPy operations — ``O(messages)`` C-level calls in
 total instead of ``O(messages × cases)``.
 
+On the ``native`` kernel backend none of that arena is needed: with hard
+evidence and no kernel hooks recording, each case block is **one foreign
+call** (:meth:`repro.exec.native.backend.NativeKernels.infer_cases`) that
+reduces the evidence matrix, runs the compiled schedule, reads the
+posteriors and computes log P(e) case after case over one per-thread
+scratch arena — ``O(blocks)`` foreign calls and no per-message or
+per-variable interpreter work.  The staged path above stays for the
+``numpy``/``fused`` backends, for sampled requests (whose recorder gets
+absorb and schedule timings) and for plans whose index maps are over
+budget; the test suite pins the two against each other at 1e-12.
+
 Parallelism composes on the orthogonal axis: case rows are independent, so
 the batch is split into contiguous case *blocks*
 (:func:`repro.parallel.chunking.chunk_cases`) and each block's full
 calibration is dispatched as a single task to the engine's backend — one
 dispatch per block for the whole batch, not two per layer.  A block is a
-row slice of the batch state's ``(N, size)`` tables: threads share the
-arena, so nothing is copied in or out.
+row slice of the batch state's ``(N, size)`` tables (staged) or of the
+evidence matrix (whole-case, where a thread-dispatched block runs GIL-free
+from first evidence entry to last posterior): threads share the arena, so
+nothing is copied in or out.
 
 Correctness contract: row *i* of every batched table evolves exactly as a
 per-case :class:`~repro.jt.structure.TreeState` would for case *i* (same
@@ -40,7 +53,7 @@ and falls back to the per-case loop).
 from __future__ import annotations
 
 import time
-from typing import Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -126,22 +139,9 @@ def infer_cases(
     tree = engine.tree
     plan = engine.plan
     spec = plan.spec
-    # An installed recorder (repro.obs: a sampled request upstream) gets
-    # the batched path's stage timings — evidence absorption and the
-    # block calibration — since this path never enters
-    # run_message_schedule.  None on the untraced hot path.
-    hooks = current_kernel_hooks()
-    state = plan.fresh_batch_state(n)
-    absorb_start = time.perf_counter() if hooks is not None else 0.0
-    plan.absorb_evidence_batch(state, [case_evidence(c) for c in cases])
-    if hooks is not None:
-        hooks.on_absorb(time.perf_counter() - absorb_start,
-                        cliques=tree.num_cliques)
-
-    # The compiled sequence is built (and its index maps materialised, for
-    # kernel backends that gather) once per plan; blocks only read it.
     kernels = engine.kernels
-    messages = plan.compiled_messages(maps=kernels.wants_maps)
+    read_ids = plan.variable_ids(targets)  # unknown targets raise here
+    evidence = [case_evidence(c) for c in cases]
 
     workers = 1 if engine.config.mode == "seq" else engine.backend.num_workers
     blocks = chunk_cases(n, workers, min_block=min_block,
@@ -149,16 +149,47 @@ def infer_cases(
     engine.metrics = {"dispatch_batches": 0, "dispatch_tasks": 0,
                       "inline_layers": 0, "messages": spec.num_messages,
                       "batch_cases": n, "batch_blocks": len(blocks)}
+    if len(blocks) == 1 or engine.backend.name == "serial":
+        engine.count("inline_layers")
+    else:
+        engine.count("dispatch_batches")
+        engine.count("dispatch_tasks", len(blocks))
+    meta = {"cases": float(n), "blocks": float(len(blocks))}
 
+    # An installed recorder (repro.obs: a sampled request upstream) gets
+    # the batched path's stage timings — evidence absorption and the
+    # block calibration — since this path never enters
+    # run_message_schedule.  None on the untraced hot path.
+    hooks = current_kernel_hooks()
+    if hooks is None and getattr(kernels, "compiles_cases", False):
+        # Whole cases, one foreign call per block (native kernels): a
+        # thread-dispatched block spends its entire life GIL-free.
+        matrix = plan.evidence_matrix(evidence)
+        done = engine.backend.run_batch(
+            [(kernels.infer_cases, (plan, matrix[lo:hi], read_ids, lo))
+             for lo, hi in blocks])
+        if done[0] is not None:
+            posteriors, log_evidence = (
+                done[0] if len(done) == 1
+                else map(np.concatenate, zip(*done)))
+            return BatchInferenceResult(
+                posteriors=plan.posterior_views(read_ids, posteriors),
+                log_evidence=log_evidence, meta=meta)
+
+    state = plan.fresh_batch_state(n)
+    absorb_start = time.perf_counter() if hooks is not None else 0.0
+    plan.absorb_evidence_batch(state, evidence)
+    if hooks is not None:
+        hooks.on_absorb(time.perf_counter() - absorb_start,
+                        cliques=tree.num_cliques)
+
+    # The compiled sequence is built (and its index maps materialised, for
+    # kernel backends that gather) once per plan; blocks only read it.
+    messages = plan.compiled_messages(maps=kernels.wants_maps)
     tasks = [(calibrate_case_block,
               (state.clique_pot, state.sep_pot, kernels, messages, lo, hi))
              for lo, hi in blocks]
     schedule_start = time.perf_counter() if hooks is not None else 0.0
-    if len(tasks) == 1 or engine.backend.name == "serial":
-        engine.count("inline_layers")
-    else:
-        engine.count("dispatch_batches")
-        engine.count("dispatch_tasks", len(tasks))
     for (lo, hi), block_norm in zip(blocks, engine.backend.run_batch(tasks)):
         state.log_norm[lo:hi] = block_norm
     if hooks is not None:
@@ -169,9 +200,7 @@ def infer_cases(
 
     return BatchInferenceResult(
         posteriors=all_posteriors_batch(state, targets),
-        log_evidence=log_evidence_batch(state),
-        meta={"cases": float(n), "blocks": float(len(blocks))},
-    )
+        log_evidence=log_evidence_batch(state), meta=meta)
 
 
 class BatchedFastBNI(FastBNI):

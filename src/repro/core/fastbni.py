@@ -17,6 +17,12 @@ intra and hybrid modes chunk the same gather kernels over entry ranges
 (``marg_chunk``/``absorb_chunk``) across the backend's threads.  Every
 mode iterates the plan's compiled message sequence and touches tables
 through ndarray views into the plan arena.
+
+One shortcut sits in front of all that: a sequential engine on the native
+backend answers a hard-evidence request with no recorder installed as a
+single foreign call (:meth:`~repro.exec.native.backend.NativeKernels.
+infer_cases`) — the staged absorb → calibrate → read path below it is the
+oracle that call is pinned against, and what every other request runs.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from repro.jt.evidence import check_evidence
 from repro.jt.layers import LayerSchedule
 from repro.jt.root import select_root
 from repro.jt.structure import JunctionTree, TreeState, compile_junction_tree
+from repro.obs.trace import current_kernel_hooks
 from repro.parallel.backend import Backend, SerialBackend, make_backend
 
 
@@ -163,9 +170,24 @@ class FastBNI:
         """
         self.metrics = {"dispatch_batches": 0, "dispatch_tasks": 0,
                         "inline_layers": 0, "messages": 0}
-        state = self.plan.fresh_state()
+        plan = self.plan
+        read_ids = plan.variable_ids(targets)  # unknown targets raise here
+        if (self.config.mode == "seq" and not soft_evidence
+                and getattr(self.kernels, "compiles_cases", False)
+                and current_kernel_hooks() is None):
+            # The whole case as one foreign call (native kernels): no
+            # per-message and no per-variable interpreter work.
+            done = self.kernels.infer_cases(
+                plan, plan.evidence_matrix([evidence or {}]), read_ids)
+            if done is not None:
+                rows, log_evidence = done
+                self.count("messages", plan.spec.num_messages)
+                return InferenceResult(
+                    posteriors=plan.posterior_views(read_ids, rows[0]),
+                    log_evidence=float(log_evidence[0]))
+        state = plan.fresh_state()
         if evidence:
-            self.plan.absorb_hard_evidence(state, evidence)
+            plan.absorb_hard_evidence(state, evidence)
         if soft_evidence:
             from repro.jt.evidence_soft import absorb_soft_evidence
 
@@ -173,7 +195,7 @@ class FastBNI:
 
         self._calibrate(state)
         return InferenceResult(
-            posteriors=self.plan.read_posteriors(state, targets),
+            posteriors=plan.read_posteriors(state, targets),
             log_evidence=self._log_evidence(state),
         )
 

@@ -2,8 +2,11 @@
 
 The C source below is the whole library: one function executing a full
 Hugin message (marginalize → normalize → ratio → absorb) over contiguous
-float64 tables through precomputed int64 index maps, plus its batched
-table-major variant.  It is compiled on first use with whatever C compiler
+float64 tables through precomputed int64 index maps, its batched
+table-major variant, the compiled-schedule runners built on it, and the
+whole-case entry point (``fbni_infer_cases``: evidence reduction, the
+schedule, posterior reads and log P(e) for a block of cases in one call).
+It is compiled on first use with whatever C compiler
 the system provides (``cc``/``gcc``/``clang``; ``-O3 -fPIC -shared``) into
 a shared object cached under a **content-hash key** — the SHA-256 of the
 source text plus the compiler path — so a source or toolchain change can
@@ -183,8 +186,8 @@ double fbni_run_schedule(double *arena, const i64 *meta, i64 n_messages,
     return log_norm;
 }
 
-/* Calibrate many single-case arenas in one foreign call: the coarsest
- * granularity, used by thread-dispatched case chunks so each worker
+/* Calibrate many caller-held single-case arenas in one foreign call,
+ * used by thread-dispatched case chunks so each worker
  * spends milliseconds GIL-free instead of re-entering the interpreter
  * per case.  arena_addrs holds the raw base address of each case's
  * arena; log_norms[c] receives case c's collect-phase constant.  On an
@@ -208,6 +211,114 @@ void fbni_run_schedules(const i64 *arena_addrs, i64 n_arenas,
     status[1] = -1;
 }
 
+/* Whole cases in one foreign call: evidence reduction, the compiled
+ * schedule, the posterior reads and log P(e), case after case over one
+ * single-case scratch arena (so a case's tables and index maps stay
+ * cache-resident and a block of cases needs no more memory than one).
+ *
+ * Variables are described by FBNI_VAR_STRIDE i64 words each:
+ *
+ *   [0] arena offset of the variable's clique   [1] that clique's size
+ *   [2] the variable's stride in the clique     [3] its cardinality
+ *
+ * so entry i of the clique holds state (i / stride) % cardinality of the
+ * variable: the clique is size / (stride * cardinality) blocks of
+ * `cardinality` runs of `stride` contiguous entries, which is all that
+ * reduction and marginalization onto one variable need.
+ *
+ * evidence is (n_cases, n_vars) row-major, a state index or -1 per
+ * variable; reads holds n_reads (variable id, offset into the output
+ * row) pairs; out is (n_cases, out_entries + 1): row c receives each
+ * read's normalised marginal at its offset and, in its last slot,
+ * log P(e) of case c (-inf when the calibrated root is empty).
+ *
+ * status[0] = -1 on success.  Otherwise the call stops at the first
+ * failing case c with status[0] = c and status[1] = the index of the
+ * message that came up empty (impossible evidence), or -(1 + r) when
+ * read r could not be normalised, its total left in the row's last
+ * slot. */
+#define FBNI_VAR_STRIDE 4
+
+static void reduce_var(double *table, const i64 *var, i64 state)
+{
+    i64 size = var[1], stride = var[2], block = var[2] * var[3];
+    for (i64 o = 0; o < size; o += block) {
+        memset(table + o, 0, (size_t)(state * stride) * sizeof(double));
+        memset(table + o + (state + 1) * stride, 0,
+               (size_t)(block - (state + 1) * stride) * sizeof(double));
+    }
+}
+
+static double marginal_var(const double *table, const i64 *var, double *marg)
+{
+    i64 size = var[1], stride = var[2], card = var[3];
+    for (i64 d = 0; d < card; ++d)
+        marg[d] = 0.0;
+    for (i64 o = 0; o < size; o += stride * card)
+        for (i64 d = 0; d < card; ++d) {
+            const double *run = table + o + d * stride;
+            double acc = 0.0;
+            for (i64 j = 0; j < stride; ++j)
+                acc += run[j];
+            marg[d] += acc;
+        }
+    double total = 0.0;
+    for (i64 d = 0; d < card; ++d)
+        total += marg[d];
+    return total;
+}
+
+void fbni_infer_cases(const double *base, i64 clique_entries,
+                      double *arena, i64 arena_entries,
+                      const i64 *meta, i64 n_messages, double *scratch,
+                      const i64 *vars, i64 n_vars,
+                      const i64 *evidence, i64 n_cases,
+                      const i64 *reads, i64 n_reads,
+                      i64 root_offset, i64 root_size,
+                      double *out, i64 out_entries, i64 *status)
+{
+    for (i64 c = 0; c < n_cases; ++c) {
+        memcpy(arena, base, (size_t)clique_entries * sizeof(double));
+        for (i64 i = clique_entries; i < arena_entries; ++i)
+            arena[i] = 1.0;
+        const i64 *observed = evidence + c * n_vars;
+        for (i64 v = 0; v < n_vars; ++v)
+            if (observed[v] >= 0) {
+                const i64 *var = vars + v * FBNI_VAR_STRIDE;
+                reduce_var(arena + var[0], var, observed[v]);
+            }
+        i64 bad = -1;
+        double log_norm = fbni_run_schedule(arena, meta, n_messages,
+                                            scratch, &bad);
+        if (bad >= 0) {
+            status[0] = c;
+            status[1] = bad;
+            return;
+        }
+        double *row = out + c * (out_entries + 1);
+        for (i64 r = 0; r < n_reads; ++r) {
+            const i64 *var = vars + reads[2 * r] * FBNI_VAR_STRIDE;
+            double *marg = row + reads[2 * r + 1];
+            double total = marginal_var(arena + var[0], var, marg);
+            if (!(total > 0.0) || isinf(total)) {
+                row[out_entries] = total;
+                status[0] = c;
+                status[1] = -(1 + r);
+                return;
+            }
+            for (i64 d = 0; d < var[3]; ++d)
+                marg[d] /= total;
+        }
+        double root_total = 0.0;
+        for (i64 i = 0; i < root_size; ++i)
+            root_total += arena[root_offset + i];
+        row[out_entries] = root_total > 0.0 ? log_norm + log(root_total)
+                                            : -INFINITY;
+    }
+    status[0] = -1;
+    status[1] = -1;
+}
+
 /* Pure-ALU spin used only by the parallel-headroom probe: two threads
  * calling this concurrently measure how much genuine parallelism the
  * machine can express through GIL-free ctypes calls (shared/stolen vCPUs
@@ -224,6 +335,8 @@ double fbni_probe_spin(i64 n)
 
 #: i64 words of schedule metadata per message (mirrors FBNI_META_STRIDE).
 META_STRIDE = 13
+#: i64 words of geometry per variable (mirrors FBNI_VAR_STRIDE).
+VAR_STRIDE = 4
 
 
 def cache_dir() -> Path:
@@ -269,6 +382,10 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.fbni_run_schedule.restype = ctypes.c_double
     lib.fbni_run_schedules.argtypes = [ptr, i64, ptr, i64, ptr, ptr, ptr]
     lib.fbni_run_schedules.restype = None
+    lib.fbni_infer_cases.argtypes = [ptr, i64, ptr, i64, ptr, i64, ptr,
+                                     ptr, i64, ptr, i64, ptr, i64, i64, i64,
+                                     ptr, i64, ptr]
+    lib.fbni_infer_cases.restype = None
     lib.fbni_probe_spin.argtypes = [i64]
     lib.fbni_probe_spin.restype = ctypes.c_double
 

@@ -22,12 +22,23 @@ all of it exactly once per (tree, root) and the engines share the result:
   ``(upward, src, dst, sep_id, edge, marg_map, absorb_map)`` tuple per
   message, grouped by layer, index maps attached;
 * the cached **CPT-product base tables** and the per-edge **index-map
-  cache**, so every engine sharing one tree shares one copy of each.
+  cache**, so every engine sharing one tree shares one copy of each;
+* one **per-variable geometry** (``PlanSpec.variables``): for each
+  network variable the smallest clique holding it and its axis, stride
+  and cardinality there.  Evidence reduction
+  (:meth:`MessagePlan.absorb_hard_evidence` / ``absorb_evidence_batch``),
+  posterior reads (:meth:`MessagePlan.read_posteriors`) and the native
+  backend's whole-case call all go through it, and both paths enter
+  through the same two translations from names to numbers —
+  :meth:`MessagePlan.variable_ids` (targets, resolved before any table
+  is touched) and :meth:`MessagePlan.evidence_matrix` (evidence,
+  validated by ``check_evidence``).
 
 :class:`PlanSpec` is the plain-data slice of the plan (pure ints/tuples,
-no network or domain objects) — what the native backend compiles its
-metadata table from — while :class:`MessagePlan` binds it to the tree and
-holds the lazily-built base tables, index maps and compiled sequence.
+no network or domain objects) — what the native backend lowers its
+message and variable tables from — while :class:`MessagePlan` binds it to
+the tree and holds the lazily-built base tables, index maps and compiled
+sequence.
 """
 
 from __future__ import annotations
@@ -123,6 +134,12 @@ class PlanSpec:
     up_layers: tuple[tuple[int, ...], ...]
     #: distribute schedule: clique ids per BFS layer, shallowest first
     down_layers: tuple[tuple[int, ...], ...]
+    #: per network variable (id = network order): ``(clique id, axis in
+    #: that clique's N-D view, stride, cardinality)`` of the smallest
+    #: clique holding it — where its evidence is reduced and its
+    #: posterior read.  Entry *i* of the clique has the variable in state
+    #: ``(i // stride) % cardinality``.
+    variables: tuple[tuple[int, int, int, int], ...]
 
     @property
     def num_cliques(self) -> int:
@@ -203,6 +220,22 @@ class MessagePlan:
                                     for v in pdom.variables),
             )
 
+        variables = []
+        for name in tree.net.variable_names:
+            cid = tree.smallest_clique_with(name)
+            dom = tree.cliques[cid].domain
+            variables.append((cid, dom.axis(name), dom.stride(name),
+                              dom.card(name)))
+        #: Variable names in id order, and the ids by name.
+        self.variable_names: tuple[str, ...] = tree.net.variable_names
+        self._var_ids = {name: i for i, name in enumerate(self.variable_names)}
+        self._all_ids = tuple(range(len(self.variable_names)))
+        #: Per variable: the axes of its clique's N-D view a posterior
+        #: read sums out (all but the variable's own).
+        self._sum_axes = [
+            tuple(a for a in range(len(clique_shapes[cid])) if a != axis)
+            for cid, axis, _, _ in variables]
+
         layers = schedule.clique_layers
         self.spec = PlanSpec(
             root=tree.root,
@@ -216,6 +249,7 @@ class MessagePlan:
             edges=edges,
             up_layers=tuple(layers[d] for d in range(len(layers) - 1, 0, -1)),
             down_layers=tuple(layers[d] for d in range(1, len(layers))),
+            variables=tuple(variables),
         )
         #: Lazily-built CPT-product clique tables (views into one flat base).
         self._base: list[np.ndarray] | None = None
@@ -230,11 +264,6 @@ class MessagePlan:
         #: Per-clique nonzero-run skip lists over the base tables (lazy).
         self._zero_runs: list[np.ndarray | None] | None = None
         self._zero_skipped = 0
-        #: Evidence geometry: variable name -> (absorbing clique id,
-        #: cached per-entry digit vector of that variable in the clique).
-        self._ev_digits: dict[str, tuple[int, np.ndarray]] = {}
-        #: Posterior geometry: variable name -> (clique id, summed axes).
-        self._var_reads: dict[str, tuple[int, tuple[int, ...]]] = {}
 
     # ----------------------------------------------------------------- layout
     @property
@@ -259,6 +288,14 @@ class MessagePlan:
             self._base = base
         return self._base
 
+    @property
+    def base_flat(self) -> np.ndarray:
+        """The flat buffer :attr:`base_cliques` are views of — the copy
+        source of every fresh arena (private, or the read-only shared
+        segment :meth:`adopt_base` swapped in)."""
+        self.base_cliques
+        return self._base_flat
+
     def adopt_base(self, flat: np.ndarray) -> None:
         """Adopt an externally-owned flat base buffer (shared memory).
 
@@ -269,10 +306,11 @@ class MessagePlan:
         buffer is only ever a copy *source* (``fresh_state`` copies it
         into a private arena), so a read-only view is safe to adopt.
         """
-        if flat.shape != (self.spec.clique_entries,):
+        if (flat.shape != (self.spec.clique_entries,)
+                or flat.dtype != np.float64 or not flat.flags.c_contiguous):
             raise ValueError(
-                f"adopted base has shape {flat.shape}, plan needs "
-                f"({self.spec.clique_entries},)")
+                f"adopted base is {flat.dtype}{flat.shape}, plan needs "
+                f"contiguous float64({self.spec.clique_entries},)")
         base: list[np.ndarray] = []
         for cid, clique in enumerate(self.tree.cliques):
             off = self.spec.clique_offsets[cid]
@@ -289,9 +327,8 @@ class MessagePlan:
         single ``(arena_entries,)`` buffer.
         """
         spec = self.spec
-        self.base_cliques  # materialise _base_flat
         arena = np.empty(spec.arena_entries)
-        arena[:spec.clique_entries] = self._base_flat
+        arena[:spec.clique_entries] = self.base_flat
         arena[spec.clique_entries:] = 1.0
         state = TreeState.__new__(TreeState)
         state.tree = self.tree
@@ -373,76 +410,81 @@ class MessagePlan:
         return (child_map, parent_map) if upward else (parent_map, child_map)
 
     # -------------------------------------------------------- evidence/queries
-    def evidence_digits(self, name: str) -> tuple[int, np.ndarray]:
-        """``(absorbing clique id, per-entry digit vector)`` for a variable.
+    def variable_ids(self, targets: tuple[str, ...] = ()) -> tuple[int, ...]:
+        """Variable ids of ``targets`` (every variable when empty), in
+        order, duplicates dropped.
 
-        The digit vector gives each entry of the absorbing clique's table
-        the state index of ``name`` in that entry — evidence absorption is
-        then one compare + one multiply, with the mixed-radix arithmetic
-        paid once per (variable, tree) instead of once per inference.
+        Both the staged and the whole-case native path resolve their
+        targets here *before* any table is touched, so an unknown name
+        raises :class:`~repro.errors.QueryError` at the price of a dict
+        lookup, never of a calibration.
         """
-        cached = self._ev_digits.get(name)
-        if cached is None:
-            cid = self.tree.smallest_clique_with(name)
-            dom = self.tree.cliques[cid].domain
-            stride, card = dom.stride(name), dom.card(name)
-            digits = (np.arange(dom.size, dtype=np.int64) // stride) % card
-            cached = self._ev_digits[name] = (cid, digits)
-        return cached
+        if not targets:
+            return self._all_ids
+        try:
+            return tuple(dict.fromkeys(self._var_ids[name] for name in targets))
+        except KeyError as exc:
+            raise QueryError(f"unknown variable {exc.args[0]!r}") from None
+
+    def evidence_matrix(self, cases: list[dict[str, str | int]]) -> np.ndarray:
+        """``(cases, variables)`` int64 matrix of observed state indices.
+
+        ``-1`` marks an unobserved variable.  Every dict goes through
+        :func:`repro.jt.evidence.check_evidence` (unknown variables/states
+        raise :class:`~repro.errors.EvidenceError`), so whatever consumes
+        the matrix — the batched reduction below, the native whole-case
+        call — only ever sees in-range states.
+        """
+        from repro.jt.evidence import check_evidence
+
+        matrix = np.full((len(cases), len(self.variable_names)), -1,
+                         dtype=np.int64)
+        for row, evidence in zip(matrix, cases):
+            for name, idx in check_evidence(self.tree, evidence).items():
+                row[self._var_ids[name]] = idx
+        return matrix
 
     def absorb_hard_evidence(self, state: TreeState,
                              evidence: dict[str, str | int]) -> None:
         """Reduce the chosen clique tables in place (zeroing mode).
 
-        Bit-identical to :func:`repro.jt.evidence.absorb_evidence` (a 0/1
-        mask multiply commutes and is exact in float64), but through the
-        plan's cached digit vectors.  Raises
+        Bit-identical to :func:`repro.jt.evidence.absorb_evidence`
+        (zeroing an entry and multiplying it by a 0/1 mask agree exactly
+        in float64), but through the plan's per-variable geometry: the
+        clique table viewed as ``(blocks, cardinality, stride)`` has the
+        variable on its middle axis.  Raises
         :class:`~repro.errors.EvidenceError` on unknown variables/states.
         """
         from repro.jt.evidence import check_evidence
 
         for name, idx in check_evidence(self.tree, evidence).items():
-            cid, digits = self.evidence_digits(name)
-            state.clique_pot[cid].values *= digits == idx
+            cid, _, stride, card = self.spec.variables[self._var_ids[name]]
+            table = state.clique_pot[cid].values.reshape(-1, card, stride)
+            table[:, :idx] = 0.0
+            table[:, idx + 1:] = 0.0
 
     def absorb_evidence_batch(self, state: BatchTreeState,
                               cases: list[dict[str, str | int]]) -> None:
         """Absorb one evidence dict per case row, vectorised per variable.
 
         The batched analogue of :meth:`absorb_hard_evidence`: all cases
-        observing a variable are zeroed together with one ``(k, table)``
-        mask multiply through the cached digit vector.
+        observing a variable are reduced together with one
+        ``(k, 1, cardinality, 1)`` mask multiply over their rows of the
+        clique table.  Cases may observe different variable sets.
         """
-        from repro.jt.evidence import check_evidence
-
         if len(cases) != state.n:
             raise EvidenceError(
                 f"batch state holds {state.n} cases but {len(cases)} "
                 "evidence dicts were given"
             )
-        by_var: dict[str, list[tuple[int, int]]] = {}
-        for i, evidence in enumerate(cases):
-            for name, idx in check_evidence(self.tree, evidence).items():
-                by_var.setdefault(name, []).append((i, idx))
-        for name, pairs in by_var.items():
-            cid, digits = self.evidence_digits(name)
-            rows = np.array([i for i, _ in pairs], dtype=np.intp)
-            states = np.array([s for _, s in pairs], dtype=np.int64)
-            table = state.clique_pot[cid]
-            table[rows] = table[rows] * (digits[None, :] == states[:, None])
-
-    def posterior_read(self, name: str) -> tuple[int, tuple[int, ...]]:
-        """``(clique id, summed axes)`` answering ``P(name | e)`` reads."""
-        cached = self._var_reads.get(name)
-        if cached is None:
-            if name not in self.tree.net:
-                raise QueryError(f"unknown variable {name!r}")
-            cid = self.tree.smallest_clique_with(name)
-            dom = self.tree.cliques[cid].domain
-            axes = tuple(i for i, v in enumerate(dom.variables)
-                         if v.name != name)
-            cached = self._var_reads[name] = (cid, axes)
-        return cached
+        matrix = self.evidence_matrix(cases)
+        observed = matrix >= 0
+        for vid in np.flatnonzero(observed.any(axis=0)):
+            cid, _, stride, card = self.spec.variables[vid]
+            rows = np.flatnonzero(observed[:, vid])
+            keep = np.arange(card) == matrix[rows, vid, None]
+            table = state.clique_pot[cid].reshape(state.n, -1, card, stride)
+            table[rows] *= keep[:, None, :, None]
 
     def read_posteriors(self, state: TreeState,
                         targets: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
@@ -452,11 +494,12 @@ class MessagePlan:
         sums, same normalisation) without per-query domain algebra or
         Potential temporaries.
         """
-        names = targets or self.tree.net.variable_names
         shapes = self.spec.clique_shapes
         out: dict[str, np.ndarray] = {}
-        for name in names:
-            cid, axes = self.posterior_read(name)
+        for vid in self.variable_ids(targets):
+            name = self.variable_names[vid]
+            cid = self.spec.variables[vid][0]
+            axes = self._sum_axes[vid]
             values = state.clique_pot[cid].values
             marg = values.reshape(shapes[cid]).sum(axis=axes) if axes else values
             total = float(marg.sum())
@@ -464,6 +507,24 @@ class MessagePlan:
                 raise QueryError(
                     f"cannot normalise posterior of {name!r} (total={total})")
             out[name] = marg / total
+        return out
+
+    def posterior_views(self, read_ids: tuple[int, ...],
+                        block: np.ndarray) -> dict[str, np.ndarray]:
+        """Name the columns of a whole-case output block.
+
+        ``block`` holds the marginals of ``read_ids`` side by side along
+        its last axis (one row, or ``(cases, entries)`` —
+        :meth:`NativeKernels.infer_cases
+        <repro.exec.native.backend.NativeKernels.infer_cases>`); returns
+        ``{variable name: view of its columns}``.
+        """
+        out: dict[str, np.ndarray] = {}
+        lo = 0
+        for vid in read_ids:
+            hi = lo + self.spec.variables[vid][3]
+            out[self.variable_names[vid]] = block[..., lo:hi]
+            lo = hi
         return out
 
     #: Don't bother skipping unless at least this fraction of a base

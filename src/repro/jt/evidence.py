@@ -9,10 +9,8 @@ index maps once per tree and reuse them across the 2000-case workload.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import EvidenceError
-from repro.jt.structure import BatchTreeState, JunctionTree, TreeState
+from repro.jt.structure import JunctionTree, TreeState
 from repro.potential.ops import reduce_evidence_inplace
 
 
@@ -41,34 +39,3 @@ def absorb_evidence(state: TreeState, evidence: dict[str, str | int]) -> None:
     ev = check_evidence(state.tree, evidence)
     for cid, ev_group in evidence_plan(state.tree, ev).items():
         reduce_evidence_inplace(state.clique_pot[cid], ev_group)
-
-
-def absorb_evidence_batch(state: BatchTreeState,
-                          cases: list[dict[str, str | int]]) -> None:
-    """Absorb one evidence dict per case row, vectorised per variable.
-
-    Cases may observe arbitrarily different (heterogeneous) variable sets.
-    The absorbing clique for a variable is the same for every case (it
-    depends only on the tree), so all cases observing a variable are zeroed
-    together with one ``(k, table)`` mask multiply instead of per-case
-    Python-level reductions.
-    """
-    tree = state.tree
-    if len(cases) != state.n:
-        raise EvidenceError(
-            f"batch state holds {state.n} cases but {len(cases)} evidence "
-            "dicts were given"
-        )
-    by_var: dict[str, list[tuple[int, int]]] = {}
-    for i, evidence in enumerate(cases):
-        for name, st in check_evidence(tree, evidence).items():
-            by_var.setdefault(name, []).append((i, st))
-    for name, pairs in by_var.items():
-        cid = tree.smallest_clique_with(name)
-        dom = tree.cliques[cid].domain
-        stride, card = dom.stride(name), dom.card(name)
-        digits = (np.arange(dom.size, dtype=np.int64) // stride) % card
-        rows = np.array([i for i, _ in pairs], dtype=np.intp)
-        states = np.array([s for _, s in pairs], dtype=np.int64)
-        table = state.clique_pot[cid]
-        table[rows] = table[rows] * (digits[None, :] == states[:, None])

@@ -184,13 +184,14 @@ class TestBatchEdgeCases:
 class TestBatchTreeState:
     def test_case_state_rows_match_per_case_state(self, asia):
         """Row i of the batched state evolves exactly as a per-case TreeState."""
-        from repro.jt.evidence import absorb_evidence, absorb_evidence_batch
+        from repro.exec.plan import compile_plan
+        from repro.jt.evidence import absorb_evidence
         from repro.jt.structure import compile_junction_tree
 
         tree = compile_junction_tree(asia)
         cases = [{"smoke": "yes"}, {}, {"xray": "yes", "dysp": "no"}]
         batch = tree.fresh_batch_state(len(cases))
-        absorb_evidence_batch(batch, cases)
+        compile_plan(tree).absorb_evidence_batch(batch, cases)
         for i, evidence in enumerate(cases):
             ref = tree.fresh_state()
             absorb_evidence(ref, evidence)

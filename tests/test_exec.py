@@ -111,6 +111,35 @@ class TestMessagePlan:
         for name in fast:
             np.testing.assert_array_equal(fast[name], generic[name])
 
+    def test_names_become_numbers_in_one_place(self, asia):
+        """Targets and evidence are translated once, up front, through the
+        plan's per-variable geometry."""
+        from repro.errors import EvidenceError, QueryError
+
+        tree = compile_junction_tree(asia)
+        plan = compile_plan(tree)
+        names = plan.variable_names
+        assert names == asia.variable_names
+        for vid, (cid, axis, stride, card) in enumerate(plan.spec.variables):
+            dom = tree.cliques[cid].domain
+            assert cid == tree.smallest_clique_with(names[vid])
+            assert (axis, stride, card) == (dom.axis(names[vid]),
+                                            dom.stride(names[vid]),
+                                            dom.card(names[vid]))
+        assert plan.variable_ids() == tuple(range(len(names)))
+        lung, smoke = names.index("lung"), names.index("smoke")
+        assert plan.variable_ids(("lung", "smoke", "lung")) == (lung, smoke)
+        with pytest.raises(QueryError, match="unknown variable 'nope'"):
+            plan.variable_ids(("lung", "nope"))
+        matrix = plan.evidence_matrix([{"smoke": "no"}, {},
+                                       {"lung": 0, "smoke": "yes"}])
+        assert matrix.dtype == np.int64 and matrix.shape == (3, len(names))
+        assert matrix[:, smoke].tolist() == [1, -1, 0]
+        assert matrix[:, lung].tolist() == [-1, -1, 0]
+        assert (matrix >= 0).sum() == 3
+        with pytest.raises(EvidenceError, match="not in network"):
+            plan.evidence_matrix([{}, {"nope": 0}])
+
     def test_unknown_kernel_backend_rejected(self, asia):
         with pytest.raises(BackendError, match="kernel backend"):
             get_kernels("cuda")

@@ -3,8 +3,11 @@
 Mirrors the randomized property suite of ``tests/test_exec.py`` with the
 native backend duelling the numpy reference at 1e-12, plus the pieces
 only this backend has: zero-block skip lists, the compiled-schedule fast
-path, the registry fallback when the toolchain is missing, a GIL-release
-witness, and an (aggressively machine-gated) thread-scaling floor.
+path, the whole-case entry point (one foreign call per case block, every
+fallback to the staged path, the Python-side bounds check of everything C
+walks), the registry fallback when the toolchain is missing, a
+GIL-release witness, and an (aggressively machine-gated) thread-scaling
+floor.
 
 Everything that needs a built library is skipped — with the recorded
 reason — on machines without a C compiler.
@@ -362,3 +365,459 @@ class TestGilRelease:
         assert scaling > floor, (
             f"thread-dispatch calibration scaled {scaling:.2f}x at 2 "
             f"workers (floor {floor:.2f}x, headroom {headroom:.2f}x)")
+
+
+# ------------------------------------------------------ whole cases, one call
+def _deterministic_net(n_vars: int, seed: int):
+    """A random network with about half its CPTs replaced by 0/1 rows, so
+    the CPT products have structural zeros and the skip lists engage."""
+    from repro.bn.cpt import CPT
+    from repro.bn.generators import random_network
+    from repro.bn.network import BayesianNetwork
+
+    rng = np.random.default_rng(seed)
+    net = random_network(n_vars, state_dist=3, avg_parents=1.6,
+                         max_in_degree=3, window=5, rng=seed,
+                         name=f"det{n_vars}_{seed}")
+    cpts = []
+    for cpt in net.cpts:
+        if cpt.parents and rng.random() < 0.5:
+            table = np.zeros_like(cpt.table)
+            hot = rng.integers(cpt.child.cardinality, size=table.shape[:-1])
+            np.put_along_axis(table, hot[..., None], 1.0, axis=-1)
+            cpt = CPT(cpt.child, cpt.parents, table)
+        cpts.append(cpt)
+    return BayesianNetwork.from_cpts(cpts, name=net.name)
+
+
+class _ForeignCalls:
+    """Counts every call into the loaded library made through a backend
+    (by default the registry's singleton, the one engines resolve)."""
+
+    ENTRY_POINTS = ("_message", "_message_batch", "_run_schedule",
+                    "_run_schedules", "_infer_cases")
+
+    def __init__(self, monkeypatch, backend=None):
+        if backend is None:
+            backend = get_kernels("native")
+        self.counts = dict.fromkeys(self.ENTRY_POINTS, 0)
+        for attr in self.ENTRY_POINTS:
+            monkeypatch.setattr(backend, attr,
+                                self._counting(attr, getattr(backend, attr)))
+
+    def _counting(self, attr, fn):
+        def call(*args):
+            self.counts[attr] += 1
+            return fn(*args)
+        return call
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+
+def _assert_same(got, want, names, atol=1e-12):
+    assert got.log_evidence == pytest.approx(want.log_evidence, abs=atol)
+    assert list(got.posteriors) == list(names)
+    for name in names:
+        np.testing.assert_allclose(got.posteriors[name], want.posteriors[name],
+                                   atol=atol, rtol=0)
+
+
+@needs_native
+class TestWholeCases:
+    """``fbni_infer_cases``: evidence, schedule, reads and log P(e) in one
+    foreign call, against the staged numpy path."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_matches_staged_numpy_path(self, monkeypatch, native, seed, n):
+        from repro.bn.sampling import generate_test_cases
+        from repro.core import BatchedFastBNI
+
+        net = _deterministic_net(12 + seed, seed)
+        cases = [c.evidence for c in
+                 generate_test_cases(net, n, 0.3, rng=seed + 50)]
+        cases[0] = {}  # heterogeneous: one slot observes nothing
+        names = net.variable_names
+        # A subset, out of network order, with a duplicate.
+        targets = (names[5], names[1], names[5], names[8])
+        with BatchedFastBNI(net, mode="seq", kernels="native") as fast, \
+                BatchedFastBNI(net, mode="seq", kernels="numpy") as staged:
+            assert any(r is not None for r in fast.plan.zero_skip_runs())
+            calls = _ForeignCalls(monkeypatch)
+            for wanted in ((), targets):
+                keys = tuple(dict.fromkeys(wanted)) or names
+                batch = fast.infer_cases(cases, targets=wanted)
+                ref = staged.infer_cases(cases, targets=wanted)
+                assert len(batch) == n
+                for i in range(n):
+                    _assert_same(batch.case(i), ref.case(i), keys)
+                    _assert_same(fast.infer(cases[i], targets=wanted),
+                                 staged.infer(cases[i], targets=wanted), keys)
+            assert fast.metrics["messages"] == fast.plan.spec.num_messages
+        # One foreign call per case block and one per single-case infer.
+        assert calls.counts == {**dict.fromkeys(calls.ENTRY_POINTS, 0),
+                                "_infer_cases": 2 + 2 * n}
+
+    def test_thread_backend_runs_one_call_per_block(self, monkeypatch, native,
+                                                    asia):
+        from repro.bn.sampling import generate_test_cases
+        from repro.core import BatchedFastBNI
+
+        cases = [c.evidence for c in generate_test_cases(asia, 9, 0.25, rng=3)]
+        with BatchedFastBNI(asia, mode="hybrid", backend="thread",
+                            num_workers=3, kernels="native") as fast, \
+                BatchedFastBNI(asia, mode="seq", kernels="numpy") as staged:
+            calls = _ForeignCalls(monkeypatch)
+            batch = fast.infer_cases(cases, min_block=2)
+            assert fast.metrics["dispatch_tasks"] == 3
+            assert calls.counts["_infer_cases"] == calls.total == 3
+            ref = staged.infer_cases(cases)
+        assert batch.meta == {"cases": 9.0, "blocks": 3.0}
+        for i in range(len(cases)):
+            _assert_same(batch.case(i), ref.case(i), asia.variable_names)
+
+    def test_impossible_evidence_names_the_case(self, native, sprinkler):
+        from repro.core import BatchedFastBNI
+
+        impossible = {"Sprinkler": "off", "Rain": "no", "WetGrass": "yes"}
+        cases = [{"WetGrass": "yes"}, {}, impossible, {"Rain": "yes"}]
+        with BatchedFastBNI(sprinkler, mode="hybrid", backend="thread",
+                            num_workers=2, kernels="native") as engine, \
+                FastBNI(sprinkler, mode="seq", kernels="numpy") as staged:
+            with pytest.raises(EvidenceError, match=r"\(empty message\) in "
+                                                    "case 2$"):
+                engine.infer_cases(cases)
+            with pytest.raises(EvidenceError, match="case 2$"):
+                engine.infer_cases(cases, min_block=1)  # two blocks
+            with pytest.raises(EvidenceError, match=r"\(empty message\)$"):
+                engine.infer(impossible)
+            # What the batcher does next: the other cases, one by one.
+            for case in cases[:2] + cases[3:]:
+                _assert_same(engine.infer_cases([case]).case(0),
+                             staged.infer(case), sprinkler.variable_names)
+
+    def test_unnormalisable_posterior_keeps_its_text(self, native):
+        """A one-clique tree sends no message, so impossible evidence
+        first shows when a read cannot be normalised."""
+        from repro.bn.cpt import CPT
+        from repro.bn.network import BayesianNetwork
+        from repro.bn.variable import Variable
+        from repro.core import BatchedFastBNI
+        from repro.errors import QueryError
+
+        a, b = Variable.binary("a"), Variable.binary("b")
+        net = BayesianNetwork.from_cpts([
+            CPT(a, (), np.array([0.5, 0.5])),
+            CPT(b, (a,), np.array([[1.0, 0.0], [0.0, 1.0]]))])
+        impossible = {"a": "yes", "b": "no"}
+        with BatchedFastBNI(net, mode="seq", kernels="native") as fast, \
+                BatchedFastBNI(net, mode="seq", kernels="numpy") as staged:
+            for engine in (fast, staged):
+                with pytest.raises(QueryError) as single:
+                    engine.infer(impossible)
+                with pytest.raises(QueryError) as batched:
+                    engine.infer_cases([{}, impossible])
+                assert str(single.value) == (
+                    "cannot normalise posterior of 'a' (total=0.0)")
+                assert str(batched.value) == (
+                    "cannot normalise posterior of 'a' in case 1 (total=0.0)")
+
+    def test_results_never_alias_the_scratch_arena(self, native, asia):
+        with FastBNI(asia, mode="seq", kernels="native") as engine:
+            first = engine.infer({"smoke": "yes"})
+            kept = {name: vals.copy() for name, vals in first.posteriors.items()}
+            engine.infer({"smoke": "no", "xray": "yes"})
+            for name, vals in kept.items():
+                np.testing.assert_array_equal(first.posteriors[name], vals)
+
+    def test_eight_threads_on_one_engine_agree_with_seq(self, native):
+        import sys
+
+        from repro.bn.sampling import generate_test_cases
+
+        net = _deterministic_net(14, 7)
+        cases = [c.evidence for c in generate_test_cases(net, 24, 0.3, rng=9)]
+        with FastBNI(net, mode="seq", kernels="native") as engine, \
+                FastBNI(net, mode="seq", kernels="numpy") as staged:
+            want = [staged.infer(case) for case in cases]
+            failures: list = []
+
+            def hammer(offset: int) -> None:
+                try:
+                    for round_ in range(6):
+                        for i in range(len(cases)):
+                            j = (i + offset + round_) % len(cases)
+                            _assert_same(engine.infer(cases[j]), want[j],
+                                         net.variable_names)
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=hammer, args=(3 * t,))
+                           for t in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(120)
+                assert not any(t.is_alive() for t in threads)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not failures, failures[0]
+
+    def test_adopted_read_only_base_is_the_copy_source(self, monkeypatch,
+                                                       native, asia):
+        """A cluster worker's shared segment (read-only) replaces the
+        private base buffer; the whole-case call copies from it."""
+        with FastBNI(asia, mode="seq", kernels="native") as engine, \
+                FastBNI(asia, mode="seq", kernels="numpy") as staged:
+            plan = engine.plan
+            shared = plan.base_flat.copy()
+            plan.base_flat[:] = np.nan  # the private buffer is out of use
+            shared.flags.writeable = False
+            plan.adopt_base(shared)
+            assert plan.base_flat is shared
+            with pytest.raises(ValueError, match="adopted base"):
+                plan.adopt_base(shared.astype(np.float32))
+            calls = _ForeignCalls(monkeypatch)
+            for case in ({}, {"smoke": "yes", "dysp": "no"}):
+                _assert_same(engine.infer(case), staged.infer(case),
+                             asia.variable_names)
+            assert calls.counts["_infer_cases"] == calls.total == 2
+
+
+@needs_native
+class TestWholeCaseFallbacks:
+    """Every condition that keeps a request on the staged path."""
+
+    CASE = {"smoke": "yes", "xray": "no"}
+
+    def _reference(self, asia, **kwargs):
+        with FastBNI(asia, mode="seq", kernels="numpy") as staged:
+            return staged.infer(self.CASE, **kwargs)
+
+    def test_hooks_keep_per_message_visibility(self, monkeypatch, native,
+                                               asia):
+        from repro.core import BatchedFastBNI
+        from repro.obs.trace import ScheduleRecorder, install_kernel_hooks
+
+        want = self._reference(asia)
+        with BatchedFastBNI(asia, mode="seq", kernels="native") as engine:
+            messages = engine.plan.spec.num_messages
+            calls = _ForeignCalls(monkeypatch)
+            single, batched = ScheduleRecorder(), ScheduleRecorder()
+            with install_kernel_hooks(single):
+                got = engine.infer(self.CASE)
+            with install_kernel_hooks(batched):
+                batch = engine.infer_cases([self.CASE, {}])
+        _assert_same(got, want, asia.variable_names)
+        _assert_same(batch.case(0), want, asia.variable_names)
+        assert calls.counts == {**dict.fromkeys(calls.ENTRY_POINTS, 0),
+                                "_message": messages,
+                                "_message_batch": messages}
+        assert single.messages == messages
+        assert single.collect_s > 0 and single.distribute_s > 0
+        assert batched.absorb_cliques and batched.cases == 2
+        assert batched.backend == "native"
+
+    def test_soft_evidence(self, monkeypatch, native, asia):
+        soft = {"dysp": (0.8, 0.1)}
+        want = self._reference(asia, soft_evidence=soft)
+        with FastBNI(asia, mode="seq", kernels="native") as engine:
+            calls = _ForeignCalls(monkeypatch)
+            got = engine.infer(self.CASE, soft_evidence=soft)
+        _assert_same(got, want, asia.variable_names)
+        # Soft evidence needs a state to multiply into: the staged path,
+        # whose schedule is still one call.
+        assert calls.counts["_run_schedule"] == calls.total == 1
+
+    def test_parallel_modes_stay_staged(self, monkeypatch, native, asia):
+        want = self._reference(asia)
+        with FastBNI(asia, mode="inter", backend="thread", num_workers=2,
+                     kernels="native") as engine:
+            calls = _ForeignCalls(monkeypatch)
+            _assert_same(engine.infer(self.CASE), want, asia.variable_names)
+        assert calls.counts["_message"] == calls.total > 0
+
+    def test_maps_over_budget(self, monkeypatch, native, asia):
+        from repro.core import BatchedFastBNI
+
+        want = self._reference(asia)
+        with BatchedFastBNI(asia, mode="seq", kernels="native") as engine:
+            monkeypatch.setattr(engine.plan, "MAP_CACHE_LIMIT", 0)
+            messages = engine.plan.spec.num_messages
+            calls = _ForeignCalls(monkeypatch)
+            _assert_same(engine.infer(self.CASE), want, asia.variable_names)
+            batch = engine.infer_cases([self.CASE])
+            assert engine.plan.__dict__["_native_schedule"] is False
+        _assert_same(batch.case(0), want, asia.variable_names)
+        assert calls.counts["_infer_cases"] == 0
+        assert calls.counts["_message"] == messages
+        assert calls.counts["_message_batch"] == messages
+
+    def test_disabled_library(self, monkeypatch, asia):
+        from repro.core import BatchedFastBNI
+
+        want = self._reference(asia)
+        monkeypatch.setenv(DISABLE_ENV, "1")
+        held = _KERNEL_INSTANCES.pop("native", None)
+        try:
+            with BatchedFastBNI(asia, mode="seq", kernels="native") as engine:
+                assert engine.kernels.name == "fused"
+                _assert_same(engine.infer(self.CASE), want,
+                             asia.variable_names)
+                _assert_same(engine.infer_cases([self.CASE]).case(0), want,
+                             asia.variable_names)
+        finally:
+            _KERNEL_INSTANCES.pop("native", None)
+            if held is not None:
+                _KERNEL_INSTANCES["native"] = held
+
+
+class _CountingKernels:
+    """A kernel backend stub that only counts the messages it is asked for."""
+
+    name = "counting"
+    wants_maps = False
+
+    def __init__(self):
+        self.messages = 0
+
+    def message(self, *args):
+        self.messages += 1
+        return 0.0
+
+    def message_batch(self, src, *args, **kwargs):
+        self.messages += 1
+        return np.zeros(src.shape[0])
+
+
+class TestUnknownTargetsCostNothing:
+    """An unknown target is rejected before any table is touched."""
+
+    def test_staged_path_sends_no_message(self, asia):
+        from repro.core import BatchedFastBNI
+        from repro.errors import QueryError
+
+        with BatchedFastBNI(asia, mode="seq") as engine:
+            stub = engine.kernels = _CountingKernels()
+            for run in (lambda: engine.infer({}, targets=("lung", "nope")),
+                        lambda: engine.infer_cases([{}], targets=("nope",))):
+                with pytest.raises(QueryError, match="unknown variable 'nope'"):
+                    run()
+            assert stub.messages == 0
+            engine.infer({}, targets=("lung",))
+            assert stub.messages == engine.plan.spec.num_messages
+
+    @needs_native
+    def test_native_path_makes_no_foreign_call(self, monkeypatch, native,
+                                               asia):
+        from repro.core import BatchedFastBNI
+        from repro.errors import QueryError
+
+        with BatchedFastBNI(asia, mode="seq", kernels="native") as engine:
+            calls = _ForeignCalls(monkeypatch)
+            for run in (lambda: engine.infer({}, targets=("nope",)),
+                        lambda: engine.infer_cases([{}], targets=("nope",))):
+                with pytest.raises(QueryError, match="unknown variable 'nope'"):
+                    run()
+            assert calls.total == 0
+
+
+# ------------------------------------------------ metadata never unchecked
+@needs_native
+class TestTablesAreBoundsChecked:
+    """C walks the lowered tables blind, so Python checks them first."""
+
+    @pytest.fixture()
+    def lowered(self, asia):
+        from repro.exec.native.backend import lower_plan
+
+        plan = compile_plan(compile_junction_tree(asia))
+        return plan, lower_plan(plan)
+
+    def test_a_sound_lowering_passes(self, lowered):
+        from repro.exec.native.backend import check_tables
+
+        plan, tables = lowered
+        assert any(runs is not None for ops in tables.operands
+                   for runs in ops[2:])  # asia has skip lists to check
+        check_tables(plan.spec, tables)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda t, spec: t.meta.__setitem__((0, 1), spec.arena_entries),
+        lambda t, spec: t.meta.__setitem__((1, 2), -1),
+        lambda t, spec: t.meta.__setitem__((2, 3), 0),  # sep in clique region
+        lambda t, spec: t.meta.__setitem__((0, 4), t.meta[0, 4] + 1),
+        lambda t, spec: t.meta.__setitem__((3, 6), t.max_sep + 1),
+        lambda t, spec: t.meta.__setitem__((0, 7), t.meta[0, 7] + 8),
+        lambda t, spec: t.operands[0][0].__setitem__(0, t.meta[0, 6]),
+        lambda t, spec: t.operands[1][1].__setitem__(-1, -1),
+        lambda t, spec: t.meta.__setitem__((0, 10), 10**6),
+        lambda t, spec: t.var_table.__setitem__((0, 0), spec.clique_entries),
+        lambda t, spec: t.var_table.__setitem__((2, 2), 0),
+        lambda t, spec: t.var_table.__setitem__((3, 3), 3),
+        lambda t, spec: setattr(t, "root_size", spec.arena_entries),
+        lambda t, spec: setattr(t, "meta", t.meta[:-1]),
+    ])
+    def test_corrupted_tables_are_rejected(self, lowered, corrupt):
+        from repro.exec.native.backend import check_tables
+
+        plan, tables = lowered
+        # Index maps belong to the plan: corrupt copies, not the originals.
+        tables.operands = [tuple(None if a is None else a.copy() for a in ops)
+                           for ops in tables.operands]
+        for row, ops in zip(tables.meta, tables.operands):
+            row[[7, 8, 9, 11]] = [0 if a is None else a.ctypes.data
+                                  for a in ops]
+        check_tables(plan.spec, tables)
+        corrupt(tables, plan.spec)
+        with pytest.raises(BackendError, match="native plan tables rejected"):
+            check_tables(plan.spec, tables)
+
+    def test_a_corrupted_plan_never_reaches_c(self, monkeypatch, native, asia):
+        """The check runs when the plan is lowered, ahead of the first call."""
+        with FastBNI(asia, mode="seq", kernels="native") as engine:
+            _, _, _, _, edge, m_marg, _ = engine.plan.compiled_messages()[0]
+            m_marg[0] = edge.sep_size
+            calls = _ForeignCalls(monkeypatch)
+            with pytest.raises(BackendError, match="leaving its separator"):
+                engine.infer({})
+            assert calls.total == 0
+
+    def test_out_of_range_reads_and_states_are_rejected(self, monkeypatch,
+                                                        native, asia):
+        from repro.errors import QueryError
+
+        plan = compile_plan(compile_junction_tree(asia))
+        n_vars = len(plan.variable_names)
+        native.infer_cases(plan, plan.evidence_matrix([{}]), (0,))  # lowers
+        calls = _ForeignCalls(monkeypatch, native)  # the backend called below
+        good = plan.evidence_matrix([{"smoke": "yes"}])
+        for read_ids in ((n_vars,), (0, -1)):
+            with pytest.raises(QueryError, match="out of range"):
+                native.infer_cases(plan, good, read_ids)
+        for state in (-2, 2, 10**9):
+            bad = good.copy()
+            bad[0, 3] = state
+            with pytest.raises(EvidenceError, match="outside its variable"):
+                native.infer_cases(plan, bad, (0,))
+        for matrix in (good.astype(np.int32), good[:, :-1], good[0],
+                       np.asfortranarray(np.vstack([good, good]))):
+            with pytest.raises(BackendError, match="int64"):
+                native.infer_cases(plan, matrix, (0,))
+        assert calls.total == 0
+        # check_evidence stays in front of the matrices engines build.
+        from repro.errors import NetworkError
+
+        with FastBNI(asia, mode="seq", kernels="native") as engine:
+            engine_calls = _ForeignCalls(monkeypatch)
+            for evidence in ({"smoke": 2}, {"smoke": "maybe"}, {"nope": 0}):
+                with pytest.raises((EvidenceError, NetworkError)):
+                    engine.infer(evidence)
+                with pytest.raises((EvidenceError, NetworkError)):
+                    engine.plan.evidence_matrix([{}, evidence])
+            assert engine_calls.total == 0
