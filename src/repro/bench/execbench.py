@@ -14,13 +14,13 @@ Measures the unified execution layer's hot paths on one network
   (shared plan geometry, backend-independent), for context;
 * **batched calibration** — ``BatchedFastBNI.infer_cases`` over the whole
   case list in one schedule pass per backend;
-* **thread scaling** (native only) — ``calibrate_states`` at 1 vs 2
-  workers, where each worker's chunk is one GIL-free foreign call, plus a
-  **parallel-headroom probe** (two concurrent pure-C spins) recording how
-  much parallelism the machine could express at all.  Shared/stolen
-  vCPUs and single-core boxes show probe values near 1.0x; the regression
-  gate (``tools/check_bench.py``) enforces the scaling floor only when
-  the probe shows the hardware can express it.
+* **thread scaling** (native only) — ``infer_cases`` on 1 vs 2 thread
+  workers, where each worker's case block is one GIL-free foreign call,
+  plus a **parallel-headroom probe** (two concurrent pure-C spins)
+  recording how much parallelism the machine could express at all.
+  Shared/stolen vCPUs and single-core boxes show probe values near 1.0x;
+  the regression gate (``tools/check_bench.py``) enforces the scaling
+  floor only when the probe shows the hardware can express it.
 
 The ``native`` section records availability (and the reason when the
 backend fell back, e.g. no C compiler), so gates can skip honestly
@@ -45,12 +45,12 @@ import numpy as np
 from repro.bn.repository import resolve_network
 from repro.bn.sampling import generate_test_cases
 from repro.core import BatchedFastBNI, FastBNI
-from repro.exec.kernels import KERNELS, calibrate_states, get_kernels
+from repro.exec.kernels import KERNELS, get_kernels
 
 #: Benchmark schema version (bumped when row keys change).
 SCHEMA = 2
 
-#: States calibrated per thread-scaling measurement (split across workers).
+#: Cases per thread-scaling measurement (split across workers).
 THREAD_SCALING_CASES = 160
 #: Workers of the threaded measurement (the acceptance regime).
 THREAD_SCALING_WORKERS = 2
@@ -97,17 +97,16 @@ def _active_backends() -> tuple[list[str], dict]:
     return backends, native_info
 
 
-def _gil_release_fraction(plan, backend, states, calls: int = 10) -> float:
+def _gil_release_fraction(run_block, calls: int = 10) -> float:
     """Machine-independent witness that the native calls drop the GIL.
 
-    A counter thread increments a Python int while the main thread runs
-    ``calls`` whole-chunk calibrations; the fraction is the counter's
-    rate during those calls relative to its solo rate.  With the GIL held
-    through the foreign call the counter cannot advance at all (the
-    holder is blocked in C), so the fraction collapses to ~0 — on *any*
-    machine, including a single core where the OS still timeslices the
-    two threads.  This is the regression gate for the GIL mechanism
-    itself; ``scaling`` above is hardware-dependent and gated separately.
+    A counter thread increments a Python int while the main thread makes
+    ``calls`` whole-block foreign calls (``run_block``); the fraction is
+    the counter's rate during those calls relative to its solo rate.
+    With the GIL held through a call the counter cannot advance at all,
+    so the fraction collapses to ~0 on *any* machine, single cores
+    included — the regression gate for the GIL mechanism itself, where
+    ``scaling`` is hardware-dependent and gated separately.
     """
     import threading
 
@@ -125,7 +124,7 @@ def _gil_release_fraction(plan, backend, states, calls: int = 10) -> float:
         start_count = count[0]
         start = time.perf_counter()
         for _ in range(calls):
-            calibrate_states(plan, states, backend, workers=1)
+            run_block()
         elapsed = time.perf_counter() - start
         during = count[0] - start_count
         baseline_start = count[0]
@@ -138,39 +137,40 @@ def _gil_release_fraction(plan, backend, states, calls: int = 10) -> float:
 
 
 def _measure_thread_scaling(net, repeats: int) -> dict:
-    """``calibrate_states`` at 1 vs 2 workers under the native backend.
+    """``infer_cases`` on 1 vs 2 thread workers under the native backend.
 
-    Each worker's chunk is one GIL-free ``fbni_run_schedules`` call, so
-    on a machine with two free cores the chunks overlap.  Serial and
-    threaded timings are sampled in interleaved best-of rounds so a CPU-
-    steal window cannot penalise one arm only.  Alongside the scaling
-    ratio the row records two witnesses the gate conditions on: the
-    pure-ALU parallel-headroom probe (can this machine run two GIL-free
-    C calls at once at all?) and the GIL-release fraction (does this
-    *code path* actually drop the GIL?) — see ``tools/check_bench.py``.
+    Each worker's case block is one GIL-free ``fbni_infer_cases`` call,
+    so on a machine with two free cores the blocks overlap.  The two
+    arms are sampled in interleaved best-of rounds so a CPU-steal window
+    cannot penalise one only.  Beside the ratio the row records the two
+    witnesses ``tools/check_bench.py`` conditions on: the pure-ALU
+    parallel-headroom probe (can this machine run two GIL-free C calls at
+    once at all?) and the GIL-release fraction (does this *code path*
+    drop the GIL?).
     """
     from repro.exec.native import probe_parallel_headroom
 
-    with FastBNI(net, mode="seq", kernels="native") as engine:
-        engine.infer({})  # compile plan + schedule
-        plan, backend = engine.plan, engine.kernels
-        states = [plan.fresh_state() for _ in range(THREAD_SCALING_CASES)]
-
-        def timed(workers: int) -> float:
-            for state in states:
-                state.log_norm = 0.0
+    cases = [{}] * THREAD_SCALING_CASES
+    with BatchedFastBNI(net, mode="seq", kernels="native") as serial, \
+            BatchedFastBNI(net, mode="hybrid", backend="thread",
+                           num_workers=THREAD_SCALING_WORKERS,
+                           kernels="native") as threaded:
+        def timed(engine) -> float:
             start = time.perf_counter()
-            calibrate_states(plan, states, backend, workers=workers)
+            engine.infer_cases(cases)
             return time.perf_counter() - start
 
-        timed(1); timed(THREAD_SCALING_WORKERS)  # warm pool + arenas
+        timed(serial); timed(threaded)  # lower the plan, warm pool + scratch
         serial_s = threaded_s = float("inf")
         for _ in range(max(repeats, 3) * 2):
-            serial_s = min(serial_s, timed(1))
-            threaded_s = min(threaded_s, timed(THREAD_SCALING_WORKERS))
+            serial_s = min(serial_s, timed(serial))
+            threaded_s = min(threaded_s, timed(threaded))
+        plan, backend = serial.plan, serial.kernels
         headroom = probe_parallel_headroom(
             backend._lib, threads=THREAD_SCALING_WORKERS)
-        gil_release = _gil_release_fraction(plan, backend, states)
+        matrix, read_ids = plan.evidence_matrix(cases), plan.variable_ids()
+        gil_release = _gil_release_fraction(
+            lambda: backend.infer_cases(plan, matrix, read_ids))
     return {
         "workers": THREAD_SCALING_WORKERS,
         "cases": THREAD_SCALING_CASES,

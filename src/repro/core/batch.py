@@ -21,7 +21,7 @@ total instead of ``O(messages × cases)``.
 On the ``native`` kernel backend none of that arena is needed: with hard
 evidence and no kernel hooks recording, each case block is **one foreign
 call** (:meth:`repro.exec.native.backend.NativeKernels.infer_cases`) that
-reduces the evidence matrix, runs the compiled schedule, reads the
+applies the evidence matrix, runs the compiled schedule, reads the
 posteriors and computes log P(e) case after case over one per-thread
 scratch arena — ``O(blocks)`` foreign calls and no per-message or
 per-variable interpreter work.  The staged path above stays for the
@@ -169,9 +169,12 @@ def infer_cases(
             [(kernels.infer_cases, (plan, matrix[lo:hi], read_ids, lo))
              for lo, hi in blocks])
         if done[0] is not None:
+            *blocks_out, visited = zip(*done)
             posteriors, log_evidence = (
-                done[0] if len(done) == 1
-                else map(np.concatenate, zip(*done)))
+                b[0] if len(done) == 1 else np.concatenate(b)
+                for b in blocks_out)
+            walked, dense = map(sum, zip(*visited))
+            engine.metrics.update(entries_walked=walked, entries_dense=dense)
             return BatchInferenceResult(
                 posteriors=plan.posterior_views(read_ids, posteriors),
                 log_evidence=log_evidence, meta=meta)

@@ -112,7 +112,10 @@ class FastBNI:
             self.backend = make_backend(config.backend, config.num_workers)
         #: Instrumentation for the last infer() call: how often the backend
         #: was invoked and how many tasks it received — the quantitative
-        #: form of the paper's "parallelization overhead" argument.
+        #: form of the paper's "parallelization overhead" argument — and,
+        #: after a whole-case native call, the clique entries its messages
+        #: walked (``entries_walked``) of those a schedule with no run
+        #: list would walk (``entries_dense``).
         self.metrics: dict[str, int] = {}
         self._closed = False
 
@@ -180,8 +183,9 @@ class FastBNI:
             done = self.kernels.infer_cases(
                 plan, plan.evidence_matrix([evidence or {}]), read_ids)
             if done is not None:
-                rows, log_evidence = done
-                self.count("messages", plan.spec.num_messages)
+                rows, log_evidence, (walked, dense) = done
+                self.metrics.update(messages=plan.spec.num_messages,
+                                    entries_walked=walked, entries_dense=dense)
                 return InferenceResult(
                     posteriors=plan.posterior_views(read_ids, rows[0]),
                     log_evidence=float(log_evidence[0]))

@@ -489,46 +489,3 @@ def run_message_schedule(plan, state, backend: KernelBackend,
                           seconds=timer() - run_start,
                           arena_bytes=getattr(plan, "arena_bytes", None))
     return messages
-
-
-def calibrate_states(plan, states, backend: KernelBackend,
-                     workers: int = 1) -> int:
-    """Calibrate many independent single-case states, optionally threaded.
-
-    The thread-dispatch path for per-case calibration: states are split
-    into one contiguous chunk per worker and each chunk calibrates on its
-    own thread.  Schedule-compiling backends (``native``) run each chunk
-    as **one GIL-free foreign call** (:meth:`NativeKernels.run_schedules`),
-    so chunks genuinely overlap on separate cores — the granularity at
-    which ``parallel=thread`` dispatch finally scales.  Other backends
-    loop :func:`run_message_schedule` per state (threads then only help
-    as far as NumPy internally drops the GIL).
-
-    Updates each state's tables and ``log_norm`` in place; returns the
-    total number of messages executed.
-    """
-    states = list(states)
-    if not states:
-        return 0
-
-    def run_chunk(chunk) -> int:
-        if getattr(backend, "compiles_schedule", False):
-            per_state = backend.run_schedules(plan, chunk)
-            if per_state is not None:
-                return per_state * len(chunk)
-        sent = 0
-        for state in chunk:
-            sent += run_message_schedule(plan, state, backend)
-        return sent
-
-    workers = max(1, min(workers, len(states)))
-    if workers == 1:
-        return run_chunk(states)
-    bounds = [(len(states) * w // workers, len(states) * (w + 1) // workers)
-              for w in range(workers)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_chunk, states[lo:hi])
-                   for lo, hi in bounds if hi > lo]
-        return sum(f.result() for f in futures)

@@ -7,9 +7,10 @@ whole cases, whole schedules, single messages — see the class).  Three
 properties follow that no NumPy formulation has:
 
 * **one foreign call per case block** — :meth:`NativeKernels.infer_cases`
-  reduces the evidence, runs the compiled schedule, reads the requested
-  posteriors and computes log P(e) for a block of cases inside one call;
-  the interpreter only builds the evidence matrix and wraps the output
+  lists the entries each case's evidence leaves possible, runs the
+  compiled schedule over them, reads the requested posteriors and
+  computes log P(e) for a block of cases inside one call; the
+  interpreter only builds the evidence matrix and wraps the output
   block, so ``FastBNI.infer`` and ``core.batch.infer_cases`` pay no
   per-message and no per-variable Python work;
 * **GIL release** — ``ctypes`` drops the GIL for the duration of every
@@ -19,7 +20,8 @@ properties follow that no NumPy formulation has:
   nonzero-run lists derived from the plan's CPT-product base tables
   (:meth:`repro.exec.plan.MessagePlan.zero_skip_runs`); the C loops jump
   over entries that are structurally zero, which deterministic-CPT
-  networks have in bulk.
+  networks have in bulk, and the whole-case call intersects them with
+  its per-case evidence lists.
 
 Everything C walks is lowered once per plan from plain
 :class:`~repro.exec.plan.PlanSpec` data into flat int64 tables
@@ -44,7 +46,8 @@ import numpy as np
 
 from repro.errors import BackendError, EvidenceError, QueryError
 from repro.exec.kernels import KernelBackend, resolve_maps
-from repro.exec.native.build import META_STRIDE, VAR_STRIDE
+from repro.exec.native.build import (AXIS_STRIDE, MAX_AXES, META_STRIDE,
+                                     RUNS_FULL, TABLE_STRIDE, VAR_STRIDE)
 
 EMPTY_MESSAGE = "evidence has zero probability (empty message)"
 
@@ -58,23 +61,35 @@ class PlanTables:
     n_messages: int
     #: Largest separator: the C message scratch holds ``2 * max_sep``.
     max_sep: int
-    #: Per message ``(marg map, absorb map, src runs, dst runs)`` — the
-    #: arrays whose addresses ``meta`` holds, kept alive with it.
+    #: Per message ``(marg map, absorb map)`` and per table its
+    #: nonzero-run list or ``None`` — the arrays whose addresses ``meta``
+    #: and ``tables`` hold, kept alive with them.
     operands: list
+    runs: list
+    #: ``(cliques + separators, TABLE_STRIDE)`` per-table geometry, in
+    #: arena order, and the ``(axes, AXIS_STRIDE)`` rows it points into.
+    tables: np.ndarray
+    axes: np.ndarray
     #: ``(n_vars, VAR_STRIDE)`` per-variable geometry (layout in build.py).
     var_table: np.ndarray
-    root_offset: int
-    root_size: int
     #: The default read, every variable: ``(reads table, row entries)``.
     all_reads: tuple[np.ndarray, int]
-    #: Addresses of ``meta``/``var_table`` (``ndarray.ctypes`` is slow
-    #: enough to matter on a 0.1 ms call).
-    meta_addr: int = field(init=False)
-    var_addr: int = field(init=False)
+    #: Derived, so that a 0.1 ms call takes no ``ndarray.ctypes`` it need
+    #: not.  Cardinality per variable, unsigned: a state (or -1) is in
+    #: range iff ``state + 1``, reinterpreted as unsigned, does not
+    #: exceed it.
+    state_limits: np.ndarray = field(init=False)
+    #: Addresses of ``meta``, ``tables``, ``axes``, ``var_table``, reads.
+    addresses: tuple[int, ...] = field(init=False)
+    #: The base buffer last handed to C and its address (``adopt_base``
+    #: may swap the plan's); one attribute, so threads swap it whole.
+    base: tuple = (None, 0)
 
     def __post_init__(self) -> None:
-        self.meta_addr = self.meta.ctypes.data
-        self.var_addr = self.var_table.ctypes.data
+        self.state_limits = self.var_table[:, 2].astype(np.uint64)
+        self.addresses = tuple(a.ctypes.data for a in (
+            self.meta, self.tables, self.axes, self.var_table,
+            self.all_reads[0]))
 
 
 def reads_table(spec, read_ids) -> tuple[np.ndarray, int]:
@@ -98,36 +113,40 @@ def lower_plan(plan) -> "PlanTables | bool":
     """
     spec = plan.spec
     msgs = plan.compiled_messages()
-    runs = plan.zero_skip_runs()
+    runs = plan.zero_skip_runs() + [None] * spec.num_separators
+    cards = [card for _, _, _, card in spec.variables]
+    axes, rows = [], []
+    for off, size, var_ids, bounds in zip(
+            spec.clique_offsets + spec.sep_offsets,
+            spec.clique_sizes + spec.sep_sizes,
+            spec.clique_vars + spec.sep_vars, runs):
+        first, stride = len(axes), size
+        for vid in var_ids:
+            # A one-state axis cannot be pinned and moves no stride.
+            if cards[vid] > 1:
+                stride //= cards[vid]
+                axes.append((vid, stride, cards[vid]))
+        rows.append((off, size, first, len(axes) - first)
+                    + ((0, 0, size) if bounds is None else
+                       (bounds.ctypes.data, bounds.size // 2,
+                        int((bounds[1::2] - bounds[::2]).sum()))))
     meta = np.zeros((len(msgs), META_STRIDE), dtype=np.int64)
     operands = []
     for i, (upward, src, dst, sep_id, edge, m_marg, m_abs) in enumerate(msgs):
         if m_marg is None or m_abs is None:
             return False
-        src_runs, dst_runs = runs[src], runs[dst]
-        meta[i] = (
-            int(upward),
-            spec.clique_offsets[src], spec.clique_offsets[dst],
-            spec.sep_offsets[sep_id],
-            spec.clique_sizes[src], spec.clique_sizes[dst],
-            spec.sep_sizes[sep_id],
-            m_marg.ctypes.data, m_abs.ctypes.data,
-            0 if src_runs is None else src_runs.ctypes.data,
-            0 if src_runs is None else src_runs.size // 2,
-            0 if dst_runs is None else dst_runs.ctypes.data,
-            0 if dst_runs is None else dst_runs.size // 2,
-        )
-        operands.append((m_marg, m_abs, src_runs, dst_runs))
+        meta[i] = (int(upward), m_marg.ctypes.data, m_abs.ctypes.data,
+                   src, dst, spec.num_cliques + sep_id)
+        operands.append((m_marg, m_abs))
     var_table = np.array(
-        [(spec.clique_offsets[cid], spec.clique_sizes[cid], stride, card)
-         for cid, _, stride, card in spec.variables],
+        [(cid, stride, card) for cid, _, stride, card in spec.variables],
         dtype=np.int64).reshape(len(spec.variables), VAR_STRIDE)
     tables = PlanTables(
         meta=meta, n_messages=len(msgs),
-        max_sep=max(spec.sep_sizes, default=0), operands=operands,
+        max_sep=max(spec.sep_sizes, default=0), operands=operands, runs=runs,
+        tables=np.array(rows, dtype=np.int64),
+        axes=np.array(axes, dtype=np.int64).reshape(len(axes), AXIS_STRIDE),
         var_table=var_table,
-        root_offset=spec.clique_offsets[spec.root],
-        root_size=spec.clique_sizes[spec.root],
         all_reads=reads_table(spec, range(len(spec.variables))))
     check_tables(spec, tables)
     return tables
@@ -141,66 +160,85 @@ def _is_i64(array, *shape: int) -> bool:
 def check_tables(spec, tables: PlanTables) -> None:
     """Bounds-check lowered tables against the arena layout.
 
-    Every table a message or a variable names must lie inside its region
-    of the arena, every index map must be as long as its clique and point
-    inside its separator, every run list must be increasing and inside
-    its clique, every variable's ``stride * cardinality`` blocks must
-    tile its clique exactly.  Raises :class:`~repro.errors.BackendError`
-    otherwise — C walks these tables without looking back.
+    Every table row must be the arena's table of that id; its axes must
+    lie inside the axes table, be no more than the C odometer holds,
+    name variables with the cardinality evidence is checked against and
+    tile the table row-major; its run list must be increasing and inside
+    it.  Every message must name the tables of a plan edge by id, with
+    index maps as long as its cliques and pointing inside its separator;
+    every variable's ``stride * cardinality`` blocks must tile the
+    clique it names.  Raises
+    :class:`~repro.errors.BackendError` otherwise — C walks these tables
+    without looking back.
     """
     def need(ok, what: str) -> None:
         if not ok:
             raise BackendError(f"native plan tables rejected: {what}")
 
-    cliques = (0, spec.clique_entries)
-    seps = (spec.clique_entries, spec.arena_entries)
-
-    def inside(off: int, size: int, region: tuple[int, int]) -> bool:
-        return size >= 1 and region[0] <= off and off + size <= region[1]
+    n_cliques, n_vars = spec.num_cliques, len(spec.variables)
+    layout = list(zip(spec.clique_offsets + spec.sep_offsets,
+                      spec.clique_sizes + spec.sep_sizes))
+    var_table = tables.var_table
+    need(_is_i64(var_table, n_vars, VAR_STRIDE),
+         "variable table has the wrong shape")
+    need(_is_i64(tables.tables, len(layout), TABLE_STRIDE)
+         and _is_i64(tables.axes, len(tables.axes), AXIS_STRIDE)
+         and len(tables.runs) == len(layout),
+         "table table has the wrong shape")
+    rows = tables.tables.tolist()
+    axes = tables.axes.tolist()
+    for t, (row, bounds) in enumerate(zip(rows, tables.runs)):
+        off, size, first, n_axes, addr, count, covered = row
+        need((off, size) == layout[t] and size >= 1,
+             f"table {t} is not the arena's table {t}")
+        need(0 <= first and 0 <= n_axes <= MAX_AXES
+             and first + n_axes <= len(axes),
+             f"table {t} has axes outside the axes table, or more than "
+             f"{MAX_AXES}")
+        tiled = 1
+        for vid, stride, card in reversed(axes[first:first + n_axes]):
+            need(0 <= vid < n_vars and card == var_table[vid, 2]
+                 and stride == tiled,
+                 f"table {t} has an axis that is not a variable's, or "
+                 "strides that do not tile it")
+            tiled *= card
+        need(tiled == size, f"table {t} has strides that do not tile it")
+        if bounds is None:
+            need((addr, count, covered) == (0, 0, size),
+                 f"table {t} names a run list it does not have")
+            continue
+        need(_is_i64(bounds, 2 * count) and count >= 1
+             and bounds.ctypes.data == addr
+             and 0 <= bounds[0] and bounds[-1] <= size
+             and bool((np.diff(bounds) > 0).all())
+             and covered == (bounds[1::2] - bounds[::2]).sum(),
+             f"table {t} has a run list leaving it")
 
     meta = tables.meta
     need(_is_i64(meta, tables.n_messages, META_STRIDE)
          and len(tables.operands) == tables.n_messages,
          "message table has the wrong shape")
+    edges = {(e.child, e.parent, n_cliques + e.sep_id)
+             for e in spec.edges.values()}
     checked: set[tuple[int, int]] = set()
     for i, (row, operands) in enumerate(zip(meta.tolist(), tables.operands)):
-        (_, src_off, dst_off, sep_off, src_size, dst_size, sep_size,
-         marg_addr, abs_addr, src_addr, n_src, dst_addr, n_dst) = row
-        m_marg, m_abs, src_runs, dst_runs = operands
-        need(inside(src_off, src_size, cliques)
-             and inside(dst_off, dst_size, cliques)
-             and inside(sep_off, sep_size, seps)
-             and sep_size <= tables.max_sep,
-             f"message {i} names a table outside the arena")
-        for imap, addr, size in ((m_marg, marg_addr, src_size),
-                                 (m_abs, abs_addr, dst_size)):
-            need(_is_i64(imap, size) and imap.ctypes.data == addr,
+        upward, marg_addr, abs_addr, src, dst, sep = row
+        need(((src, dst, sep) if upward else (dst, src, sep)) in edges
+             and rows[sep][1] <= tables.max_sep,
+             f"message {i} does not name the tables of a plan edge")
+        sep_size = rows[sep][1]
+        for imap, addr, tid in zip(operands, (marg_addr, abs_addr),
+                                   (src, dst)):
+            need(_is_i64(imap, rows[tid][1]) and imap.ctypes.data == addr,
                  f"message {i} has an index map that is not its clique's")
             if (addr, sep_size) not in checked:
                 need(0 <= imap.min() and imap.max() < sep_size,
                      f"message {i} has an index map leaving its separator")
                 checked.add((addr, sep_size))
-        for bounds, addr, count, size in ((src_runs, src_addr, n_src, src_size),
-                                          (dst_runs, dst_addr, n_dst, dst_size)):
-            if bounds is None:
-                need(addr == 0 and count == 0,
-                     f"message {i} names a run list it does not have")
-                continue
-            need(_is_i64(bounds, 2 * count) and count >= 1
-                 and bounds.ctypes.data == addr
-                 and 0 <= bounds[0] and bounds[-1] <= size
-                 and bool((np.diff(bounds) > 0).all()),
-                 f"message {i} has a run list leaving its clique")
-    n_vars = len(spec.variables)
-    var_table = tables.var_table
-    need(_is_i64(var_table, n_vars, VAR_STRIDE),
-         "variable table has the wrong shape")
-    for v, (off, size, stride, card) in enumerate(var_table.tolist()):
-        need(inside(off, size, cliques) and stride >= 1 and card >= 1
-             and size % (stride * card) == 0,
-             f"variable {v} does not tile a clique inside the arena")
-    need(inside(tables.root_offset, tables.root_size, cliques),
-         "root table outside the arena")
+    for v, (tid, stride, card) in enumerate(var_table.tolist()):
+        need(0 <= tid < n_cliques and stride >= 1 and card >= 1
+             and rows[tid][1] % (stride * card) == 0,
+             f"variable {v} does not tile the clique it names")
 
 
 class NativeKernels(KernelBackend):
@@ -212,7 +250,7 @@ class NativeKernels(KernelBackend):
 
     Three granularities, coarsest first:
 
-    * :meth:`infer_cases` — whole *cases*: evidence reduction, schedule,
+    * :meth:`infer_cases` — whole *cases*: evidence run lists, schedule,
       posterior reads and log P(e) for a block of cases as **one** foreign
       call over one per-thread scratch arena.  Used by ``FastBNI.infer``
       (``mode="seq"``) and ``core.batch.infer_cases`` whenever the
@@ -222,7 +260,7 @@ class NativeKernels(KernelBackend):
       is compiled, not interpreted: per-message Python/ctypes overhead is
       paid zero times per case).  Used by ``run_message_schedule`` (soft
       evidence, callers holding their own state) when no kernel hooks are
-      recording; :meth:`run_schedules` does the same for many states;
+      recording;
     * :meth:`message` / :meth:`message_batch` — one call per message, for
       one case or a whole case block (the property-test contract, the
       hooks-instrumented trace path, ``inter`` mode, and plans whose index
@@ -244,10 +282,9 @@ class NativeKernels(KernelBackend):
         self._message = lib.fbni_message
         self._message_batch = lib.fbni_message_batch
         self._run_schedule = lib.fbni_run_schedule
-        self._run_schedules = lib.fbni_run_schedules
         self._infer_cases = lib.fbni_infer_cases
-        # Per-thread scratch (message scratch, case arena) and status
-        # word: the backend is a process-wide singleton and
+        # Per-thread scratch (message scratch, case arena, run words) and
+        # status words: the backend is a process-wide singleton and
         # thread-dispatched case blocks / per-case threads call into it
         # concurrently.
         self._local = threading.local()
@@ -258,22 +295,23 @@ class NativeKernels(KernelBackend):
             buf = self._local.buf = np.empty(max(2 * sep_size, 512))
         return buf
 
-    def _status(self) -> np.ndarray:
-        status = getattr(self._local, "status", None)
-        if status is None:
-            status = self._local.status = np.empty(2, dtype=np.int64)
-        return status
-
     # ------------------------------------------------------------ whole cases
-    def _case_scratch(self, entries: int) -> tuple[int, int]:
-        """Addresses of this thread's ``entries``-double case scratch and
-        of its status word (addresses cached: see :class:`PlanTables`)."""
+    def _case_scratch(self, *sizes: int) -> tuple:
+        """This thread's whole-case scratch: a case arena, a message
+        scratch and run words of at least ``sizes`` entries, and four
+        status words — each its own allocation, so a sanitizer sees an
+        overrun of any of them.  Returns the status array and the four
+        addresses, cached (see :class:`PlanTables`)."""
         held = getattr(self._local, "case", None)
-        if held is None or held[0].size < entries:
-            buf = np.empty(entries)
-            held = self._local.case = (buf, buf.ctypes.data,
-                                       self._status().ctypes.data)
-        return held[1], held[2]
+        if held is None or any(h < s for h, s in zip(held[0], sizes)):
+            if held is not None:
+                sizes = tuple(map(max, held[0], sizes))
+            arrays = (np.empty(sizes[0]), np.empty(sizes[1]),
+                      np.empty(sizes[2], dtype=np.int64),
+                      np.empty(4, dtype=np.int64))
+            held = self._local.case = (
+                sizes, arrays, (arrays[3], *(a.ctypes.data for a in arrays)))
+        return held[2]
 
     def infer_cases(self, plan, evidence: np.ndarray,
                     read_ids: tuple[int, ...], case_offset: int | None = None):
@@ -282,13 +320,14 @@ class NativeKernels(KernelBackend):
         ``evidence`` is a ``(k, variables)`` int64 matrix of state indices
         (``-1`` = unobserved, :meth:`MessagePlan.evidence_matrix`) and
         ``read_ids`` the variable ids to read.  Returns ``(posteriors,
-        log_evidence)``: a fresh ``(k, entries)`` block holding the
-        requested normalised marginals side by side in ``read_ids`` order
-        (variable *v* takes ``cardinality(v)`` columns) and the ``(k,)``
-        log P(e) vector, ``-inf`` where the calibrated root is empty —
-        neither aliases the scratch arena.  ``None`` when the plan cannot
-        be lowered (index maps over budget); callers then run the staged
-        path.
+        log_evidence, visited)``: a fresh ``(k, entries)`` block holding
+        the requested normalised marginals side by side in ``read_ids``
+        order (variable *v* takes ``cardinality(v)`` columns), the
+        ``(k,)`` log P(e) vector, ``-inf`` where the calibrated root is
+        empty — neither aliases the scratch arena — and the clique
+        entries the block's messages ``(walked, would have walked with
+        no run list)``.  ``None`` when the plan cannot be lowered (index
+        maps over budget); callers then run the staged path.
 
         Raises what the staged path raises: :class:`EvidenceError` for an
         empty message and :class:`QueryError` for a posterior that cannot
@@ -304,36 +343,45 @@ class NativeKernels(KernelBackend):
             raise BackendError(
                 f"evidence must be a C-contiguous int64 (cases, {n_vars}) "
                 "matrix")
-        if evidence.size and (evidence.min() < -1
-                              or (evidence >= tables.var_table[:, 3]).any()):
+        if np.count_nonzero((evidence + 1).view(np.uint64)
+                            > tables.state_limits):
             raise EvidenceError(
                 "evidence matrix holds a state index outside its "
                 "variable's range")
-        reads, entries = (tables.all_reads
-                          if read_ids == plan.variable_ids()
-                          else reads_table(spec, read_ids))
+        meta, table_rows, axes, var_table, reads = tables.addresses
+        entries = tables.all_reads[1]
+        if read_ids != plan.variable_ids():
+            held, entries = reads_table(spec, read_ids)
+            reads = held.ctypes.data
+        flat, base = plan.base_flat, tables.base
+        if base[0] is not flat:
+            base = tables.base = (flat, flat.ctypes.data)
         k = len(evidence)
         # One output block: each row is the marginals then log P(e).
         out = np.empty((k, entries + 1))
-        base = plan.base_flat  # held: adopt_base may swap the plan's
-        arena, status = self._case_scratch(
-            spec.arena_entries + 2 * tables.max_sep)
+        # Run scratch: three words per table and, the bound derived at
+        # fbni_evidence_runs, one per arena entry for the lists.
+        n_tables = len(tables.tables)
+        run_words = 3 * n_tables + spec.arena_entries
+        status, arena, scratch, runs, status_addr = self._case_scratch(
+            spec.arena_entries, 2 * tables.max_sep, run_words)
         self._infer_cases(
-            base.ctypes.data, spec.clique_entries,
-            arena, spec.arena_entries, tables.meta_addr, tables.n_messages,
-            arena + 8 * spec.arena_entries, tables.var_addr, n_vars,
-            evidence.ctypes.data, k, reads.ctypes.data, len(read_ids),
-            tables.root_offset, tables.root_size,
-            out.ctypes.data, entries, status)
-        failed, where = self._status().tolist()
+            base[1], spec.clique_entries, arena, spec.arena_entries,
+            meta, tables.n_messages, scratch, table_rows, n_tables, axes,
+            runs, run_words, var_table, n_vars, evidence.ctypes.data, k,
+            reads, len(read_ids), spec.root, out.ctypes.data, entries,
+            status_addr)
+        failed, where, walked, dense = status.tolist()
         if failed >= 0:
             case = "" if case_offset is None else f" in case {case_offset + failed}"
+            if where == RUNS_FULL:
+                raise BackendError(f"native run scratch exhausted{case}")
             if where >= 0:
                 raise EvidenceError(EMPTY_MESSAGE + case)
             name = plan.variable_names[read_ids[-1 - where]]
             raise QueryError(f"cannot normalise posterior of {name!r}{case} "
                              f"(total={float(out[failed, entries])})")
-        return out[:, :entries], out[:, entries].copy()
+        return out[:, :entries], out[:, entries].copy(), (walked, dense)
 
     # ------------------------------------------------------ compiled schedule
     def _lowered(self, plan) -> "PlanTables | None":
@@ -363,10 +411,11 @@ class NativeKernels(KernelBackend):
         if base is None:
             return None
         scratch = self._scratch(tables.max_sep)
-        status = self._status()
-        log_norm = self._run_schedule(base, tables.meta.ctypes.data,
-                                      tables.n_messages,
-                                      scratch.ctypes.data, status.ctypes.data)
+        status = np.empty(1, dtype=np.int64)
+        log_norm = self._run_schedule(base, tables.addresses[0],
+                                      tables.n_messages, scratch.ctypes.data,
+                                      tables.addresses[1], None, None,
+                                      status.ctypes.data)
         if int(status[0]) >= 0:
             raise EvidenceError(EMPTY_MESSAGE)
         return tables.n_messages, log_norm
@@ -384,42 +433,6 @@ class NativeKernels(KernelBackend):
             return None
         return base
 
-    def run_schedules(self, plan, states):
-        """Calibrate many single-case arena states in **one** foreign call.
-
-        For caller-held states: a thread-dispatched chunk of them
-        spends its whole calibration GIL-free, so chunks overlap on real
-        cores instead of ping-ponging the GIL at per-message granularity.
-        Adds each state's collect-phase constant to its ``log_norm`` and
-        returns the number of messages executed per state; ``None`` when
-        the fast path is unavailable (the caller loops per state).
-        """
-        tables = self._lowered(plan)
-        if tables is None:
-            return None
-        n_messages = tables.n_messages
-        if n_messages == 0:
-            return 0
-        spec = plan.spec
-        addrs = np.empty(len(states), dtype=np.int64)
-        for i, state in enumerate(states):
-            base = self._arena_base(spec, state)
-            if base is None:
-                return None
-            addrs[i] = base
-        log_norms = np.empty(len(states))
-        scratch = self._scratch(tables.max_sep)
-        status = self._status()
-        self._run_schedules(addrs.ctypes.data, len(states),
-                            tables.meta.ctypes.data, n_messages,
-                            scratch.ctypes.data, log_norms.ctypes.data,
-                            status.ctypes.data)
-        if int(status[0]) >= 0:
-            raise EvidenceError(EMPTY_MESSAGE)
-        for state, log_norm in zip(states, log_norms):
-            state.log_norm += log_norm
-        return n_messages
-
     def message(self, src, dst, sep, edge, upward, maps=(None, None),
                 skips=(None, None)):
         m_marg, m_abs = resolve_maps(src, dst, edge, upward, maps)
@@ -434,6 +447,7 @@ class NativeKernels(KernelBackend):
             0 if src_runs is None else src_runs.size // 2,
             None if dst_runs is None else dst_runs.ctypes.data,
             0 if dst_runs is None else dst_runs.size // 2,
+            None, 0,
         )
         if total <= 0.0:
             raise EvidenceError(EMPTY_MESSAGE)

@@ -36,9 +36,9 @@ all of it exactly once per (tree, root) and the engines share the result:
 
 :class:`PlanSpec` is the plain-data slice of the plan (pure ints/tuples,
 no network or domain objects) — what the native backend lowers its
-message and variable tables from — while :class:`MessagePlan` binds it to
-the tree and holds the lazily-built base tables, index maps and compiled
-sequence.
+message, table, axes and variable tables from — while
+:class:`MessagePlan` binds it to the tree and holds the lazily-built
+base tables, index maps and compiled sequence.
 """
 
 from __future__ import annotations
@@ -140,6 +140,10 @@ class PlanSpec:
     #: posterior read.  Entry *i* of the clique has the variable in state
     #: ``(i // stride) % cardinality``.
     variables: tuple[tuple[int, int, int, int], ...]
+    #: per clique / separator table: the variable ids of its axes,
+    #: outermost first (tables are row-major over them)
+    clique_vars: tuple[tuple[int, ...], ...]
+    sep_vars: tuple[tuple[int, ...], ...]
 
     @property
     def num_cliques(self) -> int:
@@ -250,7 +254,16 @@ class MessagePlan:
             up_layers=tuple(layers[d] for d in range(len(layers) - 1, 0, -1)),
             down_layers=tuple(layers[d] for d in range(1, len(layers))),
             variables=tuple(variables),
+            clique_vars=tuple(tuple(self._var_ids[v.name]
+                                    for v in c.domain.variables)
+                              for c in tree.cliques),
+            sep_vars=tuple(tuple(self._var_ids[v.name]
+                                 for v in s.domain.variables)
+                           for s in tree.separators),
         )
+        #: ``(name, index)`` of the default read, every variable: where
+        #: each marginal sits in a whole-case output block.
+        self._all_columns = self._columns(self._all_ids)
         #: Lazily-built CPT-product clique tables (views into one flat base).
         self._base: list[np.ndarray] | None = None
         self._base_flat: np.ndarray | None = None
@@ -519,13 +532,17 @@ class MessagePlan:
         <repro.exec.native.backend.NativeKernels.infer_cases>`); returns
         ``{variable name: view of its columns}``.
         """
-        out: dict[str, np.ndarray] = {}
-        lo = 0
+        columns = (self._all_columns if read_ids is self._all_ids
+                   else self._columns(read_ids))
+        return {name: block[index] for name, index in columns}
+
+    def _columns(self, read_ids) -> list[tuple[str, tuple]]:
+        columns, lo = [], 0
         for vid in read_ids:
             hi = lo + self.spec.variables[vid][3]
-            out[self.variable_names[vid]] = block[..., lo:hi]
+            columns.append((self.variable_names[vid], (..., slice(lo, hi))))
             lo = hi
-        return out
+        return columns
 
     #: Don't bother skipping unless at least this fraction of a base
     #: table is zero — below it the run bookkeeping costs more than the

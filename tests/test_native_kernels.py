@@ -23,11 +23,11 @@ import pytest
 from repro.bn.datasets import load_dataset
 from repro.core import FastBNI
 from repro.errors import BackendError, EvidenceError
-from repro.exec.kernels import (calibrate_states, get_kernels,
-                                run_message_schedule, triples_to_map)
+from repro.exec.kernels import get_kernels, run_message_schedule
 from repro.exec.kernels import _INSTANCES as _KERNEL_INSTANCES
 from repro.exec.native import (DISABLE_ENV, load_native_kernels,
                                native_status, probe_parallel_headroom)
+from repro.exec.native.build import MAX_AXES, RUNS_FULL
 from repro.exec.plan import compile_plan
 from repro.jt.engine import JunctionTreeEngine
 from repro.jt.structure import compile_junction_tree
@@ -240,21 +240,6 @@ class TestNativeSchedule:
         with pytest.raises(EvidenceError, match="zero probability"):
             run_message_schedule(plan, state, native)
 
-    def test_calibrate_states_matches_fused(self, native):
-        plan = compile_plan(compile_junction_tree(load_dataset("asia")))
-        fused = get_kernels("fused")
-        native_states = [plan.fresh_state() for _ in range(8)]
-        fused_states = [plan.fresh_state() for _ in range(8)]
-        sent = calibrate_states(plan, native_states, native, workers=2)
-        for state in fused_states:
-            run_message_schedule(plan, state, fused)
-        assert sent == 8 * len(plan.compiled_messages())
-        for a, b in zip(native_states, fused_states):
-            assert a.log_norm == pytest.approx(b.log_norm, abs=1e-12)
-            for pa, pb in zip(a.clique_pot, b.clique_pot):
-                np.testing.assert_allclose(pa.values, pb.values,
-                                           atol=1e-12, rtol=0)
-
 
 # --------------------------------------------------- registry and fallback
 class TestRegistryFallback:
@@ -293,8 +278,9 @@ class TestGilRelease:
         in C and the counter cannot advance at all, so this witness is
         machine-independent (works on a single core)."""
         plan = compile_plan(compile_junction_tree(load_dataset("asia")))
-        states = [plan.fresh_state() for _ in range(2048)]
-        calibrate_states(plan, states[:8], native)  # compile schedule, warm
+        matrix = np.full((16384, len(plan.variable_names)), -1, dtype=np.int64)
+        read_ids = plan.variable_ids()
+        native.infer_cases(plan, matrix[:8], read_ids)  # lower the plan, warm
         count = [0]
         stop = threading.Event()
 
@@ -310,11 +296,9 @@ class TestGilRelease:
             # Best of three: a single short window can report 0 when the
             # hypervisor steals the second vCPU for its duration.
             for _ in range(3):
-                for state in states:
-                    state.log_norm = 0.0
                 start_count = count[0]
                 start = time.perf_counter()
-                assert native.run_schedules(plan, states) is not None
+                assert native.infer_cases(plan, matrix, read_ids) is not None
                 elapsed = time.perf_counter() - start
                 during = count[0] - start_count
                 solo_start = count[0]
@@ -337,6 +321,8 @@ class TestGilRelease:
         """>1.3x at 2 workers — enforced only on machines that can show
         it (4+ cores and a parallel-headroom probe clearing the floor);
         smaller/shared boxes skip with the measured numbers."""
+        from repro.core import BatchedFastBNI
+
         floor = 1.3 / TIME_SLACK
         cores = os.cpu_count() or 1
         if cores < 4:
@@ -346,24 +332,25 @@ class TestGilRelease:
         if headroom < 1.35:
             pytest.skip(f"parallel-headroom probe measured {headroom:.2f}x "
                         "on this machine; the floor cannot be expressed")
-        plan = compile_plan(compile_junction_tree(load_dataset("asia")))
-        states = [plan.fresh_state() for _ in range(320)]
+        asia = load_dataset("asia")
+        cases = [{}] * 320
 
-        def timed(workers: int) -> float:
-            for state in states:
-                state.log_norm = 0.0
+        def timed(engine) -> float:
             start = time.perf_counter()
-            calibrate_states(plan, states, native, workers=workers)
+            engine.infer_cases(cases)
             return time.perf_counter() - start
 
-        timed(1); timed(2)  # warm pool and arenas
-        serial = parallel = float("inf")
-        for _ in range(6):  # interleaved: steal hits both arms alike
-            serial = min(serial, timed(1))
-            parallel = min(parallel, timed(2))
+        with BatchedFastBNI(asia, mode="seq", kernels="native") as one, \
+                BatchedFastBNI(asia, mode="hybrid", backend="thread",
+                               num_workers=2, kernels="native") as two:
+            timed(one); timed(two)  # warm pool and scratch
+            serial = parallel = float("inf")
+            for _ in range(6):  # interleaved: steal hits both arms alike
+                serial = min(serial, timed(one))
+                parallel = min(parallel, timed(two))
         scaling = serial / parallel
         assert scaling > floor, (
-            f"thread-dispatch calibration scaled {scaling:.2f}x at 2 "
+            f"thread-dispatched case blocks scaled {scaling:.2f}x at 2 "
             f"workers (floor {floor:.2f}x, headroom {headroom:.2f}x)")
 
 
@@ -395,7 +382,7 @@ class _ForeignCalls:
     (by default the registry's singleton, the one engines resolve)."""
 
     ENTRY_POINTS = ("_message", "_message_batch", "_run_schedule",
-                    "_run_schedules", "_infer_cases")
+                    "_infer_cases")
 
     def __init__(self, monkeypatch, backend=None):
         if backend is None:
@@ -424,10 +411,104 @@ def _assert_same(got, want, names, atol=1e-12):
                                    atol=atol, rtol=0)
 
 
+def _impossible_case(net):
+    """Evidence a deterministic CPT gives probability zero."""
+    for cpt in net.cpts:
+        zeros = np.argwhere(cpt.table == 0.0)
+        if cpt.parents and len(zeros):
+            *config, state = (int(i) for i in zeros[0])
+            return {**{p.name: s for p, s in zip(cpt.parents, config)},
+                    cpt.child.name: state}
+    return None
+
+
+def _whole_cases_agree(net, fraction: float, n: int, seed: int) -> None:
+    """The whole-case property: ``n`` cases observing ``fraction`` of
+    ``net`` get the staged numpy path's answers from the one-call native
+    path — as a batch and one by one, posteriors and log P(e) at 1e-12 —
+    and an impossible case among them is named with the same text."""
+    from repro.bn.sampling import generate_test_cases
+    from repro.core import BatchedFastBNI
+
+    cases = [c.evidence for c in
+             generate_test_cases(net, n, fraction, rng=seed + 50)]
+    names = net.variable_names
+    with BatchedFastBNI(net, mode="seq", kernels="native") as fast, \
+            BatchedFastBNI(net, mode="seq", kernels="numpy") as staged:
+        batch, ref = fast.infer_cases(cases), staged.infer_cases(cases)
+        for i, case in enumerate(cases):
+            _assert_same(batch.case(i), ref.case(i), names)
+            _assert_same(fast.infer(case), staged.infer(case), names)
+        impossible = _impossible_case(net)
+        if impossible is not None:
+            texts = []
+            for engine in (fast, staged):
+                with pytest.raises(EvidenceError, match=r"in case 1$") as err:
+                    engine.infer_cases([cases[0], impossible, *cases[1:]])
+                texts.append(str(err.value))
+            assert texts[0] == texts[1]
+
+
 @needs_native
 class TestWholeCases:
     """``fbni_infer_cases``: evidence, schedule, reads and log P(e) in one
     foreign call, against the staged numpy path."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_observed_fractions_match_staged(self, native, seed, fraction):
+        _whole_cases_agree(_deterministic_net(12 + seed, seed), fraction,
+                           n=6, seed=seed)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.5, 1.0])
+    def test_hailfinder_fractions_match_staged(self, native, fraction):
+        from repro.bn.repository import resolve_network
+
+        _whole_cases_agree(resolve_network("hailfinder"), fraction,
+                           n=4, seed=7)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_walked_entries_never_exceed_either_list_alone(self, native,
+                                                           seed):
+        """``engine.metrics`` after a whole-case call: the clique entries
+        the messages walked are no more than the static nonzero lists
+        alone, or the evidence alone, would leave."""
+        from repro.bn.sampling import generate_test_cases
+        from repro.core import BatchedFastBNI
+
+        net = _deterministic_net(12 + seed, seed)
+        with BatchedFastBNI(net, mode="seq", kernels="native") as engine:
+            plan, spec = engine.plan, engine.plan.spec
+            messages = [(src, dst) for _, src, dst, *_ in
+                        plan.compiled_messages()]
+            nonzero = [size if runs is None
+                       else int((runs[1::2] - runs[::2]).sum())
+                       for size, runs in zip(spec.clique_sizes,
+                                             plan.zero_skip_runs())]
+            dense = sum(spec.clique_sizes[c] for m in messages for c in m)
+            static = sum(nonzero[c] for m in messages for c in m)
+
+            def consistent(cid: int, row) -> int:
+                pinned = [spec.variables[v][3] for v in spec.clique_vars[cid]
+                          if row[v] >= 0]
+                return spec.clique_sizes[cid] // int(np.prod(pinned))
+
+            totals = np.zeros(2, dtype=np.int64)
+            cases = [c.evidence for fraction in (0.0, 0.1, 0.5, 1.0)
+                     for c in generate_test_cases(net, 3, fraction,
+                                                  rng=seed + 9)]
+            for case, row in zip(cases, plan.evidence_matrix(cases)):
+                engine.infer(case)
+                walked = engine.metrics["entries_walked"]
+                assert engine.metrics["entries_dense"] == dense
+                evidence = sum(consistent(c, row) for m in messages for c in m)
+                assert walked <= min(static, evidence)
+                if not case:
+                    assert walked == static < dense
+                totals += (walked, dense)
+            engine.infer_cases(cases)
+            assert (engine.metrics["entries_walked"],
+                    engine.metrics["entries_dense"]) == tuple(totals)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, 2, 17])
@@ -727,6 +808,152 @@ class TestUnknownTargetsCostNothing:
             assert calls.total == 0
 
 
+# ------------------------------------------------- evidence run lists
+def _evidence_runs(native, cards, states, clip=None, capacity=None):
+    """Call ``fbni_evidence_runs`` on a row-major table with axis
+    cardinalities ``cards`` and per-axis observed ``states`` (-1 =
+    unobserved); ``clip`` is a boolean mask over the entries to intersect
+    with.  Returns ``(result, runs, consistent)``: the return value, the
+    ``[start, end)`` rows written, and the entries NumPy says survive."""
+    n = len(cards)
+    size = int(np.prod(cards, dtype=np.int64))
+    # Variable ids are the axes reversed, so an axis index is not its id.
+    axes = np.array([(n - 1 - a, int(np.prod(cards[a + 1:], dtype=np.int64)),
+                      cards[a]) for a in range(n)], dtype=np.int64)
+    observed = np.array(states[::-1], dtype=np.int64)
+    mask = np.ones(cards, dtype=bool)
+    for a, (card, state) in enumerate(zip(cards, states)):
+        if state >= 0 and card > 1:
+            keep = np.zeros(card, dtype=bool)
+            keep[state] = True
+            mask &= keep.reshape([-1 if b == a else 1 for b in range(n)])
+    mask = mask.reshape(-1)
+    bounds = None
+    if clip is not None:
+        mask = mask & clip
+        bounds = _runs_from_values(clip.astype(float))
+    if capacity is None:
+        capacity = size
+    out = np.full(size + 2, -7, dtype=np.int64)
+    result = native._lib.fbni_evidence_runs(
+        axes.ctypes.data, n, observed.ctypes.data,
+        None if bounds is None else bounds.ctypes.data,
+        0 if bounds is None else bounds.size // 2,
+        out.ctypes.data, capacity)
+    written = 2 * result if result >= 0 else 0
+    assert (out[written:] == -7).all() or result == RUNS_FULL
+    assert (out[capacity:] == -7).all()  # never past what it was handed
+    return result, out[:written].reshape(-1, 2), np.flatnonzero(mask)
+
+
+@needs_native
+class TestEvidenceRuns:
+    """The exported run builder against ``np.flatnonzero`` of the entries
+    consistent with the evidence."""
+
+    @staticmethod
+    def _check(native, cards, states, clip=None):
+        result, runs, consistent = _evidence_runs(native, cards, states, clip)
+        if not any(s >= 0 and c > 1 for c, s in zip(cards, states)):
+            assert result == -1  # nothing pinned: as dense as before
+            return
+        assert result == len(runs) and 2 * result <= np.prod(cards)
+        assert (runs[:, 0] < runs[:, 1]).all()
+        assert (runs[1:, 0] > runs[:-1, 1]).all() or clip is not None
+        assert (runs[1:, 0] >= runs[:-1, 1]).all()
+        covered = (np.concatenate([np.arange(lo, hi) for lo, hi in runs])
+                   if len(runs) else np.zeros(0, dtype=np.int64))
+        np.testing.assert_array_equal(covered, consistent)
+
+    @pytest.mark.parametrize("cards, states", [
+        ((3, 2, 4), (-1, -1, -1)),   # nothing observed
+        ((3, 2, 4), (2, 0, 3)),      # everything observed
+        ((3, 2, 4), (1, -1, -1)),    # first axis
+        ((3, 2, 4), (-1, -1, 2)),    # last axis: one-entry runs
+        ((3, 1, 4), (-1, 0, -1)),    # only a one-state axis: unobserved
+        ((3, 4, 1), (-1, 2, 0)),     # a one-state axis inside a pinned one
+        ((1, 1), (0, 0)),
+        ((5,), (4,)),
+    ])
+    def test_named_geometries(self, native, cards, states):
+        self._check(native, cards, states)
+        rng = np.random.default_rng(sum(cards))
+        self._check(native, cards, states,
+                    clip=rng.random(int(np.prod(cards))) < 0.6)
+
+    def test_random_axes_and_evidence(self, native):
+        from hypothesis import given, settings, strategies as st
+
+        @st.composite
+        def tables(draw):
+            cards = tuple(draw(st.lists(st.integers(1, 4), min_size=1,
+                                        max_size=5)))
+            states = tuple(draw(st.integers(-1, card - 1)) for card in cards)
+            clip = draw(st.none() | st.lists(
+                st.booleans(), min_size=int(np.prod(cards)),
+                max_size=int(np.prod(cards))))
+            return cards, states, None if clip is None else np.array(clip)
+
+        @settings(max_examples=300, deadline=None)
+        @given(tables())
+        def check(table):
+            self._check(native, *table)
+
+        check()
+
+    def test_capacity_is_checked_in_c(self, native):
+        """Handed fewer words than the list needs, the builder says so
+        and writes nothing past them."""
+        cards, states = (4, 3, 2), (-1, -1, 1)  # 12 one-entry runs
+        full, runs, _ = _evidence_runs(native, cards, states)
+        assert full == 12 and 2 * full == np.prod(cards)  # the bound, met
+        for capacity in (0, 1, 2, 23):
+            result, _, _ = _evidence_runs(native, cards, states,
+                                          capacity=capacity)
+            assert result == RUNS_FULL
+        assert _evidence_runs(native, cards, states, capacity=24)[0] == 12
+
+    def test_exhausted_run_scratch_fails_the_case(self, monkeypatch, native,
+                                                  asia):
+        """The whole-case call hands the builder the words remaining; a
+        scratch too small is a status code and an error naming the case,
+        not a write past the end."""
+        plan = compile_plan(compile_junction_tree(asia))
+        cases = plan.evidence_matrix([{}, {}, {"smoke": "yes", "dysp": "no"}])
+        read_ids = plan.variable_ids()
+        native.infer_cases(plan, cases, read_ids)
+        call, n_tables = native._infer_cases, len(native._lowered(plan).tables)
+        monkeypatch.setattr(  # run_words: the headers, one word of lists
+            native, "_infer_cases",
+            lambda *args: call(*args[:11], 3 * n_tables + 1, *args[12:]))
+        with pytest.raises(BackendError, match="run scratch exhausted in "
+                                               "case 5$"):
+            native.infer_cases(plan, cases, read_ids, 3)
+        native.infer_cases(plan, cases[:2], read_ids)  # nothing observed
+
+    def test_one_state_variables_constrain_nothing(self, native):
+        """Observing a variable with a single state leaves every table
+        dense, in C as on the staged path."""
+        from repro.bn.cpt import CPT
+        from repro.bn.network import BayesianNetwork
+        from repro.bn.variable import Variable
+
+        only = Variable("only", ("it",))
+        a, b = Variable.binary("a"), Variable("b", ("x", "y", "z"))
+        net = BayesianNetwork.from_cpts([
+            CPT(only, (), np.array([1.0])),
+            CPT(a, (only,), np.array([[0.3, 0.7]])),
+            CPT(b, (only, a), np.array([[[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]]))])
+        with FastBNI(net, mode="seq", kernels="native") as fast, \
+                FastBNI(net, mode="seq", kernels="numpy") as staged:
+            for case in ({"only": "it"}, {"only": 0, "b": "z"}):
+                _assert_same(fast.infer(case), staged.infer(case),
+                             net.variable_names)
+            fast.infer({"only": "it"})
+            assert (fast.metrics["entries_walked"]
+                    == fast.metrics["entries_dense"])
+
+
 # ------------------------------------------------ metadata never unchecked
 @needs_native
 class TestTablesAreBoundsChecked:
@@ -743,36 +970,59 @@ class TestTablesAreBoundsChecked:
         from repro.exec.native.backend import check_tables
 
         plan, tables = lowered
-        assert any(runs is not None for ops in tables.operands
-                   for runs in ops[2:])  # asia has skip lists to check
+        # asia has skip lists to check
+        assert any(runs is not None for runs in tables.runs)
         check_tables(plan.spec, tables)
 
     @pytest.mark.parametrize("corrupt", [
-        lambda t, spec: t.meta.__setitem__((0, 1), spec.arena_entries),
-        lambda t, spec: t.meta.__setitem__((1, 2), -1),
-        lambda t, spec: t.meta.__setitem__((2, 3), 0),  # sep in clique region
-        lambda t, spec: t.meta.__setitem__((0, 4), t.meta[0, 4] + 1),
-        lambda t, spec: t.meta.__setitem__((3, 6), t.max_sep + 1),
-        lambda t, spec: t.meta.__setitem__((0, 7), t.meta[0, 7] + 8),
-        lambda t, spec: t.operands[0][0].__setitem__(0, t.meta[0, 6]),
+        # Message rows: a table id naming another table, out of range or
+        # of the wrong kind; maps that are not the cliques' own.
+        lambda t, spec: t.meta.__setitem__((0, 3), t.meta[0, 4]),
+        lambda t, spec: t.meta.__setitem__((1, 4), -1),
+        lambda t, spec: t.meta.__setitem__((2, 5), 0),
+        lambda t, spec: t.meta.__setitem__((0, 5), len(t.tables)),
+        lambda t, spec: t.meta.__setitem__((3, 0), 1 - t.meta[3, 0]),
+        lambda t, spec: setattr(t, "max_sep", 1),
+        lambda t, spec: t.meta.__setitem__((0, 1), t.meta[0, 1] + 8),
+        lambda t, spec: t.operands[0][0].__setitem__(
+            0, t.tables[t.meta[0, 5], 1]),
         lambda t, spec: t.operands[1][1].__setitem__(-1, -1),
-        lambda t, spec: t.meta.__setitem__((0, 10), 10**6),
-        lambda t, spec: t.var_table.__setitem__((0, 0), spec.clique_entries),
-        lambda t, spec: t.var_table.__setitem__((2, 2), 0),
-        lambda t, spec: t.var_table.__setitem__((3, 3), 3),
-        lambda t, spec: setattr(t, "root_size", spec.arena_entries),
         lambda t, spec: setattr(t, "meta", t.meta[:-1]),
+        # Variable rows.
+        lambda t, spec: t.var_table.__setitem__((0, 0), spec.num_cliques),
+        lambda t, spec: t.var_table.__setitem__((1, 0), -1),
+        lambda t, spec: t.var_table.__setitem__((2, 1), 0),
+        lambda t, spec: t.var_table.__setitem__((3, 2), 3),
+        # Table and axes rows: an axis variable id out of range, strides
+        # that do not tile, a cardinality that is not the variable's, an
+        # axes row past the end, more axes than the C odometer's depth, a
+        # table that is not the arena's, a run list miscounted.
+        lambda t, spec: t.axes.__setitem__((0, 0), len(spec.variables)),
+        lambda t, spec: t.axes.__setitem__((0, 1), t.axes[0, 1] + 1),
+        lambda t, spec: t.axes.__setitem__((1, 2), 3),
+        lambda t, spec: t.tables.__setitem__((-1, 2), len(t.axes)),
+        lambda t, spec: t.tables.__setitem__((0, 3), MAX_AXES + 1),
+        lambda t, spec: t.tables.__setitem__((1, 0), 0),
+        lambda t, spec: t.tables.__setitem__((0, 1), t.tables[0, 1] + 1),
+        lambda t, spec: t.tables.__setitem__(
+            (t.tables[:, 4].nonzero()[0][0], 5), 10**6),
+        lambda t, spec: t.tables.__setitem__(
+            (t.tables[:, 4].nonzero()[0][0], 6), 0),
+        lambda t, spec: t.tables.__setitem__(
+            ((t.tables[:, 4] == 0).argmax(), 4), t.tables[:, 4].max()),
     ])
     def test_corrupted_tables_are_rejected(self, lowered, corrupt):
         from repro.exec.native.backend import check_tables
 
         plan, tables = lowered
-        # Index maps belong to the plan: corrupt copies, not the originals.
-        tables.operands = [tuple(None if a is None else a.copy() for a in ops)
+        # Index maps and run lists belong to the plan: corrupt copies.
+        tables.operands = [tuple(a.copy() for a in ops)
                            for ops in tables.operands]
-        for row, ops in zip(tables.meta, tables.operands):
-            row[[7, 8, 9, 11]] = [0 if a is None else a.ctypes.data
-                                  for a in ops]
+        tables.runs = [None if a is None else a.copy() for a in tables.runs]
+        tables.meta[:, 1:3] = [[a.ctypes.data for a in ops]
+                               for ops in tables.operands]
+        tables.tables[:, 4] = [0 if a is None else a.ctypes.data
+                               for a in tables.runs]
         check_tables(plan.spec, tables)
         corrupt(tables, plan.spec)
         with pytest.raises(BackendError, match="native plan tables rejected"):
@@ -821,3 +1071,77 @@ class TestTablesAreBoundsChecked:
                 with pytest.raises((EvidenceError, NetworkError)):
                     engine.plan.evidence_matrix([{}, evidence])
             assert engine_calls.total == 0
+
+
+# ------------------------------------------------------- sanitizer run
+def _sanitized_whole_case_loop(so_path: str) -> None:
+    """Entry point of the sanitizer subprocess: the whole-case property
+    loop, the run builder and the status paths on a library built from
+    ``C_SOURCE`` with ASan + UBSan.  ``NativeKernels`` keeps every region
+    C writes (case arena, message scratch, run words, output block) in
+    its own allocation, so a one-word overrun lands in a redzone."""
+    import ctypes
+
+    from repro.exec.native.backend import NativeKernels
+    from repro.exec.native.build import _declare
+
+    lib = ctypes.CDLL(so_path)
+    _declare(lib)
+    backend = _KERNEL_INSTANCES["native"] = NativeKernels(lib, so_path)
+    for seed in (0, 1, 2):
+        for fraction in (0.0, 0.1, 0.5, 1.0):
+            _whole_cases_agree(_deterministic_net(12 + seed, seed), fraction,
+                               n=6, seed=seed)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        cards = tuple(rng.integers(1, 5, size=rng.integers(1, 6)))
+        states = tuple(int(rng.integers(-1, card)) for card in cards)
+        clip = (rng.random(int(np.prod(cards))) < 0.6
+                if rng.random() < 0.5 else None)
+        TestEvidenceRuns._check(backend, cards, states, clip)
+        _evidence_runs(backend, cards, states, clip,
+                       capacity=int(rng.integers(0, 4)))
+    print("whole-case loop ok")
+
+
+@needs_native
+class TestSanitizer:
+    def test_whole_case_loop_under_asan_and_ubsan(self, tmp_path):
+        """C never writes past a buffer it was handed: the property loop
+        re-run on an instrumented build, in a subprocess that preloads
+        the ASan runtime.  Skipped where the compiler has no libasan."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.exec.native import C_SOURCE, find_compiler
+
+        compiler = find_compiler()
+        runtime = subprocess.run(
+            [compiler, "-print-file-name=libasan.so"], capture_output=True,
+            text=True).stdout.strip()
+        if not os.path.isabs(runtime) or not os.path.exists(runtime):
+            pytest.skip(f"{compiler} has no libasan.so")
+        c_file, so_path = tmp_path / "fbni_kernels.c", tmp_path / "fbni_asan.so"
+        c_file.write_text(C_SOURCE)
+        built = subprocess.run(
+            [compiler, "-O3", "-g", "-fPIC", "-shared",
+             "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+             "-o", str(so_path), str(c_file), "-lm"],
+            capture_output=True, text=True, timeout=300)
+        if built.returncode != 0:
+            pytest.skip(f"sanitizer build failed: {built.stderr.strip()[:300]}")
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "LD_PRELOAD": runtime,
+               "ASAN_OPTIONS": "detect_leaks=0",
+               "PYTHONPATH": os.pathsep.join(
+                   [str(root / "src"), str(root),
+                    os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from tests.test_native_kernels import "
+             "_sanitized_whole_case_loop as loop; loop(sys.argv[1])",
+             str(so_path)],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0 and "whole-case loop ok" in run.stdout, (
+            run.stderr[-4000:])
