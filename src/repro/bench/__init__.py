@@ -1,22 +1,11 @@
-"""Benchmark harness reproducing the paper's evaluation (see DESIGN.md).
+"""Benchmarks reproducing the paper's evaluation and gating the repo's own.
 
-* :mod:`repro.bench.workload` — the paper's test-case workload
-  (N random cases, 20% observed variables per case);
-* :mod:`repro.bench.runner` — engine registry + timing loops, including
-  the paper's best-of-t thread sweep;
-* :mod:`repro.bench.table1` — the Table 1 driver;
-* :mod:`repro.bench.ablations` — thread-scaling / granularity /
-  root-selection / overhead studies backing the paper's §2–§3 claims;
-* :mod:`repro.bench.report` — plain-text table rendering.
+* :mod:`repro.bench.table1`, :mod:`repro.bench.figures`,
+  :mod:`repro.bench.microbench` — the paper's Table 1 and Fig A–E studies,
+  over :mod:`repro.bench.workload` / :mod:`repro.bench.runner` /
+  :mod:`repro.bench.report`;
+* :mod:`repro.bench.registry` — the ``BENCH_*.json`` artifact specs
+  (:mod:`repro.bench.artifact`), the serving-side ones measured by the one
+  comparison harness (:mod:`repro.bench.harness`) over replayed traffic
+  traces (:mod:`repro.bench.traffic`).
 """
-
-from repro.bench.runner import ENGINE_FACTORIES, make_engine, time_engine
-from repro.bench.workload import Workload, build_workload
-
-__all__ = [
-    "Workload",
-    "build_workload",
-    "ENGINE_FACTORIES",
-    "make_engine",
-    "time_engine",
-]

@@ -12,9 +12,9 @@ the regression.  This harness is that proof:
   **component-off** variant per entry in :data:`COMPONENTS` — the same
   requests, byte for byte;
 * every server lives simultaneously in one event loop and replay slices
-  alternate between them with order reversing per round (the
-  counterbalancing discipline from :mod:`repro.bench.obs`), so an
-  external CPU burst cannot elect a winner;
+  alternate between them with order reversing per round
+  (:mod:`repro.bench.harness`), so an external CPU burst cannot elect a
+  winner;
 * round 1 is **included** in the timing: a component whose value is
   avoiding cold costs (the planner routing a dense network away from an
   exact compile) earns its contribution there, and warm rounds then
@@ -34,22 +34,21 @@ the regression.  This harness is that proof:
   costs 30% throughput on this traffic".
 
 ``fastbni ablate`` writes ``BENCH_ablation.json``;
-``tools/check_bench.py --ablation`` gates it in CI against the
-committed report so an erased contribution fails the build.
+``tools/check_bench.py --ablation`` holds it to :data:`SPEC`'s gate rows
+in CI, against the committed report, so an erased contribution fails the
+build.
 """
 
 from __future__ import annotations
 
 import asyncio
-import gc
-import json
-import time
-from pathlib import Path
 
 import numpy as np
 
-from repro.bench.traffic import (TrafficTrace, generate_trace,
-                                 replay_trace_async)
+from repro.bench.artifact import Artifact, Flag, Gate
+from repro.bench.harness import live_servers, paired_ratios, replay_rounds
+from repro.bench.traffic import (TRACE_FLAGS, TrafficTrace, generate_trace,
+                                 generator_kwargs, load_trace)
 from repro.errors import QueryError
 
 SCHEMA = "fastbni-bench-ablation-v1"
@@ -152,71 +151,39 @@ def _agreement(baseline_answers: dict[int, dict],
 async def _sweep(trace: TrafficTrace, components: list[str], *,
                  repeats: int, concurrency: int,
                  max_exact_bytes: int) -> dict[str, dict]:
-    """All variants live at once; counterbalanced replay rounds.
-
-    Returns per-variant ``{"rounds": [ReplayResult summary…],
-    "latencies": [...], "answers": {...}, "errors": n}``.
-    """
-    from repro.service import InferenceServer
-
+    """Returns per-variant ``{"elapsed": [...], "requests": n,
+    "latencies": [...], "answers": {...}, "errors": n}``."""
     nets = trace.build_networks()
-    variants = {"baseline": {}}
+    base = {**BASE_SERVER, "max_exact_bytes": max_exact_bytes}
+    # ``scratch`` (baseline config, never measured) takes the warm-up
+    # slice, so process-globals — imports, numpy, thread pools, OS page
+    # cache — do not land on whichever measured slice runs first while
+    # the measured servers stay cold: round 1 still pays every
+    # per-variant cost (compiles, first calibrations), which is part of
+    # what some components exist to avoid.
+    variants = {"scratch": base, "baseline": base}
     for name in components:
-        variants[name] = dict(COMPONENTS[name]["off"])
+        variants[name] = {**base, **COMPONENTS[name]["off"]}
 
-    servers: dict[str, object] = {}
-    results: dict[str, dict] = {}
-    try:
-        for name, off_kwargs in variants.items():
-            kwargs = {**BASE_SERVER, "max_exact_bytes": max_exact_bytes,
-                      **off_kwargs}
-            server = InferenceServer(port=0, **kwargs)
-            for net_name, net in nets.items():
-                server.registry.register(net_name, net)
-            await server.start()
-            servers[name] = server
-            results[name] = {"elapsed": [], "requests": 0,
-                             "latencies": [], "answers": {}, "errors": 0}
-
-        # One throwaway slice against a scratch server (baseline config,
-        # never measured) warms process-globals — imports, numpy, thread
-        # pools, OS page cache — that would otherwise all land on
-        # whichever measured slice happens to run first.  Measured
-        # servers stay cold: round 1 still pays every per-variant cost
-        # (compiles, first calibrations), which is part of what some
-        # components exist to avoid.
-        scratch = InferenceServer(port=0, **BASE_SERVER,
-                                  max_exact_bytes=max_exact_bytes)
+    def register(server) -> None:
         for net_name, net in nets.items():
-            scratch.registry.register(net_name, net)
-        await scratch.start()
-        try:
-            await replay_trace_async(trace, "127.0.0.1", scratch.port,
-                                     concurrency=concurrency)
-        finally:
-            await scratch.stop()
+            server.registry.register(net_name, net)
 
-        for round_i in range(repeats):
-            order = list(variants)
-            if round_i % 2:
-                order.reverse()
-            for name in order:
-                gc.collect()
-                replay = await replay_trace_async(
-                    trace, "127.0.0.1", servers[name].port,
-                    concurrency=concurrency)
-                slot = results[name]
-                slot["elapsed"].append(replay.elapsed_s)
-                slot["requests"] += replay.requests
-                slot["latencies"].extend(replay.latencies_ms)
-                slot["errors"] += len(replay.errors)
-                # Deterministic answers are round-independent; keep the
-                # last round's (warm everywhere, including the memo).
-                slot["answers"] = replay.answers
-        return results
-    finally:
-        for server in servers.values():
-            await server.stop()
+    async with live_servers(variants, register) as servers:
+        ports = {name: server.port for name, server in servers.items()}
+        scratch = {"scratch": ports.pop("scratch")}
+        rounds = await replay_rounds(trace, ports, concurrency=concurrency,
+                                     repeats=repeats, warmup=scratch)
+    return {
+        name: {"elapsed": [r.elapsed_s for r in replays],
+               "requests": sum(r.requests for r in replays),
+               "latencies": [ms for r in replays for ms in r.latencies_ms],
+               "errors": sum(len(r.errors) for r in replays),
+               # Deterministic answers are round-independent; keep the
+               # last round's (warm everywhere, including the memo).
+               "answers": replays[-1].answers}
+        for name, replays in rounds.items()
+    }
 
 
 def run_ablation(trace: TrafficTrace | None = None, *,
@@ -243,10 +210,9 @@ def run_ablation(trace: TrafficTrace | None = None, *,
             f"known: {sorted(COMPONENTS)}")
     generated = trace is None
     if trace is None:
-        trace = generate_trace(seed=seed, requests=requests,
-                               network=network,
-                               session_network=session_network,
-                               **(trace_kwargs or {}))
+        trace = generate_trace(**{
+            "seed": seed, "requests": requests, "network": network,
+            "session_network": session_network, **(trace_kwargs or {})})
 
     results = asyncio.run(_sweep(trace, components, repeats=repeats,
                                  concurrency=concurrency,
@@ -279,9 +245,8 @@ def run_ablation(trace: TrafficTrace | None = None, *,
         # same round, so machine drift across the sweep cancels; the
         # mean (not median) keeps round 1's cold costs at 1/repeats
         # weight — avoided cold work is part of a contribution.
-        pairs = [v / b for v, b in zip(slot["elapsed"],
-                                       results["baseline"]["elapsed"])
-                 if b > 0]
+        pairs = paired_ratios(slot["elapsed"],
+                              results["baseline"]["elapsed"])
         row["round_ratios"] = [round(r, 4) for r in pairs]
         row["rps_ratio"] = (float(np.mean(pairs)) if pairs
                             else float("inf"))
@@ -351,7 +316,92 @@ def render_ablation(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_ablation(report: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
+# --------------------------------------------------------------------- spec
+#: Committed contributions at or above this ratio are guarded: the fresh
+#: run must retain ``RETAIN_FRAC`` of the measured win.  A component
+#: committed at 1.40x must stay >= 1.10x fresh — generous under CI noise,
+#: a hard fail when a PR erases the contribution entirely (ratio ~1.0).
+MIN_CONTRIBUTION = 1.15
+RETAIN_FRAC = 0.25
+
+
+def _vs_committed(fresh: dict, committed: dict) -> dict:
+    """Components the committed artifact ranks, and the fraction of each
+    guarded committed win that ``fresh`` (possibly a component subset: the
+    CI smoke matrix) retains."""
+    committed_ratio = {row["component"]: float(row["rps_ratio"])
+                       for row in committed.get("components", [])}
+    native = (fresh.get("native") or {}).get("available", True)
+    retained = {}
+    for row in fresh["components"]:
+        name = row["component"]
+        ratio = committed_ratio.get(name, 0.0)
+        # Toolchain-less runner: native fell back to fused, so the
+        # off-variant equals the baseline and there is nothing to retain.
+        if ratio >= MIN_CONTRIBUTION and (native or name != "native_kernels"):
+            retained[name] = (float(row["rps_ratio"]) - 1.0) / (ratio - 1.0)
+    return {"ranked": len(committed_ratio), "retained": retained}
+
+
+def _components(raw: str) -> list[str] | None:
+    components = [c.strip() for c in raw.split(",") if c.strip()]
+    unknown = [c for c in components if c not in COMPONENTS]
+    if unknown:
+        raise SystemExit(f"error: unknown components {unknown}; "
+                         f"known: {sorted(COMPONENTS)}")
+    return components or None
+
+
+def _run_flags(*, trace: str, components, repeats: int, concurrency: int,
+               max_exact_bytes: int, **generator_flags) -> dict:
+    return run_ablation(load_trace(trace) if trace else None,
+                        components=components, repeats=repeats,
+                        concurrency=concurrency,
+                        max_exact_bytes=max_exact_bytes,
+                        trace_kwargs=generator_kwargs(**generator_flags))
+
+
+SPEC = Artifact(
+    name="ablate",
+    help="ablation matrix: replay one trace against a baseline server and "
+         "one-component-off variants, rank contributions (writes "
+         "BENCH_ablation.json)",
+    path="BENCH_ablation.json",
+    schema=SCHEMA,
+    flags=(
+        Flag("--trace", "", "traffic trace JSON to replay (default: "
+                            "generate from the flags below)"),
+        *TRACE_FLAGS,
+        Flag("--components", "", "comma-separated components to ablate "
+                                 "(default: all)", parse=_components),
+        Flag("--repeats", DEFAULT_REPEATS,
+             "counterbalanced replay rounds (round 1's cold costs are "
+             "counted on purpose)"),
+        Flag("--concurrency", DEFAULT_CONCURRENCY,
+             "concurrent closed-loop connections per replay"),
+        Flag("--max-exact-mb", DEFAULT_MAX_EXACT_BYTES / 2 ** 20,
+             "auto-routing byte threshold shared by every variant (dense "
+             "trace networks should overflow it)",
+             kwarg="max_exact_bytes", parse=lambda mb: int(mb * 2 ** 20)),
+    ),
+    run=_run_flags,
+    render=render_ablation,
+    check_flag="--ablation",
+    baseline_flag="--ablation-baseline",
+    compare=_vs_committed,
+    gates=(
+        Gate("components[rank=1].rps_ratio", ">", 0.0),  # ranks something
+        # Turning a component off may change *when* work happens, never
+        # *what* the service answers — over at least one checked event.
+        Gate("components[*].agreement.checked", ">", 0),
+        Gate("components[*].agreement.max_abs_diff", "<=",
+             AGREEMENT_TOLERANCE),
+        Gate("components[*].agreement.mismatched", "<=", 0),
+        Gate("components[*].errors", "<=", 0),
+        Gate("baseline.errors", "<=", 0),
+        # The committed matrix ranks at least five components, and no
+        # guarded contribution has been erased.
+        Gate("vs_baseline.ranked", ">=", 5),
+        Gate("vs_baseline.retained[*]", ">=", RETAIN_FRAC),
+    ),
+)

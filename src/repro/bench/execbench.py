@@ -28,20 +28,20 @@ instead of failing on toolchain-less runners.  Every row cross-checks
 posteriors between backends (``max_abs_diff`` must sit at float64
 round-off) so the speedup numbers can never come from diverging answers.
 ``python -m repro.cli execbench`` renders the table and writes
-``BENCH_exec.json``; ``tools/check_bench.py`` compares a fresh run
-against the committed artifact and fails CI on regressions.
+``BENCH_exec.json``; ``tools/check_bench.py`` holds a fresh run to
+:data:`SPEC`'s gate rows, against the committed artifact, in CI.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
+import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 
+from repro.bench.artifact import Artifact, Flag, Gate
 from repro.bn.repository import resolve_network
 from repro.bn.sampling import generate_test_cases
 from repro.core import BatchedFastBNI, FastBNI
@@ -321,5 +321,96 @@ def render_execbench(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_execbench(report: dict, path: Path) -> None:
-    path.write_text(json.dumps(report, indent=2) + "\n")
+# --------------------------------------------------------------------- spec
+def _vs_committed(fresh: dict, committed: dict) -> dict:
+    """Each shared row's fresh/committed time over the median such ratio.
+
+    CI machines differ from the one that committed the artifact; after the
+    normalisation a uniformly slower machine passes and a single path
+    regressing relative to its peers fails.
+    """
+    def times(report: dict) -> dict[str, float]:
+        return {f"{row['path']}/{row['kernels']}": float(row["ms_per_case"])
+                for row in report.get("rows", [])}
+
+    new, old = times(fresh), times(committed)
+    ratios = {key: new[key] / old[key] for key in sorted(new) if key in old}
+    scale = statistics.median(ratios.values()) if ratios else 1.0
+    return {"shared_rows": len(ratios), "machine_scale": scale,
+            "relative": {key: r / scale for key, r in ratios.items()}}
+
+
+def _no_native(report: dict) -> str | None:
+    native = report.get("native")
+    if native is None:
+        return ("native gates skipped: report predates the native backend "
+                "(schema 1)")
+    if not native.get("available"):
+        return ("native gates skipped: backend unavailable on this runner "
+                f"({native.get('reason')})")
+    return None
+
+
+#: 2-worker scaling floor, owed by machines that can express it: 4+ cores
+#: *and* a headroom probe above the floor.  Small/shared boxes (2 workers +
+#: the dispatching thread on < 4 cores, SMT vCPUs where two memory-bound
+#: kernel streams serialise) owe bounded threading overhead only — the
+#: posture of the cluster gate.
+MIN_THREAD_SCALING = 1.3
+SMALL_BOX_SCALING = 0.5
+
+
+def _small_box(report: dict) -> str | None:
+    """The note degrading the scaling floor, on a box that cannot scale."""
+    row = report.get("thread_scaling") or {}
+    cores = int(row.get("cpu_count") or 0)
+    headroom = float(row.get("headroom") or 0.0)
+    if cores >= 4 and headroom >= MIN_THREAD_SCALING:
+        return None
+    reason = (f"only {cores} core(s)" if cores < 4
+              else f"headroom probe measured {headroom:.2f}x")
+    return (f"thread-scaling floor degraded to bounded-overhead "
+            f"({SMALL_BOX_SCALING:.2f}x): {reason} — this machine cannot "
+            f"express {MIN_THREAD_SCALING:.2f}x (measured scaling: "
+            f"{float(row.get('scaling') or 0.0):.2f}x, GIL-release "
+            f"{float(row.get('gil_release') or 0.0):.2f})")
+
+
+SPEC = Artifact(
+    name="execbench",
+    help="kernel-backend benchmark: fused vs numpy vs native over the "
+         "shared plan (writes BENCH_exec.json)",
+    path="BENCH_exec.json",
+    schema=SCHEMA,
+    flags=(
+        Flag("--network", "hailfinder", "bundled/analog name or .bif path"),
+        Flag("--cases", 24, "seeded evidence cases (20%% observed)",
+             kwarg="num_cases"),
+        Flag("--repeats", 3, "timing repetitions (best-of)"),
+        Flag("--seed", 2023, "RNG seed of the evidence cases"),
+    ),
+    run=run_execbench,
+    render=render_execbench,
+    check_flag="--fresh",
+    check_default="BENCH_exec.fresh.json",
+    baseline_flag="--baseline",
+    compare=_vs_committed,
+    gates=(
+        Gate("vs_baseline.shared_rows", ">=", 1),
+        Gate("vs_baseline.relative[*]", "<=", 1.25),
+        # Speedups are ratios of two runs on the same machine.
+        Gate("single_case.speedup_fused", ">=", 1.2),
+        # A speedup can never be bought with diverging answers.
+        Gate("max_abs_diff", "<", 1e-9),
+        Gate("single_case.speedup_native", ">=", 1.5, _no_native),
+        # Python-counter rate during native calls / solo rate: ~0 on any
+        # machine once a change holds the GIL through the call.
+        Gate("thread_scaling.gil_release", ">=", 0.05, _no_native),
+        # One of the two scaling rows applies: the full floor, or — with
+        # the printed note — the bounded-overhead one ("" skips silently).
+        Gate("thread_scaling.scaling", ">=", MIN_THREAD_SCALING,
+             lambda r: _no_native(r) or _small_box(r)),
+        Gate("thread_scaling.scaling", ">=", SMALL_BOX_SCALING,
+             lambda r: _no_native(r) or (None if _small_box(r) else "")),
+    ),
+)

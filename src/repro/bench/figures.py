@@ -1,4 +1,4 @@
-"""Ablation studies backing the paper's §2–§3 claims (Figs A–E in DESIGN.md).
+"""Studies backing the paper's §2–§3 claims (Figs A–E in DESIGN.md).
 
 Each function measures one claim and returns plain data; the CLI renders
 them as tables.  All are deterministic given their seeds.

@@ -16,9 +16,13 @@ uploads it as an artifact).
 
 from __future__ import annotations
 
+import sys
 import time
+from datetime import datetime, timezone
 
 import numpy as np
+
+from repro.bench.artifact import Artifact, Flag, csv_of
 
 from repro.approx.engine import ApproxBNI
 from repro.approx.planner import estimate_jt_cost
@@ -45,14 +49,15 @@ def _error_stats(exact_posteriors, approx_result):
 
 def run_frontier(networks=DEFAULT_NETWORKS,
                  sample_counts=DEFAULT_SAMPLE_COUNTS,
-                 num_cases: int = 8, seed: int = 2023) -> list[dict]:
-    """Sweep the frontier; returns one row per (network, engine point).
+                 num_cases: int = 8, seed: int = 2023) -> dict:
+    """Sweep the frontier; ``results`` has one row per (network, engine
+    point).
 
     ``num_cases`` seeded 20%-observed evidence cases are shared by every
     engine point of a network, so rows are directly comparable.
     """
     rows: list[dict] = []
-    for network in networks:
+    for network in networks or DEFAULT_NETWORKS:
         net = resolve_network(network)
         cases = [c.evidence for c in generate_test_cases(
             net, num_cases, observed_fraction=0.2, rng=seed)]
@@ -94,15 +99,20 @@ def run_frontier(networks=DEFAULT_NETWORKS,
                 "mean_max_stderr": float(np.mean(
                     [r.max_stderr() for r in results])),
             })
-    return rows
+    return {
+        "benchmark": SCHEMA,
+        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "python": sys.version.split()[0],
+        "results": rows,
+    }
 
 
-def render_frontier(rows: list[dict]) -> str:
+def render_frontier(report: dict) -> str:
     lines = [
         f"{'network':<12} {'engine':<8} {'samples':>8} {'ms/case':>9} "
         f"{'max err':>9} {'mean ess':>9}",
     ]
-    for row in rows:
+    for row in report["results"]:
         samples = str(row.get("num_samples", "-"))
         err = (f"{row['max_abs_error']:.4f}"
                if "max_abs_error" in row else "exact")
@@ -113,17 +123,25 @@ def render_frontier(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def write_frontier(rows: list[dict], out_path) -> None:
-    """Write ``BENCH_approx.json`` (the CI-artifact format)."""
-    import json
-    import sys
-    from datetime import datetime, timezone
-    from pathlib import Path
+SCHEMA = "exact_vs_approx_frontier"
 
-    payload = {
-        "benchmark": "exact_vs_approx_frontier",
-        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "python": sys.version.split()[0],
-        "results": rows,
-    }
-    Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
+#: Ungated: the frontier is a trajectory to read, not a floor to hold.
+SPEC = Artifact(
+    name="frontier",
+    help="exact-vs-approx accuracy/latency frontier (writes "
+         "BENCH_approx.json)",
+    path="BENCH_approx.json",
+    schema=SCHEMA,
+    flags=(
+        Flag("--networks", None,
+             "networks to sweep (default: the bundled three)", nargs="*"),
+        Flag("--samples", ",".join(map(str, DEFAULT_SAMPLE_COUNTS)),
+             "comma-separated particle counts", kwarg="sample_counts",
+             parse=csv_of(int)),
+        Flag("--cases", 8, "seeded evidence cases per network",
+             kwarg="num_cases"),
+        Flag("--seed", 2023, "RNG seed of the evidence cases"),
+    ),
+    run=run_frontier,
+    render=render_frontier,
+)

@@ -2,9 +2,8 @@
 
 An instrument that slows the hot path gets turned off and stays off, so
 the tracing layer's contract is quantified, not asserted: this bench
-drives the real server (in-process, loopback TCP, closed loop — the
-``BENCH_service.json`` harness) through four configurations of the same
-workload and reports throughput relative to a no-instrumentation
+drives the real server (in-process, loopback TCP, closed loop) through
+four configurations of the same workload and reports throughput relative to a no-instrumentation
 baseline:
 
 * ``baseline``     — ``trace_sample_rate=0`` *and* ``trace_slow_log=0``:
@@ -19,31 +18,11 @@ baseline:
 * ``full``         — ``--trace-sample-rate 1.0``: every request traced.
   Reported for perspective, not guarded (it is a debugging posture).
 
-Measurement discipline — a 2% budget needs a sub-1% noise floor, and a
-shared CI box injects multi-second CPU-steal bursts worth ±30% into any
-individual timing:
-
-* all four servers live **simultaneously** in one event loop with
-  persistent client connections, so a measurement slice is pure request
-  traffic — no server startup, connect, or compile inside the timed
-  window;
-* the case list is first driven through every server untimed, so timed
-  slices measure the warm steady state and all modes share identical
-  cache behaviour;
-* timing alternates between the modes in many **short slices** whose
-  order reverses every round (ABBA counterbalancing), so an external
-  burst spans several modes' slices instead of electing one, and the
-  consistent first-in-round penalty cancels;
-* a ``gc.collect()`` precedes every slice so no mode inherits another's
-  garbage;
-* each mode's overhead is computed from **paired ratios** against the
-  baseline slice of the *same* round — a burst that slows a whole round
-  inflates both sides of its ratio and cancels.  Each forward round's
-  ratio is then geometric-mean-averaged with its reversed partner round
-  (the modes swap in-round positions between the two), which cancels any
-  first-order within-round drift that plain pairing cannot; the median
-  over those balanced pairs discards rounds a burst partially corrupted.
-  Reported throughput is the aggregate over all slices.
+The measurement discipline a 2% budget needs — all four servers live at
+once, an untimed warm-up so every timed slice sees identically warm
+caches, short ABBA-ordered slices, paired ratios against the same round's
+baseline slice — is :mod:`repro.bench.harness`; reported throughput is
+the aggregate over all slices.
 
 The ``full`` server doubles as a coverage witness: the report records
 how many traces were captured, that the slow log works, and the ratio of
@@ -52,17 +31,17 @@ end-to-end latency for traced requests — the decomposition-accounts-for-
 the-latency property the acceptance test pins at ≥90%.
 
 ``fastbni obsbench`` renders the table and writes ``BENCH_obs.json``;
-``tools/check_bench.py --obs`` guards the budgets in CI.
+``tools/check_bench.py --obs`` holds it to :data:`SPEC`'s gate rows in CI.
 """
 
 from __future__ import annotations
 
 import asyncio
-import gc
-import json
-import time
-from pathlib import Path
 
+from repro.bench.artifact import Artifact, Flag, Gate
+from repro.bench.harness import (balanced_median, elapsed_of, live_servers,
+                                 paired_ratios, replay_rounds)
+from repro.bench.traffic import TrafficTrace, query_trace
 from repro.bn.repository import resolve_network
 from repro.bn.sampling import generate_test_cases
 
@@ -99,75 +78,23 @@ MODES: dict[str, dict] = {
 WITNESS_STAGES = ("queue_wait", "cache_lookup", "execute", "serialize")
 
 
-async def _sweep(network: str, cases: list[dict], concurrency: int,
-                 repeats: int, *, max_batch: int,
-                 max_wait_ms: float) -> tuple[dict, dict, list]:
-    """All four servers at once; interleaved warm timing slices.
-
-    Returns (per-mode elapsed lists, per-mode tracer stats, the full
-    server's buffered traces).
-    """
-    from repro.service import InferenceServer
-
-    servers: dict[str, InferenceServer] = {}
-    conns: dict[str, list] = {}
-    try:
-        for mode, kwargs in MODES.items():
-            server = InferenceServer(port=0, max_batch=max_batch,
-                                     max_wait_ms=max_wait_ms, **kwargs)
-            server.preload([network])
-            await server.start()
-            servers[mode] = server
-            conns[mode] = [await asyncio.open_connection(
-                "127.0.0.1", server.port) for _ in range(concurrency)]
-
-        async def one_slice(mode: str) -> float:
-            work = iter(range(len(cases)))
-
-            async def worker(reader, writer) -> None:
-                for i in work:
-                    writer.write(json.dumps({
-                        "id": i, "op": "query", "network": network,
-                        "evidence": cases[i],
-                    }).encode() + b"\n")
-                    await writer.drain()
-                    response = json.loads(await reader.readline())
-                    if not response.get("ok"):
-                        raise RuntimeError(
-                            f"query failed: {response.get('error')}")
-
-            start = time.perf_counter()
-            await asyncio.gather(*[worker(r, w) for r, w in conns[mode]])
-            return time.perf_counter() - start
-
-        # Untimed warm-up: every server sees the whole case list, so the
-        # timed slices below all run against identically warm caches and
-        # pay no compile or allocator cold costs.
-        for mode in MODES:
-            await one_slice(mode)
-
-        elapsed: dict[str, list[float]] = {mode: [] for mode in MODES}
-        for round_i in range(repeats):
-            order = list(MODES)
-            if round_i % 2:
-                order.reverse()  # counterbalance in-round position bias
-            for mode in order:
-                gc.collect()
-                elapsed[mode].append(await one_slice(mode))
-
+async def _sweep(trace: TrafficTrace, concurrency: int, repeats: int,
+                 server_kwargs: dict) -> tuple[dict, dict, list]:
+    """Returns (per-mode elapsed lists, per-mode tracer stats, the full
+    server's buffered traces)."""
+    network, = trace.networks
+    variants = {mode: {**server_kwargs, **kwargs}
+                for mode, kwargs in MODES.items()}
+    async with live_servers(variants,
+                            lambda s: s.preload([network])) as servers:
+        elapsed = elapsed_of(await replay_rounds(
+            trace, {mode: s.port for mode, s in servers.items()},
+            concurrency=concurrency, repeats=repeats))
         stats: dict[str, dict] = {}
         for mode, server in servers.items():
-            tracing = server.tracer.stats()
-            tracing["slow_queries"] = len(server.tracer.slow_queries())
-            stats[mode] = tracing
-        traces = servers["full"].tracer.traces()
-        return elapsed, stats, traces
-    finally:
-        for pairs in conns.values():
-            for _, writer in pairs:
-                writer.close()
-        for server in servers.values():
-            await server.stop()
+            stats[mode] = server.tracer.stats()
+            stats[mode]["slow_queries"] = len(server.tracer.slow_queries())
+        return elapsed, stats, servers["full"].tracer.traces()
 
 
 def _witness(traces: list[dict]) -> dict:
@@ -213,30 +140,16 @@ def run_obs(network: str = DEFAULT_NETWORK,
     round), throughput is aggregate over slices, and overhead is the
     median per-round paired ratio against the baseline slice.
     """
-    net = resolve_network(network)
-    cases = [c.evidence for c in generate_test_cases(
-        net, requests, observed_fraction=0.2, rng=seed)]
-
+    trace = query_trace(network, generate_test_cases(
+        resolve_network(network), requests, observed_fraction=0.2, rng=seed))
     elapsed, stats, traces = asyncio.run(_sweep(
-        network, cases, concurrency, repeats,
-        max_batch=max_batch, max_wait_ms=max_wait_ms))
+        trace, concurrency, repeats,
+        {"max_batch": max_batch, "max_wait_ms": max_wait_ms}))
     witness = _witness(traces)
 
-    # Overhead: pair each slice with the same round's baseline slice
-    # (cancels whole-round noise), geometric-mean each forward round
-    # with its order-reversed partner (the modes swap in-round
-    # positions, so first-order drift within a round cancels), then
-    # take the median over the balanced pairs (discards rounds a burst
-    # partially corrupted).
-    base_elapsed = elapsed["baseline"]
     modes = {}
     for mode, samples in elapsed.items():
-        raw = [m / b for m, b in zip(samples, base_elapsed)]
-        ratios = sorted((raw[i] * raw[i + 1]) ** 0.5
-                        for i in range(0, len(raw) - 1, 2))
-        mid = len(ratios) // 2
-        ratio = (ratios[mid] if len(ratios) % 2
-                 else (ratios[mid - 1] + ratios[mid]) / 2.0)
+        ratio = balanced_median(paired_ratios(samples, elapsed["baseline"]))
         modes[mode] = {
             "rps": repeats * requests / sum(samples),
             "rps_runs": [round(requests / e, 1) for e in samples],
@@ -286,6 +199,41 @@ def render_obs(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_obs(report: dict, path: Path | str) -> None:
-    """Write the report as ``BENCH_obs.json`` (CI artifact)."""
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
+#: Span names a full trace must cover (the server's request stages; the
+#: engine-side stages only appear on requests the cache could not serve).
+REQUIRED_SPANS = ("request", "parse", "registry_lookup", "queue_wait",
+                  "cache_lookup", "execute", "serialize")
+
+SPEC = Artifact(
+    name="obsbench",
+    help="observability-overhead benchmark: tracing off/sampled/full vs a "
+         "no-instrumentation baseline (writes BENCH_obs.json)",
+    path="BENCH_obs.json",
+    schema=SCHEMA,
+    flags=(
+        Flag("--network", DEFAULT_NETWORK, "bundled/analog name or .bif path"),
+        Flag("--requests", DEFAULT_REQUESTS,
+             "closed-loop requests per mode per round"),
+        Flag("--concurrency", DEFAULT_CONCURRENCY,
+             "concurrent closed-loop client connections"),
+        Flag("--repeats", DEFAULT_REPEATS,
+             "interleaved counterbalanced timing rounds"),
+        Flag("--seed", 2023, "RNG seed of the case list"),
+    ),
+    run=run_obs,
+    render=render_obs,
+    check_flag="--obs",
+    gates=(
+        # Throughput budgets (%) vs the bare baseline: the shipped
+        # tracing-off defaults, and 1% sampling.
+        Gate("modes.off.overhead_pct", "<=", 2.0),
+        Gate("modes.sampled_1pct.overhead_pct", "<=", 10.0),
+        # The instrument must demonstrably work, not just be cheap: the
+        # full run sampled traces, filed slow-log entries (threshold 0
+        # catches every request) and its kernel-hook spans fired.
+        Gate("modes.full.tracing.traces_sampled", ">", 0),
+        Gate("modes.full.tracing.slow_queries", ">", 0),
+        Gate("witness.executed_traces", ">", 0),
+        Gate("witness.span_names", "contains", REQUIRED_SPANS),
+    ),
+)

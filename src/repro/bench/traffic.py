@@ -15,7 +15,7 @@ diversity a first-class, *reproducible* artifact:
 * :func:`save_trace` / :func:`load_trace` round-trip a trace through
   JSON bit-identically, so the exact request sequence a number was
   measured on ships with the number;
-* :func:`replay_trace` drives a live server with a trace over ``C``
+* :func:`replay_trace_async` drives a live server with a trace over ``C``
   persistent closed-loop connections (optionally paced by the recorded
   arrival times), returning throughput, latency quantiles, and the
   per-event answers for deterministic events;
@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bench.artifact import Command, Flag
 from repro.bn.sampling import generate_test_cases
 from repro.errors import QueryError
 
@@ -202,6 +203,20 @@ def _spread(events: list[dict], rng: np.random.Generator, *,
         t += float(rng.exponential(gap_ms))
         event["t_ms"] = round(t, 4)
     return t
+
+
+def query_trace(network: str, cases, *, targets=None,
+                check: bool = False) -> TrafficTrace:
+    """One-shot ``query`` events over a fixed case list — the workload the
+    overhead and scale-out benchmarks replay slice after slice."""
+    events = _case_events(cases, network, stream="fixed", engine=None,
+                          check=check)
+    if targets:
+        for event in events:
+            event["targets"] = list(targets)
+    return TrafficTrace(seed=0, config={"requests": len(events)},
+                        networks={network: {"kind": "named", "name": network}},
+                        events=events)
 
 
 def generate_trace(seed: int = 2023, requests: int = 240, *,
@@ -473,51 +488,60 @@ def _wire_request(event: dict, rid: int, session_ids: dict[str, str]) -> dict:
     return request
 
 
-async def replay_trace_async(trace: TrafficTrace, host: str, port: int, *,
-                             concurrency: int = 8,
-                             pace: float = 0.0) -> ReplayResult:
-    """Drive a live server with ``trace`` over persistent connections.
+class TraceReplayer:
+    """``concurrency`` persistent closed-loop connections to one server.
 
-    Events are dealt to ``concurrency`` connections — round-robin for
-    stateless queries, sticky per logical session id so each walk's
-    open → update → close order is preserved on one closed-loop
-    connection.  ``pace=0`` replays closed-loop (each connection sends
-    as fast as answers return — the benchmark posture); ``pace=k``
-    honours recorded arrival times scaled by ``k`` (1.0 = real time).
-
-    Logical session ids are remapped to the server-issued ids from each
-    walk's ``session_open`` response, so recorded traffic replays
-    against a fresh server bit-identically.
+    The one client every serving-side benchmark drives its servers with:
+    connections open once (``async with``), so a :meth:`replay` slice is
+    pure request traffic with no connect inside its timed window.
     """
-    if concurrency < 1:
-        raise QueryError(f"concurrency must be >= 1, got {concurrency}")
-    lanes: list[list[tuple[int, dict]]] = [[] for _ in range(concurrency)]
-    session_lane: dict[str, int] = {}
-    rr = 0
-    for idx, event in enumerate(trace.events):
-        sid = event.get("session")
-        if sid is not None and event["op"] in _SESSION_OPS:
-            if sid not in session_lane:
-                session_lane[sid] = rr % concurrency
+
+    def __init__(self, host: str, port: int, concurrency: int = 8) -> None:
+        if concurrency < 1:
+            raise QueryError(f"concurrency must be >= 1, got {concurrency}")
+        self.host, self.port, self.concurrency = host, port, concurrency
+        self._conns: list = []
+
+    async def __aenter__(self) -> "TraceReplayer":
+        for _ in range(self.concurrency):
+            self._conns.append(
+                await asyncio.open_connection(self.host, self.port))
+        return self
+
+    async def __aexit__(self, *exc) -> None:
+        for _, writer in self._conns:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+        self._conns = []
+
+    async def replay(self, trace: TrafficTrace, *,
+                     pace: float = 0.0) -> ReplayResult:
+        """Drive the server with ``trace`` once; see :func:`replay_trace_async`."""
+        lanes: list[list[tuple[int, dict]]] = [[] for _ in self._conns]
+        session_lane: dict[str, int] = {}
+        rr = 0
+        for idx, event in enumerate(trace.events):
+            sid = event.get("session")
+            if sid is not None and event["op"] in _SESSION_OPS:
+                if sid not in session_lane:
+                    session_lane[sid] = rr % len(lanes)
+                    rr += 1
+                lane = session_lane[sid]
+            else:
+                lane = rr % len(lanes)
                 rr += 1
-            lane = session_lane[sid]
-        else:
-            lane = rr % concurrency
-            rr += 1
-        lanes[lane].append((idx, event))
+            lanes[lane].append((idx, event))
 
-    latencies: dict[int, float] = {}
-    answers: dict[int, dict] = {}
-    errors: list[tuple[int, str]] = []
-    sent = 0
+        latencies: dict[int, float] = {}
+        answers: dict[int, dict] = {}
+        errors: list[tuple[int, str]] = []
 
-    async def lane_worker(lane: list[tuple[int, dict]]) -> None:
-        nonlocal sent
-        if not lane:
-            return
-        reader, writer = await asyncio.open_connection(host, port)
-        session_ids: dict[str, str] = {}
-        try:
+        async def lane_worker(conn, lane: list[tuple[int, dict]]) -> None:
+            reader, writer = conn
+            session_ids: dict[str, str] = {}
             for idx, event in lane:
                 if pace > 0:
                     due = start + event.get("t_ms", 0.0) / 1000.0 * pace
@@ -530,7 +554,6 @@ async def replay_trace_async(trace: TrafficTrace, host: str, port: int, *,
                 await writer.drain()
                 line = await reader.readline()
                 latencies[idx] = (time.perf_counter() - t0) * 1000.0
-                sent += 1
                 if not line:
                     errors.append((idx, "connection closed"))
                     return
@@ -549,27 +572,34 @@ async def replay_trace_async(trace: TrafficTrace, host: str, port: int, *,
                         "posteriors": result["posteriors"],
                         "log_evidence": result.get("log_evidence"),
                     }
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
-    start = time.perf_counter()
-    await asyncio.gather(*[lane_worker(lane) for lane in lanes])
-    elapsed = time.perf_counter() - start
-    ordered = [latencies[i] for i in sorted(latencies)]
-    return ReplayResult(requests=sent, elapsed_s=elapsed,
-                        latencies_ms=ordered, answers=answers, errors=errors)
+        start = time.perf_counter()
+        await asyncio.gather(*map(lane_worker, self._conns, lanes))
+        elapsed = time.perf_counter() - start
+        return ReplayResult(requests=len(latencies), elapsed_s=elapsed,
+                            latencies_ms=[latencies[i]
+                                          for i in sorted(latencies)],
+                            answers=answers, errors=errors)
 
 
-def replay_trace(trace: TrafficTrace, host: str, port: int, *,
-                 concurrency: int = 8, pace: float = 0.0) -> ReplayResult:
-    """Synchronous wrapper around :func:`replay_trace_async`."""
-    return asyncio.run(replay_trace_async(trace, host, port,
-                                          concurrency=concurrency,
-                                          pace=pace))
+async def replay_trace_async(trace: TrafficTrace, host: str, port: int, *,
+                             concurrency: int = 8,
+                             pace: float = 0.0) -> ReplayResult:
+    """Drive a live server with ``trace`` over persistent connections.
+
+    Events are dealt to ``concurrency`` connections — round-robin for
+    stateless queries, sticky per logical session id so each walk's
+    open → update → close order is preserved on one closed-loop
+    connection.  ``pace=0`` replays closed-loop (each connection sends
+    as fast as answers return — the benchmark posture); ``pace=k``
+    honours recorded arrival times scaled by ``k`` (1.0 = real time).
+
+    Logical session ids are remapped to the server-issued ids from each
+    walk's ``session_open`` response, so recorded traffic replays
+    against a fresh server bit-identically.
+    """
+    async with TraceReplayer(host, port, concurrency) as replayer:
+        return await replayer.replay(trace, pace=pace)
 
 
 # -------------------------------------------------------------------- record
@@ -743,3 +773,147 @@ def render_trace(trace: TrafficTrace) -> str:
     lines.append(f"  deterministic (check=true): {checked}")
     lines.append(f"  arrival span: {span / 1000.0:.2f}s")
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------- cli
+def _parse_mix(raw: str) -> dict | None:
+    """Parse ``zipf=0.4,burst=0.2,...`` into a mix dict (None if empty)."""
+    mix: dict[str, float] = {}
+    for part in filter(None, (p.strip() for p in raw.split(","))):
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise SystemExit(f"error: bad mix entry {part!r}; "
+                             "expected stream=fraction")
+        try:
+            mix[key.strip()] = float(value)
+        except ValueError:
+            raise SystemExit(f"error: bad mix fraction {value!r}") from None
+    return mix or None
+
+
+def _parse_dense(raw: str, seed: int) -> dict | None:
+    """Parse ``ROWSxCOLS[xCARD]`` into a grid dense_spec (None if empty)."""
+    if not raw:
+        return None
+    parts = raw.lower().split("x")
+    if len(parts) not in (2, 3) or not all(p.strip().isdigit()
+                                           for p in parts):
+        raise SystemExit(f"error: bad dense grid {raw!r}; "
+                         "expected ROWSxCOLS or ROWSxCOLSxCARD")
+    return {"kind": "grid", "rows": int(parts[0]), "cols": int(parts[1]),
+            "card": int(parts[2]) if len(parts) == 3 else 2, "seed": seed}
+
+
+#: Generator flags shared by ``workload`` and ``ablate``.
+TRACE_FLAGS = (
+    Flag("--seed", 2023, "RNG seed of the generated trace"),
+    Flag("--requests", 240, "event budget for a generated trace"),
+    Flag("--network", "asia",
+         "primary network for zipf/burst/approx streams"),
+    Flag("--zipf-network", "",
+         "network for the hot zipf stream (default: --network)"),
+    Flag("--session-network", "",
+         "network for session walks (default: --network)"),
+    Flag("--dense-grid", "",
+         "dense-stream grid as ROWSxCOLS[xCARD], e.g. 12x12 "
+         "(default: 10x10x2)"),
+    Flag("--dense-observed", -1.0,
+         "observed-variable fraction for dense cases (default: the "
+         "trace-wide fraction)"),
+    Flag("--mix", "",
+         "stream mix, e.g. zipf=0.4,burst=0.15,dense=0.15,approx=0.1,"
+         "session=0.2 (default: built-in mix)"),
+)
+
+
+def generator_kwargs(*, seed: int, requests: int, network: str,
+                     zipf_network: str, session_network: str,
+                     dense_grid: str, dense_observed: float,
+                     mix: str) -> dict:
+    """:func:`generate_trace` keywords from the raw :data:`TRACE_FLAGS`."""
+    return {
+        "seed": seed, "requests": requests, "network": network,
+        "zipf_network": zipf_network or None,
+        "session_network": session_network or None,
+        "mix": _parse_mix(mix), "dense_spec": _parse_dense(dense_grid, seed),
+        "dense_observed_fraction": (dense_observed if dense_observed >= 0
+                                    else None),
+    }
+
+
+def _workload_main(args) -> None:
+    if args.record:
+        async def record() -> None:
+            recorder = TrafficRecorder(args.host, args.port,
+                                       port=args.listen_port)
+            await recorder.start()
+            print(f"recording {args.host}:{args.port} via proxy port "
+                  f"{recorder.port} for {args.duration:.0f}s", flush=True)
+            try:
+                await asyncio.sleep(args.duration)
+            finally:
+                await recorder.stop()
+            trace = recorder.trace(seed=args.seed)
+            print(render_trace(trace))
+            if args.out:
+                save_trace(trace, args.out)
+                print(f"wrote {args.out}")
+
+        try:
+            asyncio.run(record())
+        except KeyboardInterrupt:
+            pass
+        return
+
+    if args.replay:
+        trace = load_trace(args.replay)
+        print(render_trace(trace))
+        result = asyncio.run(replay_trace_async(
+            trace, args.host, args.port, concurrency=args.concurrency,
+            pace=args.pace))
+        summary = result.summary()
+        print(f"replayed {summary['requests']} requests in "
+              f"{summary['elapsed_s']:.2f}s: {summary['rps']:.1f} req/s, "
+              f"p50 {summary['p50_ms']:.2f} ms, "
+              f"p99 {summary['p99_ms']:.2f} ms, "
+              f"errors {summary['errors']}")
+        if summary["errors"]:
+            for idx, error in result.errors[:10]:
+                print(f"  event {idx}: {error}")
+            raise SystemExit(1)
+        return
+
+    trace = generate_trace(**generator_kwargs(
+        **{f.dest: f.value(args) for f in TRACE_FLAGS}))
+    print(render_trace(trace))
+    if args.out:
+        save_trace(trace, args.out)
+        print(f"wrote {args.out}")
+
+
+WORKLOAD = Command(
+    name="workload",
+    help="traffic traces: generate a seeded mixed workload, record live "
+         "traffic through a proxy, or replay a trace against a server",
+    cli_flags=(
+        *TRACE_FLAGS,
+        Flag("--out", "traffic.json", "trace JSON path ('' to skip writing)"),
+        Flag("--replay", "",
+             "replay this trace file against --host/--port instead of "
+             "generating"),
+        Flag("--record", False,
+             "record live traffic: proxy --listen-port to --host/--port "
+             "for --duration seconds"),
+        Flag("--host", "127.0.0.1", "server host"),
+        Flag("--port", 7421, "server port (replay target / record upstream)"),
+        Flag("--listen-port", 0,
+             "recording proxy port (0 picks an ephemeral port)"),
+        Flag("--duration", 30.0, "recording duration in seconds"),
+        Flag("--concurrency", 8,
+             "replay: concurrent closed-loop connections"),
+        Flag("--pace", 0.0,
+             "replay: honour recorded arrival times scaled by this factor "
+             "(0 = closed loop, 1 = real time)"),
+    ),
+    main=_workload_main,
+)

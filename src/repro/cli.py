@@ -13,14 +13,6 @@ Subcommands regenerate every table/figure of the evaluation:
   whole case batch in one vectorised calibration pass (``--batch``);
   ``--engine exact|approx|auto`` picks the junction tree, the adaptive
   sampler, or lets the cost planner decide;
-* ``frontier``    — exact-vs-approx accuracy/latency frontier
-  (``BENCH_approx.json``);
-* ``execbench``   — kernel-backend benchmark, fused vs numpy over the
-  shared execution plan (``BENCH_exec.json``, guarded in CI by
-  ``tools/check_bench.py``);
-* ``sessions``    — streaming-session speedup vs evidence overlap
-  (session-mode update+query against equivalent cold queries, writes
-  ``BENCH_sessions.json``);
 * ``serve``       — long-lived inference server (compiled-model registry +
   dynamic micro-batching + exact/approx query planner + streaming
   evidence sessions, JSON-lines over TCP; ``--trace-sample-rate`` turns
@@ -31,9 +23,8 @@ Subcommands regenerate every table/figure of the evaluation:
   Prometheus exposition and ``slow_queries`` the slow-query log);
 * ``trace``       — fetch a running server's sampled traces and write
   them as Chrome trace-event JSON (open in chrome://tracing/Perfetto);
-* ``obsbench``    — observability-overhead benchmark: throughput with
-  tracing disabled/sampled/full vs a no-instrumentation baseline
-  (``BENCH_obs.json``, guarded in CI by ``tools/check_bench.py --obs``).
+* the ``BENCH_*.json`` artifact subcommands and ``workload`` — declared
+  by the specs in :mod:`repro.bench.registry`, listed below.
 """
 
 from __future__ import annotations
@@ -57,7 +48,7 @@ def _cmd_table1(args: argparse.Namespace) -> None:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> None:
-    from repro.bench.ablations import render_thread_scaling, thread_scaling
+    from repro.bench.figures import render_thread_scaling, thread_scaling
 
     threads = tuple(int(t) for t in args.threads.split(","))
     results = thread_scaling(args.network, threads=threads,
@@ -66,13 +57,13 @@ def _cmd_scaling(args: argparse.Namespace) -> None:
 
 
 def _cmd_granularity(args: argparse.Namespace) -> None:
-    from repro.bench.ablations import granularity_study, render_granularity
+    from repro.bench.figures import granularity_study, render_granularity
 
     print(render_granularity(granularity_study(num_workers=args.workers)))
 
 
 def _cmd_root(args: argparse.Namespace) -> None:
-    from repro.bench.ablations import render_root_selection, root_selection_study
+    from repro.bench.figures import render_root_selection, root_selection_study
 
     networks = tuple(args.networks) if args.networks else PAPER_NETWORKS
     print(render_root_selection(root_selection_study(networks=networks)))
@@ -85,7 +76,7 @@ def _cmd_primitives(args: argparse.Namespace) -> None:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> None:
-    from repro.bench.ablations import overhead_study, render_overhead
+    from repro.bench.figures import overhead_study, render_overhead
 
     print(render_overhead(overhead_study(num_workers=args.workers), args.workers))
 
@@ -100,72 +91,8 @@ def _load_any(name: str):
         raise SystemExit(f"error: {exc}")
 
 
-def _cmd_frontier(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from repro.bench.frontier import render_frontier, run_frontier, write_frontier
-
-    networks = tuple(args.networks) if args.networks else None
-    samples = tuple(int(n) for n in args.samples.split(","))
-    kwargs = {"sample_counts": samples, "num_cases": args.cases,
-              "seed": args.seed}
-    if networks:
-        kwargs["networks"] = networks
-    rows = run_frontier(**kwargs)
-    print(render_frontier(rows))
-    if args.out:
-        write_frontier(rows, Path(args.out))
-        print(f"wrote {args.out}")
-
-
-def _cmd_incremental(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from repro.bench.incremental import (render_incremental, run_incremental,
-                                         write_incremental)
-
-    overlaps = tuple(float(o) for o in args.overlaps.split(","))
-    report = run_incremental(network=args.network, overlaps=overlaps,
-                             num_queries=args.queries,
-                             evidence_vars=args.evidence_vars, seed=args.seed)
-    print(render_incremental(report))
-    if args.out:
-        write_incremental(report, Path(args.out))
-        print(f"wrote {args.out}")
-
-
-def _cmd_sessions(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from repro.bench.sessions import (render_sessions, run_sessions,
-                                      write_sessions)
-
-    overlaps = tuple(float(o) for o in args.overlaps.split(","))
-    report = run_sessions(network=args.network, overlaps=overlaps,
-                          num_queries=args.queries,
-                          evidence_vars=args.evidence_vars, seed=args.seed)
-    print(render_sessions(report))
-    if args.out:
-        write_sessions(report, Path(args.out))
-        print(f"wrote {args.out}")
-
-
-def _cmd_execbench(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from repro.bench.execbench import (render_execbench, run_execbench,
-                                       write_execbench)
-
-    report = run_execbench(network=args.network, num_cases=args.cases,
-                           repeats=args.repeats, seed=args.seed)
-    print(render_execbench(report))
-    if args.out:
-        write_execbench(report, Path(args.out))
-        print(f"wrote {args.out}")
-
-
 def _cmd_heuristics(args: argparse.Namespace) -> None:
-    from repro.bench.ablations import heuristic_study, render_heuristics
+    from repro.bench.figures import heuristic_study, render_heuristics
 
     networks = tuple(args.networks) if args.networks else PAPER_NETWORKS
     print(render_heuristics(heuristic_study(networks=networks)))
@@ -438,22 +365,6 @@ def _cmd_cluster(args: argparse.Namespace) -> None:
     print("cluster stopped")
 
 
-def _cmd_clusterbench(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from repro.bench.cluster import (render_cluster, run_cluster_bench,
-                                     write_cluster)
-
-    report = run_cluster_bench(network=args.network, requests=args.requests,
-                               workers=args.workers,
-                               concurrency=args.concurrency,
-                               repeats=args.repeats)
-    print(render_cluster(report))
-    if args.out:
-        write_cluster(report, Path(args.out))
-        print(f"wrote {args.out}")
-
-
 def _run_session_demo(client, args: argparse.Namespace) -> None:
     """Scripted streaming walk: open → add findings → retract → close."""
     net = _load_any(args.network)
@@ -493,159 +404,6 @@ def _cmd_trace(args: argparse.Namespace) -> None:
           f"traces to {args.out} (open in chrome://tracing or Perfetto)")
     if count == 0:
         print("note: no traces buffered — serve with --trace-sample-rate > 0")
-
-
-def _cmd_obsbench(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from repro.bench.obs import render_obs, run_obs, write_obs
-
-    report = run_obs(network=args.network, requests=args.requests,
-                     concurrency=args.concurrency, repeats=args.repeats,
-                     seed=args.seed)
-    print(render_obs(report))
-    if args.out:
-        write_obs(report, Path(args.out))
-        print(f"wrote {args.out}")
-
-
-def _parse_mix_arg(raw: str) -> dict | None:
-    """Parse ``zipf=0.4,burst=0.2,...`` into a mix dict (None if empty)."""
-    if not raw:
-        return None
-    mix: dict[str, float] = {}
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise SystemExit(f"error: bad mix entry {part!r}; "
-                             "expected stream=fraction")
-        key, _, value = part.partition("=")
-        try:
-            mix[key.strip()] = float(value)
-        except ValueError:
-            raise SystemExit(f"error: bad mix fraction {value!r}") from None
-    return mix or None
-
-
-def _parse_dense_arg(raw: str, seed: int) -> dict | None:
-    """Parse ``ROWSxCOLS[xCARD]`` into a grid dense_spec (None if empty)."""
-    if not raw:
-        return None
-    parts = raw.lower().split("x")
-    if len(parts) not in (2, 3) or not all(p.strip().isdigit()
-                                           for p in parts):
-        raise SystemExit(f"error: bad dense grid {raw!r}; "
-                         "expected ROWSxCOLS or ROWSxCOLSxCARD")
-    rows, cols = int(parts[0]), int(parts[1])
-    card = int(parts[2]) if len(parts) == 3 else 2
-    return {"kind": "grid", "rows": rows, "cols": cols, "card": card,
-            "seed": seed}
-
-
-def _trace_kwargs(args: argparse.Namespace) -> dict:
-    """Generator overrides shared by ``workload`` and ``ablate``."""
-    kwargs: dict = {}
-    mix = _parse_mix_arg(args.mix)
-    if mix:
-        kwargs["mix"] = mix
-    if args.zipf_network:
-        kwargs["zipf_network"] = args.zipf_network
-    dense = _parse_dense_arg(args.dense_grid, args.seed)
-    if dense:
-        kwargs["dense_spec"] = dense
-    if args.dense_observed >= 0:
-        kwargs["dense_observed_fraction"] = args.dense_observed
-    return kwargs
-
-
-def _cmd_workload(args: argparse.Namespace) -> None:
-    import asyncio
-
-    from repro.bench.traffic import (TrafficRecorder, generate_trace,
-                                     load_trace, render_trace, replay_trace,
-                                     save_trace)
-
-    if args.record:
-        async def record() -> None:
-            recorder = TrafficRecorder(args.host, args.port,
-                                       port=args.listen_port)
-            await recorder.start()
-            print(f"recording {args.host}:{args.port} via proxy port "
-                  f"{recorder.port} for {args.duration:.0f}s", flush=True)
-            try:
-                await asyncio.sleep(args.duration)
-            finally:
-                await recorder.stop()
-            trace = recorder.trace(seed=args.seed)
-            print(render_trace(trace))
-            if args.out:
-                save_trace(trace, args.out)
-                print(f"wrote {args.out}")
-
-        try:
-            asyncio.run(record())
-        except KeyboardInterrupt:
-            pass
-        return
-
-    if args.replay:
-        trace = load_trace(args.replay)
-        print(render_trace(trace))
-        result = replay_trace(trace, args.host, args.port,
-                              concurrency=args.concurrency, pace=args.pace)
-        summary = result.summary()
-        print(f"replayed {summary['requests']} requests in "
-              f"{summary['elapsed_s']:.2f}s: {summary['rps']:.1f} req/s, "
-              f"p50 {summary['p50_ms']:.2f} ms, "
-              f"p99 {summary['p99_ms']:.2f} ms, "
-              f"errors {summary['errors']}")
-        if summary["errors"]:
-            for idx, error in result.errors[:10]:
-                print(f"  event {idx}: {error}")
-            raise SystemExit(1)
-        return
-
-    trace = generate_trace(seed=args.seed, requests=args.requests,
-                           network=args.network,
-                           session_network=args.session_network or None,
-                           **_trace_kwargs(args))
-    print(render_trace(trace))
-    if args.out:
-        save_trace(trace, args.out)
-        print(f"wrote {args.out}")
-
-
-def _cmd_ablate(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from repro.bench.ablation_matrix import (COMPONENTS, render_ablation,
-                                             run_ablation, write_ablation)
-    from repro.bench.traffic import load_trace
-
-    components = ([c.strip() for c in args.components.split(",") if c.strip()]
-                  if args.components else None)
-    if components:
-        unknown = [c for c in components if c not in COMPONENTS]
-        if unknown:
-            raise SystemExit(f"error: unknown components {unknown}; "
-                             f"known: {sorted(COMPONENTS)}")
-    trace = load_trace(args.trace) if args.trace else None
-    kwargs = _trace_kwargs(args)
-    report = run_ablation(
-        trace,
-        components=components,
-        seed=args.seed, requests=args.requests,
-        network=args.network,
-        session_network=args.session_network or None,
-        repeats=args.repeats, concurrency=args.concurrency,
-        max_exact_bytes=int(args.max_exact_mb * 1024 * 1024),
-        trace_kwargs=kwargs or None)
-    print(render_ablation(report))
-    if args.out:
-        write_ablation(report, Path(args.out))
-        print(f"wrote {args.out}")
 
 
 def _cmd_client(args: argparse.Namespace) -> None:
@@ -744,6 +502,35 @@ def _cmd_client(args: argparse.Namespace) -> None:
         print(json.dumps(result, indent=2, default=str))
 
 
+class _LazyCommands(dict):
+    """argparse's ``name -> subparser`` map, completed on the first miss.
+
+    The bench subcommands are declared by the specs in
+    :mod:`repro.bench.registry`.  Importing those would cost ``fastbni
+    serve`` start-up time it has no use for, so they are registered the
+    first time a name is not found here or the names are listed
+    (``--help``, an unknown command).
+    """
+
+    def __init__(self, load) -> None:
+        super().__init__()
+        self._load = load
+
+    def _complete(self) -> None:
+        load, self._load = self._load, None
+        if load is not None:
+            load()
+
+    def __contains__(self, name) -> bool:
+        if not super().__contains__(name):
+            self._complete()
+        return super().__contains__(name)
+
+    def __iter__(self):
+        self._complete()
+        return super().__iter__()
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``fastbni`` argument parser (one sub-command per figure)."""
     p = argparse.ArgumentParser(prog="fastbni", description=__doc__,
@@ -785,66 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extension: triangulation heuristic comparison")
     he.add_argument("--networks", nargs="*", choices=PAPER_NETWORKS)
     he.set_defaults(func=_cmd_heuristics)
-
-    fr = sub.add_parser("frontier",
-                        help="exact-vs-approx accuracy/latency frontier "
-                             "(writes BENCH_approx.json)")
-    fr.add_argument("--networks", nargs="*",
-                    help="networks to sweep (default: the bundled three)")
-    fr.add_argument("--samples", default="256,1024,4096",
-                    help="comma-separated particle counts")
-    fr.add_argument("--cases", type=int, default=8,
-                    help="seeded evidence cases per network")
-    fr.add_argument("--seed", type=int, default=2023)
-    fr.add_argument("--out", default="BENCH_approx.json",
-                    help="output JSON path ('' to skip writing)")
-    fr.set_defaults(func=_cmd_frontier)
-
-    inc = sub.add_parser("incremental",
-                         help="delta-recalibration speedup vs evidence "
-                              "overlap (writes BENCH_incremental.json)")
-    inc.add_argument("--network", default="asia",
-                     help="bundled/analog name or .bif path")
-    inc.add_argument("--overlaps", default="0.0,0.25,0.5,0.75,0.9,1.0",
-                     help="comma-separated evidence-overlap fractions")
-    inc.add_argument("--queries", type=int, default=200,
-                     help="chained queries per overlap row")
-    inc.add_argument("--evidence-vars", type=int, default=4,
-                     help="observed variables per query")
-    inc.add_argument("--seed", type=int, default=2023)
-    inc.add_argument("--out", default="BENCH_incremental.json",
-                     help="output JSON path ('' to skip writing)")
-    inc.set_defaults(func=_cmd_incremental)
-
-    se = sub.add_parser("sessions",
-                        help="streaming-session speedup vs evidence overlap "
-                             "(writes BENCH_sessions.json)")
-    se.add_argument("--network", default="diabetes",
-                    help="bundled/analog name or .bif path")
-    se.add_argument("--overlaps", default="0.5,0.75,0.9",
-                    help="comma-separated evidence-overlap fractions")
-    se.add_argument("--queries", type=int, default=80,
-                    help="update+query steps per overlap row")
-    se.add_argument("--evidence-vars", type=int, default=4,
-                    help="observed variables per step")
-    se.add_argument("--seed", type=int, default=2023)
-    se.add_argument("--out", default="BENCH_sessions.json",
-                    help="output JSON path ('' to skip writing)")
-    se.set_defaults(func=_cmd_sessions)
-
-    eb = sub.add_parser("execbench",
-                        help="kernel-backend benchmark: fused vs numpy over "
-                             "the shared plan (writes BENCH_exec.json)")
-    eb.add_argument("--network", default="hailfinder",
-                    help="bundled/analog name or .bif path")
-    eb.add_argument("--cases", type=int, default=24,
-                    help="seeded evidence cases (20%% observed)")
-    eb.add_argument("--repeats", type=int, default=3,
-                    help="timing repetitions (best-of)")
-    eb.add_argument("--seed", type=int, default=2023)
-    eb.add_argument("--out", default="BENCH_exec.json",
-                    help="output JSON path ('' to skip writing)")
-    eb.set_defaults(func=_cmd_execbench)
 
     info = sub.add_parser("info", help="network + junction tree statistics")
     info.add_argument("network")
@@ -1054,127 +781,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="keep retrying the connect for this many seconds")
     tr.set_defaults(func=_cmd_trace)
 
-    ob = sub.add_parser("obsbench",
-                        help="observability-overhead benchmark: tracing "
-                             "off/sampled/full vs a no-instrumentation "
-                             "baseline (writes BENCH_obs.json)")
-    ob.add_argument("--network", default="asia",
-                    help="bundled/analog name or .bif path")
-    ob.add_argument("--requests", type=int, default=100,
-                    help="closed-loop requests per mode per round")
-    ob.add_argument("--concurrency", type=int, default=8,
-                    help="concurrent closed-loop client connections")
-    ob.add_argument("--repeats", type=int, default=24,
-                    help="interleaved counterbalanced timing rounds")
-    ob.add_argument("--seed", type=int, default=2023)
-    ob.add_argument("--out", default="BENCH_obs.json",
-                    help="output JSON path ('' to skip writing)")
-    ob.set_defaults(func=_cmd_obsbench)
+    def add_bench_commands() -> None:
+        from repro.bench.registry import COMMANDS
 
-    cb = sub.add_parser("clusterbench",
-                        help="cluster scaling benchmark: router + N "
-                             "workers vs one single-process server "
-                             "(writes BENCH_cluster.json)")
-    cb.add_argument("--network", default="pathfinder",
-                    help="bundled/analog name or .bif path")
-    cb.add_argument("--requests", type=int, default=400,
-                    help="closed-loop requests per measured round")
-    cb.add_argument("--workers", type=int, default=4,
-                    help="cluster worker processes")
-    cb.add_argument("--concurrency", type=int, default=16,
-                    help="concurrent closed-loop client connections")
-    cb.add_argument("--repeats", type=int, default=6,
-                    help="interleaved counterbalanced timing rounds")
-    cb.add_argument("--out", default="BENCH_cluster.json",
-                    help="output JSON path ('' to skip writing)")
-    cb.set_defaults(func=_cmd_clusterbench)
+        for command in COMMANDS:
+            parser = sub.add_parser(command.name, help=command.help)
+            for flag in command.cli_flags:
+                flag.add_to(parser)
+            parser.set_defaults(func=command.main)
 
-    wl = sub.add_parser("workload",
-                        help="traffic traces: generate a seeded mixed "
-                             "workload, record live traffic through a "
-                             "proxy, or replay a trace against a server")
-    wl.add_argument("--seed", type=int, default=2023)
-    wl.add_argument("--requests", type=int, default=240,
-                    help="event budget for a generated trace")
-    wl.add_argument("--network", default="asia",
-                    help="primary network for zipf/burst/approx streams")
-    wl.add_argument("--zipf-network", default="",
-                    help="network for the hot zipf stream "
-                         "(default: --network)")
-    wl.add_argument("--session-network", default="",
-                    help="network for session walks (default: --network)")
-    wl.add_argument("--dense-grid", default="",
-                    help="dense-stream grid as ROWSxCOLS[xCARD], e.g. "
-                         "12x12 (default: 10x10x2)")
-    wl.add_argument("--dense-observed", type=float, default=-1.0,
-                    help="observed-variable fraction for dense cases "
-                         "(default: the trace-wide fraction)")
-    wl.add_argument("--mix", default="",
-                    help="stream mix, e.g. zipf=0.4,burst=0.15,dense=0.15,"
-                         "approx=0.1,session=0.2 (default: built-in mix)")
-    wl.add_argument("--out", default="traffic.json",
-                    help="trace JSON path ('' to skip writing)")
-    wl.add_argument("--replay", default="",
-                    help="replay this trace file against --host/--port "
-                         "instead of generating")
-    wl.add_argument("--record", action="store_true",
-                    help="record live traffic: proxy --listen-port to "
-                         "--host/--port for --duration seconds")
-    wl.add_argument("--host", default="127.0.0.1")
-    wl.add_argument("--port", type=int, default=7421,
-                    help="server port (replay target / record upstream)")
-    wl.add_argument("--listen-port", type=int, default=0,
-                    help="recording proxy port (0 picks an ephemeral port)")
-    wl.add_argument("--duration", type=float, default=30.0,
-                    help="recording duration in seconds")
-    wl.add_argument("--concurrency", type=int, default=8,
-                    help="replay: concurrent closed-loop connections")
-    wl.add_argument("--pace", type=float, default=0.0,
-                    help="replay: honour recorded arrival times scaled by "
-                         "this factor (0 = closed loop, 1 = real time)")
-    wl.set_defaults(func=_cmd_workload)
-
-    ab = sub.add_parser("ablate",
-                        help="ablation matrix: replay one trace against a "
-                             "baseline server and one-component-off "
-                             "variants, rank contributions (writes "
-                             "BENCH_ablation.json)")
-    ab.add_argument("--trace", default="",
-                    help="traffic trace JSON to replay (default: generate "
-                         "from --seed/--requests)")
-    ab.add_argument("--seed", type=int, default=2023)
-    ab.add_argument("--requests", type=int, default=240,
-                    help="event budget for the generated trace")
-    ab.add_argument("--network", default="asia",
-                    help="primary network for the generated trace")
-    ab.add_argument("--zipf-network", default="",
-                    help="network for the hot zipf stream "
-                         "(default: --network)")
-    ab.add_argument("--session-network", default="",
-                    help="network for session walks (default: --network)")
-    ab.add_argument("--dense-grid", default="",
-                    help="dense-stream grid as ROWSxCOLS[xCARD], e.g. "
-                         "12x12 (default: 10x10x2)")
-    ab.add_argument("--dense-observed", type=float, default=-1.0,
-                    help="observed-variable fraction for dense cases "
-                         "(default: the trace-wide fraction)")
-    ab.add_argument("--mix", default="",
-                    help="stream mix for the generated trace "
-                         "(see 'fastbni workload --mix')")
-    ab.add_argument("--components", default="",
-                    help="comma-separated components to ablate "
-                         "(default: all)")
-    ab.add_argument("--repeats", type=int, default=3,
-                    help="counterbalanced replay rounds (round 1's cold "
-                         "costs are counted on purpose)")
-    ab.add_argument("--concurrency", type=int, default=8,
-                    help="concurrent closed-loop connections per replay")
-    ab.add_argument("--max-exact-mb", type=float, default=2.0,
-                    help="auto-routing byte threshold shared by every "
-                         "variant (dense trace networks should overflow it)")
-    ab.add_argument("--out", default="BENCH_ablation.json",
-                    help="output JSON path ('' to skip writing)")
-    ab.set_defaults(func=_cmd_ablate)
+    lazy = _LazyCommands(add_bench_commands)
+    lazy.update(sub.choices)
+    sub.choices = sub._name_parser_map = lazy
     return p
 
 

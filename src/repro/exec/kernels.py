@@ -195,27 +195,6 @@ def nd_marginalize_batch(values: np.ndarray, shape: tuple[int, ...],
         values.reshape((k,) + tuple(shape)).sum(axis=axes).reshape(k, -1))
 
 
-def nd_absorb_batch(values: np.ndarray, msg: np.ndarray,
-                    dst_shape: tuple[int, ...], msg_shape: tuple[int, ...],
-                    axes: tuple[int, ...]) -> None:
-    """Batched in-place ``values *= extend(msg)`` over the case axis.
-
-    ``axes[i]`` is the destination axis of the message's *i*-th variable;
-    unlike :func:`nd_absorb` the message order need not be a sub-order of
-    the destination's (general domains transpose first).
-    """
-    k = values.shape[0]
-    nd = msg.reshape((k,) + tuple(msg_shape))
-    order = sorted(range(len(axes)), key=lambda i: axes[i])
-    if order != list(range(len(axes))):
-        nd = nd.transpose((0,) + tuple(o + 1 for o in order))
-    bshape = [1] * (len(dst_shape) + 1)
-    bshape[0] = k
-    for i, ax in enumerate(axes):
-        bshape[ax + 1] = msg_shape[i]
-    values.reshape((k,) + tuple(dst_shape))[...] *= nd.reshape(bshape)
-
-
 # ---------------------------------------------------------------------- ratios
 def ratio_vector(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     """Separator update ``new/old`` with the JT convention ``x/0 = 0``."""

@@ -20,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import PotentialError
-from repro.exec.kernels import (gather_absorb_batch, gather_marginalize_batch,
-                                nd_absorb_batch, nd_marginalize_batch)
+from repro.exec.kernels import gather_marginalize_batch, nd_marginalize_batch
 from repro.potential.domain import Domain
 from repro.potential.factor import Potential
 from repro.potential.index_map import (
@@ -217,39 +216,6 @@ def marginalize_batch(values: np.ndarray, domain: Domain,
         return nd_marginalize_batch(values, domain.shape, drop)
     return gather_marginalize_batch(values, map_indices(domain, out_dom),
                                     out_dom.size)
-
-
-def absorb_batch(values: np.ndarray, domain: Domain,
-                 other: np.ndarray, other_domain: Domain,
-                 method: str = "auto") -> None:
-    """In-place batched ``values *= extend(other)`` over the case axis.
-
-    ``values`` is ``(N, domain.size)``, ``other`` is ``(N, other_domain.size)``
-    with ``other_domain``'s scope contained in ``domain``'s; row *i* of
-    ``other`` is extended into ``domain`` and multiplied into row *i* of
-    ``values`` — the batched form of :func:`multiply_into` (the Hugin
-    absorption update) for ``N`` cases in one broadcast.
-
-    Thin domain-level wrapper over the shared plan kernels
-    (:mod:`repro.exec.kernels`): the domain algebra resolves here, the
-    table work happens there.
-    """
-    method = _check_method(method)
-    missing = [n for n in other_domain.names if n not in domain]
-    if missing:
-        raise PotentialError(
-            f"absorb_batch requires scope containment; {missing} not in "
-            f"{domain.names}"
-        )
-    if values.ndim != 2 or other.ndim != 2 or values.shape[0] != other.shape[0]:
-        raise PotentialError(
-            f"batch shapes {values.shape} / {other.shape} disagree on the case axis"
-        )
-    if method == "ndview":
-        axes = tuple(domain.axis(v) for v in other_domain.variables)
-        nd_absorb_batch(values, other, domain.shape, other_domain.shape, axes)
-    else:
-        gather_absorb_batch(values, other, map_indices(domain, other_domain))
 
 
 # ------------------------------------------------------------------- normalize

@@ -49,10 +49,8 @@ from repro.bn.repository import resolve_network
 from repro.core.batch import BatchedFastBNI
 from repro.errors import NetworkError, PlannerError, ReproError
 from repro.exec.engine_api import CAPABILITIES_BY_KIND
-from repro.jt.calibrate import calibrate
-from repro.jt.query import all_posteriors
 from repro.jt.serialize import load_tree, save_tree
-from repro.jt.structure import JunctionTree, TreeState
+from repro.jt.structure import JunctionTree
 from repro.service.cache import InferenceCache
 from repro.service.metrics import ServiceMetrics
 
@@ -68,18 +66,15 @@ def _cache_key(name: str) -> str:
 
 @dataclass
 class ModelEntry:
-    """One resident model: network, engine, and calibrated baseline."""
+    """One resident model: network, engine, and no-evidence prior."""
 
     name: str
     net: BayesianNetwork
     engine: "BatchedFastBNI | ApproxBNI"
-    #: No-evidence calibrated tree state, kept resident so prior queries
-    #: (and the ``info`` endpoint) never re-propagate.  ``None`` for
-    #: approximate entries (there is no tree to calibrate).
-    baseline: "TreeState | None"
-    #: Prior marginals read off the baseline, ``{var: (card,) array}``.
+    #: No-evidence marginals ``{var: (card,) array}``, computed once at
+    #: load so prior queries (and the ``info`` endpoint) never propagate.
     prior: dict[str, np.ndarray]
-    #: Estimated resident footprint (tables + maps + baseline), for LRU.
+    #: Estimated resident footprint (tables + maps + prior), for LRU.
     resident_bytes: int
     #: Wire label of the engine class (``engine.capabilities.kind``);
     #: behavioural decisions dispatch on :attr:`capabilities`, never on
@@ -253,39 +248,7 @@ class ModelRegistry:
         racing on the same cold name may both compile; the first to
         register wins and the loser's engine is closed.
         """
-        policy = engine if engine is not None else self.planner.policy
-        if policy not in POLICIES:
-            raise PlannerError(
-                f"unknown engine policy {policy!r}; expected one of {POLICIES}")
-        if policy == "auto":
-            kind = self.plan_for(name).engine
-        else:
-            kind = policy
-        key = entry_key(name, kind)
-        with self._lock:
-            if self._closed:
-                raise NetworkError("model registry is closed")
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                if self.metrics is not None:
-                    self.metrics.observe_cache(hit=True)
-                return entry
-        loaded = self._load(name, kind)
-        with self._lock:
-            if self._closed:
-                loaded.engine.close()
-                raise NetworkError("model registry is closed")
-            existing = self._entries.get(key)
-            if existing is not None:
-                loaded.engine.close()
-                self._entries.move_to_end(key)
-                return existing
-            if self.metrics is not None:
-                self.metrics.observe_cache(hit=False)
-            self._entries[key] = loaded
-            self._evict_over_budget()
-            return loaded
+        return self._lookup(name, engine, pins=0)
 
     def get_pinned(self, name: str, engine: str | None = None) -> ModelEntry:
         """Atomic :meth:`get` + :meth:`pin`: no eviction window in between.
@@ -298,6 +261,9 @@ class ModelRegistry:
         closed — until the matching :meth:`unpin`.  Callers must unpin in
         a ``finally``.
         """
+        return self._lookup(name, engine, pins=1)
+
+    def _lookup(self, name: str, engine: str | None, pins: int) -> ModelEntry:
         policy = engine if engine is not None else self.planner.policy
         if policy not in POLICIES:
             raise PlannerError(
@@ -310,7 +276,7 @@ class ModelRegistry:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                entry.pins += 1
+                entry.pins += pins
                 if self.metrics is not None:
                     self.metrics.observe_cache(hit=True)
                 return entry
@@ -320,15 +286,15 @@ class ModelRegistry:
                 loaded.engine.close()
                 raise NetworkError("model registry is closed")
             existing = self._entries.get(key)
-            if existing is not None:
+            if existing is not None:  # lost the race to a concurrent load
                 loaded.engine.close()
                 self._entries.move_to_end(key)
-                existing.pins += 1
+                existing.pins += pins
                 return existing
             if self.metrics is not None:
                 self.metrics.observe_cache(hit=False)
             self._entries[key] = loaded
-            loaded.pins += 1
+            loaded.pins += pins
             self._evict_over_budget()
             return loaded
 
@@ -422,9 +388,7 @@ class ModelRegistry:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
             save_tree(engine.tree, cache_path)
 
-        baseline = engine.tree.fresh_state()
-        calibrate(baseline, engine.schedule)
-        prior = all_posteriors(baseline)
+        prior = dict(engine.infer({}).posteriors)
 
         inference_cache = None
         if self.cache_enabled:
@@ -434,7 +398,6 @@ class ModelRegistry:
             name=name,
             net=net,
             engine=engine,
-            baseline=baseline,
             prior=prior,
             resident_bytes=self._estimate_bytes(engine, prior),
             engine_kind=engine.capabilities.kind,
@@ -457,7 +420,6 @@ class ModelRegistry:
             name=name,
             net=net,
             engine=engine,
-            baseline=None,
             prior=prior,
             resident_bytes=resident,
             engine_kind=engine.capabilities.kind,
@@ -472,11 +434,8 @@ class ModelRegistry:
 
     @staticmethod
     def _estimate_bytes(engine: BatchedFastBNI, prior: dict[str, np.ndarray]) -> int:
-        """Resident footprint: baseline tables + base cliques + index maps."""
-        stats = engine.tree.stats()
-        table_entries = int(stats["total_clique_size"] + stats["total_separator_size"])
-        n = 8 * table_entries                        # baseline TreeState
-        n += 8 * int(stats["total_clique_size"])     # cached CPT products
+        """Resident footprint: base cliques + index maps + prior."""
+        n = 8 * int(engine.tree.stats()["total_clique_size"])  # CPT products
         n += 8 * int(engine.plan.stats()["plan_map_entries"])  # int64 index maps
         n += sum(8 * v.size for v in prior.values())
         return n

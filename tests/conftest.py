@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,17 @@ def cancer():
 @pytest.fixture(scope="session")
 def sprinkler():
     return load_dataset("sprinkler")
+
+
+@pytest.fixture(scope="session")
+def cb():
+    """``tools/check_bench.py`` — outside the package, so loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "check_bench",
+        Path(__file__).resolve().parent.parent / "tools" / "check_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -8,8 +8,8 @@ import pytest
 
 from repro.bench.ablation_matrix import (AGREEMENT_TOLERANCE, COMPONENTS,
                                          SCHEMA, _agreement, _answer_diff,
-                                         render_ablation, run_ablation,
-                                         write_ablation)
+                                         render_ablation, run_ablation)
+from repro.bench.artifact import write_report
 from repro.bench.traffic import generate_trace
 from repro.errors import QueryError
 
@@ -106,7 +106,7 @@ class TestRunAblation:
             assert agree["max_abs_diff"] <= AGREEMENT_TOLERANCE
 
     def test_report_is_json_serializable(self, report, tmp_path):
-        path = write_ablation(report, tmp_path / "BENCH_ablation.json")
+        path = write_report(report, tmp_path / "BENCH_ablation.json")
         loaded = json.loads(path.read_text())
         assert loaded["schema"] == SCHEMA
         assert len(loaded["components"]) == 2

@@ -18,7 +18,7 @@ from repro.jt.engine import BatchInferenceResult
 from repro.parallel.chunking import chunk_cases
 from repro.potential.domain import Domain
 from repro.potential.factor import Potential
-from repro.potential.ops import absorb_batch, marginalize, marginalize_batch, multiply_into
+from repro.potential.ops import marginalize, marginalize_batch
 
 
 def _assert_matches_loop(net, cases, batch, loop, atol=1e-9):
@@ -247,33 +247,10 @@ class TestBatchedOps:
                 ref = marginalize(Potential(dom, values[i]), keep)
                 assert np.allclose(nd[i], ref.values, atol=1e-12)
 
-    def test_absorb_batch_matches_multiply_into(self, rng):
-        dom = self._domain(rng)
-        sub = dom.subset(("a", "c"))
-        for method in ("ndview", "indexmap"):
-            values = rng.random((4, dom.size))
-            ratios = rng.random((4, sub.size))
-            expected = []
-            for i in range(4):
-                pot = Potential(dom, values[i].copy())
-                multiply_into(pot, Potential(sub, ratios[i]))
-                expected.append(pot.values)
-            absorb_batch(values, dom, ratios, sub, method=method)
-            assert np.allclose(values, np.stack(expected), atol=1e-12)
-
     def test_marginalize_batch_validates_shape(self, rng):
         dom = self._domain(rng)
         with pytest.raises(PotentialError):
             marginalize_batch(rng.random((2, dom.size + 1)), dom, ("a",))
-
-    def test_absorb_batch_requires_containment(self, rng):
-        from repro.bn.variable import Variable
-
-        dom = self._domain(rng)
-        other = Domain((Variable("z", ("0", "1")),))
-        with pytest.raises(PotentialError):
-            absorb_batch(rng.random((2, dom.size)), dom,
-                         rng.random((2, 2)), other)
 
 
 class TestBatchedGatherKernels:

@@ -112,7 +112,7 @@ class TestTable1Driver:
 
 class TestAblationHelpers:
     def test_structure_networks_shapes(self):
-        from repro.bench.ablations import structure_networks
+        from repro.bench.figures import structure_networks
 
         nets = structure_networks(size=20, card=2)
         assert len(nets) == 4
@@ -120,6 +120,6 @@ class TestAblationHelpers:
             net.validate()
 
     def test_root_center_is_optimal(self):
-        from repro.bench.ablations import root_center_is_optimal
+        from repro.bench.figures import root_center_is_optimal
 
         assert root_center_is_optimal("hailfinder")

@@ -1,38 +1,34 @@
-"""Direct unit tests for every ``tools/check_bench.py`` gate mode.
+"""Direct unit tests for every artifact's gate rows and their evaluator.
 
 check_bench guards CI: if *it* silently breaks, every bench regression
-sails through.  These tests exercise each gate (exec, sessions, obs,
-cluster, ablation) against synthetic reports on both the pass and the
-fail path, plus ``main()``'s wiring (flag routing, exit codes, the
-``--fresh ''`` skip).  The script lives in tools/, outside the package,
-so it is loaded by file path.
+sails through.  These tests hold each spec's rows (exec, sessions,
+incremental, obs, cluster, ablation) against synthetic reports on both
+the pass and the fail path — a failure must name the JSON path of the
+row that caught it — plus ``main()``'s wiring (flag routing, exit codes,
+the ``--fresh ''`` skip).  ``cb`` is the tool, loaded by ``conftest.py``.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.bench import ablation_matrix, cluster, execbench, obs, overlap
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture(scope="module")
-def cb():
-    spec = importlib.util.spec_from_file_location(
-        "check_bench", REPO_ROOT / "tools" / "check_bench.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def failures_of(cb, spec, report, committed=None) -> list[str]:
+    return cb.evaluate(spec, report, committed)[0]
 
 
 # ----------------------------------------------------------- exec fixtures
 def exec_report(ms: float = 1.0, speedup: float = 1.5,
                 diff: float = 1e-12) -> dict:
     return {
-        "schema": "exec-schema",
+        "schema": execbench.SCHEMA,
         "rows": [
             {"path": "batched", "kernels": "fused", "ms_per_case": ms},
             {"path": "batched", "kernels": "numpy", "ms_per_case": 2 * ms},
@@ -44,44 +40,39 @@ def exec_report(ms: float = 1.0, speedup: float = 1.5,
 
 
 class TestExecCheck:
+    def check(self, cb, fresh, committed):
+        return failures_of(cb, execbench.SPEC, fresh, committed)
+
     def test_identical_reports_pass(self, cb):
-        assert cb.check(exec_report(), exec_report(), 0.25, 1.2,
-                        absolute=False) == []
+        assert self.check(cb, exec_report(), exec_report()) == []
 
     def test_uniform_slowdown_passes_normalised(self, cb):
         """A uniformly slower machine is not a regression."""
-        assert cb.check(exec_report(ms=3.0), exec_report(ms=1.0),
-                        0.25, 1.2, absolute=False) == []
-
-    def test_uniform_slowdown_fails_absolute(self, cb):
-        failures = cb.check(exec_report(ms=3.0), exec_report(ms=1.0),
-                            0.25, 1.2, absolute=True)
-        assert len(failures) == 3
+        assert self.check(cb, exec_report(ms=3.0), exec_report(ms=1.0)) == []
 
     def test_single_row_regression_fails(self, cb):
         fresh = exec_report()
         fresh["rows"][0]["ms_per_case"] = 10.0
-        failures = cb.check(fresh, exec_report(), 0.25, 1.2, absolute=False)
+        failures = self.check(cb, fresh, exec_report())
         assert len(failures) == 1
-        assert "batched/fused" in failures[0]
+        assert "vs_baseline.relative[batched/fused]" in failures[0]
 
     def test_speedup_floor(self, cb):
-        failures = cb.check(exec_report(speedup=1.05), exec_report(),
-                            0.25, 1.2, absolute=False)
-        assert any("fell below" in f for f in failures)
+        failures = self.check(cb, exec_report(speedup=1.05), exec_report())
+        assert any("single_case.speedup_fused = 1.05, floor >= 1.2" in f
+                   for f in failures)
 
     def test_kernel_divergence_fails(self, cb):
-        failures = cb.check(exec_report(diff=1e-6), exec_report(),
-                            0.25, 1.2, absolute=False)
-        assert any("diverge" in f for f in failures)
+        failures = self.check(cb, exec_report(diff=1e-6), exec_report())
+        assert any("max_abs_diff" in f for f in failures)
 
     def test_no_shared_rows(self, cb):
         fresh = exec_report()
         fresh["rows"] = [{"path": "other", "kernels": "fused",
                           "ms_per_case": 1.0}]
-        failures = cb.check(fresh, exec_report(), 0.25, 1.2, absolute=False)
-        assert failures == ["no comparable rows between fresh and baseline "
-                            "reports"]
+        failures = self.check(cb, fresh, exec_report())
+        assert failures == ["BENCH_exec.json: vs_baseline.shared_rows = 0, "
+                            "floor >= 1"]
 
 
 # ---------------------------------------------------------- native fixtures
@@ -106,65 +97,71 @@ def native_report(speedup: float = 2.0, scaling: float = 1.6,
 
 
 class TestNativeCheck:
+    def check(self, cb, report):
+        failures, notes, _ = cb.evaluate(execbench.SPEC, report)
+        return failures, notes
+
     def test_pass(self, cb):
-        failures, notes = cb.check_native(native_report(), 1.5, 1.3)
+        failures, notes = self.check(cb, native_report())
         assert failures == [] and notes == []
 
     def test_schema1_report_notes_and_passes(self, cb):
         """Reports from before the native backend carry no gates."""
-        failures, notes = cb.check_native(exec_report(), 1.5, 1.3)
+        failures, notes = self.check(cb, exec_report())
         assert failures == []
         assert notes and "schema 1" in notes[0]
 
     def test_unavailable_backend_notes_and_passes(self, cb):
         report = native_report(available=False, reason="no C compiler")
-        failures, notes = cb.check_native(report, 1.5, 1.3)
+        failures, notes = self.check(cb, report)
         assert failures == []
         assert notes and "no C compiler" in notes[0]
 
     def test_speedup_floor_fails(self, cb):
-        failures, _ = cb.check_native(native_report(speedup=1.1), 1.5, 1.3)
-        assert any("below the 1.50x floor" in f for f in failures)
+        failures, _ = self.check(cb, native_report(speedup=1.1))
+        assert any("single_case.speedup_native = 1.1, floor >= 1.5" in f
+                   for f in failures)
 
     def test_missing_thread_scaling_fails(self, cb):
         report = native_report()
         report["thread_scaling"] = {}
-        failures, _ = cb.check_native(report, 1.5, 1.3)
-        assert any("no thread_scaling measurement" in f for f in failures)
+        failures, _ = self.check(cb, report)
+        assert any("report has no thread_scaling.scaling" in f
+                   for f in failures)
 
     def test_gil_release_collapse_fails_everywhere(self, cb):
         """The GIL witness is machine-independent — it fails even on a
         small box where the scaling floor itself is degraded."""
-        failures, _ = cb.check_native(
-            native_report(gil_release=0.001, cores=2, scaling=0.9),
-            1.5, 1.3)
-        assert any("no longer release the GIL" in f for f in failures)
+        failures, _ = self.check(
+            cb, native_report(gil_release=0.001, cores=2, scaling=0.9))
+        assert any("thread_scaling.gil_release = 0.001, floor >= 0.05" in f
+                   for f in failures)
 
     def test_scaling_floor_enforced_on_capable_machine(self, cb):
-        failures, notes = cb.check_native(
-            native_report(scaling=1.1, cores=8, headroom=1.8), 1.5, 1.3)
-        assert any("below the 1.30x floor" in f for f in failures)
+        failures, notes = self.check(
+            cb, native_report(scaling=1.1, cores=8, headroom=1.8))
+        assert any("thread_scaling.scaling = 1.1, floor >= 1.3" in f
+                   for f in failures)
         assert notes == []
 
     def test_small_box_degrades_with_note(self, cb):
         """2-core runners get the bounded-overhead floor, not 1.3x."""
-        failures, notes = cb.check_native(
-            native_report(scaling=0.9, cores=2), 1.5, 1.3)
+        failures, notes = self.check(cb, native_report(scaling=0.9, cores=2))
         assert failures == []
         assert notes and "degraded to bounded-overhead" in notes[0]
 
     def test_no_headroom_degrades_with_note(self, cb):
         """Plenty of cores but the ALU probe shows two GIL-free calls
         cannot overlap (stolen/shared vCPUs) — degrade, don't fail."""
-        failures, notes = cb.check_native(
-            native_report(scaling=1.0, cores=8, headroom=1.05), 1.5, 1.3)
+        failures, notes = self.check(
+            cb, native_report(scaling=1.0, cores=8, headroom=1.05))
         assert failures == []
         assert notes and "headroom probe measured 1.05x" in notes[0]
 
     def test_degraded_floor_still_bounds_overhead(self, cb):
-        failures, _ = cb.check_native(
-            native_report(scaling=0.3, cores=2), 1.5, 1.3)
-        assert any("bounded-overhead floor" in f for f in failures)
+        failures, _ = self.check(cb, native_report(scaling=0.3, cores=2))
+        assert any("thread_scaling.scaling = 0.3, floor >= 0.5" in f
+                   for f in failures)
 
 
 # -------------------------------------------------------- sessions fixtures
@@ -179,26 +176,63 @@ def sessions_report(speedup: float = 6.0, diff: float = 1e-13) -> dict:
 
 
 class TestSessionsCheck:
+    def check(self, cb, report):
+        return failures_of(cb, overlap.SESSIONS, report)
+
     def test_pass(self, cb):
-        assert cb.check_sessions(sessions_report(), 5.0) == []
+        assert self.check(cb, sessions_report()) == []
 
     def test_wrong_schema(self, cb):
-        failures = cb.check_sessions({"schema": "nope"}, 5.0)
+        failures = self.check(cb, {"schema": "nope"})
         assert failures and "schema mismatch" in failures[0]
 
     def test_headline_speedup_floor(self, cb):
-        failures = cb.check_sessions(sessions_report(speedup=3.0), 5.0)
-        assert any("below" in f for f in failures)
+        failures = self.check(cb, sessions_report(speedup=3.0))
+        assert any("rows[1].speedup = 3, floor >= 5" in f for f in failures)
 
     def test_missing_headline_row(self, cb):
         report = sessions_report()
         report["rows"] = [report["rows"][0]]
-        failures = cb.check_sessions(report, 5.0)
+        failures = self.check(cb, report)
         assert any("no 0.75-overlap" in f for f in failures)
 
     def test_divergence_fails_every_row(self, cb):
-        failures = cb.check_sessions(sessions_report(diff=1e-9), 5.0)
+        failures = self.check(cb, sessions_report(diff=1e-9))
         assert len(failures) == 2
+
+
+class TestIncrementalCheck:
+    """The acceptance that used to live in a docs block: >= 3x at every
+    overlap >= 0.75, agreement strictly under 1e-12."""
+
+    def report(self, speedup=4.0, diff=1e-15):
+        return {"schema": "fastbni-bench-incremental-v1",
+                "rows": [{"overlap": 0.5, "speedup": 1.2, "max_abs_diff": diff},
+                         {"overlap": 0.75, "speedup": speedup,
+                          "max_abs_diff": diff},
+                         {"overlap": 1.0, "speedup": 9.0, "max_abs_diff": diff}]}
+
+    def test_pass(self, cb):
+        assert failures_of(cb, overlap.INCREMENTAL, self.report()) == []
+
+    def test_high_overlap_floor(self, cb):
+        failures = failures_of(cb, overlap.INCREMENTAL,
+                               self.report(speedup=2.0))
+        assert failures == ["BENCH_incremental.json: rows[1].speedup = 2, "
+                            "floor >= 3"]
+
+    def test_low_overlap_rows_are_not_held_to_the_floor(self, cb):
+        report = self.report()
+        report["rows"][0]["speedup"] = 0.5
+        assert failures_of(cb, overlap.INCREMENTAL, report) == []
+
+    def test_divergence_and_missing_rows_fail(self, cb):
+        assert len(failures_of(cb, overlap.INCREMENTAL,
+                               self.report(diff=1e-12))) == 3
+        report = self.report()
+        report["rows"] = report["rows"][:1]
+        assert any("no 0.75-overlap" in f
+                   for f in failures_of(cb, overlap.INCREMENTAL, report))
 
 
 # ------------------------------------------------------------- obs fixtures
@@ -221,42 +255,45 @@ def obs_report(off: float = 1.0, sampled: float = 5.0,
 
 
 def cb_required_spans():
-    return {"request", "parse", "registry_lookup", "queue_wait",
-            "cache_lookup", "execute", "serialize"}
+    return set(obs.REQUIRED_SPANS)
 
 
 class TestObsCheck:
+    def check(self, cb, report):
+        return failures_of(cb, obs.SPEC, report)
+
     def test_pass(self, cb):
-        assert cb.check_obs(obs_report(), 2.0, 10.0) == []
+        assert self.check(cb, obs_report()) == []
 
     def test_wrong_schema(self, cb):
-        failures = cb.check_obs({"schema": "nope"}, 2.0, 10.0)
+        failures = self.check(cb, {"schema": "nope"})
         assert failures and "schema mismatch" in failures[0]
 
     def test_off_budget(self, cb):
-        failures = cb.check_obs(obs_report(off=3.5), 2.0, 10.0)
-        assert any("(off)" in f for f in failures)
+        failures = self.check(cb, obs_report(off=3.5))
+        assert any("modes.off.overhead_pct = 3.5, floor <= 2" in f
+                   for f in failures)
 
     def test_sampled_budget(self, cb):
-        failures = cb.check_obs(obs_report(sampled=15.0), 2.0, 10.0)
+        failures = self.check(cb, obs_report(sampled=15.0))
         assert any("sampled_1pct" in f for f in failures)
 
     def test_no_traces_sampled(self, cb):
-        failures = cb.check_obs(obs_report(traces=0), 2.0, 10.0)
-        assert any("sampled no traces" in f for f in failures)
+        failures = self.check(cb, obs_report(traces=0))
+        assert any("traces_sampled = 0" in f for f in failures)
 
     def test_no_slow_log_entries(self, cb):
-        failures = cb.check_obs(obs_report(slow=0), 2.0, 10.0)
-        assert any("slow-log" in f for f in failures)
+        failures = self.check(cb, obs_report(slow=0))
+        assert any("slow_queries = 0" in f for f in failures)
 
     def test_witness_span_coverage(self, cb):
-        failures = cb.check_obs(obs_report(spans=["request", "parse"]),
-                                2.0, 10.0)
-        assert any("lack stage spans" in f for f in failures)
+        failures = self.check(cb, obs_report(spans=["request", "parse"]))
+        assert any("witness.span_names lacks" in f and "'execute'" in f
+                   for f in failures)
 
     def test_no_executed_traces(self, cb):
-        failures = cb.check_obs(obs_report(executed=0), 2.0, 10.0)
-        assert any("no engine-executing traces" in f for f in failures)
+        failures = self.check(cb, obs_report(executed=0))
+        assert any("witness.executed_traces = 0" in f for f in failures)
 
 
 # --------------------------------------------------------- cluster fixtures
@@ -272,36 +309,39 @@ def cluster_report(speedup: float = 2.5, workers: int = 4, cores: int = 8,
 
 
 class TestClusterCheck:
+    def check(self, cb, report):
+        return failures_of(cb, cluster.SPEC, report)
+
     def test_pass(self, cb):
-        assert cb.check_cluster(cluster_report()) == []
+        assert self.check(cb, cluster_report()) == []
 
     def test_wrong_schema(self, cb):
-        failures = cb.check_cluster({"schema": "nope"})
+        failures = self.check(cb, {"schema": "nope"})
         assert failures and "schema mismatch" in failures[0]
 
-    def test_floor_scales_with_machine(self, cb):
-        assert cb.cluster_floor(4, 2) == pytest.approx(0.75)
-        assert cb.cluster_floor(4, 8) == pytest.approx(2.4)
-        assert cb.cluster_floor(8, 16) == pytest.approx(3.0)
+    def test_floor_scales_with_machine(self):
+        assert cluster.cluster_floor(4, 2) == pytest.approx(0.75)
+        assert cluster.cluster_floor(4, 8) == pytest.approx(2.4)
+        assert cluster.cluster_floor(8, 16) == pytest.approx(3.0)
 
     def test_small_box_tolerates_no_speedup(self, cb):
-        assert cb.check_cluster(cluster_report(speedup=0.9, cores=2)) == []
+        assert self.check(cb, cluster_report(speedup=0.9, cores=2)) == []
 
     def test_speedup_floor_fails(self, cb):
-        failures = cb.check_cluster(cluster_report(speedup=1.2))
-        assert any("machine-aware" in f for f in failures)
+        failures = self.check(cb, cluster_report(speedup=1.2))
+        assert failures == ["BENCH_cluster.json: speedup = 1.2, floor >= 2.4"]
 
     def test_answer_divergence_fails(self, cb):
-        failures = cb.check_cluster(cluster_report(diff=1e-6))
-        assert any("diverge" in f for f in failures)
+        failures = self.check(cb, cluster_report(diff=1e-6))
+        assert any("same_answer.max_abs_diff" in f for f in failures)
 
     def test_no_witness_cases_fails(self, cb):
-        failures = cb.check_cluster(cluster_report(cases=0))
-        assert any("no cases" in f for f in failures)
+        failures = self.check(cb, cluster_report(cases=0))
+        assert any("same_answer.cases = 0" in f for f in failures)
 
     def test_missing_config(self, cb):
-        failures = cb.check_cluster({"schema": "fastbni-bench-cluster-v1"})
-        assert failures == ["cluster report lacks config.workers/cpu_cores"]
+        failures = self.check(cb, {"schema": "fastbni-bench-cluster-v1"})
+        assert any("speedup" in f and "config" in f for f in failures)
 
 
 # -------------------------------------------------------- ablation fixtures
@@ -329,65 +369,73 @@ def ablation_report(components=None, base_errors: int = 0) -> dict:
 
 
 class TestAblationCheck:
+    def check(self, cb, report, committed=None):
+        return failures_of(cb, ablation_matrix.SPEC, report, committed)
+
     def test_pass_against_self(self, cb):
         report = ablation_report()
-        assert cb.check_ablation(report, report) == []
+        assert self.check(cb, report, report) == []
 
     def test_pass_without_baseline(self, cb):
-        assert cb.check_ablation(ablation_report()) == []
+        assert self.check(cb, ablation_report()) == []
 
     def test_wrong_schema(self, cb):
-        failures = cb.check_ablation({"schema": "nope"})
+        failures = self.check(cb, {"schema": "nope"})
         assert failures and "schema mismatch" in failures[0]
 
     def test_empty_matrix_fails(self, cb):
         report = ablation_report()
         report["components"] = []
-        assert cb.check_ablation(report) == [
-            "ablation report ranks no components"]
+        assert self.check(cb, report) == [
+            "BENCH_ablation.json: components[rank=1].rps_ratio: "
+            "no 1-rank row in components"]
 
     def test_answer_divergence_fails(self, cb):
         report = ablation_report()
         report["components"][0]["agreement"]["max_abs_diff"] = 1e-6
-        failures = cb.check_ablation(report)
-        assert any("diverge" in f for f in failures)
+        failures = self.check(cb, report)
+        assert any("components[0].agreement.max_abs_diff" in f
+                   for f in failures)
 
     def test_mismatched_events_fail(self, cb):
         report = ablation_report()
         report["components"][1]["agreement"]["mismatched"] = 3
-        failures = cb.check_ablation(report)
-        assert any("disagree" in f for f in failures)
+        failures = self.check(cb, report)
+        assert any("components[1].agreement.mismatched = 3" in f
+                   for f in failures)
 
     def test_unchecked_variant_fails(self, cb):
         """Zero checked events means the agreement gate proved nothing."""
         report = ablation_report()
         report["components"][0]["agreement"]["checked"] = 0
-        failures = cb.check_ablation(report)
-        assert any("no deterministic events" in f for f in failures)
+        failures = self.check(cb, report)
+        assert any("components[0].agreement.checked = 0" in f
+                   for f in failures)
 
     def test_replay_errors_fail(self, cb):
         report = ablation_report()
         report["components"][0]["errors"] = 2
-        failures = cb.check_ablation(report)
-        assert any("request errors" in f for f in failures)
+        failures = self.check(cb, report)
+        assert any("components[0].errors = 2" in f for f in failures)
 
     def test_baseline_errors_fail(self, cb):
         report = ablation_report(base_errors=1)
-        failures = cb.check_ablation(report)
+        failures = self.check(cb, report)
         assert failures
 
     def test_committed_artifact_needs_min_components(self, cb):
         fresh = ablation_report()
         committed = ablation_report(components={"cache": 1.4})
-        failures = cb.check_ablation(fresh, committed, min_components=5)
-        assert any("ranks only 1" in f for f in failures)
+        failures = self.check(cb, fresh, committed)
+        assert any("vs_baseline.ranked = 1, floor >= 5" in f
+                   for f in failures)
 
     def test_smoke_subset_passes_full_baseline(self, cb):
         """A CI smoke run covering fewer components is fine — the
         min-components floor applies to the committed artifact."""
         fresh = ablation_report(components={"cache": 1.35})
         committed = ablation_report()
-        assert cb.check_ablation(fresh, committed) == []
+        assert self.check(cb, fresh, committed) == []
 
     def test_erased_contribution_fails(self, cb):
         """The gate's reason to exist: a component whose committed win
@@ -397,9 +445,9 @@ class TestAblationCheck:
             if row["component"] == "cache":
                 row["rps_ratio"] = 1.01
         committed = ablation_report()  # cache committed at 1.40x
-        failures = cb.check_ablation(fresh, committed)
+        failures = self.check(cb, fresh, committed)
         assert len(failures) == 1
-        assert "cache" in failures[0] and "dropped" in failures[0]
+        assert "vs_baseline.retained[cache]" in failures[0]
 
     def test_retained_fraction_passes(self, cb):
         """Noise-level sag within the retain fraction is tolerated."""
@@ -407,20 +455,21 @@ class TestAblationCheck:
         for row in fresh["components"]:
             if row["component"] == "cache":
                 row["rps_ratio"] = 1.15  # >= 1 + 0.25 * (1.40 - 1)
-        assert cb.check_ablation(fresh, ablation_report()) == []
+        assert self.check(cb, fresh, ablation_report()) == []
 
     def test_small_committed_contributions_unguarded(self, cb):
         """Components near 1.0x in the committed run are noise; their
         fresh ratio may wander below 1.0 freely."""
         fresh = ablation_report()
-        for row in fresh["components"]:
-            if row["component"] == "sessions_warm":  # committed 1.18x
-                row["rps_ratio"] = 0.97
-        assert cb.check_ablation(fresh, ablation_report(),
-                                 min_contribution=1.19) == []
+        committed = ablation_report()
+        for report, ratio in ((fresh, 0.97), (committed, 1.14)):
+            for row in report["components"]:
+                if row["component"] == "sessions_warm":
+                    row["rps_ratio"] = ratio
+        assert self.check(cb, fresh, committed) == []
 
     def test_baseline_schema_mismatch(self, cb):
-        failures = cb.check_ablation(ablation_report(), {"schema": "nope"})
+        failures = self.check(cb, ablation_report(), {"schema": "nope"})
         assert any("baseline schema" in f for f in failures)
 
     def test_native_kernels_exempt_when_backend_unavailable(self, cb):
@@ -434,11 +483,11 @@ class TestAblationCheck:
             components={"cache": 1.4, "batcher": 1.3, "native_kernels": 1.0,
                         "planner": 1.2, "sessions_warm": 1.18})
         fresh["native"] = {"available": False, "reason": "no C compiler"}
-        assert cb.check_ablation(fresh, committed) == []
+        assert self.check(cb, fresh, committed) == []
         # With the backend available the same collapse is a hard fail.
         fresh["native"] = {"available": True, "reason": None}
-        failures = cb.check_ablation(fresh, committed)
-        assert any("native_kernels" in f and "dropped" in f
+        failures = self.check(cb, fresh, committed)
+        assert any("vs_baseline.retained[native_kernels]" in f
                    for f in failures)
 
 
@@ -448,6 +497,17 @@ class TestMain:
         path = tmp_path / name
         path.write_text(json.dumps(payload))
         return str(path)
+
+    def test_options_are_artifact_paths_only(self, cb, capsys):
+        """No threshold flag: a floor changes where its row is declared."""
+        with pytest.raises(SystemExit):
+            cb.main(["--help"])
+        options = {word.split()[0].rstrip(",")
+                   for word in capsys.readouterr().out.split("\n  ")
+                   if word.startswith("--")}
+        assert options == {"--fresh", "--baseline", "--sessions-fresh",
+                           "--incremental", "--obs", "--cluster",
+                           "--ablation", "--ablation-baseline"}
 
     def test_exec_pass_and_fail(self, cb, tmp_path, capsys):
         fresh = self.write(tmp_path, "fresh.json", exec_report())
@@ -464,11 +524,13 @@ class TestMain:
         good = self.write(tmp_path, "good.json", native_report())
         assert cb.main(["--fresh", good, "--baseline", base]) == 0
         out = capsys.readouterr().out
-        assert "native speedup 2.00x" in out and "thread scaling" in out
+        assert "single_case.speedup_native 2 (>= 1.5)" in out
+        assert "thread_scaling.scaling 1.6 (>= 1.3)" in out
 
         bad = self.write(tmp_path, "bad.json", native_report(speedup=1.1))
         assert cb.main(["--fresh", bad, "--baseline", base]) == 1
-        assert "below the 1.50x floor" in capsys.readouterr().err
+        assert ("single_case.speedup_native = 1.1, floor >= 1.5"
+                in capsys.readouterr().err)
 
     def test_small_box_note_printed_by_main(self, cb, tmp_path, capsys):
         base = self.write(tmp_path, "base.json", native_report())
@@ -504,7 +566,8 @@ class TestMain:
         good = self.write(tmp_path, "sessions.json", sessions_report())
         assert cb.main(["--fresh", fresh, "--baseline", base,
                         "--sessions-fresh", good]) == 0
-        assert "session speedup" in capsys.readouterr().out
+        assert ("rows[overlap=0.75].speedup 6 (>= 5)"
+                in capsys.readouterr().out)
         bad = self.write(tmp_path, "bad_sessions.json",
                          sessions_report(speedup=1.0))
         assert cb.main(["--fresh", fresh, "--baseline", base,
@@ -516,7 +579,8 @@ class TestMain:
         good = self.write(tmp_path, "obs.json", obs_report())
         assert cb.main(["--fresh", fresh, "--baseline", base,
                         "--obs", good]) == 0
-        assert "tracing-off overhead" in capsys.readouterr().out
+        assert ("modes.off.overhead_pct 1 (<= 2)"
+                in capsys.readouterr().out)
         bad = self.write(tmp_path, "bad_obs.json", obs_report(off=9.0))
         assert cb.main(["--fresh", fresh, "--baseline", base,
                         "--obs", bad]) == 1
@@ -527,7 +591,7 @@ class TestMain:
         good = self.write(tmp_path, "cluster.json", cluster_report())
         assert cb.main(["--fresh", fresh, "--baseline", base,
                         "--cluster", good]) == 0
-        assert "cluster speedup" in capsys.readouterr().out
+        assert "speedup 2.5 (>= 2.4)" in capsys.readouterr().out
         bad = self.write(tmp_path, "bad_cluster.json",
                          cluster_report(diff=1.0))
         assert cb.main(["--fresh", fresh, "--baseline", base,
@@ -540,8 +604,9 @@ class TestMain:
         assert cb.main(["--fresh", "", "--ablation", good,
                         "--ablation-baseline", committed]) == 0
         out = capsys.readouterr().out
-        assert "exec check skipped" in out
-        assert "ablation: 5 component(s)" in out
+        assert "BENCH_exec.json: check skipped" in out
+        assert "components[rank=1].rps_ratio 1.4 (> 0)" in out
+        assert "vs_baseline.ranked 5 (>= 5)" in out
 
     def test_ablation_flag_fail(self, cb, tmp_path, capsys):
         bad = ablation_report()
@@ -563,9 +628,10 @@ class TestMain:
         anchor (self-vs-self for exec; absolute for the rest)."""
         args = ["--fresh", str(REPO_ROOT / "BENCH_exec.json"),
                 "--baseline", str(REPO_ROOT / "BENCH_exec.json")]
-        if (REPO_ROOT / "BENCH_ablation.json").exists():
-            args += ["--ablation", str(REPO_ROOT / "BENCH_ablation.json"),
-                     "--ablation-baseline",
-                     str(REPO_ROOT / "BENCH_ablation.json")]
+        for flag, name in (("--sessions-fresh", "sessions"), ("--obs", "obs"),
+                           ("--incremental", "incremental"),
+                           ("--cluster", "cluster"),
+                           ("--ablation", "ablation")):
+            args += [flag, str(REPO_ROOT / f"BENCH_{name}.json")]
         assert cb.main(args) == 0
         assert "bench ok" in capsys.readouterr().out

@@ -124,6 +124,44 @@ class TestModelRegistry:
                              "hit_rate": pytest.approx(1 / 3),
                              "baseline_hits": 0}
 
+    @pytest.mark.parametrize("method,pins", [("get", 0), ("get_pinned", 1)])
+    def test_one_lookup_behind_get_and_get_pinned(self, method, pins):
+        """``get`` never touches ``pins``; ``get_pinned`` takes exactly one
+        on the cold-load, the hit and the lost-race branch; both count
+        cache hits and misses identically."""
+        observed: list[bool] = []
+
+        class Spy:
+            def observe_cache(self, hit: bool) -> None:
+                observed.append(hit)
+
+        with ModelRegistry(metrics=Spy()) as registry:
+            lookup = getattr(registry, method)
+            cold = lookup("asia")
+            assert (cold.pins, observed) == (pins, [False])
+            hit = lookup("asia")
+            assert hit is cold
+            assert (hit.pins, observed) == (2 * pins, [False, True])
+
+            # Lost race: while this caller compiles, a concurrent load of
+            # the same cold model registers first.
+            load = registry._load
+
+            def load_and_lose(name, kind):
+                registry._entries[name] = load_and_lose.winner = load(name, kind)
+                load_and_lose.loser = load(name, kind)
+                return load_and_lose.loser
+
+            registry._load = load_and_lose
+            raced = lookup("cancer")
+            assert raced is load_and_lose.winner
+            assert raced.pins == pins and raced.engine._closed is False
+            assert load_and_lose.loser.engine._closed is True
+            assert observed == [False, True]  # the loser counts nothing
+            for entry, taken in ((cold, 2 * pins), (raced, pins)):
+                for _ in range(taken):
+                    registry.unpin(entry)
+
     def test_eviction_under_byte_budget(self):
         with ModelRegistry(max_bytes=1) as registry:
             for name in ("asia", "cancer", "sprinkler"):

@@ -81,7 +81,6 @@ class TestRegistryPolicy:
         with make_registry() as registry:
             entry = registry.get("asia", engine="approx")
             assert entry.engine_kind == "approx"
-            assert entry.baseline is None
             assert entry.prior_result is not None
             # The sampled prior still sums to one per variable.
             for p in entry.prior.values():

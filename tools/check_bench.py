@@ -1,87 +1,43 @@
 #!/usr/bin/env python3
-"""Bench-regression guard for the execution layer (the CI bench job).
+"""Bench-regression guard: evaluates each artifact's gate rows (the CI bench jobs).
 
-Compares a freshly generated ``BENCH_exec.json`` against the committed
-baseline and fails when the execution layer got slower:
+Every ``BENCH_*.json`` artifact is declared by a spec in
+``src/repro/bench/`` (listed in ``repro.bench.registry``), and the spec
+owns the floors CI holds the artifact to, as rows beside the code that
+writes the gated fields.  This tool is the front-end: one option per gated
+artifact naming a report, rows evaluated, failures printed.  It has no
+per-artifact code and no threshold options — a floor changes where it is
+declared.
 
-1. **per-row timing** — each (path, kernels) row's ``ms_per_case`` may not
-   exceed its baseline counterpart by more than ``--max-slowdown``
-   (default 25%).  Because CI machines differ from the machine that
-   committed the baseline, rows are first *normalised* by the median
-   fresh/baseline ratio across all rows — a uniformly slower machine
-   passes, a single path regressing relative to its peers fails
-   (``--absolute`` disables the normalisation for same-machine runs);
-2. **fused speedup floor** — the fresh single-case fused-vs-numpy speedup
-   must stay above ``--min-speedup`` (default 1.2; the committed artifact
-   documents the acceptance measurement of >= 1.3 on the baseline
-   machine).  This one is machine-independent: it is a ratio of two runs
-   on the *same* machine;
-3. **correctness coupling** — the fresh ``max_abs_diff`` between kernel
-   backends must stay at float64 round-off (< 1e-9), so a "speedup" can
-   never be bought with diverging answers;
-4. **native floors** — when the fresh report says the native C backend
-   built (``native.available``): the single-case speedup over fused must
-   stay above ``--min-native-speedup`` (default 1.5); the GIL-release
-   witness (Python-counter rate during native calls — collapses to ~0
-   if a change stops releasing the GIL, on any machine) must stay above
-   ``NATIVE_MIN_GIL_RELEASE``; and the 2-worker thread-dispatch scaling
-   must clear ``--min-thread-scaling`` (default 1.3) on machines that
-   can express it — 4+ cores and a parallel-headroom probe above the
-   floor.  Small/shared boxes (2-core CI runners, SMT vCPUs where two
-   memory-bound kernel streams serialise) degrade to a bounded-overhead
-   floor with an explicit printed note — the same machine-aware posture
-   as the cluster gate.  On compiler-less runners every native gate
-   skips with the recorded reason.
+A row is ``Gate(path, op, floor, unless)``:
 
-With ``--sessions-fresh`` it additionally guards the streaming-session
-artifact (``BENCH_sessions.json``): the 0.75-overlap row's session-mode
-speedup over equivalent cold queries must stay above
-``--min-session-speedup`` (default 5.0) — machine-independent, a ratio of
-two runs on the same machine — and every row's ``max_abs_diff`` between
-the session and cold paths must stay ≤ 1e-12.
+* ``path`` is a dotted JSON path into the report.  ``name[*]`` fans out
+  over a list or dict; ``name[key=v]`` / ``name[key>=v]`` select list rows
+  by a numeric field, and selecting nothing is a failure (a row that
+  checks nothing proved nothing);
+* ``op`` is ``<=``, ``<``, ``>=``, ``>`` or ``contains`` (the value holds
+  every element of the floor);
+* ``floor`` is a constant, or ``f(report)`` where the floor depends on the
+  machine the report was generated on (the cluster speedup);
+* ``unless(report)`` is the machine predicate: ``None`` applies the row,
+  a string skips it and, when non-empty, is printed as a ``note:`` (no C
+  compiler, too few cores to express thread scaling).
 
-With ``--obs`` it guards the observability-overhead artifact
-(``BENCH_obs.json``, ``fastbni obsbench``): with tracing disabled the
-shipped defaults may cost at most ``--max-obs-overhead`` (default 2%)
-throughput vs the no-instrumentation baseline, 1% sampling at most
-``--max-obs-sampled`` (default 10%) — both machine-independent paired
-ratios — and the full-tracing run must actually have captured traces,
-filed slow-log entries, and produced span trees covering every request
-stage (the instrument must demonstrably work, not just be cheap).
-
-With ``--cluster`` it guards the sharded-serving artifact
-(``BENCH_cluster.json``, ``fastbni clusterbench``): the same-answer
-witness must stay at float64 round-off (≤ 1e-9 — sharding may never
-change a posterior), and the cluster-vs-single-process speedup must
-clear a floor derived from the machine the report was generated on.  A
-single server already pipelines parsing (event loop) against execution
-(flush thread) across two cores, so boxes with fewer than 4 cores
-cannot show scale-out — there the floor degrades to "sharding adds only
-bounded overhead" (0.75x).  On >= 4 cores the floor is
-``min(3.0, 0.6 * min(workers, cores))``, i.e. the full 3x acceptance
-multiple is demanded exactly when the hardware can express it.
-
-With ``--ablation`` it guards the component-ablation artifact
-(``BENCH_ablation.json``, ``fastbni ablate``): every one-component-off
-variant's deterministic answers must agree with the matrix baseline to
-≤ 1e-9 over at least one checked event with zero replay errors, the
-*committed* artifact must rank at least ``--min-ablation-components``
-components, and any committed contribution ≥ ``--min-contribution``
-must retain ``--ablation-retain-frac`` of its measured win in the fresh
-run — so a PR that erases a component's contribution (ratio collapsing
-to ~1.0x) fails even though every answer is still correct.
+Artifacts held against their committed copy (``BENCH_exec.json``: per-row
+machine-normalised slowdown; ``BENCH_ablation.json``: retained
+contributions) declare ``compare(fresh, committed)``; its result is gated
+under ``vs_baseline.``.  A failure names artifact, JSON path, value and
+floor; on success every row that held is printed with the value nearest
+its floor.
 
 Usage::
 
-    python tools/check_bench.py --fresh BENCH_exec.fresh.json \
-        [--baseline BENCH_exec.json] [--max-slowdown 0.25] \
-        [--min-speedup 1.2] [--absolute] \
-        [--sessions-fresh BENCH_sessions.fresh.json] \
-        [--min-session-speedup 5.0] \
-        [--obs BENCH_obs.fresh.json] [--max-obs-overhead 2.0] \
-        [--max-obs-sampled 10.0] \
-        [--cluster BENCH_cluster.fresh.json] \
-        [--ablation BENCH_ablation.fresh.json]
+    python tools/check_bench.py --fresh BENCH_exec.fresh.json \\
+        [--baseline BENCH_exec.json] \\
+        [--sessions-fresh BENCH_sessions.fresh.json] \\
+        [--incremental BENCH_incremental.json] \\
+        [--obs BENCH_obs.fresh.json] [--cluster BENCH_cluster.fresh.json] \\
+        [--ablation BENCH_ablation.fresh.json] [--ablation-baseline ...]
 
 ``--fresh ''`` skips the exec comparison, so a job can gate a single
 artifact (e.g. ``--fresh '' --ablation BENCH_ablation.fresh.json``).
@@ -92,506 +48,147 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
+import operator
+import re
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.bench.registry import ARTIFACTS  # noqa: E402
+
+_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+        ">": operator.gt}
+_SEGMENT = re.compile(r"(\w+)(?:\[(\*|(\w+)(>=|=)([-+.\de]+))\])?$")
 
 
-def load_rows(report: dict) -> dict[tuple[str, str], float]:
-    return {(row["path"], row["kernels"]): float(row["ms_per_case"])
-            for row in report.get("rows", [])}
+def resolve(doc, path: str) -> list[tuple[str, object]]:
+    """Every ``(concrete path, value)`` that ``path`` names in ``doc``."""
+    found = [("", doc)]
+    for segment in re.split(r"\.(?![^\[]*\])", path):  # dots outside [...]
+        name, selector, key, cmp, ref = _SEGMENT.match(segment).groups()
+        step = []
+        for prefix, node in found:
+            here = f"{prefix}.{name}" if prefix else name
+            if not isinstance(node, dict) or name not in node:
+                raise LookupError(f"report has no {here}")
+            child = node[name]
+            if selector is None:
+                step.append((here, child))
+            elif selector == "*":
+                items = (child.items() if isinstance(child, dict)
+                         else enumerate(child))
+                step += [(f"{here}[{k}]", v) for k, v in items]
+            else:
+                rows = [(f"{here}[{i}]", row) for i, row in enumerate(child)
+                        if (abs(float(row[key]) - float(ref)) < 1e-9
+                            if cmp == "=" else float(row[key]) >= float(ref))]
+                if not rows:
+                    raise LookupError(f"no {ref}-{key} row in {here}")
+                step += rows
+        found = step
+    return found
 
 
-def check(fresh: dict, baseline: dict, max_slowdown: float,
-          min_speedup: float, absolute: bool) -> list[str]:
-    failures: list[str] = []
-
-    fresh_rows = load_rows(fresh)
-    base_rows = load_rows(baseline)
-    shared = sorted(set(fresh_rows) & set(base_rows))
-    if not shared:
-        return ["no comparable rows between fresh and baseline reports"]
-
-    ratios = {key: fresh_rows[key] / base_rows[key] for key in shared}
-    scale = 1.0 if absolute else statistics.median(ratios.values())
-    for key in shared:
-        relative = ratios[key] / scale
-        if relative > 1.0 + max_slowdown:
-            path, kernels = key
-            failures.append(
-                f"{path}/{kernels}: {fresh_rows[key]:.3f} ms/case is "
-                f"{(relative - 1.0) * 100:.0f}% over baseline "
-                f"{base_rows[key]:.3f} ms/case "
-                f"(machine-scale {scale:.2f}, budget {max_slowdown:.0%})"
-            )
-
-    speedup = float(fresh.get("single_case", {}).get("speedup_fused", 0.0))
-    if speedup < min_speedup:
-        failures.append(
-            f"fused single-case speedup {speedup:.2f}x fell below the "
-            f"{min_speedup:.2f}x floor (baseline artifact: "
-            f"{baseline.get('single_case', {}).get('speedup_fused', 0.0):.2f}x)"
-        )
-
-    max_diff = float(fresh.get("max_abs_diff", 1.0))
-    if not max_diff < 1e-9:
-        failures.append(
-            f"kernel backends diverge: max_abs_diff={max_diff:.3e} "
-            "(must stay at float64 round-off)"
-        )
-    return failures
+def _fmt(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
-#: Foreign calls must demonstrably drop the GIL: the report's counter
-#: witness (Python increments during native calls / solo rate) collapses
-#: to ~0 when the GIL is held through the call, on any machine.
-NATIVE_MIN_GIL_RELEASE = 0.05
-#: Cores below which the full thread-scaling floor degrades: with 2
-#: workers + the dispatching thread contending for < 4 cores (and small
-#: boxes typically being shared/SMT vCPUs where two memory-bound kernel
-#: streams serialise), the gate only demands bounded threading overhead —
-#: the same posture as the cluster small-box floor.
-NATIVE_FULL_FLOOR_CORES = 4
-#: Degraded floor on small boxes: threading may not *cost* much even
-#: where it cannot win.
-NATIVE_SMALL_BOX_FLOOR = 0.5
+def evaluate(spec, report: dict, committed: dict | None = None
+             ) -> tuple[list[str], list[str], list[str]]:
+    """``(failures, notes, held)`` of ``report`` against ``spec``'s rows.
 
-
-def check_native(fresh: dict, min_native_speedup: float,
-                 min_thread_scaling: float) -> tuple[list[str], list[str]]:
-    """Native-backend floors: ``(failures, skip_notes)``.
-
-    Three gates, each applied only where it can honestly be measured:
-
-    * the single-case speedup floor whenever the native library built;
-    * the GIL-release witness (machine-independent) whenever it built;
-    * the thread-scaling floor when the machine has
-      ``NATIVE_FULL_FLOOR_CORES``+ cores *and* the pure-ALU headroom
-      probe shows two GIL-free calls can overlap at all — otherwise it
-      degrades to the bounded-overhead floor with a printed note.
+    ``committed`` is the artifact's committed copy; without it (or with
+    one of the wrong schema) the ``vs_baseline.`` rows are not evaluated.
+    ``held`` has one line per row that holds, with its worst value.
     """
+    if report.get("schema") != spec.schema:
+        return [f"{spec.name} schema mismatch: {report.get('schema')!r} "
+                f"(expected {spec.schema!r})"], [], []
     failures: list[str] = []
     notes: list[str] = []
-    native = fresh.get("native")
-    if native is None:
-        notes.append("native gates skipped: report predates the native "
-                     "backend (schema 1)")
-        return failures, notes
-    if not native.get("available"):
-        notes.append("native gates skipped: backend unavailable on this "
-                     f"runner ({native.get('reason')})")
-        return failures, notes
-
-    speedup = float(fresh.get("single_case", {}).get("speedup_native")
-                    or 0.0)
-    if speedup < min_native_speedup:
-        failures.append(
-            f"native single-case speedup over fused is {speedup:.2f}x, "
-            f"below the {min_native_speedup:.2f}x floor")
-
-    scaling_row = fresh.get("thread_scaling") or {}
-    if "scaling" not in scaling_row:
-        failures.append("native backend is available but the report has "
-                        "no thread_scaling measurement")
-        return failures, notes
-    gil_release = float(scaling_row.get("gil_release") or 0.0)
-    if gil_release < NATIVE_MIN_GIL_RELEASE:
-        failures.append(
-            f"GIL-release witness is {gil_release:.3f} (floor "
-            f"{NATIVE_MIN_GIL_RELEASE}): native calls no longer release "
-            "the GIL")
-    headroom = float(scaling_row.get("headroom") or 0.0)
-    scaling = float(scaling_row["scaling"])
-    cores = int(scaling_row.get("cpu_count") or 0)
-    workers = scaling_row.get("workers")
-    if cores >= NATIVE_FULL_FLOOR_CORES and headroom >= min_thread_scaling:
-        if scaling < min_thread_scaling:
+    held: list[str] = []
+    doc = report
+    if committed is not None and spec.compare is not None:
+        if committed.get("schema") != spec.schema:
             failures.append(
-                f"thread-dispatch calibration scaling is {scaling:.2f}x "
-                f"at {workers} workers, below the "
-                f"{min_thread_scaling:.2f}x floor (headroom probe showed "
-                f"{headroom:.2f}x is available on {cores} cores)")
-    else:
-        reason = (f"only {cores} core(s)"
-                  if cores < NATIVE_FULL_FLOOR_CORES else
-                  f"headroom probe measured {headroom:.2f}x")
-        notes.append(
-            f"thread-scaling floor degraded to bounded-overhead "
-            f"({NATIVE_SMALL_BOX_FLOOR:.2f}x): {reason} — this machine "
-            f"cannot express {min_thread_scaling:.2f}x (measured "
-            f"scaling: {scaling:.2f}x, GIL-release {gil_release:.2f})")
-        if scaling < NATIVE_SMALL_BOX_FLOOR:
-            failures.append(
-                f"thread-dispatch calibration scaling is {scaling:.2f}x "
-                f"at {workers} workers — threading costs more than the "
-                f"bounded-overhead floor ({NATIVE_SMALL_BOX_FLOOR:.2f}x) "
-                "even for a machine that cannot scale")
-    return failures, notes
-
-
-SESSIONS_SCHEMA = "fastbni-bench-sessions-v1"
-#: The ISSUE's headline regime: the acceptance floor applies to this row.
-SESSIONS_HEADLINE_OVERLAP = 0.75
-#: Session answers must agree with cold calibration to float64 round-off.
-SESSIONS_MAX_ABS_DIFF = 1e-12
-
-
-def check_sessions(fresh: dict, min_speedup: float) -> list[str]:
-    """Streaming-session floors: headline speedup + posterior agreement."""
-    failures: list[str] = []
-    if fresh.get("schema") != SESSIONS_SCHEMA:
-        return [f"sessions schema mismatch: {fresh.get('schema')!r} "
-                f"(expected {SESSIONS_SCHEMA!r})"]
-    rows = fresh.get("rows", [])
-    headline = next((r for r in rows
-                     if abs(float(r["overlap"]) - SESSIONS_HEADLINE_OVERLAP)
-                     < 1e-9), None)
-    if headline is None:
-        failures.append(
-            f"sessions report has no {SESSIONS_HEADLINE_OVERLAP}-overlap "
-            "row to apply the speedup floor to")
-    elif float(headline["speedup"]) < min_speedup:
-        failures.append(
-            f"session speedup at {SESSIONS_HEADLINE_OVERLAP} overlap is "
-            f"{float(headline['speedup']):.2f}x, below the "
-            f"{min_speedup:.2f}x floor")
-    for row in rows:
-        diff = float(row.get("max_abs_diff", 1.0))
-        if not diff <= SESSIONS_MAX_ABS_DIFF:
-            failures.append(
-                f"session/cold divergence at overlap {row['overlap']}: "
-                f"max_abs_diff={diff:.3e} (must stay <= "
-                f"{SESSIONS_MAX_ABS_DIFF:.0e})")
-    return failures
-
-
-OBS_SCHEMA = "fastbni-bench-obs-v1"
-#: Span names a full trace must cover (the server's request stages; the
-#: engine-side stages only appear on requests the cache could not serve).
-OBS_REQUIRED_SPANS = {"request", "parse", "registry_lookup", "queue_wait",
-                      "cache_lookup", "execute", "serialize"}
-
-
-def check_obs(report: dict, max_overhead: float,
-              max_sampled: float) -> list[str]:
-    """Observability budgets: tracing-off ≤2%, 1%-sampling bounded, and
-    the full-tracing run must prove the instrument works."""
-    if report.get("schema") != OBS_SCHEMA:
-        return [f"obs schema mismatch: {report.get('schema')!r} "
-                f"(expected {OBS_SCHEMA!r})"]
-    failures: list[str] = []
-    modes = report.get("modes", {})
-    for mode, budget in (("off", max_overhead), ("sampled_1pct", max_sampled)):
-        row = modes.get(mode)
-        if row is None:
-            failures.append(f"obs report has no {mode!r} mode")
+                f"{spec.name} baseline schema mismatch: "
+                f"{committed.get('schema')!r} (expected {spec.schema!r})")
+        else:
+            doc = {**report, "vs_baseline": spec.compare(report, committed)}
+    for gate in spec.gates:
+        if gate.path.startswith("vs_baseline") and "vs_baseline" not in doc:
             continue
-        overhead = float(row["overhead_pct"])
-        if overhead > budget:
-            failures.append(
-                f"obs overhead ({mode}): {overhead:.2f}% over the "
-                f"no-instrumentation baseline, budget {budget:.2f}%")
-    full = modes.get("full")
-    if full is None:
-        failures.append("obs report has no 'full' mode")
-    else:
-        tracing = full.get("tracing", {})
-        if int(tracing.get("traces_sampled", 0)) <= 0:
-            failures.append("full-tracing run sampled no traces")
-        if int(tracing.get("slow_queries", 0)) <= 0:
-            failures.append("full-tracing run filed no slow-log entries "
-                            "(threshold 0 should catch every request)")
-    witness = report.get("witness") or {}
-    if int(witness.get("executed_traces", 0)) <= 0:
-        failures.append("obs witness has no engine-executing traces "
-                        "(kernel-hook spans never fired)")
-    missing = OBS_REQUIRED_SPANS - set(witness.get("span_names", []))
-    if missing:
-        failures.append(
-            f"obs witness traces lack stage spans: {sorted(missing)}")
-    return failures
-
-
-CLUSTER_SCHEMA = "fastbni-bench-cluster-v1"
-#: Sharding may never change an answer: posteriors fetched through the
-#: router must match a local sequential engine to float64 round-off.
-CLUSTER_MAX_ABS_DIFF = 1e-9
-#: Floor on cores < 4: a lone server's two-thread parse/execute pipeline
-#: already saturates a small box, so the gate only demands that the
-#: router + sharding overhead stays bounded.
-CLUSTER_SMALL_BOX_FLOOR = 0.75
-
-
-def cluster_floor(workers: int, cores: int) -> float:
-    """Machine-aware speedup floor for the cluster artifact."""
-    if cores < 4:
-        return CLUSTER_SMALL_BOX_FLOOR
-    return min(3.0, 0.6 * min(workers, cores))
-
-
-def check_cluster(report: dict) -> list[str]:
-    """Cluster floors: machine-aware speedup + same-answer witness."""
-    if report.get("schema") != CLUSTER_SCHEMA:
-        return [f"cluster schema mismatch: {report.get('schema')!r} "
-                f"(expected {CLUSTER_SCHEMA!r})"]
-    failures: list[str] = []
-    workers = int(report.get("config", {}).get("workers", 0))
-    cores = int(report.get("cpu_cores") or 0)
-    if workers <= 0 or cores <= 0:
-        return ["cluster report lacks config.workers/cpu_cores"]
-    floor = cluster_floor(workers, cores)
-    speedup = float(report.get("speedup", 0.0))
-    if speedup < floor:
-        failures.append(
-            f"cluster speedup {speedup:.2f}x at {workers} workers on "
-            f"{cores} cores fell below the {floor:.2f}x machine-aware "
-            "floor")
-    same = report.get("same_answer") or {}
-    diff = float(same.get("max_abs_diff", 1.0))
-    if not diff <= CLUSTER_MAX_ABS_DIFF:
-        failures.append(
-            f"sharded answers diverge from the local engine: "
-            f"max_abs_diff={diff:.3e} (must stay <= "
-            f"{CLUSTER_MAX_ABS_DIFF:.0e})")
-    if int(same.get("cases", 0)) <= 0:
-        failures.append("cluster same-answer witness checked no cases")
-    return failures
-
-
-ABLATION_SCHEMA = "fastbni-bench-ablation-v1"
-#: Turning a component off may never change a deterministic answer.
-ABLATION_MAX_ABS_DIFF = 1e-9
-#: The committed artifact must rank at least this many components.
-ABLATION_MIN_COMPONENTS = 5
-#: Committed contributions at or above this ratio are guarded: a fresh
-#: run must retain a fraction of the measured win.
-ABLATION_MIN_CONTRIBUTION = 1.15
-#: Fraction of a guarded contribution the fresh run must retain.  A
-#: component whose committed win is 1.40x must stay >= 1.10x fresh
-#: (at 0.25) — generous under CI noise, a hard fail when a PR erases
-#: the contribution entirely (ratio ~1.0).
-ABLATION_RETAIN_FRAC = 0.25
-
-
-def check_ablation(fresh: dict, baseline: dict | None = None, *,
-                   min_components: int = ABLATION_MIN_COMPONENTS,
-                   min_contribution: float = ABLATION_MIN_CONTRIBUTION,
-                   retain_frac: float = ABLATION_RETAIN_FRAC) -> list[str]:
-    """Ablation floors: deterministic agreement on every variant, a
-    fully ranked committed matrix, and no erased contributions.
-
-    ``fresh`` may cover a component subset (the CI smoke matrix);
-    ``baseline`` is the committed full artifact and carries the
-    ``min_components`` ranking requirement.  For components present in
-    both, a committed contribution >= ``min_contribution`` must retain
-    ``retain_frac`` of its measured win in the fresh run.
-    """
-    if fresh.get("schema") != ABLATION_SCHEMA:
-        return [f"ablation schema mismatch: {fresh.get('schema')!r} "
-                f"(expected {ABLATION_SCHEMA!r})"]
-    failures: list[str] = []
-    rows = fresh.get("components", [])
-    if not rows:
-        return ["ablation report ranks no components"]
-    for row in rows:
-        name = row.get("component", "?")
-        agree = row.get("agreement") or {}
-        checked = int(agree.get("checked", 0))
-        diff = float(agree.get("max_abs_diff", float("inf")))
-        if checked <= 0:
-            failures.append(
-                f"ablation {name}: no deterministic events were checked "
-                "against baseline answers")
-        elif not diff <= ABLATION_MAX_ABS_DIFF:
-            failures.append(
-                f"ablation {name}: answers diverge from baseline: "
-                f"max_abs_diff={diff:.3e} over {checked} events (must "
-                f"stay <= {ABLATION_MAX_ABS_DIFF:.0e})")
-        if int(agree.get("mismatched", 0)) > 0:
-            failures.append(
-                f"ablation {name}: {agree['mismatched']} deterministic "
-                "events disagree with baseline beyond tolerance")
-        if int(row.get("errors", 0)) > 0 or int(
-                fresh.get("baseline", {}).get("errors", 0)) > 0:
-            failures.append(
-                f"ablation {name}: replay had request errors "
-                f"(component {row.get('errors', 0)}, baseline "
-                f"{fresh.get('baseline', {}).get('errors', 0)})")
-    if baseline is not None:
-        if baseline.get("schema") != ABLATION_SCHEMA:
-            return failures + [
-                f"ablation baseline schema mismatch: "
-                f"{baseline.get('schema')!r} (expected {ABLATION_SCHEMA!r})"]
-        base_rows = {r["component"]: r
-                     for r in baseline.get("components", [])}
-        if len(base_rows) < min_components:
-            failures.append(
-                f"committed ablation artifact ranks only {len(base_rows)} "
-                f"component(s); the acceptance floor is {min_components}")
-        for row in rows:
-            name = row.get("component", "?")
-            base = base_rows.get(name)
-            if base is None:
-                continue
-            base_ratio = float(base.get("rps_ratio", 0.0))
-            if base_ratio < min_contribution:
-                continue
-            if (name == "native_kernels"
-                    and not (fresh.get("native") or {}).get("available",
-                                                            True)):
-                # Toolchain-less runner: native fell back to fused, so
-                # the off-variant equals the baseline and there is no
-                # contribution to retain here.
-                continue
-            required = 1.0 + retain_frac * (base_ratio - 1.0)
-            fresh_ratio = float(row.get("rps_ratio", 0.0))
-            if fresh_ratio < required:
-                failures.append(
-                    f"ablation {name}: contribution dropped to "
-                    f"{fresh_ratio:.2f}x (committed {base_ratio:.2f}x; "
-                    f"must retain >= {required:.2f}x = 1 + "
-                    f"{retain_frac:.2f} of the committed win)")
-    return failures
+        skip = gate.unless(doc) if gate.unless is not None else None
+        if skip is not None:
+            if skip and skip not in notes:
+                notes.append(skip)
+            continue
+        try:
+            floor = gate.floor(doc) if callable(gate.floor) else gate.floor
+            values = resolve(doc, gate.path)
+            if gate.op == "contains":
+                bad = [f"{where} lacks {sorted(set(floor) - set(value))}"
+                       for where, value in values
+                       if not set(floor) <= set(value)]
+                worst, floor = "all of", sorted(floor)
+            else:
+                bad = [f"{where} = {_fmt(value)}, floor {gate.op} "
+                       f"{_fmt(floor)}" for where, value in values
+                       if not _OPS[gate.op](value, floor)]
+                # The value nearest its floor, among those the row reads.
+                worst = _fmt((min if gate.op[0] == ">" else max)(
+                    (value for _, value in values), default="no rows"))
+        except (LookupError, TypeError, ValueError) as exc:
+            bad = [f"{gate.path}: {exc}"]
+        failures += [f"{spec.path}: {line}" for line in bad]
+        if not bad:
+            held.append(f"{spec.path}: {gate.path} {worst} "
+                        f"({gate.op} {_fmt(floor)})")
+    return failures, notes, held
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fresh", default="BENCH_exec.fresh.json",
-                        help="freshly generated report (fastbni execbench); "
-                             "'' skips the exec check")
-    parser.add_argument("--baseline", default=str(REPO_ROOT / "BENCH_exec.json"),
-                        help="committed baseline artifact")
-    parser.add_argument("--max-slowdown", type=float, default=0.25,
-                        help="per-row slowdown budget after machine "
-                             "normalisation (0.25 = 25%%)")
-    parser.add_argument("--min-speedup", type=float, default=1.2,
-                        help="floor on the fresh fused single-case speedup")
-    parser.add_argument("--min-native-speedup", type=float, default=1.5,
-                        help="floor on the fresh native-over-fused "
-                             "single-case speedup (skipped with a reason "
-                             "when the native backend cannot build)")
-    parser.add_argument("--min-thread-scaling", type=float, default=1.3,
-                        help="floor on the native 2-worker thread-dispatch "
-                             "scaling (enforced only where the parallel-"
-                             "headroom probe shows the machine can "
-                             "express it)")
-    parser.add_argument("--absolute", action="store_true",
-                        help="skip machine normalisation (same-machine runs)")
-    parser.add_argument("--sessions-fresh", default="",
-                        help="freshly generated sessions report "
-                             "(fastbni sessions); '' skips the check")
-    parser.add_argument("--min-session-speedup", type=float, default=5.0,
-                        help="floor on the fresh session-vs-cold speedup "
-                             "at 0.75 evidence overlap")
-    parser.add_argument("--obs", default="",
-                        help="observability-overhead report "
-                             "(fastbni obsbench); '' skips the check")
-    parser.add_argument("--max-obs-overhead", type=float, default=2.0,
-                        help="throughput cost budget (%%) of the shipped "
-                             "tracing-off defaults vs the bare baseline")
-    parser.add_argument("--max-obs-sampled", type=float, default=10.0,
-                        help="throughput cost budget (%%) of 1%% trace "
-                             "sampling vs the bare baseline")
-    parser.add_argument("--cluster", default="",
-                        help="sharded-serving report (fastbni "
-                             "clusterbench); '' skips the check")
-    parser.add_argument("--ablation", default="",
-                        help="ablation-matrix report (fastbni ablate); "
-                             "'' skips the check")
-    parser.add_argument("--ablation-baseline",
-                        default=str(REPO_ROOT / "BENCH_ablation.json"),
-                        help="committed ablation artifact the fresh run "
-                             "is held against")
-    parser.add_argument("--min-ablation-components", type=int,
-                        default=ABLATION_MIN_COMPONENTS,
-                        help="components the committed ablation artifact "
-                             "must rank")
-    parser.add_argument("--min-contribution", type=float,
-                        default=ABLATION_MIN_CONTRIBUTION,
-                        help="committed rps_ratio above which a "
-                             "component's contribution is guarded")
-    parser.add_argument("--ablation-retain-frac", type=float,
-                        default=ABLATION_RETAIN_FRAC,
-                        help="fraction of a guarded committed win the "
-                             "fresh run must retain")
-    args = parser.parse_args(argv)
+    gated = [spec for spec in ARTIFACTS if spec.check_flag]
+    for spec in gated:
+        parser.add_argument(
+            spec.check_flag, dest=spec.check_flag, metavar="REPORT",
+            default=spec.check_default,
+            help=f"report to hold to the {spec.path} rows (fastbni "
+                 f"{spec.name}); '' skips the check")
+        if spec.baseline_flag:
+            parser.add_argument(
+                spec.baseline_flag, dest=spec.baseline_flag,
+                metavar="COMMITTED", default=str(REPO_ROOT / spec.path),
+                help=f"committed {spec.path} the report is held against")
+    paths = vars(parser.parse_args(argv))
 
     failures: list[str] = []
-    skip_notes: list[str] = []
-    fresh = None
-    if args.fresh:
-        fresh = json.loads(Path(args.fresh).read_text())
-        baseline = json.loads(Path(args.baseline).read_text())
-        if fresh.get("schema") != baseline.get("schema"):
-            print(f"schema mismatch: fresh {fresh.get('schema')} vs baseline "
-                  f"{baseline.get('schema')}", file=sys.stderr)
-            return 1
-        failures += check(fresh, baseline, args.max_slowdown,
-                          args.min_speedup, args.absolute)
-        native_failures, native_notes = check_native(
-            fresh, args.min_native_speedup, args.min_thread_scaling)
-        failures += native_failures
-        skip_notes += native_notes
-    sessions_note = ""
-    if args.sessions_fresh:
-        sessions = json.loads(Path(args.sessions_fresh).read_text())
-        failures += check_sessions(sessions, args.min_session_speedup)
-        headline = next(
-            (r for r in sessions.get("rows", [])
-             if abs(float(r["overlap"]) - SESSIONS_HEADLINE_OVERLAP) < 1e-9),
-            None)
-        if headline is not None:
-            sessions_note = (f", session speedup "
-                             f"{float(headline['speedup']):.2f}x at "
-                             f"{SESSIONS_HEADLINE_OVERLAP} overlap "
-                             f"(floor {args.min_session_speedup:.2f}x)")
-    obs_note = ""
-    if args.obs:
-        obs = json.loads(Path(args.obs).read_text())
-        failures += check_obs(obs, args.max_obs_overhead,
-                              args.max_obs_sampled)
-        off = obs.get("modes", {}).get("off", {})
-        if "overhead_pct" in off:
-            obs_note = (f", tracing-off overhead "
-                        f"{float(off['overhead_pct']):.2f}% "
-                        f"(budget {args.max_obs_overhead:.2f}%)")
-    cluster_note = ""
-    if args.cluster:
-        cluster = json.loads(Path(args.cluster).read_text())
-        failures += check_cluster(cluster)
-        cfg = cluster.get("config", {})
-        if "speedup" in cluster and cfg.get("workers"):
-            floor = cluster_floor(int(cfg["workers"]),
-                                  int(cluster.get("cpu_cores") or 0))
-            cluster_note = (f", cluster speedup "
-                            f"{float(cluster['speedup']):.2f}x at "
-                            f"{cfg['workers']} workers/"
-                            f"{cluster.get('cpu_cores')} cores "
-                            f"(floor {floor:.2f}x)")
-    ablation_note = ""
-    if args.ablation:
-        ablation = json.loads(Path(args.ablation).read_text())
-        ablation_baseline = None
-        baseline_path = Path(args.ablation_baseline)
-        if baseline_path.exists():
-            ablation_baseline = json.loads(baseline_path.read_text())
-        else:
-            failures.append(
-                f"no committed ablation artifact at {baseline_path}")
-        failures += check_ablation(
-            ablation, ablation_baseline,
-            min_components=args.min_ablation_components,
-            min_contribution=args.min_contribution,
-            retain_frac=args.ablation_retain_frac)
-        rows = ablation.get("components", [])
-        if rows:
-            top = rows[0]
-            ablation_note = (f", ablation: {len(rows)} component(s), top "
-                             f"{top.get('component')} "
-                             f"{float(top.get('rps_ratio', 0.0)):.2f}x")
-    for note in skip_notes:
+    notes: list[str] = []
+    held: list[str] = []
+    for spec in gated:
+        path = paths[spec.check_flag]
+        if not path:
+            if spec.check_default:
+                held.append(f"{spec.path}: check skipped")
+            continue
+        report = json.loads(Path(path).read_text())
+        committed = None
+        if spec.baseline_flag:
+            committed_path = Path(paths[spec.baseline_flag])
+            if committed_path.exists():
+                committed = json.loads(committed_path.read_text())
+            else:
+                failures.append(
+                    f"no committed {spec.path} at {committed_path}")
+        spec_failures, spec_notes, spec_held = evaluate(spec, report,
+                                                        committed)
+        failures += spec_failures
+        notes += spec_notes
+        held += spec_held
+    for note in notes:
         print(f"note: {note}")
     if failures:
         print(f"\nBENCH REGRESSION ({len(failures)} problem(s)):",
@@ -599,23 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         for failure in failures:
             print(f"- {failure}", file=sys.stderr)
         return 1
-    exec_note = "exec check skipped"
-    native_note = ""
-    if fresh is not None:
-        speedup = fresh.get("single_case", {}).get("speedup_fused", 0.0)
-        exec_note = (f"{len(load_rows(fresh))} rows within "
-                     f"{args.max_slowdown:.0%} of baseline, fused speedup "
-                     f"{speedup:.2f}x (floor {args.min_speedup:.2f}x)")
-        if (fresh.get("native") or {}).get("available"):
-            native_speedup = fresh["single_case"].get("speedup_native") or 0.0
-            native_note = (f", native speedup {float(native_speedup):.2f}x "
-                           f"(floor {args.min_native_speedup:.2f}x)")
-            scaling_row = fresh.get("thread_scaling") or {}
-            if "scaling" in scaling_row:
-                native_note += (f", thread scaling "
-                                f"{float(scaling_row['scaling']):.2f}x")
-    print(f"bench ok: {exec_note}{native_note}"
-          f"{sessions_note}{obs_note}{cluster_note}{ablation_note}")
+    print("bench ok:")
+    for line in held:
+        print(f"  {line}")
     return 0
 
 
