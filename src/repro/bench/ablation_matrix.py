@@ -99,7 +99,7 @@ DEFAULT_MAX_EXACT_BYTES = 2 * 1024 * 1024
 #: contribution; on toolchain-less machines native degrades to fused and
 #: the report's ``native`` field records it (the gate then exempts the
 #: row instead of failing on an off-variant identical to baseline).
-BASE_SERVER = {"max_batch": 32, "max_wait_ms": 2.0, "kernels": "native"}
+BASE_SERVER = {"max_batch": 32, "kernels": "native"}
 
 AGREEMENT_TOLERANCE = 1e-9
 

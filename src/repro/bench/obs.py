@@ -131,8 +131,7 @@ def run_obs(network: str = DEFAULT_NETWORK,
             requests: int = DEFAULT_REQUESTS,
             concurrency: int = DEFAULT_CONCURRENCY,
             repeats: int = DEFAULT_REPEATS,
-            seed: int = 2023, *, max_batch: int = 32,
-            max_wait_ms: float = 2.0) -> dict:
+            seed: int = 2023, *, max_batch: int = 32) -> dict:
     """Run the four-mode sweep; returns the JSON-ready report dict.
 
     All modes run as live servers in one process over the *same* seeded
@@ -143,8 +142,7 @@ def run_obs(network: str = DEFAULT_NETWORK,
     trace = query_trace(network, generate_test_cases(
         resolve_network(network), requests, observed_fraction=0.2, rng=seed))
     elapsed, stats, traces = asyncio.run(_sweep(
-        trace, concurrency, repeats,
-        {"max_batch": max_batch, "max_wait_ms": max_wait_ms}))
+        trace, concurrency, repeats, {"max_batch": max_batch}))
     witness = _witness(traces)
 
     modes = {}
@@ -161,8 +159,7 @@ def run_obs(network: str = DEFAULT_NETWORK,
         "schema": SCHEMA,
         "network": network,
         "config": {"requests": requests, "concurrency": concurrency,
-                   "repeats": repeats, "seed": seed, "max_batch": max_batch,
-                   "max_wait_ms": max_wait_ms},
+                   "repeats": repeats, "seed": seed, "max_batch": max_batch},
         "modes": modes,
         "witness": witness,
     }

@@ -276,7 +276,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         models = ", ".join(preload) if preload else "none"
         print(f"fastbni inference server listening on "
               f"{server.host}:{server.port} "
-              f"(max_batch={args.max_batch}, max_wait_ms={args.max_wait_ms}, "
+              f"(max_batch={args.max_batch}, "
               f"preloaded: {models})", flush=True)
 
     try:
@@ -288,7 +288,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             preload=preload,
             on_ready=on_ready,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             cache_dir=args.cache_dir or None,
             max_bytes=int(args.max_mb * 1024 * 1024),
             policy=args.policy,
@@ -330,7 +329,6 @@ def _cmd_cluster(args: argparse.Namespace) -> None:
     # passes them via --options-json), so only plain values go here.
     worker_options = {
         "max_batch": args.max_batch,
-        "max_wait_ms": args.max_wait_ms,
         "policy": args.policy,
         "cache": args.cache == "on",
         "max_bytes": int(args.max_mb * 1024 * 1024),
@@ -616,9 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--port", type=int, default=7421,
                     help="TCP port (0 picks an ephemeral port)")
     sv.add_argument("--max-batch", type=int, default=64,
-                    help="flush a network's queue at this many queued cases")
-    sv.add_argument("--max-wait-ms", type=float, default=2.0,
-                    help="flush after the oldest query waited this long")
+                    help="largest flush: a queue this long flushes at once "
+                         "(1 = no coalescing)")
     sv.add_argument("--cache-dir", default="",
                     help="directory for serialized junction-tree warm starts")
     sv.add_argument("--max-mb", type=float, default=256.0,
@@ -711,8 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "requests before shutting down anyway")
     cu.add_argument("--max-batch", type=int, default=64,
                     help="per-worker micro-batcher flush size")
-    cu.add_argument("--max-wait-ms", type=float, default=2.0,
-                    help="per-worker micro-batcher wait bound")
     cu.add_argument("--policy", default="auto",
                     choices=("exact", "approx", "auto"))
     cu.add_argument("--cache", default="on", choices=("on", "off"),

@@ -7,12 +7,15 @@ of the layer schedule for far less than N single passes, but only if a
 batch exists.  This module manufactures those batches from single-case
 traffic.
 
-Per network, incoming queries queue until either ``max_batch`` cases are
-waiting or the oldest has waited ``max_wait_ms`` — the classic dynamic
-batching policy (latency bound under light load, full batches under
-heavy load).  Each flush runs one vectorised ``infer_cases`` call on an
-executor thread and fans the per-case results back out to the awaiting
-futures.
+The flush policy is work-conserving — there is no timer.  A query that
+arrives at an idle key is flushed on the next event-loop iteration
+(together with whatever else that iteration made ready), queries that
+arrive while the key's flush is running queue behind it and leave as one
+batch the moment it completes, and a queue that reaches ``max_batch``
+flushes at once: a lone query never waits, and batches form exactly when
+arrivals outpace the engine.  Each flush is one job on an executor thread
+— cache pre-pass, one vectorised ``infer_cases`` call, per-case retry —
+whose outcomes the loop fans back out to the awaiting futures.
 
 Queues are keyed by ``(network, engine kind)``: approximate and exact
 queries for the same network never mix, and a flush against an
@@ -53,10 +56,9 @@ from repro.obs.trace import (ScheduleRecorder, Span, TraceContext,
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import ModelEntry, ModelRegistry
 
-#: Default flush policy: small enough to keep tail latency in single-digit
-#: milliseconds on bundled networks, large enough to fill under load.
+#: Largest flush: bounds one job's latency on bundled networks, large
+#: enough to fill under load.
 DEFAULT_MAX_BATCH = 64
-DEFAULT_MAX_WAIT_MS = 2.0
 
 
 @dataclass(frozen=True)
@@ -77,15 +79,18 @@ class QueryRequest:
 
 
 class _Pending:
-    __slots__ = ("request", "future", "enqueued", "queue_span")
+    __slots__ = ("request", "future", "enqueued", "queue_span", "outcome")
 
     def __init__(self, request: QueryRequest, future: asyncio.Future) -> None:
         self.request = request
         self.future = future
         self.enqueued = time.monotonic()
         #: Open ``queue_wait`` span for a traced request (ended when the
-        #: flush picks the batch up).
+        #: flush job picks the batch up).
         self.queue_span: Span | None = None
+        #: Result or exception the flush job decided; the loop resolves
+        #: ``future`` with it (futures are not thread-safe).
+        self.outcome: InferenceResult | BaseException | None = None
 
 
 def _project(result: InferenceResult, want: tuple[str, ...]) -> InferenceResult:
@@ -118,19 +123,19 @@ class MicroBatcher:
 
     def __init__(self, registry: ModelRegistry, *,
                  max_batch: int = DEFAULT_MAX_BATCH,
-                 max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
                  metrics: ServiceMetrics | None = None,
                  flush_workers: int = 1) -> None:
         if max_batch < 1:
             raise EvidenceError(f"max_batch must be >= 1, got {max_batch}")
         self.registry = registry
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         #: Queues keyed by (network, engine kind): exact and approx
         #: traffic for one network coalesce separately.
         self._queues: dict[tuple[str, str], list[_Pending]] = {}
-        self._timers: dict[tuple[str, str], asyncio.TimerHandle] = {}
+        #: Flushes scheduled or running per key; a key absent here is
+        #: idle, and a non-empty queue always has its key present.
+        self._busy: dict[tuple[str, str], int] = {}
         self._inflight: set[asyncio.Task] = set()
         self._executor = ThreadPoolExecutor(
             max_workers=flush_workers, thread_name_prefix="fastbni-flush")
@@ -142,18 +147,20 @@ class MicroBatcher:
 
     async def get_entry(self, network: str,
                         engine: str | None = None) -> ModelEntry:
-        """Registry lookup off the event loop.
+        """Registry lookup that never compiles on the event loop.
 
-        A resident hit is a dict lookup, but a cold miss compiles a
-        junction tree (seconds on large analogs) — that must never run on
-        the loop or every connection stalls behind it.
+        A resident hit is a dict lookup under the registry lock and is
+        taken right here; a miss compiles a junction tree (seconds on
+        large analogs) and an unplanned ``auto`` simulates a fill-in, so
+        those go to the executor or every connection stalls behind them.
         """
-        return await self.run_blocking(
-            lambda: self.registry.get(network, engine=engine))
+        return (self.registry.get(network, engine=engine, load=False)
+                or await self.run_blocking(
+                    lambda: self.registry.get(network, engine=engine)))
 
     async def get_entry_pinned(self, network: str,
                                engine: str | None = None) -> ModelEntry:
-        """Atomic lookup + pin off the event loop (no eviction window).
+        """:meth:`get_entry` with an atomic pin (no eviction window).
 
         ``registry.get`` followed by ``registry.pin`` leaves a gap in
         which a concurrent cold load can LRU-evict the entry and close
@@ -161,8 +168,9 @@ class MicroBatcher:
         entry across an ``await`` must take the pin atomically here and
         release it with ``registry.unpin`` when done.
         """
-        return await self.run_blocking(
-            lambda: self.registry.get_pinned(network, engine=engine))
+        return (self.registry.get_pinned(network, engine=engine, load=False)
+                or await self.run_blocking(
+                    lambda: self.registry.get_pinned(network, engine=engine)))
 
     def _validate(self, entry: ModelEntry, request: QueryRequest) -> None:
         # The engine knows how to validate its own requests (the
@@ -234,24 +242,38 @@ class MicroBatcher:
         queue = self._queues.setdefault(key, [])
         queue.append(pending)
         if len(queue) >= self.max_batch:
+            self._busy[key] = self._busy.get(key, 0) + 1
             self._flush(key)
-        elif len(queue) == 1:
-            self._timers[key] = loop.call_later(
-                self.max_wait_ms / 1e3, self._flush, key)
+        elif key not in self._busy:
+            # Idle key: flush once this loop iteration has run, so every
+            # request it made ready rides along.  A busy key's queue is
+            # released by the flush that completes (``_flush_done``).
+            self._busy[key] = 1
+            loop.call_soon(self._flush, key)
         return await pending.future
 
     # ---------------------------------------------------------------- flush
-    def _flush(self, key: tuple[str, str]) -> None:
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-        batch = self._queues.pop(key, [])
-        if not batch:
+    def _flush(self, key: tuple[str, str], behind: bool = False) -> None:
+        """Start the key's queue as one flush; the caller counted it busy."""
+        batch = self._queues.pop(key, None)
+        if not batch:  # a full queue left between scheduling and now
+            self._flush_done(key)
             return
+        self.metrics.observe_flush(behind)
         task = asyncio.get_running_loop().create_task(
-            self._run_batch(key, batch))
+            self._run_batch(key, batch, behind))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
+        task.add_done_callback(lambda _task: self._flush_done(key))
+
+    def _flush_done(self, key: tuple[str, str]) -> None:
+        """Uncount one flush; the last one out releases what queued behind."""
+        self._busy[key] -= 1
+        if not self._busy[key]:
+            del self._busy[key]
+            if key in self._queues:
+                self._busy[key] = 1
+                self._flush(key, behind=True)
 
     @staticmethod
     def _union_targets(batch: list[_Pending]) -> tuple[str, ...]:
@@ -267,132 +289,129 @@ class MicroBatcher:
                     union.append(name)
         return tuple(union)
 
-    async def _run_batch(self, key: tuple[str, str],
-                         batch: list[_Pending]) -> None:
-        network, kind = key
-        entry = await self.get_entry_pinned(network, kind)
-        # Queue wait ends once the flush holds its pinned entry and is
-        # about to do real work; the pinned re-lookup is part of the wait.
+    async def _run_batch(self, key: tuple[str, str], batch: list[_Pending],
+                         behind: bool) -> None:
+        loop = asyncio.get_running_loop()
+        entry = None
+        try:
+            entry = await self.get_entry_pinned(*key)
+            cold_items = await loop.run_in_executor(
+                self._executor, self._serve_batch, entry, batch, behind)
+            self._resolve(batch)
+            if cold_items:
+                # Memoise + seed lazy base-state keys so the next
+                # near-duplicate of any of these cases takes the delta
+                # path.  Best-effort: every future above is already
+                # resolved, and the handler below skips those.
+                await loop.run_in_executor(
+                    self._executor, entry.cache.record_cold, cold_items)
+        # BaseException, not ReproError: whatever stops a flush between
+        # enqueue and fan-out (a closed registry, a failed reload, a
+        # shut-down executor, cancellation) must still resolve every
+        # future, or its client waits forever.
+        except BaseException as exc:  # noqa: BLE001
+            self._resolve(batch, exc)
+            if not isinstance(exc, Exception):
+                raise
+        finally:
+            if entry is not None:
+                self.registry.unpin(entry)
+
+    @staticmethod
+    def _resolve(batch: list[_Pending],
+                 failure: BaseException | None = None) -> None:
+        """Hand each unresolved future its outcome, else ``failure``."""
+        for pending in batch:
+            if pending.future.done():
+                continue
+            outcome = pending.outcome if pending.outcome is not None else failure
+            if isinstance(outcome, BaseException):
+                pending.future.set_exception(outcome)
+            else:
+                pending.future.set_result(outcome)
+
+    def _serve_batch(self, entry: ModelEntry, batch: list[_Pending],
+                     behind: bool) -> list:
+        """One flush, start to finish, on the flush worker.
+
+        Cache pre-pass, one vectorised ``infer_cases`` over what it
+        declined, and the per-case retry of a poisoned batch.  Sets every
+        ``pending.outcome`` (spans are recorded before the loop resolves
+        the future: once the client coroutine resumes it finishes the
+        trace, and a late span would miss the buffer) and returns the
+        ``(evidence, targets, result)`` items for ``record_cold``.
+        """
         picked_up = time.monotonic()
-        fill = len(batch)
         for pending in batch:
             self.metrics.observe_stage(
                 "queue_wait", max(picked_up - pending.enqueued, 0.0))
             if pending.queue_span is not None:
-                pending.request.trace.end_span(pending.queue_span, fill=fill)
+                pending.request.trace.end_span(
+                    pending.queue_span, fill=len(batch), behind_flush=behind)
+        if entry.cache is not None:
+            batch = self._serve_from_cache(entry, batch)
+            if not batch:
+                return []
+        engine, kind = entry.engine, entry.engine_kind
+        cases = [pending.request.evidence for pending in batch]
+        # Soft evidence joins the flush where the engine batches it (the
+        # sampler shares one particle population across every coalesced
+        # case — common random numbers, one pass over the topology).
+        soft = ({"soft_cases": [p.request.soft_evidence for p in batch]}
+                if entry.capabilities.batched_soft_evidence else {})
+        # A sampled request in the batch turns on the kernel hooks:
+        # run_message_schedule / the batched calibration report
+        # per-message and per-absorption timings through a thread-local
+        # installed around the engine call only.
+        recorder = (ScheduleRecorder()
+                    if any(p.request.trace is not None for p in batch)
+                    else None)
+        exec_start = time.perf_counter()
         try:
-            engine = entry.engine
-            caps = entry.capabilities
+            with install_kernel_hooks(recorder):
+                result = engine.infer_cases(
+                    cases, targets=self._union_targets(batch), **soft)
+        except EvidenceError:
+            # An impossible case empties a message (exact) or kills
+            # every particle weight (approx) and aborts the whole
+            # vectorised pass; re-run case-by-case so only that request
+            # fails.
+            self._run_individually(entry, batch)
+            return []
+        exec_end = time.perf_counter()
+        self.metrics.observe_stage("execute", exec_end - exec_start)
+        self.metrics.observe_batch(len(batch))
+        cold_items = []
+        for i, pending in enumerate(batch):
+            case_result = result.case(i)
+            self._observe_served(kind, case_result)
+            trace = pending.request.trace
+            if trace is not None:
+                attrs = {"fill": len(batch), "engine": kind,
+                         **recorder.summary()}
+                if isinstance(case_result, ApproxInferenceResult):
+                    attrs["ess"] = case_result.ess
+                    attrs["num_samples"] = case_result.num_samples
+                trace.record("execute", exec_start, exec_end, **attrs)
+            pending.outcome = _project(case_result, pending.request.targets)
             if entry.cache is not None:
-                # Any failure here must fan out to the futures like the
-                # vectorised path's does — a dead flush task would leave
-                # every coalesced client waiting forever.
-                try:
-                    batch = await self._serve_from_cache(entry, batch)
-                except BaseException as exc:  # noqa: BLE001
-                    for pending in batch:
-                        if not pending.future.done():
-                            pending.future.set_exception(exc)
-                    return
-                if not batch:
-                    return
-            cases = [pending.request.evidence for pending in batch]
-            targets = self._union_targets(batch)
-            loop = asyncio.get_running_loop()
-            if caps.batched_soft_evidence:
-                # Soft evidence joins the flush (the sampler shares one
-                # particle population across every coalesced case —
-                # common random numbers, one pass over the topology).
-                soft = [pending.request.soft_evidence for pending in batch]
-                work = lambda: engine.infer_cases(  # noqa: E731
-                    cases, targets=targets, soft_cases=soft)
-            else:
-                work = lambda: engine.infer_cases(  # noqa: E731
-                    cases, targets=targets)
-            # A sampled request in the batch turns on the kernel hooks:
-            # run_message_schedule / the batched calibration report
-            # per-message and per-absorption timings through a
-            # thread-local (contextvars do not cross run_in_executor),
-            # installed around the executor work only.
-            recorder = None
-            if any(p.request.trace is not None for p in batch):
-                recorder = ScheduleRecorder()
-                inner_work = work
+                cold_items.append((pending.request.evidence,
+                                   pending.request.targets, pending.outcome))
+        return cold_items
 
-                def work(rec=recorder, run=inner_work):  # noqa: F811
-                    with install_kernel_hooks(rec):
-                        return run()
-
-            exec_start = time.perf_counter()
-            try:
-                result = await loop.run_in_executor(self._executor, work)
-            except EvidenceError:
-                # An impossible case empties a message (exact) or kills
-                # every particle weight (approx) and aborts the whole
-                # vectorised pass; re-run case-by-case so only that request
-                # fails.
-                await self._run_individually(entry, batch)
-                return
-            except BaseException as exc:  # noqa: BLE001 - fan the failure out
-                for pending in batch:
-                    if not pending.future.done():
-                        pending.future.set_exception(exc)
-                return
-            exec_end = time.perf_counter()
-            self.metrics.observe_stage("execute", exec_end - exec_start)
-            self.metrics.observe_batch(len(batch))
-            cold_items = []
-            for i, pending in enumerate(batch):
-                case_result = result.case(i)
-                self._observe_served(kind, case_result)
-                trace = pending.request.trace
-                if trace is not None:
-                    # Recorded before the future resolves: once the
-                    # client coroutine resumes it serializes and finishes
-                    # the trace, and a late span would miss the buffer.
-                    attrs = {"fill": len(batch), "engine": kind}
-                    if recorder is not None:
-                        attrs.update(recorder.summary())
-                    if isinstance(case_result, ApproxInferenceResult):
-                        attrs["ess"] = case_result.ess
-                        attrs["num_samples"] = case_result.num_samples
-                    trace.record("execute", exec_start, exec_end, **attrs)
-                projected = _project(case_result, pending.request.targets)
-                if entry.cache is not None:
-                    cold_items.append((pending.request.evidence,
-                                       pending.request.targets, projected))
-                if not pending.future.done():
-                    pending.future.set_result(projected)
-            if cold_items:
-                # Memoise + seed lazy base states so the next
-                # near-duplicate of any of these cases takes the delta
-                # path.  Best-effort: every future above is already
-                # resolved, so a seeding failure must not kill the task.
-                try:
-                    await loop.run_in_executor(
-                        self._executor,
-                        lambda: entry.cache.record_cold(cold_items))
-                except Exception:  # noqa: BLE001 - cache warming only
-                    pass
-        finally:
-            self.registry.unpin(entry)
-
-    async def _serve_from_cache(self, entry: ModelEntry,
-                                batch: list[_Pending]) -> list[_Pending]:
+    def _serve_from_cache(self, entry: ModelEntry,
+                          batch: list[_Pending]) -> list[_Pending]:
         """Tier-1/tier-2 pre-pass; returns the cases left for the cold path.
 
-        Runs :meth:`~repro.service.cache.InferenceCache.serve_cases` on
-        the executor (delta propagation is NumPy work), resolves every
-        answered future with ``served_by`` ``"cache"`` (memo) or
+        Runs :meth:`~repro.service.cache.InferenceCache.serve_cases`,
+        answers what it served with ``served_by`` ``"cache"`` (memo) or
         ``"delta"`` (incremental recalibration), and hands back the
         declined remainder so the vectorised flush only calibrates
         genuinely novel evidence.
         """
         requests = [(p.request.evidence, p.request.targets) for p in batch]
-        loop = asyncio.get_running_loop()
         lookup_start = time.perf_counter()
-        outcomes = await loop.run_in_executor(
-            self._executor, lambda: entry.cache.serve_cases(requests))
+        outcomes = entry.cache.serve_cases(requests)
         lookup_end = time.perf_counter()
         self.metrics.observe_stage("cache_lookup", lookup_end - lookup_start)
         remaining: list[_Pending] = []
@@ -411,8 +430,7 @@ class MicroBatcher:
                 remaining.append(pending)
                 continue
             if isinstance(outcome, BaseException):
-                if not pending.future.done():
-                    pending.future.set_exception(outcome)
+                pending.outcome = outcome
                 continue
             self.metrics.observe_cache_serve(outcome.source, outcome.delta_size)
             served_by = "cache" if outcome.source == "memo" else "delta"
@@ -421,59 +439,49 @@ class MicroBatcher:
                 log_evidence=outcome.result.log_evidence,
                 meta={**outcome.result.meta, "served_by": served_by},
             )
-            result = _project(result, pending.request.targets)
-            self._observe_served("exact", result)
-            if not pending.future.done():
-                pending.future.set_result(result)
+            pending.outcome = _project(result, pending.request.targets)
+            self._observe_served("exact", pending.outcome)
         return remaining
 
-    async def _run_individually(self, entry: ModelEntry,
-                                batch: list[_Pending]) -> None:
-        loop = asyncio.get_running_loop()
+    def _run_individually(self, entry: ModelEntry,
+                          batch: list[_Pending]) -> None:
         self.metrics.observe_fallback(len(batch))
         for pending in batch:
             request = pending.request
             try:
-                result = await loop.run_in_executor(
-                    self._executor,
-                    lambda req=request: entry.engine.infer(
-                        req.evidence, req.targets,
-                        soft_evidence=req.soft_evidence))
-            # BaseException, not ReproError: an unexpected failure
-            # (MemoryError, a shutdown executor, cancellation) must still
-            # resolve this future, or its client waits forever.
-            except BaseException as exc:  # noqa: BLE001
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
+                pending.outcome = entry.engine.infer(
+                    request.evidence, request.targets,
+                    soft_evidence=request.soft_evidence)
+            except Exception as exc:  # noqa: BLE001 - this case's answer
+                pending.outcome = exc
             else:
-                self._observe_served(entry.engine_kind, result)
-                if not pending.future.done():
-                    pending.future.set_result(result)
+                self._observe_served(entry.engine_kind, pending.outcome)
 
     async def _run_single(self, entry: ModelEntry,
                           request: QueryRequest) -> InferenceResult:
         """Per-case path for requests the vectorised kernels cannot express."""
         self.metrics.observe_fallback()
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor,
+        return await self.run_blocking(
             lambda: entry.engine.infer(request.evidence, request.targets,
                                        soft_evidence=request.soft_evidence))
 
     # ------------------------------------------------------------- lifecycle
     async def drain(self) -> None:
-        """Flush every queue and wait for all in-flight batches to finish."""
-        for network in list(self._queues):
-            self._flush(network)
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+        """Wait until every queue has flushed and every flush has finished.
+
+        Nothing needs forcing: a queued request always has a flush
+        scheduled for the next iteration or running ahead of it.
+        """
+        while self._busy:
+            if self._inflight:
+                await asyncio.gather(*list(self._inflight),
+                                     return_exceptions=True)
+            else:
+                await asyncio.sleep(0)
 
     async def aclose(self) -> None:
         if self._closed:
             return
         self._closed = True
         await self.drain()
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
         self._executor.shutdown(wait=True)

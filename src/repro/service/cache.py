@@ -8,6 +8,9 @@ one of them:
   network often differ by a handful of findings; re-propagating a cached
   state through :mod:`repro.jt.incremental` touches only the dirty part
   of the junction tree instead of paying a full two-phase calibration.
+  A cold-served case enters as its *key* alone (value ``None``): the
+  engine is cloned and updated only when a later lookup accepts that key
+  as its base, so traffic that never repeats never builds a state.
 * **Tier 2 — query-result memo** (finished
   :class:`~repro.jt.engine.InferenceResult` payloads keyed by
   ``(evidence, targets)``).  Exactly repeated queries — dashboards,
@@ -150,7 +153,8 @@ class InferenceCache:
         self.min_overlap = min_overlap
         #: Never handed out, never updated: the clone source of last resort.
         self._baseline = IncrementalEngine(tree)
-        self._states: "OrderedDict[EvidenceKey, IncrementalEngine]" = OrderedDict()
+        #: ``None`` marks a seeded key whose state is not built yet.
+        self._states: "OrderedDict[EvidenceKey, IncrementalEngine | None]" = OrderedDict()
         self._memo: "OrderedDict[tuple, InferenceResult]" = OrderedDict()
         self._memo_bytes = 0
         self._lock = threading.Lock()
@@ -221,54 +225,41 @@ class InferenceCache:
                 best_key, best_score = key, score
         return best_key, max(best_score[0], 0.0)
 
-    def _pop_best_locked(self, evidence_key: EvidenceKey
-                         ) -> tuple[IncrementalEngine | None, float]:
-        best_key, score = self._best_key_locked(evidence_key)
-        if best_key is None:
-            return None, 0.0
-        return self._states.pop(best_key), score
-
     def seed(self, evidence: dict | None) -> None:
         """Record ``evidence`` as a (lazy) base state for future deltas.
 
-        Costs O(cliques) bookkeeping and **no propagation** — incremental
-        states revalidate messages on first use — so the batcher seeds
-        every cold-served case for free.
+        Inserts the canonical key only — no engine is cloned or updated
+        until a lookup accepts the key (:meth:`serve_cases`) — so the
+        batcher seeds every cold-served case for free.
         """
-        key = self.evidence_key(evidence)
+        self._seed_key(self.evidence_key(evidence))
+
+    def _seed_key(self, key: EvidenceKey) -> None:
         with self._lock:
             if key in self._states:
                 self._states.move_to_end(key)
                 return
-            # States inside the LRU are quiescent (mutation only happens
-            # while popped), so cloning under the lock is safe and O(cliques).
-            best_key, _score = self._best_key_locked(key)
-            source = (self._states[best_key] if best_key is not None
-                      else self._baseline)
-            seeded = source.clone()
-        seeded.update(dict(key))  # key is pre-validated: cannot raise
-        with self._lock:
-            if key not in self._states:
-                self._states[key] = seeded
-                self._counters["seeded"] += 1
-                self._evict_locked()
+            self._states[key] = None
+            self._counters["seeded"] += 1
+            self._evict_locked()
 
     def session_state(self, evidence: dict | None = None) -> IncrementalEngine:
         """An independent calibrated state seeded for a streaming session.
 
         Clones the cached base state with the best evidence overlap (or
-        the pristine baseline) — O(cliques), no propagation — and records
-        ``evidence`` on the clone, so a session opening near previously
-        served traffic starts with most of its messages already valid.
-        The clone is exclusively the caller's: it never re-enters the LRU
-        and diverges freely from its source.
+        the pristine baseline, which is all a still-lazy key stands for)
+        — O(cliques), no propagation — and records ``evidence`` on the
+        clone, so a session opening near previously served traffic starts
+        with most of its messages already valid.  The clone is exclusively
+        the caller's: it never re-enters the LRU and diverges freely from
+        its source.
         """
         key = self.evidence_key(evidence)
         with self._lock:
             best_key, _score = self._best_key_locked(key)
-            source = (self._states[best_key] if best_key is not None
-                      else self._baseline)
-            state = source.clone()
+            # States inside the LRU are quiescent (mutation only happens
+            # while popped), so cloning under the lock is safe.
+            state = (self._states.get(best_key) or self._baseline).clone()
         state.update(dict(key))  # key is pre-validated: cannot raise
         return state
 
@@ -303,19 +294,21 @@ class InferenceCache:
                 plan.append((i, key, self.targets_key(targets)))
         for i, key, tkey in sorted(plan, key=lambda item: item[1]):
             with self._lock:
-                state, score = self._pop_best_locked(key)
-                if state is None and self.min_overlap <= 0.0:
-                    # min_overlap 0 means "always take the delta path":
-                    # bootstrap from a baseline clone on an empty tier 1.
-                    state, score = self._baseline.clone(), 0.0
-            if state is None or score < self.min_overlap:
-                if state is not None:
-                    with self._lock:
-                        self._states.setdefault(
-                            self.evidence_key(state.evidence), state)
-                with self._lock:
+                best_key, score = self._best_key_locked(key)
+                if score < self.min_overlap:
+                    # Declined: only refreshes the state it considered.
+                    if best_key is not None:
+                        self._states.move_to_end(best_key)
                     self._counters["declined"] += 1
-                continue
+                    continue
+                # min_overlap 0 means "always take the delta path":
+                # bootstrap from a baseline clone on an empty tier 1.
+                state = (self._states.pop(best_key)
+                         if best_key is not None else self._baseline.clone())
+            if state is None:
+                # Accepted a lazy key: build the state it stands for now.
+                state = self._baseline.clone()
+                state.update(dict(best_key))  # pre-validated: cannot raise
             before = state.counters["up_recomputed"] + state.counters["down_recomputed"]
             try:
                 result = state.infer(dict(key), tkey)
@@ -352,7 +345,7 @@ class InferenceCache:
         """Absorb cases the vectorised cold path just served.
 
         Each ``(evidence, targets, result)`` triple is memoised (tier 2)
-        and its evidence seeded as a lazy base state (tier 1), so the
+        and its evidence key seeded as a lazy base state (tier 1), so the
         *next* near-duplicate takes the delta path.  Evidence that fails
         validation is skipped silently — the cold path already reported
         any real error to its caller.
@@ -363,7 +356,7 @@ class InferenceCache:
             except EvidenceError:
                 continue
             self.store_result(key, targets, result)
-            self.seed(dict(key))
+            self._seed_key(key)
 
     # ------------------------------------------------------------- lifecycle
     def total_bytes(self) -> int:
@@ -373,7 +366,8 @@ class InferenceCache:
 
     def _total_bytes_locked(self) -> int:
         return (self._baseline.resident_bytes() + self._memo_bytes
-                + sum(s.resident_bytes() for s in self._states.values()))
+                + sum(s.resident_bytes() for s in self._states.values()
+                      if s is not None))
 
     def _evict_locked(self) -> None:
         while len(self._memo) > self.max_memo:

@@ -89,6 +89,9 @@ class ServiceMetrics:
         self._max_fill = 0
         self._fill_hist: Counter[str] = Counter()
         self._fallback_cases = 0
+        #: Flushes by what started them: an arrival (idle key, or a full
+        #: queue) vs the completion of the flush they queued behind.
+        self._flushes = {"flushes_idle": 0, "flushes_behind": 0}
         self._explicit_batches = 0
         self._explicit_cases = 0
         self._cache_hits = 0
@@ -153,6 +156,11 @@ class ServiceMetrics:
             self._batched_cases += fill
             self._max_fill = max(self._max_fill, fill)
             self._fill_hist[_fill_bucket(fill)] += 1
+
+    def observe_flush(self, behind: bool) -> None:
+        """One flush started — released by a completing flush, or not."""
+        with self._lock:
+            self._flushes["flushes_behind" if behind else "flushes_idle"] += 1
 
     def observe_fallback(self, cases: int = 1) -> None:
         """Cases served by the per-case path (soft evidence / poisoned batch)."""
@@ -359,6 +367,7 @@ class ServiceMetrics:
                     "max_fill": self._max_fill,
                     "fill_hist": dict(self._fill_hist),
                     "fallback_cases": self._fallback_cases,
+                    **self._flushes,
                     "explicit_count": self._explicit_batches,
                     "explicit_cases": self._explicit_cases,
                 },
@@ -509,6 +518,8 @@ def aggregate_snapshots(snapshots: list[dict]) -> dict:
                              for s in snapshots), default=0),
             "fill_hist": dict(fill_hist),
             "fallback_cases": sum_path("batches", "fallback_cases"),
+            "flushes_idle": sum_path("batches", "flushes_idle"),
+            "flushes_behind": sum_path("batches", "flushes_behind"),
             "explicit_count": sum_path("batches", "explicit_count"),
             "explicit_cases": sum_path("batches", "explicit_cases"),
         },

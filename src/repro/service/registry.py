@@ -238,7 +238,8 @@ class ModelRegistry:
                 self._plans.setdefault(name, decision)
         return decision
 
-    def get(self, name: str, engine: str | None = None) -> ModelEntry:
+    def get(self, name: str, engine: str | None = None,
+            load: bool = True) -> ModelEntry | None:
         """Resident entry for ``name``, loading (and possibly evicting) on miss.
 
         ``engine`` overrides the registry's default policy for this lookup
@@ -247,10 +248,15 @@ class ModelRegistry:
         not block concurrent lookups of resident models.  Two threads
         racing on the same cold name may both compile; the first to
         register wins and the loser's engine is closed.
-        """
-        return self._lookup(name, engine, pins=0)
 
-    def get_pinned(self, name: str, engine: str | None = None) -> ModelEntry:
+        ``load=False`` never plans or compiles: a dict hit under the lock,
+        or ``None`` on a miss (and on an ``auto`` decision not cached yet)
+        — the form an event loop may call.
+        """
+        return self._lookup(name, engine, pins=0, load=load)
+
+    def get_pinned(self, name: str, engine: str | None = None,
+                   load: bool = True) -> ModelEntry | None:
         """Atomic :meth:`get` + :meth:`pin`: no eviction window in between.
 
         ``get`` followed by a separate ``pin`` leaves a gap in which a
@@ -261,14 +267,23 @@ class ModelRegistry:
         closed — until the matching :meth:`unpin`.  Callers must unpin in
         a ``finally``.
         """
-        return self._lookup(name, engine, pins=1)
+        return self._lookup(name, engine, pins=1, load=load)
 
-    def _lookup(self, name: str, engine: str | None, pins: int) -> ModelEntry:
+    def _lookup(self, name: str, engine: str | None, pins: int,
+                load: bool = True) -> ModelEntry | None:
         policy = engine if engine is not None else self.planner.policy
         if policy not in POLICIES:
             raise PlannerError(
                 f"unknown engine policy {policy!r}; expected one of {POLICIES}")
-        kind = self.plan_for(name).engine if policy == "auto" else policy
+        kind = policy
+        if policy == "auto":
+            with self._lock:
+                decision = self._plans.get(name)
+            if decision is None:
+                if not load:
+                    return None
+                decision = self.plan_for(name)
+            kind = decision.engine
         key = entry_key(name, kind)
         with self._lock:
             if self._closed:
@@ -280,6 +295,8 @@ class ModelRegistry:
                 if self.metrics is not None:
                     self.metrics.observe_cache(hit=True)
                 return entry
+        if not load:
+            return None
         loaded = self._load(name, kind)
         with self._lock:
             if self._closed:

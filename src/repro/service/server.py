@@ -87,8 +87,8 @@ from repro.jt.evidence_soft import split_evidence
 from repro.obs import (DEFAULT_SLOW_THRESHOLD_MS, Tracer, chrome_trace,
                        render_prometheus)
 from repro.obs.trace import DEFAULT_MAX_TRACES, DEFAULT_SLOW_LOG
-from repro.service.batcher import (DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT_MS,
-                                   MicroBatcher, QueryRequest)
+from repro.service.batcher import (DEFAULT_MAX_BATCH, MicroBatcher,
+                                   QueryRequest)
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import ModelRegistry
 from repro.service.sessions import (DEFAULT_IDLE_TTL_S, DEFAULT_MAX_SESSIONS,
@@ -186,7 +186,6 @@ class InferenceServer:
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT, *,
                  registry: ModelRegistry | None = None,
                  max_batch: int = DEFAULT_MAX_BATCH,
-                 max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
                  metrics: ServiceMetrics | None = None,
                  max_sessions: int = DEFAULT_MAX_SESSIONS,
                  session_ttl_s: float = DEFAULT_IDLE_TTL_S,
@@ -217,7 +216,6 @@ class InferenceServer:
                          else ModelRegistry(metrics=self.metrics,
                                             **registry_options))
         self.batcher = MicroBatcher(self.registry, max_batch=max_batch,
-                                    max_wait_ms=max_wait_ms,
                                     metrics=self.metrics)
         self.sessions = SessionManager(self.registry,
                                        max_sessions=max_sessions,
@@ -747,10 +745,7 @@ class InferenceServer:
     def _op_stats(self) -> dict:
         snapshot = self.metrics.snapshot()
         snapshot["registry"] = self.registry.stats()
-        snapshot["batcher"] = {
-            "max_batch": self.batcher.max_batch,
-            "max_wait_ms": self.batcher.max_wait_ms,
-        }
+        snapshot["batcher"] = {"max_batch": self.batcher.max_batch}
         snapshot["sessions"]["table"] = self.sessions.stats()
         snapshot["tracing"] = self.tracer.stats()
         if self.worker_id is not None:

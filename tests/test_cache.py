@@ -181,6 +181,187 @@ class TestDeltaServing:
         assert cache.total_bytes() <= 4_096
 
 
+# ----------------------------------------------------------------- lazy seeds
+def _bench_inputs():
+    """``bench/inputs.py`` as a module (it imports its sibling ``config``)."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "_bench_inputs", bench / "inputs.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # its dataclass needs sys.modules
+    finally:
+        sys.path.remove(str(bench))
+        for name in (spec.name, "config"):
+            sys.modules.pop(name, None)
+    return module
+
+
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """Counts ``IncrementalEngine`` clone / update calls from here on."""
+    from repro.jt.incremental import IncrementalEngine
+
+    calls = {"clone": 0, "update": 0}
+
+    def counted(name):
+        inner = getattr(IncrementalEngine, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return inner(self, *args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(IncrementalEngine, name, counted(name))
+    return calls
+
+
+class TestLazySeeding:
+    """A cold-served case enters tier 1 as its key alone; the state is
+    built when a lookup accepts that key — and the LRU order is exactly
+    what it was when every seed built one."""
+
+    COLD = [{"smoke": "yes", "asia": "no"}, {"bronc": "yes", "xray": "no"},
+            {"dysp": "no", "tub": "yes"}]
+
+    @staticmethod
+    def _record(cache, engine, cases):
+        cache.record_cold([(case, (), engine.infer(case)) for case in cases])
+
+    def test_record_cold_builds_no_state(self, asia, engine_builds):
+        cache = InferenceCache(compile_junction_tree(asia))
+        with FastBNI(asia, mode="seq") as engine:
+            self._record(cache, engine, self.COLD)
+        assert engine_builds == {"clone": 0, "update": 0}
+        stats = cache.stats()
+        assert (stats["states"], stats["seeded"]) == (3, 3)
+        assert stats["memo_entries"] == 3
+        assert list(cache._states.values()) == [None, None, None]
+        assert list(cache._states) == [cache.evidence_key(case)
+                                       for case in self.COLD]
+
+    def test_near_duplicate_materialises_and_matches_cold(self, asia,
+                                                          engine_builds):
+        cache = InferenceCache(compile_junction_tree(asia))
+        near = {"smoke": "yes", "asia": "yes"}
+        with FastBNI(asia, mode="seq") as engine:
+            self._record(cache, engine, self.COLD)
+            (outcome,) = cache.serve_cases([(near, ())])
+            want = engine.infer(near)
+        assert engine_builds["clone"] == 1  # built now, from the baseline
+        assert isinstance(outcome, CacheServed)
+        assert (outcome.source, outcome.delta_size) == ("delta", 1)
+        for name in asia.variable_names:
+            np.testing.assert_allclose(outcome.result.posteriors[name],
+                                       want.posteriors[name],
+                                       atol=1e-12, rtol=0)
+        assert outcome.result.log_evidence == pytest.approx(
+            want.log_evidence, abs=1e-12)
+        # The accepted key is replaced by the served one, most recent;
+        # the other two stay lazy.
+        assert list(cache._states) == [
+            cache.evidence_key(self.COLD[1]), cache.evidence_key(self.COLD[2]),
+            cache.evidence_key(near)]
+        assert [s is None for s in cache._states.values()] == [
+            True, True, False]
+
+    def test_declined_lookup_only_refreshes_the_key(self, asia, engine_builds):
+        cache = InferenceCache(compile_junction_tree(asia))
+        with FastBNI(asia, mode="seq") as engine:
+            self._record(cache, engine, self.COLD)
+        # Shares one variable with COLD[0] and none with the others:
+        # overlap 1/3 of the larger set, under the 0.5 threshold.
+        probe = {"smoke": "no", "lung": "yes", "either": "yes"}
+        (outcome,) = cache.serve_cases([(probe, ())])
+        assert outcome is None
+        assert engine_builds == {"clone": 0, "update": 0}
+        assert cache.stats()["declined"] == 1
+        assert list(cache._states) == [
+            cache.evidence_key(self.COLD[1]), cache.evidence_key(self.COLD[2]),
+            cache.evidence_key(self.COLD[0])]
+
+    def test_cold_walk_matches_the_benchmarks_model(self, engine_builds):
+        """``bench/inputs.py::_cold_queries`` predicts, from a model of
+        this LRU, which evidence sets the delta tier declines; the real
+        cache must agree on every one of them, step by step."""
+        from repro import load_network
+        from repro.jt.engine import InferenceResult
+
+        inputs = _bench_inputs()
+        net = load_network("hailfinder")
+        ops = inputs._cold_queries(net, "hailfinder",
+                                   np.random.default_rng(20), 200)
+        assert len(ops) == 200 and len(ops[0]["evidence"]) == 11
+        cache = InferenceCache(compile_junction_tree(net))
+        result = InferenceResult(posteriors={}, log_evidence=0.0)
+        model: list[dict] = []
+        for op in ops:
+            evidence = op["evidence"]
+            (outcome,) = cache.serve_cases([(evidence, ())])
+            assert outcome is None
+            cache.record_cold([(evidence, (), result)])
+            # The model's walk: refresh the best state, append, cap.
+            scores = [inputs._overlap(state, evidence) for state in model]
+            if scores:
+                best = max(range(len(model)),
+                           key=lambda i: (scores[i], i))
+                model.append(model.pop(best))
+            model.append(evidence)
+            del model[:-inputs.CACHE_STATES]
+            assert list(cache._states) == [cache.evidence_key(state)
+                                           for state in model]
+        stats = cache.stats()
+        assert (stats["delta_served"], stats["declined"]) == (0, 200)
+        assert (stats["seeded"], stats["evicted_states"]) == (200, 192)
+        assert engine_builds == {"clone": 0, "update": 0}
+
+    def test_session_state_over_a_lazy_key(self, asia, engine_builds):
+        cache = InferenceCache(compile_junction_tree(asia))
+        near = {"smoke": "yes", "asia": "yes"}
+        with FastBNI(asia, mode="seq") as engine:
+            self._record(cache, engine, self.COLD)
+            state = cache.session_state(near)
+            want = engine.infer(near)
+        assert state.evidence == dict(cache.evidence_key(near))
+        got = state.infer(near)
+        np.testing.assert_allclose(got.posteriors["lung"],
+                                   want.posteriors["lung"],
+                                   atol=1e-12, rtol=0)
+        # The session's clone is its own; the key it looked at stays lazy.
+        assert list(cache._states.values()) == [None, None, None]
+
+    def test_total_bytes_with_lazy_keys(self, asia):
+        cache = InferenceCache(compile_junction_tree(asia))
+        empty = cache.total_bytes()
+        with FastBNI(asia, mode="seq") as engine:
+            self._record(cache, engine, self.COLD)
+            lazy, memo = cache.total_bytes(), cache._memo_bytes
+            cache.serve_cases([({"smoke": "yes", "asia": "yes"}, ())])
+        # Lazy keys weigh nothing beyond their memoised results; the one
+        # a lookup accepted is a state now and is charged as one.
+        assert memo > 0 and lazy == empty + memo
+        assert cache.total_bytes() > lazy
+        assert cache.stats()["bytes"] == cache.total_bytes()
+
+    def test_eviction_counts_unchanged(self, asia, engine_builds):
+        """Ten seeds over eight keys at ``max_states=3``: the counts a
+        state-building seed produced."""
+        cache = InferenceCache(compile_junction_tree(asia), max_states=3)
+        for i in range(10):
+            cache.seed({"smoke": i % 2, "asia": (i // 2) % 2,
+                        "xray": (i // 4) % 2})
+        stats = cache.stats()
+        assert (stats["states"], stats["seeded"], stats["evicted_states"]) \
+            == (3, 10, 7)
+        assert engine_builds == {"clone": 0, "update": 0}
+
+
 # -------------------------------------------------------------- service level
 def _make_batcher(**kwargs):
     metrics = ServiceMetrics()
@@ -205,7 +386,7 @@ class TestBatcherIntegration:
                 traffic.append(flipped)
 
         async def scenario():
-            batcher, registry = _make_batcher(max_batch=4, max_wait_ms=1.0)
+            batcher, registry = _make_batcher(max_batch=4)
             try:
                 results = []
                 for case in traffic:  # sequential: exercises cache reuse
@@ -234,7 +415,7 @@ class TestBatcherIntegration:
 
     def test_exact_repeat_hits_result_memo(self, asia):
         async def scenario():
-            batcher, registry = _make_batcher(max_batch=4, max_wait_ms=1.0)
+            batcher, registry = _make_batcher(max_batch=4)
             try:
                 first = await batcher.submit(
                     "asia", QueryRequest(evidence={"smoke": "yes"}))
@@ -256,7 +437,7 @@ class TestBatcherIntegration:
     def test_register_replacement_never_serves_stale(self):
         """ISSUE pin: register() swapping a network invalidates everything."""
         async def scenario():
-            batcher, registry = _make_batcher(max_batch=2, max_wait_ms=0.5)
+            batcher, registry = _make_batcher(max_batch=2)
             try:
                 registry.register("m", coin_net(0.9))
                 first = await batcher.submit("m", QueryRequest())
@@ -287,7 +468,7 @@ class TestBatcherIntegration:
 
     def test_registry_eviction_drops_cache_with_entry(self, asia):
         async def scenario():
-            batcher, registry = _make_batcher(max_batch=2, max_wait_ms=0.5)
+            batcher, registry = _make_batcher(max_batch=2)
             try:
                 await batcher.submit(
                     "asia", QueryRequest(evidence={"smoke": "yes"}))
@@ -308,7 +489,7 @@ class TestBatcherIntegration:
     def test_cache_disabled_registry_has_no_caches(self, asia):
         async def scenario():
             batcher, registry = _make_batcher(
-                max_batch=2, max_wait_ms=0.5, registry={"cache": False})
+                max_batch=2, registry={"cache": False})
             try:
                 await batcher.submit(
                     "asia", QueryRequest(evidence={"smoke": "yes"}))
@@ -328,7 +509,7 @@ class TestBatcherIntegration:
 class TestServerIntegration:
     def test_cache_stats_op_and_served_by_over_tcp(self, asia):
         async def scenario():
-            server = InferenceServer(port=0, max_batch=4, max_wait_ms=1.0)
+            server = InferenceServer(port=0, max_batch=4)
             await server.start()
             try:
                 reader, writer = await asyncio.open_connection(

@@ -35,7 +35,11 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.port == 7421
         assert args.max_batch == 64
-        assert args.max_wait_ms == 2.0
+        # The flush timer is gone: max_batch is the batcher's one flag.
+        assert not [name for name in vars(args) if "wait" in name]
+        for command in ("serve", "cluster"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--max-wait-ms", "2"])
         assert args.mode == "seq"
 
     @pytest.mark.parametrize("command", [["query", "asia"], ["serve"]])

@@ -283,7 +283,7 @@ class TestMicroBatcher:
             # cache=False pins the pure vectorised path; the cached path's
             # equivalence is pinned separately in tests/test_cache.py.
             batcher, registry = _make_batcher(cache=False,
-                                              max_batch=16, max_wait_ms=5.0)
+                                              max_batch=16)
             try:
                 results = await asyncio.gather(*[
                     batcher.submit("asia", QueryRequest(evidence=case))
@@ -331,7 +331,11 @@ class TestMicroBatcher:
         good = {"smoke": "yes"}
 
         async def scenario():
-            batcher, registry = _make_batcher(max_batch=8, max_wait_ms=5.0)
+            batcher, registry = _make_batcher(max_batch=8)
+            # Resident first: on a cold model each submit resumes from the
+            # off-loop load in its own iteration, and the three would not
+            # share a flush.
+            registry.get("asia")
             try:
                 results = await asyncio.gather(
                     batcher.submit("asia", QueryRequest(evidence=good)),
@@ -402,7 +406,7 @@ class TestMicroBatcher:
 
     def test_targets_projected_per_request(self):
         async def scenario():
-            batcher, registry = _make_batcher(max_batch=4, max_wait_ms=5.0)
+            batcher, registry = _make_batcher(max_batch=4)
             try:
                 a, b = await asyncio.gather(
                     batcher.submit("asia", QueryRequest(
@@ -447,7 +451,7 @@ class TestInferenceServer:
             # cache=False: this acceptance test pins the vectorised
             # micro-batching path (every case served_by "batch"); the
             # cached path has its own acceptance in tests/test_cache.py.
-            server = InferenceServer(port=0, max_batch=32, max_wait_ms=5.0,
+            server = InferenceServer(port=0, max_batch=32,
                                      cache=False)
             await server.start()
 
@@ -484,7 +488,11 @@ class TestInferenceServer:
 
     def test_pipelining_on_one_connection(self):
         async def scenario():
-            server = InferenceServer(port=0, max_batch=16, max_wait_ms=5.0)
+            server = InferenceServer(port=0, max_batch=16)
+            # Resident first, or the twenty resume from the off-loop load
+            # one by one: the first is a cold flush of one and the memo
+            # answers the rest, which no vectorised flush ever sees.
+            server.preload(["asia"])
             await server.start()
             try:
                 requests = [{"id": i, "op": "query", "network": "asia",

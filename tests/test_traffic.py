@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -26,6 +27,16 @@ FAST_MIX = {"zipf": 0.5, "burst": 0.2, "session": 0.3}
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def _same_answer(a: dict, b: dict, atol: float = 1e-12) -> bool:
+    """Two wire answers over the same variables, equal to ``atol``."""
+    pa, pb = a["posteriors"], b["posteriors"]
+    la, lb = a["log_evidence"], b["log_evidence"]
+    return (pa.keys() == pb.keys() and (la is None) == (lb is None)
+            and (la is None or abs(la - lb) <= atol)
+            and all(np.allclose(pa[k], pb[k], rtol=0.0, atol=atol)
+                    for k in pa))
 
 
 # ---------------------------------------------------------------- apportion
@@ -283,14 +294,19 @@ class TestRecorder:
         assert not replayed.errors
         assert len(recorded.events) == len(source.events)
         # Recorded session ids are logical (r0000…): replay remapped
-        # them onto fresh server-issued ids and every answer matches
-        # the original live run bit-for-bit.
-        live_values = sorted(
-            (json.dumps(a, sort_keys=True) for a in live.answers.values()))
-        replayed_values = sorted(
-            (json.dumps(a, sort_keys=True)
-             for a in replayed.answers.values()))
-        assert replayed_values == live_values
+        # them onto fresh server-issued ids and every live answer has its
+        # own replayed one at 1e-12, the cross-path contract.  Not bit for
+        # bit: which tier answers a request (memo / NumPy delta / cold
+        # batch) follows arrival timing, and the tiers agree to rounding
+        # only.  The recording is in proxy-arrival order, so events pair
+        # by answer, not by index.
+        assert len(replayed.answers) == len(live.answers) > 0
+        unmatched = list(replayed.answers.values())
+        for idx, answer in live.answers.items():
+            twin = next((other for other in unmatched
+                         if _same_answer(answer, other)), None)
+            assert twin is not None, (idx, answer)
+            unmatched.remove(twin)
 
     def test_recorded_trace_round_trips(self, tmp_path):
         source = generate_trace(seed=29, requests=10, mix={"zipf": 1.0})
