@@ -1,11 +1,11 @@
 """Service-level ablation matrix: does every component earn its keep?
 
-The stack has accumulated load-bearing machinery — fused kernels, the
-two-tier cache, batcher coalescing, planner routing, warm session
-deltas.  Each landed with its own benchmark, but nothing proves they
-still pull their weight *together* under mixed traffic, and nothing
-catches a PR that quietly erases one contribution while the others mask
-the regression.  This harness is that proof:
+The stack has accumulated load-bearing machinery — fused and native
+kernels, the two-tier cache, batcher coalescing, planner routing.  Each
+landed with its own benchmark, but nothing proves they still pull their
+weight *together* under mixed traffic, and nothing catches a change that
+quietly erases one contribution while the others mask the regression.
+This harness is that proof:
 
 * one seeded :class:`~repro.bench.traffic.TrafficTrace` (or a recorded
   one) is replayed against a **baseline** server and one
@@ -81,11 +81,6 @@ COMPONENTS: dict[str, dict] = {
         "description": "exact/approx cost routing (off = policy='exact', "
                        "dense networks pay full compiles)",
         "off": {"policy": "exact"},
-    },
-    "sessions_warm": {
-        "description": "warm per-session incremental deltas (off = every "
-                       "session op rebuilds state from scratch)",
-        "off": {"session_cold": True},
     },
 }
 

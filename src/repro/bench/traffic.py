@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.artifact import Command, Flag
-from repro.bn.sampling import generate_test_cases
+from repro.bn.sampling import forward_sample, generate_test_cases
 from repro.errors import QueryError
 
 SCHEMA = "fastbni-traffic-v1"
@@ -252,8 +252,9 @@ def generate_trace(seed: int = 2023, requests: int = 240, *,
       network (stochastic; ``check=False``).
     * ``session`` — open / ``walk_updates``× update(+read) / query /
       close walks with one-variable evidence edits: the incremental
-      delta path's structural workload.  Reads are deterministic:
-      ``check=True``.
+      delta path's structural workload.  A walk's findings all come from
+      one forward sample, so every evidence set along it is possible.
+      Reads are deterministic: ``check=True``.
 
     Every event gets an exponential-gap arrival offset (bursts share
     one); the merged timeline is sorted by ``t_ms`` with a stable
@@ -356,7 +357,6 @@ def generate_trace(seed: int = 2023, requests: int = 240, *,
         snet = (net if session_network == network
                 else resolve_network(session_network))
         names = sorted(v.name for v in snet.variables)
-        cards = {v.name: len(v.states) for v in snet.variables}
         per_walk = walk_updates + 3  # open + updates + query + close
         walks = max(1, round(n_session / per_walk))
         events = []
@@ -365,10 +365,11 @@ def generate_trace(seed: int = 2023, requests: int = 240, *,
         while len(events) < n_session:
             sid = f"s{w:04d}"
             w += 1
+            sample = forward_sample(snet, rng)
             k = max(1, int(rng.integers(1, max(2, len(names) // 4))))
             picked = list(rng.choice(names, size=min(k, len(names)),
                                      replace=False))
-            evidence = {v: int(rng.integers(cards[v])) for v in picked}
+            evidence = {v: sample[v] for v in picked}
             targets = [v for v in names if v not in evidence][:num_targets]
             t += float(rng.exponential(gap_ms * max(1, n_session // walks)))
             walk = [{
@@ -379,7 +380,7 @@ def generate_trace(seed: int = 2023, requests: int = 240, *,
             }]
             for _ in range(walk_updates):
                 var = str(rng.choice(names))
-                evidence[var] = int(rng.integers(cards[var]))
+                evidence[var] = sample[var]
                 targets = [v for v in names if v != var][:num_targets]
                 walk.append({
                     "op": "session_update", "session": sid,

@@ -305,7 +305,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             max_sessions=args.max_sessions,
             session_ttl_s=args.session_ttl,
             session_max_bytes=int(args.session_mb * 1024 * 1024),
-            session_cold=args.sessions == "cold",
             trace_sample_rate=args.trace_sample_rate,
             trace_buffer=args.trace_buffer,
             trace_slow_ms=args.trace_slow_ms,
@@ -638,7 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "queries re-propagate only the changed subtree "
                          "(default: on)")
     sv.add_argument("--cache-states", type=int, default=8,
-                    help="calibrated base states kept per model")
+                    help="calibrated base states kept per model (models "
+                         "on native kernels keep a result memo only)")
     sv.add_argument("--cache-mb", type=float, default=32.0,
                     help="per-model cache byte budget (states + result "
                          "memo), charged against --max-mb")
@@ -655,10 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--session-mb", type=float, default=64.0,
                     help="total session byte budget (sessions also charge "
                          "their model's entry against --max-mb)")
-    sv.add_argument("--sessions", default="warm", choices=("warm", "cold"),
-                    help="'cold' disables warm per-session deltas: every "
-                         "session op rebuilds state from scratch (the "
-                         "ablation kill-switch; default: warm)")
     sv.add_argument("--trace-sample-rate", type=float, default=0.0,
                     help="fraction of requests carrying a full span trace "
                          "(deterministic every-Nth sampling; 0 = off, "

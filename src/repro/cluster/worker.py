@@ -8,11 +8,12 @@ run in worker mode:
   handshake — stdout is otherwise unused);
 * stamps every health/stats response with its ``worker_id`` so the
   router's aggregation can label per-worker series;
-* publishes each compiled plan's clique base tables into a named
-  shared-memory segment (:func:`repro.parallel.sharedmem.share_readonly`)
-  via the registry's ``on_load`` hook — the first worker to compile a
-  model owns the segment, every replica attaches read-only, so N
-  replicas of one model cost one copy of its clique tables;
+* publishes each compiled plan's clique base tables (and a native plan's
+  calibrated prior) into named shared-memory segments
+  (:func:`repro.parallel.sharedmem.share_readonly`) via the registry's
+  ``on_load`` hook — the first worker to compile a model owns the
+  segments, every replica attaches read-only, so N replicas of one model
+  cost one copy of its tables;
 * watches its parent: if the supervisor dies (``getppid`` changes), the
   worker SIGTERMs itself rather than lingering orphaned;
 * drains gracefully on SIGTERM (``run_server``'s handler): stops
@@ -40,7 +41,8 @@ from repro.service.server import run_server
 
 
 def make_share_plan_hook(prefix: str):
-    """Registry ``on_load`` hook publishing/attaching plan base arenas."""
+    """Registry ``on_load`` hook publishing/attaching plan base arenas
+    (the CPT products and, on native plans, the calibrated prior)."""
 
     def share_plan(name: str, engine) -> None:
         plan = getattr(engine, "plan", None)
@@ -49,6 +51,10 @@ def make_share_plan_hook(prefix: str):
         seg = segment_name(prefix, name, plan.spec.clique_entries)
         flat, _ = share_readonly(seg, lambda: plan.base_flat)
         plan.adopt_base(flat)
+        if plan.prior_flat is not None:  # checked before C reads it
+            seg = segment_name(prefix, f"{name}#prior",
+                               plan.spec.arena_entries)
+            plan.prior_flat, _ = share_readonly(seg, lambda: plan.prior_flat)
 
     return share_plan
 

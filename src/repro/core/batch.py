@@ -21,7 +21,8 @@ total instead of ``O(messages × cases)``.
 On the ``native`` kernel backend none of that arena is needed: with hard
 evidence and no kernel hooks recording, each case block is **one foreign
 call** (:meth:`repro.exec.native.backend.NativeKernels.infer_cases`) that
-applies the evidence matrix, runs the compiled schedule, reads the
+applies the evidence matrix, runs the messages each case needs from the
+plan's calibrated prior (``meta["messages_run"]`` counts them), reads the
 posteriors and computes log P(e) case after case over one per-thread
 scratch arena — ``O(blocks)`` foreign calls and no per-message or
 per-variable interpreter work.  The staged path above stays for the
@@ -173,11 +174,13 @@ def infer_cases(
             posteriors, log_evidence = (
                 b[0] if len(done) == 1 else np.concatenate(b)
                 for b in blocks_out)
-            walked, dense = map(sum, zip(*visited))
-            engine.metrics.update(entries_walked=walked, entries_dense=dense)
+            walked, dense, run = map(sum, zip(*visited))
+            engine.metrics.update(messages_run=run, entries_walked=walked,
+                                  entries_dense=dense)
             return BatchInferenceResult(
                 posteriors=plan.posterior_views(read_ids, posteriors),
-                log_evidence=log_evidence, meta=meta)
+                log_evidence=log_evidence,
+                meta={**meta, "messages_run": float(run)})
 
     state = plan.fresh_batch_state(n)
     absorb_start = time.perf_counter() if hooks is not None else 0.0
@@ -226,14 +229,16 @@ class BatchedFastBNI(FastBNI):
 
         Long-lived callers (the service layer's micro-batcher) flush many
         small batches against one engine; this pays the batch-independent
-        work once up front — the CPT-product base tables and (for gather
-        backends) the per-edge index maps — so each subsequent
-        :meth:`infer_cases` call only does per-batch work (evidence
-        absorption + kernel passes), never re-absorbing CPTs.  Idempotent;
-        returns ``self`` for chaining.
+        work once up front — the CPT-product base tables, the per-edge
+        index maps (gather backends) and the lowered plan with its
+        calibrated prior (native) — so each subsequent :meth:`infer_cases`
+        call only does per-batch work, never re-absorbing CPTs.
+        Idempotent; returns ``self`` for chaining.
         """
         self.plan.base_cliques
         self.plan.compiled_messages(maps=self.kernels.wants_maps)
+        if getattr(self.kernels, "compiles_cases", False):
+            self.kernels.lowered(self.plan)
         return self
 
     def infer_cases(

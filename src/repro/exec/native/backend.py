@@ -7,12 +7,12 @@ whole cases, whole schedules, single messages — see the class).  Three
 properties follow that no NumPy formulation has:
 
 * **one foreign call per case block** — :meth:`NativeKernels.infer_cases`
-  lists the entries each case's evidence leaves possible, runs the
-  compiled schedule over them, reads the requested posteriors and
-  computes log P(e) for a block of cases inside one call; the
-  interpreter only builds the evidence matrix and wraps the output
-  block, so ``FastBNI.infer`` and ``core.batch.infer_cases`` pay no
-  per-message and no per-variable Python work;
+  lists the entries each case's evidence leaves possible, runs over them
+  the messages its evidence and reads need from the plan's calibrated
+  prior, reads the requested posteriors and computes log P(e) for a
+  block of cases inside one call, so ``FastBNI.infer`` and
+  ``core.batch.infer_cases`` pay no per-message and no per-variable
+  Python work;
 * **GIL release** — ``ctypes`` drops the GIL for the duration of every
   foreign call, so thread-dispatched case blocks genuinely overlap on
   separate cores instead of time-slicing one interpreter;
@@ -26,9 +26,10 @@ properties follow that no NumPy formulation has:
 Everything C walks is lowered once per plan from plain
 :class:`~repro.exec.plan.PlanSpec` data into flat int64 tables
 (:func:`lower_plan`) and bounds-checked against the arena in Python
-(:func:`check_tables`) before the first call; evidence matrices and read
-ids are range-checked per call.  C never sees an offset, size, map entry
-or state index that was not checked here.
+(:func:`check_tables`, which also checks the calibrated prior) before C
+first reads them; evidence matrices and read ids are range-checked per
+call.  C never sees an offset, size, map entry, state index or prior
+that was not checked here.
 
 Numerically the backend follows the ``fused`` conventions exactly (same
 ``new/(old + (old == 0))`` separator update, same normalisation points),
@@ -46,8 +47,9 @@ import numpy as np
 
 from repro.errors import BackendError, EvidenceError, QueryError
 from repro.exec.kernels import KernelBackend, resolve_maps
-from repro.exec.native.build import (AXIS_STRIDE, MAX_AXES, META_STRIDE,
-                                     RUNS_FULL, TABLE_STRIDE, VAR_STRIDE)
+from repro.exec.native.build import (AXIS_STRIDE, CASE_STRIDE, MAX_AXES,
+                                     META_STRIDE, RUNS_FULL, TABLE_STRIDE,
+                                     VAR_STRIDE)
 
 EMPTY_MESSAGE = "evidence has zero probability (empty message)"
 
@@ -81,8 +83,8 @@ class PlanTables:
     state_limits: np.ndarray = field(init=False)
     #: Addresses of ``meta``, ``tables``, ``axes``, ``var_table``, reads.
     addresses: tuple[int, ...] = field(init=False)
-    #: The base buffer last handed to C and its address (``adopt_base``
-    #: may swap the plan's); one attribute, so threads swap it whole.
+    #: The plan's prior last checked and handed to C, and its address;
+    #: one attribute, so threads swap it whole.
     base: tuple = (None, 0)
 
     def __post_init__(self) -> None:
@@ -157,8 +159,8 @@ def _is_i64(array, *shape: int) -> bool:
             and array.shape == shape and array.flags.c_contiguous)
 
 
-def check_tables(spec, tables: PlanTables) -> None:
-    """Bounds-check lowered tables against the arena layout.
+def check_tables(spec, tables: PlanTables, prior=None) -> None:
+    """Bounds-check lowered tables (and a prior) against the arena layout.
 
     Every table row must be the arena's table of that id; its axes must
     lie inside the axes table, be no more than the C odometer holds,
@@ -167,9 +169,10 @@ def check_tables(spec, tables: PlanTables) -> None:
     it.  Every message must name the tables of a plan edge by id, with
     index maps as long as its cliques and pointing inside its separator;
     every variable's ``stride * cardinality`` blocks must tile the
-    clique it names.  Raises
-    :class:`~repro.errors.BackendError` otherwise — C walks these tables
-    without looking back.
+    clique it names.  ``prior``, when given, must be a contiguous float64
+    arena, finite, non-negative, every table summing to 1 within 1e-12.
+    Raises :class:`~repro.errors.BackendError` otherwise — C walks these
+    tables and copies from the prior without looking back.
     """
     def need(ok, what: str) -> None:
         if not ok:
@@ -239,6 +242,17 @@ def check_tables(spec, tables: PlanTables) -> None:
         need(0 <= tid < n_cliques and stride >= 1 and card >= 1
              and rows[tid][1] % (stride * card) == 0,
              f"variable {v} does not tile the clique it names")
+    if prior is None:
+        return
+    need(isinstance(prior, np.ndarray) and prior.dtype == np.float64
+         and prior.shape == (spec.arena_entries,)
+         and prior.flags.c_contiguous,
+         "calibrated prior is not a contiguous float64 arena")
+    need(bool(np.isfinite(prior).all()) and not (prior < 0.0).any(),
+         "calibrated prior holds a negative or non-finite entry")
+    for t, (off, size) in enumerate(layout):
+        need(abs(prior[off:off + size].sum() - 1.0) <= 1e-12,
+             f"calibrated prior table {t} does not sum to 1")
 
 
 class NativeKernels(KernelBackend):
@@ -250,21 +264,16 @@ class NativeKernels(KernelBackend):
 
     Three granularities, coarsest first:
 
-    * :meth:`infer_cases` — whole *cases*: evidence run lists, schedule,
-      posterior reads and log P(e) for a block of cases as **one** foreign
-      call over one per-thread scratch arena.  Used by ``FastBNI.infer``
-      (``mode="seq"``) and ``core.batch.infer_cases`` whenever the
-      request is hard-evidence-only and no kernel hooks are recording;
-    * :meth:`run_schedule` — the whole single-case calibration as **one**
-      foreign call over a per-plan compiled metadata table (the schedule
-      is compiled, not interpreted: per-message Python/ctypes overhead is
-      paid zero times per case).  Used by ``run_message_schedule`` (soft
-      evidence, callers holding their own state) when no kernel hooks are
-      recording;
+    * :meth:`infer_cases` — a block of whole hard-evidence *cases* as
+      **one** foreign call over one per-thread scratch arena
+      (``FastBNI.infer`` with ``mode="seq"``, ``core.batch.infer_cases``,
+      no kernel hooks recording);
+    * :meth:`run_schedule` — one caller-held state's whole calibration as
+      **one** foreign call over the compiled schedule
+      (``run_message_schedule``: soft evidence, no hooks recording);
     * :meth:`message` / :meth:`message_batch` — one call per message, for
-      one case or a whole case block (the property-test contract, the
-      hooks-instrumented trace path, ``inter`` mode, and plans whose index
-      maps are over budget).
+      one case or a case block (the property-test contract, the hooked
+      trace path, ``inter`` mode, plans whose index maps are over budget).
     """
 
     name = "native"
@@ -288,6 +297,7 @@ class NativeKernels(KernelBackend):
         # thread-dispatched case blocks / per-case threads call into it
         # concurrently.
         self._local = threading.local()
+        self._lowering = threading.Lock()
 
     def _scratch(self, sep_size: int) -> np.ndarray:
         buf = getattr(self._local, "buf", None)
@@ -298,7 +308,7 @@ class NativeKernels(KernelBackend):
     # ------------------------------------------------------------ whole cases
     def _case_scratch(self, *sizes: int) -> tuple:
         """This thread's whole-case scratch: a case arena, a message
-        scratch and run words of at least ``sizes`` entries, and four
+        scratch and run words of at least ``sizes`` entries, and five
         status words — each its own allocation, so a sanitizer sees an
         overrun of any of them.  Returns the status array and the four
         addresses, cached (see :class:`PlanTables`)."""
@@ -308,7 +318,7 @@ class NativeKernels(KernelBackend):
                 sizes = tuple(map(max, held[0], sizes))
             arrays = (np.empty(sizes[0]), np.empty(sizes[1]),
                       np.empty(sizes[2], dtype=np.int64),
-                      np.empty(4, dtype=np.int64))
+                      np.empty(5, dtype=np.int64))
             held = self._local.case = (
                 sizes, arrays, (arrays[3], *(a.ctypes.data for a in arrays)))
         return held[2]
@@ -323,18 +333,20 @@ class NativeKernels(KernelBackend):
         log_evidence, visited)``: a fresh ``(k, entries)`` block holding
         the requested normalised marginals side by side in ``read_ids``
         order (variable *v* takes ``cardinality(v)`` columns), the
-        ``(k,)`` log P(e) vector, ``-inf`` where the calibrated root is
-        empty — neither aliases the scratch arena — and the clique
-        entries the block's messages ``(walked, would have walked with
-        no run list)``.  ``None`` when the plan cannot be lowered (index
+        ``(k,)`` log P(e) vector — neither aliases the scratch arena — and
+        ``(entries walked, entries dense, messages run)`` summed over the
+        block.  Each case runs, from the plan's calibrated prior, only the
+        messages that can change a read or log P(e) (the rule is in
+        ``build.py``).  ``None`` when the plan cannot be lowered (index
         maps over budget); callers then run the staged path.
 
-        Raises what the staged path raises: :class:`EvidenceError` for an
-        empty message and :class:`QueryError` for a posterior that cannot
-        be normalised, naming case ``case_offset + i`` when a
-        ``case_offset`` is given (batched callers) and no case otherwise.
+        Raises :class:`EvidenceError` for impossible evidence (found
+        before any read, whatever ``read_ids`` asks) and
+        :class:`QueryError` for a posterior that cannot be normalised,
+        naming case ``case_offset + i`` when a ``case_offset`` is given
+        (batched callers) and no case otherwise.
         """
-        tables = self._lowered(plan)
+        tables = self.lowered(plan)
         if tables is None:
             return None
         spec = plan.spec
@@ -353,25 +365,26 @@ class NativeKernels(KernelBackend):
         if read_ids != plan.variable_ids():
             held, entries = reads_table(spec, read_ids)
             reads = held.ctypes.data
-        flat, base = plan.base_flat, tables.base
-        if base[0] is not flat:
-            base = tables.base = (flat, flat.ctypes.data)
+        prior, base = plan.prior_flat, tables.base
+        if base[0] is not prior:
+            check_tables(spec, tables, prior)
+            base = tables.base = (prior, prior.ctypes.data)
         k = len(evidence)
         # One output block: each row is the marginals then log P(e).
         out = np.empty((k, entries + 1))
-        # Run scratch: three words per table and, the bound derived at
-        # fbni_evidence_runs, one per arena entry for the lists.
+        # Run scratch: CASE_STRIDE words per table, one per message and
+        # (the bound derived at fbni_evidence_runs) one per arena entry.
         n_tables = len(tables.tables)
-        run_words = 3 * n_tables + spec.arena_entries
+        run_words = (CASE_STRIDE * n_tables + tables.n_messages
+                     + spec.arena_entries)
         status, arena, scratch, runs, status_addr = self._case_scratch(
             spec.arena_entries, 2 * tables.max_sep, run_words)
         self._infer_cases(
-            base[1], spec.clique_entries, arena, spec.arena_entries,
-            meta, tables.n_messages, scratch, table_rows, n_tables, axes,
-            runs, run_words, var_table, n_vars, evidence.ctypes.data, k,
-            reads, len(read_ids), spec.root, out.ctypes.data, entries,
-            status_addr)
-        failed, where, walked, dense = status.tolist()
+            base[1], spec.num_cliques, arena, meta, tables.n_messages,
+            scratch, table_rows, n_tables, axes, runs, run_words, var_table,
+            n_vars, evidence.ctypes.data, k, reads, len(read_ids), spec.root,
+            out.ctypes.data, entries, status_addr)
+        failed, where, *visited = status.tolist()
         if failed >= 0:
             case = "" if case_offset is None else f" in case {case_offset + failed}"
             if where == RUNS_FULL:
@@ -381,40 +394,48 @@ class NativeKernels(KernelBackend):
             name = plan.variable_names[read_ids[-1 - where]]
             raise QueryError(f"cannot normalise posterior of {name!r}{case} "
                              f"(total={float(out[failed, entries])})")
-        return out[:, :entries], out[:, entries].copy(), (walked, dense)
+        return out[:, :entries], out[:, entries].copy(), tuple(visited)
 
     # ------------------------------------------------------ compiled schedule
-    def _lowered(self, plan) -> "PlanTables | None":
-        """The plan's lowered tables (built and bounds-checked once), or
-        ``None`` when its index maps exceed the cache budget — the
-        per-message path then handles the plan generically."""
+    def lowered(self, plan) -> "PlanTables | None":
+        """The plan's lowered tables, built and bounds-checked once with
+        its calibrated prior (one compiled calibration), or ``None`` when
+        its index maps exceed the cache budget."""
         tables = plan.__dict__.get("_native_schedule")
         if tables is None:
-            tables = plan.__dict__["_native_schedule"] = lower_plan(plan)
+            with self._lowering:  # threads racing on a cold plan wait
+                tables = plan.__dict__.get("_native_schedule")
+                if tables is None:
+                    tables = lower_plan(plan)
+                    if tables:
+                        plan.calibrate_prior(lambda state: self._run_lowered(
+                            tables, plan.spec, state))
+                    plan.__dict__["_native_schedule"] = tables
         return tables or None
 
     def run_schedule(self, plan, state):
         """Calibrate ``state`` in one foreign call; ``(messages, log_norm)``.
 
-        Returns ``None`` when this plan/state pair can't take the fast
-        path — index maps over budget, or a state whose tables are not
-        the plan's arena layout (checked by address arithmetic on the
-        first/last tables; only ``MessagePlan.fresh_state`` arenas pass).
-        The caller then falls back to the per-message loop.
+        ``None`` — the caller then runs the per-message loop — when the
+        plan's index maps are over budget or ``state`` is not laid out as
+        the plan's arena (only ``MessagePlan.fresh_state`` arenas are).
         """
-        tables = self._lowered(plan)
+        tables = self.lowered(plan)
         if tables is None:
             return None
+        return self._run_lowered(tables, plan.spec, state)
+
+    def _run_lowered(self, tables: PlanTables, spec, state):
         if tables.n_messages == 0:
             return 0, 0.0
-        base = self._arena_base(plan.spec, state)
+        base = self._arena_base(spec, state)
         if base is None:
             return None
         scratch = self._scratch(tables.max_sep)
         status = np.empty(1, dtype=np.int64)
         log_norm = self._run_schedule(base, tables.addresses[0],
                                       tables.n_messages, scratch.ctypes.data,
-                                      tables.addresses[1], None, None,
+                                      tables.addresses[1], None, None, None,
                                       status.ctypes.data)
         if int(status[0]) >= 0:
             raise EvidenceError(EMPTY_MESSAGE)

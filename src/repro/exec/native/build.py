@@ -4,9 +4,7 @@ The C source below is the whole library: one function executing a full
 Hugin message (marginalize → normalize → ratio → absorb) over contiguous
 float64 tables through precomputed int64 index maps, its batched
 table-major variant, the compiled-schedule runner built on it, and the
-whole-case entry point (``fbni_infer_cases``: per-case evidence run
-lists, the schedule over them, posterior reads and log P(e) for a block
-of cases in one call).
+whole-case entry point ``fbni_infer_cases``.
 It is compiled on first use with whatever C compiler
 the system provides (``cc``/``gcc``/``clang``; ``-O3 -fPIC -shared``) into
 a shared object cached under a **content-hash key** — the SHA-256 of the
@@ -58,11 +56,11 @@ C_SOURCE = r"""
  * stretches of a table a loop need visit.  Two sources, one format:
  * entries whose CPT-product base is zero (a zero contributes nothing to
  * a marginal and stays zero under the multiply-only updates calibration
- * performs), and, on the whole-case path, entries the case's evidence
- * rules out: they are never initialised, read or written, in any table
- * that holds an observed variable (a finding is a 0/1 factor, so
- * applying it in all of them gives the distribution applying it in one
- * does).
+ * performs, so the calibrated prior keeps it), and, on the whole-case
+ * path, entries the case's evidence rules out: they are never
+ * initialised, read or written, in any table that holds an observed
+ * variable (a finding is a 0/1 factor, so applying it in all of them
+ * gives the distribution applying it in one does).
  */
 #include <math.h>
 #include <stdint.h>
@@ -180,18 +178,22 @@ i64 fbni_message_batch(const double *src, double *dst, double *sep,
  * alive; table operands are located by offset from the state's arena
  * base, so one compiled schedule serves every per-case arena.  A table
  * is walked through words [4]-[6] of its row, or, when walks is given,
- * through the 3 words it holds per table instead (same meaning);
- * visited, when given, grows by the clique entries the messages walked
- * ([0]) and would have walked with no run list ([1]).  Returns the
- * accumulated log-normalisation constant of the collect phase;
- * status[0] receives -1, or the index of the message whose total came
- * up empty (impossible evidence). */
+ * through the first 3 of the FBNI_CASE_STRIDE words it holds there
+ * (same meaning).  need, when given, names the messages to run (need[m]
+ * != 0).  visited, when given, grows by the clique entries the messages
+ * run walked ([0]), those the whole schedule would walk with no run list
+ * ([1]) and the messages run ([2]).  Returns the accumulated
+ * log-normalisation constant of the collect messages run; status[0]
+ * receives -1, or the index of the message whose total came up empty
+ * (impossible evidence). */
 #define FBNI_TABLE_STRIDE 7
 #define FBNI_META_STRIDE 6
+#define FBNI_CASE_STRIDE 5
 
 double fbni_run_schedule(double *arena, const i64 *meta, i64 n_messages,
                          double *scratch, const i64 *tables,
-                         const i64 *walks, i64 *visited, i64 *status)
+                         const i64 *walks, const i64 *need, i64 *visited,
+                         i64 *status)
 {
     double log_norm = 0.0;
     for (i64 m = 0; m < n_messages; ++m) {
@@ -199,8 +201,12 @@ double fbni_run_schedule(double *arena, const i64 *meta, i64 n_messages,
         const i64 *t[3], *w[3];  /* src, dst, sep: table row and walk */
         for (int k = 0; k < 3; ++k) {
             t[k] = tables + e[3 + k] * FBNI_TABLE_STRIDE;
-            w[k] = walks ? walks + e[3 + k] * 3 : t[k] + 4;
+            w[k] = walks ? walks + e[3 + k] * FBNI_CASE_STRIDE : t[k] + 4;
         }
+        if (visited)
+            visited[1] += t[0][1] + t[1][1];
+        if (need && !need[m])
+            continue;
         double total = fbni_message(
             arena + t[0][0], arena + t[1][0], arena + t[2][0],
             (const i64 *)(uintptr_t)e[1], (const i64 *)(uintptr_t)e[2],
@@ -216,7 +222,7 @@ double fbni_run_schedule(double *arena, const i64 *meta, i64 n_messages,
             log_norm += log(total);
         if (visited) {
             visited[0] += w[0][2] + w[1][2];
-            visited[1] += t[0][1] + t[1][1];
+            ++visited[2];
         }
     }
     status[0] = -1;
@@ -303,15 +309,24 @@ i64 fbni_evidence_runs(const i64 *axes, i64 n_axes, const i64 *observed,
     }
 }
 
-/* Whole cases in one foreign call: the evidence run lists, the base
- * copy, the compiled schedule, the posterior reads and log P(e), case
- * after case over one single-case scratch arena (so a case's tables and
- * index maps stay cache-resident and a block of cases needs no more
- * memory than one).
+/* Whole cases in one foreign call, case after case over one single-case
+ * scratch arena (so a case's tables and index maps stay cache-resident
+ * and a block of cases needs no more memory than one).
+ *
+ * prior is the plan's arena after one no-evidence calibration, every
+ * table normalised to sum 1 (clique C holds P(C), separator S P(S)).  A
+ * message whose inputs the case leaves at the prior changes nothing, so
+ * only these run: a collect message iff its child's subtree holds an
+ * observed clique, a distribute message iff that subtree holds a read
+ * clique and some observed clique lies outside it.  A skipped collect
+ * message's total is 1, so log P(e) is the sum of log totals over the
+ * collect messages run plus the log of the root total.  Only the tables
+ * a run message, the evidence, a read or the root total touch are copied
+ * from the prior.
  *
  * Per case and per table (cliques and separators alike)
  * fbni_evidence_runs lists the consistent entries, clipped to the
- * clique's nonzero runs, and the base copy, every loop of every
+ * clique's nonzero runs, and the prior copy, every loop of every
  * message, the reads and the root total walk those lists.  A table with
  * no observed variable keeps its static list, or none: the dense loops.
  *
@@ -320,22 +335,27 @@ i64 fbni_evidence_runs(const i64 *axes, i64 n_axes, const i64 *observed,
  * the clique is size / (stride * cardinality) blocks of `cardinality`
  * segments of `stride` contiguous entries, one state per segment.
  *
- * runs is run_words of scratch: 3 words per table (the case's list
- * address, run count and entries covered), then the lists themselves.
+ * runs is run_words of scratch: FBNI_CASE_STRIDE words per table (the
+ * case's list address, run count and entries covered, the observed
+ * cliques in the subtree a clique roots, FBNI_* flags), a need word per
+ * message (collect phase first, children before parents), then the
+ * lists themselves.  Tables 0 .. n_cliques - 1 are the cliques.
  * evidence is (n_cases, n_vars) row-major, a state index or -1 per
  * variable; reads holds n_reads (variable id, offset into the output
  * row) pairs; out is (n_cases, out_entries + 1): row c receives each
- * read's normalised marginal at its offset and, in its last slot,
- * log P(e) of case c (-inf when the calibrated root is empty).
+ * read's normalised marginal at its offset and, last, log P(e).
  *
  * status[0] = -1 on success.  Otherwise the call stops at the first
  * failing case c with status[0] = c and status[1] = the index of the
- * message that came up empty (impossible evidence), -(1 + r) when read
+ * message that came up empty, n_messages when the root total is zero
+ * (both: impossible evidence, found before any read), -(1 + r) when read
  * r could not be normalised, its total left in the row's last slot, or
- * FBNI_RUNS_FULL when the run scratch is too small.  status[2] and [3]
- * count the clique entries the messages walked, and would have walked
- * with no run list at all. */
+ * FBNI_RUNS_FULL when the run scratch is too small.  status[2] - [4]
+ * sum fbni_run_schedule's visited counts over the cases. */
 #define FBNI_VAR_STRIDE 3
+#define FBNI_READ 1      /* the subtree a clique roots holds a read clique */
+#define FBNI_TOUCHED 2   /* copied from the prior for this case */
+#define FBNI_OBSERVED 4  /* walked through the case's own run list */
 #define FAIL(c, why) do { status[0] = (c); status[1] = (why); return; } while (0)
 
 static double marginal_var(const double *table, i64 size, i64 stride, i64 card,
@@ -369,20 +389,49 @@ static double marginal_var(const double *table, i64 size, i64 stride, i64 card,
     return sum_range(marg, 0, card);
 }
 
-/* Arena entries [lo, hi) as a case finds them: cliques at their CPT
- * products, separators at one.  A run of a table at a time, or a whole
- * stretch of tables the case's evidence leaves alone. */
-static void init_entries(double *arena, const double *base, i64 lo, i64 hi,
-                         i64 clique_entries)
+/* need[m] for every message (the rule above), and FBNI_TOUCHED on the
+ * three tables of each message that runs.  The collect pass sums, per
+ * clique, the observed cliques and the read flags of the subtree it
+ * roots before any distribute message asks about them. */
+static void select_messages(const i64 *meta, i64 n_messages, i64 *words,
+                            i64 observed_cliques, i64 *need)
 {
-    i64 mid = hi < clique_entries ? hi : clique_entries;
-    if (lo < mid)
-        memcpy(arena + lo, base + lo, (size_t)(mid - lo) * sizeof(double));
-    fill_range(arena, 1.0, lo > mid ? lo : mid, hi);
+    for (i64 m = 0; m < n_messages; ++m) {
+        const i64 *e = meta + m * FBNI_META_STRIDE;
+        i64 *src = words + e[3] * FBNI_CASE_STRIDE;
+        i64 *dst = words + e[4] * FBNI_CASE_STRIDE;
+        if (e[0]) {
+            need[m] = src[3] > 0;
+            dst[3] += src[3];
+            dst[4] |= src[4] & FBNI_READ;
+        } else {
+            need[m] = (dst[4] & FBNI_READ) && observed_cliques > dst[3];
+        }
+        if (need[m]) {
+            src[4] |= FBNI_TOUCHED;
+            dst[4] |= FBNI_TOUCHED;
+            words[e[5] * FBNI_CASE_STRIDE + 4] |= FBNI_TOUCHED;
+        }
+    }
 }
 
-void fbni_infer_cases(const double *base, i64 clique_entries,
-                      double *arena, i64 arena_entries,
+/* The touched tables as the case finds them: an observed table's runs,
+ * any other table whole. */
+static void init_touched(double *arena, const double *prior,
+                         const i64 *tables, i64 n_tables, const i64 *words)
+{
+    for (i64 t = 0; t < n_tables; ++t) {
+        const i64 *row = tables + t * FBNI_TABLE_STRIDE;
+        const i64 *mine = words + t * FBNI_CASE_STRIDE;
+        if (mine[4] & FBNI_TOUCHED)
+            OVER(mine[4] & FBNI_OBSERVED ? (const i64 *)(uintptr_t)mine[0]
+                                         : NULL, mine[1], row[1],
+                 memcpy(arena + row[0] + lo, prior + row[0] + lo,
+                        (size_t)(hi - lo) * sizeof(double)));
+    }
+}
+
+void fbni_infer_cases(const double *prior, i64 n_cliques, double *arena,
                       const i64 *meta, i64 n_messages, double *scratch,
                       const i64 *tables, i64 n_tables,
                       const i64 *axes, i64 *runs, i64 run_words,
@@ -391,22 +440,25 @@ void fbni_infer_cases(const double *base, i64 clique_entries,
                       const i64 *reads, i64 n_reads, i64 root,
                       double *out, i64 out_entries, i64 *status)
 {
-    i64 *lists = runs + 3 * n_tables, capacity = run_words - 3 * n_tables;
+    i64 *need = runs + FBNI_CASE_STRIDE * n_tables;
+    i64 *lists = need + n_messages;
+    i64 capacity = run_words - FBNI_CASE_STRIDE * n_tables - n_messages;
     status[0] = status[1] = -1;
-    status[2] = status[3] = 0;
+    status[2] = status[3] = status[4] = 0;
     for (i64 c = 0; c < n_cases; ++c) {
         const i64 *observed = evidence + c * n_vars;
-        i64 used = 0, whole = 0;
+        i64 used = 0, observed_cliques = 0;
         for (i64 t = 0; t < n_tables; ++t) {
             const i64 *row = tables + t * FBNI_TABLE_STRIDE;
-            i64 *mine = runs + 3 * t;
+            i64 *mine = runs + FBNI_CASE_STRIDE * t;
             i64 n = fbni_evidence_runs(
                 axes + row[2] * FBNI_AXIS_STRIDE, row[3], observed,
                 (const i64 *)(uintptr_t)row[4], row[5],
                 lists + used, capacity - used);
             if (n == FBNI_RUNS_FULL)
                 FAIL(c, FBNI_RUNS_FULL);
-            if (n < 0) {  /* left alone: its static list, a whole init */
+            mine[3] = mine[4] = 0;
+            if (n < 0) {  /* left alone: its static list */
                 memcpy(mine, row + 4, 3 * sizeof(i64));
                 continue;
             }
@@ -415,30 +467,40 @@ void fbni_infer_cases(const double *base, i64 clique_entries,
             mine[0] = (i64)(uintptr_t)list;
             mine[1] = n;
             mine[2] = 0;
-            init_entries(arena, base, whole, row[0], clique_entries);
-            whole = row[0] + row[1];
-            for (i64 r = 0; r < n; ++r) {
+            for (i64 r = 0; r < n; ++r)
                 mine[2] += list[2 * r + 1] - list[2 * r];
-                init_entries(arena, base, row[0] + list[2 * r],
-                             row[0] + list[2 * r + 1], clique_entries);
-            }
+            mine[4] = FBNI_OBSERVED | FBNI_TOUCHED;
+            observed_cliques += mine[3] = t < n_cliques;
         }
-        init_entries(arena, base, whole, arena_entries, clique_entries);
+        runs[FBNI_CASE_STRIDE * root + 4] |= FBNI_TOUCHED;
+        for (i64 r = 0; r < n_reads; ++r)
+            runs[FBNI_CASE_STRIDE * vars[reads[2 * r] * FBNI_VAR_STRIDE] + 4]
+                |= FBNI_READ | FBNI_TOUCHED;
+        select_messages(meta, n_messages, runs, observed_cliques, need);
+        init_touched(arena, prior, tables, n_tables, runs);
         i64 bad = -1;
         double log_norm = fbni_run_schedule(arena, meta, n_messages, scratch,
-                                            tables, runs, status + 2, &bad);
+                                            tables, runs, need, status + 2,
+                                            &bad);
         if (bad >= 0)
             FAIL(c, bad);
+        const i64 *table = tables + root * FBNI_TABLE_STRIDE;
+        const i64 *mine = runs + FBNI_CASE_STRIDE * root;
+        double root_total = 0.0;
+        OVER((const i64 *)(uintptr_t)mine[0], mine[1], table[1],
+             root_total += sum_range(arena + table[0], lo, hi));
+        if (!(root_total > 0.0))
+            FAIL(c, n_messages);
         double *row = out + c * (out_entries + 1);
         for (i64 r = 0; r < n_reads; ++r) {
             const i64 *var = vars + reads[2 * r] * FBNI_VAR_STRIDE;
-            const i64 *table = tables + var[0] * FBNI_TABLE_STRIDE;
-            const i64 *mine = runs + 3 * var[0];
+            const i64 *read = tables + var[0] * FBNI_TABLE_STRIDE;
+            const i64 *walk = runs + FBNI_CASE_STRIDE * var[0];
             double *marg = row + reads[2 * r + 1];
-            double total = marginal_var(arena + table[0], table[1], var[1],
+            double total = marginal_var(arena + read[0], read[1], var[1],
                                         var[2], marg,
-                                        (const i64 *)(uintptr_t)mine[0],
-                                        mine[1]);
+                                        (const i64 *)(uintptr_t)walk[0],
+                                        walk[1]);
             if (!(total > 0.0) || isinf(total)) {
                 row[out_entries] = total;
                 FAIL(c, -(1 + r));
@@ -446,13 +508,7 @@ void fbni_infer_cases(const double *base, i64 clique_entries,
             for (i64 d = 0; d < var[2]; ++d)
                 marg[d] /= total;
         }
-        const i64 *table = tables + root * FBNI_TABLE_STRIDE;
-        const i64 *mine = runs + 3 * root;
-        double root_total = 0.0;
-        OVER((const i64 *)(uintptr_t)mine[0], mine[1], table[1],
-             root_total += sum_range(arena + table[0], lo, hi));
-        row[out_entries] = root_total > 0.0 ? log_norm + log(root_total)
-                                            : -INFINITY;
+        row[out_entries] = log_norm + log(root_total);
     }
 }
 
@@ -470,10 +526,10 @@ double fbni_probe_spin(i64 n)
 }
 """
 
-#: i64 words per message, variable, table and table axis; the most axes a
-#: table may have; ``fbni_evidence_runs`` / ``status[1]`` when the run
-#: scratch is too small (all mirror the FBNI_* macros).
-META_STRIDE, VAR_STRIDE, TABLE_STRIDE, AXIS_STRIDE = 6, 3, 7, 3
+#: i64 words per message, variable, table, table axis and per-case table;
+#: the most axes a table may have; ``fbni_evidence_runs`` / ``status[1]``
+#: when the run scratch is too small (all mirror the FBNI_* macros).
+META_STRIDE, VAR_STRIDE, TABLE_STRIDE, AXIS_STRIDE, CASE_STRIDE = 6, 3, 7, 3, 5
 MAX_AXES, RUNS_FULL = 64, -2**63
 
 
@@ -516,11 +572,12 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.fbni_message_batch.argtypes = [ptr, ptr, ptr, ptr, ptr,
                                        i64, i64, i64, i64, ptr, ptr]
     lib.fbni_message_batch.restype = i64
-    lib.fbni_run_schedule.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr]
+    lib.fbni_run_schedule.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
+                                      ptr]
     lib.fbni_run_schedule.restype = ctypes.c_double
     lib.fbni_evidence_runs.argtypes = [ptr, i64, ptr, ptr, i64, ptr, i64]
     lib.fbni_evidence_runs.restype = i64
-    lib.fbni_infer_cases.argtypes = [ptr, i64, ptr, i64, ptr, i64, ptr,
+    lib.fbni_infer_cases.argtypes = [ptr, i64, ptr, ptr, i64, ptr,
                                      ptr, i64, ptr, ptr, i64,
                                      ptr, i64, ptr, i64, ptr, i64, i64,
                                      ptr, i64, ptr]

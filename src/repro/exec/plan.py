@@ -21,8 +21,9 @@ all of it exactly once per (tree, root) and the engines share the result:
   (:meth:`MessagePlan.compiled_layers`) every engine iterates: one
   ``(upward, src, dst, sep_id, edge, marg_map, absorb_map)`` tuple per
   message, grouped by layer, index maps attached;
-* the cached **CPT-product base tables** and the per-edge **index-map
-  cache**, so every engine sharing one tree shares one copy of each;
+* the cached **CPT-product base tables**, the per-edge **index-map
+  cache** and (native plans) the **calibrated prior** every whole case
+  starts from, so every engine sharing one tree shares one copy of each;
 * one **per-variable geometry** (``PlanSpec.variables``): for each
   network variable the smallest clique holding it and its axis, stride
   and cardinality there.  Evidence reduction
@@ -267,6 +268,9 @@ class MessagePlan:
         #: Lazily-built CPT-product clique tables (views into one flat base).
         self._base: list[np.ndarray] | None = None
         self._base_flat: np.ndarray | None = None
+        #: The calibrated prior (:meth:`calibrate_prior`), or a shared
+        #: copy swapped in; the native backend checks it before C reads it.
+        self.prior_flat: np.ndarray | None = None
         #: Per-(clique, separator) index-map cache; the same map serves the
         #: marginalize and absorb directions of that edge.
         self._maps: dict[tuple[int, int], np.ndarray] = {}
@@ -330,6 +334,21 @@ class MessagePlan:
             base.append(flat[off:off + clique.size])
         self._base_flat = flat
         self._base = base
+
+    def calibrate_prior(self, calibrate) -> np.ndarray:
+        """The calibrated prior, built once: a fresh state calibrated in
+        place by ``calibrate(state)`` with no evidence, every clique and
+        separator table then divided by its own sum (clique *C* holds
+        P(C), separator *S* P(S)).  Zeros only grow during calibration, so
+        :meth:`zero_skip_runs` stays valid over it."""
+        if self.prior_flat is None:
+            state = self.fresh_state()
+            calibrate(state)
+            tables = [pot.values for pot in state.clique_pot + state.sep_pot]
+            for values in tables:
+                values /= values.sum()
+            self.prior_flat = tables[0].base  # the state's one arena
+        return self.prior_flat
 
     def fresh_state(self) -> TreeState:
         """A calibration-ready :class:`TreeState` backed by one arena.

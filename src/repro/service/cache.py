@@ -19,7 +19,8 @@ one of them:
 
 One :class:`InferenceCache` serves one resident model (the registry hangs
 it off the :class:`~repro.service.registry.ModelEntry`), so the "network"
-component of the ISSUE's ``(network, evidence, targets)`` key is implicit.
+component of the ``(network, evidence, targets)`` key is implicit; a
+``ModelEntry.stateless`` model gets tier 2 alone (``max_states=0``).
 Byte accounting (:meth:`InferenceCache.total_bytes`) is folded into the
 registry's resident-set budget: a model whose cache grows is charged for
 it and becomes a bigger eviction target.
@@ -132,6 +133,8 @@ class InferenceCache:
         LRU capacities: calibrated states, memo entries, and the combined
         byte budget (bytes are an upper bound — cloned states share
         arrays).  Exceeding any bound evicts least-recently-used entries.
+        ``max_states=0`` leaves tier 1 out: a memo miss is declined to
+        the cold path and :meth:`record_cold` only memoises.
     min_overlap:
         Evidence-overlap threshold (Jaccard on findings, 0..1) below which
         :meth:`serve_cases` declines a case so the batcher's vectorised
@@ -144,15 +147,15 @@ class InferenceCache:
                  max_memo: int = DEFAULT_MAX_MEMO,
                  max_bytes: int = DEFAULT_MAX_BYTES,
                  min_overlap: float = DEFAULT_MIN_OVERLAP) -> None:
-        if max_states < 1:
-            raise EvidenceError(f"max_states must be >= 1, got {max_states}")
+        if max_states < 0:
+            raise EvidenceError(f"max_states must be >= 0, got {max_states}")
         self.tree = tree
         self.max_states = max_states
         self.max_memo = max_memo
         self.max_bytes = max_bytes
         self.min_overlap = min_overlap
-        #: Never handed out, never updated: the clone source of last resort.
-        self._baseline = IncrementalEngine(tree)
+        #: Never handed out, never updated: the last-resort clone source.
+        self._baseline = IncrementalEngine(tree) if max_states else None
         #: ``None`` marks a seeded key whose state is not built yet.
         self._states: "OrderedDict[EvidenceKey, IncrementalEngine | None]" = OrderedDict()
         self._memo: "OrderedDict[tuple, InferenceResult]" = OrderedDict()
@@ -292,6 +295,10 @@ class InferenceCache:
                                      "memo")
             else:
                 plan.append((i, key, self.targets_key(targets)))
+        if self._baseline is None:  # no tier 1: every miss goes cold
+            with self._lock:
+                self._counters["declined"] += len(plan)
+            return out
         for i, key, tkey in sorted(plan, key=lambda item: item[1]):
             with self._lock:
                 best_key, score = self._best_key_locked(key)
@@ -345,10 +352,9 @@ class InferenceCache:
         """Absorb cases the vectorised cold path just served.
 
         Each ``(evidence, targets, result)`` triple is memoised (tier 2)
-        and its evidence key seeded as a lazy base state (tier 1), so the
-        *next* near-duplicate takes the delta path.  Evidence that fails
-        validation is skipped silently — the cold path already reported
-        any real error to its caller.
+        and, with tier 1, its evidence key seeded as a lazy base state so
+        the *next* near-duplicate takes the delta path.  Evidence failing
+        validation is skipped: the cold path already reported it.
         """
         for evidence, targets, result in items:
             try:
@@ -356,7 +362,8 @@ class InferenceCache:
             except EvidenceError:
                 continue
             self.store_result(key, targets, result)
-            self._seed_key(key)
+            if self._baseline is not None:
+                self._seed_key(key)
 
     # ------------------------------------------------------------- lifecycle
     def total_bytes(self) -> int:
@@ -365,8 +372,9 @@ class InferenceCache:
             return self._total_bytes_locked()
 
     def _total_bytes_locked(self) -> int:
-        return (self._baseline.resident_bytes() + self._memo_bytes
-                + sum(s.resident_bytes() for s in self._states.values()
+        return (self._memo_bytes
+                + sum(s.resident_bytes() for s in (self._baseline,
+                                                   *self._states.values())
                       if s is not None))
 
     def _evict_locked(self) -> None:

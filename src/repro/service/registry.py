@@ -103,10 +103,15 @@ class ModelEntry:
     #: exactly like cache tiers do.
     session_bytes: int = 0
     #: Two-tier incremental cache (exact entries only, ``None`` when the
-    #: registry was built with ``cache=False``).  Lives and dies with the
-    #: entry, so replacing or evicting a model can never leave a stale
-    #: calibrated state or memoised result behind.
+    #: registry was built with ``cache=False``; a result memo alone when
+    #: :attr:`stateless`).  Lives and dies with the entry, so replacing or
+    #: evicting a model can never leave a stale calibrated state or
+    #: memoised result behind.
     cache: "InferenceCache | None" = None
+    #: Decided once at load: the engine answers any case in one whole-case
+    #: call from its calibrated prior (native kernels), so the entry has
+    #: no delta engine — sessions keep evidence, the cache is a memo.
+    stateless: bool = False
 
     def total_bytes(self) -> int:
         """Engine residency plus cache and session footprints (for the LRU)."""
@@ -172,10 +177,10 @@ class ModelRegistry:
         self.cache_options = dict(cache_options or {})
         #: ``on_load(name, engine)`` runs after an exact engine compiles,
         #: before it serves.  The cluster worker uses it to swap the
-        #: compiled plan's clique base tables for a shared-memory segment
-        #: (``MessagePlan.adopt_base``) so model replicas across worker
-        #: processes map one copy.  Hook failures are non-fatal: serving
-        #: from a private buffer beats not serving.
+        #: compiled plan's clique base tables (``MessagePlan.adopt_base``)
+        #: and calibrated prior for shared-memory segments so model
+        #: replicas across worker processes map one copy.  Hook failures
+        #: are non-fatal: serving from a private buffer beats not serving.
         self.on_load = on_load
         if planner is not None:
             self.planner = planner
@@ -407,9 +412,15 @@ class ModelRegistry:
 
         prior = dict(engine.infer({}).posteriors)
 
+        # The one whole-case-or-delta decision: prepare_baseline() gave a
+        # case-compiling backend's lowered plan its calibrated prior.
+        stateless = engine.plan.prior_flat is not None and getattr(
+            engine.kernels, "compiles_cases", False)
         inference_cache = None
         if self.cache_enabled:
-            inference_cache = InferenceCache(engine.tree, **self.cache_options)
+            memo_only = {"max_states": 0} if stateless else {}
+            inference_cache = InferenceCache(
+                engine.tree, **{**self.cache_options, **memo_only})
 
         return ModelEntry(
             name=name,
@@ -421,6 +432,7 @@ class ModelRegistry:
             plan=decision,
             from_cache=from_cache,
             cache=inference_cache,
+            stateless=stateless,
             meta={"variables": float(net.num_variables),
                   **{k: float(v) for k, v in engine.stats().items()}},
         )
@@ -451,9 +463,11 @@ class ModelRegistry:
 
     @staticmethod
     def _estimate_bytes(engine: BatchedFastBNI, prior: dict[str, np.ndarray]) -> int:
-        """Resident footprint: base cliques + index maps + prior."""
+        """Resident footprint: base cliques + index maps + (native plans)
+        calibrated prior arena + prior marginals."""
         n = 8 * int(engine.tree.stats()["total_clique_size"])  # CPT products
         n += 8 * int(engine.plan.stats()["plan_map_entries"])  # int64 index maps
+        n += getattr(engine.plan.prior_flat, "nbytes", 0)
         n += sum(8 * v.size for v in prior.values())
         return n
 

@@ -45,17 +45,15 @@ every request regardless of sampling.  ``trace_sample_rate=0`` plus
 ``trace_slow_log=0`` strips even the slow-log bookkeeping (the
 benchmark-baseline configuration).
 
-Streaming sessions give evolving-evidence clients (one finding at a
-time, posteriors after each) a persistent per-session incremental state
-(:mod:`repro.service.sessions`): ``session_open`` seeds it by cloning
-the model's cache-shared base state, ``session_update`` applies an
-evidence delta (merge/retract/replace; pass ``targets`` to read the
-fresh posteriors in the same round trip), ``session_query`` reads
-without editing, ``session_close`` releases it.  Updates on one session
-are applied in arrival order even when pipelined; distinct sessions run
-concurrently.  Operations on an evicted or closed session fail with an
-explicit ``SessionError`` whose ``error.code`` is ``"session_closed"``
-(``"session_unknown"`` for ids this server never issued).
+Streaming sessions (:mod:`repro.service.sessions`) hold evolving
+evidence server-side: ``session_open`` starts one, ``session_update``
+applies an edit (merge/retract/replace; ``targets`` reads the fresh
+posteriors in the same round trip), ``session_query`` reads,
+``session_close`` releases it.  Updates on one session apply in arrival
+order even when pipelined; distinct sessions run concurrently.  An
+evicted or closed session fails with a ``SessionError`` whose
+``error.code`` is ``"session_closed"`` (``"session_unknown"`` for ids
+this server never issued).
 
 Repeated-evidence traffic is served by the two-tier incremental cache
 (:mod:`repro.service.cache`) when the registry has it enabled (the
@@ -190,7 +188,6 @@ class InferenceServer:
                  max_sessions: int = DEFAULT_MAX_SESSIONS,
                  session_ttl_s: float = DEFAULT_IDLE_TTL_S,
                  session_max_bytes: int = DEFAULT_SESSION_BYTES,
-                 session_cold: bool = False,
                  tracer: Tracer | None = None,
                  trace_sample_rate: float = 0.0,
                  trace_buffer: int = DEFAULT_MAX_TRACES,
@@ -221,7 +218,6 @@ class InferenceServer:
                                        max_sessions=max_sessions,
                                        idle_ttl_s=session_ttl_s,
                                        max_bytes=session_max_bytes,
-                                       cold=session_cold,
                                        metrics=self.metrics)
         #: Per-session asyncio locks: pipelined updates on one session
         #: apply in arrival order (asyncio.Lock is FIFO) while distinct

@@ -1,35 +1,34 @@
-"""Session-scoped serving: persistent per-session incremental state.
+"""Session-scoped serving: persistent per-session evidence.
 
-The micro-batcher and the two-tier cache exploit *accidental* overlap —
-they win only when unrelated requests happen to repeat or nearly repeat
-evidence.  The conversational-diagnosis shape (DoctorBN-style: a client
-opens a case, findings arrive one at a time, posteriors are read after
-each) guarantees that overlap structurally: consecutive requests differ
-by exactly one edit.  This module serves that shape directly.
+The conversational-diagnosis shape (a client opens a case, findings
+arrive one at a time, posteriors are read after each) makes consecutive
+requests differ by exactly one edit; this module serves that shape.
 
-A **session** is one :class:`~repro.jt.incremental.IncrementalEngine`
-seeded via ``clone()`` (O(cliques), no propagation) from its model
-entry's cache-shared base state, so the session starts with most
-messages already valid and every subsequent ``session_update`` is a
-delta recalibration — never a cold calibration.  The
-:class:`SessionManager` owns the session table:
+A session is its validated evidence and its model pin.  On a
+:attr:`~repro.service.registry.ModelEntry.stateless` entry (native
+kernels) that is all, and every read is one whole-case
+``entry.engine.infer_cases([evidence], targets)`` running only the
+messages that evidence and those targets need; on any other exact entry
+the session also holds an :class:`~repro.jt.incremental.IncrementalEngine`
+cloned (O(cliques), no propagation) from the entry's cache-shared base
+state, and every update is a delta recalibration.  The wire contract is
+the same on both.  The :class:`SessionManager` owns the session table:
 
 * **byte accounting** — each session's resident bytes are charged to its
-  :class:`~repro.service.registry.ModelEntry` (``session_bytes``), so
-  sessions count against the registry's ``max_bytes`` exactly like cache
-  tiers; the manager additionally bounds its own total (``max_bytes``)
-  and count (``max_sessions``) with LRU eviction, plus an idle TTL;
-* **explicit eviction errors** — operations on a closed or evicted id
-  raise :class:`~repro.errors.SessionError` with ``code
-  "session_closed"`` (``"session_unknown"`` for ids never issued), never
-  a hang or a silent restart;
-* **pin/lease integration** — every open session holds one registry pin
-  on its model entry for its whole lifetime, so evicting (or shutting
-  down) a model with live sessions *retires* the entry and the shared
-  engine/plan close only after the last session ends;
-* **ordering** — updates on one session are serialized (a per-session
-  lock), while distinct sessions run concurrently on the manager's
-  executor.
+  entry's ``session_bytes`` (counted against the registry's budget like
+  cache tiers), and the manager bounds its own total and count with LRU
+  eviction, plus an idle TTL;
+* **explicit eviction errors** — a closed or evicted id raises
+  :class:`~repro.errors.SessionError` with ``code "session_closed"``
+  (``"session_unknown"`` if never issued), never a hang;
+* **pins** — an open session pins its model entry, so evicting a model
+  with live sessions *retires* the entry until the last one ends;
+* **ordering** — one session's updates are serialized (a per-session
+  lock); distinct sessions run concurrently on the manager's executor;
+* **all or nothing** — an update resolves its targets, retractions and
+  evidence before it changes anything.  Impossible evidence is not a
+  rejection: the edit applies, the read raises
+  :class:`~repro.errors.EvidenceError`, the session stays usable.
 
 All methods are synchronous and thread-safe; the server calls them via
 ``run_in_executor`` on :attr:`SessionManager.executor`.
@@ -45,7 +44,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import EvidenceError, QueryError, ReproError, SessionError
-from repro.jt.incremental import IncrementalEngine
+from repro.jt.evidence import check_evidence
+from repro.jt.incremental import (EvidenceDelta, IncrementalEngine,
+                                  evidence_delta)
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import ModelEntry, ModelRegistry
 
@@ -67,12 +68,15 @@ _SESSION_OVERHEAD_BYTES = 2048
 
 @dataclass
 class Session:
-    """One live session: its engine, its model pin, and its bookkeeping."""
+    """One live session: its evidence, engine, model pin and bookkeeping."""
 
     id: str
     network: str
     entry: ModelEntry
-    engine: IncrementalEngine
+    #: The findings in force, index-normalised.
+    evidence: dict
+    #: The delta engine; ``None`` on a stateless entry.
+    engine: IncrementalEngine | None
     created: float
     last_used: float
     #: Serializes updates/queries on this session; distinct sessions run
@@ -87,13 +91,14 @@ class Session:
     live: bool = True
 
     def resident_bytes(self) -> int:
-        return self.engine.resident_bytes() + _SESSION_OVERHEAD_BYTES
+        engine = 0 if self.engine is None else self.engine.resident_bytes()
+        return engine + _SESSION_OVERHEAD_BYTES
 
     def describe(self) -> dict:
         return {
             "session": self.id,
             "network": self.network,
-            "evidence_vars": len(self.engine.evidence),
+            "evidence_vars": len(self.evidence),
             "updates": self.updates,
             "queries": self.queries,
             "bytes": self.bytes,
@@ -117,13 +122,6 @@ class SessionManager:
         session's operations always serialize.
     clock:
         Injectable time source (tests drive TTL eviction explicitly).
-    cold:
-        Kill-switch for the warm delta path (the ablation harness's
-        ``sessions_warm`` component): every open builds a fresh engine
-        instead of cloning the cache-shared base state, and every
-        update/query rebuilds the session's state from scratch so each
-        read pays a full propagation.  Answers are identical; only the
-        incremental reuse is disabled.
     """
 
     def __init__(self, registry: ModelRegistry, *,
@@ -132,8 +130,7 @@ class SessionManager:
                  max_bytes: int = DEFAULT_MAX_BYTES,
                  metrics: ServiceMetrics | None = None,
                  workers: int = DEFAULT_WORKERS,
-                 clock=time.monotonic,
-                 cold: bool = False) -> None:
+                 clock=time.monotonic) -> None:
         if max_sessions < 1:
             raise QueryError(f"max_sessions must be >= 1, got {max_sessions}")
         self.registry = registry
@@ -141,7 +138,6 @@ class SessionManager:
         self.idle_ttl_s = idle_ttl_s
         self.max_bytes = max_bytes
         self.metrics = metrics
-        self.cold = cold
         self._clock = clock
         self._lock = threading.RLock()
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
@@ -232,32 +228,49 @@ class SessionManager:
         self.registry.enforce_budget()
 
     @staticmethod
-    def _cold_engine(entry: ModelEntry, evidence: dict | None):
-        """A from-scratch session state: no cache base, no valid messages."""
-        return IncrementalEngine(entry.engine.tree,
-                                 evidence=dict(evidence or {}))
+    def _edited(session: Session, evidence: dict | None, retract,
+                replace: bool) -> dict:
+        """The session's evidence after one edit, validated."""
+        new = {} if replace else dict(session.evidence)
+        for name in () if replace else tuple(retract or ()):
+            if name not in session.entry.net:
+                raise EvidenceError(f"cannot retract unknown variable {name!r}")
+            new.pop(name, None)
+        new.update(evidence or {})
+        return check_evidence(session.entry.engine.tree, new)
 
     @staticmethod
-    def _recomputed(engine) -> int:
-        """Messages revalidated so far (the delta path's work counter)."""
-        counters = getattr(engine, "counters", None)
-        if not counters:
-            return 0
-        return (counters.get("up_recomputed", 0)
-                + counters.get("down_recomputed", 0))
+    def _read(session: Session, targets: tuple[str, ...], attrs: dict
+              ) -> dict:
+        """Posteriors and ``log P(e)`` of the session's evidence; the work
+        done goes into ``attrs`` (a trace span's attributes)."""
+        engine = session.engine
+        if engine is None:
+            result = session.entry.engine.infer_cases([session.evidence],
+                                                      targets)
+            attrs["messages_run"] = int(result.meta.get("messages_run", 0))
+            case = result.case(0)
+            return {"posteriors": case.posteriors,
+                    "log_evidence": case.log_evidence}
+        counters = engine.counters
+        before = counters["up_recomputed"] + counters["down_recomputed"]
+        read = {"posteriors": engine.posteriors(targets),
+                "log_evidence": engine.log_evidence()}
+        attrs["revalidated_messages"] = (counters["up_recomputed"]
+                                         + counters["down_recomputed"] - before)
+        return read
 
     # ------------------------------------------------------------ operations
     def open(self, network: str, evidence: dict | None = None,
              engine: str | None = None, trace=None) -> dict:
         """Open a session on ``network`` (optionally with initial evidence).
 
-        The per-session state clones from the model's cache-shared base
-        state (best evidence overlap wins), so opening costs O(cliques)
-        and no propagation.  Models routed to a sampling engine are
-        rejected — sessions are delta recalibration, which needs the
-        junction tree (pass ``engine="exact"`` to force a compile).
-        ``trace`` (a sampled request's :class:`~repro.obs.TraceContext`)
-        gets a ``session_open`` span covering the clone.
+        Off stateless entries the delta engine clones from the model's
+        cache-shared base state (best evidence overlap wins): O(cliques),
+        no propagation.  Models routed to a sampling engine are rejected
+        — sessions need the junction tree (pass ``engine="exact"`` to
+        force a compile).  ``trace`` (a sampled request's
+        :class:`~repro.obs.TraceContext`) gets a ``session_open`` span.
         """
         span = (trace.start_span("session_open", network=network)
                 if trace is not None else None)
@@ -272,17 +285,20 @@ class SessionManager:
                     f"sessions need an exact junction-tree engine but "
                     f"{network!r} is served by {entry.engine_kind!r} "
                     "(send engine='exact' to force an exact compile)")
-            if entry.cache is not None and not self.cold:
-                state = entry.cache.session_state(evidence)
+            found = check_evidence(entry.engine.tree, dict(evidence or {}))
+            if entry.stateless:
+                state = None
+            elif entry.cache is not None:
+                state = entry.cache.session_state(found)
             else:
-                state = self._cold_engine(entry, evidence)
+                state = IncrementalEngine(entry.engine.tree, evidence=found)
         except ReproError:
             self.registry.unpin(entry)
             raise
         now = self._clock()
         session = Session(id=secrets.token_hex(8), network=network,
-                          entry=entry, engine=state, created=now,
-                          last_used=now)
+                          entry=entry, evidence=found, engine=state,
+                          created=now, last_used=now)
         session.bytes = session.resident_bytes()
         with self._lock:
             if self._closed:
@@ -297,7 +313,7 @@ class SessionManager:
         if self.metrics is not None:
             self.metrics.observe_session_event("opened")
         if span is not None:
-            trace.end_span(span, evidence_vars=len(state.evidence),
+            trace.end_span(span, evidence_vars=len(found),
                            session_bytes=session.bytes)
         return session.describe()
 
@@ -311,31 +327,28 @@ class SessionManager:
         one-finding-at-a-time conversational shape.  ``replace=True``
         swaps the full evidence set instead.  When ``targets`` is given
         the fresh posteriors (and ``log P(e)``) come back in the same
-        round trip.  Unknown variables/states raise
-        :class:`~repro.errors.EvidenceError` before any state changes.
+        round trip.  Unknown targets, retractions, variables and states
+        raise before anything changes.  ``delta.dirty_cliques`` counts the
+        cliques whose potential the edit changes (on a stateless entry,
+        every clique holding an edited variable).
         """
         session = self._checkout(session_id)
         with session.lock:
-            engine = session.engine
             span = (trace.start_span("session_update")
                     if trace is not None else None)
-            recomputed_before = self._recomputed(engine)
-            if replace:
-                new_evidence = dict(evidence or {})
+            engine = session.entry.engine
+            if targets is not None:
+                targets = tuple(targets)
+                engine.plan.variable_ids(targets)
+            new_evidence = self._edited(session, evidence, retract, replace)
+            if session.engine is None:
+                edited = evidence_delta(session.evidence, new_evidence)
+                delta = EvidenceDelta(*edited, tuple(sorted(
+                    {cid for names in edited for name in names
+                     for cid in engine.tree.cliques_with(name)})))
             else:
-                new_evidence = dict(engine.evidence)
-                for name in tuple(retract or ()):
-                    if name not in engine.tree.net:
-                        raise EvidenceError(
-                            f"cannot retract unknown variable {name!r}")
-                    new_evidence.pop(name, None)
-                new_evidence.update(evidence or {})
-            if self.cold:
-                # Kill-switch: discard the calibrated state so this edit
-                # (and any posterior read below) pays a full propagation.
-                engine = session.engine = self._cold_engine(
-                    session.entry, None)
-            delta = engine.update(new_evidence)
+                delta = session.engine.update(new_evidence)
+            session.evidence = new_evidence
             session.updates += 1
             payload = {
                 "session": session.id,
@@ -346,19 +359,16 @@ class SessionManager:
                     "size": delta.size,
                     "dirty_cliques": len(delta.dirty_cliques),
                 },
-                "evidence_vars": len(engine.evidence),
+                "evidence_vars": len(new_evidence),
             }
+            attrs = {"delta_size": delta.size,
+                     "dirty_cliques": len(delta.dirty_cliques),
+                     "evidence_vars": len(new_evidence)}
             if targets is not None:
-                payload["posteriors"] = engine.posteriors(tuple(targets))
-                payload["log_evidence"] = engine.log_evidence()
+                payload.update(self._read(session, targets, attrs))
                 session.queries += 1
             if span is not None:
-                trace.end_span(
-                    span, delta_size=delta.size,
-                    dirty_cliques=len(delta.dirty_cliques),
-                    revalidated_messages=(self._recomputed(engine)
-                                          - recomputed_before),
-                    evidence_vars=len(engine.evidence))
+                trace.end_span(span, **attrs)
         if self.metrics is not None:
             self.metrics.observe_session_update(delta.size)
             if targets is not None:
@@ -370,34 +380,25 @@ class SessionManager:
               targets: tuple[str, ...] = (), trace=None) -> dict:
         """Read posteriors + ``log P(e)`` from a session's current state.
 
-        Revalidates only the messages the targets need (lazy delta
-        propagation); impossible evidence raises
-        :class:`~repro.errors.EvidenceError` and the session stays usable
-        — the next feasible update recomputes what it invalidated.
+        Runs only the messages the targets need (a whole-case call on a
+        stateless entry, lazy delta propagation otherwise); impossible
+        evidence raises :class:`~repro.errors.EvidenceError` and the
+        session stays usable — the next feasible update answers as usual.
         """
         session = self._checkout(session_id)
         with session.lock:
-            engine = session.engine
-            if self.cold:
-                engine = session.engine = self._cold_engine(
-                    session.entry, dict(engine.evidence))
             span = (trace.start_span("session_query")
                     if trace is not None else None)
-            recomputed_before = self._recomputed(engine)
+            attrs = {"evidence_vars": len(session.evidence)}
             payload = {
                 "session": session.id,
-                "posteriors": engine.posteriors(tuple(targets)),
-                "log_evidence": engine.log_evidence(),
-                "evidence_vars": len(engine.evidence),
+                **self._read(session, tuple(targets), attrs),
+                "evidence_vars": len(session.evidence),
                 "served_by": "session",
             }
             session.queries += 1
             if span is not None:
-                trace.end_span(
-                    span,
-                    revalidated_messages=(self._recomputed(engine)
-                                          - recomputed_before),
-                    evidence_vars=len(engine.evidence))
+                trace.end_span(span, **attrs)
         if self.metrics is not None:
             self.metrics.observe_session_query()
         self._account(session)

@@ -77,12 +77,12 @@ class TestRunAblation:
     @pytest.fixture(scope="class")
     def report(self):
         return run_ablation(seed=31, requests=24, repeats=1, concurrency=2,
-                            components=["cache", "sessions_warm"],
+                            components=["cache", "batcher"],
                             trace_kwargs={"mix": FAST_MIX})
 
     def test_schema_and_structure(self, report):
         assert report["schema"] == SCHEMA
-        assert report["config"]["components"] == ["cache", "sessions_warm"]
+        assert report["config"]["components"] == ["cache", "batcher"]
         assert report["config"]["generated_trace"] is True
         assert report["trace"]["events"] == 24
         assert report["baseline"]["requests"] == 24

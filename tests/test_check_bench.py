@@ -348,7 +348,7 @@ class TestClusterCheck:
 def ablation_report(components=None, base_errors: int = 0) -> dict:
     if components is None:
         components = {"cache": 1.4, "batcher": 1.3, "fused_kernels": 1.25,
-                      "planner": 1.2, "sessions_warm": 1.18}
+                      "planner": 1.2, "native_kernels": 1.18}
     rows = []
     for rank, (name, ratio) in enumerate(
             sorted(components.items(), key=lambda kv: -kv[1]), start=1):
@@ -464,7 +464,7 @@ class TestAblationCheck:
         committed = ablation_report()
         for report, ratio in ((fresh, 0.97), (committed, 1.14)):
             for row in report["components"]:
-                if row["component"] == "sessions_warm":
+                if row["component"] == "native_kernels":
                     row["rps_ratio"] = ratio
         assert self.check(cb, fresh, committed) == []
 
@@ -478,10 +478,10 @@ class TestAblationCheck:
         contribution cannot be retained — and must not fail the gate."""
         committed = ablation_report(
             components={"cache": 1.4, "batcher": 1.3, "native_kernels": 1.5,
-                        "planner": 1.2, "sessions_warm": 1.18})
+                        "planner": 1.2, "fused_kernels": 1.18})
         fresh = ablation_report(
             components={"cache": 1.4, "batcher": 1.3, "native_kernels": 1.0,
-                        "planner": 1.2, "sessions_warm": 1.18})
+                        "planner": 1.2, "fused_kernels": 1.18})
         fresh["native"] = {"available": False, "reason": "no C compiler"}
         assert self.check(cb, fresh, committed) == []
         # With the backend available the same collapse is a hard fail.

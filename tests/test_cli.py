@@ -78,12 +78,11 @@ class TestParser:
         assert args.network is None
 
     def test_serve_sessions_flag(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.sessions == "warm"
-        args = build_parser().parse_args(["serve", "--sessions", "cold"])
-        assert args.sessions == "cold"
+        """Sessions have no mode switch: what a session holds follows from
+        the model's engine, so ``serve`` takes no ``--sessions``."""
+        assert not hasattr(build_parser().parse_args(["serve"]), "sessions")
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--sessions", "tepid"])
+            build_parser().parse_args(["serve", "--sessions", "cold"])
 
     def test_obsbench_defaults(self):
         args = build_parser().parse_args(["obsbench"])

@@ -27,7 +27,7 @@ from repro.exec.kernels import get_kernels, run_message_schedule
 from repro.exec.kernels import _INSTANCES as _KERNEL_INSTANCES
 from repro.exec.native import (DISABLE_ENV, load_native_kernels,
                                native_status, probe_parallel_headroom)
-from repro.exec.native.build import MAX_AXES, RUNS_FULL
+from repro.exec.native.build import CASE_STRIDE, MAX_AXES, RUNS_FULL
 from repro.exec.plan import compile_plan
 from repro.jt.engine import JunctionTreeEngine
 from repro.jt.structure import compile_junction_tree
@@ -472,7 +472,9 @@ class TestWholeCases:
                                                            seed):
         """``engine.metrics`` after a whole-case call: the clique entries
         the messages walked are no more than the static nonzero lists
-        alone, or the evidence alone, would leave."""
+        alone, or the evidence alone, would leave over the whole schedule
+        — and a case observing nothing runs no message at all, its
+        answers being the calibrated prior's."""
         from repro.bn.sampling import generate_test_cases
         from repro.core import BatchedFastBNI
 
@@ -504,7 +506,7 @@ class TestWholeCases:
                 evidence = sum(consistent(c, row) for m in messages for c in m)
                 assert walked <= min(static, evidence)
                 if not case:
-                    assert walked == static < dense
+                    assert walked == engine.metrics["messages_run"] == 0
                 totals += (walked, dense)
             engine.infer_cases(cases)
             assert (engine.metrics["entries_walked"],
@@ -537,9 +539,12 @@ class TestWholeCases:
                     _assert_same(fast.infer(cases[i], targets=wanted),
                                  staged.infer(cases[i], targets=wanted), keys)
             assert fast.metrics["messages"] == fast.plan.spec.num_messages
-        # One foreign call per case block and one per single-case infer.
+        # One foreign call per case block and one per single-case infer,
+        # and one compiled calibration when the plan is lowered: the
+        # calibrated prior every case starts from.
         assert calls.counts == {**dict.fromkeys(calls.ENTRY_POINTS, 0),
-                                "_infer_cases": 2 + 2 * n}
+                                "_infer_cases": 2 + 2 * n,
+                                "_run_schedule": 1}
 
     def test_thread_backend_runs_one_call_per_block(self, monkeypatch, native,
                                                     asia):
@@ -553,9 +558,12 @@ class TestWholeCases:
             calls = _ForeignCalls(monkeypatch)
             batch = fast.infer_cases(cases, min_block=2)
             assert fast.metrics["dispatch_tasks"] == 3
-            assert calls.counts["_infer_cases"] == calls.total == 3
+            # Three blocks, and the prior's calibration at lowering.
+            assert calls.counts["_infer_cases"] == 3
+            assert calls.counts["_run_schedule"] == 1 == calls.total - 3
             ref = staged.infer_cases(cases)
-        assert batch.meta == {"cases": 9.0, "blocks": 3.0}
+        assert batch.meta == {"cases": 9.0, "blocks": 3.0,
+                              "messages_run": fast.metrics["messages_run"]}
         for i in range(len(cases)):
             _assert_same(batch.case(i), ref.case(i), asia.variable_names)
 
@@ -580,8 +588,10 @@ class TestWholeCases:
                              staged.infer(case), sprinkler.variable_names)
 
     def test_unnormalisable_posterior_keeps_its_text(self, native):
-        """A one-clique tree sends no message, so impossible evidence
-        first shows when a read cannot be normalised."""
+        """A one-clique tree sends no message, so on the staged path
+        impossible evidence first shows when a read cannot be normalised;
+        the whole-case call checks the root total before any read and
+        reports the impossible case as such, naming it."""
         from repro.bn.cpt import CPT
         from repro.bn.network import BayesianNetwork
         from repro.bn.variable import Variable
@@ -595,15 +605,23 @@ class TestWholeCases:
         impossible = {"a": "yes", "b": "no"}
         with BatchedFastBNI(net, mode="seq", kernels="native") as fast, \
                 BatchedFastBNI(net, mode="seq", kernels="numpy") as staged:
-            for engine in (fast, staged):
-                with pytest.raises(QueryError) as single:
-                    engine.infer(impossible)
-                with pytest.raises(QueryError) as batched:
-                    engine.infer_cases([{}, impossible])
+            with pytest.raises(QueryError) as single:
+                staged.infer(impossible)
+            with pytest.raises(QueryError) as batched:
+                staged.infer_cases([{}, impossible])
+            assert str(single.value) == (
+                "cannot normalise posterior of 'a' (total=0.0)")
+            assert str(batched.value) == (
+                "cannot normalise posterior of 'a' in case 1 (total=0.0)")
+            for targets in ((), ("a",), ("b",)):
+                with pytest.raises(EvidenceError) as single:
+                    fast.infer(impossible, targets)
+                with pytest.raises(EvidenceError) as batched:
+                    fast.infer_cases([{}, impossible], targets)
                 assert str(single.value) == (
-                    "cannot normalise posterior of 'a' (total=0.0)")
+                    "evidence has zero probability (empty message)")
                 assert str(batched.value) == (
-                    "cannot normalise posterior of 'a' in case 1 (total=0.0)")
+                    "evidence has zero probability (empty message) in case 1")
 
     def test_results_never_alias_the_scratch_arena(self, native, asia):
         with FastBNI(asia, mode="seq", kernels="native") as engine:
@@ -613,7 +631,10 @@ class TestWholeCases:
             for name, vals in kept.items():
                 np.testing.assert_array_equal(first.posteriors[name], vals)
 
-    def test_eight_threads_on_one_engine_agree_with_seq(self, native):
+    def test_eight_threads_on_one_engine_agree_with_seq(self, monkeypatch,
+                                                         native):
+        """Eight threads on one cold engine: every answer matches, and
+        the threads racing to lower the plan calibrate its prior once."""
         import sys
 
         from repro.bn.sampling import generate_test_cases
@@ -624,6 +645,7 @@ class TestWholeCases:
                 FastBNI(net, mode="seq", kernels="numpy") as staged:
             want = [staged.infer(case) for case in cases]
             failures: list = []
+            calls = _ForeignCalls(monkeypatch)
 
             def hammer(offset: int) -> None:
                 try:
@@ -648,26 +670,146 @@ class TestWholeCases:
             finally:
                 sys.setswitchinterval(interval)
         assert not failures, failures[0]
+        assert calls.counts["_run_schedule"] == 1
 
     def test_adopted_read_only_base_is_the_copy_source(self, monkeypatch,
                                                        native, asia):
-        """A cluster worker's shared segment (read-only) replaces the
-        private base buffer; the whole-case call copies from it."""
+        """A cluster worker's shared segments (read-only) replace the
+        private CPT-product base and calibrated prior; the whole-case call
+        copies from the adopted prior, the staged path from the adopted
+        base."""
         with FastBNI(asia, mode="seq", kernels="native") as engine, \
                 FastBNI(asia, mode="seq", kernels="numpy") as staged:
             plan = engine.plan
+            engine.kernels.lowered(plan)  # builds the prior
             shared = plan.base_flat.copy()
             plan.base_flat[:] = np.nan  # the private buffer is out of use
             shared.flags.writeable = False
             plan.adopt_base(shared)
-            assert plan.base_flat is shared
             with pytest.raises(ValueError, match="adopted base"):
                 plan.adopt_base(shared.astype(np.float32))
+            # The prior is swapped as the cluster worker swaps it.
+            shared = plan.prior_flat.copy()
+            plan.prior_flat[:] = np.nan
+            shared.flags.writeable = False
+            plan.prior_flat = shared
+            assert not plan.base_flat.flags.writeable
+            assert not plan.prior_flat.flags.writeable
             calls = _ForeignCalls(monkeypatch)
             for case in ({}, {"smoke": "yes", "dysp": "no"}):
                 _assert_same(engine.infer(case), staged.infer(case),
                              asia.variable_names)
             assert calls.counts["_infer_cases"] == calls.total == 2
+            soft = {"dysp": (0.8, 0.1)}
+            _assert_same(engine.infer({"smoke": "yes"}, soft_evidence=soft),
+                         staged.infer({"smoke": "yes"}, soft_evidence=soft),
+                         asia.variable_names)
+
+
+def _messages_needed(plan, row, read_ids) -> tuple[int, bool]:
+    """The messages the whole-case call runs, from its rule in Python: a
+    collect message iff its child's subtree holds an observed clique, a
+    distribute message iff that subtree holds a read clique and some
+    observed clique lies outside it — and whether some subtree holds no
+    observed clique."""
+    spec, tree = plan.spec, plan.tree
+    observed = {cid for cid, var_ids in enumerate(spec.clique_vars)
+                if any(row[v] >= 0 and spec.variables[v][3] > 1
+                       for v in var_ids)}
+    read = {spec.variables[v][0] for v in read_ids}
+    below = {cid: set() for cid in range(spec.num_cliques)}
+    for cid in range(spec.num_cliques):
+        node = cid
+        while node >= 0:
+            below[node].add(cid)
+            node = tree.parent[node]
+    needed, bare = 0, False
+    for child in spec.edges:
+        inside = below[child]
+        needed += bool(inside & observed)
+        needed += bool(inside & read) and bool(observed - inside)
+        bare = bare or not inside & observed
+    return needed, bare
+
+
+def _check_sub_schedule(net, fast, staged, oracle, evidence, targets,
+                        impossible) -> None:
+    """One case through the whole-case call against the staged numpy path
+    (and ``oracle`` when given), with the messages it ran checked against
+    the rule; ``impossible`` evidence beside it must fail naming its
+    case, whatever ``targets`` asks."""
+    names = tuple(dict.fromkeys(targets)) or net.variable_names
+    got = fast.infer_cases([evidence], targets)
+    _assert_same(got.case(0), staged.infer_cases([evidence], targets).case(0),
+                 names)
+    if oracle is not None:
+        _assert_same(got.case(0), oracle.infer(evidence, names), names)
+    plan = fast.plan
+    row = plan.evidence_matrix([evidence])[0]
+    run = fast.metrics["messages_run"]
+    needed, bare = _messages_needed(plan, row, plan.variable_ids(targets))
+    assert run == got.meta["messages_run"] == needed
+    if targets and bare:
+        assert run < plan.spec.num_messages
+    if impossible is not None:
+        with pytest.raises(EvidenceError, match=r"zero probability .* in "
+                                                "case 1$"):
+            fast.infer_cases([evidence, impossible], targets)
+
+
+@needs_native
+class TestSubSchedules:
+    """Each case starts from the calibrated prior and runs only the
+    messages its evidence and targets need — same answers as the staged
+    full schedule and the enumeration oracle, over random evidence (none,
+    through deterministic CPTs, impossible) and targets (all, one,
+    several, duplicated)."""
+
+    @pytest.fixture(scope="class",
+                    params=["asia", "hailfinder", "pathfinder"])
+    def engines(self, request):
+        from repro.baselines.enumeration import EnumerationEngine
+        from repro.bn.repository import resolve_network
+        from repro.core import BatchedFastBNI
+
+        net = resolve_network(request.param)
+        oracle = (EnumerationEngine(net) if len(net.variables) <= 12
+                  else None)
+        with BatchedFastBNI(net, mode="seq", kernels="native") as fast, \
+                BatchedFastBNI(net, mode="seq", kernels="numpy") as staged:
+            yield net, fast, staged, oracle
+
+    def test_random_cases_match_staged_and_oracle(self, engines):
+        from hypothesis import HealthCheck, given, settings
+        from hypothesis import strategies as st
+
+        from repro.bn.sampling import generate_test_cases
+
+        net, fast, staged, oracle = engines
+        impossible = _impossible_case(net)
+
+        @settings(max_examples=40, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(seed=st.integers(0, 2**31),
+               fraction=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+               targets=st.lists(st.sampled_from(net.variable_names),
+                                max_size=4))
+        def check(seed, fraction, targets):
+            (case,) = generate_test_cases(net, 1, fraction, rng=seed)
+            _check_sub_schedule(net, fast, staged, oracle, case.evidence,
+                                tuple(targets), impossible)
+
+        check()
+
+    def test_no_evidence_runs_nothing(self, engines):
+        """With nothing observed every table is already the answer: no
+        message runs and log P(e) is 0, whatever is read."""
+        net, fast, staged, _ = engines
+        for targets in ((), net.variable_names[:1]):
+            got = fast.infer_cases([{}], targets)
+            assert fast.metrics["messages_run"] == 0
+            assert fast.metrics["entries_walked"] == 0
+            assert got.log_evidence[0] == pytest.approx(0.0, abs=1e-12)
 
 
 @needs_native
@@ -712,8 +854,9 @@ class TestWholeCaseFallbacks:
             got = engine.infer(self.CASE, soft_evidence=soft)
         _assert_same(got, want, asia.variable_names)
         # Soft evidence needs a state to multiply into: the staged path,
-        # whose schedule is still one call.
-        assert calls.counts["_run_schedule"] == calls.total == 1
+        # whose schedule is still one call — after the one that lowering
+        # the plan spends on its calibrated prior.
+        assert calls.counts["_run_schedule"] == calls.total == 2
 
     def test_parallel_modes_stay_staged(self, monkeypatch, native, asia):
         want = self._reference(asia)
@@ -922,10 +1065,11 @@ class TestEvidenceRuns:
         cases = plan.evidence_matrix([{}, {}, {"smoke": "yes", "dysp": "no"}])
         read_ids = plan.variable_ids()
         native.infer_cases(plan, cases, read_ids)
-        call, n_tables = native._infer_cases, len(native._lowered(plan).tables)
+        call, tables = native._infer_cases, native.lowered(plan)
+        headers = CASE_STRIDE * len(tables.tables) + tables.n_messages
         monkeypatch.setattr(  # run_words: the headers, one word of lists
             native, "_infer_cases",
-            lambda *args: call(*args[:11], 3 * n_tables + 1, *args[12:]))
+            lambda *args: call(*args[:10], headers + 1, *args[11:]))
         with pytest.raises(BackendError, match="run scratch exhausted in "
                                                "case 5$"):
             native.infer_cases(plan, cases, read_ids, 3)
@@ -952,6 +1096,12 @@ class TestEvidenceRuns:
             fast.infer({"only": "it"})
             assert (fast.metrics["entries_walked"]
                     == fast.metrics["entries_dense"])
+
+
+def _with(values: np.ndarray, index: int, value: float) -> np.ndarray:
+    changed = values.copy()
+    changed[index] = value
+    return changed
 
 
 # ------------------------------------------------ metadata never unchecked
@@ -1028,6 +1178,45 @@ class TestTablesAreBoundsChecked:
         with pytest.raises(BackendError, match="native plan tables rejected"):
             check_tables(plan.spec, tables)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda prior, spec: _with(prior, 0, np.nan),
+        lambda prior, spec: _with(prior, -1, np.inf),
+        lambda prior, spec: _with(prior, 1, -0.5),
+        # A separator that no longer sums to 1 (its entries all positive).
+        lambda prior, spec: _with(prior, spec.sep_offsets[0], 1.5),
+        lambda prior, spec: prior[:-1],
+        lambda prior, spec: prior.astype(np.float32),
+        lambda prior, spec: np.repeat(prior, 2)[::2],
+    ])
+    def test_corrupted_prior_is_rejected(self, lowered, corrupt):
+        from repro.exec.native.backend import check_tables
+
+        plan, tables = lowered
+        numpy_k = get_kernels("numpy")
+        prior = plan.calibrate_prior(
+            lambda state: run_message_schedule(plan, state, numpy_k))
+        check_tables(plan.spec, tables, prior)
+        with pytest.raises(BackendError, match="calibrated prior"):
+            check_tables(plan.spec, tables, corrupt(prior, plan.spec))
+
+    def test_an_adopted_corrupt_prior_never_reaches_c(self, monkeypatch,
+                                                      native, asia):
+        """A swapped-in prior is checked before the first call copies
+        from it."""
+        with FastBNI(asia, mode="seq", kernels="native") as engine:
+            engine.infer({})
+            good = engine.plan.prior_flat
+            calls = _ForeignCalls(monkeypatch)
+            for bad in (_with(good, 0, -1.0), good.astype(np.float32),
+                        good[:-1]):
+                engine.plan.prior_flat = bad
+                with pytest.raises(BackendError, match="calibrated prior"):
+                    engine.infer({"smoke": "yes"})
+            assert calls.total == 0
+            engine.plan.prior_flat = good.copy()
+            engine.infer({"smoke": "yes"})
+            assert calls.total == 1
+
     def test_a_corrupted_plan_never_reaches_c(self, monkeypatch, native, asia):
         """The check runs when the plan is lowered, ahead of the first call."""
         with FastBNI(asia, mode="seq", kernels="native") as engine:
@@ -1088,10 +1277,25 @@ def _sanitized_whole_case_loop(so_path: str) -> None:
     lib = ctypes.CDLL(so_path)
     _declare(lib)
     backend = _KERNEL_INSTANCES["native"] = NativeKernels(lib, so_path)
+    from repro.bn.sampling import generate_test_cases
+    from repro.core import BatchedFastBNI
+
     for seed in (0, 1, 2):
         for fraction in (0.0, 0.1, 0.5, 1.0):
             _whole_cases_agree(_deterministic_net(12 + seed, seed), fraction,
                                n=6, seed=seed)
+        # Sub-schedules: restricted targets, nothing observed, impossible.
+        net = _deterministic_net(12 + seed, seed)
+        rng = np.random.default_rng(seed)
+        with BatchedFastBNI(net, mode="seq", kernels="native") as fast, \
+                BatchedFastBNI(net, mode="seq", kernels="numpy") as staged:
+            for fraction in (0.0, 0.1, 0.3):
+                for case in generate_test_cases(net, 4, fraction, rng=rng):
+                    targets = tuple(rng.choice(net.variable_names,
+                                               size=rng.integers(0, 4)))
+                    _check_sub_schedule(net, fast, staged, None,
+                                        case.evidence, targets,
+                                        _impossible_case(net))
     rng = np.random.default_rng(5)
     for _ in range(200):
         cards = tuple(rng.integers(1, 5, size=rng.integers(1, 6)))

@@ -525,9 +525,12 @@ class TestServerObservability:
         assert any(e["name"] == "request" for e in chrome["traceEvents"])
 
     def test_session_ops_emit_spans(self):
-        async def scenario():
-            server = InferenceServer(port=0,
-                                     trace_sample_rate=1.0)
+        """Every session op is a span; a read says how much of the tree it
+        ran — messages revalidated by a delta session, messages run by a
+        native session's whole-case call."""
+        async def scenario(kernels):
+            server = InferenceServer(port=0, trace_sample_rate=1.0,
+                                     kernels=kernels)
             server.preload(["asia"])
             await server.start()
             try:
@@ -537,23 +540,31 @@ class TestServerObservability:
                 await _pipelined(server.port, [
                     {"id": 2, "op": "session_update", "session": sid,
                      "evidence": {"smoke": "yes"}},
-                    {"id": 3, "op": "session_query", "session": sid,
+                    {"id": 3, "op": "session_update", "session": sid,
+                     "evidence": {"xray": "no"}, "targets": ["lung"]},
+                    {"id": 4, "op": "session_query", "session": sid,
                      "targets": ["lung"]},
-                    {"id": 4, "op": "session_close", "session": sid},
+                    {"id": 5, "op": "session_close", "session": sid},
                 ])
                 traces = server.tracer.traces()
+                stateless = server.registry.get("asia").stateless
             finally:
                 await server.stop()
-            return traces
+            return traces, stateless
 
-        traces = run(scenario())
-        spans = {s["name"]: s for t in traces for s in t["spans"]}
-        assert spans["session_open"]["attributes"]["network"] == "asia"
-        assert spans["session_open"]["attributes"]["session_bytes"] > 0
-        update = spans["session_update"]
-        assert update["attributes"]["delta_size"] >= 1
-        assert "revalidated_messages" in update["attributes"]
-        assert "evidence_vars" in spans["session_query"]["attributes"]
+        for kernels in ("fused", "native"):
+            traces, stateless = run(scenario(kernels))
+            work = "messages_run" if stateless else "revalidated_messages"
+            spans = [s for t in traces for s in t["spans"]]
+            named = {s["name"]: s for s in spans}
+            assert named["session_open"]["attributes"]["network"] == "asia"
+            assert named["session_open"]["attributes"]["session_bytes"] > 0
+            edit, read = [s["attributes"] for s in spans
+                          if s["name"] == "session_update"]
+            assert edit["delta_size"] == read["delta_size"] == 1
+            assert work not in edit and read[work] > 0
+            query = named["session_query"]["attributes"]
+            assert query["evidence_vars"] == 2 and work in query
 
     def test_sampling_disabled_by_default(self):
         async def scenario():

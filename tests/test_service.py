@@ -248,7 +248,6 @@ class TestModelRegistry:
 
         from repro.cluster.worker import make_share_plan_hook
         from repro.parallel.sharedmem import SEGMENTS, list_segments
-        from repro.service.sessions import SessionManager
 
         prefix = f"fbni_t_{os.getpid()}_base_"
         on_load = make_share_plan_hook(prefix) if shared else None
@@ -258,8 +257,47 @@ class TestModelRegistry:
                 base = entry.engine.plan.base_cliques
                 assert base[0].flags.writeable is not shared
                 assert entry.cache._baseline._base is base
-                assert SessionManager._cold_engine(entry, None)._base is base
+                assert entry.cache.session_state()._base is base
                 assert len(list_segments(prefix)) == int(shared)
+        finally:
+            for name in SEGMENTS.attached():
+                if name.startswith(prefix):
+                    SEGMENTS.release(name)
+        assert list_segments(prefix) == []
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_native_entries_are_stateless_and_share_their_prior(self,
+                                                                shared):
+        """A native entry is decided stateless at load: its cache is a
+        result memo, its calibrated prior is charged to its residency and
+        a cluster worker publishes it beside the CPT products."""
+        import os
+
+        from repro.cluster.worker import make_share_plan_hook
+        from repro.exec.native import native_status
+        from repro.parallel.sharedmem import SEGMENTS, list_segments
+
+        if not native_status()[0]:
+            pytest.skip(f"native backend unavailable: {native_status()[1]}")
+        prefix = f"fbni_t_{os.getpid()}_prior_"
+        on_load = make_share_plan_hook(prefix) if shared else None
+        try:
+            with ModelRegistry(on_load=on_load, kernels="native") as native, \
+                    ModelRegistry() as fused:
+                entry, other = native.get("asia"), fused.get("asia")
+                prior = entry.engine.plan.prior_flat
+                assert entry.stateless and not other.stateless
+                assert entry.cache.max_states == 0
+                assert entry.cache._baseline is None
+                assert other.engine.plan.prior_flat is None
+                assert (entry.resident_bytes - other.resident_bytes
+                        == prior.nbytes)
+                assert prior.flags.writeable is not shared
+                assert len(list_segments(prefix)) == 2 * int(shared)
+                np.testing.assert_allclose(
+                    entry.engine.infer({"smoke": "yes"}).posteriors["lung"],
+                    other.engine.infer({"smoke": "yes"}).posteriors["lung"],
+                    atol=1e-12)
         finally:
             for name in SEGMENTS.attached():
                 if name.startswith(prefix):

@@ -27,10 +27,16 @@ import numpy as np
 import pytest
 
 from repro.core import FastBNI
-from repro.errors import EvidenceError, QueryError, SessionError
+from repro.errors import EvidenceError, QueryError, ReproError, SessionError
+from repro.exec.native import native_status
 from repro.service import (InferenceServer, ModelRegistry, ServiceClient,
                            ServiceMetrics, SessionManager)
 from repro.service.server import _jsonable, run_server
+
+
+NATIVE_AVAILABLE, NATIVE_REASON = native_status()
+needs_native = pytest.mark.skipif(
+    not NATIVE_AVAILABLE, reason=f"native backend unavailable: {NATIVE_REASON}")
 
 
 def run(coro):
@@ -287,9 +293,12 @@ class TestSessionManager:
 
 
 # ---------------------------------------------------------------------- cold
+@needs_native
 class TestColdSessions:
-    """The ablation kill-switch: cold mode disables warm deltas but may
-    never change an answer."""
+    """Sessions on a native-kernel model keep their evidence and no
+    engine: every read is a cold whole-case call from the calibrated
+    prior.  They must answer exactly as the warm delta sessions of a
+    fused model do."""
 
     WALK = ({"smoke": "yes"}, {"asia": "yes"}, {"smoke": "no"})
 
@@ -302,9 +311,10 @@ class TestColdSessions:
         return payloads, final
 
     def test_cold_answers_match_warm(self):
-        with ModelRegistry() as registry, \
-                SessionManager(registry) as warm, \
-                SessionManager(registry, cold=True) as cold:
+        with ModelRegistry() as fused, \
+                ModelRegistry(kernels="native") as native, \
+                SessionManager(fused) as warm, \
+                SessionManager(native) as cold:
             warm_updates, warm_final = self._walk(warm)
             cold_updates, cold_final = self._walk(cold)
             for w, c in zip(warm_updates, cold_updates):
@@ -313,48 +323,61 @@ class TestColdSessions:
                                            atol=1e-12)
                 assert c["log_evidence"] == pytest.approx(
                     w["log_evidence"], abs=1e-12)
+                assert c["delta"] == w["delta"]
             for var in ("lung", "bronc"):
                 np.testing.assert_allclose(cold_final["posteriors"][var],
                                            warm_final["posteriors"][var],
                                            atol=1e-12)
 
-    def test_cold_rebuilds_state_every_operation(self):
-        """Cold ops swap in a fresh engine; warm ops keep the clone."""
-        with ModelRegistry() as registry, \
-                SessionManager(registry, cold=True) as cold:
+    def test_cold_rebuilds_state_every_operation(self, monkeypatch):
+        """A native session holds no engine and calls the model's
+        ``infer_cases`` once per read (an edit without targets reads
+        nothing); a delta session keeps its one engine."""
+        with ModelRegistry(kernels="native") as registry, \
+                SessionManager(registry) as cold:
+            entry = registry.get("asia")
+            assert entry.stateless
+            calls = []
+            infer_cases = entry.engine.infer_cases
+            monkeypatch.setattr(
+                entry.engine, "infer_cases",
+                lambda *args: calls.append(args) or infer_cases(*args))
             sid = cold.open("asia")["session"]
-            before = cold._sessions[sid].engine
+            assert cold._sessions[sid].engine is None
             cold.update(sid, evidence={"smoke": "yes"}, targets=("lung",))
-            after_update = cold._sessions[sid].engine
-            assert after_update is not before
-            cold.query(sid, targets=("lung",))
-            assert cold._sessions[sid].engine is not after_update
+            cold.update(sid, evidence={"xray": "yes"})
+            cold.query(sid, targets=("lung", "bronc"))
+            assert calls == [([{"smoke": 0}], ("lung",)),
+                             ([{"smoke": 0, "xray": 0}], ("lung", "bronc"))]
+            assert cold._sessions[sid].engine is None
         with ModelRegistry() as registry, \
                 SessionManager(registry) as warm:
             sid = warm.open("asia")["session"]
             before = warm._sessions[sid].engine
             warm.update(sid, evidence={"smoke": "yes"}, targets=("lung",))
-            assert warm._sessions[sid].engine is before
+            assert warm._sessions[sid].engine is before is not None
 
     def test_cold_open_skips_cache_base_state(self):
-        """Warm opens clone from the cache's best-overlap base; cold
-        opens never touch it."""
-        with ModelRegistry() as registry:
+        """A native entry's cache is a result memo: opening a session
+        neither reads nor seeds a calibrated state, and the session is
+        charged its fixed overhead alone."""
+        with ModelRegistry(kernels="native") as registry, \
+                SessionManager(registry) as cold:
             entry = registry.get("asia")
-            assert entry.cache is not None
-            with SessionManager(registry, cold=True) as cold:
-                sid = cold.open("asia", evidence={"smoke": "yes"})["session"]
-                engine = cold._sessions[sid].engine
-                # A cache clone starts with valid messages; a cold build
-                # has none until the first read propagates.
-                assert cold._recomputed(engine) == 0
-                cold.close(sid)
+            assert entry.cache._baseline is None
+            sid = cold.open("asia", evidence={"smoke": "yes"})["session"]
+            cold.update(sid, evidence={"asia": "yes"}, targets=("lung",))
+            assert entry.cache.stats()["states"] == 0
+            assert entry.cache.stats()["seeded"] == 0
+            assert cold._sessions[sid].bytes == entry.session_bytes < 4096
+            cold.close(sid)
 
     def test_cold_retract_semantics_preserved(self):
-        """Merge/retract bookkeeping must survive the state rebuild."""
-        with ModelRegistry() as registry, \
-                SessionManager(registry) as warm, \
-                SessionManager(registry, cold=True) as cold:
+        """Merge/retract bookkeeping is the same without an engine."""
+        with ModelRegistry() as fused, \
+                ModelRegistry(kernels="native") as native, \
+                SessionManager(fused) as warm, \
+                SessionManager(native) as cold:
             answers = []
             for manager in (warm, cold):
                 sid = manager.open(
@@ -364,11 +387,12 @@ class TestColdSessions:
                                          targets=("lung",))
                 answers.append(payload["posteriors"]["lung"])
                 assert payload["evidence_vars"] == 1
+                assert payload["delta"]["retracted"] == ["asia"]
             np.testing.assert_allclose(answers[1], answers[0], atol=1e-12)
 
-    def test_server_session_cold_wiring(self):
-        """serve --sessions cold reaches the manager and answers match
-        a warm server over the wire."""
+    def test_server_native_session_wiring(self):
+        """``serve --kernels native`` serves sessions statelessly over the
+        wire and answers as a fused (delta) server does."""
         def one_walk(port: int):
             with ServiceClient(port=port) as client:
                 with client.session("asia",
@@ -379,22 +403,81 @@ class TestColdSessions:
 
         async def go():
             warm = InferenceServer(port=0)
-            cold = InferenceServer(port=0, session_cold=True)
-            assert not warm.sessions.cold
-            assert cold.sessions.cold
+            cold = InferenceServer(port=0, kernels="native")
             answers = {}
             for name, server in (("warm", warm), ("cold", cold)):
                 await server.start()
                 try:
                     answers[name] = await asyncio.to_thread(one_walk,
                                                             server.port)
+                    answers[name + "_stateless"] = (
+                        server.registry.get("asia").stateless)
                 finally:
                     await server.stop()
             return answers
 
         answers = run(go())
+        assert answers["cold_stateless"] and not answers["warm_stateless"]
         np.testing.assert_allclose(answers["cold"], answers["warm"],
                                    atol=1e-12)
+
+
+# ------------------------------------------------- all-or-nothing updates
+@pytest.mark.parametrize("kernels", [
+    "fused", pytest.param("native", marks=needs_native)])
+class TestRejectedUpdates:
+    """An update that cannot be applied changes nothing, on both session
+    paths; impossible evidence is applied and reported by the read."""
+
+    def test_rejected_update_changes_nothing(self, kernels):
+        with ModelRegistry(kernels=kernels) as registry, \
+                SessionManager(registry) as manager, \
+                FastBNI(registry.get("asia").net, mode="seq") as cold:
+            sid = manager.open("asia", evidence={"smoke": "yes"})["session"]
+            session = manager._sessions[sid]
+            charged = session.entry.session_bytes
+            for bad in ({"evidence": {"xray": "yes"}, "retract": ("smoke",),
+                         "targets": ("nope",)},
+                        {"evidence": {"xray": "yes"}, "retract": ("nope",),
+                         "targets": ("lung",)},
+                        {"evidence": {"xray": "maybe"},
+                         "targets": ("lung",)},
+                        {"evidence": {"nope": "yes"}, "replace": True}):
+                with pytest.raises(ReproError):
+                    manager.update(sid, **bad)
+                assert session.evidence == {"smoke": 0}
+                assert session.updates == 0
+                assert session.entry.session_bytes == charged
+            got = manager.update(sid, evidence={"xray": "yes"},
+                                 targets=("lung",))
+            assert got["delta"]["added"] == ["xray"]
+            assert got["delta"]["size"] == 1
+            want = cold.infer({"smoke": "yes", "xray": "yes"}, ("lung",))
+            np.testing.assert_allclose(got["posteriors"]["lung"],
+                                       want.posteriors["lung"], atol=1e-12)
+            assert got["log_evidence"] == pytest.approx(want.log_evidence,
+                                                        abs=1e-12)
+
+    def test_impossible_evidence_applies_and_the_session_recovers(
+            self, kernels):
+        with ModelRegistry(kernels=kernels) as registry, \
+                SessionManager(registry) as manager, \
+                FastBNI(registry.get("asia").net, mode="seq") as cold:
+            sid = manager.open("asia")["session"]
+            # either = tub OR lung: "either = no" with "lung = yes" has
+            # probability zero.
+            with pytest.raises(EvidenceError, match="zero probability"):
+                manager.update(sid, evidence={"either": "no", "lung": "yes"},
+                               targets=("dysp",))
+            session = manager._sessions[sid]
+            assert session.updates == 1 and len(session.evidence) == 2
+            with pytest.raises(EvidenceError, match="zero probability"):
+                manager.query(sid, targets=("dysp",))
+            got = manager.update(sid, retract=("lung",), targets=("tub",))
+            assert got["evidence_vars"] == 1
+            want = cold.infer({"either": "no"}, ("tub",))
+            np.testing.assert_allclose(got["posteriors"]["tub"],
+                                       want.posteriors["tub"], atol=1e-12)
 
 
 # ---------------------------------------------------------------------- wire

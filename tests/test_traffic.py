@@ -110,6 +110,44 @@ class TestGenerateTrace:
             if "session_close" in ops:
                 assert ops[-1] == "session_close", sid
 
+    def test_session_walks_never_reach_impossible_evidence(self):
+        """Every evidence set a session read sees has P(e) > 0, on the
+        default mix and on CI's ablation-smoke mix, so an ablation replay
+        answers every read instead of counting expected errors."""
+        from repro.bn.repository import resolve_network
+        from repro.core import FastBNI
+
+        smoke = {"mix": {"zipf": 0.45, "burst": 0.25, "session": 0.30},
+                 "zipf_network": "hailfinder"}
+        engines: dict = {}
+        try:
+            for seed in range(20):
+                for requests in (96, 160, 240):
+                    for kwargs in ({}, smoke):
+                        trace = generate_trace(seed=seed, requests=requests,
+                                               **kwargs)
+                        held: dict[str, tuple[str, dict]] = {}
+                        for i, event in enumerate(trace.events):
+                            sid = event.get("session")
+                            if event["op"] == "session_open":
+                                held[sid] = (event["network"],
+                                             dict(event["evidence"]))
+                                continue
+                            if event["op"] not in ("session_update",
+                                                   "session_query"):
+                                continue
+                            network, evidence = held[sid]
+                            evidence.update(event.get("evidence", {}))
+                            if network not in engines:
+                                engines[network] = FastBNI(
+                                    resolve_network(network), mode="seq")
+                            log_p = engines[network].infer(
+                                evidence).log_evidence
+                            assert np.isfinite(log_p), (seed, requests, i)
+        finally:
+            for engine in engines.values():
+                engine.close()
+
     def test_check_flags_mark_deterministic_streams(self):
         trace = generate_trace(seed=9, requests=100)
         for event in trace.events:
