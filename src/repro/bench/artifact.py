@@ -67,15 +67,11 @@ class Command:
 
 @dataclass(frozen=True)
 class Gate:
-    """``report[path] op floor`` must hold.  ``floor`` is a constant or
-    ``f(report)`` where it depends on the machine that wrote the report;
-    ``unless(report)`` is the machine predicate — ``None`` applies the
-    row, a string skips it and (when non-empty) is printed as a note."""
+    """``report[path] op floor`` must hold; ``floor`` is a constant."""
 
     path: str
     op: str
     floor: object
-    unless: Callable[[dict], str | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -90,12 +86,10 @@ class Artifact:
     run: Callable[..., dict]
     render: Callable[[dict], str]
     gates: tuple[Gate, ...] = ()
-    #: ``tools/check_bench.py`` option naming a report to gate, its
-    #: default ('' = gated only when named) and the option naming the
-    #: committed copy; ``compare(fresh, committed)`` is gated under
-    #: ``vs_baseline.``.
+    #: ``tools/check_bench.py`` option naming a report to gate and the
+    #: option naming the committed copy; ``compare(fresh, committed)`` is
+    #: gated under ``vs_baseline.``.
     check_flag: str = ""
-    check_default: str = ""
     baseline_flag: str = ""
     compare: Callable[[dict, dict], dict] | None = None
 

@@ -6,9 +6,9 @@ follow from the spec.  Imported the first time a bench subcommand is
 named — never by ``fastbni serve``.
 """
 
-from repro.bench import (ablation_matrix, cluster, execbench, frontier, obs,
-                         overlap, traffic)
+from repro.bench import (ablation_matrix, frontier, obs, overlap, table1,
+                         traffic)
 
-ARTIFACTS = (execbench.SPEC, overlap.SESSIONS, overlap.INCREMENTAL, obs.SPEC,
-             cluster.SPEC, ablation_matrix.SPEC, frontier.SPEC)
+ARTIFACTS = (table1.SPEC, overlap.SESSIONS, overlap.INCREMENTAL, obs.SPEC,
+             ablation_matrix.SPEC, frontier.SPEC)
 COMMANDS = (*ARTIFACTS, traffic.WORKLOAD)

@@ -205,15 +205,11 @@ def _spread(events: list[dict], rng: np.random.Generator, *,
     return t
 
 
-def query_trace(network: str, cases, *, targets=None,
-                check: bool = False) -> TrafficTrace:
+def query_trace(network: str, cases) -> TrafficTrace:
     """One-shot ``query`` events over a fixed case list — the workload the
-    overhead and scale-out benchmarks replay slice after slice."""
+    overhead benchmark replays slice after slice."""
     events = _case_events(cases, network, stream="fixed", engine=None,
-                          check=check)
-    if targets:
-        for event in events:
-            event["targets"] = list(targets)
+                          check=False)
     return TrafficTrace(seed=0, config={"requests": len(events)},
                         networks={network: {"kind": "named", "name": network}},
                         events=events)

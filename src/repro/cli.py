@@ -1,13 +1,5 @@
 """Command-line interface: ``fastbni <subcommand>``.
 
-Subcommands regenerate every table/figure of the evaluation:
-
-* ``table1``      — the paper's Table 1 (all engines × all networks);
-* ``scaling``     — Fig A thread-count sweep;
-* ``granularity`` — Fig B inter/intra/hybrid across JT structures;
-* ``root``        — Fig C root-selection ablation;
-* ``primitives``  — Fig D table-operation microbenchmarks;
-* ``overhead``    — Fig E small-vs-large parallel overhead;
 * ``info``        — network/junction-tree statistics;
 * ``query``       — run one inference on a bundled or analog network, or a
   whole case batch in one vectorised calibration pass (``--batch``);
@@ -17,13 +9,16 @@ Subcommands regenerate every table/figure of the evaluation:
   dynamic micro-batching + exact/approx query planner + streaming
   evidence sessions, JSON-lines over TCP; ``--trace-sample-rate`` turns
   on sampled request tracing);
+* ``cluster``     — the same protocol served by a router over N worker
+  processes;
 * ``client``      — query a running server (one-shot, scriptable; the
   ``session_*`` ops drive streaming sessions, ``session_demo`` runs a
   scripted open→update→retract→close walk, ``metrics`` prints the
   Prometheus exposition and ``slow_queries`` the slow-query log);
 * ``trace``       — fetch a running server's sampled traces and write
   them as Chrome trace-event JSON (open in chrome://tracing/Perfetto);
-* the ``BENCH_*.json`` artifact subcommands and ``workload`` — declared
+* ``table1`` (the paper's Table 1, all engines × all networks), the
+  other ``BENCH_*.json`` artifact subcommands and ``workload`` — declared
   by the specs in :mod:`repro.bench.registry`, listed below.
 """
 
@@ -34,51 +29,8 @@ import json
 import math
 import sys
 
-from repro.bn.repository import PAPER_NETWORKS
 from repro.core.config import BACKENDS, MODES
 from repro.exec.kernels import KERNELS
-
-
-def _cmd_table1(args: argparse.Namespace) -> None:
-    from repro.bench.table1 import run_table1
-
-    networks = tuple(args.networks) if args.networks else PAPER_NETWORKS
-    sweep = tuple(int(t) for t in args.threads.split(","))
-    run_table1(networks=networks, num_cases=args.cases, sweep=sweep)
-
-
-def _cmd_scaling(args: argparse.Namespace) -> None:
-    from repro.bench.figures import render_thread_scaling, thread_scaling
-
-    threads = tuple(int(t) for t in args.threads.split(","))
-    results = thread_scaling(args.network, threads=threads,
-                             num_cases=args.cases, mode=args.mode)
-    print(render_thread_scaling(results, args.network))
-
-
-def _cmd_granularity(args: argparse.Namespace) -> None:
-    from repro.bench.figures import granularity_study, render_granularity
-
-    print(render_granularity(granularity_study(num_workers=args.workers)))
-
-
-def _cmd_root(args: argparse.Namespace) -> None:
-    from repro.bench.figures import render_root_selection, root_selection_study
-
-    networks = tuple(args.networks) if args.networks else PAPER_NETWORKS
-    print(render_root_selection(root_selection_study(networks=networks)))
-
-
-def _cmd_primitives(args: argparse.Namespace) -> None:
-    from repro.bench.microbench import run_microbench
-
-    print(run_microbench(num_workers=args.workers))
-
-
-def _cmd_overhead(args: argparse.Namespace) -> None:
-    from repro.bench.figures import overhead_study, render_overhead
-
-    print(render_overhead(overhead_study(num_workers=args.workers), args.workers))
 
 
 def _load_any(name: str):
@@ -89,13 +41,6 @@ def _load_any(name: str):
         return resolve_network(name)
     except NetworkError as exc:
         raise SystemExit(f"error: {exc}")
-
-
-def _cmd_heuristics(args: argparse.Namespace) -> None:
-    from repro.bench.figures import heuristic_study, render_heuristics
-
-    networks = tuple(args.networks) if args.networks else PAPER_NETWORKS
-    print(render_heuristics(heuristic_study(networks=networks)))
 
 
 def _cmd_info(args: argparse.Namespace) -> None:
@@ -529,46 +474,10 @@ class _LazyCommands(dict):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the ``fastbni`` argument parser (one sub-command per figure)."""
+    """Construct the ``fastbni`` argument parser."""
     p = argparse.ArgumentParser(prog="fastbni", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-
-    t1 = sub.add_parser("table1", help="reproduce the paper's Table 1")
-    t1.add_argument("--networks", nargs="*", choices=PAPER_NETWORKS)
-    t1.add_argument("--cases", type=int, default=None,
-                    help="test cases per network (default: per-network preset)")
-    t1.add_argument("--threads", default="1,2,4,8",
-                    help="comma-separated thread sweep (paper: 1..32)")
-    t1.set_defaults(func=_cmd_table1)
-
-    sc = sub.add_parser("scaling", help="Fig A: thread scaling")
-    sc.add_argument("--network", default="munin4", choices=PAPER_NETWORKS)
-    sc.add_argument("--threads", default="1,2,4,8,16,32")
-    sc.add_argument("--cases", type=int, default=None)
-    sc.add_argument("--mode", default="hybrid", choices=("hybrid", "inter", "intra"))
-    sc.set_defaults(func=_cmd_scaling)
-
-    gr = sub.add_parser("granularity", help="Fig B: granularity vs structure")
-    gr.add_argument("--workers", type=int, default=8)
-    gr.set_defaults(func=_cmd_granularity)
-
-    rt = sub.add_parser("root", help="Fig C: root selection ablation")
-    rt.add_argument("--networks", nargs="*", choices=PAPER_NETWORKS)
-    rt.set_defaults(func=_cmd_root)
-
-    pr = sub.add_parser("primitives", help="Fig D: table-op microbenchmarks")
-    pr.add_argument("--workers", type=int, default=8)
-    pr.set_defaults(func=_cmd_primitives)
-
-    ov = sub.add_parser("overhead", help="Fig E: overhead vs network scale")
-    ov.add_argument("--workers", type=int, default=8)
-    ov.set_defaults(func=_cmd_overhead)
-
-    he = sub.add_parser("heuristics",
-                        help="extension: triangulation heuristic comparison")
-    he.add_argument("--networks", nargs="*", choices=PAPER_NETWORKS)
-    he.set_defaults(func=_cmd_heuristics)
 
     info = sub.add_parser("info", help="network + junction tree statistics")
     info.add_argument("network")

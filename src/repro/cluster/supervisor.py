@@ -62,8 +62,7 @@ class Supervisor:
                  preload=(), options: dict | None = None,
                  segment_prefix: str | None = None,
                  spawn_timeout_s: float = DEFAULT_SPAWN_TIMEOUT_S,
-                 python: str = sys.executable,
-                 env_extra: dict | None = None) -> None:
+                 python: str = sys.executable) -> None:
         if worker_count <= 0:
             raise ServiceError(
                 f"cluster needs at least one worker, got {worker_count}")
@@ -77,9 +76,6 @@ class Supervisor:
                                else f"{SEGMENT_PREFIX}{os.getpid()}_")
         self.spawn_timeout_s = spawn_timeout_s
         self.python = python
-        #: Extra environment for every worker (e.g. BLAS thread pins —
-        #: N single-threaded workers beat N oversubscribed ones).
-        self.env_extra = dict(env_extra or {})
         self.workers: dict[str, WorkerProcess] = {}
         self._restarts = 0
         self._lock = threading.Lock()
@@ -107,7 +103,6 @@ class Supervisor:
             os.path.abspath(__file__))))
         env["PYTHONPATH"] = (src_root + os.pathsep + env["PYTHONPATH"]
                              if env.get("PYTHONPATH") else src_root)
-        env.update(self.env_extra)
         proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True,
                                 env=env)
         ready: queue.Queue = queue.Queue()

@@ -49,7 +49,8 @@ Two layers:
 
   All backends are bit-compatible to float64 round-off (the property
   suites pin 1e-12 agreement over random and degenerate geometries);
-  ``fused`` is the default and ``BENCH_exec.json`` tracks every backend.
+  ``fused`` is the default; ``bench/`` times the native fast path and
+  ``BENCH_ablation.json`` ranks what each backend buys at service level.
 
 Backends are per-process singletons resolved lazily from one registry;
 select one with :func:`get_kernels`.  ``KERNELS`` is derived from that
@@ -265,7 +266,8 @@ class NumpyKernels(KernelBackend):
     """Textbook NumPy reference: N-D views, axis sums, broadcast multiplies.
 
     One reduction/broadcast *setup* per table operation — the baseline the
-    fused backend is measured against (``BENCH_exec.json``).
+    fused backend is measured against (the ``fused_kernels`` row of
+    ``BENCH_ablation.json``).
     """
 
     name = "numpy"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 
 class Timer:
@@ -78,14 +77,3 @@ class TimingStats:
     def merge(self, other: "TimingStats") -> "TimingStats":
         return TimingStats(self.samples + other.samples)
 
-
-def benchmark_callable(fn: Callable[[], object], repeats: int = 3) -> TimingStats:
-    """Time ``fn`` ``repeats`` times and return the collected stats."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    stats = TimingStats()
-    for _ in range(repeats):
-        with Timer() as t:
-            fn()
-        stats.add(t.elapsed)
-    return stats

@@ -1,21 +1,27 @@
-"""Tests for the benchmark harness (workloads, runner, report, drivers)."""
+"""Tests for the Table-1 benchmark (workloads, engine timing, rows, rendering)."""
 
-import numpy as np
 import pytest
 
-from repro.bench.report import fmt_seconds, fmt_speedup, format_table
-from repro.bench.runner import (
+from repro.bench.table1 import (
+    DEFAULT_CASES,
     ENGINE_FACTORIES,
+    MIN_SEQ_SPEEDUP,
+    OBSERVED_FRACTION,
+    PAPER_TABLE1,
     PARALLEL_ENGINES,
     SEQUENTIAL_ENGINES,
     best_of_threads,
+    build_workload,
+    fmt_seconds,
+    fmt_speedup,
+    format_table,
     make_engine,
+    render_rows,
+    render_table1,
     run_engine,
+    table1_row,
     time_engine,
 )
-from repro.bench.table1 import PAPER_TABLE1, Table1Row, render_rows
-from repro.bench.workload import DEFAULT_CASES, OBSERVED_FRACTION, build_workload
-from repro.bn.datasets import load_dataset
 from repro.bn.sampling import generate_test_cases
 
 
@@ -27,7 +33,7 @@ class TestWorkload:
 
     def test_default_case_counts(self):
         wl = build_workload("hailfinder")
-        assert wl.num_cases == DEFAULT_CASES["hailfinder"]
+        assert len(wl.cases) == DEFAULT_CASES["hailfinder"]
 
     def test_paper_observed_fraction(self):
         wl = build_workload("hailfinder", 2)
@@ -37,8 +43,7 @@ class TestWorkload:
 
 class TestRunner:
     def test_registry_covers_table1_columns(self):
-        for kind in SEQUENTIAL_ENGINES + PARALLEL_ENGINES:
-            assert kind in ENGINE_FACTORIES
+        assert set(SEQUENTIAL_ENGINES + PARALLEL_ENGINES) == set(ENGINE_FACTORIES)
 
     def test_make_engine_unknown(self, asia):
         with pytest.raises(KeyError):
@@ -58,7 +63,7 @@ class TestRunner:
 
     def test_engines_produce_positive_times(self, asia):
         cases = generate_test_cases(asia, 1, 0.25, rng=0)
-        for kind in ("fastbni-seq", "element", "unbbayes"):
+        for kind in SEQUENTIAL_ENGINES:
             stats = run_engine(kind, asia, cases)
             assert stats.mean > 0
 
@@ -90,36 +95,38 @@ class TestReport:
         assert fmt_speedup(float("nan")) == "-"
 
 
+def measured(unbbayes=10.0, seq=2.0, direct=4.0, primitive=3.0, element=6.0,
+             par=1.0) -> dict[str, float]:
+    return {"unbbayes": unbbayes, "fastbni-seq": seq, "element": element,
+            "direct": direct, "primitive": primitive, "fastbni-par": par}
+
+
 class TestTable1Driver:
     def test_paper_reference_has_all_networks(self):
         assert set(PAPER_TABLE1) == {
             "hailfinder", "pathfinder", "diabetes", "pigs", "munin2", "munin4"
         }
+        # The gated floor is the paper's smallest sequential speedup.
+        assert MIN_SEQ_SPEEDUP == PAPER_TABLE1["munin2"][2] == 1.2
 
     def test_row_speedups(self):
-        row = Table1Row(network="x", unbbayes=10.0, fastbni_seq=2.0,
-                        direct=4.0, primitive=3.0, element=6.0, fastbni_par=1.0)
-        assert row.seq_speedup == pytest.approx(5.0)
-        assert row.par_speedups() == (4.0, 3.0, 6.0)
+        row = table1_row("hailfinder", measured(), {}, cases=1)
+        assert row["seq_speedup"] == pytest.approx(5.0)
+        assert row["par_speedup"] == {"direct": 4.0, "primitive": 3.0,
+                                      "element": 6.0}
+        assert row["paper"]["seq_speedup"] == 7.1
 
     def test_render_rows(self):
-        row = Table1Row(network="demo", unbbayes=1.0, fastbni_seq=0.5,
-                        direct=0.4, primitive=0.3, element=0.6, fastbni_par=0.2,
-                        best_t={"fastbni-par": 8})
+        row = table1_row("pigs", measured(unbbayes=1.0, seq=0.5, direct=0.4,
+                                          primitive=0.3, element=0.6,
+                                          par=0.2),
+                         {"fastbni-par": 8}, cases=1)
         out = render_rows([row], batch=10)
-        assert "demo" in out and "2.0x" in out
+        assert "pigs" in out and "2.0x" in out and "11.7x" in out
 
-
-class TestAblationHelpers:
-    def test_structure_networks_shapes(self):
-        from repro.bench.figures import structure_networks
-
-        nets = structure_networks(size=20, card=2)
-        assert len(nets) == 4
-        for net in nets.values():
-            net.validate()
-
-    def test_root_center_is_optimal(self):
-        from repro.bench.figures import root_center_is_optimal
-
-        assert root_center_is_optimal("hailfinder")
+    def test_parallel_columns_unproven_on_small_boxes(self):
+        report = {"cpu_count": 2,
+                  "rows": [table1_row("pigs", measured(), {}, cases=1)]}
+        assert "unproven on < 4 cores" in render_table1(report)
+        report["cpu_count"] = 8
+        assert "unproven" not in render_table1(report)

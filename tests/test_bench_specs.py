@@ -19,8 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import (ablation_matrix, cluster, execbench, frontier, obs,
-                         overlap)
+from repro.bench import ablation_matrix, frontier, obs, overlap, table1
 from repro.bench.artifact import write_report
 from repro.bench.harness import balanced_median, paired_ratios, paired_rounds
 from repro.bench.registry import ARTIFACTS, COMMANDS
@@ -94,38 +93,23 @@ class TestPairedRounds:
 # ------------------------------------------------------------ spec <-> gate
 #: Pinned literally: a schema string only changes with the artifact.
 SCHEMAS = {
-    "execbench": 2,
+    "table1": "fastbni-bench-table1-v1",
     "sessions": "fastbni-bench-sessions-v1",
     "incremental": "fastbni-bench-incremental-v1",
     "obsbench": "fastbni-bench-obs-v1",
-    "clusterbench": "fastbni-bench-cluster-v1",
     "ablate": "fastbni-bench-ablation-v1",
     "frontier": "exact_vs_approx_frontier",
 }
 
 
-def tiny_cluster_report() -> dict:
-    """The cluster spec's summary step over recorded slice times (no
-    worker processes: tier-1 stays spawn-free)."""
-    return cluster.summarize(
-        {"single": [0.50, 0.52, 0.49, 0.51], "cluster": [0.25, 0.27, 0.26,
-                                                         0.25]},
-        network="asia",
-        config={"requests": 40, "workers": 4, "concurrency": 4,
-                "repeats": 4, "seed": 1, "target": "asia",
-                "worker_options": cluster.WORKER_OPTIONS},
-        placement=["w0", "w1"], max_abs_diff=0.0)
-
-
 TINY_RUNS = {
-    "execbench": lambda: execbench.run_execbench(
-        network="asia", num_cases=2, repeats=1),
+    "table1": lambda: table1.run_table1(
+        networks=("hailfinder",), num_cases=1, sweep=(1,)),
     "sessions": lambda: overlap.run_sessions(
         network="asia", overlaps=(0.5, 0.75), num_queries=4),
     "incremental": lambda: overlap.run_incremental(
         overlaps=(0.5, 0.75, 1.0), num_queries=4),
     "obsbench": lambda: obs.run_obs(requests=8, concurrency=2, repeats=2),
-    "clusterbench": tiny_cluster_report,
     "ablate": lambda: ablation_matrix.run_ablation(
         seed=3, requests=16, repeats=2, concurrency=2, components=["cache"],
         trace_kwargs={"mix": {"zipf": 0.6, "session": 0.4}}),
@@ -151,8 +135,6 @@ def test_tiny_run_has_every_path_its_gate_rows_read(spec, cb, tmp_path):
     if spec.compare is not None:
         doc = {**report, "vs_baseline": spec.compare(report, report)}
     for gate in spec.gates:
-        if callable(gate.floor):
-            assert gate.floor(doc) > 0
         cb.resolve(doc, gate.path)  # LookupError: the row reads no field
     # Timings of a seconds-long run prove nothing; what must hold even
     # here is every agreement row.
@@ -160,14 +142,6 @@ def test_tiny_run_has_every_path_its_gate_rows_read(spec, cb, tmp_path):
         failures = cb.evaluate(spec, report, report)[0]
         assert not [f for f in failures if "has no" in f or "errors" in f
                     or "max_abs_diff" in f or "mismatched" in f]
-
-
-def test_cluster_summary_pairs_the_sides():
-    report = tiny_cluster_report()
-    assert report["speedup"] == pytest.approx(1.95, abs=0.1)
-    assert report["sides"]["cluster"]["rps"] == pytest.approx(
-        4 * 40 / 1.03)
-    assert report["cpu_cores"] > 0
 
 
 # ---------------------------------------------------------------------- cli

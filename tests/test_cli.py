@@ -11,12 +11,20 @@ class TestParser:
     def test_all_subcommands_registered(self):
         parser = build_parser()
         sub = next(a for a in parser._actions if a.dest == "command")
-        assert set(sub.choices) == {
-            "table1", "scaling", "granularity", "root", "primitives",
-            "overhead", "heuristics", "frontier", "incremental", "execbench",
-            "sessions", "obsbench", "info", "query", "serve", "client",
-            "trace", "cluster", "clusterbench", "workload", "ablate",
-        }
+        assert list(sub.choices) == [
+            "info", "query", "serve", "cluster", "client", "trace",
+            "table1", "sessions", "incremental", "obsbench", "ablate",
+            "frontier", "workload",
+        ]
+
+    @pytest.mark.parametrize("retired", [
+        "scaling", "granularity", "root", "primitives", "overhead",
+        "heuristics",
+    ])
+    def test_retired_subcommands_are_parse_errors(self, retired):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([retired])
+        assert exc.value.code == 2
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -26,10 +34,13 @@ class TestParser:
         args = build_parser().parse_args(["table1"])
         assert args.threads == "1,2,4,8"
         assert args.cases is None
+        assert args.networks is None
+        assert args.out == "BENCH_table1.json"
 
     def test_invalid_network_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["scaling", "--network", "alarm"])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--networks", "alarm", "--out", ""])
+        assert "unknown networks ['alarm']" in str(excinfo.value)
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -90,12 +101,6 @@ class TestParser:
         assert args.requests == 100
         assert args.repeats == 24
         assert args.out == "BENCH_obs.json"
-
-    def test_clusterbench_defaults(self):
-        args = build_parser().parse_args(["clusterbench"])
-        assert args.network == "pathfinder"
-        assert args.workers == 4
-        assert args.out == "BENCH_cluster.json"
 
     def test_workload_defaults(self):
         args = build_parser().parse_args(["workload"])

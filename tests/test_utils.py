@@ -7,7 +7,7 @@ import pytest
 
 from repro import errors
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.timing import Timer, TimingStats, benchmark_callable
+from repro.utils.timing import Timer, TimingStats
 
 
 class TestRng:
@@ -64,14 +64,6 @@ class TestTiming:
     def test_merge(self):
         a, b = TimingStats([1.0]), TimingStats([2.0])
         assert a.merge(b).samples == [1.0, 2.0]
-
-    def test_benchmark_callable(self):
-        stats = benchmark_callable(lambda: sum(range(100)), repeats=3)
-        assert stats.count == 3
-
-    def test_benchmark_invalid_repeats(self):
-        with pytest.raises(ValueError):
-            benchmark_callable(lambda: None, repeats=0)
 
 
 class TestErrorHierarchy:

@@ -9,7 +9,7 @@ artifact naming a report, rows evaluated, failures printed.  It has no
 per-artifact code and no threshold options — a floor changes where it is
 declared.
 
-A row is ``Gate(path, op, floor, unless)``:
+A row is ``Gate(path, op, floor)``:
 
 * ``path`` is a dotted JSON path into the report.  ``name[*]`` fans out
   over a list or dict; ``name[key=v]`` / ``name[key>=v]`` select list rows
@@ -17,30 +17,22 @@ A row is ``Gate(path, op, floor, unless)``:
   checks nothing proved nothing);
 * ``op`` is ``<=``, ``<``, ``>=``, ``>`` or ``contains`` (the value holds
   every element of the floor);
-* ``floor`` is a constant, or ``f(report)`` where the floor depends on the
-  machine the report was generated on (the cluster speedup);
-* ``unless(report)`` is the machine predicate: ``None`` applies the row,
-  a string skips it and, when non-empty, is printed as a ``note:`` (no C
-  compiler, too few cores to express thread scaling).
+* ``floor`` is a constant.
 
-Artifacts held against their committed copy (``BENCH_exec.json``: per-row
-machine-normalised slowdown; ``BENCH_ablation.json``: retained
-contributions) declare ``compare(fresh, committed)``; its result is gated
-under ``vs_baseline.``.  A failure names artifact, JSON path, value and
-floor; on success every row that held is printed with the value nearest
-its floor.
+An artifact held against its committed copy (``BENCH_ablation.json``:
+retained contributions) declares ``compare(fresh, committed)``; its result
+is gated under ``vs_baseline.``.  A failure names artifact, JSON path,
+value and floor; on success every row that held is printed with the value
+nearest its floor.
 
-Usage::
+Usage (each option is optional; a report not named is not checked)::
 
-    python tools/check_bench.py --fresh BENCH_exec.fresh.json \\
-        [--baseline BENCH_exec.json] \\
+    python tools/check_bench.py [--table1 BENCH_table1.fresh.json] \\
         [--sessions-fresh BENCH_sessions.fresh.json] \\
         [--incremental BENCH_incremental.json] \\
-        [--obs BENCH_obs.fresh.json] [--cluster BENCH_cluster.fresh.json] \\
+        [--obs BENCH_obs.fresh.json] \\
         [--ablation BENCH_ablation.fresh.json] [--ablation-baseline ...]
 
-``--fresh ''`` skips the exec comparison, so a job can gate a single
-artifact (e.g. ``--fresh '' --ablation BENCH_ablation.fresh.json``).
 Exit code 0 = within budget; 1 = regression (report on stderr).
 """
 
@@ -96,8 +88,8 @@ def _fmt(value) -> str:
 
 
 def evaluate(spec, report: dict, committed: dict | None = None
-             ) -> tuple[list[str], list[str], list[str]]:
-    """``(failures, notes, held)`` of ``report`` against ``spec``'s rows.
+             ) -> tuple[list[str], list[str]]:
+    """``(failures, held)`` of ``report`` against ``spec``'s rows.
 
     ``committed`` is the artifact's committed copy; without it (or with
     one of the wrong schema) the ``vs_baseline.`` rows are not evaluated.
@@ -105,9 +97,8 @@ def evaluate(spec, report: dict, committed: dict | None = None
     """
     if report.get("schema") != spec.schema:
         return [f"{spec.name} schema mismatch: {report.get('schema')!r} "
-                f"(expected {spec.schema!r})"], [], []
+                f"(expected {spec.schema!r})"], []
     failures: list[str] = []
-    notes: list[str] = []
     held: list[str] = []
     doc = report
     if committed is not None and spec.compare is not None:
@@ -120,13 +111,8 @@ def evaluate(spec, report: dict, committed: dict | None = None
     for gate in spec.gates:
         if gate.path.startswith("vs_baseline") and "vs_baseline" not in doc:
             continue
-        skip = gate.unless(doc) if gate.unless is not None else None
-        if skip is not None:
-            if skip and skip not in notes:
-                notes.append(skip)
-            continue
+        floor = gate.floor
         try:
-            floor = gate.floor(doc) if callable(gate.floor) else gate.floor
             values = resolve(doc, gate.path)
             if gate.op == "contains":
                 bad = [f"{where} lacks {sorted(set(floor) - set(value))}"
@@ -146,7 +132,7 @@ def evaluate(spec, report: dict, committed: dict | None = None
         if not bad:
             held.append(f"{spec.path}: {gate.path} {worst} "
                         f"({gate.op} {_fmt(floor)})")
-    return failures, notes, held
+    return failures, held
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -155,9 +141,8 @@ def main(argv: list[str] | None = None) -> int:
     for spec in gated:
         parser.add_argument(
             spec.check_flag, dest=spec.check_flag, metavar="REPORT",
-            default=spec.check_default,
             help=f"report to hold to the {spec.path} rows (fastbni "
-                 f"{spec.name}); '' skips the check")
+                 f"{spec.name})")
         if spec.baseline_flag:
             parser.add_argument(
                 spec.baseline_flag, dest=spec.baseline_flag,
@@ -166,13 +151,10 @@ def main(argv: list[str] | None = None) -> int:
     paths = vars(parser.parse_args(argv))
 
     failures: list[str] = []
-    notes: list[str] = []
     held: list[str] = []
     for spec in gated:
         path = paths[spec.check_flag]
         if not path:
-            if spec.check_default:
-                held.append(f"{spec.path}: check skipped")
             continue
         report = json.loads(Path(path).read_text())
         committed = None
@@ -183,13 +165,9 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 failures.append(
                     f"no committed {spec.path} at {committed_path}")
-        spec_failures, spec_notes, spec_held = evaluate(spec, report,
-                                                        committed)
+        spec_failures, spec_held = evaluate(spec, report, committed)
         failures += spec_failures
-        notes += spec_notes
         held += spec_held
-    for note in notes:
-        print(f"note: {note}")
     if failures:
         print(f"\nBENCH REGRESSION ({len(failures)} problem(s)):",
               file=sys.stderr)
