@@ -74,7 +74,9 @@ COMPONENTS: dict[str, dict] = {
     },
     "batcher": {
         "description": "micro-batch coalescing of concurrent queries "
-                       "(off = max_batch=1, every query its own flush)",
+                       "(off = max_batch=1, every query its own flush; "
+                       "on native kernels every such flush also runs on "
+                       "the event loop, with no executor job)",
         "off": {"max_batch": 1},
     },
     "planner": {

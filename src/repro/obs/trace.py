@@ -402,7 +402,7 @@ def current_kernel_hooks() -> ScheduleRecorder | None:
 def install_kernel_hooks(hooks: ScheduleRecorder):
     """Make ``hooks`` visible to execution-layer code on this thread.
 
-    The batcher wraps a *sampled* flush's executor work in this, so the
+    The batcher wraps a *sampled* flush's engine call in this, so the
     engines underneath (which never see the trace context) still report
     their message-pass and absorption timings.  Re-entrant installs
     restore the previous recorder on exit.

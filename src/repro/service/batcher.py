@@ -13,9 +13,21 @@ arrives at an idle key is flushed on the next event-loop iteration
 arrive while the key's flush is running queue behind it and leave as one
 batch the moment it completes, and a queue that reaches ``max_batch``
 flushes at once: a lone query never waits, and batches form exactly when
-arrivals outpace the engine.  Each flush is one job on an executor thread
-— cache pre-pass, one vectorised ``infer_cases`` call, per-case retry —
-whose outcomes the loop fans back out to the awaiting futures.
+arrivals outpace the engine.  A flush — cache pre-pass, one vectorised
+``infer_cases`` call, per-case retry — is one job on the flush worker,
+and the loop fans its outcomes back out to the awaiting futures.  The
+exception is a flush of one request on a ``stateless`` (native
+whole-case) entry, which runs on the loop: with one request queued there
+is nothing for the executor hand-off (~70 µs) to overlap.  The price is
+a loop stall of one case (hailfinder 0.08 ms, pathfinder 0.5 ms,
+diabetes ~10 ms) that delays all other loop work: parsing and queuing
+for every connection and every network, starting another key's flush,
+``health``.  On a 2-core VM, ``health`` beside a stream of lone diabetes
+queries reads p99 14–21 ms (8–9 ms with the case off the loop), while
+lone queries spread over hailfinder and pathfinder gain throughput
+(median req/s +79 % at 4 connections, +166 % at 2).  ``record_cold``
+never takes an executor job: it is pure-Python dict work that holds the
+GIL on any thread, so it runs on the loop once the replies are written.
 
 Queues are keyed by ``(network, engine kind)``: approximate and exact
 queries for the same network never mix, and a flush against an
@@ -118,13 +130,14 @@ class MicroBatcher:
 
     All public methods must be called from one asyncio event loop; the
     actual calibration runs on a private executor so the loop stays
-    responsive while NumPy works.
+    responsive while NumPy works.  That executor has exactly one worker,
+    so flushes that leave the loop run one at a time; an inline flush
+    (module docstring) is the only one that runs beside the worker's.
     """
 
     def __init__(self, registry: ModelRegistry, *,
                  max_batch: int = DEFAULT_MAX_BATCH,
-                 metrics: ServiceMetrics | None = None,
-                 flush_workers: int = 1) -> None:
+                 metrics: ServiceMetrics | None = None) -> None:
         if max_batch < 1:
             raise EvidenceError(f"max_batch must be >= 1, got {max_batch}")
         self.registry = registry
@@ -138,7 +151,7 @@ class MicroBatcher:
         self._busy: dict[tuple[str, str], int] = {}
         self._inflight: set[asyncio.Task] = set()
         self._executor = ThreadPoolExecutor(
-            max_workers=flush_workers, thread_name_prefix="fastbni-flush")
+            max_workers=1, thread_name_prefix="fastbni-flush")
         self._closed = False
 
     async def run_blocking(self, fn):
@@ -291,20 +304,28 @@ class MicroBatcher:
 
     async def _run_batch(self, key: tuple[str, str], batch: list[_Pending],
                          behind: bool) -> None:
-        loop = asyncio.get_running_loop()
         entry = None
         try:
             entry = await self.get_entry_pinned(*key)
-            cold_items = await loop.run_in_executor(
-                self._executor, self._serve_batch, entry, batch, behind)
+            # One request on a whole-case entry: no concurrency for the
+            # executor hand-off to overlap (see the module docstring).
+            inline = len(batch) == 1 and entry.stateless
+            if inline:
+                self.metrics.observe_inline_flush()
+                cold_items = self._serve_batch(entry, batch, behind, inline)
+            else:
+                cold_items = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, self._serve_batch, entry, batch, behind,
+                    inline)
             self._resolve(batch)
             if cold_items:
                 # Memoise + seed lazy base-state keys so the next
                 # near-duplicate of any of these cases takes the delta
-                # path.  Best-effort: every future above is already
-                # resolved, and the handler below skips those.
-                await loop.run_in_executor(
-                    self._executor, entry.cache.record_cold, cold_items)
+                # path — after one yield, so every resolved handler has
+                # encoded and written its reply first.  Best-effort: the
+                # handler below skips the futures already resolved.
+                await asyncio.sleep(0)
+                entry.cache.record_cold(cold_items)
         # BaseException, not ReproError: whatever stops a flush between
         # enqueue and fan-out (a closed registry, a failed reload, a
         # shut-down executor, cancellation) must still resolve every
@@ -331,8 +352,8 @@ class MicroBatcher:
                 pending.future.set_result(outcome)
 
     def _serve_batch(self, entry: ModelEntry, batch: list[_Pending],
-                     behind: bool) -> list:
-        """One flush, start to finish, on the flush worker.
+                     behind: bool, inline: bool) -> list:
+        """One flush, start to finish, on the flush worker (or the loop).
 
         Cache pre-pass, one vectorised ``infer_cases`` over what it
         declined, and the per-case retry of a poisoned batch.  Sets every
@@ -388,7 +409,7 @@ class MicroBatcher:
             trace = pending.request.trace
             if trace is not None:
                 attrs = {"fill": len(batch), "engine": kind,
-                         **recorder.summary()}
+                         "inline": inline, **recorder.summary()}
                 if isinstance(case_result, ApproxInferenceResult):
                     attrs["ess"] = case_result.ess
                     attrs["num_samples"] = case_result.num_samples

@@ -90,8 +90,10 @@ class ServiceMetrics:
         self._fill_hist: Counter[str] = Counter()
         self._fallback_cases = 0
         #: Flushes by what started them: an arrival (idle key, or a full
-        #: queue) vs the completion of the flush they queued behind.
-        self._flushes = {"flushes_idle": 0, "flushes_behind": 0}
+        #: queue) vs the completion of the flush they queued behind; idle
+        #: + behind is the total, of which ``inline`` ran on the loop.
+        self._flushes = {"flushes_idle": 0, "flushes_behind": 0,
+                         "flushes_inline": 0}
         self._explicit_batches = 0
         self._explicit_cases = 0
         self._cache_hits = 0
@@ -161,6 +163,11 @@ class ServiceMetrics:
         """One flush started — released by a completing flush, or not."""
         with self._lock:
             self._flushes["flushes_behind" if behind else "flushes_idle"] += 1
+
+    def observe_inline_flush(self) -> None:
+        """One started flush is served on the event loop, not the worker."""
+        with self._lock:
+            self._flushes["flushes_inline"] += 1
 
     def observe_fallback(self, cases: int = 1) -> None:
         """Cases served by the per-case path (soft evidence / poisoned batch)."""
@@ -520,6 +527,7 @@ def aggregate_snapshots(snapshots: list[dict]) -> dict:
             "fallback_cases": sum_path("batches", "fallback_cases"),
             "flushes_idle": sum_path("batches", "flushes_idle"),
             "flushes_behind": sum_path("batches", "flushes_behind"),
+            "flushes_inline": sum_path("batches", "flushes_inline"),
             "explicit_count": sum_path("batches", "explicit_count"),
             "explicit_cases": sum_path("batches", "explicit_cases"),
         },

@@ -107,10 +107,17 @@ def _jsonable(obj):
     ``allow_nan=False``, so a NaN surviving to :meth:`_write` would make
     ``json.dumps`` raise *after* the dispatch error handling — the
     client would wait forever for a response line that never comes.
+
+    A finite 1-D float array — every posterior — converts in one
+    ``tolist()`` without walking its elements.
     """
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
+        values = obj.tolist()
+        if (obj.ndim == 1 and obj.dtype.kind == "f"
+                and all(map(math.isfinite, values))):
+            return values
+        return _jsonable(values)
+    if isinstance(obj, np.generic):
         return _jsonable(obj.item())
     if isinstance(obj, float) and not math.isfinite(obj):
         return None

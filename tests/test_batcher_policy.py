@@ -9,7 +9,9 @@ Pinned here:
   follow-up flush, in arrival order, released by its completion;
 * ``max_batch`` flushes at once, and ``max_batch=1`` (the ``batcher``
   ablation switch) means one case per flush;
-* a flush is one executor job on the resident path;
+* a flush is one executor job on the resident path, except a flush of one
+  on a native (stateless) entry, which takes none; ``record_cold`` never
+  takes one and runs after the replies;
 * every failure between enqueue and fan-out reaches the waiting clients.
 """
 
@@ -25,12 +27,18 @@ import pytest
 
 from repro.bn import io_bif
 from repro.core import FastBNI
-from repro.errors import ReproError
+from repro.errors import EvidenceError, ReproError
+from repro.exec.native import native_status
+from repro.obs.trace import current_kernel_hooks
 from repro.service import (InferenceServer, MicroBatcher, ModelRegistry,
                            QueryRequest, ServiceMetrics)
 
 #: CI boxes set REPRO_TEST_TIME_SLACK=3 (say) instead of editing tests.
 TIME_SLACK = max(1.0, float(os.environ.get("REPRO_TEST_TIME_SLACK", "1.0")))
+
+NATIVE_AVAILABLE, NATIVE_REASON = native_status()
+needs_native = pytest.mark.skipif(
+    not NATIVE_AVAILABLE, reason=f"native backend unavailable: {NATIVE_REASON}")
 
 #: Eight distinct single-finding cases on asia, in a fixed order.
 CASES = [{name: state} for name in ("smoke", "asia", "bronc", "xray")
@@ -41,10 +49,11 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def make_batcher(network: str = "asia", *, cache: bool = False, **kwargs):
+def make_batcher(network: str = "asia", *, cache: bool = False,
+                 kernels: str = "fused", **kwargs):
     """A batcher over a registry with ``network`` already resident."""
     metrics = ServiceMetrics()
-    registry = ModelRegistry(metrics=metrics, cache=cache)
+    registry = ModelRegistry(metrics=metrics, cache=cache, kernels=kernels)
     registry.get(network)
     return MicroBatcher(registry, metrics=metrics, **kwargs), registry
 
@@ -64,6 +73,27 @@ def assert_quiescent(batcher) -> None:
     assert not batcher._queues
     assert not batcher._busy
     assert not batcher._inflight
+
+
+def watch_hops(loop, cache) -> tuple[list, list]:
+    """Log ``loop``'s executor jobs by function name into the first list,
+    and each ``cache.record_cold`` call into the second as
+    ``("record_cold", ran_on_the_loop_thread)``; callers log their replies
+    there too.  Undo with ``del loop.run_in_executor``."""
+    jobs, events = [], []
+    loop_thread = threading.get_ident()
+    run_in_executor, record_cold = loop.run_in_executor, cache.record_cold
+
+    def counting(executor, fn, *args):
+        jobs.append(fn.__name__)
+        return run_in_executor(executor, fn, *args)
+
+    def recording(items):
+        events.append(("record_cold", threading.get_ident() == loop_thread))
+        record_cold(items)
+
+    loop.run_in_executor, cache.record_cold = counting, recording
+    return jobs, events
 
 
 class HeldEngine:
@@ -130,6 +160,7 @@ class TestFlushPolicy:
         flushes = stats["batches"]
         assert (flushes["count"], flushes["cases"]) == (5, 5)
         assert (flushes["flushes_idle"], flushes["flushes_behind"]) == (5, 0)
+        assert flushes["flushes_inline"] == 0  # a fused entry: off the loop
         assert stats["batcher"] == {"max_batch": 64}
         # One loop hop plus the executor hand-off: the median stays under
         # 1 ms (the deleted timer charged every one of them 2 ms).
@@ -248,43 +279,160 @@ class TestFlushPolicy:
             len(CASES), len(CASES), 1)
 
     def test_one_executor_job_per_flush(self):
-        """A lone warm query: one ``run_in_executor`` stands between
-        submit and the reply (lookup and pin are dict hits on the loop);
-        ``record_cold`` is a second job the reply does not wait for."""
+        """A lone warm query on a fused entry: one ``run_in_executor``
+        stands between submit and the reply (lookup and pin are dict hits
+        on the loop); ``record_cold`` then runs on the loop, after it."""
         async def scenario():
             batcher, registry = make_batcher(cache=True)
-            cache = registry.get("asia").cache
             loop = asyncio.get_running_loop()
-            jobs, gate, recorded = [], threading.Event(), []
-            run_in_executor, inner = loop.run_in_executor, cache.record_cold
-
-            def counting(executor, fn, *args):
-                jobs.append(fn.__name__)
-                return run_in_executor(executor, fn, *args)
-
-            def record_cold(items):
-                assert gate.wait(10 * TIME_SLACK)
-                inner(items)
-                recorded.append(len(items))
-
-            loop.run_in_executor, cache.record_cold = counting, record_cold
+            jobs, events = watch_hops(loop, registry.get("asia").cache)
             try:
                 await batcher.submit("asia", QueryRequest(evidence=CASES[0]))
-                at_reply = list(jobs), list(recorded)
-                gate.set()
+                events.append("reply")
                 await batcher.drain()
+                assert_quiescent(batcher)
             finally:
-                gate.set()
                 del loop.run_in_executor
                 await batcher.aclose()
                 registry.close()
-            return at_reply, jobs, recorded
+            return jobs, events, batches(batcher)
 
-        at_reply, jobs, recorded = run(scenario())
-        # The reply arrived with record_cold submitted but still held.
-        assert at_reply == (["_serve_batch", "record_cold"], [])
-        assert jobs == ["_serve_batch", "record_cold"]
-        assert recorded == [1]
+        jobs, events, snap = run(scenario())
+        assert jobs == ["_serve_batch"]
+        assert events == ["reply", ("record_cold", True)]
+        assert snap["flushes_inline"] == 0
+
+
+@needs_native
+class TestInlineFlush:
+    """A flush of one request on a native (stateless) entry is served on
+    the loop; every other flush keeps its one job on the flush worker."""
+
+    def test_lone_query_takes_no_executor_job(self, asia):
+        async def scenario():
+            batcher, registry = make_batcher(cache=True, kernels="native")
+            assert registry.get("asia").stateless
+            loop = asyncio.get_running_loop()
+            jobs, events = watch_hops(loop, registry.get("asia").cache)
+            try:
+                got = await batcher.submit(
+                    "asia", QueryRequest(evidence=CASES[0]))
+                events.append("reply")
+                await batcher.drain()
+                assert_quiescent(batcher)
+            finally:
+                del loop.run_in_executor
+                await batcher.aclose()
+                assert_quiescent(batcher)
+                registry.close()
+            return got, jobs, events, batches(batcher)
+
+        got, jobs, events, snap = run(scenario())
+        assert jobs == []
+        # The reply was delivered before the memo write began.
+        assert events == ["reply", ("record_cold", True)]
+        assert (snap["flushes_idle"], snap["flushes_inline"]) == (1, 1)
+        with FastBNI(asia, mode="seq") as engine:
+            np.testing.assert_allclose(
+                got.posteriors["dysp"],
+                engine.infer(CASES[0]).posteriors["dysp"], atol=1e-12)
+
+    def test_submits_of_one_iteration_are_one_executor_job(self):
+        async def scenario():
+            batcher, registry = make_batcher(cache=True, kernels="native")
+            loop = asyncio.get_running_loop()
+            jobs, events = watch_hops(loop, registry.get("asia").cache)
+
+            async def ask(case):
+                await batcher.submit("asia", QueryRequest(evidence=case))
+                events.append("reply")
+
+            try:
+                await asyncio.gather(*(ask(case) for case in CASES))
+                await batcher.drain()
+                assert_quiescent(batcher)
+            finally:
+                del loop.run_in_executor
+                await batcher.aclose()
+                registry.close()
+            return jobs, events, batches(batcher)
+
+        jobs, events, snap = run(scenario())
+        assert jobs == ["_serve_batch"]
+        assert events == ["reply"] * len(CASES) + [("record_cold", True)]
+        assert (snap["count"], snap["cases"]) == (1, len(CASES))
+        assert (snap["flushes_idle"], snap["flushes_inline"]) == (1, 0)
+
+    def test_lone_impossible_query_fails_alone(self):
+        """The per-case retry still runs for an inline flush: the
+        impossible case gets its EvidenceError, the next one succeeds."""
+        impossible = {"Sprinkler": "off", "Rain": "no", "WetGrass": "yes"}
+
+        async def scenario():
+            batcher, registry = make_batcher("sprinkler", cache=True,
+                                             kernels="native")
+            try:
+                with pytest.raises(EvidenceError):
+                    await batcher.submit("sprinkler",
+                                         QueryRequest(evidence=impossible))
+                ok = await batcher.submit(
+                    "sprinkler", QueryRequest(evidence={"Rain": "yes"}))
+                await batcher.drain()
+                assert_quiescent(batcher)
+            finally:
+                await batcher.aclose()
+                registry.close()
+            return ok, batches(batcher)
+
+        ok, snap = run(scenario())
+        assert abs(float(ok.posteriors["WetGrass"].sum()) - 1.0) < 1e-12
+        assert snap["fallback_cases"] == 1
+        assert snap["flushes_idle"] + snap["flushes_behind"] == 2
+        assert snap["flushes_inline"] == 2
+
+    def test_sampled_lone_query_matches_unsampled(self):
+        """A sampled inline flush takes the staged path with the kernel
+        hooks installed on the loop thread — and removed after it."""
+        query = {"op": "query", "network": "asia",
+                 "evidence": {"smoke": "yes", "xray": "no"}}
+
+        async def scenario():
+            server = InferenceServer(port=0, cache=False, kernels="native",
+                                     trace_sample_rate=0.5)
+            server.preload(["asia"])
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                replies = []
+                for i in (1, 2):  # every 2nd request is sampled
+                    writer.write(json.dumps(dict(query, id=i)).encode()
+                                 + b"\n")
+                    await writer.drain()
+                    replies.append(json.loads(await reader.readline()))
+                hooks_after = current_kernel_hooks()
+                writer.close()
+                traces = server.tracer.traces()
+                flushes = server.metrics.snapshot()["batches"]
+            finally:
+                await server.stop()
+            return replies, hooks_after, traces, flushes
+
+        (plain, sampled), hooks_after, traces, flushes = run(scenario())
+        assert plain["ok"] and sampled["ok"]
+        assert hooks_after is None
+        assert flushes["flushes_inline"] == 2
+        assert abs(plain["result"]["log_evidence"]
+                   - sampled["result"]["log_evidence"]) <= 1e-12
+        for name, probs in plain["result"]["posteriors"].items():
+            np.testing.assert_allclose(
+                sampled["result"]["posteriors"][name], probs, atol=1e-12)
+        (trace,) = traces
+        names = {span["name"] for span in trace["spans"]}
+        assert {"parse", "queue_wait", "execute", "serialize"} <= names
+        execute = next(s for s in trace["spans"] if s["name"] == "execute")
+        assert execute["attributes"]["inline"] is True
+        assert execute["attributes"]["kernel_messages"] > 0
 
 
 class TestFailuresReachTheClients:

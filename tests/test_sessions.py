@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import FastBNI
 from repro.errors import EvidenceError, QueryError, ReproError, SessionError
@@ -597,6 +599,51 @@ class TestGetPinnedRace:
             assert entry.engine._closed is True
 
 
+def _reference_jsonable(obj):
+    """The element-by-element walk ``_jsonable``'s 1-D fast path skips."""
+    if isinstance(obj, np.ndarray):
+        return _reference_jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return _reference_jsonable(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    return obj
+
+
+def _wire_payloads():
+    """Nested dicts/lists/tuples of scalars (NaN/±inf included) and 0-d,
+    1-D and 2-D float64/float32/int64/bool arrays."""
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+    arrays = st.one_of(
+        st.lists(floats, max_size=6).map(
+            lambda xs: np.array(xs, dtype=np.float64)),
+        st.lists(st.floats(width=32), max_size=6).map(
+            lambda xs: np.array(xs, dtype=np.float32)),
+        st.lists(st.integers(-2**40, 2**40), max_size=6).map(
+            lambda xs: np.array(xs, dtype=np.int64)),
+        st.lists(st.booleans(), max_size=6).map(
+            lambda xs: np.array(xs, dtype=bool)),
+        st.lists(floats, min_size=4, max_size=4).map(
+            lambda xs: np.array(xs).reshape(2, 2)),
+        floats.map(np.array),
+        st.booleans().map(np.array),
+    )
+    scalars = st.one_of(floats, floats.map(np.float64),
+                        st.integers(-99, 99).map(np.int64), st.integers(),
+                        st.booleans(), st.none(), st.text(max_size=3))
+    return st.recursive(
+        st.one_of(scalars, arrays),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+        max_leaves=12)
+
+
 class TestNonFiniteResponses:
     def test_jsonable_sanitises_non_finite_floats(self):
         payload = _jsonable({
@@ -608,6 +655,25 @@ class TestNonFiniteResponses:
         assert payload == {"ess": None, "bound": None,
                            "nested": [None, [1.0, None]], "fine": 0.25}
         json.dumps(payload, allow_nan=False)  # must not raise
+
+    def test_numpy_booleans_encode(self):
+        """Regression: ``np.bool_`` is neither floating nor integer, so
+        the reply became an InternalError."""
+        line = InferenceServer._encode({
+            "id": 1, "ok": True,
+            "result": _jsonable({"a": np.bool_(True), "b": np.str_("x")})})
+        assert json.loads(line) == {"id": 1, "ok": True,
+                                    "result": {"a": True, "b": "x"}}
+
+    @settings(max_examples=200, deadline=None)
+    @given(result=_wire_payloads())
+    def test_fast_path_is_byte_identical(self, result):
+        """Replies equal the element-by-element walk's, byte for byte."""
+        def encode(converted):
+            return InferenceServer._encode(
+                {"id": 1, "ok": True, "result": converted})
+
+        assert encode(_jsonable(result)) == encode(_reference_jsonable(result))
 
     def test_nan_result_field_still_answers_client(self, monkeypatch):
         """Regression: a NaN diagnostic made json.dumps(allow_nan=False)
