@@ -351,64 +351,38 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 def _cmd_client(args: argparse.Namespace) -> None:
     from repro.errors import ReproError, ServiceError
     from repro.service.client import ServiceClient
+    from repro.service.ops import OPS
 
     evidence = _parse_evidence_arg(args.evidence)
-    targets = [t for t in args.targets.split(",") if t] if args.targets else None
-    engine = args.engine or None
-    needs_network = args.op not in ("health", "stats", "stats_reset",
-                                    "cache_stats", "metrics", "slow_queries",
-                                    "trace_dump", "session_update",
-                                    "session_query", "session_close",
-                                    "cluster_stats", "cluster_drain")
-    if needs_network and not args.network:
-        raise SystemExit(f"error: op {args.op!r} requires a network argument")
-    needs_session = args.op in ("session_update", "session_query",
-                                "session_close")
-    if needs_session and not args.session:
-        raise SystemExit(f"error: op {args.op!r} requires --session <id>")
-    retract = ([t for t in args.retract.split(",") if t]
-               if args.retract else None)
+    # Every request field the CLI can fill; the op's row picks its own.
+    values = {
+        "network": args.network,
+        "session": args.session or None,
+        "evidence": evidence or None,
+        "cases": evidence if isinstance(evidence, list) else None,
+        "targets": [t for t in args.targets.split(",") if t] or None,
+        "engine": args.engine or None,
+        "retract": [t for t in args.retract.split(",") if t] or None,
+        "replace": args.replace or None,
+    }
+    row = OPS.get(args.op)  # None for session_demo, the CLI's own walk
+    fields = {f.name: values.get(f.name) for f in row.fields} if row else {}
     try:
+        if row:
+            row.parse(fields)  # reject what the server would, unsent
         with ServiceClient(args.host, args.port,
                            connect_retry_s=args.connect_timeout,
                            retries=args.retries,
                            retry_backoff_s=args.retry_backoff) as client:
-            if args.op == "query":
-                result = client.query(args.network, evidence or None,
-                                      targets=targets, engine=engine)
-            elif args.op == "query_batch":
-                if not isinstance(evidence, list):
-                    raise SystemExit("error: op query_batch needs --evidence "
-                                     "as a JSON list of per-case objects")
-                result = client.query_batch(args.network, evidence,
-                                            targets=targets, engine=engine)
-            elif args.op == "mpe":
-                result = client.mpe(args.network, evidence or None,
-                                    engine=engine)
-            elif args.op == "info":
-                result = client.info(args.network, engine=engine)
-            elif args.op == "session_demo":
+            if args.op == "session_demo":
                 _run_session_demo(client, args)
                 return
-            elif args.op == "session_open":
-                result = client.session_open(args.network, evidence or None,
-                                             engine=engine)
-            elif args.op == "session_update":
-                result = client.session_update(args.session, evidence or None,
-                                               retract=retract,
-                                               replace=args.replace,
-                                               targets=targets)
-            elif args.op == "session_query":
-                result = client.session_query(args.session, targets=targets)
-            elif args.op == "session_close":
-                result = client.session_close(args.session)
-            elif args.op == "metrics" and not args.json:
+            if args.op == "metrics" and not args.json:
                 # The exposition text is the deliverable: print it raw
                 # (scrapeable), not wrapped in a JSON envelope.
                 print(client.metrics(), end="")
                 return
-            else:
-                result = client.call(args.op)
+            result = client.call(args.op, **fields)
     except ServiceError as exc:
         if args.json:
             error = {"type": exc.error_type or "ServiceError",
@@ -423,8 +397,8 @@ def _cmd_client(args: argparse.Namespace) -> None:
         raise SystemExit(f"error: {exc}")
     if args.json:
         print(json.dumps({"ok": True, "result": result}))
-        return
-    if args.op == "query":
+    elif "posteriors" in result and "engine" in result:
+        # A query answer (it names its engine class): one line per target.
         stderrs = result.get("stderr") or {}
         for name, probs in result["posteriors"].items():
             dist = ", ".join(f"{p:.4f}" for p in probs)
@@ -436,12 +410,24 @@ def _cmd_client(args: argparse.Namespace) -> None:
         log_ev_text = f"{log_ev:.6f}" if log_ev is not None else "n/a"
         print(f"log P(e) = {log_ev_text}   "
               f"(served by: {result['served_by']}, "
-              f"engine: {result.get('engine', 'exact')})")
-        if result.get("engine") == "approx":
+              f"engine: {result['engine']})")
+        if result["engine"] == "approx":
             print(f"approx: ess = {result['ess']:.0f}, "
                   f"samples = {result['num_samples']}")
     else:
         print(json.dumps(result, indent=2, default=str))
+
+
+class _OpChoices:
+    """``client --op`` choices: the op table plus ``session_demo``, read on
+    first use (``fastbni serve`` must not import the service to parse)."""
+
+    def __iter__(self):
+        from repro.service.ops import OPS
+        return iter((*OPS, "session_demo"))
+
+    def __contains__(self, op) -> bool:
+        return op in tuple(self)
 
 
 class _LazyCommands(dict):
@@ -630,14 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("network", nargs="?",
                     help="model name or .bif path (not needed for "
                          "health/stats)")
-    cl.add_argument("--op", default="query",
-                    choices=("query", "query_batch", "mpe", "info",
-                             "session_open", "session_update",
-                             "session_query", "session_close",
-                             "session_demo", "health", "stats",
-                             "stats_reset", "cache_stats", "metrics",
-                             "slow_queries", "trace_dump",
-                             "cluster_stats", "cluster_drain"))
+    cl.add_argument("--op", default="query", choices=_OpChoices(),
+                    metavar="OP",
+                    help="wire op, or session_demo: %(choices)s")
     cl.add_argument("--session", default="",
                     help="session id (from session_open) for the "
                          "session_update/session_query/session_close ops")

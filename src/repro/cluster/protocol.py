@@ -1,14 +1,12 @@
 """Shared constants for the cluster tier's process-boundary contracts.
 
-Three small contracts live here so worker, supervisor, and router cannot
-drift apart:
+Two small contracts live here so worker, supervisor, and router cannot
+drift apart (which wire ops the router places, pins or answers itself is
+the op table, :data:`repro.service.ops.OPS`):
 
 * the **READY handshake** — a spawned worker prints one
   ``FASTBNI_WORKER_READY {json}`` line on stdout once its listener is
   bound, carrying the actual port (workers bind port 0) and pid;
-* the **op classification** the router uses — which wire ops are work
-  (placed on the ring), which are session-sticky, and which the router
-  answers itself by aggregating over workers;
 * the **shared-memory naming scheme** for plan arenas, so the worker
   that publishes a segment and the supervisor that sweeps orphans agree
   on the prefix.
@@ -24,18 +22,6 @@ from hashlib import blake2b
 #: listener is bound; the remainder of the line is a JSON object with
 #: ``port`` and ``pid``.
 READY_PREFIX = "FASTBNI_WORKER_READY "
-
-#: Ops the router fans out by consistent-hash placement of the
-#: ``network`` field.
-PLACED_OPS = frozenset({"query", "query_batch", "mpe", "info"})
-
-#: Session ops after open: routed by the sticky session→worker map.
-STICKY_OPS = frozenset({"session_update", "session_query", "session_close"})
-
-#: Ops the router answers itself, aggregating over every live worker.
-ROUTER_OPS = frozenset({"health", "stats", "stats_reset", "cache_stats",
-                        "metrics", "slow_queries", "trace_dump",
-                        "cluster_stats", "cluster_drain"})
 
 #: Default prefix for the cluster's named shared-memory segments; the
 #: supervisor derives a per-cluster-instance prefix from it so two

@@ -6,7 +6,8 @@ cluster-only ops ``cluster_stats`` (topology/placement introspection)
 and ``cluster_drain`` (graceful shutdown, optionally exec-replacing the
 process for live reload).
 
-Routing rules (see :mod:`repro.cluster.protocol` for the op classes):
+Routing rules (each op's class is its row in :data:`repro.service.ops.OPS`;
+the router validates a row's fields before forwarding anything):
 
 * **placed ops** (``query``/``query_batch``/``mpe``/``info``) hash the
   ``network`` field onto the consistent ring.  A model's replica set
@@ -43,12 +44,13 @@ import sys
 import time
 
 from repro.cluster.placement import DEFAULT_VNODES, HashRing
-from repro.cluster.protocol import PLACED_OPS, ROUTER_OPS, STICKY_OPS
 from repro.cluster.supervisor import Supervisor
 from repro.errors import ReproError, ServiceError
 from repro.obs import render_cluster_prometheus
 from repro.service.metrics import ServiceMetrics, aggregate_snapshots
-from repro.service.server import _STREAM_LIMIT, DEFAULT_PORT
+from repro.service.ops import LOCAL, OPEN, ROUTER, STICKY, Op, lookup
+from repro.service.server import (_STREAM_LIMIT, DEFAULT_PORT,
+                                  JsonLinesFront)
 
 DEFAULT_MAX_INFLIGHT = 64
 DEFAULT_REPLICATE_HOT_QPS = 50.0
@@ -178,7 +180,7 @@ class WorkerHandle:
         self._fail_pending("router closed the connection")
 
 
-class ClusterRouter:
+class ClusterRouter(JsonLinesFront):
     """Front process: accepts clients, routes to workers, supervises."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT, *,
@@ -284,65 +286,6 @@ class ClusterRouter:
             None, self.supervisor.stop_all)
 
     # ---------------------------------------------------------- client side
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        conn_task = asyncio.current_task()
-        if conn_task is not None:
-            self._conn_tasks.add(conn_task)
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, OSError):
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(writer, write_lock, {
-                        "id": None, "ok": False,
-                        "error": {"type": "ParseError",
-                                  "message": "request line too long"},
-                    })
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.ensure_future(
-                    self._handle_line(line, writer, write_lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        finally:
-            self._writers.discard(writer)
-            if conn_task is not None:
-                self._conn_tasks.discard(conn_task)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    @staticmethod
-    async def _write(writer: asyncio.StreamWriter, lock: asyncio.Lock,
-                     payload: dict) -> None:
-        try:
-            data = json.dumps(payload, allow_nan=False).encode() + b"\n"
-        except (TypeError, ValueError) as exc:
-            data = json.dumps({
-                "id": payload.get("id"), "ok": False,
-                "error": {"type": "InternalError",
-                          "message": f"unserializable response: {exc}"},
-            }).encode() + b"\n"
-        async with lock:
-            try:
-                writer.write(data)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-
     async def _handle_line(self, line: bytes, writer: asyncio.StreamWriter,
                            lock: asyncio.Lock) -> None:
         request_id = None
@@ -359,8 +302,9 @@ class ClusterRouter:
                 raise ServiceError("request must be a JSON object",
                                    error_type="ParseError")
             request_id = request.get("id")
-            op = request.get("op", "query")
-            envelope = await self._route(op, request)
+            row = lookup(request.get("op", "query"))
+            op = row.name
+            envelope = await self._route(row, request)
             envelope["id"] = request_id
             ok = bool(envelope.get("ok"))
         except ReproError as exc:
@@ -378,23 +322,23 @@ class ClusterRouter:
         await self._write(writer, lock, envelope)
 
     # -------------------------------------------------------------- routing
-    async def _route(self, op: str, request: dict) -> dict:
-        if op in ROUTER_OPS:
-            if self._draining and op == "cluster_drain":
-                raise ServiceError("drain already in progress",
-                                   code="draining")
-            handler = getattr(self, f"_op_{op}")
-            return {"ok": True, "result": await handler(request)}
-        if self._draining:
+    async def _route(self, row: Op, request: dict) -> dict:
+        answered_here = row.route in (LOCAL, ROUTER)
+        if self._draining and not answered_here:
             raise ServiceError("cluster is draining", code="draining")
-        if op == "session_open":
-            return await self._route_session_open(request)
-        if op in STICKY_OPS:
-            return await self._route_sticky(op, request)
-        if op in PLACED_OPS:
-            return await self._route_placed(op, request)
-        raise ServiceError(
-            f"unknown op {op!r}", error_type="QueryError")
+        # Validated here, before anything is forwarded or any state moves.
+        fields = row.parse(request)
+        if answered_here:
+            handler = getattr(self, f"_op_{row.name}")
+            return {"ok": True, "result": await handler(**fields)}
+        if row.route == STICKY:
+            return await self._route_sticky(row.name, fields["session"],
+                                            request)
+        network = fields["network"]
+        self.metrics.observe_network_request(network)
+        if row.route == OPEN:
+            return await self._route_session_open(network, request)
+        return await self._route_placed(row.name, network, request)
 
     def _replicas_for(self, network: str) -> int:
         if self.replicate_hot_qps <= 0:
@@ -404,13 +348,6 @@ class ClusterRouter:
         if self.max_replicas > 0:
             replicas = min(replicas, self.max_replicas)
         return replicas
-
-    def _network_of(self, request: dict) -> str:
-        network = request.get("network")
-        if not isinstance(network, str) or not network:
-            raise ServiceError("op requires a 'network' string field",
-                               error_type="QueryError")
-        return network
 
     def _pick_worker(self, network: str) -> WorkerHandle:
         """Least-loaded healthy replica with a free in-flight slot."""
@@ -432,9 +369,8 @@ class ClusterRouter:
                 code="overloaded")
         return best
 
-    async def _route_placed(self, op: str, request: dict) -> dict:
-        network = self._network_of(request)
-        self.metrics.observe_network_request(network)
+    async def _route_placed(self, op: str, network: str,
+                            request: dict) -> dict:
         # Placed ops are idempotent: a replica dying mid-call is retried
         # on the next-best replica instead of surfacing to the client.
         attempts = max(1, len(self.healthy))
@@ -448,9 +384,7 @@ class ClusterRouter:
                 self._note_dead_worker(handle.worker_id)
         raise AssertionError("unreachable")
 
-    async def _route_session_open(self, request: dict) -> dict:
-        network = self._network_of(request)
-        self.metrics.observe_network_request(network)
+    async def _route_session_open(self, network: str, request: dict) -> dict:
         handle = self._pick_worker(network)
         try:
             envelope = await handle.call("session_open", request)
@@ -464,12 +398,8 @@ class ClusterRouter:
                 self.sticky[session] = handle.worker_id
         return envelope
 
-    async def _route_sticky(self, op: str, request: dict) -> dict:
-        session = request.get("session")
-        if not isinstance(session, str) or not session:
-            raise ServiceError(
-                "session operations require a 'session' id string",
-                error_type="QueryError")
+    async def _route_sticky(self, op: str, session: str,
+                            request: dict) -> dict:
         worker_id = self.sticky.get(session)
         handle = self.handles.get(worker_id) if worker_id else None
         if handle is None or not handle.connected:
@@ -594,7 +524,7 @@ class ClusterRouter:
                          for wid, h in self.handles.items()},
         }
 
-    async def _op_health(self, request: dict) -> dict:
+    async def _op_health(self) -> dict:
         return {
             "status": "draining" if self._draining else "ok",
             "role": "router",
@@ -605,7 +535,7 @@ class ClusterRouter:
                         for wid, handle in self.handles.items()},
         }
 
-    async def _op_stats(self, request: dict) -> dict:
+    async def _op_stats(self) -> dict:
         per_worker = await self._fanout("stats")
         aggregate = aggregate_snapshots(
             [snap for snap in per_worker.values() if snap])
@@ -614,15 +544,15 @@ class ClusterRouter:
         aggregate["worker_stats"] = per_worker
         return aggregate
 
-    async def _op_stats_reset(self, request: dict) -> dict:
+    async def _op_stats_reset(self) -> dict:
         await self._fanout("stats_reset")
         self.metrics.reset()
         return {"reset": True, "workers": len(self.handles)}
 
-    async def _op_cache_stats(self, request: dict) -> dict:
+    async def _op_cache_stats(self) -> dict:
         return {"workers": await self._fanout("cache_stats")}
 
-    async def _op_metrics(self, request: dict) -> dict:
+    async def _op_metrics(self) -> dict:
         per_worker = await self._fanout("stats")
         aggregate = aggregate_snapshots(
             [snap for snap in per_worker.values() if snap])
@@ -630,7 +560,7 @@ class ClusterRouter:
                                          self._router_info())
         return {"content_type": "text/plain; version=0.0.4", "text": text}
 
-    async def _op_slow_queries(self, request: dict) -> dict:
+    async def _op_slow_queries(self) -> dict:
         per_worker = await self._fanout("slow_queries")
         entries = []
         for worker_id, result in per_worker.items():
@@ -639,7 +569,7 @@ class ClusterRouter:
         entries.sort(key=lambda e: e.get("latency_ms", 0.0), reverse=True)
         return {"count": len(entries), "slow_queries": entries}
 
-    async def _op_trace_dump(self, request: dict) -> dict:
+    async def _op_trace_dump(self) -> dict:
         per_worker = await self._fanout("trace_dump")
         events, count = [], 0
         for result in per_worker.values():
@@ -648,7 +578,7 @@ class ClusterRouter:
         return {"traceEvents": events, "traceCount": count,
                 "displayTimeUnit": "ms"}
 
-    async def _op_cluster_stats(self, request: dict) -> dict:
+    async def _op_cluster_stats(self) -> dict:
         info = self._router_info()
         info["draining"] = self._draining
         info["ring"] = {
@@ -668,17 +598,21 @@ class ClusterRouter:
         }
         return info
 
-    async def _op_cluster_drain(self, request: dict) -> dict:
+    async def _op_cluster_drain(self, reload: bool = False,
+                                timeout_s: float | None = None) -> dict:
         """Graceful cluster shutdown: stop routing, finish in-flight.
 
         With ``reload: true`` the process exec-replaces itself after the
         drain (live reload: new code, same pid, clients reconnect); the
         response goes out *before* the listener dies either way.
+        ``timeout_s`` defaults to the router's ``drain_timeout_s``.
         """
+        if self._draining:
+            raise ServiceError("drain already in progress", code="draining")
         self._draining = True
-        self._reload_requested = bool(request.get("reload", False))
-        timeout = float(request.get("timeout_s", self.drain_timeout_s))
-        deadline = time.monotonic() + timeout
+        self._reload_requested = reload
+        deadline = time.monotonic() + (self.drain_timeout_s
+                                       if timeout_s is None else timeout_s)
         # In-flight = forwarded calls still pending at any worker.
         while any(h.inflight for h in self.handles.values()):
             if time.monotonic() >= deadline:

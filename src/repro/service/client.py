@@ -16,18 +16,8 @@ import socket
 import time
 
 from repro.errors import ServiceError, SessionError
+from repro.service.ops import OPS
 from repro.service.server import DEFAULT_PORT
-
-#: Ops safe to resend after a dropped connection: the client cannot know
-#: whether the server executed the lost request, so only side-effect-free
-#: operations may be retried transparently.  Session mutations
-#: (open/update/close) and counter resets are excluded — replaying those
-#: could double-apply an edit or leak a session.
-IDEMPOTENT_OPS = frozenset({
-    "query", "query_batch", "mpe", "info", "health", "stats",
-    "cache_stats", "metrics", "slow_queries", "trace_dump",
-    "session_query", "cluster_stats",
-})
 
 #: ``error.code`` values that mean "rejected before execution — retry is
 #: always safe", regardless of the op: a draining or overloaded server
@@ -56,8 +46,10 @@ class ServiceClient:
         Transparent retry budget per call (default 0 = old behaviour).
         Two failure classes qualify: a dropped/refused connection
         (``ECONNRESET`` during a worker restart) for **idempotent ops
-        only** (:data:`IDEMPOTENT_OPS` — the client cannot know whether
-        a lost mutation executed), and ``overloaded``/``draining``/
+        only** (rows of :data:`repro.service.ops.OPS` marked
+        ``idempotent`` — the client cannot know whether a lost mutation
+        executed, so session mutations and counter resets are never
+        resent), and ``overloaded``/``draining``/
         ``no_worker`` rejections for **all** ops (the server refused the
         work before touching it).  Each attempt reconnects and backs off
         exponentially with jitter.
@@ -169,7 +161,7 @@ class ServiceClient:
                 return self._request_once(op, fields)
             except ServiceError as exc:
                 retryable = (exc.code == "connection_lost"
-                             and op in IDEMPOTENT_OPS)
+                             and op in OPS and OPS[op].idempotent)
                 if not retryable or attempt >= self.retries:
                     raise
             self._backoff(attempt)

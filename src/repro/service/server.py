@@ -25,17 +25,13 @@ next to the posteriors, and the response's ``engine`` field always states
 which engine class actually answered, so clients can assert the planner's
 routing decision.
 
-Operations: ``query`` (single case, micro-batched), ``query_batch``
-(explicit case list, one vectorised pass), ``mpe`` (most probable
-explanation; exact engine only), ``info`` (network + tree/planner
-statistics), ``session_open``/``session_update``/``session_query``/
-``session_close`` (streaming evidence sessions), ``health``, ``stats``
-(serving metrics snapshot), ``stats_reset`` (zero the counters, for
-clean benchmark windows), ``cache_stats`` (per-model incremental-cache
-counters), ``metrics`` (Prometheus text exposition of the full stats
-snapshot), ``slow_queries`` (the bounded top-K slow-query log) and
-``trace_dump`` (buffered sampled traces as Chrome trace-event JSON —
-``fastbni trace out.json`` writes it to a file for Perfetto).
+The operations and their request fields are the rows of
+:data:`repro.service.ops.OPS` (all but the router-only ``cluster_*``
+rows); each is answered by the ``_op_<name>`` method below.  A request
+without ``op`` is a ``query``; an unknown op, or a field of the wrong
+type, is rejected before any work with the error class its row names.
+``trace_dump`` returns Chrome trace-event JSON (``fastbni trace
+out.json`` writes it to a file for Perfetto).
 
 Tracing (:mod:`repro.obs`): with ``trace_sample_rate > 0`` every
 ``round(1/rate)``-th request carries a span tree through
@@ -77,7 +73,6 @@ import time
 import numpy as np
 
 from repro.approx.engine import ApproxInferenceResult
-from repro.approx.planner import POLICIES
 from repro.errors import (EvidenceError, ParseError, QueryError, ReproError,
                           ServiceError, SessionError)
 from repro.exec.engine_api import CAPABILITIES_BY_KIND
@@ -88,12 +83,16 @@ from repro.obs.trace import DEFAULT_MAX_TRACES, DEFAULT_SLOW_LOG
 from repro.service.batcher import (DEFAULT_MAX_BATCH, MicroBatcher,
                                    QueryRequest)
 from repro.service.metrics import ServiceMetrics
+from repro.service.ops import LOCAL, OPS, ROUTER, Op, lookup
 from repro.service.registry import ModelRegistry
 from repro.service.sessions import (DEFAULT_IDLE_TTL_S, DEFAULT_MAX_SESSIONS,
                                     SessionManager)
 from repro.service.sessions import DEFAULT_MAX_BYTES as DEFAULT_SESSION_BYTES
 
 DEFAULT_PORT = 7421
+
+#: The ops a lone server answers: every table row but the router's own.
+_SERVED = {name: row for name, row in OPS.items() if row.route != ROUTER}
 
 #: Per-line read limit: a query_batch of a few thousand cases fits easily.
 _STREAM_LIMIT = 16 * 1024 * 1024
@@ -128,36 +127,6 @@ def _jsonable(obj):
     return obj
 
 
-def _require_mapping(value, what: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise EvidenceError(f"{what} must be a JSON object, got "
-                            f"{type(value).__name__}")
-    return value
-
-
-def _parse_targets(value) -> tuple[str, ...]:
-    if value is None:
-        return ()
-    if isinstance(value, str):
-        return (value,)
-    if (isinstance(value, list)
-            and all(isinstance(t, str) for t in value)):
-        return tuple(value)
-    raise QueryError("targets must be a list of variable names")
-
-
-def _parse_engine(value) -> str | None:
-    """The request's ``engine`` field: exact/approx/auto or absent."""
-    if value is None:
-        return None
-    if isinstance(value, str) and value in POLICIES:
-        return value
-    raise QueryError(
-        f"engine must be one of {POLICIES}, got {value!r}")
-
-
 def _finite_or_none(value: float):
     """JSON-safe float: NaN/±inf become null (Gibbs has no P(e) estimate)."""
     return value if isinstance(value, (int, float)) and math.isfinite(value) else None
@@ -179,7 +148,92 @@ def _result_fields(result) -> dict:
     return fields
 
 
-class InferenceServer:
+class JsonLinesFront:
+    """The connection side shared by :class:`InferenceServer` and the
+    cluster router: one task per request line (so a client can pipeline),
+    writes serialized per connection, and an InternalError reply when a
+    payload will not serialize.  Subclasses answer a line in
+    ``_handle_line`` and keep the ``_writers`` / ``_conn_tasks`` sets.
+    """
+
+    async def _handle_connection(self, reader: asyncio.StreamReader,
+                                 writer: asyncio.StreamWriter) -> None:
+        write_lock = asyncio.Lock()
+        tasks: set[asyncio.Task] = set()
+        conn_task = asyncio.current_task()
+        if conn_task is not None:
+            self._conn_tasks.add(conn_task)
+        self._writers.add(writer)
+        try:
+            while True:
+                try:
+                    line = await reader.readline()
+                except (ConnectionError, OSError):
+                    break
+                except (asyncio.LimitOverrunError, ValueError):
+                    await self._write(writer, write_lock, {
+                        "id": None, "ok": False,
+                        "error": {"type": "ParseError",
+                                  "message": "request line too long"},
+                    })
+                    break
+                if not line:
+                    break
+                if not line.strip():
+                    continue
+                task = asyncio.ensure_future(
+                    self._handle_line(line, writer, write_lock))
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
+        finally:
+            self._writers.discard(writer)
+            if conn_task is not None:
+                self._conn_tasks.discard(conn_task)
+            if tasks:
+                await asyncio.gather(*tasks, return_exceptions=True)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    @staticmethod
+    def _encode(payload: dict) -> bytes:
+        """Serialize a response payload to one wire line.
+
+        Last line of defence: serialization runs *after* the dispatch
+        error handling, so a payload ``json.dumps`` rejects (an
+        unconverted type, a non-finite float that slipped past
+        ``_jsonable``) would otherwise drop the response and leave the
+        client waiting forever.  Answer the request id with an
+        InternalError instead.
+        """
+        try:
+            return json.dumps(payload, allow_nan=False).encode() + b"\n"
+        except (TypeError, ValueError) as exc:
+            return json.dumps({
+                "id": payload.get("id"), "ok": False,
+                "error": {"type": "InternalError",
+                          "message": ("response not serializable: "
+                                      f"{type(exc).__name__}: {exc}")},
+            }, allow_nan=False).encode() + b"\n"
+
+    @staticmethod
+    async def _send(writer: asyncio.StreamWriter, lock: asyncio.Lock,
+                    data: bytes) -> None:
+        async with lock:
+            try:
+                writer.write(data)
+                await writer.drain()
+            except (ConnectionError, OSError):
+                pass  # client went away; nothing to deliver the result to
+
+    async def _write(self, writer: asyncio.StreamWriter, lock: asyncio.Lock,
+                     payload: dict) -> None:
+        await self._send(writer, lock, self._encode(payload))
+
+
+class InferenceServer(JsonLinesFront):
     """TCP front end over a :class:`ModelRegistry` + :class:`MicroBatcher`.
 
     Constructing the server builds (or adopts) the registry and batcher;
@@ -307,83 +361,6 @@ class InferenceServer:
         if self._owns_registry:
             self.registry.close()
 
-    # ------------------------------------------------------------ connection
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        conn_task = asyncio.current_task()
-        if conn_task is not None:
-            self._conn_tasks.add(conn_task)
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, OSError):
-                    break
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(writer, write_lock, {
-                        "id": None, "ok": False,
-                        "error": {"type": "ParseError",
-                                  "message": "request line too long"},
-                    })
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.ensure_future(
-                    self._handle_line(line, writer, write_lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        finally:
-            self._writers.discard(writer)
-            if conn_task is not None:
-                self._conn_tasks.discard(conn_task)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    @staticmethod
-    def _encode(payload: dict) -> bytes:
-        """Serialize a response payload to one wire line.
-
-        Last line of defence: serialization runs *after* the dispatch
-        error handling, so a payload ``json.dumps`` rejects (an
-        unconverted type, a non-finite float that slipped past
-        ``_jsonable``) would otherwise drop the response and leave the
-        client waiting forever.  Answer the request id with an
-        InternalError instead.
-        """
-        try:
-            return json.dumps(payload, allow_nan=False).encode() + b"\n"
-        except (TypeError, ValueError) as exc:
-            return json.dumps({
-                "id": payload.get("id"), "ok": False,
-                "error": {"type": "InternalError",
-                          "message": ("response not serializable: "
-                                      f"{type(exc).__name__}: {exc}")},
-            }, allow_nan=False).encode() + b"\n"
-
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, lock: asyncio.Lock,
-                    data: bytes) -> None:
-        async with lock:
-            try:
-                writer.write(data)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # client went away; nothing to deliver the result to
-
-    async def _write(self, writer: asyncio.StreamWriter, lock: asyncio.Lock,
-                     payload: dict) -> None:
-        await self._send(writer, lock, self._encode(payload))
-
     async def _handle_line(self, line: bytes, writer: asyncio.StreamWriter,
                            lock: asyncio.Lock) -> None:
         self._inflight += 1
@@ -420,10 +397,11 @@ class InferenceServer:
                 ctx.record("parse", parse_start, parse_end,
                            request_bytes=len(line))
             request_id = request.get("id")
-            op = request.get("op", "query")
+            row = lookup(request.get("op", "query"), _SERVED)
+            op = row.name
             raw_network = request.get("network")
             network = raw_network if isinstance(raw_network, str) else None
-            result = await self._dispatch(op, request, trace=ctx)
+            result = await self._dispatch(row, request, trace=ctx)
             ok = True
             payload = {"id": request_id, "ok": True, "result": _jsonable(result)}
         except ReproError as exc:
@@ -451,67 +429,20 @@ class InferenceServer:
                            latency_s=latency, ok=ok)
         await self._send(writer, lock, data)
 
-    #: Ops still answered while draining: introspection plus
-    #: session_close (releasing state is exactly what a drain wants).
-    _DRAIN_SAFE_OPS = frozenset({
-        "health", "stats", "stats_reset", "cache_stats", "metrics",
-        "slow_queries", "trace_dump", "session_close",
-    })
-
     # --------------------------------------------------------------- dispatch
-    async def _dispatch(self, op: str, request: dict, trace=None) -> dict:
-        if self._draining and op not in self._DRAIN_SAFE_OPS:
+    async def _dispatch(self, row: Op, request: dict, trace=None) -> dict:
+        if self._draining and not row.drain_safe:
             raise ServiceError("server is draining; retry against another "
                                "instance", code="draining")
-        if op == "health":
-            return self._op_health()
-        if op == "stats":
-            return self._op_stats()
-        if op == "stats_reset":
-            return self._op_stats_reset()
-        if op == "cache_stats":
-            return self._op_cache_stats()
-        if op == "metrics":
-            return self._op_metrics()
-        if op == "slow_queries":
-            return self._op_slow_queries()
-        if op == "trace_dump":
-            return self._op_trace_dump()
-        if op == "session_update":
-            return await self._op_session_update(request, trace)
-        if op == "session_query":
-            return await self._op_session_query(request, trace)
-        if op == "session_close":
-            return await self._op_session_close(request)
-        network = request.get("network")
-        if not isinstance(network, str) or not network:
-            raise QueryError(f"op {op!r} requires a 'network' string field")
-        if op == "query":
-            return await self._op_query(network, request, trace)
-        if op == "query_batch":
-            return await self._op_query_batch(network, request)
-        if op == "mpe":
-            return await self._op_mpe(network, request)
-        if op == "info":
-            return await self._op_info(network, request)
-        if op == "session_open":
-            return await self._op_session_open(network, request, trace)
-        raise QueryError(
-            f"unknown op {op!r}; expected one of query, query_batch, mpe, "
-            f"info, session_open, session_update, session_query, "
-            f"session_close, health, stats, stats_reset, cache_stats, "
-            f"metrics, slow_queries, trace_dump"
-        )
+        handler = getattr(self, f"_op_{row.name}")
+        if row.route == LOCAL:
+            return handler()
+        return await handler(**row.parse(request), trace=trace)
 
-    async def _op_query(self, network: str, request: dict,
-                        trace=None) -> dict:
-        hard, soft = split_evidence(
-            _require_mapping(request.get("evidence"), "evidence"))
-        explicit_soft = _require_mapping(request.get("soft_evidence"),
-                                         "soft_evidence")
-        soft.update(explicit_soft)
-        targets = _parse_targets(request.get("targets"))
-        engine = _parse_engine(request.get("engine"))
+    async def _op_query(self, network: str, evidence=None, soft_evidence=None,
+                        targets=(), engine=None, trace=None) -> dict:
+        hard, soft = split_evidence(evidence or {})
+        soft.update(soft_evidence or {})
         query = QueryRequest(evidence=hard, targets=targets,
                              soft_evidence=soft or None, engine=engine,
                              trace=trace)
@@ -531,12 +462,8 @@ class InferenceServer:
             **_result_fields(result),
         }
 
-    async def _op_query_batch(self, network: str, request: dict) -> dict:
-        cases = request.get("cases")
-        if not isinstance(cases, list) or not cases:
-            raise QueryError("query_batch requires a non-empty 'cases' list "
-                             "of evidence objects")
-        engine = _parse_engine(request.get("engine"))
+    async def _op_query_batch(self, network: str, cases: list, targets=(),
+                              engine=None, trace=None) -> dict:
         # Atomic lookup + pin: a separate get-then-pin leaves a window in
         # which a concurrent cold load can evict this entry and close its
         # engine before the pin lands.
@@ -544,7 +471,10 @@ class InferenceServer:
         try:
             parsed = []
             for i, case in enumerate(cases):
-                hard, soft = split_evidence(_require_mapping(case, f"cases[{i}]"))
+                if not isinstance(case, dict):
+                    raise EvidenceError(f"cases[{i}] must be a JSON object, "
+                                        f"got {type(case).__name__}")
+                hard, soft = split_evidence(case)
                 if soft:
                     raise EvidenceError(
                         f"cases[{i}] carries soft evidence; the explicit "
@@ -553,7 +483,6 @@ class InferenceServer:
                     )
                 entry.engine.validate_case(hard)
                 parsed.append(hard)
-            targets = _parse_targets(request.get("targets"))
             result = await self.batcher.run_blocking(
                 lambda: entry.engine.infer_cases(parsed, targets=targets))
             self.metrics.observe_explicit_batch(len(parsed))
@@ -573,14 +502,13 @@ class InferenceServer:
             self.registry.unpin(entry)
         return {"count": len(result), "cases": case_payloads}
 
-    async def _op_mpe(self, network: str, request: dict) -> dict:
+    async def _op_mpe(self, network: str, evidence=None, engine=None,
+                      trace=None) -> dict:
         from repro.jt.mpe import most_probable_explanation
 
-        hard, soft = split_evidence(
-            _require_mapping(request.get("evidence"), "evidence"))
+        hard, soft = split_evidence(evidence or {})
         if soft:
             raise EvidenceError("mpe supports hard evidence only")
-        engine = _parse_engine(request.get("engine"))
         # Resolve the routing *before* loading: a model routed to an
         # engine class without MPE support must be rejected from the cheap
         # fill-in estimate, not after paying the sampling-engine load (and
@@ -611,8 +539,7 @@ class InferenceServer:
         finally:
             self.registry.unpin(entry)
 
-    async def _op_info(self, network: str, request: dict | None = None) -> dict:
-        engine = _parse_engine((request or {}).get("engine"))
+    async def _op_info(self, network: str, engine=None, trace=None) -> dict:
         entry = await self.batcher.get_entry_pinned(network, engine)
         try:
             return self._info_payload(entry)
@@ -665,73 +592,47 @@ class InferenceServer:
             lock = self._session_locks[session_id] = asyncio.Lock()
         return lock
 
-    @staticmethod
-    def _session_id(request: dict) -> str:
-        sid = request.get("session")
-        if not isinstance(sid, str) or not sid:
-            raise QueryError(
-                "session operations require a 'session' id string")
-        return sid
-
-    @staticmethod
-    def _parse_retract(value) -> tuple[str, ...]:
-        if value is None:
-            return ()
-        if isinstance(value, str):
-            return (value,)
-        if isinstance(value, list) and all(isinstance(v, str) for v in value):
-            return tuple(value)
-        raise QueryError("retract must be a list of variable names")
-
-    async def _op_session_open(self, network: str, request: dict,
-                               trace=None) -> dict:
-        evidence = _require_mapping(request.get("evidence"), "evidence")
-        engine = _parse_engine(request.get("engine"))
+    async def _op_session_open(self, network: str, evidence=None,
+                               engine=None, trace=None) -> dict:
         return await self._run_session(
             lambda: self.sessions.open(network, evidence=evidence,
                                        engine=engine, trace=trace))
 
-    async def _op_session_update(self, request: dict, trace=None) -> dict:
-        sid = self._session_id(request)
-        evidence = _require_mapping(request.get("evidence"), "evidence")
-        retract = self._parse_retract(request.get("retract"))
-        replace = bool(request.get("replace", False))
+    async def _op_session_update(self, session: str, evidence=None,
+                                 retract=(), replace=False, targets=None,
+                                 trace=None) -> dict:
         # "targets" present (even []) = read posteriors in the same round
         # trip; absent = apply the edit only.
-        targets = (_parse_targets(request.get("targets"))
-                   if request.get("targets") is not None else None)
-        async with self._session_lock(sid):
+        async with self._session_lock(session):
             try:
                 return await self._run_session(
-                    lambda: self.sessions.update(sid, evidence=evidence,
+                    lambda: self.sessions.update(session, evidence=evidence,
                                                  retract=retract,
                                                  replace=replace,
                                                  targets=targets,
                                                  trace=trace))
             except SessionError:
-                self._session_locks.pop(sid, None)
+                self._session_locks.pop(session, None)
                 raise
 
-    async def _op_session_query(self, request: dict, trace=None) -> dict:
-        sid = self._session_id(request)
-        targets = _parse_targets(request.get("targets"))
-        async with self._session_lock(sid):
+    async def _op_session_query(self, session: str, targets=(),
+                                trace=None) -> dict:
+        async with self._session_lock(session):
             try:
                 return await self._run_session(
-                    lambda: self.sessions.query(sid, targets=targets,
+                    lambda: self.sessions.query(session, targets=targets,
                                                 trace=trace))
             except SessionError:
-                self._session_locks.pop(sid, None)
+                self._session_locks.pop(session, None)
                 raise
 
-    async def _op_session_close(self, request: dict) -> dict:
-        sid = self._session_id(request)
-        async with self._session_lock(sid):
+    async def _op_session_close(self, session: str, trace=None) -> dict:
+        async with self._session_lock(session):
             try:
                 return await self._run_session(
-                    lambda: self.sessions.close(sid))
+                    lambda: self.sessions.close(session))
             finally:
-                self._session_locks.pop(sid, None)
+                self._session_locks.pop(session, None)
 
     def _op_health(self) -> dict:
         payload = {

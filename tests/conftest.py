@@ -38,6 +38,32 @@ def cb():
     return module
 
 
+@pytest.fixture(scope="session")
+def wrong_typed_requests():
+    """One request per (op row, declared field) from the wire-op table,
+    with that field wrong-typed (or a required one missing) and every
+    other required field valid: ``(route, request, expected error type)``.
+    """
+    from repro.service.ops import OPS
+
+    valid = {"network": "asia", "session": "no-such-session",
+             "cases": [{}]}
+    wrong = {"string": 7, "object": ["x"], "names": 7, "bool": "false",
+             "engine": "quantum", "cases": {"a": 1}, "number": "soon"}
+    out = []
+    for row in OPS.values():
+        base = {"op": row.name}
+        base.update({f.name: valid[f.name] for f in row.fields if f.required})
+        for field in row.fields:
+            out.append((row.route, {**base, field.name: wrong[field.kind]},
+                        field.error.__name__))
+            if field.required:
+                missing = dict(base)
+                del missing[field.name]
+                out.append((row.route, missing, field.error.__name__))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

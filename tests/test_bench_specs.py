@@ -166,7 +166,7 @@ def test_serve_imports_no_bench_module():
     assert out.splitlines()[-1] == str([
         "repro.service", "repro.service.batcher", "repro.service.cache",
         "repro.service.client", "repro.service.metrics",
-        "repro.service.registry", "repro.service.server",
+        "repro.service.ops", "repro.service.registry", "repro.service.server",
         "repro.service.sessions"])
 
 

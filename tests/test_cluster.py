@@ -19,14 +19,14 @@ import pytest
 
 from repro.bn.repository import resolve_network
 from repro.cluster.placement import DEFAULT_VNODES, HashRing
-from repro.cluster.protocol import (PLACED_OPS, ROUTER_OPS, STICKY_OPS,
-                                    parse_ready, ready_line, segment_name)
+from repro.cluster.protocol import parse_ready, ready_line, segment_name
 from repro.cluster.router import ClusterRouter, WorkerHandle
 from repro.cluster.supervisor import Supervisor
 from repro.core import FastBNI
 from repro.errors import ServiceError, SessionError
 from repro.parallel.sharedmem import list_segments
 from repro.service import ServiceClient
+from repro.service.ops import LOCAL, OPEN, OPS, PLACED, ROUTER, STICKY
 
 #: Multiplier for every wall-clock budget in this file (worker spawn,
 #: respawn probes, drain deadlines).  Slow CI boxes set
@@ -117,9 +117,19 @@ class TestProtocol:
                                     124)
 
     def test_op_classes_are_disjoint(self):
-        assert not (PLACED_OPS & STICKY_OPS)
-        assert not (PLACED_OPS & ROUTER_OPS)
-        assert not (STICKY_OPS & ROUTER_OPS)
+        classes = {}
+        for row in OPS.values():
+            classes.setdefault(row.route, set()).add(row.name)
+        placed = classes[PLACED] | classes[OPEN]
+        sticky = classes[STICKY]
+        answered_by_router = classes[LOCAL] | classes[ROUTER]
+        assert not (placed & sticky)
+        assert not (placed & answered_by_router)
+        assert not (sticky & answered_by_router)
+        assert placed == {"query", "query_batch", "mpe", "info",
+                          "session_open"}
+        assert sticky == {"session_update", "session_query", "session_close"}
+        assert classes[ROUTER] == {"cluster_stats", "cluster_drain"}
 
 
 # ------------------------------------------------- router units (no workers)
@@ -247,6 +257,57 @@ class TestClusterServing:
             with pytest.raises(ServiceError) as err:
                 client.call("frobnicate")
         assert "frobnicate" in str(err.value)
+
+    def test_wrong_typed_fields_rejected_before_forwarding(
+            self, cluster, wrong_typed_requests):
+        # Router rows included: a malformed cluster_drain must not drain.
+        cases = [(req, want) for route, req, want in wrong_typed_requests
+                 if route != LOCAL]
+        forwarded = {name for name, row in OPS.items()
+                     if row.route not in (LOCAL, ROUTER)}
+
+        def worker_counts(client):
+            stats = client.call("stats")["worker_stats"].values()
+            return {name: sum(s["requests"]["by_op"].get(name, 0)
+                              for s in stats) for name in forwarded}
+
+        with cluster.client() as client:
+            before = worker_counts(client)
+            for request, want in cases:
+                fields = {k: v for k, v in request.items() if k != "op"}
+                reply = client.request(request["op"], **fields)
+                assert reply["ok"] is False, request
+                assert reply["error"]["type"] == want, (request, reply)
+            # nothing was forwarded, and the cluster still serves
+            assert worker_counts(client) == before
+            assert "posteriors" in client.query("asia")
+
+    def test_ops_that_are_not_rows_get_a_reply(self, cluster):
+        async def scenario():
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           cluster.port)
+            requests = [{"op": ["x"]}, {"op": {"a": 1}}] + [
+                {"op": f"junk-{i}"} for i in range(500)]
+            for i, request in enumerate(requests):
+                writer.write(json.dumps({**request, "id": i}).encode()
+                             + b"\n")
+            await writer.drain()
+            replies = [json.loads(await asyncio.wait_for(
+                reader.readline(), 1.0 * TIME_SLACK)) for _ in requests]
+            writer.close()
+            return replies
+
+        replies = asyncio.run(scenario())
+        assert len(replies) == 502
+        assert all(r["error"]["type"] == "QueryError" for r in replies)
+        with cluster.client() as client:
+            router = client.call("stats")["router"]
+            text = client.call("metrics")["text"]
+        assert router["requests"]["by_op"]["invalid"] >= 502
+        assert len(router["requests"]["by_op"]) <= len(OPS) + 1
+        series = [line for line in text.splitlines()
+                  if line.startswith("fastbni_requests_by_op_total{")]
+        assert len(series) <= len(OPS) + 1
 
     def test_cluster_stats_topology(self, cluster):
         with cluster.client() as client:
@@ -381,6 +442,19 @@ class TestClusterDrain:
             assert all(not w.alive() for w in procs)
             # the drain swept/released every cluster segment
             assert list_segments(harness.supervisor.segment_prefix) == []
+        finally:
+            harness.stop()
+
+    def test_malformed_drain_leaves_the_cluster_serving(self):
+        harness = ClusterHarness(workers=2)
+        try:
+            with harness.client() as client:
+                with pytest.raises(ServiceError) as err:
+                    client.call("cluster_drain", timeout_s="soon")
+                assert err.value.error_type == "QueryError"
+                assert "posteriors" in client.query("asia")
+                response = client.call("cluster_drain", timeout_s=20.0)
+            assert response["drained"] is True
         finally:
             harness.stop()
 
