@@ -1,7 +1,7 @@
 """Service-level ablation matrix: does every component earn its keep?
 
 The stack has accumulated load-bearing machinery — fused and native
-kernels, the two-tier cache, batcher coalescing, planner routing.  Each
+kernels, the result memo, batcher coalescing, planner routing.  Each
 landed with its own benchmark, but nothing proves they still pull their
 weight *together* under mixed traffic, and nothing catches a change that
 quietly erases one contribution while the others mask the regression.
@@ -68,8 +68,8 @@ COMPONENTS: dict[str, dict] = {
         "off": {"kernels": "fused"},
     },
     "cache": {
-        "description": "two-tier incremental cache: calibrated-state LRU "
-                       "+ result memo (off = every query recalibrates)",
+        "description": "result memo: exact repeats never touch the tree "
+                       "(off = every query is calibrated)",
         "off": {"cache": False},
     },
     "batcher": {

@@ -1,27 +1,20 @@
-"""Evidence-overlap sweep: what does keeping calibrated state buy?
+"""Evidence-overlap sweep: what does delta recalibration buy?
 
 Serving traffic rarely re-randomises its evidence from scratch — a
 monitoring dashboard re-asks with one fresh reading, a clinician toggles
-one finding.  One sweep quantifies what re-propagating only the dirtied
-subtree buys as a function of how much consecutive queries' evidence
-overlaps, at the two layers that keep state:
+one finding.  ``fastbni incremental`` (``BENCH_incremental.json``)
+quantifies what re-propagating only the dirtied subtree buys as a
+function of how much consecutive queries' evidence overlaps, on a bare
+:class:`~repro.jt.incremental.IncrementalEngine` (the library's delta
+engine; the service answers every case whole), with the messages it
+re-propagated per query.
 
-* ``fastbni incremental`` (``BENCH_incremental.json``) — a bare
-  :class:`~repro.jt.incremental.IncrementalEngine`: the delta path
-  itself, with the messages it re-propagated per query;
-* ``fastbni sessions`` (``BENCH_sessions.json``) — the real serving stack,
-  :class:`~repro.service.sessions.SessionManager` over a
-  :class:`~repro.service.registry.ModelRegistry`: ``session_open`` + one
-  ``update``-with-``targets`` per step, so byte accounting, LRU touching
-  and per-session locking are all inside the timed region.
-
-Both are compared with the **cold** path — compile once, then a complete
+It is compared with the **cold** path — compile once, then a complete
 two-phase calibration per query (:class:`repro.core.FastBNI`,
-``mode="seq"``, what a stateless ``query`` bottoms out in when nothing
-useful is cached) — over the same chained query sequences (hard evidence
+``mode="seq"``) — over the same chained query sequences (hard evidence
 over ``evidence_vars`` variables, re-randomising ``(1 - overlap)`` of the
 findings per step, one posterior target + ``log P(e)`` per query).  Every
-step is cross-checked, so each artifact doubles as a correctness witness:
+step is cross-checked, so the artifact doubles as a correctness witness:
 ``max_abs_diff`` must sit at float64 round-off.
 """
 
@@ -82,56 +75,30 @@ def _evidence_sequences(net, checker, rng, *, overlap: float, k: int,
     return sequence
 
 
-def _engine_walk(tree, network: str):
-    """The warm path as a bare :class:`IncrementalEngine`."""
-    def walk(sequence, targets):
-        engine = IncrementalEngine(tree)
-        steps = []
-        start = time.perf_counter()
-        for evidence in sequence:
-            size = engine.update(evidence).size
-            steps.append((size, engine.posteriors(targets),
-                          engine.log_evidence()))
-        elapsed = time.perf_counter() - start
-        recomputed = (engine.counters["up_recomputed"]
-                      + engine.counters["down_recomputed"])
-        return elapsed, steps, {
-            "messages_per_query": recomputed / len(sequence)}
-    return walk, lambda: None
+def _delta_walk(tree, sequence, targets):
+    """The warm path: one :class:`IncrementalEngine` walked through
+    ``sequence``; returns seconds, per-step results and messages/query."""
+    engine = IncrementalEngine(tree)
+    steps = []
+    start = time.perf_counter()
+    for evidence in sequence:
+        size = engine.update(evidence).size
+        steps.append((size, engine.posteriors(targets),
+                      engine.log_evidence()))
+    elapsed = time.perf_counter() - start
+    recomputed = (engine.counters["up_recomputed"]
+                  + engine.counters["down_recomputed"])
+    return elapsed, steps, recomputed / len(sequence)
 
 
-def _session_walk(tree, network: str):
-    """The warm path through the serving stack's session manager."""
-    from repro.service.registry import ModelRegistry
-    from repro.service.sessions import SessionManager
-
-    registry = ModelRegistry()
-    manager = SessionManager(registry)
-    registry.get(network)  # warm the entry: both paths start compiled
-
-    def walk(sequence, targets):
-        steps = []
-        start = time.perf_counter()
-        sid = manager.open(network)["session"]
-        for evidence in sequence:
-            r = manager.update(sid, evidence=evidence, replace=True,
-                               targets=targets)
-            steps.append((r["delta"]["size"], r["posteriors"],
-                          r["log_evidence"]))
-        manager.close(sid)
-        return time.perf_counter() - start, steps, {}
-
-    def close() -> None:
-        manager.close_all()
-        registry.close()
-    return walk, close
-
-
-def _sweep(make_walk, keys: tuple[str, str, str], schema: str, network: str,
-           overlaps, num_queries: int, evidence_vars: int, seed: int) -> dict:
-    """One row per overlap fraction: per-step latency of the cold and the
-    warm path (row keys ``keys`` = step count, cold ms, warm ms), their
-    ratio, the mean applied delta size and the worst posterior / log P(e)
+def run_incremental(network: str = "asia",
+                    overlaps=(0.0, 0.25, 0.5, 0.75, 0.9, 1.0),
+                    num_queries: int = 200,
+                    evidence_vars: int = EVIDENCE_VARS,
+                    seed: int = 2023) -> dict:
+    """One row per overlap fraction: per-query latency of the full and the
+    delta path, their ratio, the mean applied delta size, the messages the
+    delta path re-propagated and the worst posterior / log P(e)
     disagreement between the two paths."""
     net = resolve_network(network)
     rng = np.random.default_rng(seed)
@@ -148,7 +115,6 @@ def _sweep(make_walk, keys: tuple[str, str, str], schema: str, network: str,
     # A fixed target kept out of the evidence pool: the service's common
     # "one posterior + P(e)" query shape.
     target = net.variable_names[-1]
-    walk, close = make_walk(cold.tree, network)
     rows = []
     for overlap in overlaps:
         sequence = _evidence_sequences(
@@ -158,7 +124,7 @@ def _sweep(make_walk, keys: tuple[str, str, str], schema: str, network: str,
         start = time.perf_counter()
         cold_results = [cold.infer(e, (target,)) for e in sequence]
         cold_s = time.perf_counter() - start
-        warm_s, steps, extra = walk(sequence, (target,))
+        warm_s, steps, messages = _delta_walk(cold.tree, sequence, (target,))
 
         max_diff = 0.0
         for ref, (_, post, log_ev) in zip(cold_results, steps):
@@ -166,89 +132,49 @@ def _sweep(make_walk, keys: tuple[str, str, str], schema: str, network: str,
                 np.max(np.abs(post[target] - ref.posteriors[target]))))
         rows.append({
             "overlap": overlap,
-            keys[0]: len(sequence),
-            keys[1]: cold_s * 1e3 / len(sequence),
-            keys[2]: warm_s * 1e3 / len(sequence),
+            "queries": len(sequence),
+            "full_ms_per_query": cold_s * 1e3 / len(sequence),
+            "delta_ms_per_query": warm_s * 1e3 / len(sequence),
             "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
             "mean_delta_size": float(np.mean([s[0] for s in steps])),
-            **extra,
+            "messages_per_query": messages,
             "max_abs_diff": max_diff,
         })
-    close()
     cold.close()
     stats = checker_state.tree.stats()
     return {
-        "schema": schema,
+        "schema": INCREMENTAL.schema,
         "network": network,
         "config": {"num_queries": num_queries,
                    "evidence_vars": evidence_vars,
                    "target": target, "seed": seed},
         "tree": {"num_cliques": stats["num_cliques"],
-                 "num_separators": stats["num_separators"]},
+                 "num_separators": stats["num_separators"],
+                 "full_messages": 2 * int(stats["num_separators"])},
         "rows": rows,
     }
 
 
-INCREMENTAL_KEYS = ("queries", "full_ms_per_query", "delta_ms_per_query")
-SESSIONS_KEYS = ("steps", "cold_ms_per_step", "session_ms_per_step")
-
-
-def run_incremental(network: str = "asia",
-                    overlaps=(0.0, 0.25, 0.5, 0.75, 0.9, 1.0),
-                    num_queries: int = 200,
-                    evidence_vars: int = EVIDENCE_VARS,
-                    seed: int = 2023) -> dict:
-    report = _sweep(_engine_walk, INCREMENTAL_KEYS, INCREMENTAL.schema,
-                    network, overlaps, num_queries, evidence_vars, seed)
-    report["tree"]["full_messages"] = 2 * int(report["tree"]["num_separators"])
-    return report
-
-
-def run_sessions(network: str = "diabetes", overlaps=(0.5, 0.75, 0.9),
-                 num_queries: int = 80, evidence_vars: int = EVIDENCE_VARS,
-                 seed: int = 2023) -> dict:
-    """Default network: a deep paper analog where a cold calibration is
-    genuinely expensive — on toy networks Python constant factors, not
-    propagation, dominate both paths and the ratio measures noise."""
-    return _sweep(_session_walk, SESSIONS_KEYS, SESSIONS.schema, network,
-                  overlaps, num_queries, evidence_vars, seed)
-
-
-def _render(report: dict, title: str, keys: tuple[str, str, str],
-            heads: tuple[str, str], footer: str) -> str:
+def _render(report: dict) -> str:
     """Fixed-width table of the sweep (the CLI's stdout)."""
     cfg = report["config"]
-    msgs = "messages_per_query" in report["rows"][0]
     lines = [
-        f"{title} on {report['network']!r} ({cfg['num_queries']} "
-        f"{keys[0]}/row, {cfg['evidence_vars']} evidence vars, target "
-        f"{cfg['target']!r})",
-        f"{'overlap':>8} {heads[0]:>9} {heads[1]:>9} {'speedup':>8} "
-        f"{'edits':>6} " + (f"{'msgs/q':>7} " if msgs else "")
-        + f"{'max diff':>9}",
+        f"incremental recalibration on {report['network']!r} "
+        f"({cfg['num_queries']} queries/row, {cfg['evidence_vars']} "
+        f"evidence vars, target {cfg['target']!r})",
+        f"{'overlap':>8} {'full ms':>9} {'delta ms':>9} {'speedup':>8} "
+        f"{'edits':>6} {'msgs/q':>7} {'max diff':>9}",
     ]
     for row in report["rows"]:
         lines.append(
-            f"{row['overlap']:>8.2f} {row[keys[1]]:>9.3f} "
-            f"{row[keys[2]]:>9.3f} {row['speedup']:>7.1f}x "
+            f"{row['overlap']:>8.2f} {row['full_ms_per_query']:>9.3f} "
+            f"{row['delta_ms_per_query']:>9.3f} {row['speedup']:>7.1f}x "
             f"{row['mean_delta_size']:>6.1f} "
-            + (f"{row['messages_per_query']:>7.1f} " if msgs else "")
-            + f"{row['max_abs_diff']:>9.1e}")
-    lines.append(footer.format(**report["tree"]))
+            f"{row['messages_per_query']:>7.1f} "
+            f"{row['max_abs_diff']:>9.1e}")
+    lines.append(f"(full recalibration re-propagates "
+                 f"{report['tree']['full_messages']} messages per query)")
     return "\n".join(lines)
-
-
-def _flags(network: str, overlaps: str, queries: int) -> tuple[Flag, ...]:
-    return (
-        Flag("--network", network, "bundled/analog name or .bif path"),
-        Flag("--overlaps", overlaps,
-             "comma-separated evidence-overlap fractions",
-             parse=csv_of(float)),
-        Flag("--queries", queries, "chained queries (steps) per overlap row",
-             kwarg="num_queries"),
-        Flag("--evidence-vars", EVIDENCE_VARS, "observed variables per query"),
-        Flag("--seed", 2023, "RNG seed of the evidence sequences"),
-    )
 
 
 INCREMENTAL = Artifact(
@@ -257,36 +183,21 @@ INCREMENTAL = Artifact(
          "BENCH_incremental.json)",
     path="BENCH_incremental.json",
     schema="fastbni-bench-incremental-v1",
-    flags=_flags("asia", "0.0,0.25,0.5,0.75,0.9,1.0", 200),
+    flags=(
+        Flag("--network", "asia", "bundled/analog name or .bif path"),
+        Flag("--overlaps", "0.0,0.25,0.5,0.75,0.9,1.0",
+             "comma-separated evidence-overlap fractions",
+             parse=csv_of(float)),
+        Flag("--queries", 200, "chained queries (steps) per overlap row",
+             kwarg="num_queries"),
+        Flag("--evidence-vars", EVIDENCE_VARS, "observed variables per query"),
+        Flag("--seed", 2023, "RNG seed of the evidence sequences"),
+    ),
     run=run_incremental,
-    render=lambda report: _render(
-        report, "incremental recalibration", INCREMENTAL_KEYS,
-        ("full ms", "delta ms"),
-        "(full recalibration re-propagates {full_messages} messages per "
-        "query)"),
+    render=_render,
     check_flag="--incremental",
     gates=(
         Gate("rows[overlap>=0.75].speedup", ">=", 3.0),
         Gate("rows[*].max_abs_diff", "<", 1e-12),
-    ),
-)
-
-SESSIONS = Artifact(
-    name="sessions",
-    help="streaming-session speedup vs evidence overlap (writes "
-         "BENCH_sessions.json)",
-    path="BENCH_sessions.json",
-    schema="fastbni-bench-sessions-v1",
-    flags=_flags("diabetes", "0.5,0.75,0.9", 80),
-    run=run_sessions,
-    render=lambda report: _render(
-        report, "streaming sessions", SESSIONS_KEYS, ("cold ms", "sess ms"),
-        "(cold = one full two-phase calibration per step; sess = "
-        "session_open + update-with-targets per step)"),
-    check_flag="--sessions-fresh",
-    gates=(
-        # The headline regime; a ratio of two runs on the same machine.
-        Gate("rows[overlap=0.75].speedup", ">=", 5.0),
-        Gate("rows[*].max_abs_diff", "<=", 1e-12),
     ),
 )

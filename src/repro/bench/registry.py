@@ -9,6 +9,6 @@ named — never by ``fastbni serve``.
 from repro.bench import (ablation_matrix, frontier, obs, overlap, table1,
                          traffic)
 
-ARTIFACTS = (table1.SPEC, overlap.SESSIONS, overlap.INCREMENTAL, obs.SPEC,
+ARTIFACTS = (table1.SPEC, overlap.INCREMENTAL, obs.SPEC,
              ablation_matrix.SPEC, frontier.SPEC)
 COMMANDS = (*ARTIFACTS, traffic.WORKLOAD)

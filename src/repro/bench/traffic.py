@@ -247,8 +247,8 @@ def generate_trace(seed: int = 2023, requests: int = 240, *,
     * ``approx`` — explicit sampling-engine queries on the primary
       network (stochastic; ``check=False``).
     * ``session`` — open / ``walk_updates``× update(+read) / query /
-      close walks with one-variable evidence edits: the incremental
-      delta path's structural workload.  A walk's findings all come from
+      close walks with one-variable evidence edits: the session
+      path's structural workload.  A walk's findings all come from
       one forward sample, so every evidence set along it is possible.
       Reads are deterministic: ``check=True``.
 

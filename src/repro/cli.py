@@ -242,11 +242,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
                                                DEFAULT_MAX_SAMPLES),
                             "tolerance": args.approx_tolerance},
             cache=args.cache == "on",
-            cache_options={
-                "max_states": args.cache_states,
-                "max_bytes": int(args.cache_mb * 1024 * 1024),
-                "min_overlap": args.cache_min_overlap,
-            },
+            cache_options={"max_bytes": int(args.cache_mb * 1024 * 1024)},
             max_sessions=args.max_sessions,
             session_ttl_s=args.session_ttl,
             session_max_bytes=int(args.session_mb * 1024 * 1024),
@@ -493,11 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mode", default="hybrid", choices=MODES)
     q.add_argument("--backend", default="thread", choices=BACKENDS)
     q.add_argument("--workers", type=int, default=4)
-    q.add_argument("--kernels", default="fused", choices=KERNELS,
-                   help="whole-message kernel backend: fused flat-arena "
-                        "passes (default), the numpy ndview reference, or "
-                        "native GIL-free C calls (falls back to fused "
-                        "when no C compiler is available); drives the seq "
+    q.add_argument("--kernels", default="native", choices=KERNELS,
+                   help="whole-message kernel backend: native GIL-free C "
+                        "calls (default; falls back to fused when no C "
+                        "compiler is available), fused flat-arena passes, "
+                        "or the numpy ndview reference; drives the seq "
                         "and batched paths — single queries need --mode "
                         "seq (parallel modes chunk their own kernels)")
     q.set_defaults(func=_cmd_query)
@@ -528,19 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--approx-tolerance", type=float, default=0.01,
                     help="target posterior standard error for approx answers")
     sv.add_argument("--cache", default="on", choices=("on", "off"),
-                    help="two-tier incremental cache: repeated-evidence "
-                         "queries re-propagate only the changed subtree "
-                         "(default: on)")
-    sv.add_argument("--cache-states", type=int, default=8,
-                    help="calibrated base states kept per model (models "
-                         "on native kernels keep a result memo only)")
+                    help="result memo: an exact repeat of a query is "
+                         "answered without touching the tree (default: on)")
     sv.add_argument("--cache-mb", type=float, default=32.0,
-                    help="per-model cache byte budget (states + result "
-                         "memo), charged against --max-mb")
-    sv.add_argument("--cache-min-overlap", type=float, default=0.5,
-                    help="evidence-overlap fraction below which a query "
-                         "takes the cold vectorised path instead of the "
-                         "delta path (0 forces delta always)")
+                    help="per-model result-memo byte budget, charged "
+                         "against --max-mb")
     sv.add_argument("--max-sessions", type=int, default=256,
                     help="live streaming sessions; past this the "
                          "least-recently-used is evicted")
@@ -568,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "throughput comes from batching, not worker pools)")
     sv.add_argument("--backend", default="thread", choices=BACKENDS)
     sv.add_argument("--workers", type=int, default=1)
-    sv.add_argument("--kernels", default="fused", choices=KERNELS,
+    sv.add_argument("--kernels", default="native", choices=KERNELS,
                     help="whole-message kernel backend for served models "
                          "(info/stats report the active one — native "
                          "degrades to fused without a C compiler)")
@@ -602,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     cu.add_argument("--policy", default="auto",
                     choices=("exact", "approx", "auto"))
     cu.add_argument("--cache", default="on", choices=("on", "off"),
-                    help="per-worker two-tier incremental cache")
-    cu.add_argument("--kernels", default="fused", choices=KERNELS,
+                    help="per-worker result memo")
+    cu.add_argument("--kernels", default="native", choices=KERNELS,
                     help="per-worker kernel backend (each worker process "
                          "compiles/loads the native library from the "
                          "shared cache; degrades to fused without a C "

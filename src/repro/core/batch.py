@@ -22,8 +22,9 @@ On the ``native`` kernel backend none of that arena is needed: with hard
 evidence and no kernel hooks recording, each case block is **one foreign
 call** (:meth:`repro.exec.native.backend.NativeKernels.infer_cases`) that
 applies the evidence matrix, runs the messages each case needs from the
-plan's calibrated prior (``meta["messages_run"]`` counts them), reads the
-posteriors and computes log P(e) case after case over one per-thread
+plan's calibrated prior (``meta["messages_run"]`` counts them; on the
+staged path it is every message of every case), reads the posteriors
+and computes log P(e) case after case over one per-thread
 scratch arena — ``O(blocks)`` foreign calls and no per-message or
 per-variable interpreter work.  The staged path above stays for the
 ``numpy``/``fused`` backends, for sampled requests (whose recorder gets
@@ -206,7 +207,8 @@ def infer_cases(
 
     return BatchInferenceResult(
         posteriors=all_posteriors_batch(state, targets),
-        log_evidence=log_evidence_batch(state), meta=meta)
+        log_evidence=log_evidence_batch(state),
+        meta={**meta, "messages_run": float(n * spec.num_messages)})
 
 
 class BatchedFastBNI(FastBNI):

@@ -33,9 +33,10 @@ class FastBNIConfig:
     kernels:
         Kernel backend for whole-message execution (the sequential, inter
         and batched paths): ``"fused"`` (one scatter/gather pass per message
-        over the flat arena, the default), ``"numpy"`` (the N-D-view
-        reference) or ``"native"`` (the fused message compiled to a C
-        library called GIL-free through ctypes; falls back to ``fused``
+        over the flat arena, the library default), ``"numpy"`` (the
+        N-D-view reference) or ``"native"`` (the fused message compiled to
+        a C library called GIL-free through ctypes, the default of the
+        CLI's ``query`` / ``serve`` / ``cluster``; falls back to ``fused``
         with a logged reason when no C compiler is available).  See
         :mod:`repro.exec.kernels`.
     min_chunk:

@@ -215,8 +215,9 @@ class FastBNI:
         mode = self.config.mode
         if mode == "seq":
             # Fast-BNI-seq: whole-message execution through the kernel
-            # backend over the plan arena (fused by default — one pass per
-            # message, the paper's own fewer-fatter-invocations recipe).
+            # backend over the plan arena (fused by library default — one
+            # pass per message, the paper's own fewer-fatter-invocations
+            # recipe).
             sent = run_message_schedule(self.plan, state, self.kernels)
             self.count("messages", sent)
         elif mode == "inter":

@@ -48,9 +48,11 @@ Two layers:
     then honestly report the active backend as ``fused``.
 
   All backends are bit-compatible to float64 round-off (the property
-  suites pin 1e-12 agreement over random and degenerate geometries);
-  ``fused`` is the default; ``bench/`` times the native fast path and
-  ``BENCH_ablation.json`` ranks what each backend buys at service level.
+  suites pin 1e-12 agreement over random and degenerate geometries).
+  ``fused`` is the library default (``FastBNIConfig.kernels``);
+  ``native`` is the serving default (``query`` / ``serve`` / ``cluster``
+  ``--kernels``) and what ``bench/`` times, and ``BENCH_ablation.json``
+  ranks what each backend buys at service level.
 
 Backends are per-process singletons resolved lazily from one registry;
 select one with :func:`get_kernels`.  ``KERNELS`` is derived from that

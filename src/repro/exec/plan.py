@@ -657,8 +657,8 @@ def compile_plan(tree: JunctionTree,
     """The shared :class:`MessagePlan` for ``tree`` under its current root.
 
     Cached on the tree object keyed by root, so engines compiled over one
-    tree (warm starts, the service registry's cache states, incremental
-    engines) share one plan — one set of base tables, one map cache.
+    tree (warm starts, incremental engines) share one plan — one set of
+    base tables, one map cache.
     """
     cache: dict[int, MessagePlan] = tree.__dict__.setdefault("_exec_plans", {})
     plan = cache.get(tree.root)

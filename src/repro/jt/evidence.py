@@ -9,20 +9,35 @@ index maps once per tree and reuse them across the 2000-case workload.
 
 from __future__ import annotations
 
-from repro.errors import EvidenceError
+from repro.errors import EvidenceError, NetworkError
 from repro.jt.structure import JunctionTree, TreeState
 from repro.potential.ops import reduce_evidence_inplace
 
 
 def check_evidence(tree: JunctionTree, evidence: dict[str, str | int]) -> dict[str, int]:
-    """Validate names/states and normalise values to state indices."""
+    """Validate names/states and normalise values to state indices.
+
+    An unknown variable or state raises :class:`EvidenceError` naming it.
+    """
     out: dict[str, int] = {}
     for name, state in evidence.items():
         if name not in tree.net:
             raise EvidenceError(f"evidence variable {name!r} not in network")
-        var = tree.net.variable(name)
-        out[name] = var.state_index(state)
+        try:
+            out[name] = tree.net.variable(name).state_index(state)
+        except NetworkError as exc:  # names the variable and the state
+            raise EvidenceError(str(exc)) from None
     return out
+
+
+def evidence_delta(old: dict[str, int], new: dict[str, int]) -> tuple[
+        tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """``(added, retracted, changed)`` variable names between two
+    index-normalised evidence dicts (see :func:`check_evidence`)."""
+    added = tuple(sorted(n for n in new if n not in old))
+    retracted = tuple(sorted(n for n in old if n not in new))
+    changed = tuple(sorted(n for n in new if n in old and new[n] != old[n]))
+    return added, retracted, changed
 
 
 def evidence_plan(tree: JunctionTree, evidence: dict[str, int]) -> dict[int, dict[str, int]]:

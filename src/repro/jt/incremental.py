@@ -2,9 +2,10 @@
 
 Why this exists
 ---------------
-The service layer pays a full two-phase calibration for every query batch,
-even when consecutive requests against one network differ by a single
-finding.  The layered message-passing schedule (:mod:`repro.jt.layers`)
+A full two-phase calibration per query is wasted when consecutive
+queries against one network differ by a single finding (the service
+answers every case whole; this is a library engine for callers that
+hold one evolving evidence set).  The layered message-passing schedule (:mod:`repro.jt.layers`)
 makes the *unaffected-subtree skip* cheap to state: a message only changes
 if something on its input side changed, so an evidence delta that touches
 one branch of the tree leaves every other branch's messages bit-for-bit
@@ -63,7 +64,7 @@ from repro.errors import EvidenceError, QueryError
 from repro.exec.engine_api import INCREMENTAL_ENGINE
 from repro.exec.plan import compile_plan
 from repro.jt.engine import InferenceResult
-from repro.jt.evidence import check_evidence, evidence_plan
+from repro.jt.evidence import check_evidence, evidence_delta, evidence_plan
 from repro.jt.structure import JunctionTree
 from repro.potential.index_map import consistency_mask
 
@@ -91,16 +92,6 @@ class EvidenceDelta:
     @property
     def size(self) -> int:
         return len(self.added) + len(self.retracted) + len(self.changed)
-
-
-def evidence_delta(old: dict[str, int], new: dict[str, int]) -> tuple[
-        tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """``(added, retracted, changed)`` variable names between two
-    index-normalised evidence dicts (see :func:`repro.jt.evidence.check_evidence`)."""
-    added = tuple(sorted(n for n in new if n not in old))
-    retracted = tuple(sorted(n for n in old if n not in new))
-    changed = tuple(sorted(n for n in new if n in old and new[n] != old[n]))
-    return added, retracted, changed
 
 
 class IncrementalEngine:

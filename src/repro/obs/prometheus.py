@@ -171,16 +171,10 @@ def render_prometheus(snapshot: dict) -> str:
              "Mean effective sample size over approx-served queries.",
              "gauge", engines["mean_ess"])
 
-    incremental = snapshot["incremental"]
     w.header("fastbni_cache_served_total",
-             "Queries answered by the inference cache, per tier.", "counter")
-    w.sample("fastbni_cache_served_total", incremental["memo_served"],
-             {"tier": "memo"})
-    w.sample("fastbni_cache_served_total", incremental["delta_served"],
-             {"tier": "delta"})
-    w.metric("fastbni_cache_mean_delta_size",
-             "Mean evidence edits applied per delta-path serve.", "gauge",
-             incremental["mean_delta_size"])
+             "Queries answered by the result memo.", "counter")
+    w.sample("fastbni_cache_served_total",
+             snapshot["incremental"]["memo_served"], {"tier": "memo"})
 
     sessions = snapshot["sessions"]
     w.header("fastbni_session_events_total",

@@ -11,13 +11,12 @@ on every invocation; this package amortises both behind an asyncio server:
   :class:`~repro.core.batch.BatchedFastBNI` calibrations (or, for models
   the :class:`~repro.approx.QueryPlanner` routes to sampling, one shared
   :class:`~repro.approx.ApproxBNI` particle population per flush);
-* :class:`~repro.service.cache.InferenceCache` — two-tier incremental
-  cache per resident model: calibrated states re-propagated by evidence
-  delta (:mod:`repro.jt.incremental`) plus a query-result memo;
+* :class:`~repro.service.cache.InferenceCache` — query-result memo per
+  resident model: exact repeats never touch the tree;
 * :class:`~repro.service.sessions.SessionManager` — streaming evidence
-  sessions: a persistent per-session incremental state seeded by cloning
-  the model's cache-shared base state, with byte accounting folded into
-  the registry budget, idle-TTL/LRU eviction and pin-backed lifecycle;
+  sessions: per-session evidence read by one whole-case call, with byte
+  accounting folded into the registry budget, idle-TTL/LRU eviction and
+  pin-backed lifecycle;
 * :class:`~repro.service.server.InferenceServer` — JSON-lines-over-TCP
   front end (``query``, ``query_batch``, ``mpe``, ``info``,
   ``session_open``/``session_update``/``session_query``/``session_close``,

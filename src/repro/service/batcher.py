@@ -16,9 +16,10 @@ flushes at once: a lone query never waits, and batches form exactly when
 arrivals outpace the engine.  A flush — cache pre-pass, one vectorised
 ``infer_cases`` call, per-case retry — is one job on the flush worker,
 and the loop fans its outcomes back out to the awaiting futures.  The
-exception is a flush of one request on a ``stateless`` (native
-whole-case) entry, which runs on the loop: with one request queued there
-is nothing for the executor hand-off (~70 µs) to overlap.  The price is
+exception is a flush of one request on an entry that answers a case in
+one foreign call (``ModelEntry.one_foreign_call``: native kernels), which
+runs on the loop: with one request queued there is nothing for the
+executor hand-off (~70 µs) to overlap.  The price is
 a loop stall of one case (hailfinder 0.08 ms, pathfinder 0.5 ms,
 diabetes ~10 ms) that delays all other loop work: parsing and queuing
 for every connection and every network, starting another key's flush,
@@ -307,9 +308,9 @@ class MicroBatcher:
         entry = None
         try:
             entry = await self.get_entry_pinned(*key)
-            # One request on a whole-case entry: no concurrency for the
-            # executor hand-off to overlap (see the module docstring).
-            inline = len(batch) == 1 and entry.stateless
+            # One request answered in one foreign call: no concurrency for
+            # the executor hand-off to overlap (see the module docstring).
+            inline = len(batch) == 1 and entry.one_foreign_call
             if inline:
                 self.metrics.observe_inline_flush()
                 cold_items = self._serve_batch(entry, batch, behind, inline)
@@ -319,11 +320,10 @@ class MicroBatcher:
                     inline)
             self._resolve(batch)
             if cold_items:
-                # Memoise + seed lazy base-state keys so the next
-                # near-duplicate of any of these cases takes the delta
-                # path — after one yield, so every resolved handler has
-                # encoded and written its reply first.  Best-effort: the
-                # handler below skips the futures already resolved.
+                # Memoise so an exact repeat of any of these cases is a
+                # memo hit — after one yield, so every resolved handler
+                # has encoded and written its reply first.  Best-effort:
+                # the handler below skips the futures already resolved.
                 await asyncio.sleep(0)
                 entry.cache.record_cold(cold_items)
         # BaseException, not ReproError: whatever stops a flush between
@@ -355,8 +355,8 @@ class MicroBatcher:
                      behind: bool, inline: bool) -> list:
         """One flush, start to finish, on the flush worker (or the loop).
 
-        Cache pre-pass, one vectorised ``infer_cases`` over what it
-        declined, and the per-case retry of a poisoned batch.  Sets every
+        Memo pre-pass, one vectorised ``infer_cases`` over what it
+        missed, and the per-case retry of a poisoned batch.  Sets every
         ``pending.outcome`` (spans are recorded before the loop resolves
         the future: once the client coroutine resumes it finishes the
         trace, and a late span would miss the buffer) and returns the
@@ -422,13 +422,11 @@ class MicroBatcher:
 
     def _serve_from_cache(self, entry: ModelEntry,
                           batch: list[_Pending]) -> list[_Pending]:
-        """Tier-1/tier-2 pre-pass; returns the cases left for the cold path.
+        """Memo pre-pass; returns the cases left for the cold path.
 
         Runs :meth:`~repro.service.cache.InferenceCache.serve_cases`,
-        answers what it served with ``served_by`` ``"cache"`` (memo) or
-        ``"delta"`` (incremental recalibration), and hands back the
-        declined remainder so the vectorised flush only calibrates
-        genuinely novel evidence.
+        answers its hits with ``served_by: "cache"``, and hands back the
+        misses so the vectorised flush only calibrates novel evidence.
         """
         requests = [(p.request.evidence, p.request.targets) for p in batch]
         lookup_start = time.perf_counter()
@@ -440,25 +438,20 @@ class MicroBatcher:
             trace = pending.request.trace
             if trace is not None:
                 served = (None if outcome is None
-                          or isinstance(outcome, BaseException)
-                          else outcome.source)
-                trace.record(
-                    "cache_lookup", lookup_start, lookup_end,
-                    fill=len(batch), served=served,
-                    **({"delta_size": outcome.delta_size}
-                       if served == "delta" else {}))
+                          or isinstance(outcome, BaseException) else "memo")
+                trace.record("cache_lookup", lookup_start, lookup_end,
+                             fill=len(batch), served=served)
             if outcome is None:
                 remaining.append(pending)
                 continue
             if isinstance(outcome, BaseException):
                 pending.outcome = outcome
                 continue
-            self.metrics.observe_cache_serve(outcome.source, outcome.delta_size)
-            served_by = "cache" if outcome.source == "memo" else "delta"
+            self.metrics.observe_memo_serve()
             result = InferenceResult(
-                posteriors=dict(outcome.result.posteriors),
-                log_evidence=outcome.result.log_evidence,
-                meta={**outcome.result.meta, "served_by": served_by},
+                posteriors=dict(outcome.posteriors),
+                log_evidence=outcome.log_evidence,
+                meta={**outcome.meta, "served_by": "cache"},
             )
             pending.outcome = _project(result, pending.request.targets)
             self._observe_served("exact", pending.outcome)

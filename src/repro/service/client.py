@@ -235,12 +235,12 @@ class ServiceClient:
         return self.call("stats_reset")
 
     def cache_stats(self) -> dict:
-        """Per-model incremental-cache counters plus serving totals.
+        """Per-model result-memo counters plus serving totals.
 
         The response maps resident model keys to their
-        :meth:`repro.service.cache.InferenceCache.stats` dict (states,
-        memo entries, hit rates, bytes, mean delta size); ``served``
-        carries the server-wide memo/delta serving counters.
+        :meth:`repro.service.cache.InferenceCache.stats` dict (memo
+        entries, hit rates, bytes); ``served`` carries the server-wide
+        memo serving counter.
         """
         return self.call("cache_stats")
 

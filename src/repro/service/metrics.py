@@ -103,11 +103,8 @@ class ServiceMetrics:
         self._engine_cases: Counter[str] = Counter()
         self._ess_sum = 0.0
         self._ess_count = 0
-        #: Incremental-cache serving: tier-2 memo hits, tier-1 delta
-        #: serves, and the total evidence-edit count across delta serves.
+        #: Queries answered by the result memo.
         self._memo_served = 0
-        self._delta_served = 0
-        self._delta_size_sum = 0
         #: Streaming sessions: lifecycle counters (open = the current
         #: gauge), updates/queries served against session state, and the
         #: total evidence-edit count across updates.
@@ -212,20 +209,10 @@ class ServiceMetrics:
                 self._ess_sum += ess
                 self._ess_count += 1
 
-    def observe_cache_serve(self, source: str, delta_size: int = 0) -> None:
-        """One query answered by the inference cache.
-
-        ``source`` is ``"memo"`` (tier-2 result memo) or ``"delta"``
-        (tier-1 incremental recalibration); ``delta_size`` counts the
-        evidence edits the delta path applied — its running mean is the
-        serving-side view of how repetitive the traffic actually is.
-        """
+    def observe_memo_serve(self) -> None:
+        """One query answered by the result memo."""
         with self._lock:
-            if source == "memo":
-                self._memo_served += 1
-            else:
-                self._delta_served += 1
-                self._delta_size_sum += delta_size
+            self._memo_served += 1
 
     def observe_session_event(self, event: str) -> None:
         """One session lifecycle transition: ``opened``/``closed``/``evicted``.
@@ -390,12 +377,7 @@ class ServiceMetrics:
                     "mean_ess": (self._ess_sum / self._ess_count
                                  if self._ess_count else 0.0),
                 },
-                "incremental": {
-                    "memo_served": self._memo_served,
-                    "delta_served": self._delta_served,
-                    "mean_delta_size": (self._delta_size_sum / self._delta_served
-                                        if self._delta_served else 0.0),
-                },
+                "incremental": {"memo_served": self._memo_served},
                 "sessions": {
                     "opened": self._sessions_opened,
                     "closed": self._sessions_closed,
@@ -479,7 +461,6 @@ def aggregate_snapshots(snapshots: list[dict]) -> dict:
     batched_cases = sum_path("batches", "cases")
     hits = sum_path("model_cache", "hits")
     lookups = hits + sum_path("model_cache", "misses")
-    delta_served = sum_path("incremental", "delta_served")
     updates = sum_path("sessions", "updates")
     stages: dict[str, dict] = {}
     for snap in snapshots:
@@ -542,16 +523,7 @@ def aggregate_snapshots(snapshots: list[dict]) -> dict:
             "approx_cases": sum_path("engines", "approx_cases"),
             "mean_ess": _weighted_mean(ess_pairs),
         },
-        "incremental": {
-            "memo_served": sum_path("incremental", "memo_served"),
-            "delta_served": delta_served,
-            "mean_delta_size": (
-                _weighted_mean([(s["incremental"]["mean_delta_size"],
-                                 s["incremental"]["delta_served"])
-                                for s in snapshots
-                                if s.get("incremental", {}).get("delta_served")])
-                if delta_served else 0.0),
-        },
+        "incremental": {"memo_served": sum_path("incremental", "memo_served")},
         "sessions": {
             "opened": sum_path("sessions", "opened"),
             "closed": sum_path("sessions", "closed"),

@@ -100,18 +100,17 @@ class ModelEntry:
     #: Bytes owned by live streaming sessions over this model, maintained
     #: by the :class:`~repro.service.sessions.SessionManager`; counted in
     #: :meth:`total_bytes` so sessions charge against the registry budget
-    #: exactly like cache tiers do.
+    #: exactly like the result memo does.
     session_bytes: int = 0
-    #: Two-tier incremental cache (exact entries only, ``None`` when the
-    #: registry was built with ``cache=False``; a result memo alone when
-    #: :attr:`stateless`).  Lives and dies with the entry, so replacing or
-    #: evicting a model can never leave a stale calibrated state or
-    #: memoised result behind.
+    #: Query-result memo (exact entries only, ``None`` when the registry
+    #: was built with ``cache=False``).  Lives and dies with the entry, so
+    #: replacing or evicting a model can never leave a stale memoised
+    #: result behind.
     cache: "InferenceCache | None" = None
-    #: Decided once at load: the engine answers any case in one whole-case
-    #: call from its calibrated prior (native kernels), so the entry has
-    #: no delta engine — sessions keep evidence, the cache is a memo.
-    stateless: bool = False
+    #: Decided once at load: the engine answers a case in one foreign call
+    #: from its calibrated prior (native kernels), so a flush of one case
+    #: is cheap enough to run on the event loop.
+    one_foreign_call: bool = False
 
     def total_bytes(self) -> int:
         """Engine residency plus cache and session footprints (for the LRU)."""
@@ -169,10 +168,10 @@ class ModelRegistry:
         self.metrics = metrics
         self.engine_options = {"mode": "seq", **engine_options}
         self.approx_options = dict(approx_options or {})
-        #: Incremental-cache policy: ``cache=False`` disables the two-tier
-        #: cache entirely; ``cache_options`` forwards to
-        #: :class:`~repro.service.cache.InferenceCache` (``max_states``,
-        #: ``max_memo``, ``max_bytes``, ``min_overlap``).
+        #: Result-memo policy: ``cache=False`` disables the memo entirely;
+        #: ``cache_options`` forwards to
+        #: :class:`~repro.service.cache.InferenceCache` (``max_memo``,
+        #: ``max_bytes``).
         self.cache_enabled = cache
         self.cache_options = dict(cache_options or {})
         #: ``on_load(name, engine)`` runs after an exact engine compiles,
@@ -383,7 +382,7 @@ class ModelRegistry:
             decision = self.planner.plan(net, policy=kind)
         # Dispatch on the decided engine class's capabilities: an exact
         # (tree-compiling) class loads with a calibrated baseline and
-        # inference cache, a sampling class with a sampled prior.
+        # result memo, a sampling class with a sampled prior.
         if decision.capabilities.exact:
             return self._load_exact(name, net, decision)
         return self._load_approx(name, net, decision)
@@ -412,15 +411,8 @@ class ModelRegistry:
 
         prior = dict(engine.infer({}).posteriors)
 
-        # The one whole-case-or-delta decision: prepare_baseline() gave a
-        # case-compiling backend's lowered plan its calibrated prior.
-        stateless = engine.plan.prior_flat is not None and getattr(
-            engine.kernels, "compiles_cases", False)
-        inference_cache = None
-        if self.cache_enabled:
-            memo_only = {"max_states": 0} if stateless else {}
-            inference_cache = InferenceCache(
-                engine.tree, **{**self.cache_options, **memo_only})
+        inference_cache = (InferenceCache(engine.tree, **self.cache_options)
+                           if self.cache_enabled else None)
 
         return ModelEntry(
             name=name,
@@ -432,7 +424,10 @@ class ModelRegistry:
             plan=decision,
             from_cache=from_cache,
             cache=inference_cache,
-            stateless=stateless,
+            # prepare_baseline() gave a case-compiling backend's lowered
+            # plan its calibrated prior.
+            one_foreign_call=engine.plan.prior_flat is not None and getattr(
+                engine.kernels, "compiles_cases", False),
             meta={"variables": float(net.num_variables),
                   **{k: float(v) for k, v in engine.stats().items()}},
         )
@@ -515,7 +510,7 @@ class ModelRegistry:
             return name
 
     def cache_stats(self) -> dict:
-        """Per-entry inference-cache statistics (the ``cache_stats`` op)."""
+        """Per-entry result-memo statistics (the ``cache_stats`` op)."""
         with self._lock:
             entries = [(key, e.cache) for key, e in self._entries.items()
                        if e.cache is not None]
@@ -560,7 +555,7 @@ class ModelRegistry:
             }
 
     def enforce_budget(self) -> None:
-        """Re-check the byte budget (e.g. after session growth) and evict.
+        """Re-check the byte budget (e.g. after a session opens) and evict.
 
         External byte contributors (the session manager bumping
         ``ModelEntry.session_bytes``) call this so growth between lookups

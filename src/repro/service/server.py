@@ -51,11 +51,12 @@ evicted or closed session fails with a ``SessionError`` whose
 ``error.code`` is ``"session_closed"`` (``"session_unknown"`` for ids
 this server never issued).
 
-Repeated-evidence traffic is served by the two-tier incremental cache
-(:mod:`repro.service.cache`) when the registry has it enabled (the
-default): a ``query`` response's ``served_by`` field then reports
-``"cache"`` (result memo) or ``"delta"`` (incremental recalibration of a
-near-matching calibrated state) instead of ``"batch"``.
+A ``query`` response's ``served_by`` field says how it was answered:
+``"batch"`` (a vectorised flush), ``"cache"`` (an exact repeat answered
+by the result memo, :mod:`repro.service.cache`, when the registry has it
+enabled — the default), ``"single"`` (soft evidence, per case) or
+``"baseline"`` (no evidence: the resident prior).  Session reads say
+``"session"``.
 
 Failures map onto the :mod:`repro.errors` hierarchy: the response's
 ``error.type`` is the exception class name (``EvidenceError``,
@@ -448,8 +449,8 @@ class InferenceServer(JsonLinesFront):
                              trace=trace)
         result = await self.batcher.submit(network, query)
         approx = isinstance(result, ApproxInferenceResult)
-        # The cache pre-pass stamps its serving tier into result.meta;
-        # everything else keeps the PR-2 classification.
+        # A memo hit is stamped "cache" in result.meta; everything else
+        # is classified by the request's evidence.
         served_by = result.meta.get("served_by") if result.meta else None
         if served_by is None:
             served_by = ("single" if soft and not approx
@@ -690,7 +691,7 @@ class InferenceServer(JsonLinesFront):
         return {"reset": True}
 
     def _op_cache_stats(self) -> dict:
-        """Per-model incremental-cache statistics plus serving totals."""
+        """Per-model result-memo statistics plus serving totals."""
         stats = self.registry.cache_stats()
         stats["served"] = self.metrics.snapshot()["incremental"]
         return stats

@@ -4,20 +4,17 @@ The conversational-diagnosis shape (a client opens a case, findings
 arrive one at a time, posteriors are read after each) makes consecutive
 requests differ by exactly one edit; this module serves that shape.
 
-A session is its validated evidence and its model pin.  On a
-:attr:`~repro.service.registry.ModelEntry.stateless` entry (native
-kernels) that is all, and every read is one whole-case
-``entry.engine.infer_cases([evidence], targets)`` running only the
-messages that evidence and those targets need; on any other exact entry
-the session also holds an :class:`~repro.jt.incremental.IncrementalEngine`
-cloned (O(cliques), no propagation) from the entry's cache-shared base
-state, and every update is a delta recalibration.  The wire contract is
-the same on both.  The :class:`SessionManager` owns the session table:
+A session is its validated evidence and its model pin, and every read
+is one whole-case ``entry.engine.infer_cases([evidence], targets)``.  On
+native kernels that call runs only the messages the evidence and the
+targets need, from the calibrated prior; on ``fused`` or ``numpy`` it is
+a full calibration of the case.  The :class:`SessionManager` owns the
+session table:
 
-* **byte accounting** — each session's resident bytes are charged to its
+* **byte accounting** — each session's fixed charge is added to its
   entry's ``session_bytes`` (counted against the registry's budget like
-  cache tiers), and the manager bounds its own total and count with LRU
-  eviction, plus an idle TTL;
+  the result memo), and the manager bounds its own total and count with
+  LRU eviction, plus an idle TTL;
 * **explicit eviction errors** — a closed or evicted id raises
   :class:`~repro.errors.SessionError` with ``code "session_closed"``
   (``"session_unknown"`` if never issued), never a hang;
@@ -44,9 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import EvidenceError, QueryError, ReproError, SessionError
-from repro.jt.evidence import check_evidence
-from repro.jt.incremental import (EvidenceDelta, IncrementalEngine,
-                                  evidence_delta)
+from repro.jt.evidence import check_evidence, evidence_delta
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import ModelEntry, ModelRegistry
 
@@ -56,27 +51,25 @@ DEFAULT_MAX_SESSIONS = 256
 DEFAULT_IDLE_TTL_S = 600.0
 #: Total session byte budget (on top of per-entry registry accounting).
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
-#: Executor width: how many *distinct* sessions can propagate at once.
+#: Executor width: how many *distinct* sessions can read at once.
 DEFAULT_WORKERS = 4
 
 #: Closed/evicted ids remembered for explicit ``session_closed`` errors.
 _TOMBSTONE_LIMIT = 4096
 
-#: Fixed per-session overhead charged on top of the engine's arrays.
-_SESSION_OVERHEAD_BYTES = 2048
+#: Bytes charged per session (its evidence dict and bookkeeping).
+_SESSION_BYTES = 2048
 
 
 @dataclass
 class Session:
-    """One live session: its evidence, engine, model pin and bookkeeping."""
+    """One live session: its evidence, model pin and bookkeeping."""
 
     id: str
     network: str
     entry: ModelEntry
     #: The findings in force, index-normalised.
     evidence: dict
-    #: The delta engine; ``None`` on a stateless entry.
-    engine: IncrementalEngine | None
     created: float
     last_used: float
     #: Serializes updates/queries on this session; distinct sessions run
@@ -84,15 +77,8 @@ class Session:
     lock: threading.Lock = field(default_factory=threading.Lock)
     updates: int = 0
     queries: int = 0
-    #: Last byte estimate charged to the entry (engine arrays + overhead).
-    bytes: int = 0
-    #: Cleared on close/eviction so an in-flight operation that raced the
-    #: eviction does not re-charge bytes for a session already settled.
-    live: bool = True
-
-    def resident_bytes(self) -> int:
-        engine = 0 if self.engine is None else self.engine.resident_bytes()
-        return engine + _SESSION_OVERHEAD_BYTES
+    #: Bytes charged to the entry; 0 once the session is settled.
+    bytes: int = _SESSION_BYTES
 
     def describe(self) -> dict:
         return {
@@ -146,7 +132,7 @@ class SessionManager:
         self._closed = False
         #: Session operations run here (the server's ``run_in_executor``
         #: target): per-session locks serialize one session while
-        #: distinct sessions propagate concurrently.
+        #: distinct sessions read concurrently.
         self.executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="fastbni-session")
 
@@ -177,8 +163,7 @@ class SessionManager:
             return session
 
     def _settle_locked(self, session: Session, reason: str) -> None:
-        """Drop a session's byte charge and mark it dead (lock held)."""
-        session.live = False
+        """Drop a session's byte charge and tombstone it (lock held)."""
         session.entry.session_bytes -= session.bytes
         session.bytes = 0
         self._tombstone_locked(session.id, reason)
@@ -216,17 +201,6 @@ class SessionManager:
                 break
             self._evict_locked(sid, "session byte budget exceeded")
 
-    def _account(self, session: Session) -> None:
-        """Re-charge a session's bytes after engine work, then re-check
-        both the manager's and the registry's budgets."""
-        with self._lock:
-            if session.live:
-                fresh = session.resident_bytes()
-                session.entry.session_bytes += fresh - session.bytes
-                session.bytes = fresh
-                self._enforce_locked(keep=session.id)
-        self.registry.enforce_budget()
-
     @staticmethod
     def _edited(session: Session, evidence: dict | None, retract,
                 replace: bool) -> dict:
@@ -242,35 +216,25 @@ class SessionManager:
     @staticmethod
     def _read(session: Session, targets: tuple[str, ...], attrs: dict
               ) -> dict:
-        """Posteriors and ``log P(e)`` of the session's evidence; the work
-        done goes into ``attrs`` (a trace span's attributes)."""
-        engine = session.engine
-        if engine is None:
-            result = session.entry.engine.infer_cases([session.evidence],
-                                                      targets)
-            attrs["messages_run"] = int(result.meta.get("messages_run", 0))
-            case = result.case(0)
-            return {"posteriors": case.posteriors,
-                    "log_evidence": case.log_evidence}
-        counters = engine.counters
-        before = counters["up_recomputed"] + counters["down_recomputed"]
-        read = {"posteriors": engine.posteriors(targets),
-                "log_evidence": engine.log_evidence()}
-        attrs["revalidated_messages"] = (counters["up_recomputed"]
-                                         + counters["down_recomputed"] - before)
-        return read
+        """Posteriors and ``log P(e)`` of the session's evidence, in one
+        whole-case call; the messages it ran go into ``attrs`` (a trace
+        span's attributes)."""
+        result = session.entry.engine.infer_cases([session.evidence], targets)
+        attrs["messages_run"] = int(result.meta.get("messages_run", 0))
+        case = result.case(0)
+        return {"posteriors": case.posteriors,
+                "log_evidence": case.log_evidence}
 
     # ------------------------------------------------------------ operations
     def open(self, network: str, evidence: dict | None = None,
              engine: str | None = None, trace=None) -> dict:
         """Open a session on ``network`` (optionally with initial evidence).
 
-        Off stateless entries the delta engine clones from the model's
-        cache-shared base state (best evidence overlap wins): O(cliques),
-        no propagation.  Models routed to a sampling engine are rejected
-        — sessions need the junction tree (pass ``engine="exact"`` to
-        force a compile).  ``trace`` (a sampled request's
-        :class:`~repro.obs.TraceContext`) gets a ``session_open`` span.
+        Validates the evidence and pins the model; nothing is computed.
+        Models routed to a sampling engine are rejected — sessions need
+        the junction tree (pass ``engine="exact"`` to force a compile).
+        ``trace`` (a sampled request's :class:`~repro.obs.TraceContext`)
+        gets a ``session_open`` span.
         """
         span = (trace.start_span("session_open", network=network)
                 if trace is not None else None)
@@ -286,20 +250,13 @@ class SessionManager:
                     f"{network!r} is served by {entry.engine_kind!r} "
                     "(send engine='exact' to force an exact compile)")
             found = check_evidence(entry.engine.tree, dict(evidence or {}))
-            if entry.stateless:
-                state = None
-            elif entry.cache is not None:
-                state = entry.cache.session_state(found)
-            else:
-                state = IncrementalEngine(entry.engine.tree, evidence=found)
         except ReproError:
             self.registry.unpin(entry)
             raise
         now = self._clock()
         session = Session(id=secrets.token_hex(8), network=network,
-                          entry=entry, evidence=found, engine=state,
+                          entry=entry, evidence=found,
                           created=now, last_used=now)
-        session.bytes = session.resident_bytes()
         with self._lock:
             if self._closed:
                 self.registry.unpin(entry)
@@ -329,8 +286,7 @@ class SessionManager:
         the fresh posteriors (and ``log P(e)``) come back in the same
         round trip.  Unknown targets, retractions, variables and states
         raise before anything changes.  ``delta.dirty_cliques`` counts the
-        cliques whose potential the edit changes (on a stateless entry,
-        every clique holding an edited variable).
+        cliques holding an edited variable.
         """
         session = self._checkout(session_id)
         with session.lock:
@@ -341,28 +297,25 @@ class SessionManager:
                 targets = tuple(targets)
                 engine.plan.variable_ids(targets)
             new_evidence = self._edited(session, evidence, retract, replace)
-            if session.engine is None:
-                edited = evidence_delta(session.evidence, new_evidence)
-                delta = EvidenceDelta(*edited, tuple(sorted(
-                    {cid for names in edited for name in names
-                     for cid in engine.tree.cliques_with(name)})))
-            else:
-                delta = session.engine.update(new_evidence)
+            added, retracted, changed = evidence_delta(session.evidence,
+                                                       new_evidence)
+            size = len(added) + len(retracted) + len(changed)
+            dirty = len({cid for name in (*added, *retracted, *changed)
+                         for cid in engine.tree.cliques_with(name)})
             session.evidence = new_evidence
             session.updates += 1
             payload = {
                 "session": session.id,
                 "delta": {
-                    "added": list(delta.added),
-                    "retracted": list(delta.retracted),
-                    "changed": list(delta.changed),
-                    "size": delta.size,
-                    "dirty_cliques": len(delta.dirty_cliques),
+                    "added": list(added),
+                    "retracted": list(retracted),
+                    "changed": list(changed),
+                    "size": size,
+                    "dirty_cliques": dirty,
                 },
                 "evidence_vars": len(new_evidence),
             }
-            attrs = {"delta_size": delta.size,
-                     "dirty_cliques": len(delta.dirty_cliques),
+            attrs = {"delta_size": size, "dirty_cliques": dirty,
                      "evidence_vars": len(new_evidence)}
             if targets is not None:
                 payload.update(self._read(session, targets, attrs))
@@ -370,20 +323,18 @@ class SessionManager:
             if span is not None:
                 trace.end_span(span, **attrs)
         if self.metrics is not None:
-            self.metrics.observe_session_update(delta.size)
+            self.metrics.observe_session_update(size)
             if targets is not None:
                 self.metrics.observe_session_query()
-        self._account(session)
         return payload
 
     def query(self, session_id: str,
               targets: tuple[str, ...] = (), trace=None) -> dict:
         """Read posteriors + ``log P(e)`` from a session's current state.
 
-        Runs only the messages the targets need (a whole-case call on a
-        stateless entry, lazy delta propagation otherwise); impossible
-        evidence raises :class:`~repro.errors.EvidenceError` and the
-        session stays usable — the next feasible update answers as usual.
+        One whole-case call; impossible evidence raises
+        :class:`~repro.errors.EvidenceError` and the session stays usable
+        — the next feasible update answers as usual.
         """
         session = self._checkout(session_id)
         with session.lock:
@@ -401,7 +352,6 @@ class SessionManager:
                 trace.end_span(span, **attrs)
         if self.metrics is not None:
             self.metrics.observe_session_query()
-        self._account(session)
         return payload
 
     def close(self, session_id: str) -> dict:

@@ -10,7 +10,7 @@ Pinned here:
 * ``max_batch`` flushes at once, and ``max_batch=1`` (the ``batcher``
   ablation switch) means one case per flush;
 * a flush is one executor job on the resident path, except a flush of one
-  on a native (stateless) entry, which takes none; ``record_cold`` never
+  on a native entry (one foreign call per case), which takes none; ``record_cold`` never
   takes one and runs after the replies;
 * every failure between enqueue and fan-out reaches the waiting clients.
 """
@@ -305,13 +305,14 @@ class TestFlushPolicy:
 
 @needs_native
 class TestInlineFlush:
-    """A flush of one request on a native (stateless) entry is served on
-    the loop; every other flush keeps its one job on the flush worker."""
+    """A flush of one request on a native entry (one foreign call per
+    case) is served on the loop; every other flush keeps its one job on
+    the flush worker."""
 
     def test_lone_query_takes_no_executor_job(self, asia):
         async def scenario():
             batcher, registry = make_batcher(cache=True, kernels="native")
-            assert registry.get("asia").stateless
+            assert registry.get("asia").one_foreign_call
             loop = asyncio.get_running_loop()
             jobs, events = watch_hops(loop, registry.get("asia").cache)
             try:

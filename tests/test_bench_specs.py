@@ -94,7 +94,6 @@ class TestPairedRounds:
 #: Pinned literally: a schema string only changes with the artifact.
 SCHEMAS = {
     "table1": "fastbni-bench-table1-v1",
-    "sessions": "fastbni-bench-sessions-v1",
     "incremental": "fastbni-bench-incremental-v1",
     "obsbench": "fastbni-bench-obs-v1",
     "ablate": "fastbni-bench-ablation-v1",
@@ -105,8 +104,6 @@ SCHEMAS = {
 TINY_RUNS = {
     "table1": lambda: table1.run_table1(
         networks=("hailfinder",), num_cases=1, sweep=(1,)),
-    "sessions": lambda: overlap.run_sessions(
-        network="asia", overlaps=(0.5, 0.75), num_queries=4),
     "incremental": lambda: overlap.run_incremental(
         overlaps=(0.5, 0.75, 1.0), num_queries=4),
     "obsbench": lambda: obs.run_obs(requests=8, concurrency=2, repeats=2),

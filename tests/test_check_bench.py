@@ -57,42 +57,6 @@ class TestTable1Check:
 
 
 # -------------------------------------------------------- sessions fixtures
-def sessions_report(speedup: float = 6.0, diff: float = 1e-13) -> dict:
-    return {
-        "schema": "fastbni-bench-sessions-v1",
-        "rows": [
-            {"overlap": 0.5, "speedup": 2.0, "max_abs_diff": diff},
-            {"overlap": 0.75, "speedup": speedup, "max_abs_diff": diff},
-        ],
-    }
-
-
-class TestSessionsCheck:
-    def check(self, cb, report):
-        return failures_of(cb, overlap.SESSIONS, report)
-
-    def test_pass(self, cb):
-        assert self.check(cb, sessions_report()) == []
-
-    def test_wrong_schema(self, cb):
-        failures = self.check(cb, {"schema": "nope"})
-        assert failures and "schema mismatch" in failures[0]
-
-    def test_headline_speedup_floor(self, cb):
-        failures = self.check(cb, sessions_report(speedup=3.0))
-        assert any("rows[1].speedup = 3, floor >= 5" in f for f in failures)
-
-    def test_missing_headline_row(self, cb):
-        report = sessions_report()
-        report["rows"] = [report["rows"][0]]
-        failures = self.check(cb, report)
-        assert any("no 0.75-overlap" in f for f in failures)
-
-    def test_divergence_fails_every_row(self, cb):
-        failures = self.check(cb, sessions_report(diff=1e-9))
-        assert len(failures) == 2
-
-
 class TestIncrementalCheck:
     """The acceptance that used to live in a docs block: >= 3x at every
     overlap >= 0.75, agreement strictly under 1e-12."""
@@ -349,8 +313,8 @@ class TestMain:
         options = {word.split()[0].rstrip(",")
                    for word in capsys.readouterr().out.split("\n  ")
                    if word.startswith("--")}
-        assert options == {"--table1", "--sessions-fresh", "--incremental",
-                           "--obs", "--ablation", "--ablation-baseline"}
+        assert options == {"--table1", "--incremental", "--obs",
+                           "--ablation", "--ablation-baseline"}
 
     def test_table1_flag(self, cb, tmp_path, capsys):
         good = self.write(tmp_path, "table1.json", table1_report())
@@ -367,15 +331,6 @@ class TestMain:
         assert cb.main(["--table1", self.write(tmp_path, "t.json",
                                                report)]) == 1
         assert "schema mismatch" in capsys.readouterr().err
-
-    def test_sessions_flag(self, cb, tmp_path, capsys):
-        good = self.write(tmp_path, "sessions.json", sessions_report())
-        assert cb.main(["--sessions-fresh", good]) == 0
-        assert ("rows[overlap=0.75].speedup 6 (>= 5)"
-                in capsys.readouterr().out)
-        bad = self.write(tmp_path, "bad_sessions.json",
-                         sessions_report(speedup=1.0))
-        assert cb.main(["--sessions-fresh", bad]) == 1
 
     def test_obs_flag(self, cb, tmp_path, capsys):
         good = self.write(tmp_path, "obs.json", obs_report())
@@ -415,8 +370,7 @@ class TestMain:
         """The repo's committed artifacts must satisfy the gates they
         anchor (the ablation matrix against itself)."""
         args = []
-        for flag, name in (("--table1", "table1"),
-                           ("--sessions-fresh", "sessions"), ("--obs", "obs"),
+        for flag, name in (("--table1", "table1"), ("--obs", "obs"),
                            ("--incremental", "incremental"),
                            ("--ablation", "ablation")):
             args += [flag, str(REPO_ROOT / f"BENCH_{name}.json")]

@@ -13,13 +13,13 @@ class TestParser:
         sub = next(a for a in parser._actions if a.dest == "command")
         assert list(sub.choices) == [
             "info", "query", "serve", "cluster", "client", "trace",
-            "table1", "sessions", "incremental", "obsbench", "ablate",
+            "table1", "incremental", "obsbench", "ablate",
             "frontier", "workload",
         ]
 
     @pytest.mark.parametrize("retired", [
         "scaling", "granularity", "root", "primitives", "overhead",
-        "heuristics",
+        "heuristics", "sessions",
     ])
     def test_retired_subcommands_are_parse_errors(self, retired):
         with pytest.raises(SystemExit) as exc:
@@ -89,11 +89,21 @@ class TestParser:
         assert args.network is None
 
     def test_serve_sessions_flag(self):
-        """Sessions have no mode switch: what a session holds follows from
-        the model's engine, so ``serve`` takes no ``--sessions``."""
-        assert not hasattr(build_parser().parse_args(["serve"]), "sessions")
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--sessions", "cold"])
+        """Sessions have no mode switch and the cache no state tier to
+        size: a session is its evidence on every model, so ``serve`` takes
+        no ``--sessions``, ``--cache-states`` or ``--cache-min-overlap``."""
+        args = build_parser().parse_args(["serve"])
+        for dest in ("sessions", "cache_states", "cache_min_overlap"):
+            assert not hasattr(args, dest)
+        for argv in (["--sessions", "cold"], ["--cache-states", "8"],
+                     ["--cache-min-overlap", "0.5"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", *argv])
+
+    @pytest.mark.parametrize("command", ["query", "serve", "cluster"])
+    def test_kernels_default_to_native(self, command):
+        argv = [command, "asia"] if command == "query" else [command]
+        assert build_parser().parse_args(argv).kernels == "native"
 
     def test_obsbench_defaults(self):
         args = build_parser().parse_args(["obsbench"])

@@ -64,12 +64,12 @@ class TestHostileEvidence:
 
     def test_unknown_state_label(self, asia):
         with FastBNI(asia, mode="seq") as eng:
-            with pytest.raises(NetworkError):
+            with pytest.raises(EvidenceError, match="smoke"):
                 eng.infer({"smoke": "perhaps"})
 
     def test_out_of_range_state_index(self, asia):
         with FastBNI(asia, mode="seq") as eng:
-            with pytest.raises(NetworkError):
+            with pytest.raises(EvidenceError, match="smoke"):
                 eng.infer({"smoke": 7})
 
     def test_contradictory_deterministic_evidence(self, asia):

@@ -461,7 +461,7 @@ class TestServerObservability:
         assert execute["attributes"]["kernel_messages"] > 0
         assert execute["attributes"]["kernel_backend"] in ("fused", "numpy")
 
-    def test_cache_served_query_records_delta_span(self):
+    def test_cache_served_query_records_memo_span(self):
         async def scenario():
             server = InferenceServer(port=0,
                                      trace_sample_rate=1.0)
@@ -471,7 +471,7 @@ class TestServerObservability:
                 base = {"op": "query", "network": "asia",
                         "evidence": {"smoke": "yes"}}
                 await _pipelined(server.port, [dict(base, id=1)])
-                # Same evidence again: the memo/delta tier serves it.
+                # Same evidence again: the result memo serves it.
                 await _pipelined(server.port, [dict(base, id=2)])
                 traces = server.tracer.traces()
             finally:
@@ -481,7 +481,7 @@ class TestServerObservability:
         traces = run(scenario())
         lookup = next(s for s in traces[-1]["spans"]
                       if s["name"] == "cache_lookup")
-        assert lookup["attributes"]["served"] in ("memo", "delta")
+        assert lookup["attributes"]["served"] == "memo"
 
     def test_metrics_slow_queries_and_trace_dump_ops(self):
         async def scenario():
@@ -525,9 +525,9 @@ class TestServerObservability:
         assert any(e["name"] == "request" for e in chrome["traceEvents"])
 
     def test_session_ops_emit_spans(self):
-        """Every session op is a span; a read says how much of the tree it
-        ran — messages revalidated by a delta session, messages run by a
-        native session's whole-case call."""
+        """Every session op is a span; a read says how much of the tree its
+        whole-case call ran — every message on fused, those the evidence
+        and targets need on native."""
         async def scenario(kernels):
             server = InferenceServer(port=0, trace_sample_rate=1.0,
                                      kernels=kernels)
@@ -547,14 +547,12 @@ class TestServerObservability:
                     {"id": 5, "op": "session_close", "session": sid},
                 ])
                 traces = server.tracer.traces()
-                stateless = server.registry.get("asia").stateless
             finally:
                 await server.stop()
-            return traces, stateless
+            return traces
 
         for kernels in ("fused", "native"):
-            traces, stateless = run(scenario(kernels))
-            work = "messages_run" if stateless else "revalidated_messages"
+            traces = run(scenario(kernels))
             spans = [s for t in traces for s in t["spans"]]
             named = {s["name"]: s for s in spans}
             assert named["session_open"]["attributes"]["network"] == "asia"
@@ -562,9 +560,9 @@ class TestServerObservability:
             edit, read = [s["attributes"] for s in spans
                           if s["name"] == "session_update"]
             assert edit["delta_size"] == read["delta_size"] == 1
-            assert work not in edit and read[work] > 0
+            assert "messages_run" not in edit and read["messages_run"] > 0
             query = named["session_query"]["attributes"]
-            assert query["evidence_vars"] == 2 and work in query
+            assert query["evidence_vars"] == 2 and "messages_run" in query
 
     def test_sampling_disabled_by_default(self):
         async def scenario():

@@ -14,7 +14,8 @@ from repro.core import FastBNI
 from repro.errors import (EvidenceError, NetworkError, QueryError,
                           ServiceError)
 from repro.service import (InferenceServer, MicroBatcher, ModelRegistry,
-                           QueryRequest, ServiceClient, ServiceMetrics)
+                           QueryRequest, ServiceClient, ServiceMetrics,
+                           SessionManager)
 
 #: Evidence asia's deterministic OR node makes impossible.
 IMPOSSIBLE = {"lung": "no", "tub": "no", "either": "yes"}
@@ -241,9 +242,10 @@ class TestModelRegistry:
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_cache_and_sessions_share_the_engines_base_tables(self, shared):
-        """The delta engines take their CPT-product tables from the plan they
-        share with the serving engine — also once a cluster worker's
-        ``adopt_base`` swapped them for a shared-memory segment."""
+        """The result memo holds results, never tables, and sessions read
+        through the entry's engine: both use the CPT-product tables of the
+        plan it owns — also once a cluster worker's ``adopt_base`` swapped
+        them for a shared-memory segment."""
         import os
 
         from repro.cluster.worker import make_share_plan_hook
@@ -252,13 +254,21 @@ class TestModelRegistry:
         prefix = f"fbni_t_{os.getpid()}_base_"
         on_load = make_share_plan_hook(prefix) if shared else None
         try:
-            with ModelRegistry(on_load=on_load) as registry:
+            with ModelRegistry(on_load=on_load) as registry, \
+                    SessionManager(registry) as sessions:
                 entry = registry.get("asia")
                 base = entry.engine.plan.base_cliques
                 assert base[0].flags.writeable is not shared
-                assert entry.cache._baseline._base is base
-                assert entry.cache.session_state()._base is base
                 assert len(list_segments(prefix)) == int(shared)
+                sid = sessions.open("asia", {"smoke": "yes"})["session"]
+                got = sessions.query(sid, ("lung",))
+                assert entry.engine.plan.base_cliques is base
+                with FastBNI(entry.net, mode="seq") as cold:
+                    want = cold.infer({"smoke": "yes"}, ("lung",))
+                np.testing.assert_allclose(got["posteriors"]["lung"],
+                                           want.posteriors["lung"],
+                                           atol=1e-12)
+                assert entry.cache.total_bytes() == 0
         finally:
             for name in SEGMENTS.attached():
                 if name.startswith(prefix):
@@ -268,9 +278,9 @@ class TestModelRegistry:
     @pytest.mark.parametrize("shared", [False, True])
     def test_native_entries_are_stateless_and_share_their_prior(self,
                                                                 shared):
-        """A native entry is decided stateless at load: its cache is a
-        result memo, its calibrated prior is charged to its residency and
-        a cluster worker publishes it beside the CPT products."""
+        """A native entry answers a case in one foreign call (decided at
+        load), its calibrated prior is charged to its residency and a
+        cluster worker publishes it beside the CPT products."""
         import os
 
         from repro.cluster.worker import make_share_plan_hook
@@ -286,9 +296,7 @@ class TestModelRegistry:
                     ModelRegistry() as fused:
                 entry, other = native.get("asia"), fused.get("asia")
                 prior = entry.engine.plan.prior_flat
-                assert entry.stateless and not other.stateless
-                assert entry.cache.max_states == 0
-                assert entry.cache._baseline is None
+                assert entry.one_foreign_call and not other.one_foreign_call
                 assert other.engine.plan.prior_flat is None
                 assert (entry.resident_bytes - other.resident_bytes
                         == prior.nbytes)
@@ -630,7 +638,16 @@ class TestInferenceServer:
                     {"id": 4, "op": "query", "network": "asia",
                      "evidence": {"xray": [0.7]}},
                     {"id": 5, "op": "query"},
+                    # An unknown state is bad evidence, not a bad network.
+                    {"id": 6, "op": "query", "network": "asia",
+                     "evidence": {"smoke": "maybe"}},
                 ])
+                (opened,) = await _query_over_tcp(server.port, [
+                    {"id": 7, "op": "session_open", "network": "asia"}])
+                responses += await _query_over_tcp(server.port, [
+                    {"id": 8, "op": "session_update",
+                     "session": opened["result"]["session"],
+                     "evidence": {"smoke": 5}}])
                 writer.close()
             finally:
                 await server.stop()
@@ -641,8 +658,11 @@ class TestInferenceServer:
         assert bad_json["error"]["type"] == "ParseError"
         types = [r["error"]["type"] for r in responses]
         assert types == ["QueryError", "NetworkError", "EvidenceError",
-                         "EvidenceError", "QueryError"]
+                         "EvidenceError", "QueryError", "EvidenceError",
+                         "EvidenceError"]
         assert all(r["ok"] is False for r in responses)
+        assert "'maybe'" in responses[5]["error"]["message"]
+        assert "smoke" in responses[6]["error"]["message"]
 
     def test_soft_evidence_over_wire(self, asia):
         async def scenario():

@@ -28,6 +28,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.enumeration import EnumerationEngine
+from repro.bn.datasets import load_dataset
+from repro.bn.sampling import generate_test_cases
 from repro.core import FastBNI
 from repro.errors import EvidenceError, QueryError, ReproError, SessionError
 from repro.exec.native import native_status
@@ -204,9 +207,11 @@ class TestSessionManager:
         with ModelRegistry() as registry, SessionManager(registry) as manager:
             entry = registry.get("asia")
             assert entry.session_bytes == 0
-            sid = manager.open("asia")["session"]
+            sid = manager.open("asia", evidence={"smoke": "yes"})["session"]
+            manager.update(sid, evidence={"asia": "yes"}, targets=("lung",))
+            # A session is its evidence: one fixed charge, whatever it read.
             charged = entry.session_bytes
-            assert charged > 0
+            assert charged == manager._sessions[sid].bytes == 2048
             assert manager.total_bytes() == charged
             assert registry.stats()["resident_bytes"] >= charged
             manager.close(sid)
@@ -297,104 +302,51 @@ class TestSessionManager:
 # ---------------------------------------------------------------------- cold
 @needs_native
 class TestColdSessions:
-    """Sessions on a native-kernel model keep their evidence and no
-    engine: every read is a cold whole-case call from the calibrated
-    prior.  They must answer exactly as the warm delta sessions of a
-    fused model do."""
-
-    WALK = ({"smoke": "yes"}, {"asia": "yes"}, {"smoke": "no"})
-
-    def _walk(self, manager):
-        sid = manager.open("asia")["session"]
-        payloads = [manager.update(sid, evidence=step, targets=("lung",))
-                    for step in self.WALK]
-        final = manager.query(sid, targets=("lung", "bronc"))
-        manager.close(sid)
-        return payloads, final
-
-    def test_cold_answers_match_warm(self):
-        with ModelRegistry() as fused, \
-                ModelRegistry(kernels="native") as native, \
-                SessionManager(fused) as warm, \
-                SessionManager(native) as cold:
-            warm_updates, warm_final = self._walk(warm)
-            cold_updates, cold_final = self._walk(cold)
-            for w, c in zip(warm_updates, cold_updates):
-                np.testing.assert_allclose(c["posteriors"]["lung"],
-                                           w["posteriors"]["lung"],
-                                           atol=1e-12)
-                assert c["log_evidence"] == pytest.approx(
-                    w["log_evidence"], abs=1e-12)
-                assert c["delta"] == w["delta"]
-            for var in ("lung", "bronc"):
-                np.testing.assert_allclose(cold_final["posteriors"][var],
-                                           warm_final["posteriors"][var],
-                                           atol=1e-12)
+    """A session keeps its evidence and no engine: every read is a cold
+    whole-case call (from the calibrated prior, on native kernels)."""
 
     def test_cold_rebuilds_state_every_operation(self, monkeypatch):
-        """A native session holds no engine and calls the model's
-        ``infer_cases`` once per read (an edit without targets reads
-        nothing); a delta session keeps its one engine."""
+        """A session calls the model's ``infer_cases`` once per read (an
+        edit without targets reads nothing)."""
         with ModelRegistry(kernels="native") as registry, \
                 SessionManager(registry) as cold:
             entry = registry.get("asia")
-            assert entry.stateless
+            assert entry.one_foreign_call
             calls = []
             infer_cases = entry.engine.infer_cases
             monkeypatch.setattr(
                 entry.engine, "infer_cases",
                 lambda *args: calls.append(args) or infer_cases(*args))
             sid = cold.open("asia")["session"]
-            assert cold._sessions[sid].engine is None
             cold.update(sid, evidence={"smoke": "yes"}, targets=("lung",))
             cold.update(sid, evidence={"xray": "yes"})
             cold.query(sid, targets=("lung", "bronc"))
             assert calls == [([{"smoke": 0}], ("lung",)),
                              ([{"smoke": 0, "xray": 0}], ("lung", "bronc"))]
-            assert cold._sessions[sid].engine is None
-        with ModelRegistry() as registry, \
-                SessionManager(registry) as warm:
-            sid = warm.open("asia")["session"]
-            before = warm._sessions[sid].engine
-            warm.update(sid, evidence={"smoke": "yes"}, targets=("lung",))
-            assert warm._sessions[sid].engine is before is not None
-
-    def test_cold_open_skips_cache_base_state(self):
-        """A native entry's cache is a result memo: opening a session
-        neither reads nor seeds a calibrated state, and the session is
-        charged its fixed overhead alone."""
-        with ModelRegistry(kernels="native") as registry, \
-                SessionManager(registry) as cold:
-            entry = registry.get("asia")
-            assert entry.cache._baseline is None
-            sid = cold.open("asia", evidence={"smoke": "yes"})["session"]
-            cold.update(sid, evidence={"asia": "yes"}, targets=("lung",))
-            assert entry.cache.stats()["states"] == 0
-            assert entry.cache.stats()["seeded"] == 0
-            assert cold._sessions[sid].bytes == entry.session_bytes < 4096
-            cold.close(sid)
 
     def test_cold_retract_semantics_preserved(self):
-        """Merge/retract bookkeeping is the same without an engine."""
+        """Merge/retract bookkeeping is the same on every kernel backend."""
         with ModelRegistry() as fused, \
                 ModelRegistry(kernels="native") as native, \
-                SessionManager(fused) as warm, \
-                SessionManager(native) as cold:
-            answers = []
-            for manager in (warm, cold):
+                SessionManager(fused) as on_fused, \
+                SessionManager(native) as on_native, \
+                FastBNI(fused.get("asia").net, mode="seq") as cold:
+            want = cold.infer({"smoke": "yes"}, ("lung",))
+            for manager in (on_fused, on_native):
                 sid = manager.open(
                     "asia", evidence={"smoke": "yes", "asia": "yes"}
                 )["session"]
                 payload = manager.update(sid, retract=("asia",),
                                          targets=("lung",))
-                answers.append(payload["posteriors"]["lung"])
                 assert payload["evidence_vars"] == 1
                 assert payload["delta"]["retracted"] == ["asia"]
-            np.testing.assert_allclose(answers[1], answers[0], atol=1e-12)
+                np.testing.assert_allclose(payload["posteriors"]["lung"],
+                                           want.posteriors["lung"],
+                                           atol=1e-12)
 
     def test_server_native_session_wiring(self):
-        """``serve --kernels native`` serves sessions statelessly over the
-        wire and answers as a fused (delta) server does."""
+        """``serve --kernels native`` serves sessions over the wire and
+        answers as a fused server does."""
         def one_walk(port: int):
             with ServiceClient(port=port) as client:
                 with client.session("asia",
@@ -404,24 +356,122 @@ class TestColdSessions:
                     return result["posteriors"]["lung"]
 
         async def go():
-            warm = InferenceServer(port=0)
-            cold = InferenceServer(port=0, kernels="native")
+            fused = InferenceServer(port=0, kernels="fused")
+            native = InferenceServer(port=0, kernels="native")
             answers = {}
-            for name, server in (("warm", warm), ("cold", cold)):
+            for name, server in (("fused", fused), ("native", native)):
                 await server.start()
                 try:
                     answers[name] = await asyncio.to_thread(one_walk,
                                                             server.port)
-                    answers[name + "_stateless"] = (
-                        server.registry.get("asia").stateless)
+                    answers[name + "_one_call"] = (
+                        server.registry.get("asia").one_foreign_call)
                 finally:
                     await server.stop()
             return answers
 
         answers = run(go())
-        assert answers["cold_stateless"] and not answers["warm_stateless"]
-        np.testing.assert_allclose(answers["cold"], answers["warm"],
+        assert answers["native_one_call"] and not answers["fused_one_call"]
+        np.testing.assert_allclose(answers["native"], answers["fused"],
                                    atol=1e-12)
+
+
+# ------------------------------------------------------------ oracle walk
+#: One jointly impossible set of findings per network (deterministic CPTs:
+#: asia's ``either`` is lung OR tub, sprinkler's grass is dry when neither
+#: the sprinkler nor the rain wets it).
+IMPOSSIBLE = {"asia": {"either": "no", "lung": "yes"},
+              "sprinkler": {"Sprinkler": "off", "Rain": "no",
+                            "WetGrass": "yes"}}
+
+
+@pytest.mark.parametrize("kernels", [
+    "numpy", "fused", pytest.param("native", marks=needs_native)])
+@pytest.mark.parametrize("network", sorted(IMPOSSIBLE))
+class TestSessionWalkOracle:
+    """Randomized session walks on every kernel backend, pinned to
+    exhaustive enumeration at 1e-12: open with evidence, add, change,
+    retract, replace, an impossible finding mid-walk (its read raises
+    :class:`EvidenceError`) and a feasible update that answers again."""
+
+    @staticmethod
+    def _walk(net, rng):
+        """``(update kwargs, evidence after it)`` per step of one walk."""
+        names = list(net.variable_names)
+
+        def state(name):
+            var = net.variable(name)
+            return var.states[int(rng.integers(var.cardinality))]
+
+        def feasible():
+            (case,) = generate_test_cases(net, 1, observed_fraction=0.5,
+                                          rng=rng)
+            return {n: net.variable(n).states[net.variable(n).state_index(s)]
+                    for n, s in case.evidence.items()}
+
+        evidence = feasible()
+        opened = dict(evidence)
+        steps = []
+
+        def step(**edit):
+            new = {} if edit.get("replace") else dict(evidence)
+            for name in edit.get("retract", ()):
+                new.pop(name)
+            new.update(edit.get("evidence", {}))
+            steps.append((edit, new))
+            return new
+
+        free = [n for n in names if n not in evidence]
+        if free:
+            added = str(rng.choice(free))
+            evidence = step(evidence={added: state(added)})
+        changed = str(rng.choice(list(evidence)))
+        others = [s for s in net.variable(changed).states
+                  if s != evidence[changed]]
+        evidence = step(evidence={changed: str(rng.choice(others))})
+        evidence = step(retract=(str(rng.choice(list(evidence))),))
+        evidence = step(evidence=feasible(), replace=True)
+        evidence = step(evidence=IMPOSSIBLE[net.name])
+        evidence = step(evidence=feasible(), replace=True)
+        return opened, steps
+
+    def test_walk_matches_enumeration(self, kernels, network):
+        net = load_dataset(network)
+        oracle = EnumerationEngine(net)
+        with pytest.raises(EvidenceError):
+            oracle.infer(IMPOSSIBLE[network])
+        with ModelRegistry(kernels=kernels) as registry, \
+                SessionManager(registry) as manager:
+            registry.register(network, net)
+            impossible_reads = 0
+            for seed in range(6):
+                rng = np.random.default_rng(seed)
+                opened, steps = self._walk(net, rng)
+                targets = tuple(str(n) for n in rng.choice(
+                    list(net.variable_names), 2, replace=False))
+                sid = manager.open(network, evidence=opened)["session"]
+                reads = [(lambda: manager.query(sid, targets), opened)]
+                reads += [((lambda edit=edit: manager.update(
+                    sid, targets=targets, **edit)), evidence)
+                    for edit, evidence in steps]
+                for read, evidence in reads:
+                    try:
+                        want = oracle.infer(evidence, targets)
+                    except EvidenceError:
+                        impossible_reads += 1
+                        with pytest.raises(EvidenceError):
+                            read()
+                        continue
+                    got = read()
+                    for name in targets:
+                        np.testing.assert_allclose(
+                            got["posteriors"][name], want.posteriors[name],
+                            atol=1e-12, rtol=0)
+                    assert got["log_evidence"] == pytest.approx(
+                        want.log_evidence, abs=1e-12)
+                assert manager._sessions[sid].updates == len(steps)
+                manager.close(sid)
+            assert impossible_reads >= 6
 
 
 # ------------------------------------------------- all-or-nothing updates

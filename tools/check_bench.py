@@ -28,7 +28,6 @@ nearest its floor.
 Usage (each option is optional; a report not named is not checked)::
 
     python tools/check_bench.py [--table1 BENCH_table1.fresh.json] \\
-        [--sessions-fresh BENCH_sessions.fresh.json] \\
         [--incremental BENCH_incremental.json] \\
         [--obs BENCH_obs.fresh.json] \\
         [--ablation BENCH_ablation.fresh.json] [--ablation-baseline ...]
