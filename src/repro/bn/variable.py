@@ -8,7 +8,10 @@ list so that two networks can safely share variable objects.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from numbers import Integral
+from types import MappingProxyType
 
 from repro.errors import NetworkError
 
@@ -47,9 +50,18 @@ class Variable:
         """Number of states."""
         return len(self.states)
 
+    @property
+    def labels(self) -> Mapping[str, int]:
+        """Read-only ``{state label: index}``."""
+        return MappingProxyType(self._index)
+
     def state_index(self, state: str | int) -> int:
-        """Map a state label (or an already-valid index) to its index."""
-        if isinstance(state, (int,)) and not isinstance(state, bool):
+        """Map a state label (or an already-valid index) to its index.
+
+        Any integral value but a ``bool`` (``int``, ``np.int64``, ...) is
+        an index; anything else is looked up as a label by ``str()``.
+        """
+        if isinstance(state, Integral) and not isinstance(state, bool):
             if 0 <= state < self.cardinality:
                 return int(state)
             raise NetworkError(

@@ -39,10 +39,11 @@ Two layers:
     with the system C compiler into a content-hash-cached ``.so`` and
     invoked through ``ctypes``, which releases the GIL for the duration
     of every call (thread-dispatched case blocks overlap on real cores)
-    and skips zero blocks of the CPT-product base tables via per-plan
-    run lists.  It also advertises ``compiles_cases``: engines hand it
-    whole hard-evidence cases (evidence reduction, schedule, posterior
-    reads, log P(e)) as one call per case block instead of driving
+    and, per message, skips zero blocks of the CPT-product base tables
+    via per-plan run lists.  It also advertises ``compiles_cases``:
+    engines hand it whole hard-evidence cases (evidence reduction,
+    schedule, posterior reads, log P(e)) as one call per case block,
+    walked as strided loops with no map or run list, instead of driving
     messages.  When no C compiler is available, selecting ``native``
     falls back to ``fused`` with a logged reason; ``info``/``stats``
     then honestly report the active backend as ``fused``.

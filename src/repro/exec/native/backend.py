@@ -7,21 +7,21 @@ whole cases, whole schedules, single messages — see the class).  Three
 properties follow that no NumPy formulation has:
 
 * **one foreign call per case block** — :meth:`NativeKernels.infer_cases`
-  lists the entries each case's evidence leaves possible, runs over them
-  the messages its evidence and reads need from the plan's calibrated
-  prior, reads the requested posteriors and computes log P(e) for a
-  block of cases inside one call, so ``FastBNI.infer`` and
-  ``core.batch.infer_cases`` pay no per-message and no per-variable
-  Python work;
+  runs the messages a case's evidence and reads need over the entries
+  its evidence leaves free (observed axes pinned, the plan's calibrated
+  prior read in place), reads the requested posteriors and computes
+  log P(e) for a block of cases inside one call, so ``FastBNI.infer``
+  and ``core.batch.infer_cases`` pay no per-message and no
+  per-variable Python work;
 * **GIL release** — ``ctypes`` drops the GIL for the duration of every
   foreign call, so thread-dispatched case blocks genuinely overlap on
   separate cores instead of time-slicing one interpreter;
 * **zero-block skipping** — the compiled schedule carries per-clique
   nonzero-run lists derived from the plan's CPT-product base tables
-  (:meth:`repro.exec.plan.MessagePlan.zero_skip_runs`); the C loops jump
-  over entries that are structurally zero, which deterministic-CPT
-  networks have in bulk, and the whole-case call intersects them with
-  its per-case evidence lists.
+  (:meth:`repro.exec.plan.MessagePlan.zero_skip_runs`); the staged C
+  loops jump over entries that are structurally zero, which
+  deterministic-CPT networks have in bulk.  The whole-case call walks
+  strided loops instead and does not use them.
 
 Everything C walks is lowered once per plan from plain
 :class:`~repro.exec.plan.PlanSpec` data into flat int64 tables
@@ -47,8 +47,8 @@ import numpy as np
 
 from repro.errors import BackendError, EvidenceError, QueryError
 from repro.exec.kernels import KernelBackend, resolve_maps
-from repro.exec.native.build import (AXIS_STRIDE, CASE_STRIDE, MAX_AXES,
-                                     META_STRIDE, RUNS_FULL, TABLE_STRIDE,
+from repro.exec.native.build import (AXIS_STRIDE, CASE_STRIDE, DIM_STRIDE,
+                                     MAX_AXES, META_STRIDE, TABLE_STRIDE,
                                      VAR_STRIDE)
 
 EMPTY_MESSAGE = "evidence has zero probability (empty message)"
@@ -72,6 +72,10 @@ class PlanTables:
     #: arena order, and the ``(axes, AXIS_STRIDE)`` rows it points into.
     tables: np.ndarray
     axes: np.ndarray
+    #: ``(rows, DIM_STRIDE)`` slots of the strided loops of every edge's
+    #: cliques and separator against its separator, nothing pinned
+    #: (:func:`message_loops`).
+    loops: np.ndarray
     #: ``(n_vars, VAR_STRIDE)`` per-variable geometry (layout in build.py).
     var_table: np.ndarray
     #: The default read, every variable: ``(reads table, row entries)``.
@@ -81,7 +85,8 @@ class PlanTables:
     #: range iff ``state + 1``, reinterpreted as unsigned, does not
     #: exceed it.
     state_limits: np.ndarray = field(init=False)
-    #: Addresses of ``meta``, ``tables``, ``axes``, ``var_table``, reads.
+    #: Addresses of ``meta``, ``tables``, ``axes``, ``loops``,
+    #: ``var_table``, reads.
     addresses: tuple[int, ...] = field(init=False)
     #: The plan's prior last checked and handed to C, and its address;
     #: one attribute, so threads swap it whole.
@@ -90,7 +95,7 @@ class PlanTables:
     def __post_init__(self) -> None:
         self.state_limits = self.var_table[:, 2].astype(np.uint64)
         self.addresses = tuple(a.ctypes.data for a in (
-            self.meta, self.tables, self.axes, self.var_table,
+            self.meta, self.tables, self.axes, self.loops, self.var_table,
             self.all_reads[0]))
 
 
@@ -104,6 +109,50 @@ def reads_table(spec, read_ids) -> tuple[np.ndarray, int]:
         rows.append((vid, entries))
         entries += spec.variables[vid][3]
     return np.array(rows, dtype=np.int64).reshape(len(rows), 2), entries
+
+
+def table_loop(axes, target) -> list[tuple[int, int, int]]:
+    """A table's strided loop against a target table, nothing pinned:
+    its axes (``(variable id, stride, cardinality)`` rows, outermost
+    first) as ``(count, stride, target stride)`` rows, the target stride
+    0 where the target lacks the variable, adjacent axes merged where
+    they stay contiguous in both tables (the rule ``pin()`` in
+    ``build.py`` applies to the axes a case leaves free)."""
+    strides = {vid: stride for vid, stride, _ in target}
+    dims: list[tuple[int, int, int]] = []
+    for vid, stride, card in axes:
+        tstride = strides.get(vid, 0)
+        if dims and dims[-1][1:] == (stride * card, tstride * card):
+            dims[-1] = (dims[-1][0] * card, stride, tstride)
+        else:
+            dims.append((card, stride, tstride))
+    return dims
+
+
+def message_loops(ends, rows, axes) -> tuple[np.ndarray, list[tuple]]:
+    """The loop slots of every message's src and dst clique and its
+    separator (``ends``: their table ids) against the separator — one
+    slot per (table, separator) pair: a head row ``(loop rows, 0, 0)``,
+    then the loop with nothing pinned in room for as many rows as the
+    table has axes, zeros after it — and per message the first rows of
+    its three slots."""
+    def axes_of(t):
+        return axes[rows[t][2]:rows[t][2] + rows[t][3]]
+
+    flat: list[int] = []  # DIM_STRIDE words a row
+    at: dict[tuple[int, int], int] = {}
+    words = []
+    for src, dst, sep in ends:
+        for table in (src, dst, sep):
+            if (table, sep) not in at:
+                loop = table_loop(axes_of(table), axes_of(sep))
+                at[table, sep] = len(flat) // DIM_STRIDE
+                flat += (len(loop), 0, 0)
+                for row in loop:
+                    flat += row
+                flat += (0, 0, 0) * (rows[table][3] - len(loop))
+        words.append((at[src, sep], at[dst, sep], at[sep, sep]))
+    return (np.array(flat, dtype=np.int64).reshape(-1, DIM_STRIDE), words)
 
 
 def lower_plan(plan) -> "PlanTables | bool":
@@ -129,17 +178,19 @@ def lower_plan(plan) -> "PlanTables | bool":
                 stride //= cards[vid]
                 axes.append((vid, stride, cards[vid]))
         rows.append((off, size, first, len(axes) - first)
-                    + ((0, 0, size) if bounds is None else
-                       (bounds.ctypes.data, bounds.size // 2,
-                        int((bounds[1::2] - bounds[::2]).sum()))))
+                    + ((0, 0) if bounds is None else
+                       (bounds.ctypes.data, bounds.size // 2)))
     meta = np.zeros((len(msgs), META_STRIDE), dtype=np.int64)
     operands = []
     for i, (upward, src, dst, sep_id, edge, m_marg, m_abs) in enumerate(msgs):
         if m_marg is None or m_abs is None:
             return False
-        meta[i] = (int(upward), m_marg.ctypes.data, m_abs.ctypes.data,
-                   src, dst, spec.num_cliques + sep_id)
+        meta[i, :6] = (int(upward), m_marg.ctypes.data, m_abs.ctypes.data,
+                       src, dst, spec.num_cliques + sep_id)
         operands.append((m_marg, m_abs))
+    loops, words = message_loops(meta[:, 3:6].tolist(), rows, axes)
+    if words:
+        meta[:, 6:] = words
     var_table = np.array(
         [(cid, stride, card) for cid, _, stride, card in spec.variables],
         dtype=np.int64).reshape(len(spec.variables), VAR_STRIDE)
@@ -148,7 +199,7 @@ def lower_plan(plan) -> "PlanTables | bool":
         max_sep=max(spec.sep_sizes, default=0), operands=operands, runs=runs,
         tables=np.array(rows, dtype=np.int64),
         axes=np.array(axes, dtype=np.int64).reshape(len(axes), AXIS_STRIDE),
-        var_table=var_table,
+        loops=loops, var_table=var_table,
         all_reads=reads_table(spec, range(len(spec.variables))))
     check_tables(spec, tables)
     return tables
@@ -164,15 +215,17 @@ def check_tables(spec, tables: PlanTables, prior=None) -> None:
 
     Every table row must be the arena's table of that id; its axes must
     lie inside the axes table, be no more than the C odometer holds,
-    name variables with the cardinality evidence is checked against and
-    tile the table row-major; its run list must be increasing and inside
-    it.  Every message must name the tables of a plan edge by id, with
-    index maps as long as its cliques and pointing inside its separator;
-    every variable's ``stride * cardinality`` blocks must tile the
-    clique it names.  ``prior``, when given, must be a contiguous float64
-    arena, finite, non-negative, every table summing to 1 within 1e-12.
-    Raises :class:`~repro.errors.BackendError` otherwise — C walks these
-    tables and copies from the prior without looking back.
+    name distinct variables in increasing id order with the cardinality
+    evidence is checked against and tile the table row-major; its run
+    list must be increasing and inside it.  Every message must name the
+    tables of a plan edge by id, a separator whose variables both
+    cliques hold, index maps as long as its cliques and pointing inside
+    its separator, and the loop rows :func:`message_loops` derives from
+    those axes; the variable rows must be the plan's.  ``prior``, when
+    given, must be a contiguous float64 arena, finite, non-negative,
+    every table summing to 1 within 1e-12.  Raises
+    :class:`~repro.errors.BackendError` otherwise — C walks these tables
+    and reads the prior without looking back.
     """
     def need(ok, what: str) -> None:
         if not ok:
@@ -190,31 +243,37 @@ def check_tables(spec, tables: PlanTables, prior=None) -> None:
          "table table has the wrong shape")
     rows = tables.tables.tolist()
     axes = tables.axes.tolist()
+    need(var_table.tolist() == [[cid, stride, card] for cid, _, stride, card
+                                in spec.variables],
+         "variable table is not the plan's")
+    table_vars = []
     for t, (row, bounds) in enumerate(zip(rows, tables.runs)):
-        off, size, first, n_axes, addr, count, covered = row
+        off, size, first, n_axes, addr, count = row
         need((off, size) == layout[t] and size >= 1,
              f"table {t} is not the arena's table {t}")
         need(0 <= first and 0 <= n_axes <= MAX_AXES
              and first + n_axes <= len(axes),
              f"table {t} has axes outside the axes table, or more than "
              f"{MAX_AXES}")
-        tiled = 1
+        tiled, var_ids = 1, [vid for vid, _, _ in axes[first:first + n_axes]]
+        need(var_ids == sorted(set(var_ids)),
+             f"table {t} has axes out of variable order")
         for vid, stride, card in reversed(axes[first:first + n_axes]):
-            need(0 <= vid < n_vars and card == var_table[vid, 2]
+            need(0 <= vid < n_vars and card == var_table[vid, 2] > 1
                  and stride == tiled,
                  f"table {t} has an axis that is not a variable's, or "
                  "strides that do not tile it")
             tiled *= card
         need(tiled == size, f"table {t} has strides that do not tile it")
+        table_vars.append(var_ids)
         if bounds is None:
-            need((addr, count, covered) == (0, 0, size),
+            need((addr, count) == (0, 0),
                  f"table {t} names a run list it does not have")
             continue
         need(_is_i64(bounds, 2 * count) and count >= 1
              and bounds.ctypes.data == addr
              and 0 <= bounds[0] and bounds[-1] <= size
-             and bool((np.diff(bounds) > 0).all())
-             and covered == (bounds[1::2] - bounds[::2]).sum(),
+             and bool((np.diff(bounds) > 0).all()),
              f"table {t} has a run list leaving it")
 
     meta = tables.meta
@@ -224,10 +283,13 @@ def check_tables(spec, tables: PlanTables, prior=None) -> None:
     edges = {(e.child, e.parent, n_cliques + e.sep_id)
              for e in spec.edges.values()}
     checked: set[tuple[int, int]] = set()
-    for i, (row, operands) in enumerate(zip(meta.tolist(), tables.operands)):
-        upward, marg_addr, abs_addr, src, dst, sep = row
+    meta_rows = meta.tolist()
+    for i, (row, operands) in enumerate(zip(meta_rows, tables.operands)):
+        upward, marg_addr, abs_addr, src, dst, sep = row[:6]
         need(((src, dst, sep) if upward else (dst, src, sep)) in edges
-             and rows[sep][1] <= tables.max_sep,
+             and rows[sep][1] <= tables.max_sep
+             and set(table_vars[sep]) <= set(table_vars[src])
+             & set(table_vars[dst]),
              f"message {i} does not name the tables of a plan edge")
         sep_size = rows[sep][1]
         for imap, addr, tid in zip(operands, (marg_addr, abs_addr),
@@ -238,10 +300,12 @@ def check_tables(spec, tables: PlanTables, prior=None) -> None:
                 need(0 <= imap.min() and imap.max() < sep_size,
                      f"message {i} has an index map leaving its separator")
                 checked.add((addr, sep_size))
-    for v, (tid, stride, card) in enumerate(var_table.tolist()):
-        need(0 <= tid < n_cliques and stride >= 1 and card >= 1
-             and rows[tid][1] % (stride * card) == 0,
-             f"variable {v} does not tile the clique it names")
+    loops, words = message_loops([row[3:6] for row in meta_rows], rows,
+                                 axes)
+    need(_is_i64(tables.loops, *loops.shape)
+         and np.array_equal(tables.loops, loops)
+         and [tuple(row[6:]) for row in meta_rows] == words,
+         "loop rows are not the ones the axes give")
     if prior is None:
         return
     need(isinstance(prior, np.ndarray) and prior.dtype == np.float64
@@ -292,7 +356,7 @@ class NativeKernels(KernelBackend):
         self._message_batch = lib.fbni_message_batch
         self._run_schedule = lib.fbni_run_schedule
         self._infer_cases = lib.fbni_infer_cases
-        # Per-thread scratch (message scratch, case arena, run words) and
+        # Per-thread scratch (message scratch, case arena, case words) and
         # status words: the backend is a process-wide singleton and
         # thread-dispatched case blocks / per-case threads call into it
         # concurrently.
@@ -308,7 +372,7 @@ class NativeKernels(KernelBackend):
     # ------------------------------------------------------------ whole cases
     def _case_scratch(self, *sizes: int) -> tuple:
         """This thread's whole-case scratch: a case arena, a message
-        scratch and run words of at least ``sizes`` entries, and five
+        scratch and case words of at least ``sizes`` entries, and five
         status words — each its own allocation, so a sanitizer sees an
         overrun of any of them.  Returns the status array and the four
         addresses, cached (see :class:`PlanTables`)."""
@@ -360,7 +424,7 @@ class NativeKernels(KernelBackend):
             raise EvidenceError(
                 "evidence matrix holds a state index outside its "
                 "variable's range")
-        meta, table_rows, axes, var_table, reads = tables.addresses
+        meta, table_rows, axes, loops, var_table, reads = tables.addresses
         entries = tables.all_reads[1]
         if read_ids != plan.variable_ids():
             held, entries = reads_table(spec, read_ids)
@@ -372,23 +436,20 @@ class NativeKernels(KernelBackend):
         k = len(evidence)
         # One output block: each row is the marginals then log P(e).
         out = np.empty((k, entries + 1))
-        # Run scratch: CASE_STRIDE words per table, one per message and
-        # (the bound derived at fbni_evidence_runs) one per arena entry.
+        # Case words: CASE_STRIDE per table, one per message, and a copy
+        # of the loop table.
         n_tables = len(tables.tables)
-        run_words = (CASE_STRIDE * n_tables + tables.n_messages
-                     + spec.arena_entries)
-        status, arena, scratch, runs, status_addr = self._case_scratch(
-            spec.arena_entries, 2 * tables.max_sep, run_words)
+        status, arena, scratch, words, status_addr = self._case_scratch(
+            spec.arena_entries, 2 * tables.max_sep,
+            CASE_STRIDE * n_tables + tables.n_messages + tables.loops.size)
         self._infer_cases(
             base[1], spec.num_cliques, arena, meta, tables.n_messages,
-            scratch, table_rows, n_tables, axes, runs, run_words, var_table,
+            scratch, table_rows, n_tables, axes, loops, words, var_table,
             n_vars, evidence.ctypes.data, k, reads, len(read_ids), spec.root,
             out.ctypes.data, entries, status_addr)
         failed, where, *visited = status.tolist()
         if failed >= 0:
             case = "" if case_offset is None else f" in case {case_offset + failed}"
-            if where == RUNS_FULL:
-                raise BackendError(f"native run scratch exhausted{case}")
             if where >= 0:
                 raise EvidenceError(EMPTY_MESSAGE + case)
             name = plan.variable_names[read_ids[-1 - where]]
@@ -435,8 +496,7 @@ class NativeKernels(KernelBackend):
         status = np.empty(1, dtype=np.int64)
         log_norm = self._run_schedule(base, tables.addresses[0],
                                       tables.n_messages, scratch.ctypes.data,
-                                      tables.addresses[1], None, None, None,
-                                      status.ctypes.data)
+                                      tables.addresses[1], status.ctypes.data)
         if int(status[0]) >= 0:
             raise EvidenceError(EMPTY_MESSAGE)
         return tables.n_messages, log_norm

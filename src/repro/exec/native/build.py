@@ -4,13 +4,14 @@ The C source below is the whole library: one function executing a full
 Hugin message (marginalize → normalize → ratio → absorb) over contiguous
 float64 tables through precomputed int64 index maps, its batched
 table-major variant, the compiled-schedule runner built on it, and the
-whole-case entry point ``fbni_infer_cases``.
+whole-case entry point ``fbni_infer_cases``, which walks strided loops
+over each table's free axes instead of maps.
 It is compiled on first use with whatever C compiler
-the system provides (``cc``/``gcc``/``clang``; ``-O3 -fPIC -shared``) into
+the system provides (``cc``/``gcc``/``clang``; :data:`CFLAGS`) into
 a shared object cached under a **content-hash key** — the SHA-256 of the
-source text plus the compiler path — so a source or toolchain change can
-never pick up a stale binary, and repeat runs (including separate worker
-processes) just ``dlopen`` the cached file.
+source text, the compiler path and the flags — so a source, toolchain
+or flag change can never pick up a stale binary, and repeat runs
+(including separate worker processes) just ``dlopen`` the cached file.
 
 Cache location: ``$REPRO_NATIVE_CACHE`` if set, else
 ``$XDG_CACHE_HOME/fastbni/native``, else ``~/.cache/fastbni/native``.
@@ -53,14 +54,13 @@ C_SOURCE = r"""
  * round-off.
  *
  * The optional run lists ([start, end) int64 pairs) name the only
- * stretches of a table a loop need visit.  Two sources, one format:
- * entries whose CPT-product base is zero (a zero contributes nothing to
- * a marginal and stays zero under the multiply-only updates calibration
- * performs, so the calibrated prior keeps it), and, on the whole-case
- * path, entries the case's evidence rules out: they are never
- * initialised, read or written, in any table that holds an observed
- * variable (a finding is a 0/1 factor, so applying it in all of them
- * gives the distribution applying it in one does).
+ * stretches of a table a loop need visit: entries whose CPT-product base
+ * is zero contribute nothing to a marginal and stay zero under the
+ * multiply-only updates calibration performs, so the calibrated prior
+ * keeps them.
+ *
+ * The whole-case call (fbni_infer_cases) reads no index map and no run
+ * list: it walks each table as a strided loop over its free axes.
  */
 #include <math.h>
 #include <stdint.h>
@@ -91,12 +91,20 @@ static void fill_range(double *values, double value, i64 lo, i64 hi)
         values[i] = value;
 }
 
+/* Four accumulators: the compiler will not vectorise one FP chain. */
 static double sum_range(const double *values, i64 lo, i64 hi)
 {
-    double total = 0.0;
-    for (i64 i = lo; i < hi; ++i)
-        total += values[i];
-    return total;
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    i64 i = lo;
+    for (; i + 4 <= hi; i += 4) {
+        s0 += values[i];
+        s1 += values[i + 1];
+        s2 += values[i + 2];
+        s3 += values[i + 3];
+    }
+    for (; i < hi; ++i)
+        s0 += values[i];
+    return (s0 + s1) + (s2 + s3);
 }
 
 /* scratch must hold 2 * sep_size doubles (new separator + ratio).
@@ -166,152 +174,281 @@ i64 fbni_message_batch(const double *src, double *dst, double *sep,
  *   [0] arena offset (entries) [1] size
  *   [2] first row in `axes`    [3] number of axes
  *   [4] nonzero-runs address (0 = dense)        [5] run count
- *   [6] entries those runs cover (= size when dense)
  *
  * and the compiled schedule, FBNI_META_STRIDE words per message:
  *
  *   [0] upward flag            [1] marginalize-map address
  *   [2] absorb-map address     [3] src table id
  *   [4] dst table id           [5] sep table id
+ *   [6]-[8] the slots of the message's loops (whole cases, below)
  *
  * Map/run addresses are raw pointers to int64 arrays the caller keeps
  * alive; table operands are located by offset from the state's arena
- * base, so one compiled schedule serves every per-case arena.  A table
- * is walked through words [4]-[6] of its row, or, when walks is given,
- * through the first 3 of the FBNI_CASE_STRIDE words it holds there
- * (same meaning).  need, when given, names the messages to run (need[m]
- * != 0).  visited, when given, grows by the clique entries the messages
- * run walked ([0]), those the whole schedule would walk with no run list
- * ([1]) and the messages run ([2]).  Returns the accumulated
- * log-normalisation constant of the collect messages run; status[0]
- * receives -1, or the index of the message whose total came up empty
- * (impossible evidence). */
-#define FBNI_TABLE_STRIDE 7
-#define FBNI_META_STRIDE 6
-#define FBNI_CASE_STRIDE 5
+ * base, so one compiled schedule serves every per-case arena.  This
+ * runner walks the maps and each table's nonzero runs.  Returns the
+ * accumulated log-normalisation constant of the collect messages;
+ * status[0] receives -1, or the index of the message whose total came
+ * up empty (impossible evidence). */
+#define FBNI_TABLE_STRIDE 6
+#define FBNI_META_STRIDE 9
 
 double fbni_run_schedule(double *arena, const i64 *meta, i64 n_messages,
-                         double *scratch, const i64 *tables,
-                         const i64 *walks, const i64 *need, i64 *visited,
-                         i64 *status)
+                         double *scratch, const i64 *tables, i64 *status)
 {
     double log_norm = 0.0;
     for (i64 m = 0; m < n_messages; ++m) {
         const i64 *e = meta + m * FBNI_META_STRIDE;
-        const i64 *t[3], *w[3];  /* src, dst, sep: table row and walk */
-        for (int k = 0; k < 3; ++k) {
+        const i64 *t[3];  /* src, dst, sep */
+        for (int k = 0; k < 3; ++k)
             t[k] = tables + e[3 + k] * FBNI_TABLE_STRIDE;
-            w[k] = walks ? walks + e[3 + k] * FBNI_CASE_STRIDE : t[k] + 4;
-        }
-        if (visited)
-            visited[1] += t[0][1] + t[1][1];
-        if (need && !need[m])
-            continue;
         double total = fbni_message(
             arena + t[0][0], arena + t[1][0], arena + t[2][0],
             (const i64 *)(uintptr_t)e[1], (const i64 *)(uintptr_t)e[2],
             t[0][1], t[1][1], t[2][1], scratch,
-            (const i64 *)(uintptr_t)w[0][0], w[0][1],
-            (const i64 *)(uintptr_t)w[1][0], w[1][1],
-            (const i64 *)(uintptr_t)w[2][0], w[2][1]);
+            (const i64 *)(uintptr_t)t[0][4], t[0][5],
+            (const i64 *)(uintptr_t)t[1][4], t[1][5], 0, 0);
         if (!(total > 0.0)) {
             status[0] = m;
             return 0.0;
         }
         if (e[0])
             log_norm += log(total);
-        if (visited) {
-            visited[0] += w[0][2] + w[1][2];
-            ++visited[2];
-        }
     }
     status[0] = -1;
     return log_norm;
 }
 
-/* The runs of a table one case's evidence leaves possible.
- *
- * axes holds the table's n_axes axes outermost first, FBNI_AXIS_STRIDE
- * words each: [0] variable id, [1] stride, [2] cardinality; the strides
- * tile the table row-major.  observed[v] is variable v's state, or -1.
- * An axis is pinned when its variable is observed and has more than one
- * state (a one-state variable constrains nothing).  The consistent
- * entries are runs as long as the innermost pinned axis' stride, one
- * per joint state of the free axes outside it: a mixed-radix odometer
- * over those emits them in increasing order, at a cost proportional to
- * runs, not entries.  clip, when given, is an increasing run list to
- * intersect with: the two lists advance together and only the overlaps
- * are written.
- *
- * Writes [start, end) pairs to out and returns their number; -1 when
- * no axis is pinned (nothing written: the table is as dense as clip
- * says); FBNI_RUNS_FULL rather than exceed out's capacity (in words).
- * Runs are disjoint, non-empty and consistent, and a pinned axis leaves
- * at most half a table consistent, so 2 * runs <= table size: a word
- * per arena entry holds the lists of every table of a case. */
+/* Strided loops.  A table's axes are FBNI_AXIS_STRIDE words each,
+ * outermost first: [0] variable id, [1] stride, [2] cardinality (always
+ * > 1: a one-state variable has no axis); the strides tile the table
+ * row-major.  A loop walks the entries of a table the case's evidence
+ * leaves possible and carries, alongside, the index of each entry in a
+ * second table, the target: the message's separator, a read's marginal
+ * or, with no axes, a single total.  An axis whose variable is observed
+ * is pinned: it adds state * stride to the table offset, state * its
+ * target stride (0 when the target lacks the variable) to the target
+ * offset, and leaves the loop -- the entries evidence rules out are
+ * never initialised, read or written.  The free axes left are merged
+ * wherever they stay contiguous in both tables, into FBNI_DIM_STRIDE
+ * rows of (count, stride, target stride), outermost first.  This is the
+ * paper's stride-triple mapping computed as the loop goes. */
 #define FBNI_AXIS_STRIDE 3
+#define FBNI_DIM_STRIDE 3
 #define FBNI_MAX_AXES 64
-#define FBNI_RUNS_FULL INT64_MIN
 
-i64 fbni_evidence_runs(const i64 *axes, i64 n_axes, const i64 *observed,
-                       const i64 *clip, i64 n_clip, i64 *out, i64 capacity)
+typedef struct {
+    const i64 *dims;  /* n rows */
+    i64 n, off, target_off;
+} loop_t;
+
+/* The loop of the table with axes `axes` against the target with axes
+ * `target`, both in increasing variable id order; observed[v] is
+ * variable v's state, or -1.  dims receives the rows and must hold
+ * n_axes of them. */
+static void pin(const i64 *axes, i64 n_axes, const i64 *target,
+                i64 n_target, const i64 *observed, i64 *dims, loop_t *loop)
 {
-    i64 card[FBNI_MAX_AXES], stride[FBNI_MAX_AXES], digit[FBNI_MAX_AXES];
-    i64 start = 0, length = 0, depth = 0, pending = 0;
+    i64 n = 0, off = 0, target_off = 0;
+    i64 b = 0;
     for (i64 a = 0; a < n_axes; ++a) {
         const i64 *axis = axes + a * FBNI_AXIS_STRIDE;
-        if (axis[2] > 1 && observed[axis[0]] >= 0) {
-            start += observed[axis[0]] * axis[1];
-            length = axis[1];
-            depth += pending;  /* free axes so far lie outside this one */
-            pending = 0;
-        } else if (axis[2] > 1) {
-            stride[depth + pending] = axis[1];
-            card[depth + pending] = axis[2];
-            digit[depth + pending] = 0;
-            ++pending;
+        while (b < n_target && target[b * FBNI_AXIS_STRIDE] < axis[0])
+            ++b;
+        i64 tstride = b < n_target && target[b * FBNI_AXIS_STRIDE] == axis[0]
+                      ? target[b * FBNI_AXIS_STRIDE + 1] : 0;
+        i64 state = observed[axis[0]];
+        if (state >= 0) {
+            off += state * axis[1];
+            target_off += state * tstride;
+            continue;
         }
-    }
-    if (length == 0)
-        return -1;
-    static const i64 everything[2] = {0, INT64_MAX};
-    if (!clip) {
-        clip = everything;
-        n_clip = 1;
-    }
-    i64 n = 0, k = 0;
-    for (;;) {
-        i64 end = start + length;
-        for (; k < n_clip && clip[2 * k] < end; ++k) {
-            i64 lo = clip[2 * k] > start ? clip[2 * k] : start;
-            i64 hi = clip[2 * k + 1] < end ? clip[2 * k + 1] : end;
-            if (lo < hi) {
-                if (2 * n + 2 > capacity)
-                    return FBNI_RUNS_FULL;
-                out[2 * n] = lo;
-                out[2 * n + 1] = hi;
-                ++n;
-            }
-            if (clip[2 * k + 1] > end)
-                break;  /* this clip run reaches into the next one */
+        i64 *dim = dims + n * FBNI_DIM_STRIDE;
+        if (n > 0 && dim[-2] == axis[1] * axis[2]
+                && dim[-1] == tstride * axis[2]) {
+            dim -= FBNI_DIM_STRIDE;  /* contiguous with the row before */
+            dim[0] *= axis[2];
+        } else {
+            dim[0] = axis[2];
+            ++n;
         }
-        i64 d = depth - 1;
-        for (; d >= 0; --d) {
-            if (++digit[d] < card[d]) {
-                start += stride[d];
-                break;
-            }
-            start -= (card[d] - 1) * stride[d];
-            digit[d] = 0;
-        }
-        if (d < 0)
-            return n;
+        dim[1] = axis[1];
+        dim[2] = tstride;
     }
+    loop->dims = dims;
+    loop->n = n;
+    loop->off = off;
+    loop->target_off = target_off;
+}
+
+/* BODY once per joint state of all but the two innermost rows, with i_
+ * and j_ the table and target index it starts at: a body is the nested
+ * loops of those two rows (inner_rows), the rest an odometer, so a small
+ * table pays no odometer step per run. */
+#define WALK(loop, ...)                                                 \
+    do {                                                                \
+        const i64 *d_ = (loop)->dims;                                   \
+        i64 n_ = (loop)->n, i_ = (loop)->off, j_ = (loop)->target_off;  \
+        i64 digit_[FBNI_MAX_AXES];                                      \
+        for (i64 a_ = 0; a_ < n_ - 2; ++a_)                             \
+            digit_[a_] = 0;                                             \
+        for (;;) {                                                      \
+            __VA_ARGS__;                                                \
+            i64 a_ = n_ - 3;                                            \
+            for (; a_ >= 0; --a_) {                                     \
+                const i64 *dim_ = d_ + a_ * FBNI_DIM_STRIDE;            \
+                if (++digit_[a_] < dim_[0]) {                           \
+                    i_ += dim_[1];                                      \
+                    j_ += dim_[2];                                      \
+                    break;                                              \
+                }                                                       \
+                digit_[a_] = 0;                                         \
+                i_ -= (dim_[0] - 1) * dim_[1];                          \
+                j_ -= (dim_[0] - 1) * dim_[2];                          \
+            }                                                           \
+            if (a_ < 0)                                                 \
+                break;                                                  \
+        }                                                               \
+    } while (0)
+
+/* The two innermost rows, padded with count-1 rows. */
+static void inner_rows(const loop_t *loop, i64 *mid, i64 *in)
+{
+    static const i64 one[FBNI_DIM_STRIDE] = {1, 0, 0};
+    i64 n = loop->n;
+    memcpy(in, n > 0 ? loop->dims + (n - 1) * FBNI_DIM_STRIDE : one,
+           sizeof one);
+    memcpy(mid, n > 1 ? loop->dims + (n - 2) * FBNI_DIM_STRIDE : one,
+           sizeof one);
+}
+
+static i64 loop_entries(const loop_t *loop)
+{
+    i64 entries = 1;
+    for (i64 a = 0; a < loop->n; ++a)
+        entries *= loop->dims[a * FBNI_DIM_STRIDE];
+    return entries;
+}
+
+/* Dispatch on the innermost run length so the common short ones are
+ * compile-time constants the compiler unrolls. */
+#define BY_LENGTH(n, BODY)                                              \
+    switch (n) {                                                        \
+    case 2: BODY(2); break;                                             \
+    case 3: BODY(3); break;                                             \
+    case 4: BODY(4); break;                                             \
+    default: BODY(n);                                                   \
+    }
+
+/* target[j] += table[i] over the loop.  The innermost row's runs are
+ * reduced into one target entry, added elementwise (in registers when
+ * the middle row sums into the same entries) or strided; the choice is
+ * made once per loop. */
+static void marginalize(const loop_t *loop, const double *restrict table,
+                        double *restrict target)
+{
+    i64 mid[FBNI_DIM_STRIDE], in[FBNI_DIM_STRIDE];
+    inner_rows(loop, mid, in);
+    const i64 c = mid[0], s = mid[1], t = mid[2], n = in[0];
+#define REDUCE(N) WALK(loop,                                            \
+    for (i64 m = 0; m < c; ++m)                                         \
+        target[j_ + m * t] += sum_range(table, i_ + m * s, i_ + m * s + (N)))
+#define ADD(N) WALK(loop,                                               \
+    for (i64 m = 0; m < c; ++m)                                         \
+        for (i64 k = 0; k < (N); ++k)                                   \
+            target[j_ + m * t + k] += table[i_ + m * s + k])
+#define ACCUMULATE(N) WALK(loop,                                        \
+    double acc[N] = {0};                                                \
+    for (i64 m = 0; m < c; ++m)                                         \
+        for (i64 k = 0; k < (N); ++k)                                   \
+            acc[k] += table[i_ + m * s + k];                            \
+    for (i64 k = 0; k < (N); ++k)                                       \
+        target[j_ + k] += acc[k])
+    if (in[1] == 1 && in[2] == 0) {
+        BY_LENGTH(n, REDUCE);
+    } else if (in[1] == 1 && in[2] == 1 && t == 0 && n <= 4) {
+        switch (n) {
+        case 1: ACCUMULATE(1); break;
+        case 2: ACCUMULATE(2); break;
+        case 3: ACCUMULATE(3); break;
+        default: ACCUMULATE(4);
+        }
+    } else if (in[1] == 1 && in[2] == 1) {
+        BY_LENGTH(n, ADD);
+    } else {
+        WALK(loop,
+             for (i64 m = 0; m < c; ++m)
+                 for (i64 k = 0; k < n; ++k)
+                     target[j_ + m * t + k * in[2]]
+                         += table[i_ + m * s + k * in[1]]);
+    }
+#undef REDUCE
+#undef ADD
+#undef ACCUMULATE
+}
+
+/* table[i] = src[i] * ratio[j] over the loop; src is table or the
+ * prior.  The innermost row's runs are scaled by one ratio entry,
+ * multiplied elementwise or strided. */
+static void absorb(const loop_t *loop, double *table, const double *src,
+                   const double *restrict ratio)
+{
+    i64 mid[FBNI_DIM_STRIDE], in[FBNI_DIM_STRIDE];
+    inner_rows(loop, mid, in);
+    const i64 c = mid[0], s = mid[1], t = mid[2], n = in[0];
+#define SCALE(N) WALK(loop,                                             \
+    for (i64 m = 0; m < c; ++m) {                                       \
+        double r = ratio[j_ + m * t];                                   \
+        for (i64 k = 0; k < (N); ++k)                                   \
+            table[i_ + m * s + k] = src[i_ + m * s + k] * r;            \
+    })
+#define MUL(N) WALK(loop,                                               \
+    for (i64 m = 0; m < c; ++m)                                         \
+        for (i64 k = 0; k < (N); ++k)                                   \
+            table[i_ + m * s + k] = src[i_ + m * s + k]                 \
+                                    * ratio[j_ + m * t + k])
+    if (in[1] == 1 && in[2] == 0) {
+        BY_LENGTH(n, SCALE);
+    } else if (in[1] == 1 && in[2] == 1) {
+        BY_LENGTH(n, MUL);
+    } else {
+        WALK(loop,
+             for (i64 m = 0; m < c; ++m)
+                 for (i64 k = 0; k < n; ++k)
+                     table[i_ + m * s + k * in[1]]
+                         = src[i_ + m * s + k * in[1]]
+                           * ratio[j_ + m * t + k * in[2]]);
+    }
+#undef SCALE
+#undef MUL
+}
+
+/* The loop primitives on their own (a test surface): marginalize adds
+ * each free entry of table into out, absorb writes in * ratio over them
+ * (in is table, or another array); out and ratio are laid out as the
+ * target.  n_axes <= FBNI_MAX_AXES. */
+void fbni_pinned_marginalize(const double *table, const i64 *axes,
+                             i64 n_axes, const i64 *target, i64 n_target,
+                             const i64 *observed, double *out)
+{
+    i64 dims[FBNI_MAX_AXES * FBNI_DIM_STRIDE];
+    loop_t loop;
+    pin(axes, n_axes, target, n_target, observed, dims, &loop);
+    marginalize(&loop, table, out);
+}
+
+void fbni_pinned_absorb(double *table, const double *in, const i64 *axes,
+                        i64 n_axes, const i64 *target, i64 n_target,
+                        const i64 *observed, const double *ratio)
+{
+    i64 dims[FBNI_MAX_AXES * FBNI_DIM_STRIDE];
+    loop_t loop;
+    pin(axes, n_axes, target, n_target, observed, dims, &loop);
+    absorb(&loop, table, in, ratio);
 }
 
 /* Whole cases in one foreign call, case after case over one single-case
- * scratch arena (so a case's tables and index maps stay cache-resident
- * and a block of cases needs no more memory than one).
+ * scratch arena (so a case's tables stay cache-resident and a block of
+ * cases needs no more memory than one).
  *
  * prior is the plan's arena after one no-evidence calibration, every
  * table normalised to sum 1 (clique C holds P(C), separator S P(S)).  A
@@ -320,187 +457,256 @@ i64 fbni_evidence_runs(const i64 *axes, i64 n_axes, const i64 *observed,
  * observed clique, a distribute message iff that subtree holds a read
  * clique and some observed clique lies outside it.  A skipped collect
  * message's total is 1, so log P(e) is the sum of log totals over the
- * collect messages run plus the log of the root total.  Only the tables
- * a run message, the evidence, a read or the root total touch are copied
- * from the prior.
+ * collect messages run plus the log of the root total.
  *
- * Per case and per table (cliques and separators alike)
- * fbni_evidence_runs lists the consistent entries, clipped to the
- * clique's nonzero runs, and the prior copy, every loop of every
- * message, the reads and the root total walk those lists.  A table with
- * no observed variable keeps its static list, or none: the dense loops.
+ * The prior is read in place: a table nobody has written in this case is
+ * read from prior, the first separator update reads its old values
+ * there, and the first absorb into a clique writes prior * ratio over
+ * its free entries; from then on the arena copy is current.  Every loop
+ * -- both clique loops and the three separator loops of a message, the
+ * root total and the reads -- walks the table's free entries only.
+ *
+ * A message's three loops (its src and dst clique and its separator,
+ * each against the separator) sit in loops, a slot each, named by words
+ * [6], [7], [8] of the message; the two messages of an edge share its
+ * three slots.  A slot is a head row, (rows, 0, 0), then the rows of the
+ * loop with nothing pinned, built when the plan is lowered, in room for
+ * as many rows as its table has axes.  When the case's evidence pins the
+ * table, pin() derives the loop from the axes instead, once per case,
+ * into the case's copy of the slot, whose head row then reads (rows,
+ * table offset, separator offset), or -1 rows before the case derives
+ * it.  The root total's and the reads' loops are derived per case.
  *
  * Variables are FBNI_VAR_STRIDE words each: [0] the table id of the
- * variable's clique, [1] its stride there, [2] its cardinality, so that
- * the clique is size / (stride * cardinality) blocks of `cardinality`
- * segments of `stride` contiguous entries, one state per segment.
+ * variable's clique, [1] its stride there, [2] its cardinality.
  *
- * runs is run_words of scratch: FBNI_CASE_STRIDE words per table (the
- * case's list address, run count and entries covered, the observed
- * cliques in the subtree a clique roots, FBNI_* flags), a need word per
- * message (collect phase first, children before parents), then the
- * lists themselves.  Tables 0 .. n_cliques - 1 are the cliques.
- * evidence is (n_cases, n_vars) row-major, a state index or -1 per
- * variable; reads holds n_reads (variable id, offset into the output
- * row) pairs; out is (n_cases, out_entries + 1): row c receives each
- * read's normalised marginal at its offset and, last, log P(e).
+ * words is FBNI_CASE_STRIDE words per table (the observed cliques in
+ * the subtree a clique roots, FBNI_* flags), a need word per message
+ * (collect phase first, children before parents), then the case's copy
+ * of loops.  Tables 0 ..
+ * n_cliques - 1 are the cliques.  evidence is (n_cases, n_vars)
+ * row-major, a state index or -1 per variable; reads holds n_reads
+ * (variable id, offset into the output row) pairs; out is (n_cases,
+ * out_entries + 1): row c receives each read's normalised marginal at
+ * its offset and, last, log P(e).
  *
  * status[0] = -1 on success.  Otherwise the call stops at the first
  * failing case c with status[0] = c and status[1] = the index of the
  * message that came up empty, n_messages when the root total is zero
- * (both: impossible evidence, found before any read), -(1 + r) when read
- * r could not be normalised, its total left in the row's last slot, or
- * FBNI_RUNS_FULL when the run scratch is too small.  status[2] - [4]
- * sum fbni_run_schedule's visited counts over the cases. */
+ * (both: impossible evidence, found before any read), or -(1 + r) when
+ * read r could not be normalised, its total left in the row's last slot.
+ * status[2] - [4] sum over the cases the clique entries the messages run
+ * walked, those every message of the schedule would walk dense, and the
+ * messages run. */
 #define FBNI_VAR_STRIDE 3
+#define FBNI_CASE_STRIDE 2
 #define FBNI_READ 1      /* the subtree a clique roots holds a read clique */
-#define FBNI_TOUCHED 2   /* copied from the prior for this case */
-#define FBNI_OBSERVED 4  /* walked through the case's own run list */
+#define FBNI_PINNED 2    /* the case observes a variable of the table */
+#define FBNI_WRITTEN 4   /* the arena copy is current, not the prior */
 #define FAIL(c, why) do { status[0] = (c); status[1] = (why); return; } while (0)
 
-static double marginal_var(const double *table, i64 size, i64 stride, i64 card,
-                           double *marg, const i64 *runs, i64 n_runs)
-{
-    for (i64 d = 0; d < card; ++d)
-        marg[d] = 0.0;
-    if (!runs) {
-        for (i64 o = 0; o < size; o += stride * card)
-            for (i64 d = 0; d < card; ++d)
-                marg[d] += sum_range(table, o + d * stride,
-                                     o + (d + 1) * stride);
-        return sum_range(marg, 0, card);
-    }
-    /* Segment [seg_end - stride, seg_end) holds state d; runs increase,
-     * so the segment only ever steps forward. */
-    i64 seg_end = stride, d = 0;
-    for (i64 r = 0; r < n_runs; ++r) {
-        i64 i = runs[2 * r], hi = runs[2 * r + 1];
-        while (i < hi) {
-            while (i >= seg_end) {
-                seg_end += stride;
-                if (++d == card)
-                    d = 0;
-            }
-            i64 stop = seg_end < hi ? seg_end : hi;
-            marg[d] += sum_range(table, i, stop);
-            i = stop;
-        }
-    }
-    return sum_range(marg, 0, card);
-}
-
-/* need[m] for every message (the rule above), and FBNI_TOUCHED on the
- * three tables of each message that runs.  The collect pass sums, per
- * clique, the observed cliques and the read flags of the subtree it
- * roots before any distribute message asks about them. */
+/* need[m] for every message (the rule above), and no slot derived yet.
+ * The collect pass sums, per clique, the observed cliques and the read
+ * flags of the subtree it roots before any distribute message asks
+ * about them. */
 static void select_messages(const i64 *meta, i64 n_messages, i64 *words,
-                            i64 observed_cliques, i64 *need)
+                            i64 observed_cliques, i64 *need, i64 *rows)
 {
     for (i64 m = 0; m < n_messages; ++m) {
         const i64 *e = meta + m * FBNI_META_STRIDE;
+        for (int k = 0; k < 3; ++k)
+            rows[e[6 + k] * FBNI_DIM_STRIDE] = -1;
         i64 *src = words + e[3] * FBNI_CASE_STRIDE;
         i64 *dst = words + e[4] * FBNI_CASE_STRIDE;
         if (e[0]) {
-            need[m] = src[3] > 0;
-            dst[3] += src[3];
-            dst[4] |= src[4] & FBNI_READ;
+            need[m] = src[0] > 0;
+            dst[0] += src[0];
+            dst[1] |= src[1] & FBNI_READ;
         } else {
-            need[m] = (dst[4] & FBNI_READ) && observed_cliques > dst[3];
-        }
-        if (need[m]) {
-            src[4] |= FBNI_TOUCHED;
-            dst[4] |= FBNI_TOUCHED;
-            words[e[5] * FBNI_CASE_STRIDE + 4] |= FBNI_TOUCHED;
+            need[m] = (dst[1] & FBNI_READ) && observed_cliques > dst[0];
         }
     }
 }
 
-/* The touched tables as the case finds them: an observed table's runs,
- * any other table whole. */
-static void init_touched(double *arena, const double *prior,
-                         const i64 *tables, i64 n_tables, const i64 *words)
+/* The separator passes of a message, over the separator's own loop:
+ * zero new_sep, sum it, or normalise it by total, writing its ratio to
+ * the old copy into ratio and the new separator into out (which may be
+ * old). */
+enum { SEP_ZERO, SEP_SUM, SEP_UPDATE };
+
+static double sep_pass(int pass, const loop_t *sep, double *restrict new_sep,
+                       const double *old, double *restrict ratio,
+                       double *out, double total)
 {
-    for (i64 t = 0; t < n_tables; ++t) {
-        const i64 *row = tables + t * FBNI_TABLE_STRIDE;
-        const i64 *mine = words + t * FBNI_CASE_STRIDE;
-        if (mine[4] & FBNI_TOUCHED)
-            OVER(mine[4] & FBNI_OBSERVED ? (const i64 *)(uintptr_t)mine[0]
-                                         : NULL, mine[1], row[1],
-                 memcpy(arena + row[0] + lo, prior + row[0] + lo,
-                        (size_t)(hi - lo) * sizeof(double)));
+    i64 mid[FBNI_DIM_STRIDE], in[FBNI_DIM_STRIDE];
+    inner_rows(sep, mid, in);
+    const i64 c = mid[0], s = mid[1], n = in[0], step = in[1];
+    double sum = 0.0;
+#define EACH(OP)                                                        \
+    if (step == 1)                                                      \
+        WALK(sep, for (i64 m = 0; m < c; ++m)                           \
+                      for (i64 k = i_ + m * s; k < i_ + m * s + n; ++k) \
+                          OP);                                          \
+    else                                                                \
+        WALK(sep, for (i64 m = 0; m < c; ++m)                           \
+                      for (i64 q = 0, k = i_ + m * s; q < n;            \
+                           ++q, k += step)                              \
+                          OP)
+    if (pass == SEP_ZERO) {
+        EACH(new_sep[k] = 0.0);
+    } else if (pass == SEP_SUM) {
+        if (step == 1)
+            WALK(sep, for (i64 m = 0; m < c; ++m)
+                          sum += sum_range(new_sep, i_ + m * s,
+                                           i_ + m * s + n));
+        else
+            EACH(sum += new_sep[k]);
+    } else {
+        EACH({
+            double ns = new_sep[k] / total;
+            ratio[k] = ns / (old[k] + (old[k] == 0.0 ? 1.0 : 0.0));
+            out[k] = ns;
+        });
     }
+#undef EACH
+    return sum;
+}
+
+struct case_ctx {
+    const i64 *tables, *axes, *loops, *observed;
+    i64 *words, *rows;
+    const double *prior;
+    double *arena;
+};
+
+/* A table's current copy: the arena once written, else the prior. */
+static const double *current(const struct case_ctx *x, i64 t)
+{
+    const i64 *row = x->tables + t * FBNI_TABLE_STRIDE;
+    return (x->words[t * FBNI_CASE_STRIDE + 1] & FBNI_WRITTEN
+            ? x->arena : x->prior) + row[0];
+}
+
+/* Table t's loop against target table u (u < 0: a single total). */
+static void table_loop(const struct case_ctx *x, i64 t, i64 u, i64 *dims,
+                       loop_t *loop)
+{
+    const i64 *row = x->tables + t * FBNI_TABLE_STRIDE;
+    const i64 *target = u < 0 ? NULL : x->tables + u * FBNI_TABLE_STRIDE;
+    pin(x->axes + row[2] * FBNI_AXIS_STRIDE, row[3],
+        target ? x->axes + target[2] * FBNI_AXIS_STRIDE : NULL,
+        target ? target[3] : 0, x->observed, dims, loop);
+}
+
+/* Loop k of message e (0 src, 1 dst, 2 the separator), against the
+ * separator. */
+static loop_t message_loop(const struct case_ctx *x, const i64 *e, int k)
+{
+    i64 t = e[k < 2 ? 3 + k : 5], slot = e[6 + k] * FBNI_DIM_STRIDE;
+    if (!(x->words[t * FBNI_CASE_STRIDE + 1] & FBNI_PINNED))
+        return (loop_t){x->loops + slot + FBNI_DIM_STRIDE, x->loops[slot],
+                        0, 0};
+    i64 *head = x->rows + slot;
+    loop_t loop = {head + FBNI_DIM_STRIDE, head[0], head[1], head[2]};
+    if (head[0] < 0) {
+        table_loop(x, t, e[5], head + FBNI_DIM_STRIDE, &loop);
+        head[0] = loop.n;
+        head[1] = loop.off;
+        head[2] = loop.target_off;
+    }
+    return loop;
+}
+
+/* One message of a case; returns its total, adding the clique entries
+ * it walked to *walked (a total <= 0: impossible evidence). */
+static double case_message(const struct case_ctx *x, const i64 *e,
+                           double *scratch, i64 *walked)
+{
+    loop_t src = message_loop(x, e, 0), dst = message_loop(x, e, 1),
+           sep = message_loop(x, e, 2);
+    i64 sep_size = x->tables[e[5] * FBNI_TABLE_STRIDE + 1];
+    double *new_sep = scratch, *ratio = scratch + sep_size;
+    sep_pass(SEP_ZERO, &sep, new_sep, NULL, NULL, NULL, 0.0);
+    marginalize(&src, current(x, e[3]), new_sep);
+    double total = sep_pass(SEP_SUM, &sep, new_sep, NULL, NULL, NULL, 0.0);
+    if (!(total > 0.0))
+        return total;
+    sep_pass(SEP_UPDATE, &sep, new_sep, current(x, e[5]), ratio,
+             x->arena + x->tables[e[5] * FBNI_TABLE_STRIDE], total);
+    x->words[e[5] * FBNI_CASE_STRIDE + 1] |= FBNI_WRITTEN;
+    /* A clique's first write is prior * ratio (a likelihood block for the
+     * clique would be multiplied in here); later ones update in place. */
+    absorb(&dst, x->arena + x->tables[e[4] * FBNI_TABLE_STRIDE],
+           current(x, e[4]), ratio);
+    x->words[e[4] * FBNI_CASE_STRIDE + 1] |= FBNI_WRITTEN;
+    *walked += loop_entries(&src) + loop_entries(&dst);
+    return total;
 }
 
 void fbni_infer_cases(const double *prior, i64 n_cliques, double *arena,
                       const i64 *meta, i64 n_messages, double *scratch,
-                      const i64 *tables, i64 n_tables,
-                      const i64 *axes, i64 *runs, i64 run_words,
+                      const i64 *tables, i64 n_tables, const i64 *axes,
+                      const i64 *loops, i64 *words,
                       const i64 *vars, i64 n_vars,
                       const i64 *evidence, i64 n_cases,
                       const i64 *reads, i64 n_reads, i64 root,
                       double *out, i64 out_entries, i64 *status)
 {
-    i64 *need = runs + FBNI_CASE_STRIDE * n_tables;
-    i64 *lists = need + n_messages;
-    i64 capacity = run_words - FBNI_CASE_STRIDE * n_tables - n_messages;
+    i64 *need = words + FBNI_CASE_STRIDE * n_tables;
+    i64 dims[FBNI_MAX_AXES * FBNI_DIM_STRIDE];
+    loop_t loop;
+    struct case_ctx x = {tables, axes, loops, NULL, words,
+                         need + n_messages, prior, arena};
     status[0] = status[1] = -1;
     status[2] = status[3] = status[4] = 0;
     for (i64 c = 0; c < n_cases; ++c) {
-        const i64 *observed = evidence + c * n_vars;
-        i64 used = 0, observed_cliques = 0;
+        x.observed = evidence + c * n_vars;
+        i64 observed_cliques = 0;
         for (i64 t = 0; t < n_tables; ++t) {
             const i64 *row = tables + t * FBNI_TABLE_STRIDE;
-            i64 *mine = runs + FBNI_CASE_STRIDE * t;
-            i64 n = fbni_evidence_runs(
-                axes + row[2] * FBNI_AXIS_STRIDE, row[3], observed,
-                (const i64 *)(uintptr_t)row[4], row[5],
-                lists + used, capacity - used);
-            if (n == FBNI_RUNS_FULL)
-                FAIL(c, FBNI_RUNS_FULL);
-            mine[3] = mine[4] = 0;
-            if (n < 0) {  /* left alone: its static list */
-                memcpy(mine, row + 4, 3 * sizeof(i64));
-                continue;
-            }
-            const i64 *list = lists + used;
-            used += 2 * n;
-            mine[0] = (i64)(uintptr_t)list;
-            mine[1] = n;
-            mine[2] = 0;
-            for (i64 r = 0; r < n; ++r)
-                mine[2] += list[2 * r + 1] - list[2 * r];
-            mine[4] = FBNI_OBSERVED | FBNI_TOUCHED;
-            observed_cliques += mine[3] = t < n_cliques;
+            i64 *mine = words + FBNI_CASE_STRIDE * t;
+            mine[0] = mine[1] = 0;
+            for (i64 a = row[2]; a < row[2] + row[3]; ++a)
+                if (x.observed[axes[a * FBNI_AXIS_STRIDE]] >= 0)
+                    mine[1] = FBNI_PINNED;
+            if (mine[1] && t < n_cliques)
+                observed_cliques += mine[0] = 1;
         }
-        runs[FBNI_CASE_STRIDE * root + 4] |= FBNI_TOUCHED;
         for (i64 r = 0; r < n_reads; ++r)
-            runs[FBNI_CASE_STRIDE * vars[reads[2 * r] * FBNI_VAR_STRIDE] + 4]
-                |= FBNI_READ | FBNI_TOUCHED;
-        select_messages(meta, n_messages, runs, observed_cliques, need);
-        init_touched(arena, prior, tables, n_tables, runs);
-        i64 bad = -1;
-        double log_norm = fbni_run_schedule(arena, meta, n_messages, scratch,
-                                            tables, runs, need, status + 2,
-                                            &bad);
-        if (bad >= 0)
-            FAIL(c, bad);
-        const i64 *table = tables + root * FBNI_TABLE_STRIDE;
-        const i64 *mine = runs + FBNI_CASE_STRIDE * root;
+            words[FBNI_CASE_STRIDE * vars[reads[2 * r] * FBNI_VAR_STRIDE]
+                  + 1] |= FBNI_READ;
+        select_messages(meta, n_messages, words, observed_cliques, need,
+                        x.rows);
+        double log_norm = 0.0;
+        for (i64 m = 0; m < n_messages; ++m) {
+            const i64 *e = meta + m * FBNI_META_STRIDE;
+            status[3] += tables[e[3] * FBNI_TABLE_STRIDE + 1]
+                         + tables[e[4] * FBNI_TABLE_STRIDE + 1];
+            if (!need[m])
+                continue;
+            double total = case_message(&x, e, scratch, status + 2);
+            if (!(total > 0.0))
+                FAIL(c, m);
+            if (e[0])
+                log_norm += log(total);
+            ++status[4];
+        }
         double root_total = 0.0;
-        OVER((const i64 *)(uintptr_t)mine[0], mine[1], table[1],
-             root_total += sum_range(arena + table[0], lo, hi));
+        table_loop(&x, root, -1, dims, &loop);
+        marginalize(&loop, current(&x, root), &root_total);
         if (!(root_total > 0.0))
             FAIL(c, n_messages);
         double *row = out + c * (out_entries + 1);
         for (i64 r = 0; r < n_reads; ++r) {
             const i64 *var = vars + reads[2 * r] * FBNI_VAR_STRIDE;
-            const i64 *read = tables + var[0] * FBNI_TABLE_STRIDE;
-            const i64 *walk = runs + FBNI_CASE_STRIDE * var[0];
+            const i64 *table = tables + var[0] * FBNI_TABLE_STRIDE;
+            const i64 target[FBNI_AXIS_STRIDE] = {reads[2 * r], 1, var[2]};
             double *marg = row + reads[2 * r + 1];
-            double total = marginal_var(arena + read[0], read[1], var[1],
-                                        var[2], marg,
-                                        (const i64 *)(uintptr_t)walk[0],
-                                        walk[1]);
+            fill_range(marg, 0.0, 0, var[2]);
+            pin(axes + table[2] * FBNI_AXIS_STRIDE, table[3], target, 1,
+                x.observed, dims, &loop);
+            marginalize(&loop, current(&x, var[0]), marg);
+            double total = sum_range(marg, 0, var[2]);
             if (!(total > 0.0) || isinf(total)) {
                 row[out_entries] = total;
                 FAIL(c, -(1 + r));
@@ -526,11 +732,14 @@ double fbni_probe_spin(i64 n)
 }
 """
 
-#: i64 words per message, variable, table, table axis and per-case table;
-#: the most axes a table may have; ``fbni_evidence_runs`` / ``status[1]``
-#: when the run scratch is too small (all mirror the FBNI_* macros).
-META_STRIDE, VAR_STRIDE, TABLE_STRIDE, AXIS_STRIDE, CASE_STRIDE = 6, 3, 7, 3, 5
-MAX_AXES, RUNS_FULL = 64, -2**63
+#: i64 words per message, variable, table, table axis, loop row and
+#: per-case table, and the most axes a table may have (all mirror the
+#: FBNI_* macros).
+META_STRIDE, VAR_STRIDE, TABLE_STRIDE, AXIS_STRIDE, DIM_STRIDE = 9, 3, 6, 3, 3
+CASE_STRIDE, MAX_AXES = 2, 64
+
+#: The compiler flags of the shared object; part of its cache key.
+CFLAGS = ("-O3", "-fPIC", "-shared")
 
 
 def cache_dir() -> Path:
@@ -553,11 +762,11 @@ def find_compiler() -> str | None:
 
 
 def source_key(compiler: str) -> str:
-    """Content-hash cache key: source text + compiler path."""
+    """Content-hash cache key: source text, compiler path and flags."""
     digest = hashlib.sha256()
-    digest.update(C_SOURCE.encode())
-    digest.update(b"\0")
-    digest.update(compiler.encode())
+    for part in (C_SOURCE, compiler, *CFLAGS):
+        digest.update(part.encode())
+        digest.update(b"\0")
     return digest.hexdigest()[:16]
 
 
@@ -572,13 +781,14 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.fbni_message_batch.argtypes = [ptr, ptr, ptr, ptr, ptr,
                                        i64, i64, i64, i64, ptr, ptr]
     lib.fbni_message_batch.restype = i64
-    lib.fbni_run_schedule.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
-                                      ptr]
+    lib.fbni_run_schedule.argtypes = [ptr, ptr, i64, ptr, ptr, ptr]
     lib.fbni_run_schedule.restype = ctypes.c_double
-    lib.fbni_evidence_runs.argtypes = [ptr, i64, ptr, ptr, i64, ptr, i64]
-    lib.fbni_evidence_runs.restype = i64
+    lib.fbni_pinned_marginalize.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr]
+    lib.fbni_pinned_marginalize.restype = None
+    lib.fbni_pinned_absorb.argtypes = [ptr, ptr, ptr, i64, ptr, i64, ptr, ptr]
+    lib.fbni_pinned_absorb.restype = None
     lib.fbni_infer_cases.argtypes = [ptr, i64, ptr, ptr, i64, ptr,
-                                     ptr, i64, ptr, ptr, i64,
+                                     ptr, i64, ptr, ptr, ptr,
                                      ptr, i64, ptr, i64, ptr, i64, i64,
                                      ptr, i64, ptr]
     lib.fbni_infer_cases.restype = None
@@ -607,8 +817,8 @@ def load_library() -> tuple[ctypes.CDLL | None, Path | None, str | None]:
                 c_file = Path(tmp) / "fbni_kernels.c"
                 c_file.write_text(C_SOURCE)
                 tmp_so = Path(tmp) / "fbni_kernels.so"
-                cmd = [compiler, "-O3", "-fPIC", "-shared",
-                       "-o", str(tmp_so), str(c_file), "-lm"]
+                cmd = [compiler, *CFLAGS, "-o", str(tmp_so), str(c_file),
+                       "-lm"]
                 proc = subprocess.run(cmd, capture_output=True, text=True,
                                       timeout=120)
                 if proc.returncode != 0:

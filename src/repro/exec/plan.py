@@ -160,6 +160,11 @@ class PlanSpec:
         return 2 * len(self.edges)
 
 
+#: What :meth:`MessagePlan.evidence_matrix` finds for a name that is not a
+#: variable: no label and no index matches, so ``check_evidence`` raises.
+_UNKNOWN = (-1, 0, {})
+
+
 class MessagePlan:
     """A compiled plan bound to its tree (see the module docstring).
 
@@ -235,6 +240,12 @@ class MessagePlan:
         self.variable_names: tuple[str, ...] = tree.net.variable_names
         self._var_ids = {name: i for i, name in enumerate(self.variable_names)}
         self._all_ids = tuple(range(len(self.variable_names)))
+        #: Per variable name: ``(id, cardinality, {label: index})``, what
+        #: :meth:`evidence_matrix` encodes a finding through.
+        self._findings: dict[str, tuple] = {}
+        for i, name in enumerate(self.variable_names):
+            var = tree.net.variable(name)
+            self._findings[name] = (i, var.cardinality, var.labels)
         #: Per variable: the axes of its clique's N-D view a posterior
         #: read sums out (all but the variable's own).
         self._sum_axes = [
@@ -461,19 +472,33 @@ class MessagePlan:
     def evidence_matrix(self, cases: list[dict[str, str | int]]) -> np.ndarray:
         """``(cases, variables)`` int64 matrix of observed state indices.
 
-        ``-1`` marks an unobserved variable.  Every dict goes through
-        :func:`repro.jt.evidence.check_evidence` (unknown variables/states
-        raise :class:`~repro.errors.EvidenceError`), so whatever consumes
-        the matrix — the batched reduction below, the native whole-case
-        call — only ever sees in-range states.
+        ``-1`` marks an unobserved variable.  A label (``str``) or an
+        in-range ``int`` index is encoded through the plan's per-variable
+        table; any other finding — a NumPy integer, an unknown variable
+        or state — goes through :func:`repro.jt.evidence.check_evidence`,
+        which accepts it or raises its ``EvidenceError``.  So whatever
+        consumes the matrix — the batched reduction below, the native
+        whole-case call — only ever sees in-range states.  Each finding
+        is one store through a memoryview (no NumPy scalar assignment,
+        no index lists).
         """
         from repro.jt.evidence import check_evidence
 
-        matrix = np.full((len(cases), len(self.variable_names)), -1,
-                         dtype=np.int64)
-        for row, evidence in zip(matrix, cases):
-            for name, idx in check_evidence(self.tree, evidence).items():
-                row[self._var_ids[name]] = idx
+        n_vars = len(self.variable_names)
+        matrix = np.full((len(cases), n_vars), -1, dtype=np.int64)
+        flat, row = memoryview(matrix.reshape(-1)), 0
+        findings = self._findings
+        for evidence in cases:
+            for name, state in evidence.items():
+                vid, card, labels = findings.get(name, _UNKNOWN)
+                kind = type(state)
+                index = (labels.get(state) if kind is str else
+                         state if kind is int and 0 <= state < card else
+                         None)
+                if index is None:
+                    index = check_evidence(self.tree, {name: state})[name]
+                flat[row + vid] = index
+            row += n_vars
         return matrix
 
     def absorb_hard_evidence(self, state: TreeState,

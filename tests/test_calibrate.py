@@ -184,3 +184,80 @@ class TestRandomNetworkCalibration:
                                    expected.posteriors[name], atol=1e-9)
             assert log_evidence(state) == pytest.approx(
                 expected.log_evidence, abs=1e-8)
+
+
+#: A's labels are digits in the opposite order to their indices, so an
+#: integer read as a label lands on the other state.
+_DIGIT_LABELS = """
+network digits {
+}
+variable A {
+  type discrete [ 2 ] { 1, 0 };
+}
+variable B {
+  type discrete [ 2 ] { x, y };
+}
+probability ( A ) {
+  table 0.5, 0.5;
+}
+probability ( B | A ) {
+  (1) 0.9, 0.1;
+  (0) 0.2, 0.8;
+}
+"""
+
+
+class TestIntegerStates:
+    """Any integral state but a ``bool`` is an index — ``np.int64(1)`` is
+    index 1 as ``1`` is, not the label ``"1"`` — on every kernel backend,
+    through ``infer``, ``infer_cases`` and ``evidence_matrix``."""
+
+    INTEGERS = (int, np.int64, np.int32)
+
+    def test_numpy_integers_are_indices_not_labels(self):
+        from repro.bn.io_bif import loads
+        from repro.core import BatchedFastBNI
+
+        net = loads(_DIGIT_LABELS)
+        for kernels in ("numpy", "fused", "native"):
+            with BatchedFastBNI(net, mode="seq", kernels=kernels) as engine:
+                for kind in self.INTEGERS:
+                    case = {"A": kind(1)}
+                    np.testing.assert_allclose(
+                        engine.infer(case).posteriors["B"], [0.2, 0.8],
+                        atol=1e-12)
+                    np.testing.assert_allclose(
+                        engine.infer_cases([{}, case]).case(1).posteriors["B"],
+                        [0.2, 0.8], atol=1e-12)
+                    assert engine.plan.evidence_matrix([case]).tolist() == [
+                        [1, -1]]
+                # Labels are still labels, bools still not indices.
+                np.testing.assert_allclose(
+                    engine.infer({"A": "1"}).posteriors["B"], [0.9, 0.1],
+                    atol=1e-12)
+                with pytest.raises(EvidenceError, match="unknown state True"):
+                    engine.infer({"A": True})
+
+    def test_every_integer_type_gives_one_answer(self, asia):
+        from repro.core import BatchedFastBNI
+
+        for kernels in ("numpy", "fused", "native"):
+            with BatchedFastBNI(asia, mode="seq", kernels=kernels) as engine:
+                results = []
+                for kind in self.INTEGERS:
+                    case = {"smoke": kind(1), "xray": kind(0)}
+                    single = engine.infer(case)
+                    batch = engine.infer_cases([case, {}]).case(0)
+                    for got in (single, batch):
+                        results.append(got)
+                    assert engine.plan.evidence_matrix([case]).tolist() == (
+                        engine.plan.evidence_matrix(
+                            [{"smoke": "no", "xray": "yes"}]).tolist())
+                for got in results[1:]:
+                    assert got.log_evidence == pytest.approx(
+                        results[0].log_evidence, abs=1e-12)
+                    for name, values in got.posteriors.items():
+                        np.testing.assert_allclose(
+                            values, results[0].posteriors[name], atol=1e-12)
+                with pytest.raises(EvidenceError, match="out of range"):
+                    engine.infer({"smoke": np.int64(2)})

@@ -27,7 +27,7 @@ from repro.exec.kernels import get_kernels, run_message_schedule
 from repro.exec.kernels import _INSTANCES as _KERNEL_INSTANCES
 from repro.exec.native import (DISABLE_ENV, load_native_kernels,
                                native_status, probe_parallel_headroom)
-from repro.exec.native.build import CASE_STRIDE, MAX_AXES, RUNS_FULL
+from repro.exec.native.build import MAX_AXES
 from repro.exec.plan import compile_plan
 from repro.jt.engine import JunctionTreeEngine
 from repro.jt.structure import compile_junction_tree
@@ -248,6 +248,28 @@ class TestRegistryFallback:
                            match="available backends: fused, native, numpy"):
             get_kernels("cuda")
 
+    def test_cache_key_covers_the_compile_flags(self, monkeypatch, tmp_path):
+        """The flags are part of the shared object's cache key, and the
+        compile uses the flags the key was made from."""
+        from repro.exec.native import build
+
+        compiler = build.find_compiler() or "cc"
+        key = build.source_key(compiler)
+        monkeypatch.setattr(build, "CFLAGS", ("-O1", "-fPIC", "-shared"))
+        assert build.source_key(compiler) != key
+        if NATIVE_AVAILABLE:
+            monkeypatch.setenv(build.CACHE_ENV, str(tmp_path))
+            commands = []
+            run = build.subprocess.run
+            monkeypatch.setattr(build.subprocess, "run",
+                                lambda cmd, **kw: commands.append(cmd)
+                                or run(cmd, **kw))
+            lib, so_path, reason = build.load_library()
+            assert reason is None and lib.fbni_probe_spin(10) >= 0.0
+            assert so_path.name == (
+                f"fbni_kernels_{build.source_key(compiler)}.so")
+            assert commands[0][1:4] == ["-O1", "-fPIC", "-shared"]
+
     def test_disable_env_forces_fused_fallback(self, monkeypatch, caplog):
         monkeypatch.setenv(DISABLE_ENV, "1")
         _KERNEL_INSTANCES.pop("native", None)
@@ -377,6 +399,16 @@ def _deterministic_net(n_vars: int, seed: int):
     return BayesianNetwork.from_cpts(cpts, name=net.name)
 
 
+def _named_net(name: str):
+    """``det<seed>``: ``_deterministic_net(12 + seed, seed)``; any other
+    name: the repository network."""
+    from repro.bn.repository import resolve_network
+
+    if name.startswith("det"):
+        return _deterministic_net(12 + int(name[3:]), int(name[3:]))
+    return resolve_network(name)
+
+
 class _ForeignCalls:
     """Counts every call into the loaded library made through a backend
     (by default the registry's singleton, the one engines resolve)."""
@@ -449,6 +481,49 @@ def _whole_cases_agree(net, fraction: float, n: int, seed: int) -> None:
             assert texts[0] == texts[1]
 
 
+def _poisoned_scratch_agrees(net, seed: int) -> None:
+    """Whole cases with the case arena and message scratch filled with
+    NaN before every call still get the staged numpy path's answers:
+    what a case reads before writing it comes from the calibrated prior,
+    never from an arena entry it has not written.  All reads and
+    restricted targets; nothing, some or everything observed; impossible
+    evidence named as before."""
+    from repro.bn.sampling import generate_test_cases
+    from repro.core import BatchedFastBNI
+
+    backend = get_kernels("native")
+    call = backend._infer_cases
+
+    def poisoned(*args):
+        for scratch in backend._local.case[1][:2]:
+            scratch.fill(np.nan)
+        return call(*args)
+
+    backend._infer_cases = poisoned
+    try:
+        names = net.variable_names
+        rng = np.random.default_rng(seed)
+        with BatchedFastBNI(net, mode="seq", kernels="native") as fast, \
+                BatchedFastBNI(net, mode="seq", kernels="numpy") as staged:
+            for fraction in (0.0, 0.2, 1.0):
+                cases = [c.evidence for c in
+                         generate_test_cases(net, 3, fraction, rng=rng)]
+                for targets in ((), tuple(rng.choice(names, size=3))):
+                    keys = tuple(dict.fromkeys(targets)) or names
+                    got = fast.infer_cases(cases, targets)
+                    want = staged.infer_cases(cases, targets)
+                    for i, case in enumerate(cases):
+                        _assert_same(got.case(i), want.case(i), keys)
+                        _assert_same(fast.infer(case, targets),
+                                     staged.infer(case, targets), keys)
+            impossible = _impossible_case(net)
+            if impossible is not None:
+                with pytest.raises(EvidenceError, match=r"in case 1$"):
+                    fast.infer_cases([{}, impossible])
+    finally:
+        backend._infer_cases = call
+
+
 @needs_native
 class TestWholeCases:
     """``fbni_infer_cases``: evidence, schedule, reads and log P(e) in one
@@ -466,6 +541,60 @@ class TestWholeCases:
 
         _whole_cases_agree(resolve_network("hailfinder"), fraction,
                            n=4, seed=7)
+
+    @pytest.mark.parametrize("name", ["det0", "det1", "det2",
+                                      "hailfinder", "pathfinder"])
+    def test_walked_entries_are_the_free_entries_of_the_messages_run(
+            self, native, name):
+        """``engine.metrics`` after a whole-case call: the messages run
+        walked exactly the clique entries their evidence leaves free (a
+        table's size over the cardinalities its observed variables pin,
+        source and destination), the full schedule's dense count is
+        unchanged, and a case observing nothing runs no message at all,
+        its answers being the calibrated prior's."""
+        from repro.bn.sampling import generate_test_cases
+        from repro.core import BatchedFastBNI
+
+        net = _named_net(name)
+        with BatchedFastBNI(net, mode="seq", kernels="native") as engine:
+            plan, spec = engine.plan, engine.plan.spec
+            messages = [(src, dst) for _, src, dst, *_ in
+                        plan.compiled_messages(maps=False)]
+            dense = sum(spec.clique_sizes[c] for m in messages for c in m)
+
+            def free(cid: int, row) -> int:
+                pinned = [spec.variables[v][3] for v in spec.clique_vars[cid]
+                          if row[v] >= 0]
+                return spec.clique_sizes[cid] // int(np.prod(pinned))
+
+            totals = np.zeros(3, dtype=np.int64)
+            cases = [c.evidence for fraction in (0.0, 0.1, 0.5, 1.0)
+                     for c in generate_test_cases(net, 3, fraction, rng=9)]
+            names = net.variable_names
+            for i, (case, row) in enumerate(zip(cases,
+                                                plan.evidence_matrix(cases))):
+                targets = () if i % 2 else (names[i], names[-1])
+                engine.infer(case, targets)
+                run, _ = _messages_run(plan, row,
+                                       plan.variable_ids(targets))
+                walked = sum(free(c, row) for m in run for c in m)
+                assert engine.metrics["entries_walked"] == walked
+                assert engine.metrics["entries_dense"] == dense
+                assert engine.metrics["messages_run"] == len(run)
+                if not case:
+                    assert walked == len(run) == 0
+                totals += (walked, dense, len(run))
+            engine.infer_cases(cases[1::2])
+            odd = np.zeros(3, dtype=np.int64)
+            for case, row in zip(cases[1::2],
+                                 plan.evidence_matrix(cases[1::2])):
+                run, _ = _messages_run(plan, row, plan.variable_ids())
+                odd += (sum(free(c, row) for m in run for c in m), dense,
+                        len(run))
+            assert (engine.metrics["entries_walked"],
+                    engine.metrics["entries_dense"],
+                    engine.metrics["messages_run"]) == tuple(odd)
+            assert totals[0] < totals[1]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_walked_entries_never_exceed_either_list_alone(self, native,
@@ -511,6 +640,10 @@ class TestWholeCases:
             engine.infer_cases(cases)
             assert (engine.metrics["entries_walked"],
                     engine.metrics["entries_dense"]) == tuple(totals)
+
+    @pytest.mark.parametrize("name", ["det0", "det1", "hailfinder"])
+    def test_unwritten_arena_entries_are_never_read(self, native, name):
+        _poisoned_scratch_agrees(_named_net(name), seed=3)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, 2, 17])
@@ -706,12 +839,12 @@ class TestWholeCases:
                          asia.variable_names)
 
 
-def _messages_needed(plan, row, read_ids) -> tuple[int, bool]:
-    """The messages the whole-case call runs, from its rule in Python: a
-    collect message iff its child's subtree holds an observed clique, a
-    distribute message iff that subtree holds a read clique and some
-    observed clique lies outside it — and whether some subtree holds no
-    observed clique."""
+def _messages_run(plan, row, read_ids) -> tuple[list, bool]:
+    """The ``(src, dst)`` cliques of the messages the whole-case call
+    runs, from its rule in Python: a collect message iff its child's
+    subtree holds an observed clique, a distribute message iff that
+    subtree holds a read clique and some observed clique lies outside it
+    — and whether some subtree holds no observed clique."""
     spec, tree = plan.spec, plan.tree
     observed = {cid for cid, var_ids in enumerate(spec.clique_vars)
                 if any(row[v] >= 0 and spec.variables[v][3] > 1
@@ -723,13 +856,14 @@ def _messages_needed(plan, row, read_ids) -> tuple[int, bool]:
         while node >= 0:
             below[node].add(cid)
             node = tree.parent[node]
-    needed, bare = 0, False
-    for child in spec.edges:
-        inside = below[child]
-        needed += bool(inside & observed)
-        needed += bool(inside & read) and bool(observed - inside)
+    run, bare = [], False
+    for upward, src, dst, _, edge, *_ in plan.compiled_messages(maps=False):
+        inside = below[edge.child]
+        if (bool(inside & observed) if upward else
+                bool(inside & read) and bool(observed - inside)):
+            run.append((src, dst))
         bare = bare or not inside & observed
-    return needed, bare
+    return run, bare
 
 
 def _check_sub_schedule(net, fast, staged, oracle, evidence, targets,
@@ -747,8 +881,8 @@ def _check_sub_schedule(net, fast, staged, oracle, evidence, targets,
     plan = fast.plan
     row = plan.evidence_matrix([evidence])[0]
     run = fast.metrics["messages_run"]
-    needed, bare = _messages_needed(plan, row, plan.variable_ids(targets))
-    assert run == got.meta["messages_run"] == needed
+    needed, bare = _messages_run(plan, row, plan.variable_ids(targets))
+    assert run == got.meta["messages_run"] == len(needed)
     if targets and bare:
         assert run < plan.spec.num_messages
     if impossible is not None:
@@ -951,62 +1085,63 @@ class TestUnknownTargetsCostNothing:
             assert calls.total == 0
 
 
-# ------------------------------------------------- evidence run lists
-def _evidence_runs(native, cards, states, clip=None, capacity=None):
-    """Call ``fbni_evidence_runs`` on a row-major table with axis
-    cardinalities ``cards`` and per-axis observed ``states`` (-1 =
-    unobserved); ``clip`` is a boolean mask over the entries to intersect
-    with.  Returns ``(result, runs, consistent)``: the return value, the
-    ``[start, end)`` rows written, and the entries NumPy says survive."""
-    n = len(cards)
-    size = int(np.prod(cards, dtype=np.int64))
-    # Variable ids are the axes reversed, so an axis index is not its id.
-    axes = np.array([(n - 1 - a, int(np.prod(cards[a + 1:], dtype=np.int64)),
-                      cards[a]) for a in range(n)], dtype=np.int64)
-    observed = np.array(states[::-1], dtype=np.int64)
-    mask = np.ones(cards, dtype=bool)
-    for a, (card, state) in enumerate(zip(cards, states)):
-        if state >= 0 and card > 1:
-            keep = np.zeros(card, dtype=bool)
-            keep[state] = True
-            mask &= keep.reshape([-1 if b == a else 1 for b in range(n)])
-    mask = mask.reshape(-1)
-    bounds = None
-    if clip is not None:
-        mask = mask & clip
-        bounds = _runs_from_values(clip.astype(float))
-    if capacity is None:
-        capacity = size
-    out = np.full(size + 2, -7, dtype=np.int64)
-    result = native._lib.fbni_evidence_runs(
-        axes.ctypes.data, n, observed.ctypes.data,
-        None if bounds is None else bounds.ctypes.data,
-        0 if bounds is None else bounds.size // 2,
-        out.ctypes.data, capacity)
-    written = 2 * result if result >= 0 else 0
-    assert (out[written:] == -7).all() or result == RUNS_FULL
-    assert (out[capacity:] == -7).all()  # never past what it was handed
-    return result, out[:written].reshape(-1, 2), np.flatnonzero(mask)
+# ------------------------------------------------- pinned loop geometry
+def _axes_rows(cards, kept) -> np.ndarray:
+    """``(variable id, stride, cardinality)`` rows of a table row-major
+    over the axes ``kept`` of ``cards`` (variable id = axis index), its
+    one-state axes left out as lowering leaves them out."""
+    strides = np.cumprod([1] + [cards[a] for a in kept][::-1])[::-1][1:]
+    rows = [(a, int(stride), cards[a]) for a, stride in zip(kept, strides)
+            if cards[a] > 1]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+
+
+def _check_loop_geometry(native, cards, states, kept, seed=0) -> None:
+    """``fbni_pinned_marginalize`` and ``fbni_pinned_absorb`` on a
+    row-major table with axis cardinalities ``cards``, per-axis observed
+    ``states`` (-1 = unobserved) and a target over the axes ``kept``,
+    against NumPy: the marginal adds the consistent entries into the
+    target, the absorb writes ``src * ratio`` over them — from another
+    array and in place — and neither touches any other entry."""
+    rng = np.random.default_rng(seed)
+    cards, kept = tuple(int(c) for c in cards), tuple(kept)
+    lib, n = native._lib, len(cards)
+    axes, target = _axes_rows(cards, range(n)), _axes_rows(cards, kept)
+    observed = np.array(states, dtype=np.int64)
+    consistent = np.zeros(cards, dtype=bool)
+    consistent[tuple(s if s >= 0 else slice(None) for s in states)] = True
+    # Each entry's index in the target, row-major over the kept axes.
+    tshape = [cards[a] for a in kept]
+    grid = np.indices(cards)
+    at = np.zeros(cards, dtype=np.int64)
+    for a in kept:
+        at = at * cards[a] + grid[a]
+    table = rng.random(cards)
+    out = rng.random(int(np.prod(tshape, dtype=np.int64)))
+    want = out.copy()
+    np.add.at(want, at[consistent], table[consistent])
+    lib.fbni_pinned_marginalize(table.ctypes.data, axes.ctypes.data,
+                                len(axes), target.ctypes.data, len(target),
+                                observed.ctypes.data, out.ctypes.data)
+    np.testing.assert_allclose(out, want, rtol=1e-13, atol=0)
+    ratio, src = rng.random(out.size), rng.random(cards)
+    for in_place in (False, True):
+        written = src.copy() if in_place else np.full(cards, np.nan)
+        lib.fbni_pinned_absorb(
+            written.ctypes.data, (written if in_place else src).ctypes.data,
+            axes.ctypes.data, len(axes), target.ctypes.data, len(target),
+            observed.ctypes.data, ratio.ctypes.data)
+        np.testing.assert_array_equal(written, np.where(
+            consistent, src * ratio[at], src if in_place else np.nan))
 
 
 @needs_native
 class TestEvidenceRuns:
-    """The exported run builder against ``np.flatnonzero`` of the entries
-    consistent with the evidence."""
-
-    @staticmethod
-    def _check(native, cards, states, clip=None):
-        result, runs, consistent = _evidence_runs(native, cards, states, clip)
-        if not any(s >= 0 and c > 1 for c, s in zip(cards, states)):
-            assert result == -1  # nothing pinned: as dense as before
-            return
-        assert result == len(runs) and 2 * result <= np.prod(cards)
-        assert (runs[:, 0] < runs[:, 1]).all()
-        assert (runs[1:, 0] > runs[:-1, 1]).all() or clip is not None
-        assert (runs[1:, 0] >= runs[:-1, 1]).all()
-        covered = (np.concatenate([np.arange(lo, hi) for lo, hi in runs])
-                   if len(runs) else np.zeros(0, dtype=np.int64))
-        np.testing.assert_array_equal(covered, consistent)
+    """The entries a case's evidence leaves possible, as the whole-case
+    call walks them: a table's observed axes pinned, its free axes a
+    strided loop carrying each entry's index in the target (a separator,
+    a read's marginal, a single total).  The exported loop primitives
+    against NumPy over random cardinalities, states and targets."""
 
     @pytest.mark.parametrize("cards, states", [
         ((3, 2, 4), (-1, -1, -1)),   # nothing observed
@@ -1019,10 +1154,10 @@ class TestEvidenceRuns:
         ((5,), (4,)),
     ])
     def test_named_geometries(self, native, cards, states):
-        self._check(native, cards, states)
-        rng = np.random.default_rng(sum(cards))
-        self._check(native, cards, states,
-                    clip=rng.random(int(np.prod(cards))) < 0.6)
+        n = len(cards)
+        for kept in ((), (0,), (n - 1,), tuple(range(n)),
+                     tuple(range(0, n, 2)), tuple(range(1, n))):
+            _check_loop_geometry(native, cards, states, kept)
 
     def test_random_axes_and_evidence(self, native):
         from hypothesis import given, settings, strategies as st
@@ -1030,50 +1165,17 @@ class TestEvidenceRuns:
         @st.composite
         def tables(draw):
             cards = tuple(draw(st.lists(st.integers(1, 4), min_size=1,
-                                        max_size=5)))
+                                        max_size=6)))
             states = tuple(draw(st.integers(-1, card - 1)) for card in cards)
-            clip = draw(st.none() | st.lists(
-                st.booleans(), min_size=int(np.prod(cards)),
-                max_size=int(np.prod(cards))))
-            return cards, states, None if clip is None else np.array(clip)
+            kept = tuple(a for a in range(len(cards)) if draw(st.booleans()))
+            return cards, states, kept, draw(st.integers(0, 2**31))
 
         @settings(max_examples=300, deadline=None)
         @given(tables())
         def check(table):
-            self._check(native, *table)
+            _check_loop_geometry(native, *table)
 
         check()
-
-    def test_capacity_is_checked_in_c(self, native):
-        """Handed fewer words than the list needs, the builder says so
-        and writes nothing past them."""
-        cards, states = (4, 3, 2), (-1, -1, 1)  # 12 one-entry runs
-        full, runs, _ = _evidence_runs(native, cards, states)
-        assert full == 12 and 2 * full == np.prod(cards)  # the bound, met
-        for capacity in (0, 1, 2, 23):
-            result, _, _ = _evidence_runs(native, cards, states,
-                                          capacity=capacity)
-            assert result == RUNS_FULL
-        assert _evidence_runs(native, cards, states, capacity=24)[0] == 12
-
-    def test_exhausted_run_scratch_fails_the_case(self, monkeypatch, native,
-                                                  asia):
-        """The whole-case call hands the builder the words remaining; a
-        scratch too small is a status code and an error naming the case,
-        not a write past the end."""
-        plan = compile_plan(compile_junction_tree(asia))
-        cases = plan.evidence_matrix([{}, {}, {"smoke": "yes", "dysp": "no"}])
-        read_ids = plan.variable_ids()
-        native.infer_cases(plan, cases, read_ids)
-        call, tables = native._infer_cases, native.lowered(plan)
-        headers = CASE_STRIDE * len(tables.tables) + tables.n_messages
-        monkeypatch.setattr(  # run_words: the headers, one word of lists
-            native, "_infer_cases",
-            lambda *args: call(*args[:10], headers + 1, *args[11:]))
-        with pytest.raises(BackendError, match="run scratch exhausted in "
-                                               "case 5$"):
-            native.infer_cases(plan, cases, read_ids, 3)
-        native.infer_cases(plan, cases[:2], read_ids)  # nothing observed
 
     def test_one_state_variables_constrain_nothing(self, native):
         """Observing a variable with a single state leaves every table
@@ -1102,6 +1204,20 @@ def _with(values: np.ndarray, index: int, value: float) -> np.ndarray:
     changed = values.copy()
     changed[index] = value
     return changed
+
+
+def _foreign_separator_variable(t, spec) -> None:
+    """Give a one-axis separator a variable its cliques do not hold (of
+    the same cardinality, so its strides still tile it)."""
+    sep = next(u for u in range(spec.num_cliques, len(t.tables))
+               if t.tables[u, 3] == 1)
+    axis = t.axes[t.tables[sep, 2]]
+    held = {vid for row in t.meta if row[5] == sep
+            for c in row[3:5]
+            for vid in t.axes[t.tables[c, 2]:t.tables[c, 2]
+                              + t.tables[c, 3], 0]}
+    axis[0] = next(v for v, (_, _, _, card) in enumerate(spec.variables)
+                   if card == axis[2] and v not in held)
 
 
 # ------------------------------------------------ metadata never unchecked
@@ -1146,7 +1262,8 @@ class TestTablesAreBoundsChecked:
         # Table and axes rows: an axis variable id out of range, strides
         # that do not tile, a cardinality that is not the variable's, an
         # axes row past the end, more axes than the C odometer's depth, a
-        # table that is not the arena's, a run list miscounted.
+        # table that is not the arena's, a run list miscounted; loop rows
+        # that are not the axes' (here and at the end).
         lambda t, spec: t.axes.__setitem__((0, 0), len(spec.variables)),
         lambda t, spec: t.axes.__setitem__((0, 1), t.axes[0, 1] + 1),
         lambda t, spec: t.axes.__setitem__((1, 2), 3),
@@ -1156,10 +1273,23 @@ class TestTablesAreBoundsChecked:
         lambda t, spec: t.tables.__setitem__((0, 1), t.tables[0, 1] + 1),
         lambda t, spec: t.tables.__setitem__(
             (t.tables[:, 4].nonzero()[0][0], 5), 10**6),
-        lambda t, spec: t.tables.__setitem__(
-            (t.tables[:, 4].nonzero()[0][0], 6), 0),
+        lambda t, spec: t.loops.__setitem__((0, 0), t.loops[0, 0] + 1),
         lambda t, spec: t.tables.__setitem__(
             ((t.tables[:, 4] == 0).argmax(), 4), t.tables[:, 4].max()),
+        # Loop rows: a stride or a separator stride changed, a head
+        # naming more rows, a row missing; a message naming another slot.
+        lambda t, spec: t.loops.__setitem__((1, 1), t.loops[1, 1] * 2),
+        lambda t, spec: t.loops.__setitem__((1, 2), t.loops[1, 2] + 1),
+        lambda t, spec: t.loops.__setitem__((t.meta[1, 7], 0),
+                                            t.loops[t.meta[1, 7], 0] + 1),
+        lambda t, spec: setattr(t, "loops", t.loops[:-1]),
+        lambda t, spec: t.meta.__setitem__((0, 6), t.meta[0, 7]),
+        lambda t, spec: t.meta.__setitem__((2, 8), 0),
+        # Axes out of variable order; a separator variable one of its
+        # cliques lacks.
+        lambda t, spec: t.axes.__setitem__((slice(0, 2), 0),
+                                           t.axes[[1, 0], 0]),
+        _foreign_separator_variable,
     ])
     def test_corrupted_tables_are_rejected(self, lowered, corrupt):
         from repro.exec.native.backend import check_tables
@@ -1265,10 +1395,11 @@ class TestTablesAreBoundsChecked:
 # ------------------------------------------------------- sanitizer run
 def _sanitized_whole_case_loop(so_path: str) -> None:
     """Entry point of the sanitizer subprocess: the whole-case property
-    loop, the run builder and the status paths on a library built from
-    ``C_SOURCE`` with ASan + UBSan.  ``NativeKernels`` keeps every region
-    C writes (case arena, message scratch, run words, output block) in
-    its own allocation, so a one-word overrun lands in a redzone."""
+    loop (also over NaN-filled scratch), the loop primitives and the
+    status paths on a library built from ``C_SOURCE`` with ASan + UBSan.
+    ``NativeKernels`` keeps every region C writes (case arena, message
+    scratch, case words, output block) in its own allocation, so a
+    one-word overrun lands in a redzone."""
     import ctypes
 
     from repro.exec.native.backend import NativeKernels
@@ -1296,15 +1427,14 @@ def _sanitized_whole_case_loop(so_path: str) -> None:
                     _check_sub_schedule(net, fast, staged, None,
                                         case.evidence, targets,
                                         _impossible_case(net))
+    for name in ("det0", "hailfinder"):
+        _poisoned_scratch_agrees(_named_net(name), seed=3)
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        cards = tuple(rng.integers(1, 5, size=rng.integers(1, 6)))
+    for seed in range(200):
+        cards = tuple(rng.integers(1, 5, size=rng.integers(1, 7)))
         states = tuple(int(rng.integers(-1, card)) for card in cards)
-        clip = (rng.random(int(np.prod(cards))) < 0.6
-                if rng.random() < 0.5 else None)
-        TestEvidenceRuns._check(backend, cards, states, clip)
-        _evidence_runs(backend, cards, states, clip,
-                       capacity=int(rng.integers(0, 4)))
+        kept = tuple(np.flatnonzero(rng.random(len(cards)) < 0.5))
+        _check_loop_geometry(backend, cards, states, kept, seed)
     print("whole-case loop ok")
 
 
@@ -1319,6 +1449,7 @@ class TestSanitizer:
         from pathlib import Path
 
         from repro.exec.native import C_SOURCE, find_compiler
+        from repro.exec.native.build import CFLAGS
 
         compiler = find_compiler()
         runtime = subprocess.run(
@@ -1329,7 +1460,7 @@ class TestSanitizer:
         c_file, so_path = tmp_path / "fbni_kernels.c", tmp_path / "fbni_asan.so"
         c_file.write_text(C_SOURCE)
         built = subprocess.run(
-            [compiler, "-O3", "-g", "-fPIC", "-shared",
+            [compiler, *CFLAGS, "-g",
              "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
              "-o", str(so_path), str(c_file), "-lm"],
             capture_output=True, text=True, timeout=300)
