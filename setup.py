@@ -22,6 +22,6 @@ setup(
     package_data={"repro.bn.datasets": ["*.bif"]},
     include_package_data=True,
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy", "orjson>=3.8"],
     entry_points={"console_scripts": ["fastbni = repro.cli:main"]},
 )

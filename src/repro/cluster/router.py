@@ -43,6 +43,8 @@ import json
 import sys
 import time
 
+import orjson
+
 from repro.cluster.placement import DEFAULT_VNODES, HashRing
 from repro.cluster.supervisor import Supervisor
 from repro.errors import ReproError, ServiceError
@@ -50,7 +52,7 @@ from repro.obs import render_cluster_prometheus
 from repro.service.metrics import ServiceMetrics, aggregate_snapshots
 from repro.service.ops import LOCAL, OPEN, ROUTER, STICKY, Op, lookup
 from repro.service.server import (_STREAM_LIMIT, DEFAULT_PORT,
-                                  JsonLinesFront)
+                                  JsonLinesFront, encode_line)
 
 DEFAULT_MAX_INFLIGHT = 64
 DEFAULT_REPLICATE_HOT_QPS = 50.0
@@ -108,8 +110,8 @@ class WorkerHandle:
                 if not line:
                     break
                 try:
-                    response = json.loads(line)
-                except json.JSONDecodeError:
+                    response = orjson.loads(line)
+                except json.JSONDecodeError:  # orjson's subclasses it
                     continue  # a torn line cannot be correlated; drop it
                 future = self._pending.pop(response.get("id"), None)
                 if future is not None and not future.done():
@@ -139,12 +141,12 @@ class WorkerHandle:
         payload = dict(body)
         payload["id"] = correlation
         payload["op"] = op
+        line = encode_line(payload)  # raises before anything is pending
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[correlation] = future
         try:
             async with self._write_lock:
-                self._writer.write(
-                    json.dumps(payload, allow_nan=False).encode() + b"\n")
+                self._writer.write(line)
                 await self._writer.drain()
             return await asyncio.wait_for(
                 future, timeout_s if timeout_s is not None

@@ -20,7 +20,7 @@ on every invocation; this package amortises both behind an asyncio server:
 * :class:`~repro.service.server.InferenceServer` — JSON-lines-over-TCP
   front end (``query``, ``query_batch``, ``mpe``, ``info``,
   ``session_open``/``session_update``/``session_query``/``session_close``,
-  ``health``, ``stats``, ``cache_stats``), stdlib only;
+  ``health``, ``stats``, ``cache_stats``), replies encoded by orjson;
 * :class:`~repro.service.metrics.ServiceMetrics` — latency percentiles,
   batch-fill histograms, cache hit rate, throughput;
 * :class:`~repro.service.client.ServiceClient` — blocking client for CLI,

@@ -59,13 +59,14 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.approx.engine import ApproxInferenceResult
 from repro.errors import EvidenceError, QueryError
 from repro.jt.engine import InferenceResult
 from repro.obs.trace import (ScheduleRecorder, Span, TraceContext,
                              install_kernel_hooks)
+from repro.service.cache import project
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import ModelEntry, ModelRegistry
 
@@ -92,11 +93,16 @@ class QueryRequest:
 
 
 class _Pending:
-    __slots__ = ("request", "future", "enqueued", "queue_span", "outcome")
+    __slots__ = ("request", "future", "entry", "memo_evidence", "enqueued",
+                 "queue_span", "outcome")
 
-    def __init__(self, request: QueryRequest, future: asyncio.Future) -> None:
+    def __init__(self, request: QueryRequest, future: asyncio.Future,
+                 entry: ModelEntry, memo_key: tuple | None) -> None:
         self.request = request
         self.future = future
+        #: The entry validated against, and the memo key that check derived.
+        self.entry = entry
+        self.memo_evidence = memo_key
         self.enqueued = time.monotonic()
         #: Open ``queue_wait`` span for a traced request (ended when the
         #: flush job picks the batch up).
@@ -104,26 +110,6 @@ class _Pending:
         #: Result or exception the flush job decided; the loop resolves
         #: ``future`` with it (futures are not thread-safe).
         self.outcome: InferenceResult | BaseException | None = None
-
-
-def _project(result: InferenceResult, want: tuple[str, ...]) -> InferenceResult:
-    """Narrow a result computed for a superset of targets down to ``want``.
-
-    Preserves the result's class — an approx result keeps its per-target
-    ``stderr`` (narrowed alongside), ``ess`` and diagnostics.
-    """
-    if not want or set(result.posteriors) == set(want):
-        return result
-    narrowed = {name: result.posteriors[name] for name in want}
-    if isinstance(result, ApproxInferenceResult):
-        return replace(result, posteriors=narrowed,
-                       stderr={name: result.stderr[name] for name in want
-                               if name in result.stderr})
-    return InferenceResult(
-        posteriors=narrowed,
-        log_evidence=result.log_evidence,
-        meta=result.meta,
-    )
 
 
 class MicroBatcher:
@@ -186,13 +172,22 @@ class MicroBatcher:
                 or await self.run_blocking(
                     lambda: self.registry.get_pinned(network, engine=engine)))
 
-    def _validate(self, entry: ModelEntry, request: QueryRequest) -> None:
-        # The engine knows how to validate its own requests (the
-        # InferenceEngine protocol); the batcher only checks targets.
-        entry.engine.validate_case(request.evidence, request.soft_evidence)
+    def _validate(self, entry: ModelEntry, request: QueryRequest):
+        """Check a request at submit; returns its memo key (or ``None``).
+
+        Deriving a memo key is the engine's hard-evidence check on the
+        same tree, and the key then serves the memo lookup and the write.
+        """
+        key = None
+        if entry.cache is not None and not request.soft_evidence:
+            key = entry.cache.evidence_key(request.evidence)
+        else:
+            entry.engine.validate_case(request.evidence,
+                                       request.soft_evidence)
         for name in request.targets:
             if name not in entry.net:
                 raise QueryError(f"unknown target variable {name!r}")
+        return key
 
     def _observe_served(self, kind: str, result) -> None:
         ess = result.ess if isinstance(result, ApproxInferenceResult) else None
@@ -219,7 +214,7 @@ class MicroBatcher:
             request.trace.record("registry_lookup", lookup_start, lookup_end,
                                  engine=kind,
                                  compiled_from_cache=entry.from_cache)
-        self._validate(entry, request)
+        memo_key = self._validate(entry, request)
         if request.soft_evidence and not caps.batched_soft_evidence:
             # This engine class cannot take likelihood vectors through its
             # vectorised flush (the exact batched reduction cannot express
@@ -246,10 +241,10 @@ class MicroBatcher:
                 prior_result = InferenceResult(
                     posteriors=dict(entry.prior), log_evidence=0.0)
             self._observe_served(kind, prior_result)
-            return _project(prior_result, request.targets)
+            return project(prior_result, request.targets)
 
         loop = asyncio.get_running_loop()
-        pending = _Pending(request, loop.create_future())
+        pending = _Pending(request, loop.create_future(), entry, memo_key)
         if request.trace is not None:
             pending.queue_span = request.trace.start_span("queue_wait")
         key = (network, kind)
@@ -414,9 +409,9 @@ class MicroBatcher:
                     attrs["ess"] = case_result.ess
                     attrs["num_samples"] = case_result.num_samples
                 trace.record("execute", exec_start, exec_end, **attrs)
-            pending.outcome = _project(case_result, pending.request.targets)
+            pending.outcome = project(case_result, pending.request.targets)
             if entry.cache is not None:
-                cold_items.append((pending.request.evidence,
+                cold_items.append((pending.memo_evidence,
                                    pending.request.targets, pending.outcome))
         return cold_items
 
@@ -428,7 +423,10 @@ class MicroBatcher:
         answers its hits with ``served_by: "cache"``, and hands back the
         misses so the vectorised flush only calibrates novel evidence.
         """
-        requests = [(p.request.evidence, p.request.targets) for p in batch]
+        for p in batch:
+            if p.entry is not entry:  # register() replaced it: key it again
+                p.memo_evidence = p.request.evidence
+        requests = [(p.memo_evidence, p.request.targets) for p in batch]
         lookup_start = time.perf_counter()
         outcomes = entry.cache.serve_cases(requests)
         lookup_end = time.perf_counter()
@@ -453,7 +451,7 @@ class MicroBatcher:
                 log_evidence=outcome.log_evidence,
                 meta={**outcome.meta, "served_by": "cache"},
             )
-            pending.outcome = _project(result, pending.request.targets)
+            pending.outcome = project(result, pending.request.targets)
             self._observe_served("exact", pending.outcome)
         return remaining
 

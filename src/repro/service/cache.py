@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import replace
 
+from repro.approx.engine import ApproxInferenceResult
 from repro.errors import EvidenceError, ReproError
 from repro.jt.engine import InferenceResult
 from repro.jt.evidence import check_evidence
@@ -55,14 +57,22 @@ def canonical_evidence(tree: JunctionTree,
     return tuple(sorted(ev.items()))
 
 
-def _project(result: InferenceResult, want: tuple[str, ...]) -> InferenceResult:
+def project(result: InferenceResult, want: tuple[str, ...]) -> InferenceResult:
+    """Narrow a result computed for a superset of targets down to ``want``.
+
+    Preserves the result's class — an approx result keeps its per-target
+    ``stderr`` (narrowed alongside), ``ess`` and diagnostics.
+    """
     if not want or set(result.posteriors) == set(want):
         return result
-    return InferenceResult(
-        posteriors={n: result.posteriors[n] for n in want},
-        log_evidence=result.log_evidence,
-        meta=dict(result.meta),
-    )
+    narrowed = {name: result.posteriors[name] for name in want}
+    if isinstance(result, ApproxInferenceResult):
+        return replace(result, posteriors=narrowed,
+                       stderr={name: result.stderr[name] for name in want
+                               if name in result.stderr})
+    return InferenceResult(posteriors=narrowed,
+                           log_evidence=result.log_evidence,
+                           meta=dict(result.meta))
 
 
 def _result_bytes(result: InferenceResult) -> int:
@@ -94,8 +104,12 @@ class InferenceCache:
                           "declined": 0, "evicted_results": 0}
 
     # ----------------------------------------------------------------- keys
-    def evidence_key(self, evidence: dict | None) -> EvidenceKey:
-        """Canonical key for ``evidence`` on this model's network."""
+    def evidence_key(self, evidence: "dict | EvidenceKey | None"
+                     ) -> EvidenceKey:
+        """Canonical key for ``evidence`` on this model's network; a tuple
+        is a key already derived on this tree and passes through."""
+        if isinstance(evidence, tuple):
+            return evidence
         return canonical_evidence(self.tree, evidence)
 
     @staticmethod
@@ -113,7 +127,7 @@ class InferenceCache:
             if hit is None and tkey:
                 full = self._memo.get((evidence_key, ()))
                 if full is not None:
-                    hit = _project(full, tkey)
+                    hit = project(full, tkey)
                     self._memo.move_to_end((evidence_key, ()))
             elif hit is not None:
                 self._memo.move_to_end((evidence_key, tkey))
@@ -135,12 +149,12 @@ class InferenceCache:
             self._memo_bytes += _result_bytes(result)
             self._evict_locked()
 
-    def serve_cases(self, cases: list[tuple[dict, tuple[str, ...]]]
+    def serve_cases(self, cases: list[tuple]
                     ) -> list["InferenceResult | BaseException | None"]:
         """Answer what the memo holds; ``None`` marks cases for the cold path.
 
-        ``cases`` are ``(hard_evidence, targets)`` pairs (already
-        validated by the batcher).  A case that no longer validates (the
+        ``cases`` are ``(evidence, targets)`` pairs, evidence as
+        :meth:`evidence_key` takes it.  A case that does not validate (the
         entry was replaced by ``register()`` between submit and flush)
         yields its :class:`~repro.errors.ReproError` in that slot —
         bystanders are unaffected.
@@ -156,8 +170,7 @@ class InferenceCache:
             self._counters["declined"] += sum(o is None for o in out)
         return out
 
-    def record_cold(self, items: list[tuple[dict, tuple[str, ...], InferenceResult]]
-                    ) -> None:
+    def record_cold(self, items: list[tuple]) -> None:
         """Memoise the ``(evidence, targets, result)`` cases the vectorised
         cold path just served.  Evidence failing validation is skipped:
         the cold path already reported it."""

@@ -1,4 +1,4 @@
-"""Asyncio inference server: JSON-lines over TCP, stdlib only.
+"""Asyncio inference server: JSON-lines over TCP.
 
 One long-lived process keeps compiled models resident (the registry) and
 coalesces concurrent queries (the micro-batcher).  The wire protocol is a
@@ -72,6 +72,7 @@ import math
 import time
 
 import numpy as np
+import orjson
 
 from repro.approx.engine import ApproxInferenceResult
 from repro.errors import (EvidenceError, ParseError, QueryError, ReproError,
@@ -99,38 +100,24 @@ _SERVED = {name: row for name, row in OPS.items() if row.route != ROUTER}
 _STREAM_LIMIT = 16 * 1024 * 1024
 
 
-def _jsonable(obj):
-    """Recursively convert numpy containers to plain JSON-safe types.
+def _default(obj):
+    """What orjson's NumPy path refuses: a non-contiguous or 0-d array, an
+    unsupported dtype or scalar (``float16``, ``str_`` arrays)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Type is not JSON serializable: {type(obj).__name__}")
 
-    Non-finite floats (a sampling diagnostic's NaN ESS, a -inf log
-    weight) become ``null``: responses are serialized with
-    ``allow_nan=False``, so a NaN surviving to :meth:`_write` would make
-    ``json.dumps`` raise *after* the dispatch error handling — the
-    client would wait forever for a response line that never comes.
 
-    A finite 1-D float array — every posterior — converts in one
-    ``tolist()`` without walking its elements.
+def encode_line(payload) -> bytes:
+    """``payload`` as one JSON line in one native pass: NumPy arrays and
+    scalars as they are, NaN/±inf as ``null``, shortest round-trip floats.
+
+    Raises ``TypeError`` on what JSON cannot carry: an int outside the
+    64-bit range, a non-``str`` dict key, any other Python type.  An
+    ndarray's buffer is read as native-endian, as every engine writes it.
     """
-    if isinstance(obj, np.ndarray):
-        values = obj.tolist()
-        if (obj.ndim == 1 and obj.dtype.kind == "f"
-                and all(map(math.isfinite, values))):
-            return values
-        return _jsonable(values)
-    if isinstance(obj, np.generic):
-        return _jsonable(obj.item())
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def _finite_or_none(value: float):
-    """JSON-safe float: NaN/±inf become null (Gibbs has no P(e) estimate)."""
-    return value if isinstance(value, (int, float)) and math.isfinite(value) else None
+    return orjson.dumps(payload, default=_default, option=(
+        orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE))
 
 
 def _result_fields(result) -> dict:
@@ -200,17 +187,17 @@ class JsonLinesFront:
 
     @staticmethod
     def _encode(payload: dict) -> bytes:
-        """Serialize a response payload to one wire line.
+        """Serialize a response payload to one wire line (:func:`encode_line`).
 
         Last line of defence: serialization runs *after* the dispatch
-        error handling, so a payload ``json.dumps`` rejects (an
-        unconverted type, a non-finite float that slipped past
-        ``_jsonable``) would otherwise drop the response and leave the
-        client waiting forever.  Answer the request id with an
-        InternalError instead.
+        error handling, so a payload the encoder rejects (an unknown
+        type, an ``id`` of 2**70 that ``json.loads`` accepted) would
+        otherwise drop the response and leave the client waiting
+        forever.  Answer the request id with an InternalError instead,
+        encoded by the stdlib, which writes any int.
         """
         try:
-            return json.dumps(payload, allow_nan=False).encode() + b"\n"
+            return encode_line(payload)
         except (TypeError, ValueError) as exc:
             return json.dumps({
                 "id": payload.get("id"), "ok": False,
@@ -404,7 +391,7 @@ class InferenceServer(JsonLinesFront):
             network = raw_network if isinstance(raw_network, str) else None
             result = await self._dispatch(row, request, trace=ctx)
             ok = True
-            payload = {"id": request_id, "ok": True, "result": _jsonable(result)}
+            payload = {"id": request_id, "ok": True, "result": result}
         except ReproError as exc:
             error = {"type": type(exc).__name__, "message": str(exc)}
             # SessionError carries a machine-readable code
@@ -458,7 +445,7 @@ class InferenceServer(JsonLinesFront):
                          else "batch")
         return {
             "posteriors": result.posteriors,
-            "log_evidence": _finite_or_none(result.log_evidence),
+            "log_evidence": result.log_evidence,
             "served_by": served_by,
             **_result_fields(result),
         }
@@ -496,7 +483,7 @@ class InferenceServer(JsonLinesFront):
                          else None))
                 case_payloads.append({
                     "posteriors": case.posteriors,
-                    "log_evidence": _finite_or_none(case.log_evidence),
+                    "log_evidence": case.log_evidence,
                     **_result_fields(case),
                 })
         finally:

@@ -329,11 +329,11 @@ class TestBaselineOracles:
 
 class TestResultTypes:
     def test_projecting_keeps_uncertainty(self, asia):
-        from repro.service.batcher import _project
+        from repro.service.cache import project
 
         engine = ApproxBNI(asia, num_samples=512, max_samples=512, seed=1)
         result = engine.infer({"smoke": "yes"})
-        narrowed = _project(result, ("lung",))
+        narrowed = project(result, ("lung",))
         assert isinstance(narrowed, ApproxInferenceResult)
         assert set(narrowed.posteriors) == {"lung"}
         assert set(narrowed.stderr) == {"lung"}

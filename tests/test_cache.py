@@ -282,6 +282,83 @@ class TestBatcherIntegration:
         assert evidence_after.posteriors["coin"][1] == pytest.approx(1.0)
         assert evidence_after.posteriors["coin"][0] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("kernels", ["native", "fused"])
+    def test_a_cold_query_validates_its_evidence_once(self, monkeypatch,
+                                                      kernels):
+        """The submit-time check yields the memo key; the memo lookup and
+        ``record_cold`` reuse it (one ``check_evidence`` per query, a
+        repeat's one being its memo lookup's key)."""
+        import repro.core.fastbni
+        import repro.jt.evidence
+        import repro.service.cache
+
+        checked = []
+        real = repro.jt.evidence.check_evidence
+
+        def counting(tree, evidence):
+            checked.append(dict(evidence))
+            return real(tree, evidence)
+
+        for module in (repro.jt.evidence, repro.service.cache,
+                       repro.core.fastbni):
+            monkeypatch.setattr(module, "check_evidence", counting)
+        cases = [{"smoke": "yes"}, {"smoke": "no", "xray": "yes"},
+                 {"bronc": "yes"}]
+
+        async def scenario():
+            batcher, registry = _make_batcher(
+                max_batch=4, registry={"kernels": kernels})
+            try:
+                registry.get("asia")
+                checked.clear()
+                for case in cases:
+                    await batcher.submit("asia", QueryRequest(evidence=case))
+                    await batcher.drain()  # record_cold has run
+                cold = list(checked)
+                repeat = await batcher.submit(
+                    "asia", QueryRequest(evidence=cases[0]))
+                await batcher.drain()
+            finally:
+                await batcher.aclose()
+                registry.close()
+            return cold, list(checked), repeat
+
+        cold, every, repeat = run(scenario())
+        assert cold == cases
+        assert every == [*cases, cases[0]]
+        assert repeat.meta.get("served_by") == "cache"
+
+    def test_replacement_between_submit_and_flush_keys_on_the_new_tree(self):
+        """The key derived at submit holds on that entry's tree only.  The
+        replacement here lists the same states in the other order, so
+        the old key of ``coin=yes`` names ``coin=no`` on the new tree: a
+        flush that memoised under it would answer the next query wrong."""
+        swapped = BayesianNetwork("m")
+        coin = Variable("coin", ("yes", "no"))
+        swapped.add_variable(coin)
+        swapped.add_cpt(CPT(coin, (), np.array([0.5, 0.5])))
+        swapped.validate()
+
+        async def scenario():
+            batcher, registry = _make_batcher(max_batch=4)
+            try:
+                registry.register("m", coin_net(0.9))
+                registry.get("m")
+                first = asyncio.ensure_future(batcher.submit(
+                    "m", QueryRequest(evidence={"coin": "yes"})))
+                await asyncio.sleep(0)  # validated and queued, not flushed
+                registry.register("m", swapped)
+                await first
+                await batcher.drain()  # record_cold has run
+                return await batcher.submit(
+                    "m", QueryRequest(evidence={"coin": "no"}))
+            finally:
+                await batcher.aclose()
+                registry.close()
+
+        after = run(scenario())
+        assert after.posteriors["coin"][1] == pytest.approx(1.0)
+
     def test_registry_eviction_drops_cache_with_entry(self, asia):
         async def scenario():
             batcher, registry = _make_batcher(max_batch=2)

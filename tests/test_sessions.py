@@ -7,9 +7,9 @@ the four lifecycle fixes that shipped with sessions:
 
 1. ``get_pinned`` closes the get-then-pin eviction race (mpe/info/
    query_batch no longer lose their engine to a concurrent cold load);
-2. non-finite floats are sanitised before serialization and ``_write``
-   falls back to an InternalError envelope — a client never hangs on a
-   response line that never comes;
+2. non-finite floats are written as ``null`` and ``_encode`` falls back
+   to an InternalError envelope — a client never hangs on a response
+   line that never comes;
 3. ``ModelRegistry.close()`` retires entries instead of blind-closing
    them, honouring live pins;
 4. ``run_server`` tears down its executor threads when startup fails
@@ -36,7 +36,7 @@ from repro.errors import EvidenceError, QueryError, ReproError, SessionError
 from repro.exec.native import native_status
 from repro.service import (InferenceServer, ModelRegistry, ServiceClient,
                            ServiceMetrics, SessionManager)
-from repro.service.server import _jsonable, run_server
+from repro.service.server import run_server
 
 
 NATIVE_AVAILABLE, NATIVE_REASON = native_status()
@@ -650,10 +650,14 @@ class TestGetPinnedRace:
 
 
 def _reference_jsonable(obj):
-    """The element-by-element walk ``_jsonable``'s 1-D fast path skips."""
+    """The element-by-element walk replies were once converted by, with a
+    ``float32`` written as its own shortest text, as the encoder does."""
+    if isinstance(obj, (np.ndarray, np.generic)) and obj.dtype == np.float32:
+        shortest = [float(str(value)) for value in np.ravel(obj)]
+        return _reference_jsonable(np.reshape(shortest, np.shape(obj)))
     if isinstance(obj, np.ndarray):
         return _reference_jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return _reference_jsonable(obj.item())
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
@@ -664,13 +668,21 @@ def _reference_jsonable(obj):
     return obj
 
 
+def _reference_line(payload) -> dict:
+    """What the stdlib encoding of the reference walk decodes to."""
+    return json.loads(json.dumps(_reference_jsonable(payload),
+                                 allow_nan=False))
+
+
 def _wire_payloads():
     """Nested dicts/lists/tuples of scalars (NaN/±inf included) and 0-d,
-    1-D and 2-D float64/float32/int64/bool arrays."""
+    1-D, 2-D and strided float64/float32/int64/bool arrays."""
     floats = st.floats(allow_nan=True, allow_infinity=True)
     arrays = st.one_of(
         st.lists(floats, max_size=6).map(
             lambda xs: np.array(xs, dtype=np.float64)),
+        st.lists(floats, max_size=6).map(
+            lambda xs: np.array(xs, dtype=np.float64)[::2]),
         st.lists(st.floats(width=32), max_size=6).map(
             lambda xs: np.array(xs, dtype=np.float32)),
         st.lists(st.integers(-2**40, 2**40), max_size=6).map(
@@ -679,12 +691,17 @@ def _wire_payloads():
             lambda xs: np.array(xs, dtype=bool)),
         st.lists(floats, min_size=4, max_size=4).map(
             lambda xs: np.array(xs).reshape(2, 2)),
+        st.lists(floats, min_size=4, max_size=4).map(
+            lambda xs: np.array(xs).reshape(2, 2).T),
         floats.map(np.array),
         st.booleans().map(np.array),
     )
     scalars = st.one_of(floats, floats.map(np.float64),
-                        st.integers(-99, 99).map(np.int64), st.integers(),
-                        st.booleans(), st.none(), st.text(max_size=3))
+                        st.floats(width=32).map(np.float32),
+                        st.integers(-99, 99).map(np.int64),
+                        st.integers(-2**63, 2**64 - 1), st.booleans(),
+                        st.booleans().map(np.bool_), st.none(),
+                        st.text(max_size=3), st.text(max_size=3).map(np.str_))
     return st.recursive(
         st.one_of(scalars, arrays),
         lambda inner: st.one_of(
@@ -695,35 +712,36 @@ def _wire_payloads():
 
 
 class TestNonFiniteResponses:
-    def test_jsonable_sanitises_non_finite_floats(self):
-        payload = _jsonable({
+    def test_encoder_writes_non_finite_floats_as_null(self):
+        line = InferenceServer._encode({"id": 1, "ok": True, "result": {
             "ess": float("nan"),
             "bound": float("inf"),
             "nested": [np.float64("nan"), np.array([1.0, float("-inf")])],
+            "grid": np.array([[float("nan"), 0.5]]),
             "fine": np.float64(0.25),
-        })
-        assert payload == {"ess": None, "bound": None,
-                           "nested": [None, [1.0, None]], "fine": 0.25}
-        json.dumps(payload, allow_nan=False)  # must not raise
+        }})
+        assert json.loads(line)["result"] == {
+            "ess": None, "bound": None, "nested": [None, [1.0, None]],
+            "grid": [[None, 0.5]], "fine": 0.25}
 
     def test_numpy_booleans_encode(self):
         """Regression: ``np.bool_`` is neither floating nor integer, so
         the reply became an InternalError."""
         line = InferenceServer._encode({
             "id": 1, "ok": True,
-            "result": _jsonable({"a": np.bool_(True), "b": np.str_("x")})})
+            "result": {"a": np.bool_(True), "b": np.str_("x")}})
         assert json.loads(line) == {"id": 1, "ok": True,
                                     "result": {"a": True, "b": "x"}}
 
     @settings(max_examples=200, deadline=None)
     @given(result=_wire_payloads())
-    def test_fast_path_is_byte_identical(self, result):
-        """Replies equal the element-by-element walk's, byte for byte."""
-        def encode(converted):
-            return InferenceServer._encode(
-                {"id": 1, "ok": True, "result": converted})
-
-        assert encode(_jsonable(result)) == encode(_reference_jsonable(result))
+    def test_encoder_matches_the_stdlib_walk(self, result):
+        """Replies decode equal (float ``==``) to the stdlib encoding of
+        the element-by-element walk, one line each."""
+        payload = {"id": 1, "ok": True, "result": result}
+        line = InferenceServer._encode(payload)
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        assert json.loads(line) == _reference_line(payload)
 
     def test_nan_result_field_still_answers_client(self, monkeypatch):
         """Regression: a NaN diagnostic made json.dumps(allow_nan=False)
@@ -756,7 +774,7 @@ class TestNonFiniteResponses:
         assert response["result"]["ess"] is None
 
     def test_unserializable_payload_yields_internal_error(self, monkeypatch):
-        """The _write fallback: even a payload _jsonable cannot fix turns
+        """The _encode fallback: a payload the encoder rejects turns
         into an InternalError envelope, never a silent dropped line."""
         import repro.service.server as server_module
 

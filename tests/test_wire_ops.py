@@ -11,12 +11,14 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
-from repro.cluster.router import ClusterRouter
+from repro.cluster.router import ClusterRouter, WorkerHandle
 from repro.errors import EvidenceError, QueryError
 from repro.service import InferenceServer, ServiceClient
 from repro.service.ops import LOCAL, OPS, ROUTER, lookup
+from tests.test_sessions import _reference_line
 
 
 def run(coro):
@@ -189,6 +191,148 @@ class TestServerConformance:
         assert "replace" in rejected["error"]["message"]
         assert after["ok"] is True
         assert after["result"]["evidence_vars"] == 2
+
+
+class TestReplyEncoding:
+    def test_every_op_decodes_like_the_stdlib_walk(self, monkeypatch):
+        """A live reply of every served op (exact, soft, prior and approx
+        queries among them) decodes equal — float ``==`` — to the stdlib
+        encoding of the element-by-element walk."""
+        checked = []
+        encode = InferenceServer._encode
+
+        def spy(payload):
+            line = encode(payload)
+            checked.append((payload.get("result"), json.loads(line),
+                            _reference_line(payload)))
+            return line
+
+        monkeypatch.setattr(InferenceServer, "_encode", staticmethod(spy))
+
+        async def scenario():
+            server = InferenceServer(
+                port=0, trace_sample_rate=1.0, trace_slow_ms=0.0,
+                approx_options={"num_samples": 256, "max_samples": 256,
+                                "seed": 3})
+            await server.start()
+            try:
+                placed = await _pipeline(server.port, [
+                    {"op": "query", "network": "asia",
+                     "evidence": {"smoke": "yes"}},
+                    {"op": "query", "network": "asia",
+                     "evidence": {"smoke": "yes", "xray": [0.7, 0.3]},
+                     "targets": ["lung"]},
+                    {"op": "query", "network": "asia", "targets": ["lung"]},
+                    {"op": "query", "network": "asia", "engine": "approx",
+                     "evidence": {"smoke": "yes"}},
+                    {"op": "query_batch", "network": "asia",
+                     "cases": [{"smoke": "yes"}, {"xray": "no"}]},
+                    {"op": "query_batch", "network": "asia",
+                     "engine": "approx", "cases": [{"smoke": "no"}]},
+                    {"op": "mpe", "network": "asia",
+                     "evidence": {"smoke": "yes"}},
+                    {"op": "info", "network": "asia"},
+                    {"op": "session_open", "network": "asia",
+                     "evidence": {"smoke": "yes"}},
+                ])
+                sid = placed[-1]["result"]["session"]
+                sticky = await _pipeline(server.port, [
+                    {"op": "session_update", "session": sid,
+                     "evidence": {"xray": "yes"}, "targets": []},
+                    {"op": "session_query", "session": sid,
+                     "targets": ["lung"]},
+                    {"op": "session_close", "session": sid},
+                ])
+                local = await _pipeline(server.port, [
+                    {"op": name} for name, row in OPS.items()
+                    if row.route == LOCAL and name != "stats_reset"])
+                reset = await _pipeline(server.port, [{"op": "stats_reset"}])
+            finally:
+                await server.stop()
+            return placed + sticky + local + reset
+
+        replies = run(scenario())
+        assert all(reply["ok"] for reply in replies), replies
+        served = {name for name, row in OPS.items() if row.route != ROUTER}
+        assert len(replies) == len(checked) == len(served) + 4
+        for _, decoded, reference in checked:
+            assert decoded == reference
+        # Posteriors reach the encoder as ndarrays: no walk runs first.
+        posteriors = [vector for result, _, _ in checked
+                      for vector in result.get("posteriors", {}).values()]
+        assert len(posteriors) > 20
+        assert all(isinstance(vector, np.ndarray) for vector in posteriors)
+
+    def test_an_id_past_64_bits_gets_an_internal_error_reply(self):
+        """``json.loads`` accepts any int but the encoder stops at 64
+        bits: the stdlib fallback answers with the id echoed."""
+        async def scenario():
+            server = InferenceServer(port=0)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                for request_id in (2 ** 70, 2 ** 64 - 1):
+                    writer.write(json.dumps({
+                        "id": request_id, "op": "health"}).encode() + b"\n")
+                await writer.drain()
+                lines = [await asyncio.wait_for(reader.readline(), 30)
+                         for _ in range(2)]
+                writer.close()
+            finally:
+                await server.stop()
+            return [json.loads(line) for line in lines]
+
+        replies = {reply["id"]: reply for reply in run(scenario())}
+        huge = replies[2 ** 70]
+        assert huge["ok"] is False
+        assert huge["error"]["type"] == "InternalError"
+        assert "64-bit" in huge["error"]["message"]
+        assert replies[2 ** 64 - 1]["ok"] is True
+
+
+class TestWorkerHop:
+    def test_torn_lines_drop_and_unencodable_bodies_leave_nothing_pending(
+            self):
+        """The router's hop: requests go out through the reply encoder,
+        replies come back through ``orjson.loads``; a torn reply line is
+        dropped, and a body the encoder rejects raises before any future
+        is registered."""
+        received = []
+
+        async def fake_worker(reader, writer):
+            while line := await reader.readline():
+                request = json.loads(line)
+                received.append(request)
+                writer.write(b'{"id": ' + str(request["id"]).encode()
+                             + b', "ok"\n')  # torn
+                writer.write(json.dumps({"id": request["id"], "ok": True,
+                                         "result": {"x": 0.1}}).encode()
+                             + b"\n")
+                await writer.drain()
+            writer.close()
+
+        async def scenario():
+            worker = await asyncio.start_server(fake_worker, "127.0.0.1", 0)
+            handle = WorkerHandle("w0", "127.0.0.1",
+                                  worker.sockets[0].getsockname()[1])
+            await handle.connect()
+            try:
+                reply = await handle.call("info", {"network": "asia"},
+                                          timeout_s=10)
+                with pytest.raises(TypeError):
+                    await handle.call("query", {"network": "asia",
+                                                "evidence": {"a": 2 ** 70}})
+                return reply, handle.inflight
+            finally:
+                await handle.close()
+                worker.close()
+                await worker.wait_closed()
+
+        reply, inflight = run(scenario())
+        assert reply == {"id": 1, "ok": True, "result": {"x": 0.1}}
+        assert received == [{"network": "asia", "id": 1, "op": "info"}]
+        assert inflight == 0
 
 
 class TestClientRetrySet:
