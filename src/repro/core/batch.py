@@ -18,18 +18,19 @@ a ``(k, table)``-wide operation.  The 2000-case workload becomes one pass
 of large contiguous NumPy operations — ``O(messages)`` C-level calls in
 total instead of ``O(messages × cases)``.
 
-On the ``native`` kernel backend none of that arena is needed: with hard
-evidence and no kernel hooks recording, each case block is **one foreign
-call** (:meth:`repro.exec.native.backend.NativeKernels.infer_cases`) that
+On the ``native`` kernel backend none of that arena is needed: each case
+block is **one foreign call**
+(:meth:`repro.exec.native.backend.NativeKernels.infer_cases`) that
 applies the evidence matrix, runs the messages each case needs from the
 plan's calibrated prior (``meta["messages_run"]`` counts them; on the
 staged path it is every message of every case), reads the posteriors
 and computes log P(e) case after case over one per-thread
 scratch arena — ``O(blocks)`` foreign calls and no per-message or
-per-variable interpreter work.  The staged path above stays for the
-``numpy``/``fused`` backends, for sampled requests (whose recorder gets
-absorb and schedule timings) and for plans whose index maps are over
-budget; the test suite pins the two against each other at 1e-12.
+per-variable interpreter work.  A sampled request runs the same calls;
+its recorder gets their time and the messages run.  The staged path
+above stays for the ``numpy``/``fused`` backends (a recorder there gets
+absorb and schedule timings); the test suite pins the two against each
+other at 1e-12.
 
 Parallelism composes on the orthogonal axis: case rows are independent, so
 the batch is split into contiguous case *blocks*
@@ -159,29 +160,31 @@ def infer_cases(
     meta = {"cases": float(n), "blocks": float(len(blocks))}
 
     # An installed recorder (repro.obs: a sampled request upstream) gets
-    # the batched path's stage timings — evidence absorption and the
-    # block calibration — since this path never enters
-    # run_message_schedule.  None on the untraced hot path.
+    # the stage timings; None on the untraced hot path.
     hooks = current_kernel_hooks()
-    if hooks is None and getattr(kernels, "compiles_cases", False):
+    if getattr(kernels, "compiles_cases", False):
         # Whole cases, one foreign call per block (native kernels): a
         # thread-dispatched block spends its entire life GIL-free.
         matrix = plan.evidence_matrix(evidence)
+        start = time.perf_counter() if hooks is not None else 0.0
         done = engine.backend.run_batch(
             [(kernels.infer_cases, (plan, matrix[lo:hi], read_ids, lo))
              for lo, hi in blocks])
-        if done[0] is not None:
-            *blocks_out, visited = zip(*done)
-            posteriors, log_evidence = (
-                b[0] if len(done) == 1 else np.concatenate(b)
-                for b in blocks_out)
-            walked, dense, run = map(sum, zip(*visited))
-            engine.metrics.update(messages_run=run, entries_walked=walked,
-                                  entries_dense=dense)
-            return BatchInferenceResult(
-                posteriors=plan.posterior_views(read_ids, posteriors),
-                log_evidence=log_evidence,
-                meta={**meta, "messages_run": float(run)})
+        *blocks_out, visited = zip(*done)
+        posteriors, log_evidence = (
+            b[0] if len(done) == 1 else np.concatenate(b)
+            for b in blocks_out)
+        walked, dense, run = map(sum, zip(*visited))
+        if hooks is not None:
+            hooks.on_schedule(backend=kernels.name, messages=run,
+                              seconds=time.perf_counter() - start,
+                              arena_bytes=plan.arena_bytes, cases=n)
+        engine.metrics.update(messages_run=run, entries_walked=walked,
+                              entries_dense=dense)
+        return BatchInferenceResult(
+            posteriors=plan.posterior_views(read_ids, posteriors),
+            log_evidence=log_evidence,
+            meta={**meta, "messages_run": float(run)})
 
     state = plan.fresh_batch_state(n)
     absorb_start = time.perf_counter() if hooks is not None else 0.0

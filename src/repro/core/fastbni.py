@@ -19,15 +19,17 @@ mode iterates the plan's compiled message sequence and touches tables
 through ndarray views into the plan arena.
 
 One shortcut sits in front of all that: a sequential engine on the native
-backend answers a hard-evidence request with no recorder installed as a
-single foreign call (:meth:`~repro.exec.native.backend.NativeKernels.
-infer_cases`) — the staged absorb → calibrate → read path below it is the
-oracle that call is pinned against, and what every other request runs.
+backend answers a hard-evidence request as a single foreign call
+(:meth:`~repro.exec.native.backend.NativeKernels.infer_cases`), traced or
+not — an installed recorder gets that call's time and message count.  The
+staged absorb → calibrate → read path below it is the oracle that call
+is pinned against, and what every other request runs.
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -176,20 +178,23 @@ class FastBNI:
         plan = self.plan
         read_ids = plan.variable_ids(targets)  # unknown targets raise here
         if (self.config.mode == "seq" and not soft_evidence
-                and getattr(self.kernels, "compiles_cases", False)
-                and current_kernel_hooks() is None):
+                and getattr(self.kernels, "compiles_cases", False)):
             # The whole case as one foreign call (native kernels): no
             # per-message and no per-variable interpreter work.
-            done = self.kernels.infer_cases(
+            hooks = current_kernel_hooks()
+            start = time.perf_counter() if hooks is not None else 0.0
+            rows, log_evidence, (walked, dense, run) = self.kernels.infer_cases(
                 plan, plan.evidence_matrix([evidence or {}]), read_ids)
-            if done is not None:
-                rows, log_evidence, (walked, dense, run) = done
-                self.metrics.update(messages=plan.spec.num_messages,
-                                    messages_run=run, entries_walked=walked,
-                                    entries_dense=dense)
-                return InferenceResult(
-                    posteriors=plan.posterior_views(read_ids, rows[0]),
-                    log_evidence=float(log_evidence[0]))
+            if hooks is not None:
+                hooks.on_schedule(backend=self.kernels.name, messages=run,
+                                  seconds=time.perf_counter() - start,
+                                  arena_bytes=plan.arena_bytes)
+            self.metrics.update(messages=plan.spec.num_messages,
+                                messages_run=run, entries_walked=walked,
+                                entries_dense=dense)
+            return InferenceResult(
+                posteriors=plan.posterior_views(read_ids, rows[0]),
+                log_evidence=float(log_evidence[0]))
         state = plan.fresh_state()
         if evidence:
             plan.absorb_hard_evidence(state, evidence)

@@ -34,19 +34,20 @@ Two layers:
     shape bookkeeping and no per-op dispatch.  This is the paper's
     compile-time-index-map amortisation carried to its end point.
 
-  - ``native``: the same fused message executed by **one C call outside
-    the interpreter** (:mod:`repro.exec.native`) — compiled on first use
-    with the system C compiler into a content-hash-cached ``.so`` and
-    invoked through ``ctypes``, which releases the GIL for the duration
-    of every call (thread-dispatched case blocks overlap on real cores)
-    and, per message, skips zero blocks of the CPT-product base tables
-    via per-plan run lists.  It also advertises ``compiles_cases``:
-    engines hand it whole hard-evidence cases (evidence reduction,
-    schedule, posterior reads, log P(e)) as one call per case block,
-    walked as strided loops with no map or run list, instead of driving
-    messages.  When no C compiler is available, selecting ``native``
-    falls back to ``fused`` with a logged reason; ``info``/``stats``
-    then honestly report the active backend as ``fused``.
+  - ``native``: the paper's stride-triple mapping computed as the loop
+    runs, in C (:mod:`repro.exec.native`) — compiled on first use with
+    the system C compiler into a content-hash-cached ``.so`` and invoked
+    through ``ctypes``, which releases the GIL for the duration of every
+    call (thread-dispatched case blocks overlap on real cores).  Every
+    native message walks its tables as strided loops over their free
+    axes; no index map is built.  It advertises ``compiles_schedule``
+    (a whole calibration of a plan-shaped state is one call) and
+    ``compiles_cases``: engines hand it whole hard-evidence cases
+    (evidence, schedule, posterior reads, log P(e)) as one call per case
+    block, traced or not, instead of driving messages.  When no C
+    compiler is available, selecting ``native`` falls back to ``fused``
+    with a logged reason; ``info``/``stats`` then honestly report the
+    active backend as ``fused``.
 
   All backends are bit-compatible to float64 round-off (the property
   suites pin 1e-12 agreement over random and degenerate geometries).
@@ -244,8 +245,8 @@ class KernelBackend:
     the log normalisation constant(s).  ``maps`` optionally carries the
     cached ``(marginalize, absorb)`` index maps; gather-based backends
     (``fused``) advertise ``wants_maps = True`` so callers prefetch them,
-    while ndview backends (``numpy``) advertise ``False`` so callers skip
-    building maps they would never read.
+    while ndview (``numpy``) and strided (``native``) backends advertise
+    ``False`` so callers skip building maps they would never read.
     """
 
     name = "abstract"
@@ -416,32 +417,42 @@ def run_message_schedule(plan, state, backend: KernelBackend,
     the plan's compiled message sequence — collect layers (tracking the
     normalisation constants in ``state.log_norm``) then distribute layers
     (constants dropped), one :meth:`KernelBackend.message` per edge per
-    phase.  Returns the number of messages executed.
+    phase.  A schedule-compiling backend (``native``) runs the whole
+    calibration as one foreign call instead.  Returns the number of
+    messages executed.
 
     ``hooks`` (or, when absent, the thread's recorder installed by
-    :func:`repro.obs.trace.install_kernel_hooks`) receives per-message
-    timings plus an end-of-run summary (backend name, message count,
-    arena bytes) — how a sampled request's trace sees inside the kernel
-    layer.  With no recorder active the loop is untouched: one
-    thread-local read per call.
+    :func:`repro.obs.trace.install_kernel_hooks`) receives an end-of-run
+    summary (backend name, message count, seconds, arena bytes) and, on
+    the per-message loop, per-message timings — how a sampled request's
+    trace sees inside the kernel layer.  With no recorder active the
+    loop is untouched: one thread-local read per call.
     """
     if hooks is None:
         hooks = current_kernel_hooks()
-    if hooks is None and getattr(backend, "compiles_schedule", False):
-        # Schedule-compiling backends (native) run the whole calibration
-        # as one GIL-free foreign call when nothing needs per-message
-        # visibility; None means this plan/state can't take the fast path.
-        done = backend.run_schedule(plan, state)
-        if done is not None:
-            messages, log_norm = done
-            state.log_norm += log_norm
-            return messages
-    cliques = [p.values for p in state.clique_pot]
-    seps = [p.values for p in state.sep_pot]
-    log_norm = 0.0
-    send = backend.message
     timer = time.perf_counter
     run_start = timer() if hooks is not None else 0.0
+    # None: the state is not laid out as the plan's arena.
+    done = (backend.run_schedule(plan, state)
+            if getattr(backend, "compiles_schedule", False) else None)
+    if done is None:
+        done = _send_messages(plan, state, backend, hooks)
+    messages, log_norm = done
+    state.log_norm += log_norm
+    if hooks is not None:
+        hooks.on_schedule(backend=backend.name, messages=messages,
+                          seconds=timer() - run_start,
+                          arena_bytes=getattr(plan, "arena_bytes", None))
+    return messages
+
+
+def _send_messages(plan, state, backend: KernelBackend,
+                   hooks) -> tuple[int, float]:
+    """The schedule as one ``backend.message`` per message (maps
+    prefetched for the backends that gather); ``(messages, log_norm)``."""
+    cliques = [p.values for p in state.clique_pot]
+    seps = [p.values for p in state.sep_pot]
+    send, timer = backend.message, time.perf_counter
     if hooks is not None:
         def send(*args, _send=backend.message):  # noqa: F811
             t0 = timer()
@@ -449,27 +460,11 @@ def run_message_schedule(plan, state, backend: KernelBackend,
             hooks.on_message(args[4], timer() - t0)
             return out
 
-    # The pre-compiled sequence: maps prefetched for the backends that
-    # gather, zero per-message plan lookups.  Skip-consuming backends
-    # (native) additionally get each endpoint's nonzero-run list so
-    # structurally-zero blocks of the base tables cost nothing.
+    log_norm = 0.0
     compiled = plan.compiled_messages(maps=backend.wants_maps)
-    skips = (plan.zero_skip_runs()
-             if getattr(backend, "wants_skips", False) else None)
     for upward, src, dst, sep_id, edge, m_marg, m_abs in compiled:
-        if skips is None:
-            log_total = send(cliques[src], cliques[dst], seps[sep_id],
-                             edge, upward, (m_marg, m_abs))
-        else:
-            log_total = send(cliques[src], cliques[dst], seps[sep_id],
-                             edge, upward, (m_marg, m_abs),
-                             (skips[src], skips[dst]))
+        log_total = send(cliques[src], cliques[dst], seps[sep_id], edge,
+                         upward, (m_marg, m_abs))
         if upward:
             log_norm += log_total
-    messages = len(compiled)
-    state.log_norm += log_norm
-    if hooks is not None:
-        hooks.on_schedule(backend=backend.name, messages=messages,
-                          seconds=timer() - run_start,
-                          arena_bytes=getattr(plan, "arena_bytes", None))
-    return messages
+    return len(compiled), log_norm

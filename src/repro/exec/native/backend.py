@@ -3,8 +3,9 @@
 :class:`NativeKernels` implements the :class:`~repro.exec.kernels.
 KernelBackend` contract over the C library of
 :mod:`repro.exec.native.build`, at three granularities (coarsest first:
-whole cases, whole schedules, single messages — see the class).  Three
-properties follow that no NumPy formulation has:
+whole cases, whole schedules, single messages — see the class), every
+one of them the same strided message body.  Two properties follow that
+no NumPy formulation has:
 
 * **one foreign call per case block** — :meth:`NativeKernels.infer_cases`
   runs the messages a case's evidence and reads need over the entries
@@ -12,23 +13,18 @@ properties follow that no NumPy formulation has:
   prior read in place), reads the requested posteriors and computes
   log P(e) for a block of cases inside one call, so ``FastBNI.infer``
   and ``core.batch.infer_cases`` pay no per-message and no
-  per-variable Python work;
+  per-variable Python work, traced or not;
 * **GIL release** — ``ctypes`` drops the GIL for the duration of every
   foreign call, so thread-dispatched case blocks genuinely overlap on
-  separate cores instead of time-slicing one interpreter;
-* **zero-block skipping** — the compiled schedule carries per-clique
-  nonzero-run lists derived from the plan's CPT-product base tables
-  (:meth:`repro.exec.plan.MessagePlan.zero_skip_runs`); the staged C
-  loops jump over entries that are structurally zero, which
-  deterministic-CPT networks have in bulk.  The whole-case call walks
-  strided loops instead and does not use them.
+  separate cores instead of time-slicing one interpreter.
 
 Everything C walks is lowered once per plan from plain
 :class:`~repro.exec.plan.PlanSpec` data into flat int64 tables
-(:func:`lower_plan`) and bounds-checked against the arena in Python
-(:func:`check_tables`, which also checks the calibrated prior) before C
-first reads them; evidence matrices and read ids are range-checked per
-call.  C never sees an offset, size, map entry, state index or prior
+(:func:`lower_plan`; no index map is built) and bounds-checked against
+the arena in Python (:func:`check_tables`, which also checks the
+calibrated prior) before C first reads them; evidence matrices and read
+ids are range-checked per call, and a single message's tables against
+its edge.  C never sees an offset, size, loop row, state index or prior
 that was not checked here.
 
 Numerically the backend follows the ``fused`` conventions exactly (same
@@ -46,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import BackendError, EvidenceError, QueryError
-from repro.exec.kernels import KernelBackend, resolve_maps
+from repro.exec.kernels import KernelBackend
 from repro.exec.native.build import (AXIS_STRIDE, CASE_STRIDE, DIM_STRIDE,
                                      MAX_AXES, META_STRIDE, TABLE_STRIDE,
                                      VAR_STRIDE)
@@ -63,11 +59,6 @@ class PlanTables:
     n_messages: int
     #: Largest separator: the C message scratch holds ``2 * max_sep``.
     max_sep: int
-    #: Per message ``(marg map, absorb map)`` and per table its
-    #: nonzero-run list or ``None`` — the arrays whose addresses ``meta``
-    #: and ``tables`` hold, kept alive with them.
-    operands: list
-    runs: list
     #: ``(cliques + separators, TABLE_STRIDE)`` per-table geometry, in
     #: arena order, and the ``(axes, AXIS_STRIDE)`` rows it points into.
     tables: np.ndarray
@@ -155,59 +146,83 @@ def message_loops(ends, rows, axes) -> tuple[np.ndarray, list[tuple]]:
     return (np.array(flat, dtype=np.int64).reshape(-1, DIM_STRIDE), words)
 
 
-def lower_plan(plan) -> "PlanTables | bool":
-    """Lower ``plan`` to :class:`PlanTables`, bounds-checked.
-
-    ``False`` when the plan's index maps exceed its cache budget (there
-    is then nothing to hand C; the per-message path computes maps on the
-    fly).
-    """
+def lower_plan(plan) -> PlanTables:
+    """Lower ``plan`` to :class:`PlanTables`, bounds-checked."""
     spec = plan.spec
-    msgs = plan.compiled_messages()
-    runs = plan.zero_skip_runs() + [None] * spec.num_separators
     cards = [card for _, _, _, card in spec.variables]
     axes, rows = [], []
-    for off, size, var_ids, bounds in zip(
-            spec.clique_offsets + spec.sep_offsets,
-            spec.clique_sizes + spec.sep_sizes,
-            spec.clique_vars + spec.sep_vars, runs):
+    for off, size, var_ids in zip(spec.clique_offsets + spec.sep_offsets,
+                                  spec.clique_sizes + spec.sep_sizes,
+                                  spec.clique_vars + spec.sep_vars):
         first, stride = len(axes), size
         for vid in var_ids:
             # A one-state axis cannot be pinned and moves no stride.
             if cards[vid] > 1:
                 stride //= cards[vid]
                 axes.append((vid, stride, cards[vid]))
-        rows.append((off, size, first, len(axes) - first)
-                    + ((0, 0) if bounds is None else
-                       (bounds.ctypes.data, bounds.size // 2)))
-    meta = np.zeros((len(msgs), META_STRIDE), dtype=np.int64)
-    operands = []
-    for i, (upward, src, dst, sep_id, edge, m_marg, m_abs) in enumerate(msgs):
-        if m_marg is None or m_abs is None:
-            return False
-        meta[i, :6] = (int(upward), m_marg.ctypes.data, m_abs.ctypes.data,
-                       src, dst, spec.num_cliques + sep_id)
-        operands.append((m_marg, m_abs))
-    loops, words = message_loops(meta[:, 3:6].tolist(), rows, axes)
-    if words:
-        meta[:, 6:] = words
-    var_table = np.array(
-        [(cid, stride, card) for cid, _, stride, card in spec.variables],
-        dtype=np.int64).reshape(len(spec.variables), VAR_STRIDE)
+        rows.append((off, size, first, len(axes) - first))
+    msgs = [(int(upward), src, dst, spec.num_cliques + sep_id)
+            for upward, src, dst, sep_id, *_ in
+            plan.compiled_messages(maps=False)]
+    loops, words = message_loops([m[1:] for m in msgs], rows, axes)
     tables = PlanTables(
-        meta=meta, n_messages=len(msgs),
-        max_sep=max(spec.sep_sizes, default=0), operands=operands, runs=runs,
-        tables=np.array(rows, dtype=np.int64),
+        meta=np.array([m + w for m, w in zip(msgs, words)],
+                      dtype=np.int64).reshape(len(msgs), META_STRIDE),
+        n_messages=len(msgs), max_sep=max(spec.sep_sizes, default=0),
+        tables=np.array(rows, dtype=np.int64).reshape(len(rows),
+                                                      TABLE_STRIDE),
         axes=np.array(axes, dtype=np.int64).reshape(len(axes), AXIS_STRIDE),
-        loops=loops, var_table=var_table,
+        loops=loops,
+        var_table=np.array(
+            [(cid, stride, card) for cid, _, stride, card in spec.variables],
+            dtype=np.int64).reshape(len(spec.variables), VAR_STRIDE),
         all_reads=reads_table(spec, range(len(spec.variables))))
     check_tables(spec, tables)
     return tables
 
 
+def edge_rows(edge, upward: bool) -> tuple[np.ndarray, tuple, tuple]:
+    """The loop rows ``fbni_message`` walks for one message of ``edge``:
+    its source clique, destination clique and separator, each against
+    the separator with nothing pinned, back to back — and the three row
+    counts and table sizes.  Derived from the edge's N-D shapes and
+    summed axes: a separator axis is named by its position in the
+    separator, a summed-out axis by a negative id no separator axis has
+    (:func:`table_loop`)."""
+    ends = [(edge.child_shape, edge.up_axes),
+            (edge.parent_shape, edge.down_axes)]
+    if not upward:
+        ends.reverse()
+    sep_shape = tuple(card for a, card in enumerate(ends[0][0])
+                      if a not in ends[0][1])
+    tables = (*ends, (sep_shape, ()))
+
+    def axes(shape, summed):
+        kept = [a for a in range(len(shape)) if a not in summed]
+        rows, stride = [], math.prod(shape)
+        for a, card in enumerate(shape):
+            stride //= card
+            if card > 1:
+                rows.append((kept.index(a) if a in kept else -1 - a,
+                             stride, card))
+        return rows
+
+    sep = axes(sep_shape, ())
+    loops = [table_loop(axes(*table), sep) for table in tables]
+    flat = np.array([row for loop in loops for row in loop],
+                    dtype=np.int64).reshape(-1, DIM_STRIDE)
+    return (flat, tuple(map(len, loops)),
+            tuple(math.prod(shape) for shape, _ in tables))
+
+
 def _is_i64(array, *shape: int) -> bool:
     return (isinstance(array, np.ndarray) and array.dtype == np.int64
             and array.shape == shape and array.flags.c_contiguous)
+
+
+def _is_f64(array, size: int) -> bool:
+    return (isinstance(array, np.ndarray) and array.dtype == np.float64
+            and array.size == size and array.flags.c_contiguous)
 
 
 def check_tables(spec, tables: PlanTables, prior=None) -> None:
@@ -216,14 +231,12 @@ def check_tables(spec, tables: PlanTables, prior=None) -> None:
     Every table row must be the arena's table of that id; its axes must
     lie inside the axes table, be no more than the C odometer holds,
     name distinct variables in increasing id order with the cardinality
-    evidence is checked against and tile the table row-major; its run
-    list must be increasing and inside it.  Every message must name the
-    tables of a plan edge by id, a separator whose variables both
-    cliques hold, index maps as long as its cliques and pointing inside
-    its separator, and the loop rows :func:`message_loops` derives from
-    those axes; the variable rows must be the plan's.  ``prior``, when
-    given, must be a contiguous float64 arena, finite, non-negative,
-    every table summing to 1 within 1e-12.  Raises
+    evidence is checked against and tile the table row-major.  Every
+    message must name the tables of a plan edge by id, a separator whose
+    variables both cliques hold, and the loop rows :func:`message_loops`
+    derives from those axes; the variable rows must be the plan's.
+    ``prior``, when given, must be a contiguous float64 arena, finite,
+    non-negative, every table summing to 1 within 1e-12.  Raises
     :class:`~repro.errors.BackendError` otherwise — C walks these tables
     and reads the prior without looking back.
     """
@@ -238,8 +251,7 @@ def check_tables(spec, tables: PlanTables, prior=None) -> None:
     need(_is_i64(var_table, n_vars, VAR_STRIDE),
          "variable table has the wrong shape")
     need(_is_i64(tables.tables, len(layout), TABLE_STRIDE)
-         and _is_i64(tables.axes, len(tables.axes), AXIS_STRIDE)
-         and len(tables.runs) == len(layout),
+         and _is_i64(tables.axes, len(tables.axes), AXIS_STRIDE),
          "table table has the wrong shape")
     rows = tables.tables.tolist()
     axes = tables.axes.tolist()
@@ -247,8 +259,7 @@ def check_tables(spec, tables: PlanTables, prior=None) -> None:
                                 in spec.variables],
          "variable table is not the plan's")
     table_vars = []
-    for t, (row, bounds) in enumerate(zip(rows, tables.runs)):
-        off, size, first, n_axes, addr, count = row
+    for t, (off, size, first, n_axes) in enumerate(rows):
         need((off, size) == layout[t] and size >= 1,
              f"table {t} is not the arena's table {t}")
         need(0 <= first and 0 <= n_axes <= MAX_AXES
@@ -266,45 +277,24 @@ def check_tables(spec, tables: PlanTables, prior=None) -> None:
             tiled *= card
         need(tiled == size, f"table {t} has strides that do not tile it")
         table_vars.append(var_ids)
-        if bounds is None:
-            need((addr, count) == (0, 0),
-                 f"table {t} names a run list it does not have")
-            continue
-        need(_is_i64(bounds, 2 * count) and count >= 1
-             and bounds.ctypes.data == addr
-             and 0 <= bounds[0] and bounds[-1] <= size
-             and bool((np.diff(bounds) > 0).all()),
-             f"table {t} has a run list leaving it")
 
     meta = tables.meta
-    need(_is_i64(meta, tables.n_messages, META_STRIDE)
-         and len(tables.operands) == tables.n_messages,
+    need(_is_i64(meta, tables.n_messages, META_STRIDE),
          "message table has the wrong shape")
     edges = {(e.child, e.parent, n_cliques + e.sep_id)
              for e in spec.edges.values()}
-    checked: set[tuple[int, int]] = set()
     meta_rows = meta.tolist()
-    for i, (row, operands) in enumerate(zip(meta_rows, tables.operands)):
-        upward, marg_addr, abs_addr, src, dst, sep = row[:6]
+    for i, (upward, src, dst, sep, *_) in enumerate(meta_rows):
         need(((src, dst, sep) if upward else (dst, src, sep)) in edges
              and rows[sep][1] <= tables.max_sep
              and set(table_vars[sep]) <= set(table_vars[src])
              & set(table_vars[dst]),
              f"message {i} does not name the tables of a plan edge")
-        sep_size = rows[sep][1]
-        for imap, addr, tid in zip(operands, (marg_addr, abs_addr),
-                                   (src, dst)):
-            need(_is_i64(imap, rows[tid][1]) and imap.ctypes.data == addr,
-                 f"message {i} has an index map that is not its clique's")
-            if (addr, sep_size) not in checked:
-                need(0 <= imap.min() and imap.max() < sep_size,
-                     f"message {i} has an index map leaving its separator")
-                checked.add((addr, sep_size))
-    loops, words = message_loops([row[3:6] for row in meta_rows], rows,
+    loops, words = message_loops([row[1:4] for row in meta_rows], rows,
                                  axes)
     need(_is_i64(tables.loops, *loops.shape)
          and np.array_equal(tables.loops, loops)
-         and [tuple(row[6:]) for row in meta_rows] == words,
+         and [tuple(row[4:]) for row in meta_rows] == words,
          "loop rows are not the ones the axes give")
     if prior is None:
         return
@@ -331,19 +321,18 @@ class NativeKernels(KernelBackend):
     * :meth:`infer_cases` — a block of whole hard-evidence *cases* as
       **one** foreign call over one per-thread scratch arena
       (``FastBNI.infer`` with ``mode="seq"``, ``core.batch.infer_cases``,
-      no kernel hooks recording);
+      traced or not);
     * :meth:`run_schedule` — one caller-held state's whole calibration as
       **one** foreign call over the compiled schedule
-      (``run_message_schedule``: soft evidence, no hooks recording);
-    * :meth:`message` / :meth:`message_batch` — one call per message, for
-      one case or a case block (the property-test contract, the hooked
-      trace path, ``inter`` mode, plans whose index maps are over budget).
+      (``run_message_schedule``: soft evidence, the prior at lowering);
+    * :meth:`message` — one call per message (the property-test
+      contract, ``inter`` mode); :meth:`message_batch` runs it once per
+      row of a case block.
     """
 
     name = "native"
-    wants_maps = True
-    #: The schedule loop passes per-clique nonzero-run skip lists.
-    wants_skips = True
+    #: The strided loops read no index map.
+    wants_maps = False
     #: run_message_schedule may delegate whole calibrations to run_schedule.
     compiles_schedule = True
     #: Engines may delegate whole hard-evidence cases to infer_cases.
@@ -353,7 +342,6 @@ class NativeKernels(KernelBackend):
         self._lib = lib
         self.library_path = str(library_path)
         self._message = lib.fbni_message
-        self._message_batch = lib.fbni_message_batch
         self._run_schedule = lib.fbni_run_schedule
         self._infer_cases = lib.fbni_infer_cases
         # Per-thread scratch (message scratch, case arena, case words) and
@@ -401,8 +389,7 @@ class NativeKernels(KernelBackend):
         ``(entries walked, entries dense, messages run)`` summed over the
         block.  Each case runs, from the plan's calibrated prior, only the
         messages that can change a read or log P(e) (the rule is in
-        ``build.py``).  ``None`` when the plan cannot be lowered (index
-        maps over budget); callers then run the staged path.
+        ``build.py``).
 
         Raises :class:`EvidenceError` for impossible evidence (found
         before any read, whatever ``read_ids`` asks) and
@@ -411,8 +398,6 @@ class NativeKernels(KernelBackend):
         (batched callers) and no case otherwise.
         """
         tables = self.lowered(plan)
-        if tables is None:
-            return None
         spec = plan.spec
         n_vars = len(spec.variables)
         if not _is_i64(evidence, len(evidence), n_vars):
@@ -458,33 +443,28 @@ class NativeKernels(KernelBackend):
         return out[:, :entries], out[:, entries].copy(), tuple(visited)
 
     # ------------------------------------------------------ compiled schedule
-    def lowered(self, plan) -> "PlanTables | None":
+    def lowered(self, plan) -> PlanTables:
         """The plan's lowered tables, built and bounds-checked once with
-        its calibrated prior (one compiled calibration), or ``None`` when
-        its index maps exceed the cache budget."""
+        its calibrated prior (one compiled calibration)."""
         tables = plan.__dict__.get("_native_schedule")
         if tables is None:
             with self._lowering:  # threads racing on a cold plan wait
                 tables = plan.__dict__.get("_native_schedule")
                 if tables is None:
                     tables = lower_plan(plan)
-                    if tables:
-                        plan.calibrate_prior(lambda state: self._run_lowered(
-                            tables, plan.spec, state))
+                    plan.calibrate_prior(lambda state: self._run_lowered(
+                        tables, plan.spec, state))
                     plan.__dict__["_native_schedule"] = tables
-        return tables or None
+        return tables
 
     def run_schedule(self, plan, state):
         """Calibrate ``state`` in one foreign call; ``(messages, log_norm)``.
 
-        ``None`` — the caller then runs the per-message loop — when the
-        plan's index maps are over budget or ``state`` is not laid out as
-        the plan's arena (only ``MessagePlan.fresh_state`` arenas are).
+        ``None`` — the caller then runs the per-message loop — when
+        ``state`` is not laid out as the plan's arena (only
+        ``MessagePlan.fresh_state`` arenas are).
         """
-        tables = self.lowered(plan)
-        if tables is None:
-            return None
-        return self._run_lowered(tables, plan.spec, state)
+        return self._run_lowered(self.lowered(plan), plan.spec, state)
 
     def _run_lowered(self, tables: PlanTables, spec, state):
         if tables.n_messages == 0:
@@ -494,9 +474,10 @@ class NativeKernels(KernelBackend):
             return None
         scratch = self._scratch(tables.max_sep)
         status = np.empty(1, dtype=np.int64)
-        log_norm = self._run_schedule(base, tables.addresses[0],
-                                      tables.n_messages, scratch.ctypes.data,
-                                      tables.addresses[1], status.ctypes.data)
+        meta, table_rows, _, loops, *_ = tables.addresses
+        log_norm = self._run_schedule(base, meta, tables.n_messages,
+                                      scratch.ctypes.data, table_rows, loops,
+                                      status.ctypes.data)
         if int(status[0]) >= 0:
             raise EvidenceError(EMPTY_MESSAGE)
         return tables.n_messages, log_norm
@@ -514,38 +495,44 @@ class NativeKernels(KernelBackend):
             return None
         return base
 
-    def message(self, src, dst, sep, edge, upward, maps=(None, None),
-                skips=(None, None)):
-        m_marg, m_abs = resolve_maps(src, dst, edge, upward, maps)
+    # --------------------------------------------------------- single messages
+    def _edge_rows(self, edge, upward: bool) -> tuple:
+        """``edge_rows`` of one message direction as ``(rows array, rows
+        address, row counts, table sizes)``, derived once per edge and kept
+        on it (the geometry is frozen, so its ``__dict__`` is written
+        directly)."""
+        held = edge.__dict__.get("_native_rows")
+        if held is None:
+            held = []
+            for direction in (False, True):
+                flat, counts, sizes = edge_rows(edge, direction)
+                held.append((flat, flat.ctypes.data, counts, sizes))
+            edge.__dict__["_native_rows"] = held
+        return held[upward]
+
+    def message(self, src, dst, sep, edge, upward, maps=(None, None)):
+        _, rows, counts, sizes = self._edge_rows(edge, upward)
+        if not all(_is_f64(a, size) for a, size in zip((src, dst, sep),
+                                                        sizes)):
+            raise BackendError(
+                "message tables must be C-contiguous float64 of sizes "
+                f"{sizes}, their edge's")
         scratch = self._scratch(edge.sep_size)
-        src_runs, dst_runs = skips
-        total = self._message(
-            src.ctypes.data, dst.ctypes.data, sep.ctypes.data,
-            m_marg.ctypes.data, m_abs.ctypes.data,
-            src.size, dst.size, edge.sep_size,
-            scratch.ctypes.data,
-            None if src_runs is None else src_runs.ctypes.data,
-            0 if src_runs is None else src_runs.size // 2,
-            None if dst_runs is None else dst_runs.ctypes.data,
-            0 if dst_runs is None else dst_runs.size // 2,
-            None, 0,
-        )
+        total = self._message(src.ctypes.data, dst.ctypes.data,
+                              sep.ctypes.data, rows, *counts, edge.sep_size,
+                              scratch.ctypes.data)
         if total <= 0.0:
             raise EvidenceError(EMPTY_MESSAGE)
         return math.log(total)
 
     def message_batch(self, src, dst, sep, edge, upward, maps=(None, None),
                       case_offset=0):
-        m_marg, m_abs = resolve_maps(src, dst, edge, upward, maps)
-        k = src.shape[0]
-        scratch = self._scratch(edge.sep_size)
-        totals = np.empty(k)
-        bad = self._message_batch(
-            src.ctypes.data, dst.ctypes.data, sep.ctypes.data,
-            m_marg.ctypes.data, m_abs.ctypes.data,
-            src.shape[1], dst.shape[1], edge.sep_size, k,
-            scratch.ctypes.data, totals.ctypes.data,
-        )
-        if bad >= 0:
-            raise EvidenceError(f"{EMPTY_MESSAGE} in case {case_offset + bad}")
-        return np.log(totals)
+        log_totals = np.empty(len(src))
+        for c in range(len(src)):
+            try:
+                log_totals[c] = self.message(src[c], dst[c], sep[c], edge,
+                                             upward)
+            except EvidenceError:
+                raise EvidenceError(
+                    f"{EMPTY_MESSAGE} in case {case_offset + c}") from None
+        return log_totals

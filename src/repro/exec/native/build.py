@@ -1,14 +1,18 @@
 """Build and load the native message-kernel library.
 
-The C source below is the whole library: one function executing a full
-Hugin message (marginalize → normalize → ratio → absorb) over contiguous
-float64 tables through precomputed int64 index maps, its batched
-table-major variant, the compiled-schedule runner built on it, and the
-whole-case entry point ``fbni_infer_cases``, which walks strided loops
-over each table's free axes instead of maps.
-It is compiled on first use with whatever C compiler
-the system provides (``cc``/``gcc``/``clang``; :data:`CFLAGS`) into
-a shared object cached under a **content-hash key** — the SHA-256 of the
+The C source below is the whole library.  It has one message
+formulation: a Hugin message (marginalize → normalize → ratio → absorb)
+walks each of its three float64 tables as a strided loop over the
+table's free axes, computing the paper's stride-triple index mapping as
+the loop goes — no index map, no run list.  Three entry points run that
+one message body: ``fbni_message`` (one message, its loop rows handed
+in), ``fbni_run_schedule`` (a whole calibration of a plan-shaped arena,
+nothing pinned) and ``fbni_infer_cases`` (whole cases, evidence pinning
+axes, from the calibrated prior).
+
+It is compiled on first use with whatever C compiler the system
+provides (``cc``/``gcc``/``clang``; :data:`CFLAGS`) into a shared
+object cached under a **content-hash key** — the SHA-256 of the
 source text, the compiler path and the flags — so a source, toolchain
 or flag change can never pick up a stale binary, and repeat runs
 (including separate worker processes) just ``dlopen`` the cached file.
@@ -44,46 +48,26 @@ CACHE_ENV = "REPRO_NATIVE_CACHE"
 C_SOURCE = r"""
 /* fastbni native message kernels.
  *
- * One whole junction-tree message per call: scatter-marginalize the
- * source clique onto the separator through its index map, normalize
- * (scaled propagation), divide by the old separator with the x/0 = 0
- * convention written as new/(old + (old==0)) -- valid because separator
- * zeros only ever grow during propagation, so old==0 implies new==0 --
- * then gather-absorb the ratio into the destination clique and overwrite
- * the separator.  Matches the Python `fused` backend to float64
- * round-off.
+ * One formulation: a junction-tree message walks each of its three
+ * tables as a strided loop over the table's free axes (below), so no
+ * index map and no run list is ever built.  A message marginalizes the
+ * source clique onto the separator, normalizes it (scaled propagation),
+ * divides by the old separator with the x/0 = 0 convention written as
+ * new/(old + (old==0)) -- valid because separator zeros only ever grow
+ * during propagation, so old==0 implies new==0 -- then absorbs the ratio
+ * into the destination clique and overwrites the separator.  Matches
+ * the Python `fused` backend to float64 round-off.
  *
- * The optional run lists ([start, end) int64 pairs) name the only
- * stretches of a table a loop need visit: entries whose CPT-product base
- * is zero contribute nothing to a marginal and stay zero under the
- * multiply-only updates calibration performs, so the calibrated prior
- * keeps them.
- *
- * The whole-case call (fbni_infer_cases) reads no index map and no run
- * list: it walks each table as a strided loop over its free axes.
+ * Three entry points run messages: fbni_message (one message, the loop
+ * rows handed in), fbni_run_schedule (a whole calibration over a plan's
+ * arena, nothing pinned) and fbni_infer_cases (whole cases, evidence
+ * pinning axes, from the calibrated prior).
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
 typedef int64_t i64;
-
-/* `body` over every [lo, hi) of a run list, or once over [0, size) when
- * there is none.  A dense table keeps its own plain counted loop -- the
- * one the compiler vectorises -- instead of going through a one-run
- * list. */
-#define OVER(runs, n_runs, size, body)                                  \
-    do {                                                                \
-        if (runs) {                                                     \
-            for (i64 r_ = 0; r_ < (n_runs); ++r_) {                     \
-                i64 lo = (runs)[2 * r_], hi = (runs)[2 * r_ + 1];       \
-                body;                                                   \
-            }                                                           \
-        } else {                                                        \
-            i64 lo = 0, hi = (size);                                    \
-            body;                                                       \
-        }                                                               \
-    } while (0)
 
 static void fill_range(double *values, double value, i64 lo, i64 hi)
 {
@@ -107,116 +91,22 @@ static double sum_range(const double *values, i64 lo, i64 hi)
     return (s0 + s1) + (s2 + s3);
 }
 
-/* scratch must hold 2 * sep_size doubles (new separator + ratio).
- * Returns the message total; a total <= 0 signals impossible evidence
- * and leaves dst/sep untouched.  Each of the three tables takes a run
- * list or NULL (visit everything); separator entries outside sep_runs
- * are neither read nor written, so every src/dst run must map inside
- * them. */
-double fbni_message(const double *src, double *dst, double *sep,
-                    const i64 *m_marg, const i64 *m_abs,
-                    i64 src_size, i64 dst_size, i64 sep_size,
-                    double *scratch,
-                    const i64 *src_runs, i64 n_src_runs,
-                    const i64 *dst_runs, i64 n_dst_runs,
-                    const i64 *sep_runs, i64 n_sep_runs)
-{
-    double *new_sep = scratch;
-    double *ratio = scratch + sep_size;
-    double total = 0.0;
-    OVER(sep_runs, n_sep_runs, sep_size, fill_range(new_sep, 0.0, lo, hi));
-    OVER(src_runs, n_src_runs, src_size,
-         for (i64 i = lo; i < hi; ++i)
-             new_sep[m_marg[i]] += src[i]);
-    OVER(sep_runs, n_sep_runs, sep_size, total += sum_range(new_sep, lo, hi));
-    if (!(total > 0.0))
-        return total;
-    OVER(sep_runs, n_sep_runs, sep_size,
-         for (i64 j = lo; j < hi; ++j) {
-             double ns = new_sep[j] / total;
-             double old = sep[j];
-             ratio[j] = ns / (old + (old == 0.0 ? 1.0 : 0.0));
-             sep[j] = ns;
-         });
-    OVER(dst_runs, n_dst_runs, dst_size,
-         for (i64 i = lo; i < hi; ++i)
-             dst[i] *= ratio[m_abs[i]]);
-    return total;
-}
-
-/* Table-major batch: src is (k, src_size) row-major contiguous, etc.
- * totals[c] receives each case's message total.  Returns the first case
- * index whose message came up empty (total <= 0), or -1 when all k
- * cases normalised cleanly. */
-i64 fbni_message_batch(const double *src, double *dst, double *sep,
-                       const i64 *m_marg, const i64 *m_abs,
-                       i64 src_size, i64 dst_size, i64 sep_size, i64 k,
-                       double *scratch, double *totals)
-{
-    for (i64 c = 0; c < k; ++c) {
-        double total = fbni_message(src + c * src_size,
-                                    dst + c * dst_size,
-                                    sep + c * sep_size,
-                                    m_marg, m_abs,
-                                    src_size, dst_size, sep_size,
-                                    scratch, 0, 0, 0, 0, 0, 0);
-        totals[c] = total;
-        if (!(total > 0.0))
-            return c;
-    }
-    return -1;
-}
-
-/* The whole calibration as one foreign call over two flat i64 tables.
- * Tables, FBNI_TABLE_STRIDE words each, cliques first, then separators,
- * in arena order:
+/* A plan's tables, FBNI_TABLE_STRIDE words each, cliques first, then
+ * separators, in arena order:
  *
  *   [0] arena offset (entries) [1] size
  *   [2] first row in `axes`    [3] number of axes
- *   [4] nonzero-runs address (0 = dense)        [5] run count
  *
- * and the compiled schedule, FBNI_META_STRIDE words per message:
+ * and its compiled schedule, FBNI_META_STRIDE words per message:
  *
- *   [0] upward flag            [1] marginalize-map address
- *   [2] absorb-map address     [3] src table id
- *   [4] dst table id           [5] sep table id
- *   [6]-[8] the slots of the message's loops (whole cases, below)
+ *   [0] upward flag            [1] src table id
+ *   [2] dst table id           [3] sep table id
+ *   [4]-[6] the slots of the message's loops (slot_loop, below)
  *
- * Map/run addresses are raw pointers to int64 arrays the caller keeps
- * alive; table operands are located by offset from the state's arena
- * base, so one compiled schedule serves every per-case arena.  This
- * runner walks the maps and each table's nonzero runs.  Returns the
- * accumulated log-normalisation constant of the collect messages;
- * status[0] receives -1, or the index of the message whose total came
- * up empty (impossible evidence). */
-#define FBNI_TABLE_STRIDE 6
-#define FBNI_META_STRIDE 9
-
-double fbni_run_schedule(double *arena, const i64 *meta, i64 n_messages,
-                         double *scratch, const i64 *tables, i64 *status)
-{
-    double log_norm = 0.0;
-    for (i64 m = 0; m < n_messages; ++m) {
-        const i64 *e = meta + m * FBNI_META_STRIDE;
-        const i64 *t[3];  /* src, dst, sep */
-        for (int k = 0; k < 3; ++k)
-            t[k] = tables + e[3 + k] * FBNI_TABLE_STRIDE;
-        double total = fbni_message(
-            arena + t[0][0], arena + t[1][0], arena + t[2][0],
-            (const i64 *)(uintptr_t)e[1], (const i64 *)(uintptr_t)e[2],
-            t[0][1], t[1][1], t[2][1], scratch,
-            (const i64 *)(uintptr_t)t[0][4], t[0][5],
-            (const i64 *)(uintptr_t)t[1][4], t[1][5], 0, 0);
-        if (!(total > 0.0)) {
-            status[0] = m;
-            return 0.0;
-        }
-        if (e[0])
-            log_norm += log(total);
-    }
-    status[0] = -1;
-    return log_norm;
-}
+ * Tables are located by offset from an arena base, so one compiled
+ * schedule serves every per-case arena. */
+#define FBNI_TABLE_STRIDE 4
+#define FBNI_META_STRIDE 7
 
 /* Strided loops.  A table's axes are FBNI_AXIS_STRIDE words each,
  * outermost first: [0] variable id, [1] stride, [2] cardinality (always
@@ -446,88 +336,6 @@ void fbni_pinned_absorb(double *table, const double *in, const i64 *axes,
     absorb(&loop, table, in, ratio);
 }
 
-/* Whole cases in one foreign call, case after case over one single-case
- * scratch arena (so a case's tables stay cache-resident and a block of
- * cases needs no more memory than one).
- *
- * prior is the plan's arena after one no-evidence calibration, every
- * table normalised to sum 1 (clique C holds P(C), separator S P(S)).  A
- * message whose inputs the case leaves at the prior changes nothing, so
- * only these run: a collect message iff its child's subtree holds an
- * observed clique, a distribute message iff that subtree holds a read
- * clique and some observed clique lies outside it.  A skipped collect
- * message's total is 1, so log P(e) is the sum of log totals over the
- * collect messages run plus the log of the root total.
- *
- * The prior is read in place: a table nobody has written in this case is
- * read from prior, the first separator update reads its old values
- * there, and the first absorb into a clique writes prior * ratio over
- * its free entries; from then on the arena copy is current.  Every loop
- * -- both clique loops and the three separator loops of a message, the
- * root total and the reads -- walks the table's free entries only.
- *
- * A message's three loops (its src and dst clique and its separator,
- * each against the separator) sit in loops, a slot each, named by words
- * [6], [7], [8] of the message; the two messages of an edge share its
- * three slots.  A slot is a head row, (rows, 0, 0), then the rows of the
- * loop with nothing pinned, built when the plan is lowered, in room for
- * as many rows as its table has axes.  When the case's evidence pins the
- * table, pin() derives the loop from the axes instead, once per case,
- * into the case's copy of the slot, whose head row then reads (rows,
- * table offset, separator offset), or -1 rows before the case derives
- * it.  The root total's and the reads' loops are derived per case.
- *
- * Variables are FBNI_VAR_STRIDE words each: [0] the table id of the
- * variable's clique, [1] its stride there, [2] its cardinality.
- *
- * words is FBNI_CASE_STRIDE words per table (the observed cliques in
- * the subtree a clique roots, FBNI_* flags), a need word per message
- * (collect phase first, children before parents), then the case's copy
- * of loops.  Tables 0 ..
- * n_cliques - 1 are the cliques.  evidence is (n_cases, n_vars)
- * row-major, a state index or -1 per variable; reads holds n_reads
- * (variable id, offset into the output row) pairs; out is (n_cases,
- * out_entries + 1): row c receives each read's normalised marginal at
- * its offset and, last, log P(e).
- *
- * status[0] = -1 on success.  Otherwise the call stops at the first
- * failing case c with status[0] = c and status[1] = the index of the
- * message that came up empty, n_messages when the root total is zero
- * (both: impossible evidence, found before any read), or -(1 + r) when
- * read r could not be normalised, its total left in the row's last slot.
- * status[2] - [4] sum over the cases the clique entries the messages run
- * walked, those every message of the schedule would walk dense, and the
- * messages run. */
-#define FBNI_VAR_STRIDE 3
-#define FBNI_CASE_STRIDE 2
-#define FBNI_READ 1      /* the subtree a clique roots holds a read clique */
-#define FBNI_PINNED 2    /* the case observes a variable of the table */
-#define FBNI_WRITTEN 4   /* the arena copy is current, not the prior */
-#define FAIL(c, why) do { status[0] = (c); status[1] = (why); return; } while (0)
-
-/* need[m] for every message (the rule above), and no slot derived yet.
- * The collect pass sums, per clique, the observed cliques and the read
- * flags of the subtree it roots before any distribute message asks
- * about them. */
-static void select_messages(const i64 *meta, i64 n_messages, i64 *words,
-                            i64 observed_cliques, i64 *need, i64 *rows)
-{
-    for (i64 m = 0; m < n_messages; ++m) {
-        const i64 *e = meta + m * FBNI_META_STRIDE;
-        for (int k = 0; k < 3; ++k)
-            rows[e[6 + k] * FBNI_DIM_STRIDE] = -1;
-        i64 *src = words + e[3] * FBNI_CASE_STRIDE;
-        i64 *dst = words + e[4] * FBNI_CASE_STRIDE;
-        if (e[0]) {
-            need[m] = src[0] > 0;
-            dst[0] += src[0];
-            dst[1] |= src[1] & FBNI_READ;
-        } else {
-            need[m] = (dst[1] & FBNI_READ) && observed_cliques > dst[0];
-        }
-    }
-}
-
 /* The separator passes of a message, over the separator's own loop:
  * zero new_sep, sum it, or normalise it by total, writing its ratio to
  * the old copy into ratio and the new separator into out (which may be
@@ -572,6 +380,163 @@ static double sep_pass(int pass, const loop_t *sep, double *restrict new_sep,
     return sum;
 }
 
+/* The one message body.  src, dst and sep are the loops of the source
+ * clique, the destination clique and the separator, each against the
+ * separator.  The source is read from src_in, the old separator from
+ * sep_old and the destination from dst_in; the new separator goes to
+ * sep_out and dst_in * ratio to dst_out (each in place, or out of the
+ * calibrated prior).  scratch holds 2 * sep_size doubles (new separator
+ * + ratio).  Returns the message total; a total <= 0 signals impossible
+ * evidence and leaves the destination and the separator untouched. */
+static double message(const loop_t *src, const loop_t *dst, const loop_t *sep,
+                      const double *src_in, const double *dst_in,
+                      double *dst_out, const double *sep_old, double *sep_out,
+                      i64 sep_size, double *scratch)
+{
+    double *new_sep = scratch, *ratio = scratch + sep_size;
+    sep_pass(SEP_ZERO, sep, new_sep, NULL, NULL, NULL, 0.0);
+    marginalize(src, src_in, new_sep);
+    double total = sep_pass(SEP_SUM, sep, new_sep, NULL, NULL, NULL, 0.0);
+    if (!(total > 0.0))
+        return total;
+    sep_pass(SEP_UPDATE, sep, new_sep, sep_old, ratio, sep_out, total);
+    absorb(dst, dst_out, dst_in, ratio);
+    return total;
+}
+
+/* One message over caller-held tables, each updated in place: rows holds
+ * the loop rows of src (n_src of them), then dst's, then sep's, nothing
+ * pinned (each n <= FBNI_MAX_AXES + 2). */
+double fbni_message(const double *src, double *dst, double *sep,
+                    const i64 *rows, i64 n_src, i64 n_dst, i64 n_sep,
+                    i64 sep_size, double *scratch)
+{
+    loop_t s = {rows, n_src, 0, 0};
+    loop_t d = {rows + n_src * FBNI_DIM_STRIDE, n_dst, 0, 0};
+    loop_t p = {rows + (n_src + n_dst) * FBNI_DIM_STRIDE, n_sep, 0, 0};
+    return message(&s, &d, &p, src, dst, dst, sep, sep, sep_size, scratch);
+}
+
+/* A message's three loops (its src and dst clique and its separator,
+ * each against the separator) sit in a plan's loop table, a slot each,
+ * named by words [4], [5], [6] of the message; the two messages of an
+ * edge share its three slots.  A slot is a head row, (rows, 0, 0), then
+ * the rows of the loop with nothing pinned, built when the plan is
+ * lowered, in room for as many rows as its table has axes. */
+static loop_t slot_loop(const i64 *loops, i64 slot)
+{
+    const i64 *head = loops + slot * FBNI_DIM_STRIDE;
+    return (loop_t){head + FBNI_DIM_STRIDE, head[0], 0, 0};
+}
+
+/* The whole calibration of a plan-shaped arena as one foreign call:
+ * every message in schedule order, nothing pinned, each table read and
+ * updated in place.  Returns the accumulated log-normalisation constant
+ * of the collect messages; status[0] receives -1, or the index of the
+ * message whose total came up empty (impossible evidence). */
+double fbni_run_schedule(double *arena, const i64 *meta, i64 n_messages,
+                         double *scratch, const i64 *tables, const i64 *loops,
+                         i64 *status)
+{
+    double log_norm = 0.0;
+    for (i64 m = 0; m < n_messages; ++m) {
+        const i64 *e = meta + m * FBNI_META_STRIDE;
+        loop_t src = slot_loop(loops, e[4]), dst = slot_loop(loops, e[5]),
+               sep = slot_loop(loops, e[6]);
+        const i64 *s = tables + e[3] * FBNI_TABLE_STRIDE;
+        double *d = arena + tables[e[2] * FBNI_TABLE_STRIDE];
+        double total = message(&src, &dst, &sep,
+                               arena + tables[e[1] * FBNI_TABLE_STRIDE], d, d,
+                               arena + s[0], arena + s[0], s[1], scratch);
+        if (!(total > 0.0)) {
+            status[0] = m;
+            return 0.0;
+        }
+        if (e[0])
+            log_norm += log(total);
+    }
+    status[0] = -1;
+    return log_norm;
+}
+
+/* Whole cases in one foreign call, case after case over one single-case
+ * scratch arena (so a case's tables stay cache-resident and a block of
+ * cases needs no more memory than one).
+ *
+ * prior is the plan's arena after one no-evidence calibration, every
+ * table normalised to sum 1 (clique C holds P(C), separator S P(S)).  A
+ * message whose inputs the case leaves at the prior changes nothing, so
+ * only these run: a collect message iff its child's subtree holds an
+ * observed clique, a distribute message iff that subtree holds a read
+ * clique and some observed clique lies outside it.  A skipped collect
+ * message's total is 1, so log P(e) is the sum of log totals over the
+ * collect messages run plus the log of the root total.
+ *
+ * The prior is read in place: a table nobody has written in this case is
+ * read from prior, the first separator update reads its old values
+ * there, and the first absorb into a clique writes prior * ratio over
+ * its free entries; from then on the arena copy is current.  Every loop
+ * -- both clique loops and the three separator loops of a message, the
+ * root total and the reads -- walks the table's free entries only.
+ *
+ * A table the case leaves unpinned is walked by its slot's loop.  When
+ * the case's evidence pins it, pin() derives the loop from the axes
+ * instead, once per case, into the case's copy of the slot, whose head
+ * row then reads (rows, table offset, separator offset), or -1 rows
+ * before the case derives it.  The root total's and the reads' loops
+ * are derived per case.
+ *
+ * Variables are FBNI_VAR_STRIDE words each: [0] the table id of the
+ * variable's clique, [1] its stride there, [2] its cardinality.
+ *
+ * words is FBNI_CASE_STRIDE words per table (the observed cliques in
+ * the subtree a clique roots, FBNI_* flags), a need word per message
+ * (collect phase first, children before parents), then the case's copy
+ * of loops.  Tables 0 ..
+ * n_cliques - 1 are the cliques.  evidence is (n_cases, n_vars)
+ * row-major, a state index or -1 per variable; reads holds n_reads
+ * (variable id, offset into the output row) pairs; out is (n_cases,
+ * out_entries + 1): row c receives each read's normalised marginal at
+ * its offset and, last, log P(e).
+ *
+ * status[0] = -1 on success.  Otherwise the call stops at the first
+ * failing case c with status[0] = c and status[1] = the index of the
+ * message that came up empty, n_messages when the root total is zero
+ * (both: impossible evidence, found before any read), or -(1 + r) when
+ * read r could not be normalised, its total left in the row's last slot.
+ * status[2] - [4] sum over the cases the clique entries the messages run
+ * walked, those every message of the schedule would walk dense, and the
+ * messages run. */
+#define FBNI_VAR_STRIDE 3
+#define FBNI_CASE_STRIDE 2
+#define FBNI_READ 1      /* the subtree a clique roots holds a read clique */
+#define FBNI_PINNED 2    /* the case observes a variable of the table */
+#define FBNI_WRITTEN 4   /* the arena copy is current, not the prior */
+#define FAIL(c, why) do { status[0] = (c); status[1] = (why); return; } while (0)
+
+/* need[m] for every message (the rule above), and no slot derived yet.
+ * The collect pass sums, per clique, the observed cliques and the read
+ * flags of the subtree it roots before any distribute message asks
+ * about them. */
+static void select_messages(const i64 *meta, i64 n_messages, i64 *words,
+                            i64 observed_cliques, i64 *need, i64 *rows)
+{
+    for (i64 m = 0; m < n_messages; ++m) {
+        const i64 *e = meta + m * FBNI_META_STRIDE;
+        for (int k = 0; k < 3; ++k)
+            rows[e[4 + k] * FBNI_DIM_STRIDE] = -1;
+        i64 *src = words + e[1] * FBNI_CASE_STRIDE;
+        i64 *dst = words + e[2] * FBNI_CASE_STRIDE;
+        if (e[0]) {
+            need[m] = src[0] > 0;
+            dst[0] += src[0];
+            dst[1] |= src[1] & FBNI_READ;
+        } else {
+            need[m] = (dst[1] & FBNI_READ) && observed_cliques > dst[0];
+        }
+    }
+}
+
 struct case_ctx {
     const i64 *tables, *axes, *loops, *observed;
     i64 *words, *rows;
@@ -602,14 +567,13 @@ static void table_loop(const struct case_ctx *x, i64 t, i64 u, i64 *dims,
  * separator. */
 static loop_t message_loop(const struct case_ctx *x, const i64 *e, int k)
 {
-    i64 t = e[k < 2 ? 3 + k : 5], slot = e[6 + k] * FBNI_DIM_STRIDE;
+    i64 t = e[1 + k];
     if (!(x->words[t * FBNI_CASE_STRIDE + 1] & FBNI_PINNED))
-        return (loop_t){x->loops + slot + FBNI_DIM_STRIDE, x->loops[slot],
-                        0, 0};
-    i64 *head = x->rows + slot;
+        return slot_loop(x->loops, e[4 + k]);
+    i64 *head = x->rows + e[4 + k] * FBNI_DIM_STRIDE;
     loop_t loop = {head + FBNI_DIM_STRIDE, head[0], head[1], head[2]};
     if (head[0] < 0) {
-        table_loop(x, t, e[5], head + FBNI_DIM_STRIDE, &loop);
+        table_loop(x, t, e[3], head + FBNI_DIM_STRIDE, &loop);
         head[0] = loop.n;
         head[1] = loop.off;
         head[2] = loop.target_off;
@@ -618,27 +582,22 @@ static loop_t message_loop(const struct case_ctx *x, const i64 *e, int k)
 }
 
 /* One message of a case; returns its total, adding the clique entries
- * it walked to *walked (a total <= 0: impossible evidence). */
+ * it walked to *walked (a total <= 0: impossible evidence).  A clique's
+ * first write is prior * ratio; later ones update in place. */
 static double case_message(const struct case_ctx *x, const i64 *e,
                            double *scratch, i64 *walked)
 {
     loop_t src = message_loop(x, e, 0), dst = message_loop(x, e, 1),
            sep = message_loop(x, e, 2);
-    i64 sep_size = x->tables[e[5] * FBNI_TABLE_STRIDE + 1];
-    double *new_sep = scratch, *ratio = scratch + sep_size;
-    sep_pass(SEP_ZERO, &sep, new_sep, NULL, NULL, NULL, 0.0);
-    marginalize(&src, current(x, e[3]), new_sep);
-    double total = sep_pass(SEP_SUM, &sep, new_sep, NULL, NULL, NULL, 0.0);
+    const i64 *s = x->tables + e[3] * FBNI_TABLE_STRIDE;
+    double total = message(
+        &src, &dst, &sep, current(x, e[1]), current(x, e[2]),
+        x->arena + x->tables[e[2] * FBNI_TABLE_STRIDE], current(x, e[3]),
+        x->arena + s[0], s[1], scratch);
     if (!(total > 0.0))
         return total;
-    sep_pass(SEP_UPDATE, &sep, new_sep, current(x, e[5]), ratio,
-             x->arena + x->tables[e[5] * FBNI_TABLE_STRIDE], total);
-    x->words[e[5] * FBNI_CASE_STRIDE + 1] |= FBNI_WRITTEN;
-    /* A clique's first write is prior * ratio (a likelihood block for the
-     * clique would be multiplied in here); later ones update in place. */
-    absorb(&dst, x->arena + x->tables[e[4] * FBNI_TABLE_STRIDE],
-           current(x, e[4]), ratio);
-    x->words[e[4] * FBNI_CASE_STRIDE + 1] |= FBNI_WRITTEN;
+    x->words[e[3] * FBNI_CASE_STRIDE + 1] |= FBNI_WRITTEN;
+    x->words[e[2] * FBNI_CASE_STRIDE + 1] |= FBNI_WRITTEN;
     *walked += loop_entries(&src) + loop_entries(&dst);
     return total;
 }
@@ -680,8 +639,8 @@ void fbni_infer_cases(const double *prior, i64 n_cliques, double *arena,
         double log_norm = 0.0;
         for (i64 m = 0; m < n_messages; ++m) {
             const i64 *e = meta + m * FBNI_META_STRIDE;
-            status[3] += tables[e[3] * FBNI_TABLE_STRIDE + 1]
-                         + tables[e[4] * FBNI_TABLE_STRIDE + 1];
+            status[3] += tables[e[1] * FBNI_TABLE_STRIDE + 1]
+                         + tables[e[2] * FBNI_TABLE_STRIDE + 1];
             if (!need[m])
                 continue;
             double total = case_message(&x, e, scratch, status + 2);
@@ -735,7 +694,7 @@ double fbni_probe_spin(i64 n)
 #: i64 words per message, variable, table, table axis, loop row and
 #: per-case table, and the most axes a table may have (all mirror the
 #: FBNI_* macros).
-META_STRIDE, VAR_STRIDE, TABLE_STRIDE, AXIS_STRIDE, DIM_STRIDE = 9, 3, 6, 3, 3
+META_STRIDE, VAR_STRIDE, TABLE_STRIDE, AXIS_STRIDE, DIM_STRIDE = 7, 3, 4, 3, 3
 CASE_STRIDE, MAX_AXES = 2, 64
 
 #: The compiler flags of the shared object; part of its cache key.
@@ -775,13 +734,9 @@ def _declare(lib: ctypes.CDLL) -> None:
     # per-call argument marshalling at integer cost.
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    lib.fbni_message.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, i64, i64, ptr,
-                                 ptr, i64, ptr, i64, ptr, i64]
+    lib.fbni_message.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64, i64, ptr]
     lib.fbni_message.restype = ctypes.c_double
-    lib.fbni_message_batch.argtypes = [ptr, ptr, ptr, ptr, ptr,
-                                       i64, i64, i64, i64, ptr, ptr]
-    lib.fbni_message_batch.restype = i64
-    lib.fbni_run_schedule.argtypes = [ptr, ptr, i64, ptr, ptr, ptr]
+    lib.fbni_run_schedule.argtypes = [ptr, ptr, i64, ptr, ptr, ptr, ptr]
     lib.fbni_run_schedule.restype = ctypes.c_double
     lib.fbni_pinned_marginalize.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr]
     lib.fbni_pinned_marginalize.restype = None

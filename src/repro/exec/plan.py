@@ -289,9 +289,6 @@ class MessagePlan:
         #: Pre-compiled message sequence as ``(layers, flat)``, keyed by
         #: whether index maps are attached (lazy).
         self._compiled: dict[bool, tuple[list[list[tuple]], list[tuple]]] = {}
-        #: Per-clique nonzero-run skip lists over the base tables (lazy).
-        self._zero_runs: list[np.ndarray | None] | None = None
-        self._zero_skipped = 0
 
     # ----------------------------------------------------------------- layout
     @property
@@ -350,8 +347,9 @@ class MessagePlan:
         """The calibrated prior, built once: a fresh state calibrated in
         place by ``calibrate(state)`` with no evidence, every clique and
         separator table then divided by its own sum (clique *C* holds
-        P(C), separator *S* P(S)).  Zeros only grow during calibration, so
-        :meth:`zero_skip_runs` stays valid over it."""
+        P(C), separator *S* P(S)).  The native backend builds it when it
+        lowers the plan, ``calibrate`` being one ``fbni_run_schedule``
+        call over the strided loops, so no index map is built for it."""
         if self.prior_flat is None:
             state = self.fresh_state()
             calibrate(state)
@@ -588,43 +586,6 @@ class MessagePlan:
             lo = hi
         return columns
 
-    #: Don't bother skipping unless at least this fraction of a base
-    #: table is zero — below it the run bookkeeping costs more than the
-    #: skipped work saves.
-    ZERO_SKIP_MIN_FRAC = 1 / 16
-
-    def zero_skip_runs(self) -> list[np.ndarray | None]:
-        """Per-clique nonzero-run lists over the CPT-product base tables.
-
-        Entry *cid* is a flat int64 array of ``[start, end)`` pairs
-        covering the nonzero stretches of clique *cid*'s base table, or
-        ``None`` when the table is (nearly) dense.  Zeros in the base are
-        *structural*: calibration only ever multiplies clique tables
-        after initialisation (evidence masks, absorb ratios), so a base
-        zero contributes nothing to any marginal and stays zero under
-        every absorb — both directions of a message may skip it.
-        Deterministic-CPT networks (asia's ``either``, the noisy grids)
-        have such zeros in bulk; skip-consuming kernel backends
-        (``native``) do proportionally less work there.
-        """
-        if self._zero_runs is None:
-            runs_per: list[np.ndarray | None] = []
-            skipped = 0
-            for base in self.base_cliques:
-                nonzero = base != 0.0
-                n_zero = base.size - int(np.count_nonzero(nonzero))
-                if n_zero < base.size * self.ZERO_SKIP_MIN_FRAC:
-                    runs_per.append(None)
-                    continue
-                padded = np.zeros(base.size + 2, dtype=bool)
-                padded[1:-1] = nonzero
-                bounds = np.flatnonzero(padded[1:] != padded[:-1])
-                runs_per.append(np.ascontiguousarray(bounds, dtype=np.int64))
-                skipped += n_zero
-            self._zero_runs = runs_per
-            self._zero_skipped = skipped
-        return self._zero_runs
-
     def _compile(self, maps: bool) -> tuple[list[list[tuple]], list[tuple]]:
         compiled = self._compiled.get(maps)
         if compiled is None:
@@ -673,7 +634,6 @@ class MessagePlan:
             "plan_arena_bytes": float(self.arena_bytes),
             "plan_messages": float(self.spec.num_messages),
             "plan_map_entries": float(self._map_entries),
-            "plan_zero_skipped_entries": float(self._zero_skipped),
         }
 
 

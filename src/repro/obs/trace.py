@@ -33,10 +33,12 @@ overheads and ``tools/check_bench.py --obs`` guards them in CI.
 The kernel-hook bridge (:func:`install_kernel_hooks` /
 :func:`current_kernel_hooks`) is how a trace reaches *inside* the
 execution layer without threading a parameter through every engine:
-:func:`repro.exec.kernels.run_message_schedule` and the batched
-calibration consult a thread-local for an active
-:class:`ScheduleRecorder`, so per-message-pass and per-clique-absorption
-timings surface in the flush span only when someone is watching.
+:func:`repro.exec.kernels.run_message_schedule`, the batched
+calibration and the native whole-case call consult a thread-local for
+an active :class:`ScheduleRecorder`, so kernel timings surface in the
+flush span only when someone is watching — without changing which code
+runs: a native whole case reports its one foreign call, the staged
+numpy/fused path its message passes and clique absorptions.
 """
 
 from __future__ import annotations
@@ -328,7 +330,8 @@ class ScheduleRecorder:
 
     Installed around an engine invocation with
     :func:`install_kernel_hooks`; :func:`repro.exec.kernels.
-    run_message_schedule` and the batched calibration call back into it.
+    run_message_schedule`, the batched calibration and the native
+    whole-case call back into it.
     ``summary()`` is what the flush span attaches as attributes.
     """
 

@@ -375,10 +375,11 @@ class MicroBatcher:
         # case — common random numbers, one pass over the topology).
         soft = ({"soft_cases": [p.request.soft_evidence for p in batch]}
                 if entry.capabilities.batched_soft_evidence else {})
-        # A sampled request in the batch turns on the kernel hooks:
-        # run_message_schedule / the batched calibration report
-        # per-message and per-absorption timings through a thread-local
-        # installed around the engine call only.
+        # A sampled request in the batch turns on the kernel hooks: the
+        # engine reports its kernel time and messages (native: the one
+        # whole-case call; numpy/fused: per-message and per-absorption
+        # timings too) through a thread-local installed around the engine
+        # call only.  The engine runs the same code either way.
         recorder = (ScheduleRecorder()
                     if any(p.request.trace is not None for p in batch)
                     else None)

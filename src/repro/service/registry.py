@@ -424,10 +424,7 @@ class ModelRegistry:
             plan=decision,
             from_cache=from_cache,
             cache=inference_cache,
-            # prepare_baseline() gave a case-compiling backend's lowered
-            # plan its calibrated prior.
-            one_foreign_call=engine.plan.prior_flat is not None and getattr(
-                engine.kernels, "compiles_cases", False),
+            one_foreign_call=getattr(engine.kernels, "compiles_cases", False),
             meta={"variables": float(net.num_variables),
                   **{k: float(v) for k, v in engine.stats().items()}},
         )
@@ -458,7 +455,8 @@ class ModelRegistry:
 
     @staticmethod
     def _estimate_bytes(engine: BatchedFastBNI, prior: dict[str, np.ndarray]) -> int:
-        """Resident footprint: base cliques + index maps + (native plans)
+        """Resident footprint: base cliques + the index maps the engine
+        built (a gathering backend's; native builds none) + (native plans)
         calibrated prior arena + prior marginals."""
         n = 8 * int(engine.tree.stats()["total_clique_size"])  # CPT products
         n += 8 * int(engine.plan.stats()["plan_map_entries"])  # int64 index maps

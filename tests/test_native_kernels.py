@@ -2,12 +2,12 @@
 
 Mirrors the randomized property suite of ``tests/test_exec.py`` with the
 native backend duelling the numpy reference at 1e-12, plus the pieces
-only this backend has: zero-block skip lists, the compiled-schedule fast
-path, the whole-case entry point (one foreign call per case block, every
-fallback to the staged path, the Python-side bounds check of everything C
-walks), the registry fallback when the toolchain is missing, a
-GIL-release witness, and an (aggressively machine-gated) thread-scaling
-floor.
+only this backend has: the compiled-schedule fast path, the whole-case
+entry point (one foreign call per case block, traced or not, and what
+still keeps a request on the staged path), the Python-side bounds check
+of everything C walks, the registry fallback when the toolchain is
+missing, a GIL-release witness, and an (aggressively machine-gated)
+thread-scaling floor.
 
 Everything that needs a built library is skipped — with the recorded
 reason — on machines without a C compiler.
@@ -55,13 +55,6 @@ def native():
 @pytest.fixture(scope="module")
 def numpy_k():
     return get_kernels("numpy")
-
-
-def _runs_from_values(values: np.ndarray) -> np.ndarray:
-    """Flat int64 [start, end) bounds of the nonzero stretches."""
-    padded = np.zeros(values.size + 2, dtype=bool)
-    padded[1:-1] = values != 0.0
-    return np.flatnonzero(padded[1:] != padded[:-1]).astype(np.int64)
 
 
 # -------------------------------------------------- randomized property duels
@@ -143,68 +136,18 @@ class TestNativeKernelsAgree:
                 batch, np.stack([dst, dst]), np.stack([sep, sep]),
                 edge, True, case_offset=5)
 
-    @pytest.mark.parametrize("upward", [True, False])
-    def test_skip_lists_change_nothing(self, native, numpy_k, upward):
-        """Messages with nonzero-run skip lists equal dense messages.
-
-        Zeros are imposed on random stretches of src and dst (zeros in
-        src contribute nothing to a marginal; zeros in dst stay zero
-        under multiplication), exactly the entries the plan's base-table
-        run lists let the C loops jump over.
-        """
-        rng = np.random.default_rng(17)
-        for trial in range(20):
-            edge = _random_edge(rng, False)
-            src, dst, sep = _message_state(rng, edge, upward)
-            for values in (src, dst):
-                if values.size > 4:
-                    dead = rng.choice(values.size, size=values.size // 3,
-                                      replace=False)
-                    values[dead] = 0.0
-            if not src.any():
-                continue
-            skips = (_runs_from_values(src), _runs_from_values(dst))
-            d1, s1 = dst.copy(), sep.copy()
-            d2, s2 = dst.copy(), sep.copy()
-            try:
-                log1 = numpy_k.message(src.copy(), d1, s1, edge, upward)
-            except EvidenceError:
-                continue  # dead sep entries can zero the whole marginal
-            log2 = native.message(src.copy(), d2, s2, edge, upward,
-                                  skips=skips)
-            assert log1 == pytest.approx(log2, abs=1e-12), trial
-            np.testing.assert_allclose(s1, s2, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(d1, d2, atol=1e-12, rtol=0)
-
-
-# ------------------------------------------------------- zero-skip run lists
-class TestZeroSkipRuns:
-    @pytest.mark.parametrize("dataset", DATASETS)
-    def test_runs_cover_exactly_the_nonzero_entries(self, dataset):
-        plan = compile_plan(compile_junction_tree(load_dataset(dataset)))
-        runs = plan.zero_skip_runs()
-        assert len(runs) == len(plan.base_cliques)
-        for base, bounds in zip(plan.base_cliques, runs):
-            if bounds is None:
-                continue  # too few zeros to be worth skipping
-            mask = np.zeros(base.size, dtype=bool)
-            for lo, hi in bounds.reshape(-1, 2):
-                assert 0 <= lo < hi <= base.size
-                mask[lo:hi] = True
-            np.testing.assert_array_equal(mask, base != 0.0)
-
-    def test_dense_tables_opt_out(self):
-        """Cliques whose base tables have (almost) no zeros return None —
-        run bookkeeping would cost more than it skips."""
-        plan = compile_plan(compile_junction_tree(load_dataset("asia")))
-        runs = plan.zero_skip_runs()
-        frac = plan.ZERO_SKIP_MIN_FRAC
-        for base, bounds in zip(plan.base_cliques, runs):
-            n_zero = int(np.count_nonzero(base == 0.0))
-            if bounds is None:
-                assert n_zero < base.size * frac
-            else:
-                assert n_zero >= base.size * frac
+    def test_message_tables_must_match_their_edge(self, native):
+        """A single message checks its tables against its edge before C
+        walks rows derived from the edge's shapes: sizes, dtype and
+        layout."""
+        rng = np.random.default_rng(13)
+        edge = _random_edge(rng, False)
+        src, dst, sep = _message_state(rng, edge, True)
+        for args in ((src[:-1], dst, sep), (src, dst, np.ones(sep.size + 1)),
+                     (src.astype(np.float32), dst, sep),
+                     (src, np.repeat(dst, 2)[::2], sep)):
+            with pytest.raises(BackendError, match="their edge's"):
+                native.message(*args, edge, True)
 
 
 # ------------------------------------------------- full-schedule equivalence
@@ -228,8 +171,7 @@ class TestNativeSchedule:
                         got.posteriors[name], want.posteriors[name],
                         atol=1e-12, rtol=0)
             # The compiled-schedule fast path actually engaged.
-            assert engine.plan.__dict__.get("_native_schedule") not in (
-                None, False)
+            assert engine.plan.__dict__.get("_native_schedule") is not None
 
     def test_impossible_evidence_surfaces_from_compiled_schedule(
             self, native):
@@ -379,7 +321,7 @@ class TestGilRelease:
 # ------------------------------------------------------ whole cases, one call
 def _deterministic_net(n_vars: int, seed: int):
     """A random network with about half its CPTs replaced by 0/1 rows, so
-    the CPT products have structural zeros and the skip lists engage."""
+    the CPT products have structural zeros."""
     from repro.bn.cpt import CPT
     from repro.bn.generators import random_network
     from repro.bn.network import BayesianNetwork
@@ -413,8 +355,7 @@ class _ForeignCalls:
     """Counts every call into the loaded library made through a backend
     (by default the registry's singleton, the one engines resolve)."""
 
-    ENTRY_POINTS = ("_message", "_message_batch", "_run_schedule",
-                    "_infer_cases")
+    ENTRY_POINTS = ("_message", "_run_schedule", "_infer_cases")
 
     def __init__(self, monkeypatch, backend=None):
         if backend is None:
@@ -600,10 +541,10 @@ class TestWholeCases:
     def test_walked_entries_never_exceed_either_list_alone(self, native,
                                                            seed):
         """``engine.metrics`` after a whole-case call: the clique entries
-        the messages walked are no more than the static nonzero lists
-        alone, or the evidence alone, would leave over the whole schedule
-        — and a case observing nothing runs no message at all, its
-        answers being the calibrated prior's."""
+        the messages walked are no more than the base tables' nonzero
+        entries alone, or the evidence alone, would leave over the whole
+        schedule — and a case observing nothing runs no message at all,
+        its answers being the calibrated prior's."""
         from repro.bn.sampling import generate_test_cases
         from repro.core import BatchedFastBNI
 
@@ -612,10 +553,8 @@ class TestWholeCases:
             plan, spec = engine.plan, engine.plan.spec
             messages = [(src, dst) for _, src, dst, *_ in
                         plan.compiled_messages()]
-            nonzero = [size if runs is None
-                       else int((runs[1::2] - runs[::2]).sum())
-                       for size, runs in zip(spec.clique_sizes,
-                                             plan.zero_skip_runs())]
+            nonzero = [int(np.count_nonzero(base))
+                       for base in plan.base_cliques]
             dense = sum(spec.clique_sizes[c] for m in messages for c in m)
             static = sum(nonzero[c] for m in messages for c in m)
 
@@ -660,7 +599,7 @@ class TestWholeCases:
         targets = (names[5], names[1], names[5], names[8])
         with BatchedFastBNI(net, mode="seq", kernels="native") as fast, \
                 BatchedFastBNI(net, mode="seq", kernels="numpy") as staged:
-            assert any(r is not None for r in fast.plan.zero_skip_runs())
+            assert any((base == 0.0).any() for base in fast.plan.base_cliques)
             calls = _ForeignCalls(monkeypatch)
             for wanted in ((), targets):
                 keys = tuple(dict.fromkeys(wanted)) or names
@@ -948,7 +887,8 @@ class TestSubSchedules:
 
 @needs_native
 class TestWholeCaseFallbacks:
-    """Every condition that keeps a request on the staged path."""
+    """Every condition that keeps a request on the staged path, and two
+    that no longer do: a recorder installed, index maps over budget."""
 
     CASE = {"smoke": "yes", "xray": "no"}
 
@@ -956,29 +896,36 @@ class TestWholeCaseFallbacks:
         with FastBNI(asia, mode="seq", kernels="numpy") as staged:
             return staged.infer(self.CASE, **kwargs)
 
-    def test_hooks_keep_per_message_visibility(self, monkeypatch, native,
-                                               asia):
+    def test_hooks_take_the_one_whole_case_call(self, monkeypatch, native,
+                                                asia):
+        """A sampled request runs the code an unsampled one does: one
+        whole-case call, the same answers bit for bit, and the recorder
+        gets that call's time and the messages it ran."""
         from repro.core import BatchedFastBNI
         from repro.obs.trace import ScheduleRecorder, install_kernel_hooks
 
-        want = self._reference(asia)
         with BatchedFastBNI(asia, mode="seq", kernels="native") as engine:
-            messages = engine.plan.spec.num_messages
+            plain = engine.infer(self.CASE)
+            plain_batch = engine.infer_cases([self.CASE, {}])
             calls = _ForeignCalls(monkeypatch)
             single, batched = ScheduleRecorder(), ScheduleRecorder()
             with install_kernel_hooks(single):
                 got = engine.infer(self.CASE)
+            single_run = engine.metrics["messages_run"]
             with install_kernel_hooks(batched):
                 batch = engine.infer_cases([self.CASE, {}])
-        _assert_same(got, want, asia.variable_names)
-        _assert_same(batch.case(0), want, asia.variable_names)
+            batch_run = engine.metrics["messages_run"]
         assert calls.counts == {**dict.fromkeys(calls.ENTRY_POINTS, 0),
-                                "_message": messages,
-                                "_message_batch": messages}
-        assert single.messages == messages
-        assert single.collect_s > 0 and single.distribute_s > 0
-        assert batched.absorb_cliques and batched.cases == 2
-        assert batched.backend == "native"
+                                "_infer_cases": 2}
+        _assert_same(got, plain, asia.variable_names, atol=0)
+        for i in range(2):
+            _assert_same(batch.case(i), plain_batch.case(i),
+                         asia.variable_names, atol=0)
+        assert 0 < single.messages == single_run
+        assert single.backend == batched.backend == "native"
+        assert single.schedule_s > 0 and single.collect_s == 0
+        assert batched.messages == batch_run and batched.cases == 2
+        assert batched.summary()["arena_bytes"] == engine.plan.arena_bytes
 
     def test_soft_evidence(self, monkeypatch, native, asia):
         soft = {"dysp": (0.8, 0.1)}
@@ -1001,20 +948,21 @@ class TestWholeCaseFallbacks:
         assert calls.counts["_message"] == calls.total > 0
 
     def test_maps_over_budget(self, monkeypatch, native, asia):
+        """The whole-case call reads no index map, so a plan whose map
+        budget is spent still answers each call in one foreign call."""
         from repro.core import BatchedFastBNI
 
         want = self._reference(asia)
         with BatchedFastBNI(asia, mode="seq", kernels="native") as engine:
             monkeypatch.setattr(engine.plan, "MAP_CACHE_LIMIT", 0)
-            messages = engine.plan.spec.num_messages
+            engine.prepare_baseline()
             calls = _ForeignCalls(monkeypatch)
             _assert_same(engine.infer(self.CASE), want, asia.variable_names)
             batch = engine.infer_cases([self.CASE])
-            assert engine.plan.__dict__["_native_schedule"] is False
+            assert engine.stats()["plan_map_entries"] == 0
         _assert_same(batch.case(0), want, asia.variable_names)
-        assert calls.counts["_infer_cases"] == 0
-        assert calls.counts["_message"] == messages
-        assert calls.counts["_message_batch"] == messages
+        assert calls.counts == {**dict.fromkeys(calls.ENTRY_POINTS, 0),
+                                "_infer_cases": 2}
 
     def test_disabled_library(self, monkeypatch, asia):
         from repro.core import BatchedFastBNI
@@ -1212,8 +1160,8 @@ def _foreign_separator_variable(t, spec) -> None:
     sep = next(u for u in range(spec.num_cliques, len(t.tables))
                if t.tables[u, 3] == 1)
     axis = t.axes[t.tables[sep, 2]]
-    held = {vid for row in t.meta if row[5] == sep
-            for c in row[3:5]
+    held = {vid for row in t.meta if row[3] == sep
+            for c in row[1:3]
             for vid in t.axes[t.tables[c, 2]:t.tables[c, 2]
                               + t.tables[c, 3], 0]}
     axis[0] = next(v for v, (_, _, _, card) in enumerate(spec.variables)
@@ -1236,23 +1184,22 @@ class TestTablesAreBoundsChecked:
         from repro.exec.native.backend import check_tables
 
         plan, tables = lowered
-        # asia has skip lists to check
-        assert any(runs is not None for runs in tables.runs)
         check_tables(plan.spec, tables)
 
     @pytest.mark.parametrize("corrupt", [
         # Message rows: a table id naming another table, out of range or
-        # of the wrong kind; maps that are not the cliques' own.
-        lambda t, spec: t.meta.__setitem__((0, 3), t.meta[0, 4]),
-        lambda t, spec: t.meta.__setitem__((1, 4), -1),
-        lambda t, spec: t.meta.__setitem__((2, 5), 0),
-        lambda t, spec: t.meta.__setitem__((0, 5), len(t.tables)),
+        # of the wrong kind; a message count that is not the table's.
+        lambda t, spec: t.meta.__setitem__((0, 1), t.meta[0, 2]),
+        lambda t, spec: t.meta.__setitem__((1, 2), -1),
+        lambda t, spec: t.meta.__setitem__((2, 3), 0),
+        lambda t, spec: t.meta.__setitem__((0, 3), len(t.tables)),
         lambda t, spec: t.meta.__setitem__((3, 0), 1 - t.meta[3, 0]),
         lambda t, spec: setattr(t, "max_sep", 1),
-        lambda t, spec: t.meta.__setitem__((0, 1), t.meta[0, 1] + 8),
-        lambda t, spec: t.operands[0][0].__setitem__(
-            0, t.tables[t.meta[0, 5], 1]),
-        lambda t, spec: t.operands[1][1].__setitem__(-1, -1),
+        lambda t, spec: setattr(t, "n_messages", t.n_messages + 1),
+        # Tables of the wrong shape: a table row missing, axes rows too
+        # narrow, the last message row missing.
+        lambda t, spec: setattr(t, "tables", t.tables[:-1]),
+        lambda t, spec: setattr(t, "axes", t.axes[:, :2].copy()),
         lambda t, spec: setattr(t, "meta", t.meta[:-1]),
         # Variable rows.
         lambda t, spec: t.var_table.__setitem__((0, 0), spec.num_cliques),
@@ -1262,8 +1209,9 @@ class TestTablesAreBoundsChecked:
         # Table and axes rows: an axis variable id out of range, strides
         # that do not tile, a cardinality that is not the variable's, an
         # axes row past the end, more axes than the C odometer's depth, a
-        # table that is not the arena's, a run list miscounted; loop rows
-        # that are not the axes' (here and at the end).
+        # table that is not the arena's, a variable row missing; loop rows
+        # that are not the axes' (here and at the end); an axes row before
+        # the start.
         lambda t, spec: t.axes.__setitem__((0, 0), len(spec.variables)),
         lambda t, spec: t.axes.__setitem__((0, 1), t.axes[0, 1] + 1),
         lambda t, spec: t.axes.__setitem__((1, 2), 3),
@@ -1271,20 +1219,18 @@ class TestTablesAreBoundsChecked:
         lambda t, spec: t.tables.__setitem__((0, 3), MAX_AXES + 1),
         lambda t, spec: t.tables.__setitem__((1, 0), 0),
         lambda t, spec: t.tables.__setitem__((0, 1), t.tables[0, 1] + 1),
-        lambda t, spec: t.tables.__setitem__(
-            (t.tables[:, 4].nonzero()[0][0], 5), 10**6),
+        lambda t, spec: setattr(t, "var_table", t.var_table[:-1]),
         lambda t, spec: t.loops.__setitem__((0, 0), t.loops[0, 0] + 1),
-        lambda t, spec: t.tables.__setitem__(
-            ((t.tables[:, 4] == 0).argmax(), 4), t.tables[:, 4].max()),
+        lambda t, spec: t.tables.__setitem__((1, 2), -1),
         # Loop rows: a stride or a separator stride changed, a head
         # naming more rows, a row missing; a message naming another slot.
         lambda t, spec: t.loops.__setitem__((1, 1), t.loops[1, 1] * 2),
         lambda t, spec: t.loops.__setitem__((1, 2), t.loops[1, 2] + 1),
-        lambda t, spec: t.loops.__setitem__((t.meta[1, 7], 0),
-                                            t.loops[t.meta[1, 7], 0] + 1),
+        lambda t, spec: t.loops.__setitem__((t.meta[1, 5], 0),
+                                            t.loops[t.meta[1, 5], 0] + 1),
         lambda t, spec: setattr(t, "loops", t.loops[:-1]),
-        lambda t, spec: t.meta.__setitem__((0, 6), t.meta[0, 7]),
-        lambda t, spec: t.meta.__setitem__((2, 8), 0),
+        lambda t, spec: t.meta.__setitem__((0, 4), t.meta[0, 5]),
+        lambda t, spec: t.meta.__setitem__((2, 6), 0),
         # Axes out of variable order; a separator variable one of its
         # cliques lacks.
         lambda t, spec: t.axes.__setitem__((slice(0, 2), 0),
@@ -1295,14 +1241,6 @@ class TestTablesAreBoundsChecked:
         from repro.exec.native.backend import check_tables
 
         plan, tables = lowered
-        # Index maps and run lists belong to the plan: corrupt copies.
-        tables.operands = [tuple(a.copy() for a in ops)
-                           for ops in tables.operands]
-        tables.runs = [None if a is None else a.copy() for a in tables.runs]
-        tables.meta[:, 1:3] = [[a.ctypes.data for a in ops]
-                               for ops in tables.operands]
-        tables.tables[:, 4] = [0 if a is None else a.ctypes.data
-                               for a in tables.runs]
         check_tables(plan.spec, tables)
         corrupt(tables, plan.spec)
         with pytest.raises(BackendError, match="native plan tables rejected"):
@@ -1348,12 +1286,18 @@ class TestTablesAreBoundsChecked:
             assert calls.total == 1
 
     def test_a_corrupted_plan_never_reaches_c(self, monkeypatch, native, asia):
-        """The check runs when the plan is lowered, ahead of the first call."""
+        """The check runs when the plan is lowered, ahead of the first call:
+        here a plan whose first clique claims one entry more than its
+        variables give."""
+        from dataclasses import replace
+
         with FastBNI(asia, mode="seq", kernels="native") as engine:
-            _, _, _, _, edge, m_marg, _ = engine.plan.compiled_messages()[0]
-            m_marg[0] = edge.sep_size
+            spec = engine.plan.spec
+            monkeypatch.setattr(engine.plan, "spec", replace(
+                spec, clique_sizes=(spec.clique_sizes[0] + 1,
+                                    *spec.clique_sizes[1:])))
             calls = _ForeignCalls(monkeypatch)
-            with pytest.raises(BackendError, match="leaving its separator"):
+            with pytest.raises(BackendError, match="do not tile it"):
                 engine.infer({})
             assert calls.total == 0
 
@@ -1394,9 +1338,12 @@ class TestTablesAreBoundsChecked:
 
 # ------------------------------------------------------- sanitizer run
 def _sanitized_whole_case_loop(so_path: str) -> None:
-    """Entry point of the sanitizer subprocess: the whole-case property
-    loop (also over NaN-filled scratch), the loop primitives and the
-    status paths on a library built from ``C_SOURCE`` with ASan + UBSan.
+    """Entry point of the sanitizer subprocess: every C entry point on a
+    library built from ``C_SOURCE`` with ASan + UBSan — the whole-case
+    property loop (also over NaN-filled scratch) and its status paths,
+    ``fbni_run_schedule`` (each plan's prior calibration, and states with
+    soft evidence absorbed), ``fbni_message`` (``inter``-mode
+    calibrations and random edges) and the loop primitives.
     ``NativeKernels`` keeps every region C writes (case arena, message
     scratch, case words, output block) in its own allocation, so a
     one-word overrun lands in a redzone."""
@@ -1429,6 +1376,35 @@ def _sanitized_whole_case_loop(so_path: str) -> None:
                                         _impossible_case(net))
     for name in ("det0", "hailfinder"):
         _poisoned_scratch_agrees(_named_net(name), seed=3)
+    # The schedule runner on soft-evidence states, and single messages in
+    # inter mode, against the staged numpy path.
+    for name in ("det1", "hailfinder"):
+        net = _named_net(name)
+        rng = np.random.default_rng(4)
+        with FastBNI(net, mode="seq", kernels="native") as fast, \
+                FastBNI(net, mode="inter", backend="serial",
+                        kernels="native") as inter, \
+                FastBNI(net, mode="seq", kernels="numpy") as staged:
+            for case in generate_test_cases(net, 3, 0.2, rng=rng):
+                var = net.variables[int(rng.integers(len(net.variables)))]
+                soft = {var.name: rng.random(var.cardinality) + 0.1}
+                _assert_same(fast.infer({}, soft_evidence=soft),
+                             staged.infer({}, soft_evidence=soft),
+                             net.variable_names)
+                _assert_same(inter.infer(case.evidence),
+                             staged.infer(case.evidence), net.variable_names)
+    rng = np.random.default_rng(6)
+    numpy_k = get_kernels("numpy")
+    for degenerate in (False, True):
+        for upward in (True, False):
+            for _ in range(20):
+                edge = _random_edge(rng, degenerate)
+                src, dst, sep = _message_state(rng, edge, upward)
+                d1, s1, d2, s2 = dst.copy(), sep.copy(), dst.copy(), sep.copy()
+                log1 = numpy_k.message(src.copy(), d1, s1, edge, upward)
+                log2 = backend.message(src.copy(), d2, s2, edge, upward)
+                assert abs(log1 - log2) <= 1e-12
+                np.testing.assert_allclose(d1, d2, atol=1e-12, rtol=0)
     rng = np.random.default_rng(5)
     for seed in range(200):
         cards = tuple(rng.integers(1, 5, size=rng.integers(1, 7)))

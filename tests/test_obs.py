@@ -461,6 +461,51 @@ class TestServerObservability:
         assert execute["attributes"]["kernel_messages"] > 0
         assert execute["attributes"]["kernel_backend"] in ("fused", "numpy")
 
+    def test_sampled_native_request_is_served_like_any_other(self):
+        """A native server that traces every request answers with the
+        decoded reply an untraced one gives, float for float: a sampled
+        flush runs the same whole-case call.  Its execute span reports
+        that call: backend native, the messages the engine ran."""
+        from repro.exec.native import native_status
+
+        if not native_status()[0]:
+            pytest.skip(f"native backend unavailable: {native_status()[1]}")
+        queries = [{"op": "query", "network": "asia", "id": i,
+                    "evidence": evidence, "targets": targets}
+                   for i, (evidence, targets) in enumerate([
+                       ({"smoke": "yes"}, ["lung"]),
+                       ({"xray": "yes", "asia": "no"}, []),
+                       ({"bronc": "yes"}, ["lung", "dysp"]),
+                       ({"dysp": "yes", "tub": "no"}, ["either"])])]
+
+        async def scenario(rate):
+            server = InferenceServer(port=0, cache=False, kernels="native",
+                                     trace_sample_rate=rate)
+            server.preload(["asia"])
+            await server.start()
+            try:
+                replies, messages_run = [], []
+                for query in queries:  # one at a time: lone queries
+                    replies += await _pipelined(server.port, [query])
+                    engine = server.registry.get("asia").engine
+                    messages_run.append(engine.metrics["messages_run"])
+                traces = server.tracer.traces()
+            finally:
+                await server.stop()
+            return replies, messages_run, traces
+
+        plain, _, untraced = run(scenario(0.0))
+        sampled, messages_run, traces = run(scenario(1.0))
+        assert untraced == [] and len(traces) == len(queries)
+        assert all(reply["result"]["served_by"] == "batch" for reply in plain)
+        assert sampled == plain
+        for trace, run_count in zip(traces, messages_run):
+            execute = next(s for s in trace["spans"] if s["name"] == "execute")
+            assert execute["attributes"]["kernel_backend"] == "native"
+            assert execute["attributes"]["kernel_messages"] == run_count
+            assert "collect_ms" not in execute["attributes"]
+        assert max(messages_run) > 0
+
     def test_cache_served_query_records_memo_span(self):
         async def scenario():
             server = InferenceServer(port=0,

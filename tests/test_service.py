@@ -279,8 +279,9 @@ class TestModelRegistry:
     def test_native_entries_are_stateless_and_share_their_prior(self,
                                                                 shared):
         """A native entry answers a case in one foreign call (decided at
-        load), its calibrated prior is charged to its residency and a
-        cluster worker publishes it beside the CPT products."""
+        load), its calibrated prior is charged to its residency, no index
+        map is (a native plan builds none; the fused entry's are), and a
+        cluster worker publishes the prior beside the CPT products."""
         import os
 
         from repro.cluster.worker import make_share_plan_hook
@@ -298,8 +299,11 @@ class TestModelRegistry:
                 prior = entry.engine.plan.prior_flat
                 assert entry.one_foreign_call and not other.one_foreign_call
                 assert other.engine.plan.prior_flat is None
+                maps = other.engine.plan.stats()["plan_map_entries"]
+                assert entry.engine.plan.stats()["plan_map_entries"] == 0
+                assert maps > 0
                 assert (entry.resident_bytes - other.resident_bytes
-                        == prior.nbytes)
+                        == prior.nbytes - 8 * maps)
                 assert prior.flags.writeable is not shared
                 assert len(list_segments(prefix)) == 2 * int(shared)
                 np.testing.assert_allclose(
