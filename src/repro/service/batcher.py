@@ -26,9 +26,11 @@ for every connection and every network, starting another key's flush,
 ``health``.  On a 2-core VM, ``health`` beside a stream of lone diabetes
 queries reads p99 14–21 ms (8–9 ms with the case off the loop), while
 lone queries spread over hailfinder and pathfinder gain throughput
-(median req/s +79 % at 4 connections, +166 % at 2).  ``record_cold``
-never takes an executor job: it is pure-Python dict work that holds the
-GIL on any thread, so it runs on the loop once the replies are written.
+(median req/s +79 % at 4 connections, +166 % at 2).  A session read,
+one case that never enters a queue, follows the same rule
+(:func:`runs_inline`).  ``record_cold`` never takes an executor job: it
+is pure-Python dict work that holds the GIL on any thread, so it runs on
+the loop once the replies are written.
 
 Queues are keyed by ``(network, engine kind)``: approximate and exact
 queries for the same network never mix, and a flush against an
@@ -112,14 +114,20 @@ class _Pending:
         self.outcome: InferenceResult | BaseException | None = None
 
 
+def runs_inline(entry: ModelEntry, cases: int = 1) -> bool:
+    """Whether engine work on ``cases`` cases of ``entry`` (a flush, a
+    session read) runs on the loop rather than the flush worker."""
+    return cases == 1 and entry.one_foreign_call
+
+
 class MicroBatcher:
     """Queue + flush scheduler in front of a :class:`ModelRegistry`.
 
     All public methods must be called from one asyncio event loop; the
     actual calibration runs on a private executor so the loop stays
     responsive while NumPy works.  That executor has exactly one worker,
-    so flushes that leave the loop run one at a time; an inline flush
-    (module docstring) is the only one that runs beside the worker's.
+    so work that leaves the loop runs one job at a time; inline work
+    (:func:`runs_inline`) is the only kind that runs beside it.
     """
 
     def __init__(self, registry: ModelRegistry, *,
@@ -141,9 +149,12 @@ class MicroBatcher:
             max_workers=1, thread_name_prefix="fastbni-flush")
         self._closed = False
 
-    async def run_blocking(self, fn):
-        """Run CPU-bound ``fn`` on the batcher's executor (shared with flushes)."""
-        return await asyncio.get_running_loop().run_in_executor(self._executor, fn)
+    async def run_blocking(self, fn, *args, inline: bool = False):
+        """``fn(*args)`` on the flush worker, or on the loop if ``inline``."""
+        if inline:
+            return fn(*args)
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, fn, *args)
 
     async def get_entry(self, network: str,
                         engine: str | None = None) -> ModelEntry:
@@ -303,16 +314,12 @@ class MicroBatcher:
         entry = None
         try:
             entry = await self.get_entry_pinned(*key)
-            # One request answered in one foreign call: no concurrency for
-            # the executor hand-off to overlap (see the module docstring).
-            inline = len(batch) == 1 and entry.one_foreign_call
+            inline = runs_inline(entry, len(batch))
             if inline:
                 self.metrics.observe_inline_flush()
-                cold_items = self._serve_batch(entry, batch, behind, inline)
-            else:
-                cold_items = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, self._serve_batch, entry, batch, behind,
-                    inline)
+            cold_items = await self.run_blocking(
+                self._serve_batch, entry, batch, behind, inline,
+                inline=inline)
             self._resolve(batch)
             if cold_items:
                 # Memoise so an exact repeat of any of these cases is a

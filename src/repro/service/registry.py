@@ -108,8 +108,8 @@ class ModelEntry:
     #: result behind.
     cache: "InferenceCache | None" = None
     #: Decided once at load: the engine answers a case in one foreign call
-    #: from its calibrated prior (native kernels), so a flush of one case
-    #: is cheap enough to run on the event loop.
+    #: from its calibrated prior (native kernels), so one case (a fill-1
+    #: flush, a session read) is cheap enough to run on the event loop.
     one_foreign_call: bool = False
 
     def total_bytes(self) -> int:

@@ -46,7 +46,7 @@ evidence server-side: ``session_open`` starts one, ``session_update``
 applies an edit (merge/retract/replace; ``targets`` reads the fresh
 posteriors in the same round trip), ``session_query`` reads,
 ``session_close`` releases it.  Updates on one session apply in arrival
-order even when pipelined; distinct sessions run concurrently.  An
+order even when pipelined; a read runs where a fill-1 flush would.  An
 evicted or closed session fails with a ``SessionError`` whose
 ``error.code`` is ``"session_closed"`` (``"session_unknown"`` for ids
 this server never issued).
@@ -76,14 +76,14 @@ import orjson
 
 from repro.approx.engine import ApproxInferenceResult
 from repro.errors import (EvidenceError, ParseError, QueryError, ReproError,
-                          ServiceError, SessionError)
+                          ServiceError)
 from repro.exec.engine_api import CAPABILITIES_BY_KIND
 from repro.jt.evidence_soft import split_evidence
 from repro.obs import (DEFAULT_SLOW_THRESHOLD_MS, Tracer, chrome_trace,
                        render_prometheus)
 from repro.obs.trace import DEFAULT_MAX_TRACES, DEFAULT_SLOW_LOG
 from repro.service.batcher import (DEFAULT_MAX_BATCH, MicroBatcher,
-                                   QueryRequest)
+                                   QueryRequest, runs_inline)
 from repro.service.metrics import ServiceMetrics
 from repro.service.ops import LOCAL, OPS, ROUTER, Op, lookup
 from repro.service.registry import ModelRegistry
@@ -268,10 +268,9 @@ class InferenceServer(JsonLinesFront):
                                        idle_ttl_s=session_ttl_s,
                                        max_bytes=session_max_bytes,
                                        metrics=self.metrics)
-        #: Per-session asyncio locks: pipelined updates on one session
-        #: apply in arrival order (asyncio.Lock is FIFO) while distinct
-        #: sessions dispatch concurrently to the manager's executor.
-        self._session_locks: dict[str, asyncio.Lock] = {}
+        #: Per session with an op off the loop, a future its last op
+        #: resolves on ending; empty once no session op is pending.
+        self._session_tails: dict[str, asyncio.Future] = {}
         self._server: asyncio.AbstractServer | None = None
         self._writers: set[asyncio.StreamWriter] = set()
         self._conn_tasks: set[asyncio.Task] = set()
@@ -343,9 +342,7 @@ class InferenceServer(JsonLinesFront):
         await self.batcher.aclose()
         # Sessions drop their registry pins before the registry closes so
         # the entries they pinned actually release.
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.sessions.close_all)
-        self._session_locks.clear()
+        self.sessions.close_all()
         if self._owns_registry:
             self.registry.close()
 
@@ -563,64 +560,53 @@ class InferenceServer(JsonLinesFront):
         return info
 
     # --------------------------------------------------------------- sessions
-    async def _run_session(self, fn):
-        """Run a session-manager call on the session executor.
-
-        Distinct sessions propagate concurrently (the executor is wider
-        than one); one session's operations serialize on its manager-side
-        lock, and the server-side asyncio lock in front of this keeps
-        pipelined updates in arrival order.
-        """
-        return await asyncio.get_running_loop().run_in_executor(
-            self.sessions.executor, fn)
-
-    def _session_lock(self, session_id: str) -> asyncio.Lock:
-        lock = self._session_locks.get(session_id)
-        if lock is None:
-            lock = self._session_locks[session_id] = asyncio.Lock()
-        return lock
+    async def _session_op(self, session_id: str, fn, reads: bool = True):
+        """Run one session-manager call after the session's earlier ops
+        (they reach here in arrival order): a read where
+        :func:`runs_inline` puts one case, table-only work on the loop."""
+        entry = self.sessions.entry(session_id)
+        inline = not reads or entry is None or runs_inline(entry)
+        ahead = self._session_tails.get(session_id)
+        if ahead is None and inline:
+            return fn()
+        done = asyncio.get_running_loop().create_future()
+        self._session_tails[session_id] = done
+        try:
+            if ahead is not None:
+                await ahead
+            return await self.batcher.run_blocking(fn, inline=inline)
+        finally:
+            done.set_result(None)
+            if self._session_tails.get(session_id) is done:
+                del self._session_tails[session_id]
 
     async def _op_session_open(self, network: str, evidence=None,
                                engine=None, trace=None) -> dict:
-        return await self._run_session(
-            lambda: self.sessions.open(network, evidence=evidence,
-                                       engine=engine, trace=trace))
+        # A cold model compiles off the loop, exactly as a query's does.
+        entry = await self.batcher.get_entry_pinned(network, engine)
+        return self.sessions.open(network, evidence=evidence, engine=engine,
+                                  trace=trace, pinned=entry)
 
     async def _op_session_update(self, session: str, evidence=None,
                                  retract=(), replace=False, targets=None,
                                  trace=None) -> dict:
         # "targets" present (even []) = read posteriors in the same round
         # trip; absent = apply the edit only.
-        async with self._session_lock(session):
-            try:
-                return await self._run_session(
-                    lambda: self.sessions.update(session, evidence=evidence,
-                                                 retract=retract,
-                                                 replace=replace,
-                                                 targets=targets,
-                                                 trace=trace))
-            except SessionError:
-                self._session_locks.pop(session, None)
-                raise
+        return await self._session_op(
+            session, lambda: self.sessions.update(
+                session, evidence=evidence, retract=retract,
+                replace=replace, targets=targets, trace=trace),
+            reads=targets is not None)
 
     async def _op_session_query(self, session: str, targets=(),
                                 trace=None) -> dict:
-        async with self._session_lock(session):
-            try:
-                return await self._run_session(
-                    lambda: self.sessions.query(session, targets=targets,
-                                                trace=trace))
-            except SessionError:
-                self._session_locks.pop(session, None)
-                raise
+        return await self._session_op(
+            session, lambda: self.sessions.query(session, targets=targets,
+                                                 trace=trace))
 
     async def _op_session_close(self, session: str, trace=None) -> dict:
-        async with self._session_lock(session):
-            try:
-                return await self._run_session(
-                    lambda: self.sessions.close(session))
-            finally:
-                self._session_locks.pop(session, None)
+        return await self._session_op(
+            session, lambda: self.sessions.close(session), reads=False)
 
     def _op_health(self) -> dict:
         payload = {
@@ -690,8 +676,8 @@ async def run_server(host: str, port: int, *, preload=(),
     """Start a server and serve until cancelled (the ``fastbni serve`` body).
 
     Exception-safe from construction to stop: constructing the server
-    spins up executor threads (batcher flush workers, session workers)
-    and possibly a registry, so a failing ``preload`` (bad model name) or
+    spins up the batcher's flush worker thread and possibly a registry,
+    so a failing ``preload`` (bad model name) or
     ``start`` (port already bound) must still tear everything down —
     otherwise every failed launch leaks non-daemon threads and resident
     compiled models.  The original exception propagates to the caller.

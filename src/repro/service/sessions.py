@@ -5,11 +5,11 @@ arrive one at a time, posteriors are read after each) makes consecutive
 requests differ by exactly one edit; this module serves that shape.
 
 A session is its validated evidence and its model pin, and every read
-is one whole-case ``entry.engine.infer_cases([evidence], targets)``.  On
-native kernels that call runs only the messages the evidence and the
-targets need, from the calibrated prior; on ``fused`` or ``numpy`` it is
-a full calibration of the case.  The :class:`SessionManager` owns the
-session table:
+is one case, ``entry.engine.infer(evidence, targets)`` on a ``seq``
+engine.  On native kernels that is one whole-case call that runs only
+the messages the evidence and the targets need, from the calibrated
+prior; on ``fused`` or ``numpy`` it is a full calibration of the case.
+The :class:`SessionManager` owns the session table:
 
 * **byte accounting** — each session's fixed charge is added to its
   entry's ``session_bytes`` (counted against the registry's budget like
@@ -21,14 +21,15 @@ session table:
 * **pins** — an open session pins its model entry, so evicting a model
   with live sessions *retires* the entry until the last one ends;
 * **ordering** — one session's updates are serialized (a per-session
-  lock); distinct sessions run concurrently on the manager's executor;
+  lock), so callers on several threads may share the manager;
 * **all or nothing** — an update resolves its targets, retractions and
   evidence before it changes anything.  Impossible evidence is not a
   rejection: the edit applies, the read raises
   :class:`~repro.errors.EvidenceError`, the session stays usable.
 
-All methods are synchronous and thread-safe; the server calls them via
-``run_in_executor`` on :attr:`SessionManager.executor`.
+All methods are synchronous and thread-safe.  The server runs a read
+where :func:`~repro.service.batcher.runs_inline` puts one case (the loop
+on native, else the flush worker) and table-only work on the loop.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import secrets
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import EvidenceError, QueryError, ReproError, SessionError
@@ -51,8 +51,6 @@ DEFAULT_MAX_SESSIONS = 256
 DEFAULT_IDLE_TTL_S = 600.0
 #: Total session byte budget (on top of per-entry registry accounting).
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
-#: Executor width: how many *distinct* sessions can read at once.
-DEFAULT_WORKERS = 4
 
 #: Closed/evicted ids remembered for explicit ``session_closed`` errors.
 _TOMBSTONE_LIMIT = 4096
@@ -72,8 +70,7 @@ class Session:
     evidence: dict
     created: float
     last_used: float
-    #: Serializes updates/queries on this session; distinct sessions run
-    #: concurrently on the manager's executor.
+    #: Serializes updates/queries on this session across threads.
     lock: threading.Lock = field(default_factory=threading.Lock)
     updates: int = 0
     queries: int = 0
@@ -103,9 +100,6 @@ class SessionManager:
         Table bounds: LRU count cap, idle eviction TTL, and the manager's
         own total byte budget.  Evicted ids answer with
         :class:`~repro.errors.SessionError` (``code "session_closed"``).
-    workers:
-        Width of :attr:`executor` — concurrent *distinct* sessions; one
-        session's operations always serialize.
     clock:
         Injectable time source (tests drive TTL eviction explicitly).
     """
@@ -115,7 +109,6 @@ class SessionManager:
                  idle_ttl_s: float = DEFAULT_IDLE_TTL_S,
                  max_bytes: int = DEFAULT_MAX_BYTES,
                  metrics: ServiceMetrics | None = None,
-                 workers: int = DEFAULT_WORKERS,
                  clock=time.monotonic) -> None:
         if max_sessions < 1:
             raise QueryError(f"max_sessions must be >= 1, got {max_sessions}")
@@ -130,11 +123,6 @@ class SessionManager:
         #: id -> eviction reason, for explicit session_closed errors.
         self._tombstones: "OrderedDict[str, str]" = OrderedDict()
         self._closed = False
-        #: Session operations run here (the server's ``run_in_executor``
-        #: target): per-session locks serialize one session while
-        #: distinct sessions read concurrently.
-        self.executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="fastbni-session")
 
     # ----------------------------------------------------------------- table
     def _tombstone_locked(self, session_id: str, reason: str) -> None:
@@ -162,6 +150,13 @@ class SessionManager:
             session.last_used = self._clock()
             return session
 
+    def entry(self, session_id: str) -> ModelEntry | None:
+        """The model entry a live session reads (``None`` if not live);
+        touches neither its LRU position nor its clock."""
+        with self._lock:
+            session = self._sessions.get(session_id)
+            return session.entry if session is not None else None
+
     def _settle_locked(self, session: Session, reason: str) -> None:
         """Drop a session's byte charge and tombstone it (lock held)."""
         session.entry.session_bytes -= session.bytes
@@ -176,12 +171,16 @@ class SessionManager:
             self.metrics.observe_session_event("evicted")
 
     def _sweep_locked(self) -> None:
-        """Evict idle-TTL-expired sessions (cheap: table is small)."""
+        """Evict idle-TTL-expired sessions: a prefix of the table, which
+        is in ``last_used`` order (stamped under the lock on open and on
+        every checkout, which moves the session to the end)."""
         if self.idle_ttl_s <= 0:
             return
         cutoff = self._clock() - self.idle_ttl_s
-        for sid in [sid for sid, s in self._sessions.items()
-                    if s.last_used < cutoff]:
+        while self._sessions:
+            sid, session = next(iter(self._sessions.items()))
+            if session.last_used >= cutoff:
+                return
             self._evict_locked(sid, "idle TTL exceeded")
 
     def _enforce_locked(self, keep: str) -> None:
@@ -204,45 +203,52 @@ class SessionManager:
     @staticmethod
     def _edited(session: Session, evidence: dict | None, retract,
                 replace: bool) -> dict:
-        """The session's evidence after one edit, validated."""
+        """The session's evidence after one edit; only the edit's findings
+        are validated (what the session holds already was)."""
         new = {} if replace else dict(session.evidence)
         for name in () if replace else tuple(retract or ()):
             if name not in session.entry.net:
                 raise EvidenceError(f"cannot retract unknown variable {name!r}")
             new.pop(name, None)
-        new.update(evidence or {})
-        return check_evidence(session.entry.engine.tree, new)
+        new.update(check_evidence(session.entry.engine.tree, evidence or {}))
+        return new
 
     @staticmethod
     def _read(session: Session, targets: tuple[str, ...], attrs: dict
               ) -> dict:
-        """Posteriors and ``log P(e)`` of the session's evidence, in one
-        whole-case call; the messages it ran go into ``attrs`` (a trace
-        span's attributes)."""
-        result = session.entry.engine.infer_cases([session.evidence], targets)
-        attrs["messages_run"] = int(result.meta.get("messages_run", 0))
-        case = result.case(0)
-        return {"posteriors": case.posteriors,
-                "log_evidence": case.log_evidence}
+        """Posteriors and ``log P(e)`` of the session's evidence as one
+        case; the messages it ran go into ``attrs`` (a trace span's
+        attributes).  ``infer`` skips the batch bookkeeping (fused: half
+        the cost on pathfinder) but is one foreign call on native only in
+        ``seq`` mode; ``infer_cases`` is in any mode."""
+        engine = session.entry.engine
+        if engine.config.mode == "seq":
+            result = engine.infer(session.evidence, targets)
+        else:
+            result = engine.infer_cases([session.evidence], targets).case(0)
+        metrics = engine.metrics  # fused counts only the messages, all run
+        attrs["messages_run"] = int(metrics.get("messages_run",
+                                                metrics["messages"]))
+        return {"posteriors": result.posteriors,
+                "log_evidence": result.log_evidence}
 
     # ------------------------------------------------------------ operations
     def open(self, network: str, evidence: dict | None = None,
-             engine: str | None = None, trace=None) -> dict:
+             engine: str | None = None, trace=None,
+             pinned: ModelEntry | None = None) -> dict:
         """Open a session on ``network`` (optionally with initial evidence).
 
         Validates the evidence and pins the model; nothing is computed.
         Models routed to a sampling engine are rejected — sessions need
         the junction tree (pass ``engine="exact"`` to force a compile).
-        ``trace`` (a sampled request's :class:`~repro.obs.TraceContext`)
-        gets a ``session_open`` span.
+        ``pinned``, an entry for ``network`` the caller pinned, is adopted
+        (a failed open releases it).  ``trace`` (a sampled request's
+        :class:`~repro.obs.TraceContext`) gets a ``session_open`` span.
         """
         span = (trace.start_span("session_open", network=network)
                 if trace is not None else None)
-        with self._lock:
-            if self._closed:
-                raise SessionError("session manager is shut down",
-                                   code="session_closed")
-        entry = self.registry.get_pinned(network, engine=engine)
+        entry = (pinned if pinned is not None
+                 else self.registry.get_pinned(network, engine=engine))
         try:
             if not entry.capabilities.exact:
                 raise QueryError(
@@ -253,15 +259,16 @@ class SessionManager:
         except ReproError:
             self.registry.unpin(entry)
             raise
-        now = self._clock()
-        session = Session(id=secrets.token_hex(8), network=network,
-                          entry=entry, evidence=found,
-                          created=now, last_used=now)
         with self._lock:
             if self._closed:
                 self.registry.unpin(entry)
                 raise SessionError("session manager is shut down",
                                    code="session_closed")
+            # Stamped under the lock, so the table stays in last_used order.
+            now = self._clock()
+            session = Session(id=secrets.token_hex(8), network=network,
+                              entry=entry, evidence=found,
+                              created=now, last_used=now)
             self._sweep_locked()
             self._sessions[session.id] = session
             entry.session_bytes += session.bytes
@@ -406,7 +413,7 @@ class SessionManager:
             }
 
     def close_all(self) -> None:
-        """Shut down: evict every session and stop the executor."""
+        """Shut down: evict every session, releasing its pin."""
         with self._lock:
             if self._closed:
                 return
@@ -415,7 +422,6 @@ class SessionManager:
                 session = self._sessions.pop(sid)
                 self._settle_locked(session, "server shutdown")
                 self.registry.unpin(session.entry)
-        self.executor.shutdown(wait=True)
 
     def __enter__(self) -> "SessionManager":
         return self

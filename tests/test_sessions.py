@@ -203,6 +203,31 @@ class TestSessionManager:
                 manager.query(stale)
             assert ei.value.code == "session_closed"
 
+    def test_touched_old_session_survives_the_sweep(self):
+        """A touch moves a session behind younger idle ones: the sweep
+        evicts the idle prefix and stops at the touched session."""
+        t = [0.0]
+        with ModelRegistry() as registry, \
+                SessionManager(registry, idle_ttl_s=10.0,
+                               clock=lambda: t[0]) as manager:
+            oldest = manager.open("asia")["session"]
+            t[0] = 1.0
+            idle = [manager.open("asia")["session"]]
+            t[0] = 2.0
+            idle.append(manager.open("asia")["session"])
+            t[0] = 9.0
+            manager.update(oldest, evidence={"smoke": "yes"})
+            t[0] = 12.5  # idle ones unused 11.5s and 10.5s; oldest 3.5s
+            assert manager.sweep() == 2
+            assert manager.query(oldest)["evidence_vars"] == 1
+            for sid in idle:
+                with pytest.raises(SessionError, match="idle TTL"):
+                    manager.query(sid)
+            t[0] = 30.0  # every op sweeps: the next one finds oldest gone
+            with pytest.raises(SessionError, match="idle TTL"):
+                manager.query(oldest)
+            assert manager.stats()["open"] == 0
+
     def test_session_bytes_charged_to_entry_and_released(self):
         with ModelRegistry() as registry, SessionManager(registry) as manager:
             entry = registry.get("asia")
@@ -306,23 +331,23 @@ class TestColdSessions:
     whole-case call (from the calibrated prior, on native kernels)."""
 
     def test_cold_rebuilds_state_every_operation(self, monkeypatch):
-        """A session calls the model's ``infer_cases`` once per read (an
-        edit without targets reads nothing)."""
+        """A session calls the model's single-case ``infer`` once per read
+        (an edit without targets reads nothing)."""
         with ModelRegistry(kernels="native") as registry, \
                 SessionManager(registry) as cold:
             entry = registry.get("asia")
             assert entry.one_foreign_call
             calls = []
-            infer_cases = entry.engine.infer_cases
+            infer = entry.engine.infer
             monkeypatch.setattr(
-                entry.engine, "infer_cases",
-                lambda *args: calls.append(args) or infer_cases(*args))
+                entry.engine, "infer",
+                lambda *args: calls.append(args) or infer(*args))
             sid = cold.open("asia")["session"]
             cold.update(sid, evidence={"smoke": "yes"}, targets=("lung",))
             cold.update(sid, evidence={"xray": "yes"})
             cold.query(sid, targets=("lung", "bronc"))
-            assert calls == [([{"smoke": 0}], ("lung",)),
-                             ([{"smoke": 0, "xray": 0}], ("lung", "bronc"))]
+            assert calls == [({"smoke": 0}, ("lung",)),
+                             ({"smoke": 0, "xray": 0}, ("lung", "bronc"))]
 
     def test_cold_retract_semantics_preserved(self):
         """Merge/retract bookkeeping is the same on every kernel backend."""
@@ -599,6 +624,200 @@ class TestSessionOpsOverWire:
         assert response["error"]["code"] == "session_unknown"
 
 
+# --------------------------------------------------------------- dispatch
+async def _send_all(port: int, requests: list[dict]) -> list[dict]:
+    """Write every request line before reading any reply; the replies in
+    the order they arrive."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+    await writer.drain()
+    replies = [json.loads(await reader.readline()) for _ in requests]
+    writer.close()
+    return replies
+
+
+#: Opening evidence, then (update fields, evidence after it) per step: a
+#: merge, a change, a retraction, a replace.  The table-only step (no
+#: ``targets``) is pipelined between reads, so on fused it must wait for
+#: the read queued on the flush worker ahead of it.
+_WALK_OPEN = {"asia": "yes"}
+_WALK = [
+    ({"evidence": {"smoke": "yes"}, "targets": ["lung"]},
+     {"asia": "yes", "smoke": "yes"}),
+    ({"evidence": {"smoke": "no"}}, {"asia": "yes", "smoke": "no"}),
+    ({"retract": ["asia"], "evidence": {"xray": "yes"}, "targets": ["lung"]},
+     {"smoke": "no", "xray": "yes"}),
+    ({"evidence": {"dysp": "yes"}, "replace": True, "targets": ["lung"]},
+     {"dysp": "yes"}),
+]
+
+SERVING = ["fused", pytest.param("native", marks=needs_native)]
+
+
+class TestSessionDispatch:
+    """A session read runs where the batcher's fill-1 flush would: on the
+    loop on a native entry, on the flush worker otherwise; table-only work
+    runs on the loop, and one session's ops still apply in arrival order."""
+
+    @pytest.mark.parametrize("kernels", SERVING)
+    def test_read_runs_where_a_fill_one_flush_would(self, kernels,
+                                                    monkeypatch):
+        async def scenario():
+            server = InferenceServer(port=0, kernels=kernels)
+            server.preload(["asia"])
+            engine = server.registry.get("asia").engine
+            ran_on = []
+            infer = engine.infer
+            monkeypatch.setattr(engine, "infer", lambda *args: ran_on.append(
+                threading.current_thread()) or infer(*args))
+            await server.start()
+            try:
+                (opened,) = await _send_all(server.port, [
+                    {"id": 1, "op": "session_open", "network": "asia"}])
+                sid = opened["result"]["session"]
+                replies = await _send_all(server.port, [
+                    {"id": 2, "op": "session_update", "session": sid,
+                     "evidence": {"smoke": "yes"}, "targets": ["lung"]},
+                    {"id": 3, "op": "session_query", "session": sid}])
+                threads = {t.name for t in threading.enumerate()}
+                batches = server.metrics.snapshot()["batches"]
+            finally:
+                await server.stop()
+            return (threading.current_thread(), ran_on, replies, threads,
+                    batches)
+
+        loop_thread, ran_on, replies, threads, batches = run(scenario())
+        assert all(reply["ok"] for reply in replies)
+        assert len(ran_on) == 2
+        if kernels == "native":
+            assert all(t is loop_thread for t in ran_on)
+        else:
+            assert all(t.name.startswith("fastbni-flush") for t in ran_on)
+        # Reads never enter the batcher's queue, and no session pool runs.
+        assert batches["count"] == 0 and batches["flushes_inline"] == 0
+        assert not any(name.startswith("fastbni-session") for name in threads)
+
+    @pytest.mark.parametrize("sample_rate", [0.0, 1.0])
+    @pytest.mark.parametrize("kernels", SERVING)
+    def test_pipelined_walk_applies_in_arrival_order(self, kernels,
+                                                     sample_rate, asia):
+        """Every line sent before any reply is read: the replies come back
+        in order, each from the evidence the sequential walk gives, equal
+        to enumeration and to a fresh engine at 1e-12."""
+        async def scenario():
+            server = InferenceServer(port=0, kernels=kernels,
+                                     trace_sample_rate=sample_rate)
+            server.preload(["asia"])
+            await server.start()
+            try:
+                (opened,) = await _send_all(server.port, [
+                    {"id": 0, "op": "session_open", "network": "asia",
+                     "evidence": _WALK_OPEN}])
+                sid = opened["result"]["session"]
+                requests = [{"id": i, "op": "session_update",
+                             "session": sid, **fields}
+                            for i, (fields, _) in enumerate(_WALK, 1)]
+                requests.append({"id": len(_WALK) + 1,
+                                 "op": "session_query", "session": sid,
+                                 "targets": ["lung", "bronc"]})
+                requests.append({"id": len(_WALK) + 2,
+                                 "op": "session_close", "session": sid})
+                replies = await _send_all(server.port, requests)
+                tails = len(server._session_tails)
+            finally:
+                await server.stop()
+            return replies, tails
+
+        replies, tails = run(scenario())
+        assert [r["id"] for r in replies] == list(range(1, len(_WALK) + 3))
+        assert all(r["ok"] for r in replies), replies
+        assert tails == 0
+        oracle = EnumerationEngine(asia)
+        reads = [(reply["result"], evidence, ["lung"])
+                 for reply, (fields, evidence) in zip(replies, _WALK)
+                 if "targets" in fields]
+        reads.append((replies[len(_WALK)]["result"], _WALK[-1][1],
+                      ["lung", "bronc"]))
+        for (fields, evidence), reply in zip(_WALK, replies):
+            assert reply["result"]["evidence_vars"] == len(evidence)
+        with FastBNI(asia, mode="seq") as fresh:
+            for got, evidence, targets in reads:
+                for engine in (oracle, fresh):
+                    want = engine.infer(evidence, tuple(targets))
+                    for name in targets:
+                        np.testing.assert_allclose(
+                            got["posteriors"][name], want.posteriors[name],
+                            atol=1e-12, rtol=0)
+                    assert got["log_evidence"] == pytest.approx(
+                        want.log_evidence, abs=1e-12)
+        assert replies[-1]["result"]["closed"] is True
+
+    def test_health_answers_while_session_open_compiles(self, monkeypatch):
+        """A cold ``session_open`` compiles on the flush worker, as a
+        query's lookup does; the loop keeps answering meanwhile."""
+        async def scenario():
+            server = InferenceServer(port=0)
+            compiling, release = threading.Event(), threading.Event()
+            compiled_on = []
+            load = server.registry._load
+
+            def gated_load(*args):
+                compiled_on.append(threading.current_thread().name)
+                compiling.set()
+                release.wait(30)
+                return load(*args)
+
+            monkeypatch.setattr(server.registry, "_load", gated_load)
+            await server.start()
+            try:
+                opening = asyncio.ensure_future(_send_all(server.port, [
+                    {"id": 1, "op": "session_open", "network": "asia"}]))
+                assert await asyncio.to_thread(compiling.wait, 30)
+                (health,) = await _send_all(server.port,
+                                            [{"id": 2, "op": "health"}])
+                still_open = not opening.done()
+                release.set()
+                (opened,) = await opening
+            finally:
+                release.set()
+                await server.stop()
+            return health, still_open, opened, compiled_on
+
+        health, still_open, opened, compiled_on = run(scenario())
+        assert health["ok"] and still_open
+        assert opened["ok"] and opened["result"]["network"] == "asia"
+        assert compiled_on and compiled_on[0].startswith("fastbni-flush")
+
+    @pytest.mark.parametrize("kernels", SERVING)
+    def test_evicted_sessions_leave_no_ordering_state(self, kernels):
+        """Regression: the server kept one ordering lock per session id
+        and dropped it only on close or a SessionError, so every session
+        evicted (LRU, TTL, byte budget) and never touched again leaked
+        one.  Ordering state now lasts only while an op is off the loop."""
+        async def scenario():
+            server = InferenceServer(port=0, kernels=kernels, max_sessions=2)
+            server.preload(["asia"])
+            await server.start()
+            try:
+                for _ in range(50):
+                    (opened,) = await _send_all(server.port, [
+                        {"id": 1, "op": "session_open", "network": "asia"}])
+                    sid = opened["result"]["session"]
+                    await _send_all(server.port, [
+                        {"id": 2, "op": "session_update", "session": sid,
+                         "evidence": {"smoke": "yes"}, "targets": ["lung"]},
+                        {"id": 3, "op": "session_update", "session": sid,
+                         "evidence": {"xray": "no"}}])
+                return (len(server._session_tails),
+                        server.sessions.stats()["open"])
+            finally:
+                await server.stop()
+
+        tails, live = run(scenario())
+        assert live == 2
+        assert tails <= live
+
+
 # ----------------------------------------------------------- lifecycle fixes
 class TestGetPinnedRace:
     def test_mpe_survives_concurrent_eviction(self, asia, monkeypatch):
@@ -657,6 +876,10 @@ def _reference_jsonable(obj):
         return _reference_jsonable(np.reshape(shortest, np.shape(obj)))
     if isinstance(obj, np.ndarray):
         return _reference_jsonable(obj.tolist())
+    if isinstance(obj, str):
+        # A ``str_`` is a str: its characters as they are (``.item()``
+        # and ``str()`` drop trailing NULs, which the encoder keeps).
+        return str.__str__(obj)
     if isinstance(obj, np.generic):
         return _reference_jsonable(obj.item())
     if isinstance(obj, float) and not math.isfinite(obj):
