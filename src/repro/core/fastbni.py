@@ -162,6 +162,14 @@ class FastBNI:
             check_soft_evidence(self.tree, soft_evidence)
 
     # ---------------------------------------------------------------- running
+    @property
+    def one_call_per_case(self) -> bool:
+        """Whether :meth:`infer` answers a hard-evidence case in one
+        foreign call from the calibrated prior: native kernels in ``seq``
+        mode (the parallel modes run their schedules message by message)."""
+        return (self.config.mode == "seq"
+                and getattr(self.kernels, "compiles_cases", False))
+
     def infer(
         self,
         evidence: dict[str, str | int] | None = None,
@@ -177,8 +185,7 @@ class FastBNI:
                         "inline_layers": 0, "messages": 0}
         plan = self.plan
         read_ids = plan.variable_ids(targets)  # unknown targets raise here
-        if (self.config.mode == "seq" and not soft_evidence
-                and getattr(self.kernels, "compiles_cases", False)):
+        if not soft_evidence and self.one_call_per_case:
             # The whole case as one foreign call (native kernels): no
             # per-message and no per-variable interpreter work.
             hooks = current_kernel_hooks()
@@ -194,7 +201,8 @@ class FastBNI:
                                 entries_dense=dense)
             return InferenceResult(
                 posteriors=plan.posterior_views(read_ids, rows[0]),
-                log_evidence=float(log_evidence[0]))
+                log_evidence=float(log_evidence[0]),
+                meta={"messages_run": float(run)})
         state = plan.fresh_state()
         if evidence:
             plan.absorb_hard_evidence(state, evidence)
@@ -207,6 +215,7 @@ class FastBNI:
         return InferenceResult(
             posteriors=plan.read_posteriors(state, targets),
             log_evidence=self._log_evidence(state),
+            meta={"messages_run": float(plan.spec.num_messages)},
         )
 
     def posteriors(self, targets: tuple[str, ...] = (),

@@ -108,8 +108,9 @@ class ModelEntry:
     #: result behind.
     cache: "InferenceCache | None" = None
     #: Decided once at load: the engine answers a case in one foreign call
-    #: from its calibrated prior (native kernels), so one case (a fill-1
-    #: flush, a session read) is cheap enough to run on the event loop.
+    #: from its calibrated prior (native kernels, ``seq`` mode), so one
+    #: case (a fill-1 flush, a session read) is cheap enough to run on the
+    #: event loop.
     one_foreign_call: bool = False
 
     def total_bytes(self) -> int:
@@ -424,7 +425,7 @@ class ModelRegistry:
             plan=decision,
             from_cache=from_cache,
             cache=inference_cache,
-            one_foreign_call=getattr(engine.kernels, "compiles_cases", False),
+            one_foreign_call=engine.one_call_per_case,
             meta={"variables": float(net.num_variables),
                   **{k: float(v) for k, v in engine.stats().items()}},
         )

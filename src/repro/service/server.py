@@ -268,9 +268,6 @@ class InferenceServer(JsonLinesFront):
                                        idle_ttl_s=session_ttl_s,
                                        max_bytes=session_max_bytes,
                                        metrics=self.metrics)
-        #: Per session with an op off the loop, a future its last op
-        #: resolves on ending; empty once no session op is pending.
-        self._session_tails: dict[str, asyncio.Future] = {}
         self._server: asyncio.AbstractServer | None = None
         self._writers: set[asyncio.StreamWriter] = set()
         self._conn_tasks: set[asyncio.Task] = set()
@@ -560,25 +557,14 @@ class InferenceServer(JsonLinesFront):
         return info
 
     # --------------------------------------------------------------- sessions
-    async def _session_op(self, session_id: str, fn, reads: bool = True):
-        """Run one session-manager call after the session's earlier ops
-        (they reach here in arrival order): a read where
-        :func:`runs_inline` puts one case, table-only work on the loop."""
+    async def _session_op(self, session_id: str, fn):
+        """Run one session-manager call where :func:`runs_inline` puts
+        its session's reads.  Every op of a session runs in that one
+        place, reached in arrival order, and the flush worker is FIFO: so
+        pipelined ops apply in arrival order with no per-session state."""
         entry = self.sessions.entry(session_id)
-        inline = not reads or entry is None or runs_inline(entry)
-        ahead = self._session_tails.get(session_id)
-        if ahead is None and inline:
-            return fn()
-        done = asyncio.get_running_loop().create_future()
-        self._session_tails[session_id] = done
-        try:
-            if ahead is not None:
-                await ahead
-            return await self.batcher.run_blocking(fn, inline=inline)
-        finally:
-            done.set_result(None)
-            if self._session_tails.get(session_id) is done:
-                del self._session_tails[session_id]
+        return await self.batcher.run_blocking(
+            fn, inline=entry is None or runs_inline(entry))
 
     async def _op_session_open(self, network: str, evidence=None,
                                engine=None, trace=None) -> dict:
@@ -595,8 +581,7 @@ class InferenceServer(JsonLinesFront):
         return await self._session_op(
             session, lambda: self.sessions.update(
                 session, evidence=evidence, retract=retract,
-                replace=replace, targets=targets, trace=trace),
-            reads=targets is not None)
+                replace=replace, targets=targets, trace=trace))
 
     async def _op_session_query(self, session: str, targets=(),
                                 trace=None) -> dict:
@@ -606,7 +591,7 @@ class InferenceServer(JsonLinesFront):
 
     async def _op_session_close(self, session: str, trace=None) -> dict:
         return await self._session_op(
-            session, lambda: self.sessions.close(session), reads=False)
+            session, lambda: self.sessions.close(session))
 
     def _op_health(self) -> dict:
         payload = {

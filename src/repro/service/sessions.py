@@ -5,10 +5,11 @@ arrive one at a time, posteriors are read after each) makes consecutive
 requests differ by exactly one edit; this module serves that shape.
 
 A session is its validated evidence and its model pin, and every read
-is one case, ``entry.engine.infer(evidence, targets)`` on a ``seq``
-engine.  On native kernels that is one whole-case call that runs only
-the messages the evidence and the targets need, from the calibrated
-prior; on ``fused`` or ``numpy`` it is a full calibration of the case.
+is one case, ``entry.engine.infer(evidence, targets)``.  On native
+kernels in ``seq`` mode (the serving default) that is one whole-case
+call that runs only the messages the evidence and the targets need,
+from the calibrated prior; otherwise it is a full calibration of the
+case.
 The :class:`SessionManager` owns the session table:
 
 * **byte accounting** — each session's fixed charge is added to its
@@ -27,9 +28,9 @@ The :class:`SessionManager` owns the session table:
   rejection: the edit applies, the read raises
   :class:`~repro.errors.EvidenceError`, the session stays usable.
 
-All methods are synchronous and thread-safe.  The server runs a read
-where :func:`~repro.service.batcher.runs_inline` puts one case (the loop
-on native, else the flush worker) and table-only work on the loop.
+All methods are synchronous and thread-safe.  The server runs every op
+of a session where :func:`~repro.service.batcher.runs_inline` puts one
+case of its model: the loop on native, else the flush worker.
 """
 
 from __future__ import annotations
@@ -218,17 +219,9 @@ class SessionManager:
               ) -> dict:
         """Posteriors and ``log P(e)`` of the session's evidence as one
         case; the messages it ran go into ``attrs`` (a trace span's
-        attributes).  ``infer`` skips the batch bookkeeping (fused: half
-        the cost on pathfinder) but is one foreign call on native only in
-        ``seq`` mode; ``infer_cases`` is in any mode."""
-        engine = session.entry.engine
-        if engine.config.mode == "seq":
-            result = engine.infer(session.evidence, targets)
-        else:
-            result = engine.infer_cases([session.evidence], targets).case(0)
-        metrics = engine.metrics  # fused counts only the messages, all run
-        attrs["messages_run"] = int(metrics.get("messages_run",
-                                                metrics["messages"]))
+        attributes)."""
+        result = session.entry.engine.infer(session.evidence, targets)
+        attrs["messages_run"] = int(result.meta["messages_run"])
         return {"posteriors": result.posteriors,
                 "log_evidence": result.log_evidence}
 

@@ -638,8 +638,8 @@ async def _send_all(port: int, requests: list[dict]) -> list[dict]:
 
 #: Opening evidence, then (update fields, evidence after it) per step: a
 #: merge, a change, a retraction, a replace.  The table-only step (no
-#: ``targets``) is pipelined between reads, so on fused it must wait for
-#: the read queued on the flush worker ahead of it.
+#: ``targets``) is pipelined between reads, so on fused it must queue on
+#: the flush worker behind the read ahead of it.
 _WALK_OPEN = {"asia": "yes"}
 _WALK = [
     ({"evidence": {"smoke": "yes"}, "targets": ["lung"]},
@@ -655,21 +655,37 @@ SERVING = ["fused", pytest.param("native", marks=needs_native)]
 
 
 class TestSessionDispatch:
-    """A session read runs where the batcher's fill-1 flush would: on the
-    loop on a native entry, on the flush worker otherwise; table-only work
-    runs on the loop, and one session's ops still apply in arrival order."""
+    """Every op of a session runs where the batcher's fill-1 flush on its
+    model would: on the loop when the engine answers a case in one foreign
+    call (native, ``seq``), on the flush worker otherwise; one session's
+    ops apply in arrival order."""
 
-    @pytest.mark.parametrize("kernels", SERVING)
-    def test_read_runs_where_a_fill_one_flush_would(self, kernels,
-                                                    monkeypatch):
+    @pytest.mark.parametrize("kernels, mode, on_loop", [
+        ("fused", "seq", False),
+        pytest.param("native", "seq", True, marks=needs_native),
+        pytest.param("native", "inter", False, marks=needs_native),
+    ])
+    def test_ops_run_where_a_fill_one_flush_would(self, kernels, mode,
+                                                  on_loop, monkeypatch,
+                                                  asia):
         async def scenario():
-            server = InferenceServer(port=0, kernels=kernels)
+            server = InferenceServer(port=0, kernels=kernels, mode=mode,
+                                     num_workers=2)
             server.preload(["asia"])
             engine = server.registry.get("asia").engine
-            ran_on = []
-            infer = engine.infer
-            monkeypatch.setattr(engine, "infer", lambda *args: ran_on.append(
-                threading.current_thread()) or infer(*args))
+            ran_on = {}
+
+            def record(name, fn):
+                def recorded(*args, **kwargs):
+                    ran_on.setdefault(name, []).append(
+                        threading.current_thread())
+                    return fn(*args, **kwargs)
+                return recorded
+
+            monkeypatch.setattr(engine, "infer", record("infer", engine.infer))
+            for name in ("update", "query", "close"):
+                monkeypatch.setattr(server.sessions, name, record(
+                    name, getattr(server.sessions, name)))
             await server.start()
             try:
                 (opened,) = await _send_all(server.port, [
@@ -678,7 +694,11 @@ class TestSessionDispatch:
                 replies = await _send_all(server.port, [
                     {"id": 2, "op": "session_update", "session": sid,
                      "evidence": {"smoke": "yes"}, "targets": ["lung"]},
-                    {"id": 3, "op": "session_query", "session": sid}])
+                    {"id": 3, "op": "session_update", "session": sid,
+                     "evidence": {"xray": "yes"}},
+                    {"id": 4, "op": "session_query", "session": sid,
+                     "targets": ["lung"]},
+                    {"id": 5, "op": "session_close", "session": sid}])
                 threads = {t.name for t in threading.enumerate()}
                 batches = server.metrics.snapshot()["batches"]
             finally:
@@ -687,12 +707,18 @@ class TestSessionDispatch:
                     batches)
 
         loop_thread, ran_on, replies, threads, batches = run(scenario())
-        assert all(reply["ok"] for reply in replies)
-        assert len(ran_on) == 2
-        if kernels == "native":
-            assert all(t is loop_thread for t in ran_on)
-        else:
-            assert all(t.name.startswith("fastbni-flush") for t in ran_on)
+        assert all(reply["ok"] for reply in replies), replies
+        assert {name: len(ts) for name, ts in ran_on.items()} == {
+            "infer": 2, "update": 2, "query": 1, "close": 1}
+        for ts in ran_on.values():
+            if on_loop:
+                assert all(t is loop_thread for t in ts)
+            else:
+                assert all(t.name.startswith("fastbni-flush") for t in ts)
+        want = EnumerationEngine(asia).infer({"smoke": "yes", "xray": "yes"},
+                                             ("lung",))
+        np.testing.assert_allclose(replies[2]["result"]["posteriors"]["lung"],
+                                   want.posteriors["lung"], atol=1e-12, rtol=0)
         # Reads never enter the batcher's queue, and no session pool runs.
         assert batches["count"] == 0 and batches["flushes_inline"] == 0
         assert not any(name.startswith("fastbni-session") for name in threads)
@@ -723,15 +749,13 @@ class TestSessionDispatch:
                 requests.append({"id": len(_WALK) + 2,
                                  "op": "session_close", "session": sid})
                 replies = await _send_all(server.port, requests)
-                tails = len(server._session_tails)
             finally:
                 await server.stop()
-            return replies, tails
+            return replies
 
-        replies, tails = run(scenario())
+        replies = run(scenario())
         assert [r["id"] for r in replies] == list(range(1, len(_WALK) + 3))
         assert all(r["ok"] for r in replies), replies
-        assert tails == 0
         oracle = EnumerationEngine(asia)
         reads = [(reply["result"], evidence, ["lung"])
                  for reply, (fields, evidence) in zip(replies, _WALK)
@@ -789,33 +813,37 @@ class TestSessionDispatch:
         assert compiled_on and compiled_on[0].startswith("fastbni-flush")
 
     @pytest.mark.parametrize("kernels", SERVING)
-    def test_evicted_sessions_leave_no_ordering_state(self, kernels):
+    def test_evicted_sessions_leave_no_server_state(self, kernels):
         """Regression: the server kept one ordering lock per session id
         and dropped it only on close or a SessionError, so every session
         evicted (LRU, TTL, byte budget) and never touched again leaked
-        one.  Ordering state now lasts only while an op is off the loop."""
+        one.  No container the server holds may name an evicted id."""
         async def scenario():
             server = InferenceServer(port=0, kernels=kernels, max_sessions=2)
             server.preload(["asia"])
             await server.start()
+            issued = []
             try:
                 for _ in range(50):
                     (opened,) = await _send_all(server.port, [
                         {"id": 1, "op": "session_open", "network": "asia"}])
-                    sid = opened["result"]["session"]
+                    issued.append(opened["result"]["session"])
                     await _send_all(server.port, [
-                        {"id": 2, "op": "session_update", "session": sid,
-                         "evidence": {"smoke": "yes"}, "targets": ["lung"]},
-                        {"id": 3, "op": "session_update", "session": sid,
-                         "evidence": {"xray": "no"}}])
-                return (len(server._session_tails),
-                        server.sessions.stats()["open"])
+                        {"id": 2, "op": "session_update",
+                         "session": issued[-1], "evidence": {"smoke": "yes"},
+                         "targets": ["lung"]},
+                        {"id": 3, "op": "session_update",
+                         "session": issued[-1], "evidence": {"xray": "no"}}])
+                held = [name for name, value in vars(server).items()
+                        if isinstance(value, (dict, set, list))
+                        and any(sid in value for sid in issued)]
+                return held, server.sessions.stats()["open"]
             finally:
                 await server.stop()
 
-        tails, live = run(scenario())
+        held, live = run(scenario())
         assert live == 2
-        assert tails <= live
+        assert held == []
 
 
 # ----------------------------------------------------------- lifecycle fixes
