@@ -18,9 +18,9 @@ arrivals outpace the engine.  A flush — cache pre-pass, one vectorised
 and the loop fans its outcomes back out to the awaiting futures.  The
 exception is a flush of one request on an entry that answers a case in
 one foreign call (``ModelEntry.one_foreign_call``: native kernels in
-``seq`` mode), which runs on the loop: with one request queued there is nothing for the
-executor hand-off (~70 µs) to overlap.  The price is
-a loop stall of one case (hailfinder 0.08 ms, pathfinder 0.5 ms,
+``seq`` mode), which runs on the loop: with one request queued there is
+nothing for the executor hand-off (~70 µs) to overlap.  The price is a
+loop stall of one case (hailfinder 0.08 ms, pathfinder 0.5 ms,
 diabetes ~10 ms) that delays all other loop work: parsing and queuing
 for every connection and every network, starting another key's flush,
 ``health``.  On a 2-core VM, ``health`` beside a stream of lone diabetes

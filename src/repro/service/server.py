@@ -561,7 +561,8 @@ class InferenceServer(JsonLinesFront):
         """Run one session-manager call where :func:`runs_inline` puts
         its session's reads.  Every op of a session runs in that one
         place, reached in arrival order, and the flush worker is FIFO: so
-        pipelined ops apply in arrival order with no per-session state."""
+        pipelined ops apply in arrival order with no per-session state.
+        An id that is not live fails at once, on the loop."""
         entry = self.sessions.entry(session_id)
         return await self.batcher.run_blocking(
             fn, inline=entry is None or runs_inline(entry))

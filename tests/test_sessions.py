@@ -822,21 +822,22 @@ class TestSessionDispatch:
             server = InferenceServer(port=0, kernels=kernels, max_sessions=2)
             server.preload(["asia"])
             await server.start()
-            issued = []
+            opened_ids = []
             try:
                 for _ in range(50):
                     (opened,) = await _send_all(server.port, [
                         {"id": 1, "op": "session_open", "network": "asia"}])
-                    issued.append(opened["result"]["session"])
+                    opened_ids.append(opened["result"]["session"])
                     await _send_all(server.port, [
                         {"id": 2, "op": "session_update",
-                         "session": issued[-1], "evidence": {"smoke": "yes"},
-                         "targets": ["lung"]},
+                         "session": opened_ids[-1],
+                         "evidence": {"smoke": "yes"}, "targets": ["lung"]},
                         {"id": 3, "op": "session_update",
-                         "session": issued[-1], "evidence": {"xray": "no"}}])
+                         "session": opened_ids[-1],
+                         "evidence": {"xray": "no"}}])
                 held = [name for name, value in vars(server).items()
                         if isinstance(value, (dict, set, list))
-                        and any(sid in value for sid in issued)]
+                        and any(sid in value for sid in opened_ids)]
                 return held, server.sessions.stats()["open"]
             finally:
                 await server.stop()
