@@ -507,13 +507,14 @@ class MessagePlan:
         (zeroing an entry and multiplying it by a 0/1 mask agree exactly
         in float64), but through the plan's per-variable geometry: the
         clique table viewed as ``(blocks, cardinality, stride)`` has the
-        variable on its middle axis.  Raises
+        variable on its middle axis.  Findings are encoded as
+        :meth:`evidence_matrix` does, which raises
         :class:`~repro.errors.EvidenceError` on unknown variables/states.
         """
-        from repro.jt.evidence import check_evidence
-
-        for name, idx in check_evidence(self.tree, evidence).items():
-            cid, _, stride, card = self.spec.variables[self._var_ids[name]]
+        states = self.evidence_matrix([evidence])[0]
+        observed = np.flatnonzero(states >= 0)
+        for vid, idx in zip(observed.tolist(), states[observed].tolist()):
+            cid, _, stride, card = self.spec.variables[vid]
             table = state.clique_pot[cid].values.reshape(-1, card, stride)
             table[:, :idx] = 0.0
             table[:, idx + 1:] = 0.0

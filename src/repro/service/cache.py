@@ -1,18 +1,36 @@
 """Per-model query-result memo.
 
 Exactly repeated queries — dashboards, retries, polling monitors — are
-answered without touching the tree at all: finished
-:class:`~repro.jt.engine.InferenceResult` payloads are kept under
-``(evidence, targets)``, and a full-posterior entry also answers any
-subset of its targets.  Everything else is a miss the batcher sends to
-its one vectorised ``infer_cases`` flush.
+answered without touching the tree at all: finished results are kept
+under ``(evidence, targets)``, and a full-posterior entry also answers
+any subset of its targets.  Everything else is a miss the batcher sends
+to its flush.
+
+What an entry holds: one contiguous float64 *row* — the result's
+posteriors side by side, then log P(e); an approximate result's row goes
+on with its per-target standard errors and its scalar diagnostics (ESS,
+samples drawn, split-R̂).  Which columns belong to which variable is a
+:class:`_Layout` shared by every entry with the same target list and
+result kind, and the :class:`~repro.jt.engine.InferenceResult` (views
+into the row) is rebuilt only on a hit.  The evidence key is packed into
+``bytes`` (sorted ``(variable id, state)`` pairs).  A row is kept without
+a copy only when the result's arrays are views that, with log P(e), fill
+one buffer of their own — the native output of a flush of one; rows of a
+multi-case flush block are copied out, or one surviving entry would pin
+the whole block.  A cold full-posterior entry so holds 1.9 KB on
+hailfinder and 3.5 KB on pathfinder, against 10.4 and 22.8 KB as an
+``InferenceResult`` of per-variable views (tracemalloc;
+``docs/service.md``).
 
 One :class:`InferenceCache` serves one resident model (the registry hangs
 it off the :class:`~repro.service.registry.ModelEntry`), so the "network"
 component of the ``(network, evidence, targets)`` key is implicit.  Byte
-accounting (:meth:`InferenceCache.total_bytes`) is folded into the
-registry's resident-set budget: a model whose memo grows is charged for
-it and becomes a bigger eviction target.
+accounting (:meth:`InferenceCache.total_bytes`) charges what an entry
+holds — its row, its key and a fixed per-entry overhead — plus each
+layout in use, so ``max_bytes`` (``serve --cache-mb``) bounds resident
+memory; the total is folded into the registry's resident-set budget, so
+a model whose memo grows is charged for it and becomes a bigger eviction
+target.
 
 Thread safety: all bookkeeping happens under one lock.  Hard evidence
 only: the batcher routes soft likelihood vectors to the per-case path
@@ -21,9 +39,13 @@ before the cache is consulted.
 
 from __future__ import annotations
 
+import sys
 import threading
+from array import array
 from collections import OrderedDict
 from dataclasses import replace
+
+import numpy as np
 
 from repro.approx.engine import ApproxInferenceResult
 from repro.errors import EvidenceError, ReproError
@@ -31,7 +53,7 @@ from repro.jt.engine import InferenceResult
 from repro.jt.evidence import check_evidence
 from repro.jt.structure import JunctionTree
 
-#: Result-memo entries per model (posterior vectors are tiny).
+#: Result-memo entries per model.
 DEFAULT_MAX_MEMO = 4096
 #: Per-model memo byte budget, charged against the registry budget on top
 #: of the engine's own residency.
@@ -41,20 +63,18 @@ DEFAULT_MAX_BYTES = 32 * 1024 * 1024
 DEFAULT_MAX_STATES = 8
 DEFAULT_MIN_OVERLAP = 0.5
 
-#: Canonical evidence key: sorted ``(variable, state_index)`` pairs.
-EvidenceKey = tuple
+#: Canonical evidence key: sorted ``(variable id, state index)`` pairs,
+#: packed (:meth:`InferenceCache.evidence_key`).
+EvidenceKey = bytes
 
-
-def canonical_evidence(tree: JunctionTree,
-                       evidence: dict[str, str | int] | None) -> EvidenceKey:
-    """Sorted ``(name, state_index)`` pairs — one key per evidence *set*.
-
-    State labels and integer indices canonicalize identically, so
-    ``{"smoke": "yes"}`` and ``{"smoke": 0}`` share a cache line.  Raises
-    :class:`~repro.errors.EvidenceError` on unknown variables/states.
-    """
-    ev = check_evidence(tree, dict(evidence or {}))
-    return tuple(sorted(ev.items()))
+#: What an entry costs besides its row's data and its key: the LRU's node
+#: and table slot, the key and value tuples and the row's ndarray header
+#: (tracemalloc on CPython 3.11, NumPy 2.x: ~200 + 112 bytes).
+_ENTRY_OVERHEAD = 320
+#: The header of the engine buffer a row kept without a copy views.
+_ARRAY_HEADER = 112
+#: Approximate rows end in ESS, samples drawn and split-R̂.
+_DIAGNOSTICS = 3
 
 
 def project(result: InferenceResult, want: tuple[str, ...]) -> InferenceResult:
@@ -75,8 +95,91 @@ def project(result: InferenceResult, want: tuple[str, ...]) -> InferenceResult:
                            meta=dict(result.meta))
 
 
-def _result_bytes(result: InferenceResult) -> int:
-    return 96 + sum(v.nbytes + 48 for v in result.posteriors.values())
+class _Layout:
+    """Where each target's columns sit in a memo row.
+
+    ``spans`` maps names, in the stored result's order, to ``(lo, hi)``
+    column bounds; ``width`` posterior columns are followed by log P(e)
+    and, when ``method`` names a sampler, by the standard errors in the
+    same layout and the scalar diagnostics.
+    """
+
+    __slots__ = ("key", "spans", "width", "method", "entries", "nbytes")
+
+    def __init__(self, names: tuple[str, ...], cards: list[int],
+                 method: str | None) -> None:
+        self.key = (names, method)
+        self.spans: dict[str, tuple[int, int]] = {}
+        lo = 0
+        for name, card in zip(names, cards):
+            hi = lo + card
+            self.spans[name] = (lo, hi)
+            lo = hi
+        self.width = lo
+        self.method = method
+        #: Entries using this layout; the memo drops it at zero.
+        self.entries = 0
+        # The dict, the names, the span tuples and their bounds (ints
+        # past 256 are objects of their own).
+        self.nbytes = (sys.getsizeof(self.spans) + sys.getsizeof(names)
+                       + sum(sys.getsizeof(span) + (32 if span[1] > 256 else 0)
+                             for span in self.spans.values()))
+
+    def row(self, result: InferenceResult) -> np.ndarray:
+        """``result`` as one row: kept if it owns its buffer, else copied."""
+        values = list(result.posteriors.values())
+        width = self.width
+        if self.method is None:
+            base = values[0].base
+            if (isinstance(base, np.ndarray) and base.size == width + 1
+                    and base.dtype == np.float64 and base.flags.c_contiguous
+                    and all(v.base is base for v in values)):
+                # The engine's whole-case read: the posteriors are views
+                # of one output row, in order, with log P(e) last.
+                row = base.reshape(-1)
+                if row[width] == result.log_evidence:
+                    row.flags.writeable = False
+                    return row
+            row = np.empty(width + 1)
+        else:
+            row = np.empty(2 * width + 1 + _DIAGNOSTICS)
+            np.concatenate([result.stderr[name] for name in self.spans],
+                           out=row[width + 1:2 * width + 1])
+            row[2 * width + 1:] = (result.ess, result.num_samples,
+                                   result.r_hat)
+        np.concatenate(values, out=row[:width])
+        row[width] = result.log_evidence
+        row.flags.writeable = False
+        return row
+
+    def result(self, row: np.ndarray,
+               names: tuple[str, ...] = ()) -> InferenceResult:
+        """The result ``row`` holds (views into it), narrowed to ``names``."""
+        spans = (self.spans if not names
+                 else {name: self.spans[name] for name in names})
+        posteriors = {name: row[lo:hi] for name, (lo, hi) in spans.items()}
+        width = self.width
+        meta = {"served_by": "cache"}
+        if self.method is None:
+            return InferenceResult(posteriors=posteriors,
+                                   log_evidence=float(row[width]), meta=meta)
+        se = width + 1
+        ess, samples, r_hat = row[2 * width + 1:].tolist()
+        return ApproxInferenceResult(
+            posteriors=posteriors, log_evidence=float(row[width]), meta=meta,
+            stderr={name: row[se + lo:se + hi]
+                    for name, (lo, hi) in spans.items()},
+            ess=ess, num_samples=int(samples), method=self.method,
+            r_hat=r_hat)
+
+
+def _entry_bytes(key: tuple, row: np.ndarray) -> int:
+    """Resident bytes of one entry: row, key and the fixed overhead."""
+    evidence_key, targets_key = key
+    return (_ENTRY_OVERHEAD + row.nbytes
+            + (_ARRAY_HEADER if row.base is not None else 0)
+            + sys.getsizeof(evidence_key)
+            + (sys.getsizeof(targets_key) if targets_key else 0))
 
 
 class InferenceCache:
@@ -97,7 +200,14 @@ class InferenceCache:
         self.tree = tree
         self.max_memo = max_memo
         self.max_bytes = max_bytes
-        self._memo: "OrderedDict[tuple, InferenceResult]" = OrderedDict()
+        names = [v.name for v in tree.net.variables]
+        self._ids = {name: i for i, name in enumerate(names)}
+        widest = max([len(names), *(v.cardinality for v in tree.net.variables)])
+        self._code = "H" if widest <= 0xFFFF else "I"
+        #: ``(evidence key, targets key) -> (layout, row)``.
+        self._memo: "OrderedDict[tuple, tuple[_Layout, np.ndarray]]" = \
+            OrderedDict()
+        self._layouts: dict[tuple, _Layout] = {}
         self._memo_bytes = 0
         self._lock = threading.Lock()
         self._counters = {"result_hits": 0, "result_misses": 0,
@@ -106,11 +216,19 @@ class InferenceCache:
     # ----------------------------------------------------------------- keys
     def evidence_key(self, evidence: "dict | EvidenceKey | None"
                      ) -> EvidenceKey:
-        """Canonical key for ``evidence`` on this model's network; a tuple
-        is a key already derived on this tree and passes through."""
-        if isinstance(evidence, tuple):
+        """Canonical key for ``evidence`` on this model's network.
+
+        Labels and indices canonicalize identically, so ``{"smoke":
+        "yes"}`` and ``{"smoke": 0}`` share an entry; unknown variables or
+        states raise :class:`~repro.errors.EvidenceError`.  ``bytes`` is a
+        key already derived on this tree and passes through.
+        """
+        if isinstance(evidence, bytes):
             return evidence
-        return canonical_evidence(self.tree, evidence)
+        ids = self._ids
+        pairs = sorted((ids[name], state) for name, state in
+                       check_evidence(self.tree, dict(evidence or {})).items())
+        return array(self._code, [x for pair in pairs for x in pair]).tobytes()
 
     @staticmethod
     def targets_key(targets: tuple[str, ...]) -> tuple[str, ...]:
@@ -120,33 +238,50 @@ class InferenceCache:
     # ------------------------------------------------------------------ memo
     def lookup_result(self, evidence_key: EvidenceKey,
                       targets: tuple[str, ...]) -> InferenceResult | None:
-        """Memo lookup; a full-posterior entry also answers subset queries."""
+        """Memo lookup; a full-posterior entry also answers subset queries.
+
+        A hit is rebuilt from its row, with ``meta["served_by"] ==
+        "cache"``.
+        """
         tkey = self.targets_key(targets)
+        names: tuple[str, ...] = ()
         with self._lock:
-            hit = self._memo.get((evidence_key, tkey))
+            key = (evidence_key, tkey)
+            hit = self._memo.get(key)
             if hit is None and tkey:
-                full = self._memo.get((evidence_key, ()))
-                if full is not None:
-                    hit = project(full, tkey)
-                    self._memo.move_to_end((evidence_key, ()))
-            elif hit is not None:
-                self._memo.move_to_end((evidence_key, tkey))
+                key = (evidence_key, ())
+                hit = self._memo.get(key)
+                names = tkey
             if hit is None:
                 self._counters["result_misses"] += 1
                 return None
+            self._memo.move_to_end(key)
             self._counters["result_hits"] += 1
-            return hit
+        layout, row = hit
+        return layout.result(row, names)
 
     def store_result(self, evidence_key: EvidenceKey,
                      targets: tuple[str, ...], result: InferenceResult) -> None:
         """Memoise a finished result (evicting LRU entries over budget)."""
         key = (evidence_key, self.targets_key(targets))
+        names = tuple(result.posteriors)
+        method = (result.method if isinstance(result, ApproxInferenceResult)
+                  else None)
         with self._lock:
+            layout = self._layouts.get((names, method))
+            if layout is None:
+                layout = _Layout(names, [v.size for v in
+                                         result.posteriors.values()], method)
+            row = layout.row(result)
+            if not layout.entries:
+                self._layouts[layout.key] = layout
+                self._memo_bytes += layout.nbytes
+            layout.entries += 1
             old = self._memo.pop(key, None)
             if old is not None:
-                self._memo_bytes -= _result_bytes(old)
-            self._memo[key] = result
-            self._memo_bytes += _result_bytes(result)
+                self._drop_locked(key, old)
+            self._memo[key] = (layout, row)
+            self._memo_bytes += _entry_bytes(key, row)
             self._evict_locked()
 
     def serve_cases(self, cases: list[tuple]
@@ -183,15 +318,23 @@ class InferenceCache:
 
     # ------------------------------------------------------------- lifecycle
     def total_bytes(self) -> int:
-        """Upper-bound resident bytes of the memo."""
+        """Resident bytes of the memo: its entries and their layouts."""
         with self._lock:
             return self._memo_bytes
+
+    def _drop_locked(self, key: tuple,
+                     entry: tuple[_Layout, np.ndarray]) -> None:
+        layout, row = entry
+        self._memo_bytes -= _entry_bytes(key, row)
+        layout.entries -= 1
+        if not layout.entries:
+            del self._layouts[layout.key]
+            self._memo_bytes -= layout.nbytes
 
     def _evict_locked(self) -> None:
         while self._memo and (len(self._memo) > self.max_memo
                               or self._memo_bytes > self.max_bytes):
-            _, old = self._memo.popitem(last=False)
-            self._memo_bytes -= _result_bytes(old)
+            self._drop_locked(*self._memo.popitem(last=False))
             self._counters["evicted_results"] += 1
 
     def stats(self) -> dict:

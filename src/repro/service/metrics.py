@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from collections import Counter, deque
 
 #: Upper edges of the batch-fill histogram buckets (le-style, like
@@ -46,11 +47,10 @@ STAGES = ("parse", "registry_lookup", "queue_wait", "cache_lookup",
           "execute", "serialize")
 
 
-def _stage_bucket(ms: float) -> str:
-    for edge in STAGE_BUCKETS_MS:
-        if ms <= edge:
-            return f"le_{edge:g}"
-    return "inf"
+#: Histogram label of each stage bucket, ``inf`` last: the label of a
+#: duration is ``_STAGE_LABELS[bisect_left(STAGE_BUCKETS_MS, ms)]`` (the
+#: first bucket whose edge is >= ``ms``).
+_STAGE_LABELS = (*(f"le_{edge:g}" for edge in STAGE_BUCKETS_MS), "inf")
 
 
 def _percentile(data: list[float], p: float) -> float:
@@ -114,12 +114,11 @@ class ServiceMetrics:
         self._session_updates = 0
         self._session_queries = 0
         self._session_delta_sum = 0
-        #: Per-stage latency histograms (stage → bucket-label counter),
-        #: plus count/sum so the exposition can render true Prometheus
-        #: histograms with ``_sum``/``_count`` series.
-        self._stage_count: Counter[str] = Counter()
-        self._stage_sum_s: Counter[str] = Counter()
-        self._stage_hist: dict[str, Counter[str]] = {}
+        #: Per stage: ``[count, sum_s, {bucket label: count}]`` — the
+        #: latency histogram plus count/sum, so the exposition can render
+        #: true Prometheus histograms with ``_sum``/``_count`` series.
+        self._stages: dict[str, list] = {stage: [0, 0.0, {}]
+                                         for stage in STAGES}
         #: Per-network request timestamps inside the short QPS window —
         #: the live signal the cluster router's hot-model replication
         #: reads — plus lifetime totals for the stats endpoint.
@@ -240,16 +239,16 @@ class ServiceMetrics:
         Prometheus exposition — the always-on aggregate complement to the
         sampled span traces.
         """
-        if stage not in STAGES:
-            raise ValueError(
-                f"unknown stage {stage!r} (expected one of {STAGES})")
+        label = _STAGE_LABELS[bisect_left(STAGE_BUCKETS_MS, seconds * 1e3)]
         with self._lock:
-            self._stage_count[stage] += 1
-            self._stage_sum_s[stage] += seconds
-            hist = self._stage_hist.get(stage)
-            if hist is None:
-                hist = self._stage_hist[stage] = Counter()
-            hist[_stage_bucket(seconds * 1e3)] += 1
+            stat = self._stages.get(stage)
+            if stat is None:
+                raise ValueError(
+                    f"unknown stage {stage!r} (expected one of {STAGES})")
+            stat[0] += 1
+            stat[1] += seconds
+            hist = stat[2]
+            hist[label] = hist.get(label, 0) + 1
 
     def observe_session_update(self, delta_size: int) -> None:
         """One ``session_update`` applied ``delta_size`` evidence edits."""
@@ -392,13 +391,13 @@ class ServiceMetrics:
                 },
                 "stages": {
                     stage: {
-                        "count": self._stage_count[stage],
-                        "sum_ms": self._stage_sum_s[stage] * 1e3,
-                        "mean_ms": (self._stage_sum_s[stage]
-                                    / self._stage_count[stage] * 1e3),
-                        "buckets": dict(self._stage_hist.get(stage, {})),
+                        "count": count,
+                        "sum_ms": sum_s * 1e3,
+                        "mean_ms": sum_s / count * 1e3,
+                        "buckets": dict(hist),
                     }
-                    for stage in STAGES if self._stage_count[stage]
+                    for stage, (count, sum_s, hist) in self._stages.items()
+                    if count
                 },
                 "networks": {
                     name: {

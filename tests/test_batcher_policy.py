@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.bn import io_bif
-from repro.core import FastBNI
+from repro.core import BatchedFastBNI, FastBNI
 from repro.errors import EvidenceError, ReproError
 from repro.exec.native import native_status
 from repro.obs.trace import current_kernel_hooks
@@ -97,23 +97,31 @@ def watch_hops(loop, cache) -> tuple[list, list]:
 
 
 class HeldEngine:
-    """Wraps a resident engine's ``infer_cases``: every call records the
-    cases it was handed and blocks until :meth:`release`."""
+    """Wraps a resident engine's ``infer_cases`` and ``infer`` (a flush of
+    one's call): every call records the cases it was handed and blocks
+    until :meth:`release`."""
 
     def __init__(self, registry, network: str = "asia") -> None:
         self.engine = registry.get(network).engine
         self.calls: list[list[dict]] = []
         self.entered = threading.Event()
         self.gate = threading.Event()
-        inner = self.engine.infer_cases
+        infer_cases, infer = self.engine.infer_cases, self.engine.infer
 
-        def held(cases, **kwargs):
+        def hold(cases):
             self.calls.append(list(cases))
             self.entered.set()
             assert self.gate.wait(10 * TIME_SLACK)
-            return inner(cases, **kwargs)
 
-        self.engine.infer_cases = held
+        def held_cases(cases, **kwargs):
+            hold(cases)
+            return infer_cases(cases, **kwargs)
+
+        def held_one(evidence, *args, **kwargs):
+            hold([evidence])
+            return infer(evidence, *args, **kwargs)
+
+        self.engine.infer_cases, self.engine.infer = held_cases, held_one
 
     async def wait_entered(self) -> None:
         while not self.entered.is_set():
@@ -277,6 +285,48 @@ class TestFlushPolicy:
         snap = run(scenario())
         assert (snap["count"], snap["cases"], snap["max_fill"]) == (
             len(CASES), len(CASES), 1)
+
+    @pytest.mark.parametrize("kernels", [
+        "fused", pytest.param("native", marks=needs_native)])
+    def test_flush_of_one_is_the_single_case_infer(self, asia, kernels):
+        """A lone exact query is calibrated by ``engine.infer``: the flush
+        never calls ``infer_cases``, still counts as a batch of one, and
+        answers as ``infer_cases([case])`` does, to 1e-12."""
+        asks = [(case, ("lung", "bronc") if i % 2 else ())
+                for i, case in enumerate(CASES)]
+
+        async def scenario():
+            batcher, registry = make_batcher(kernels=kernels)
+            engine = registry.get("asia").engine
+            batched = []
+
+            def infer_cases(cases, **kwargs):
+                batched.append(cases)
+                return type(engine).infer_cases(engine, cases, **kwargs)
+
+            engine.infer_cases = infer_cases
+            try:
+                answers = [await batcher.submit(
+                    "asia", QueryRequest(evidence=case, targets=targets))
+                    for case, targets in asks]
+            finally:
+                await batcher.aclose()
+                registry.close()
+            return batched, answers, batches(batcher)
+
+        batched, answers, snap = run(scenario())
+        assert batched == []
+        assert (snap["count"], snap["cases"], snap["max_fill"]) == (
+            len(CASES), len(CASES), 1)
+        with BatchedFastBNI(asia, mode="seq", kernels=kernels) as engine:
+            for (case, targets), got in zip(asks, answers):
+                want = engine.infer_cases([case], targets=targets).case(0)
+                assert list(got.posteriors) == list(want.posteriors)
+                for name, values in want.posteriors.items():
+                    np.testing.assert_allclose(got.posteriors[name], values,
+                                               atol=1e-12, rtol=0)
+                assert got.log_evidence == pytest.approx(want.log_evidence,
+                                                         abs=1e-12)
 
     def test_one_executor_job_per_flush(self):
         """A lone warm query on a fused entry: one ``run_in_executor``

@@ -12,20 +12,26 @@ The non-negotiables pinned here:
 from __future__ import annotations
 
 import asyncio
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro import load_network
+from repro.approx import ApproxBNI
+from repro.approx.engine import ApproxInferenceResult
 from repro.bn.cpt import CPT
 from repro.bn.network import BayesianNetwork
 from repro.bn.sampling import generate_test_cases
 from repro.bn.variable import Variable
-from repro.core import FastBNI
+from repro.core import BatchedFastBNI, FastBNI
 from repro.errors import EvidenceError
+from repro.exec.native import native_status
 from repro.jt.structure import compile_junction_tree
 from repro.service import (InferenceServer, MicroBatcher, ModelRegistry,
                            QueryRequest, ServiceMetrics)
-from repro.service.cache import InferenceCache, canonical_evidence
+from repro.service.cache import InferenceCache
 
 
 def run(coro):
@@ -47,14 +53,14 @@ def coin_net(p_no: float, name: str = "coin") -> BayesianNetwork:
 # ----------------------------------------------------------------- unit level
 class TestCanonicalEvidence:
     def test_labels_and_indices_share_a_key(self, asia):
-        tree = compile_junction_tree(asia)
-        assert (canonical_evidence(tree, {"smoke": "yes", "xray": "no"})
-                == canonical_evidence(tree, {"xray": 1, "smoke": 0}))
+        cache = InferenceCache(compile_junction_tree(asia))
+        assert (cache.evidence_key({"smoke": "yes", "xray": "no"})
+                == cache.evidence_key({"xray": 1, "smoke": 0}))
 
     def test_unknown_variable_raises(self, asia):
-        tree = compile_junction_tree(asia)
+        cache = InferenceCache(compile_junction_tree(asia))
         with pytest.raises(EvidenceError, match="not in network"):
-            canonical_evidence(tree, {"nope": 0})
+            cache.evidence_key({"nope": 0})
 
 
 class TestResultMemo:
@@ -121,9 +127,15 @@ class TestServeCases:
 
     def test_byte_pressure_evicts_but_stays_correct(self, asia):
         tree = compile_junction_tree(asia)
-        # A budget tight enough that memoised results must rotate.
-        cache = InferenceCache(tree, max_bytes=4_096)
         with FastBNI(asia, mode="seq") as engine:
+            # A budget of four entries (and their shared layout) against
+            # eight distinct evidence sets: memoised results must rotate.
+            sizing, charged = InferenceCache(tree), []
+            for name in ("smoke", "bronc"):
+                sizing.record_cold([({name: 0}, (), engine.infer({name: 0}))])
+                charged.append(sizing.total_bytes())
+            budget = charged[0] + 3 * (charged[1] - charged[0])
+            cache = InferenceCache(tree, max_bytes=budget)
             for i in range(12):
                 evidence = {"smoke": i % 2, "bronc": (i // 2) % 2,
                             "asia": (i // 4) % 2}
@@ -134,7 +146,7 @@ class TestServeCases:
                     np.testing.assert_allclose(
                         hit.posteriors[name], want.posteriors[name],
                         atol=1e-12, rtol=0)
-            assert cache.total_bytes() <= 4_096
+            assert cache.total_bytes() <= budget
             # Whatever survived eviction still answers correctly.
             for i in range(8):
                 evidence = {"smoke": i % 2, "bronc": (i // 2) % 2,
@@ -148,6 +160,203 @@ class TestServeCases:
         stats = cache.stats()
         assert stats["evicted_results"] >= 1
         assert stats["bytes"] == cache.total_bytes()
+
+
+# ------------------------------------------------------------------ memo rows
+NATIVE_AVAILABLE, NATIVE_REASON = native_status()
+#: The native backend's whole-case output is the row a flush of one
+#: leaves in the memo without a copy; fused results are always copied.
+KERNELS = ["fused", pytest.param("native", marks=pytest.mark.skipif(
+    not NATIVE_AVAILABLE, reason=f"native backend unavailable: {NATIVE_REASON}"))]
+
+
+@pytest.fixture(scope="module", params=KERNELS)
+def analog_engines(request):
+    """Calibrated hailfinder and pathfinder engines, shared by the module."""
+    engines = {}
+    for name in ("hailfinder", "pathfinder"):
+        engine = BatchedFastBNI(load_network(name), mode="seq",
+                                kernels=request.param)
+        engine.prepare_baseline()
+        engines[name] = engine
+    yield engines
+    for engine in engines.values():
+        engine.close()
+
+
+def _analog_cases(engine, count: int, seed: int = 3) -> list[dict]:
+    return [c.evidence for c in generate_test_cases(
+        engine.net, count, observed_fraction=0.2, rng=seed)]
+
+
+def _traced_memo_bytes(cache, store) -> int:
+    """Bytes still allocated once ``store(memoise)`` has memoised its
+    ``(evidence, result)`` pairs and dropped everything else it made."""
+    def memoise(evidence, result):
+        cache.store_result(cache.evidence_key(evidence), (), result)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store(memoise)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_same_result(hit, stored, names):
+    """``hit`` is ``stored`` (narrowed to ``names``) bit for bit."""
+    assert type(hit) is type(stored)
+    assert list(hit.posteriors) == list(names)
+    for name in names:
+        assert hit.posteriors[name].tobytes() == \
+            stored.posteriors[name].tobytes()
+    assert (np.float64(hit.log_evidence).tobytes()
+            == np.float64(stored.log_evidence).tobytes())
+    assert hit.meta == {"served_by": "cache"}
+    if isinstance(stored, ApproxInferenceResult):
+        for name in names:
+            assert hit.stderr[name].tobytes() == stored.stderr[name].tobytes()
+        assert list(hit.stderr) == list(names)
+        assert (hit.ess, hit.num_samples, hit.method) == (
+            stored.ess, stored.num_samples, stored.method)
+        assert (np.float64(hit.r_hat).tobytes()
+                == np.float64(stored.r_hat).tobytes())
+
+
+class TestMemoRows:
+    """One row per entry: what ``total_bytes`` charges is what the memo
+    holds, and a hit rebuilds exactly the result that was stored."""
+
+    @pytest.mark.parametrize("network", ["hailfinder", "pathfinder"])
+    def test_charged_bytes_match_traced_allocation(self, analog_engines,
+                                                   network):
+        engine = analog_engines[network]
+        cases = _analog_cases(engine, 120)
+        block = cases[60:]
+        engine.infer(cases[0])  # allocate the engine's scratch first
+        engine.infer_cases(block)
+        cache = InferenceCache(engine.tree)
+
+        def store(memoise):
+            # Half the entries from flushes of one, half out of a 60-case
+            # flush block, dropped once its rows are memoised.
+            for evidence in cases[:60]:
+                memoise(evidence, engine.infer(evidence))
+            flushed = engine.infer_cases(block)
+            for i, evidence in enumerate(block):
+                memoise(evidence, flushed.case(i))
+
+        traced = _traced_memo_bytes(cache, store)
+        assert cache.stats()["memo_entries"] == 120
+        charged = cache.total_bytes()
+        assert 0.75 * traced <= charged <= 1.25 * traced, (charged, traced)
+
+    def test_a_block_row_does_not_pin_its_block(self, analog_engines):
+        """One case kept out of a 64-case flush holds what the same case
+        kept from a flush of one holds, not the block: the memo copies
+        multi-case rows out."""
+        engine = analog_engines["pathfinder"]
+        cases = _analog_cases(engine, 64, seed=4)
+        engine.infer_cases(cases)
+        alone, from_block = (InferenceCache(engine.tree) for _ in range(2))
+        held = _traced_memo_bytes(
+            alone, lambda memoise: memoise(cases[0], engine.infer(cases[0])))
+        traced = _traced_memo_bytes(
+            from_block, lambda memoise: memoise(
+                cases[0], engine.infer_cases(cases).case(0)))
+        assert traced <= 1.25 * held, (traced, held)
+        charged = from_block.total_bytes()
+        assert 0.75 * traced <= charged <= 1.25 * traced, (charged, traced)
+
+    def test_approximate_charged_bytes_match_traced_allocation(self):
+        net = load_network("hailfinder")
+        engine = ApproxBNI(net, num_samples=256, max_samples=256, seed=1)
+        cases = [c.evidence for c in generate_test_cases(
+            net, 40, observed_fraction=0.2, rng=5)]
+        cache = InferenceCache(compile_junction_tree(net))
+
+        def store(memoise):
+            for evidence, result in zip(cases, engine.infer_cases(cases)):
+                memoise(evidence, result)
+
+        traced = _traced_memo_bytes(cache, store)
+        charged = cache.total_bytes()
+        assert 0.75 * traced <= charged <= 1.25 * traced, (charged, traced)
+
+    @pytest.mark.parametrize("kernels", KERNELS)
+    @pytest.mark.parametrize("targets", [(), ("bronc", "lung")])
+    def test_exact_hits_are_the_stored_result(self, asia, targets, kernels):
+        cache = InferenceCache(compile_junction_tree(asia))
+        evidence = {"smoke": "yes", "xray": "no"}
+        key = cache.evidence_key(evidence)
+        with BatchedFastBNI(asia, mode="seq", kernels=kernels) as engine:
+            single = engine.infer(evidence, targets)
+            from_block = engine.infer_cases([{"asia": "yes"}, evidence],
+                                            targets=targets).case(1)
+        # A native single-case read is kept without a copy; a row of a
+        # flush block is copied out.
+        for stored, kept in ((single, kernels == "native"),
+                             (from_block, False)):
+            cache.store_result(key, targets, stored)
+            hit = cache.lookup_result(key, targets)
+            _assert_same_result(hit, stored, tuple(stored.posteriors))
+            name = next(iter(stored.posteriors))
+            assert np.shares_memory(hit.posteriors[name],
+                                    stored.posteriors[name]) == kept
+        # A full entry answers a subset query, narrowed in sorted order.
+        if not targets:
+            hit = cache.lookup_result(key, ("lung", "bronc"))
+            _assert_same_result(hit, from_block, ("bronc", "lung"))
+
+    @pytest.mark.parametrize("method", ["lw", "gibbs"])
+    @pytest.mark.parametrize("targets", [(), ("lung", "bronc")])
+    def test_approximate_hits_are_the_stored_result(self, asia, method,
+                                                    targets):
+        cache = InferenceCache(compile_junction_tree(asia))
+        evidence = {"smoke": "yes"}
+        key = cache.evidence_key(evidence)
+        stored = ApproxBNI(asia, method=method, num_samples=512,
+                           max_samples=512, seed=2).infer(evidence, targets)
+        cache.store_result(key, targets, stored)
+        _assert_same_result(cache.lookup_result(key, targets), stored,
+                            tuple(stored.posteriors))
+        if not targets:
+            _assert_same_result(cache.lookup_result(key, ("lung", "bronc")),
+                                stored, ("bronc", "lung"))
+
+    def test_hits_through_the_batcher_are_the_stored_result(self, asia):
+        """A repeat served by the flush's memo pre-pass carries the first
+        answer's bits and ``served_by: cache``, full and subset."""
+        requests = [QueryRequest(evidence={"smoke": "yes"}),
+                    QueryRequest(evidence={"smoke": "yes"},
+                                 targets=("lung", "bronc")),
+                    QueryRequest(evidence={"xray": "no"},
+                                 targets=("lung", "bronc"))]
+
+        async def scenario():
+            batcher, registry = _make_batcher(max_batch=4)
+            try:
+                answers = []
+                for request in [*requests, *requests]:
+                    answers.append(await batcher.submit("asia", request))
+                    await batcher.drain()  # record_cold has run
+            finally:
+                await batcher.aclose()
+                registry.close()
+            return answers
+
+        answers = run(scenario())
+        first, repeats = answers[:3], answers[3:]
+        assert [r.meta.get("served_by") for r in answers] == [
+            None, "cache", None, "cache", "cache", "cache"]
+        for want, got in zip(first, repeats):
+            for name in want.posteriors:
+                assert got.posteriors[name].tobytes() == \
+                    want.posteriors[name].tobytes()
+            assert got.log_evidence == want.log_evidence
 
 
 # -------------------------------------------------------------- service level

@@ -5,12 +5,15 @@ totals that disagree with the batch counters)."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import threading
 
 import pytest
 
+from repro.obs.prometheus import render_prometheus
 from repro.service import ServiceMetrics
-from repro.service.metrics import STAGES
+from repro.service.metrics import STAGE_BUCKETS_MS, STAGES
 
 
 def _hammer(threads: int, per_thread: int, work, during=None):
@@ -177,6 +180,50 @@ class TestValidation:
         for stage in STAGES:
             metrics.observe_stage(stage, 0.001)
         assert set(metrics.snapshot()["stages"]) == set(STAGES)
+
+
+class TestStageHistogramOutput:
+    """Stage histograms read the same whatever ``observe_stage`` keeps
+    internally: the ``stats`` section and the Prometheus text of a fixed
+    observation sequence are pinned byte for byte (the pins were taken
+    from the linear-scan bucketing this replaced)."""
+
+    SEQUENCE = [("execute", 3e-3), ("parse", 1e-5), ("execute", 0.03),
+                ("serialize", 1e-4), ("queue_wait", 2.5e-4), ("parse", 0.0),
+                ("cache_lookup", 1.0), ("registry_lookup", 2.0),
+                ("execute", 5e-4), ("serialize", 0.25), ("queue_wait", 1e-3),
+                ("execute", 7e-3)]
+    STATS = ('{"parse": {"count": 2, "sum_ms": 0.01, "mean_ms": 0.005, "buckets": {"le_0.1": 2}}, "registry_lookup": {"count": 1, "sum_ms": 2000.0, "mean_ms": 2000.0, "buckets": {"inf": 1}}, "queue_wait": {"count": 2, "sum_ms": 1.25, "mean_ms": 0.625, "buckets": {"le_0.25": 1, "le_1": 1}}, "cache_lookup": {"count": 1, "sum_ms": 1000.0, "mean_ms": 1000.0, "buckets": {"le_1000": 1}}, "execute": {"count": 4, "sum_ms": 40.5, "mean_ms": 10.125, "buckets": {"le_5": 1, "le_50": 1, "le_0.5": 1, "le_10": 1}}, "serialize": {"count": 2, "sum_ms": 250.1, "mean_ms": 125.05, "buckets": {"le_0.1": 1, "le_250": 1}}}')
+    PROMETHEUS_SHA256 = ("293f32aacd4c5c726bef7946ef407ab5"
+                         "8a7390ccb647871a5dca62aaec501d43")
+
+    def _snapshot(self) -> dict:
+        metrics = ServiceMetrics(clock=lambda: 100.0)
+        for stage, seconds in self.SEQUENCE:
+            metrics.observe_stage(stage, seconds)
+        return metrics.snapshot()
+
+    def test_stats_section_is_pinned(self):
+        assert json.dumps(self._snapshot()["stages"]) == self.STATS
+
+    def test_prometheus_stage_lines_are_pinned(self):
+        lines = [line for line in
+                 render_prometheus(self._snapshot()).splitlines()
+                 if "stage_latency" in line]
+        digest = hashlib.sha256(("\n".join(lines) + "\n").encode())
+        assert digest.hexdigest() == self.PROMETHEUS_SHA256
+
+    @pytest.mark.parametrize("ms", [0.0, 0.05, *STAGE_BUCKETS_MS,
+                                    *(e * 1.000001 for e in STAGE_BUCKETS_MS),
+                                    5e3, float("inf")])
+    def test_bucket_is_the_first_edge_at_or_above(self, ms):
+        seconds = ms / 1e3
+        want = next((f"le_{edge:g}" for edge in STAGE_BUCKETS_MS
+                     if seconds * 1e3 <= edge), "inf")
+        metrics = ServiceMetrics()
+        metrics.observe_stage("execute", seconds)
+        (label,) = metrics.snapshot()["stages"]["execute"]["buckets"]
+        assert label == want
 
 
 class _FakeClock:
