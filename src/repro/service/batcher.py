@@ -361,8 +361,7 @@ class MicroBatcher:
         Memo pre-pass, one vectorised ``infer_cases`` over what it
         missed (``infer`` for a lone exact case, which on pathfinder
         costs about half as much on fused and ~20 % less on native), and
-        the per-case retry of a poisoned batch.
-        Sets every
+        the per-case retry of a poisoned batch.  Sets every
         ``pending.outcome`` (spans are recorded before the loop resolves
         the future: once the client coroutine resumes it finishes the
         trace, and a late span would miss the buffer) and returns the
@@ -400,8 +399,7 @@ class MicroBatcher:
             with install_kernel_hooks(recorder):
                 if len(batch) == 1 and entry.capabilities.exact:
                     # A flush of one is the engine's single-case read: no
-                    # batch arena (fused), no batched wrapper (native),
-                    # and its native output row is the row the memo keeps.
+                    # batch arena (fused), no batched wrapper (native).
                     results = [engine.infer(cases[0], targets)]
                 else:
                     results = list(engine.infer_cases(cases, targets=targets,
@@ -465,7 +463,7 @@ class MicroBatcher:
                 continue
             self.metrics.observe_memo_serve()
             pending.outcome = project(outcome, pending.request.targets)
-            self._observe_served(entry.engine_kind, pending.outcome)
+            self._observe_served("exact", pending.outcome)
         return remaining
 
     def _run_individually(self, entry: ModelEntry,

@@ -7,20 +7,17 @@ any subset of its targets.  Everything else is a miss the batcher sends
 to its flush.
 
 What an entry holds: one contiguous float64 *row* — the result's
-posteriors side by side, then log P(e); an approximate result's row goes
-on with its per-target standard errors and its scalar diagnostics (ESS,
-samples drawn, split-R̂).  Which columns belong to which variable is a
-:class:`_Layout` shared by every entry with the same target list and
-result kind, and the :class:`~repro.jt.engine.InferenceResult` (views
+posteriors side by side, then log P(e).  Which columns belong to which
+variable is a :class:`_Layout` shared by every entry with the same
+target list, and the :class:`~repro.jt.engine.InferenceResult` (views
 into the row) is rebuilt only on a hit.  The evidence key is packed into
-``bytes`` (sorted ``(variable id, state)`` pairs).  A row is kept without
-a copy only when the result's arrays are views that, with log P(e), fill
-one buffer of their own — the native output of a flush of one; rows of a
-multi-case flush block are copied out, or one surviving entry would pin
-the whole block.  A cold full-posterior entry so holds 1.9 KB on
-hailfinder and 3.5 KB on pathfinder, against 10.4 and 22.8 KB as an
-``InferenceResult`` of per-variable views (tracemalloc;
-``docs/service.md``).
+``bytes`` (sorted ``(variable id, state)`` pairs).  Every row is a fresh
+copy, so an entry never keeps the engine's output buffer — or a whole
+multi-case flush block — alive.  A cold full-posterior entry so holds
+1.8 KB on hailfinder and 3.5 KB on pathfinder, against 10.4 and 22.8 KB
+as an ``InferenceResult`` of per-variable views (tracemalloc;
+``docs/service.md``).  Only exact models have a memo: the registry
+builds none for an approximate entry.
 
 One :class:`InferenceCache` serves one resident model (the registry hangs
 it off the :class:`~repro.service.registry.ModelEntry`), so the "network"
@@ -71,10 +68,6 @@ EvidenceKey = bytes
 #: and table slot, the key and value tuples and the row's ndarray header
 #: (tracemalloc on CPython 3.11, NumPy 2.x: ~200 + 112 bytes).
 _ENTRY_OVERHEAD = 320
-#: The header of the engine buffer a row kept without a copy views.
-_ARRAY_HEADER = 112
-#: Approximate rows end in ESS, samples drawn and split-R̂.
-_DIAGNOSTICS = 3
 
 
 def project(result: InferenceResult, want: tuple[str, ...]) -> InferenceResult:
@@ -99,16 +92,13 @@ class _Layout:
     """Where each target's columns sit in a memo row.
 
     ``spans`` maps names, in the stored result's order, to ``(lo, hi)``
-    column bounds; ``width`` posterior columns are followed by log P(e)
-    and, when ``method`` names a sampler, by the standard errors in the
-    same layout and the scalar diagnostics.
+    column bounds; ``width`` posterior columns are followed by log P(e).
     """
 
-    __slots__ = ("key", "spans", "width", "method", "entries", "nbytes")
+    __slots__ = ("names", "spans", "width", "entries", "nbytes")
 
-    def __init__(self, names: tuple[str, ...], cards: list[int],
-                 method: str | None) -> None:
-        self.key = (names, method)
+    def __init__(self, names: tuple[str, ...], cards: list[int]) -> None:
+        self.names = names
         self.spans: dict[str, tuple[int, int]] = {}
         lo = 0
         for name, card in zip(names, cards):
@@ -116,7 +106,6 @@ class _Layout:
             self.spans[name] = (lo, hi)
             lo = hi
         self.width = lo
-        self.method = method
         #: Entries using this layout; the memo drops it at zero.
         self.entries = 0
         # The dict, the names, the span tuples and their bounds (ints
@@ -126,29 +115,10 @@ class _Layout:
                              for span in self.spans.values()))
 
     def row(self, result: InferenceResult) -> np.ndarray:
-        """``result`` as one row: kept if it owns its buffer, else copied."""
-        values = list(result.posteriors.values())
-        width = self.width
-        if self.method is None:
-            base = values[0].base
-            if (isinstance(base, np.ndarray) and base.size == width + 1
-                    and base.dtype == np.float64 and base.flags.c_contiguous
-                    and all(v.base is base for v in values)):
-                # The engine's whole-case read: the posteriors are views
-                # of one output row, in order, with log P(e) last.
-                row = base.reshape(-1)
-                if row[width] == result.log_evidence:
-                    row.flags.writeable = False
-                    return row
-            row = np.empty(width + 1)
-        else:
-            row = np.empty(2 * width + 1 + _DIAGNOSTICS)
-            np.concatenate([result.stderr[name] for name in self.spans],
-                           out=row[width + 1:2 * width + 1])
-            row[2 * width + 1:] = (result.ess, result.num_samples,
-                                   result.r_hat)
-        np.concatenate(values, out=row[:width])
-        row[width] = result.log_evidence
+        """``result`` copied into one fresh, read-only row."""
+        row = np.empty(self.width + 1)
+        np.concatenate(list(result.posteriors.values()), out=row[:self.width])
+        row[self.width] = result.log_evidence
         row.flags.writeable = False
         return row
 
@@ -157,28 +127,16 @@ class _Layout:
         """The result ``row`` holds (views into it), narrowed to ``names``."""
         spans = (self.spans if not names
                  else {name: self.spans[name] for name in names})
-        posteriors = {name: row[lo:hi] for name, (lo, hi) in spans.items()}
-        width = self.width
-        meta = {"served_by": "cache"}
-        if self.method is None:
-            return InferenceResult(posteriors=posteriors,
-                                   log_evidence=float(row[width]), meta=meta)
-        se = width + 1
-        ess, samples, r_hat = row[2 * width + 1:].tolist()
-        return ApproxInferenceResult(
-            posteriors=posteriors, log_evidence=float(row[width]), meta=meta,
-            stderr={name: row[se + lo:se + hi]
-                    for name, (lo, hi) in spans.items()},
-            ess=ess, num_samples=int(samples), method=self.method,
-            r_hat=r_hat)
+        return InferenceResult(
+            posteriors={name: row[lo:hi] for name, (lo, hi) in spans.items()},
+            log_evidence=float(row[self.width]),
+            meta={"served_by": "cache"})
 
 
 def _entry_bytes(key: tuple, row: np.ndarray) -> int:
     """Resident bytes of one entry: row, key and the fixed overhead."""
     evidence_key, targets_key = key
-    return (_ENTRY_OVERHEAD + row.nbytes
-            + (_ARRAY_HEADER if row.base is not None else 0)
-            + sys.getsizeof(evidence_key)
+    return (_ENTRY_OVERHEAD + row.nbytes + sys.getsizeof(evidence_key)
             + (sys.getsizeof(targets_key) if targets_key else 0))
 
 
@@ -202,12 +160,10 @@ class InferenceCache:
         self.max_bytes = max_bytes
         names = [v.name for v in tree.net.variables]
         self._ids = {name: i for i, name in enumerate(names)}
-        widest = max([len(names), *(v.cardinality for v in tree.net.variables)])
-        self._code = "H" if widest <= 0xFFFF else "I"
         #: ``(evidence key, targets key) -> (layout, row)``.
         self._memo: "OrderedDict[tuple, tuple[_Layout, np.ndarray]]" = \
             OrderedDict()
-        self._layouts: dict[tuple, _Layout] = {}
+        self._layouts: dict[tuple[str, ...], _Layout] = {}
         self._memo_bytes = 0
         self._lock = threading.Lock()
         self._counters = {"result_hits": 0, "result_misses": 0,
@@ -228,7 +184,7 @@ class InferenceCache:
         ids = self._ids
         pairs = sorted((ids[name], state) for name, state in
                        check_evidence(self.tree, dict(evidence or {})).items())
-        return array(self._code, [x for pair in pairs for x in pair]).tobytes()
+        return array("I", [x for pair in pairs for x in pair]).tobytes()
 
     @staticmethod
     def targets_key(targets: tuple[str, ...]) -> tuple[str, ...]:
@@ -265,16 +221,14 @@ class InferenceCache:
         """Memoise a finished result (evicting LRU entries over budget)."""
         key = (evidence_key, self.targets_key(targets))
         names = tuple(result.posteriors)
-        method = (result.method if isinstance(result, ApproxInferenceResult)
-                  else None)
         with self._lock:
-            layout = self._layouts.get((names, method))
+            layout = self._layouts.get(names)
             if layout is None:
                 layout = _Layout(names, [v.size for v in
-                                         result.posteriors.values()], method)
+                                         result.posteriors.values()])
             row = layout.row(result)
             if not layout.entries:
-                self._layouts[layout.key] = layout
+                self._layouts[names] = layout
                 self._memo_bytes += layout.nbytes
             layout.entries += 1
             old = self._memo.pop(key, None)
@@ -328,7 +282,7 @@ class InferenceCache:
         self._memo_bytes -= _entry_bytes(key, row)
         layout.entries -= 1
         if not layout.entries:
-            del self._layouts[layout.key]
+            del self._layouts[layout.names]
             self._memo_bytes -= layout.nbytes
 
     def _evict_locked(self) -> None:

@@ -19,8 +19,6 @@ import numpy as np
 import pytest
 
 from repro import load_network
-from repro.approx import ApproxBNI
-from repro.approx.engine import ApproxInferenceResult
 from repro.bn.cpt import CPT
 from repro.bn.network import BayesianNetwork
 from repro.bn.sampling import generate_test_cases
@@ -164,8 +162,7 @@ class TestServeCases:
 
 # ------------------------------------------------------------------ memo rows
 NATIVE_AVAILABLE, NATIVE_REASON = native_status()
-#: The native backend's whole-case output is the row a flush of one
-#: leaves in the memo without a copy; fused results are always copied.
+#: Both backends' results are copied into a fresh row when memoised.
 KERNELS = ["fused", pytest.param("native", marks=pytest.mark.skipif(
     not NATIVE_AVAILABLE, reason=f"native backend unavailable: {NATIVE_REASON}"))]
 
@@ -216,14 +213,6 @@ def _assert_same_result(hit, stored, names):
     assert (np.float64(hit.log_evidence).tobytes()
             == np.float64(stored.log_evidence).tobytes())
     assert hit.meta == {"served_by": "cache"}
-    if isinstance(stored, ApproxInferenceResult):
-        for name in names:
-            assert hit.stderr[name].tobytes() == stored.stderr[name].tobytes()
-        assert list(hit.stderr) == list(names)
-        assert (hit.ess, hit.num_samples, hit.method) == (
-            stored.ess, stored.num_samples, stored.method)
-        assert (np.float64(hit.r_hat).tobytes()
-                == np.float64(stored.r_hat).tobytes())
 
 
 class TestMemoRows:
@@ -271,21 +260,6 @@ class TestMemoRows:
         charged = from_block.total_bytes()
         assert 0.75 * traced <= charged <= 1.25 * traced, (charged, traced)
 
-    def test_approximate_charged_bytes_match_traced_allocation(self):
-        net = load_network("hailfinder")
-        engine = ApproxBNI(net, num_samples=256, max_samples=256, seed=1)
-        cases = [c.evidence for c in generate_test_cases(
-            net, 40, observed_fraction=0.2, rng=5)]
-        cache = InferenceCache(compile_junction_tree(net))
-
-        def store(memoise):
-            for evidence, result in zip(cases, engine.infer_cases(cases)):
-                memoise(evidence, result)
-
-        traced = _traced_memo_bytes(cache, store)
-        charged = cache.total_bytes()
-        assert 0.75 * traced <= charged <= 1.25 * traced, (charged, traced)
-
     @pytest.mark.parametrize("kernels", KERNELS)
     @pytest.mark.parametrize("targets", [(), ("bronc", "lung")])
     def test_exact_hits_are_the_stored_result(self, asia, targets, kernels):
@@ -296,36 +270,18 @@ class TestMemoRows:
             single = engine.infer(evidence, targets)
             from_block = engine.infer_cases([{"asia": "yes"}, evidence],
                                             targets=targets).case(1)
-        # A native single-case read is kept without a copy; a row of a
-        # flush block is copied out.
-        for stored, kept in ((single, kernels == "native"),
-                             (from_block, False)):
+        # Single-case read or a row of a flush block: both are copied.
+        for stored in (single, from_block):
             cache.store_result(key, targets, stored)
             hit = cache.lookup_result(key, targets)
             _assert_same_result(hit, stored, tuple(stored.posteriors))
             name = next(iter(stored.posteriors))
-            assert np.shares_memory(hit.posteriors[name],
-                                    stored.posteriors[name]) == kept
+            assert not np.shares_memory(hit.posteriors[name],
+                                        stored.posteriors[name])
         # A full entry answers a subset query, narrowed in sorted order.
         if not targets:
             hit = cache.lookup_result(key, ("lung", "bronc"))
             _assert_same_result(hit, from_block, ("bronc", "lung"))
-
-    @pytest.mark.parametrize("method", ["lw", "gibbs"])
-    @pytest.mark.parametrize("targets", [(), ("lung", "bronc")])
-    def test_approximate_hits_are_the_stored_result(self, asia, method,
-                                                    targets):
-        cache = InferenceCache(compile_junction_tree(asia))
-        evidence = {"smoke": "yes"}
-        key = cache.evidence_key(evidence)
-        stored = ApproxBNI(asia, method=method, num_samples=512,
-                           max_samples=512, seed=2).infer(evidence, targets)
-        cache.store_result(key, targets, stored)
-        _assert_same_result(cache.lookup_result(key, targets), stored,
-                            tuple(stored.posteriors))
-        if not targets:
-            _assert_same_result(cache.lookup_result(key, ("lung", "bronc")),
-                                stored, ("bronc", "lung"))
 
     def test_hits_through_the_batcher_are_the_stored_result(self, asia):
         """A repeat served by the flush's memo pre-pass carries the first
