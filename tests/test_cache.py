@@ -246,7 +246,7 @@ class TestMemoRows:
     def test_a_block_row_does_not_pin_its_block(self, analog_engines):
         """One case kept out of a 64-case flush holds what the same case
         kept from a flush of one holds, not the block: the memo copies
-        multi-case rows out."""
+        every row out."""
         engine = analog_engines["pathfinder"]
         cases = _analog_cases(engine, 64, seed=4)
         engine.infer_cases(cases)
