@@ -245,7 +245,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             cache_options={"max_bytes": int(args.cache_mb * 1024 * 1024)},
             max_sessions=args.max_sessions,
             session_ttl_s=args.session_ttl,
-            session_max_bytes=int(args.session_mb * 1024 * 1024),
             trace_sample_rate=args.trace_sample_rate,
             trace_buffer=args.trace_buffer,
             trace_slow_ms=args.trace_slow_ms,
@@ -507,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest flush: a queue this long flushes at once "
                          "(1 = no coalescing)")
     sv.add_argument("--cache-dir", default="",
-                    help="directory for serialized junction-tree warm starts")
+                    help="directory for warm starts: serialized junction "
+                         "trees and one read-only table file per model")
     sv.add_argument("--max-mb", type=float, default=256.0,
                     help="registry resident-set byte budget (LRU eviction)")
     sv.add_argument("--preload", default="",
@@ -535,9 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--session-ttl", type=float, default=600.0,
                     help="idle seconds before a session is evicted "
                          "(0 disables the TTL sweep)")
-    sv.add_argument("--session-mb", type=float, default=64.0,
-                    help="total session byte budget (sessions also charge "
-                         "their model's entry against --max-mb)")
     sv.add_argument("--trace-sample-rate", type=float, default=0.0,
                     help="fraction of requests carrying a full span trace "
                          "(deterministic every-Nth sampling; 0 = off, "

@@ -11,12 +11,11 @@ while keeping the wire protocol byte-identical, so every existing client
   membership change, and QPS-driven hot-model replication.
 * :mod:`repro.cluster.worker` — one worker process: the existing
   :class:`~repro.service.server.InferenceServer` in worker mode (stamped
-  ``worker_id``, shared plan arenas via
-  :func:`repro.parallel.sharedmem.share_readonly`, parent watchdog,
-  SIGTERM graceful drain).
+  ``worker_id``, model tables mapped from one shared model file, parent
+  watchdog, SIGTERM graceful drain).
 * :mod:`repro.cluster.supervisor` — spawns worker subprocesses, performs
-  the READY handshake, respawns the dead, sweeps orphaned shared-memory
-  segments.
+  the READY handshake, respawns the dead, owns the workers' model-file
+  directory.
 * :mod:`repro.cluster.router` — the asyncio front process: consistent-
   hash + sticky-session routing, per-worker bounded in-flight windows
   with ``overloaded`` backpressure, health-probe ejection, metrics

@@ -12,12 +12,14 @@ thread per worker consumes stdout for the process's whole life (a filled
 pipe would block the child), delivering the handshake payload and
 discarding the rest.
 
+Sharing contract: :meth:`Supervisor.start_all` creates one private
+temp directory and passes it to every worker as its registry's
+``cache_dir``, so replicas of a model map one model file
+(:mod:`repro.service.modelfile`) and a respawned worker starts warm.
+
 Cleanup contract: SIGTERM first (the worker drains gracefully), SIGKILL
-stragglers after the grace period, then sweep this cluster's
-shared-memory segments — a SIGKILLed worker cannot release the plan
-arenas it owned, so :func:`repro.parallel.sharedmem.cleanup_segments`
-reclaims them by prefix.  The prefix embeds the supervisor pid, so two
-clusters on one host never sweep each other.
+stragglers after the grace period, then remove the cache directory.
+Whatever a worker had mapped goes with its process, SIGKILL included.
 """
 
 from __future__ import annotations
@@ -25,16 +27,17 @@ from __future__ import annotations
 import json
 import os
 import queue
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.cluster.protocol import SEGMENT_PREFIX, parse_ready
+from repro.cluster.protocol import parse_ready
 from repro.errors import ServiceError
-from repro.parallel.sharedmem import cleanup_segments
 
 DEFAULT_SPAWN_TIMEOUT_S = 120.0
 DEFAULT_GRACE_S = 10.0
@@ -60,7 +63,6 @@ class Supervisor:
 
     def __init__(self, worker_count: int, *, host: str = "127.0.0.1",
                  preload=(), options: dict | None = None,
-                 segment_prefix: str | None = None,
                  spawn_timeout_s: float = DEFAULT_SPAWN_TIMEOUT_S,
                  python: str = sys.executable) -> None:
         if worker_count <= 0:
@@ -72,8 +74,9 @@ class Supervisor:
         #: JSON-able InferenceServer knobs forwarded to every worker
         #: (max_batch, cache budgets, trace knobs, ...).
         self.options = dict(options or {})
-        self.segment_prefix = (segment_prefix if segment_prefix is not None
-                               else f"{SEGMENT_PREFIX}{os.getpid()}_")
+        #: The workers' shared model-file directory, from start_all
+        #: until stop_all.
+        self.cache_dir: str | None = None
         self.spawn_timeout_s = spawn_timeout_s
         self.python = python
         self.workers: dict[str, WorkerProcess] = {}
@@ -93,8 +96,8 @@ class Supervisor:
             "--port", "0",
             "--worker-id", worker_id,
             "--parent-pid", str(os.getpid()),
-            "--segment-prefix", self.segment_prefix,
-            "--options-json", json.dumps(self.options),
+            "--options-json", json.dumps({**self.options,
+                                          "cache_dir": self.cache_dir}),
         ]
         if self.preload:
             cmd += ["--preload", ",".join(self.preload)]
@@ -150,6 +153,7 @@ class Supervisor:
         return worker
 
     def start_all(self) -> list[WorkerProcess]:
+        self.cache_dir = tempfile.mkdtemp(prefix="fbni_cluster_")
         return [self.spawn(f"w{i}") for i in range(self.worker_count)]
 
     def respawn(self, worker_id: str) -> WorkerProcess:
@@ -166,13 +170,9 @@ class Supervisor:
         return worker
 
     # -------------------------------------------------------------- teardown
-    def stop_all(self, grace_s: float = DEFAULT_GRACE_S) -> list[str]:
-        """SIGTERM every worker, SIGKILL stragglers, sweep segments.
-
-        Returns the names of any shared-memory segments the sweep had to
-        reclaim (non-empty means a worker died without releasing — e.g.
-        the chaos test's SIGKILL).
-        """
+    def stop_all(self, grace_s: float = DEFAULT_GRACE_S) -> None:
+        """SIGTERM every worker, SIGKILL stragglers, remove the cache
+        directory."""
         with self._lock:
             workers = list(self.workers.values())
             self.workers.clear()
@@ -190,4 +190,6 @@ class Supervisor:
             except subprocess.TimeoutExpired:
                 worker.proc.kill()
                 worker.proc.wait()
-        return cleanup_segments(self.segment_prefix)
+        if self.cache_dir is not None:
+            shutil.rmtree(self.cache_dir, ignore_errors=True)
+            self.cache_dir = None

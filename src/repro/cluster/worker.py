@@ -8,17 +8,16 @@ run in worker mode:
   handshake — stdout is otherwise unused);
 * stamps every health/stats response with its ``worker_id`` so the
   router's aggregation can label per-worker series;
-* publishes each compiled plan's clique base tables (and a native plan's
-  calibrated prior) into named shared-memory segments
-  (:func:`repro.parallel.sharedmem.share_readonly`) via the registry's
-  ``on_load`` hook — the first worker to compile a model owns the
-  segments, every replica attaches read-only, so N replicas of one model
-  cost one copy of its tables;
+* serves each model's base tables (and a native plan's calibrated
+  prior) from one read-only model file in the cluster's cache directory
+  (the ``cache_dir`` the supervisor puts in its options; see
+  :mod:`repro.service.modelfile`) — the first worker to compile a model
+  writes the file, every replica maps it, so N replicas of one model
+  cost one copy of its tables in the page cache;
 * watches its parent: if the supervisor dies (``getppid`` changes), the
   worker SIGTERMs itself rather than lingering orphaned;
 * drains gracefully on SIGTERM (``run_server``'s handler): stops
-  accepting, finishes in-flight, flushes the batcher, releases its
-  shared segments.
+  accepting, finishes in-flight, flushes the batcher.
 
 Workers are an implementation detail of :mod:`repro.cluster.supervisor`;
 nothing else should spawn them directly.
@@ -35,28 +34,8 @@ import sys
 import threading
 import time
 
-from repro.cluster.protocol import SEGMENT_PREFIX, ready_line, segment_name
-from repro.parallel.sharedmem import SEGMENTS, share_readonly
+from repro.cluster.protocol import ready_line
 from repro.service.server import run_server
-
-
-def make_share_plan_hook(prefix: str):
-    """Registry ``on_load`` hook publishing/attaching plan base arenas
-    (the CPT products and, on native plans, the calibrated prior)."""
-
-    def share_plan(name: str, engine) -> None:
-        plan = getattr(engine, "plan", None)
-        if plan is None:
-            return
-        seg = segment_name(prefix, name, plan.spec.clique_entries)
-        flat, _ = share_readonly(seg, lambda: plan.base_flat)
-        plan.adopt_base(flat)
-        if plan.prior_flat is not None:  # checked before C reads it
-            seg = segment_name(prefix, f"{name}#prior",
-                               plan.spec.arena_entries)
-            plan.prior_flat, _ = share_readonly(seg, lambda: plan.prior_flat)
-
-    return share_plan
 
 
 def _watch_parent(parent_pid: int, poll_s: float = 1.0) -> None:
@@ -87,16 +66,12 @@ def main(argv=None) -> int:
     parser.add_argument("--preload", default="",
                         help="comma-separated model names to compile "
                              "before reporting READY")
-    parser.add_argument("--segment-prefix", default=SEGMENT_PREFIX,
-                        help="shared-memory namespace for plan arenas")
     parser.add_argument("--options-json", default="{}",
                         help="JSON dict of InferenceServer knobs")
     args = parser.parse_args(argv)
 
     options = json.loads(args.options_json)
     options.setdefault("worker_id", args.worker_id)
-    options.setdefault("on_load",
-                       make_share_plan_hook(args.segment_prefix))
     preload = [n for n in args.preload.split(",") if n]
 
     def on_ready(server) -> None:
@@ -104,13 +79,8 @@ def main(argv=None) -> int:
 
     if args.parent_pid:
         _watch_parent(args.parent_pid)
-    try:
-        asyncio.run(run_server(args.host, args.port, preload=preload,
-                               on_ready=on_ready, **options))
-    finally:
-        # A SIGKILLed worker cannot reach this; the supervisor's segment
-        # sweep covers that case.
-        SEGMENTS.release_all()
+    asyncio.run(run_server(args.host, args.port, preload=preload,
+                           on_ready=on_ready, **options))
     return 0
 
 

@@ -279,7 +279,7 @@ class MessagePlan:
         #: Lazily-built CPT-product clique tables (views into one flat base).
         self._base: list[np.ndarray] | None = None
         self._base_flat: np.ndarray | None = None
-        #: The calibrated prior (:meth:`calibrate_prior`), or a shared
+        #: The calibrated prior (:meth:`calibrate_prior`), or a mapped
         #: copy swapped in; the native backend checks it before C reads it.
         self.prior_flat: np.ndarray | None = None
         #: Per-(clique, separator) index-map cache; the same map serves the
@@ -316,20 +316,21 @@ class MessagePlan:
     @property
     def base_flat(self) -> np.ndarray:
         """The flat buffer :attr:`base_cliques` are views of — the copy
-        source of every fresh arena (private, or the read-only shared
-        segment :meth:`adopt_base` swapped in)."""
+        source of every fresh arena (private, or the read-only mapped
+        model file :meth:`adopt_base` swapped in)."""
         self.base_cliques
         return self._base_flat
 
     def adopt_base(self, flat: np.ndarray) -> None:
-        """Adopt an externally-owned flat base buffer (shared memory).
+        """Adopt an externally-owned flat base buffer (a mapped file).
 
-        Cluster workers publish each plan's CPT-product clique tables
-        into one named shared-memory segment (:func:`repro.parallel.
-        sharedmem.share_readonly`) so model replicas across processes
-        map the *same physical pages* instead of duplicating them.  The
-        buffer is only ever a copy *source* (``fresh_state`` copies it
-        into a private arena), so a read-only view is safe to adopt.
+        A registry with a ``cache_dir`` serves each plan's CPT-product
+        clique tables from a read-only memory map of its model file
+        (:mod:`repro.service.modelfile`), so model replicas across
+        processes map the *same physical pages* instead of duplicating
+        them.  The buffer is only ever a copy *source* (``fresh_state``
+        copies it into a private arena), so a read-only view is safe to
+        adopt.
         """
         if (flat.shape != (self.spec.clique_entries,)
                 or flat.dtype != np.float64 or not flat.flags.c_contiguous):
@@ -342,6 +343,13 @@ class MessagePlan:
             base.append(flat[off:off + clique.size])
         self._base_flat = flat
         self._base = base
+
+    def release_tables(self) -> None:
+        """Drop the base tables and the calibrated prior, with the native
+        lowering that holds the prior; all are rebuilt on next use.  A
+        closed engine's plan lets go of a mapped model file this way."""
+        self._base = self._base_flat = self.prior_flat = None
+        self.__dict__.pop("_native_schedule", None)
 
     def calibrate_prior(self, calibrate) -> np.ndarray:
         """The calibrated prior, built once: a fresh state calibrated in

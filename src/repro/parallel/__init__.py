@@ -12,9 +12,9 @@ In Python the equivalents are:
 
 Work units are *entry-range chunks* of potential tables
 (:mod:`repro.parallel.chunking`) or case blocks of a batch; tasks receive
-ndarray views into the plan arena directly.  :mod:`repro.parallel.
-sharedmem` is separate: named read-only segments the cluster tier uses to
-share plan base tables *between server processes*.
+ndarray views into the plan arena directly.  Server processes share a
+model's tables through the page cache instead, by mapping one model file
+(:mod:`repro.service.modelfile`).
 """
 
 from repro.parallel.backend import (

@@ -361,7 +361,7 @@ class MicroBatcher:
         Memo pre-pass, one vectorised ``infer_cases`` over what it
         missed (``infer`` for a lone exact case, which on pathfinder
         costs about half as much on fused and ~20 % less on native), and
-        the per-case retry of a poisoned batch.  Sets every
+        the per-case retry of a poisoned batch of more than one.  Sets every
         ``pending.outcome`` (spans are recorded before the loop resolves
         the future: once the client coroutine resumes it finishes the
         trace, and a late span would miss the buffer) and returns the
@@ -404,12 +404,16 @@ class MicroBatcher:
                 else:
                     results = list(engine.infer_cases(cases, targets=targets,
                                                       **soft))
-        except EvidenceError:
+        except EvidenceError as exc:
             # An impossible case empties a message (exact) or kills
             # every particle weight (approx) and aborts the whole
             # vectorised pass; re-run case-by-case so only that request
-            # fails.
-            self._run_individually(entry, batch)
+            # fails.  A flush of one was that case: the error is its
+            # answer.
+            if len(batch) == 1:
+                batch[0].outcome = exc
+            else:
+                self._run_individually(entry, batch)
             return []
         exec_end = time.perf_counter()
         self.metrics.observe_stage("execute", exec_end - exec_start)

@@ -25,10 +25,13 @@ network coexist under distinct keys (``name`` vs ``name@approx``), so an
 explicit ``engine="approx"`` request never evicts the exact entry.
 
 With a ``cache_dir``, compiled tree *structure* is persisted through
-:mod:`repro.jt.serialize` and warm-started on the next load — potentials
-are always rebuilt from the network's CPTs, so a stale cache can never
-serve stale parameters, and any unreadable/incompatible cache file falls
-back to a fresh compile.
+:mod:`repro.jt.serialize`, and each exact model's base tables (and, on
+native kernels, its calibrated prior) are served from one read-only
+model file there (:mod:`repro.service.modelfile`), named by a digest of
+everything its bytes depend on: processes sharing the directory share
+the tables through the page cache, a restart skips building them, an
+edited model can never be served from an old file, and an unreadable or
+incompatible cache file falls back to a fresh compile.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ class ModelEntry:
     #: For approx entries: the no-evidence sampling result backing ``prior``
     #: (carries the prior's own ess/stderr for baseline-served responses).
     prior_result: "ApproxInferenceResult | None" = None
-    #: Whether the junction tree came from the serialized warm-start cache.
+    #: Whether the engine's tables came from a model file already in the
+    #: registry's ``cache_dir`` (a warm start).
     from_cache: bool = False
     meta: dict[str, float] = field(default_factory=dict)
     #: Number of in-flight computations using this entry's engine (see
@@ -129,6 +133,15 @@ class ModelEntry:
         return entry_key(self.name, self.engine_kind)
 
 
+def _close_engine(engine) -> None:
+    """Close ``engine`` and drop its plan's tables (unmapping a model
+    file), so an evicted model holds no memory past its last lease."""
+    engine.close()
+    plan = getattr(engine, "plan", None)
+    if plan is not None:
+        plan.release_tables()
+
+
 def entry_key(name: str, kind: str) -> str:
     """Registry key: exact engine classes own the bare name, others suffix."""
     caps = CAPABILITIES_BY_KIND.get(kind)
@@ -160,7 +173,6 @@ class ModelRegistry:
                  approx_options: dict | None = None,
                  cache: bool = True,
                  cache_options: dict | None = None,
-                 on_load=None,
                  **engine_options) -> None:
         if max_bytes <= 0:
             raise NetworkError(f"registry byte budget must be positive, got {max_bytes}")
@@ -175,13 +187,6 @@ class ModelRegistry:
         #: ``max_bytes``).
         self.cache_enabled = cache
         self.cache_options = dict(cache_options or {})
-        #: ``on_load(name, engine)`` runs after an exact engine compiles,
-        #: before it serves.  The cluster worker uses it to swap the
-        #: compiled plan's clique base tables (``MessagePlan.adopt_base``)
-        #: and calibrated prior for shared-memory segments so model
-        #: replicas across worker processes map one copy.  Hook failures
-        #: are non-fatal: serving from a private buffer beats not serving.
-        self.on_load = on_load
         if planner is not None:
             self.planner = planner
         else:
@@ -305,11 +310,11 @@ class ModelRegistry:
         loaded = self._load(name, kind)
         with self._lock:
             if self._closed:
-                loaded.engine.close()
+                _close_engine(loaded.engine)
                 raise NetworkError("model registry is closed")
             existing = self._entries.get(key)
             if existing is not None:  # lost the race to a concurrent load
-                loaded.engine.close()
+                _close_engine(loaded.engine)
                 self._entries.move_to_end(key)
                 existing.pins += pins
                 return existing
@@ -335,7 +340,7 @@ class ModelRegistry:
         with self._lock:
             entry.pins -= 1
             if entry.retired and entry.pins == 0:
-                entry.engine.close()
+                _close_engine(entry.engine)
 
     @contextmanager
     def lease(self, name: str, engine: str | None = None):
@@ -391,22 +396,20 @@ class ModelRegistry:
     def _load_exact(self, name: str, net: BayesianNetwork,
                     decision: PlanDecision) -> ModelEntry:
         tree: JunctionTree | None = None
-        from_cache = False
         cache_path = self._tree_cache_path(name)
         if cache_path is not None and cache_path.exists():
             try:
                 tree = load_tree(cache_path, net)
-                from_cache = True
             except (ReproError, OSError, ValueError):
                 tree = None  # incompatible/corrupt cache: recompile below
         engine = BatchedFastBNI(net, tree=tree, **self.engine_options)
+        from_cache = False
+        if self.cache_dir is not None:  # off the serve start-up path
+            from repro.service.modelfile import attach
+
+            from_cache = attach(engine, self.cache_dir)
         engine.prepare_baseline()
-        if self.on_load is not None:
-            try:
-                self.on_load(name, engine)
-            except Exception:  # noqa: BLE001 - sharing is an optimisation
-                pass  # private plan buffers still serve correctly
-        if cache_path is not None and not from_cache:
+        if cache_path is not None and tree is None:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
             save_tree(engine.tree, cache_path)
 
@@ -470,7 +473,7 @@ class ModelRegistry:
         """Close the engine now, or defer to the last unpin if it's in use."""
         entry.retired = True
         if entry.pins == 0:
-            entry.engine.close()
+            _close_engine(entry.engine)
 
     def _evict_over_budget(self) -> None:
         # Never evict the most-recent entry: a model larger than the whole

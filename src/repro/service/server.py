@@ -89,7 +89,6 @@ from repro.service.ops import LOCAL, OPS, ROUTER, Op, lookup
 from repro.service.registry import ModelRegistry
 from repro.service.sessions import (DEFAULT_IDLE_TTL_S, DEFAULT_MAX_SESSIONS,
                                     SessionManager)
-from repro.service.sessions import DEFAULT_MAX_BYTES as DEFAULT_SESSION_BYTES
 
 DEFAULT_PORT = 7421
 
@@ -236,7 +235,6 @@ class InferenceServer(JsonLinesFront):
                  metrics: ServiceMetrics | None = None,
                  max_sessions: int = DEFAULT_MAX_SESSIONS,
                  session_ttl_s: float = DEFAULT_IDLE_TTL_S,
-                 session_max_bytes: int = DEFAULT_SESSION_BYTES,
                  tracer: Tracer | None = None,
                  trace_sample_rate: float = 0.0,
                  trace_buffer: int = DEFAULT_MAX_TRACES,
@@ -266,7 +264,6 @@ class InferenceServer(JsonLinesFront):
         self.sessions = SessionManager(self.registry,
                                        max_sessions=max_sessions,
                                        idle_ttl_s=session_ttl_s,
-                                       max_bytes=session_max_bytes,
                                        metrics=self.metrics)
         self._server: asyncio.AbstractServer | None = None
         self._writers: set[asyncio.StreamWriter] = set()

@@ -14,8 +14,8 @@ The :class:`SessionManager` owns the session table:
 
 * **byte accounting** — each session's fixed charge is added to its
   entry's ``session_bytes`` (counted against the registry's budget like
-  the result memo), and the manager bounds its own total and count with
-  LRU eviction, plus an idle TTL;
+  the result memo), and the manager bounds its count with LRU eviction,
+  plus an idle TTL;
 * **explicit eviction errors** — a closed or evicted id raises
   :class:`~repro.errors.SessionError` with ``code "session_closed"``
   (``"session_unknown"`` if never issued), never a hang;
@@ -50,8 +50,6 @@ from repro.service.registry import ModelEntry, ModelRegistry
 DEFAULT_MAX_SESSIONS = 256
 #: Idle seconds before a session is evicted by the TTL sweep.
 DEFAULT_IDLE_TTL_S = 600.0
-#: Total session byte budget (on top of per-entry registry accounting).
-DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 
 #: Closed/evicted ids remembered for explicit ``session_closed`` errors.
 _TOMBSTONE_LIMIT = 4096
@@ -97,10 +95,10 @@ class SessionManager:
     registry:
         The registry sessions pin their model entries in (and whose byte
         budget session bytes are folded into).
-    max_sessions / idle_ttl_s / max_bytes:
-        Table bounds: LRU count cap, idle eviction TTL, and the manager's
-        own total byte budget.  Evicted ids answer with
-        :class:`~repro.errors.SessionError` (``code "session_closed"``).
+    max_sessions / idle_ttl_s:
+        Table bounds: LRU count cap and idle eviction TTL.  Evicted ids
+        answer with :class:`~repro.errors.SessionError` (``code
+        "session_closed"``).
     clock:
         Injectable time source (tests drive TTL eviction explicitly).
     """
@@ -108,7 +106,6 @@ class SessionManager:
     def __init__(self, registry: ModelRegistry, *,
                  max_sessions: int = DEFAULT_MAX_SESSIONS,
                  idle_ttl_s: float = DEFAULT_IDLE_TTL_S,
-                 max_bytes: int = DEFAULT_MAX_BYTES,
                  metrics: ServiceMetrics | None = None,
                  clock=time.monotonic) -> None:
         if max_sessions < 1:
@@ -116,7 +113,6 @@ class SessionManager:
         self.registry = registry
         self.max_sessions = max_sessions
         self.idle_ttl_s = idle_ttl_s
-        self.max_bytes = max_bytes
         self.metrics = metrics
         self._clock = clock
         self._lock = threading.RLock()
@@ -185,21 +181,13 @@ class SessionManager:
             self._evict_locked(sid, "idle TTL exceeded")
 
     def _enforce_locked(self, keep: str) -> None:
-        """LRU-evict over the count/byte caps, sparing ``keep`` (the
-        session just touched — mirroring the registry's never-evict-MRU
-        rule, one over-budget session stays servable)."""
+        """LRU-evict over the count cap, sparing ``keep`` (the session
+        just touched)."""
         while len(self._sessions) > self.max_sessions:
             sid = next(iter(self._sessions))
             if sid == keep:
                 break
             self._evict_locked(sid, "session table full (LRU)")
-        while (len(self._sessions) > 1
-               and sum(s.bytes for s in self._sessions.values())
-               > self.max_bytes):
-            sid = next(iter(self._sessions))
-            if sid == keep:
-                break
-            self._evict_locked(sid, "session byte budget exceeded")
 
     @staticmethod
     def _edited(session: Session, evidence: dict | None, retract,
@@ -399,7 +387,6 @@ class SessionManager:
                 "max_sessions": self.max_sessions,
                 "idle_ttl_s": self.idle_ttl_s,
                 "bytes": sum(s.bytes for s in self._sessions.values()),
-                "max_bytes": self.max_bytes,
                 "by_network": {
                     sid: s.describe() for sid, s in self._sessions.items()
                 },

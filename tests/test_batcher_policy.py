@@ -415,8 +415,8 @@ class TestInlineFlush:
         assert (snap["flushes_idle"], snap["flushes_inline"]) == (1, 0)
 
     def test_lone_impossible_query_fails_alone(self):
-        """The per-case retry still runs for an inline flush: the
-        impossible case gets its EvidenceError, the next one succeeds."""
+        """An inline flush of one impossible case: it gets its
+        EvidenceError with no per-case retry, the next one succeeds."""
         impossible = {"Sprinkler": "off", "Rain": "no", "WetGrass": "yes"}
 
         async def scenario():
@@ -437,9 +437,47 @@ class TestInlineFlush:
 
         ok, snap = run(scenario())
         assert abs(float(ok.posteriors["WetGrass"].sum()) - 1.0) < 1e-12
-        assert snap["fallback_cases"] == 1
+        assert snap["fallback_cases"] == 0
         assert snap["flushes_idle"] + snap["flushes_behind"] == 2
         assert snap["flushes_inline"] == 2
+
+    @pytest.mark.parametrize("kernels", [
+        "fused", pytest.param("native", marks=needs_native)])
+    def test_lone_impossible_query_is_calibrated_once(self, kernels):
+        """A flush of one has nothing to isolate: the engine's error is
+        the case's answer, from one engine call; a poisoned flush of more
+        than one still retries case by case."""
+        impossible = {"Sprinkler": "off", "Rain": "no", "WetGrass": "yes"}
+
+        async def scenario():
+            batcher, registry = make_batcher("sprinkler", kernels=kernels)
+            engine = registry.get("sprinkler").engine
+            calls = []
+
+            def infer(*args, **kwargs):
+                calls.append(args)
+                return type(engine).infer(engine, *args, **kwargs)
+
+            engine.infer = infer
+            try:
+                with pytest.raises(EvidenceError):
+                    await batcher.submit("sprinkler",
+                                         QueryRequest(evidence=impossible))
+                lone = len(calls), batches(batcher)["fallback_cases"]
+                answers = await asyncio.gather(*(
+                    batcher.submit("sprinkler", QueryRequest(evidence=case))
+                    for case in (impossible, {"Rain": "yes"})),
+                    return_exceptions=True)
+            finally:
+                await batcher.aclose()
+                registry.close()
+            return lone, answers, batches(batcher)
+
+        lone, (bad, ok), snap = run(scenario())
+        assert lone == (1, 0)
+        assert isinstance(bad, EvidenceError)
+        assert "WetGrass" in ok.posteriors
+        assert snap["fallback_cases"] == 2
 
     def test_sampled_lone_query_matches_unsampled(self):
         """A sampled inline flush takes the staged path with the kernel

@@ -19,12 +19,11 @@ import pytest
 
 from repro.bn.repository import resolve_network
 from repro.cluster.placement import DEFAULT_VNODES, HashRing
-from repro.cluster.protocol import parse_ready, ready_line, segment_name
+from repro.cluster.protocol import parse_ready, ready_line
 from repro.cluster.router import ClusterRouter, WorkerHandle
 from repro.cluster.supervisor import Supervisor
 from repro.core import FastBNI
 from repro.errors import ServiceError, SessionError
-from repro.parallel.sharedmem import list_segments
 from repro.service import ServiceClient
 from repro.service.ops import LOCAL, OPEN, OPS, PLACED, ROUTER, STICKY
 
@@ -104,17 +103,6 @@ class TestProtocol:
         assert parse_ready("some other stdout line") is None
         assert parse_ready("FASTBNI_WORKER_READY not-json") is None
         assert parse_ready("FASTBNI_WORKER_READY [1,2]") is None
-
-    def test_segment_name_is_shm_safe_and_fingerprinted(self):
-        name = segment_name("fbni_", "models/assets weird:name.bif", 123)
-        assert "/" not in name and " " not in name and ":" not in name
-        assert name.startswith("fbni_")
-        assert len(name) < 100
-        # same inputs agree across calls, fingerprint changes the name
-        assert name == segment_name("fbni_", "models/assets weird:name.bif",
-                                    123)
-        assert name != segment_name("fbni_", "models/assets weird:name.bif",
-                                    124)
 
     def test_op_classes_are_disjoint(self):
         classes = {}
@@ -201,8 +189,7 @@ class ClusterHarness:
                                        daemon=True)
         self.thread.start()
         self.supervisor = Supervisor(
-            workers, preload=preload, options=dict(WORKER_OPTIONS),
-            segment_prefix=f"fbni_test_{os.getpid()}_{id(self):x}_")
+            workers, preload=preload, options=dict(WORKER_OPTIONS))
         self.router = ClusterRouter("127.0.0.1", 0,
                                     supervisor=self.supervisor, **router_kw)
         self.run(self.router.start(), timeout=180)
@@ -353,16 +340,19 @@ class TestClusterServing:
         assert "fastbni_cluster_workers_healthy 2" in metrics
 
     def test_workers_share_one_plan_arena(self, cluster):
-        with cluster.client() as client:
-            client.query("asia")  # ensure the plan is compiled + published
-        deadline = time.monotonic() + 10 * TIME_SLACK
-        while time.monotonic() < deadline:
-            segments = list_segments(cluster.supervisor.segment_prefix)
-            if segments:
-                break
-            time.sleep(0.1)
-        # both workers preloaded asia yet exactly one segment exists
-        assert len(segments) == 1
+        """Both workers preloaded asia, and both map the one model file
+        in the cluster's cache directory: one inode, one page-cache copy."""
+        cache_dir = cluster.supervisor.cache_dir
+        files = [f for f in os.listdir(cache_dir) if f.endswith(".npy")]
+        assert len(files) == 1
+        inodes = set()
+        for worker in cluster.supervisor.workers.values():
+            with open(f"/proc/{worker.pid}/maps") as maps:
+                mapped = {int(line.split()[4]) for line in maps
+                          if line.rstrip().endswith(files[0])}
+            assert len(mapped) == 1, (worker.worker_id, mapped)
+            inodes |= mapped
+        assert inodes == {os.stat(os.path.join(cache_dir, files[0])).st_ino}
 
 
 class TestClusterChaos:
@@ -425,6 +415,7 @@ class TestClusterChaos:
 class TestClusterDrain:
     def test_drain_finishes_inflight_and_stops_workers(self):
         harness = ClusterHarness(workers=2)
+        cache_dir = harness.supervisor.cache_dir
         try:
             with harness.client() as client:
                 client.query("asia")
@@ -440,8 +431,9 @@ class TestClusterDrain:
                     break
                 time.sleep(0.2)
             assert all(not w.alive() for w in procs)
-            # the drain swept/released every cluster segment
-            assert list_segments(harness.supervisor.segment_prefix) == []
+            # the drain removed the workers' model-file directory
+            assert harness.supervisor.cache_dir is None
+            assert not os.path.exists(cache_dir)
         finally:
             harness.stop()
 
@@ -478,7 +470,7 @@ class TestClientReconnect:
     """Transparent reconnect against a real server dying mid-stream."""
 
     @staticmethod
-    def _spawn_worker(port: int, prefix: str):
+    def _spawn_worker(port: int):
         """One fixed-port worker subprocess, returned after READY."""
         import subprocess
         import sys
@@ -486,7 +478,6 @@ class TestClientReconnect:
         cmd = [sys.executable, "-m", "repro.cluster.worker",
                "--host", "127.0.0.1", "--port", str(port),
                "--worker-id", "w0", "--preload", "asia",
-               "--segment-prefix", prefix,
                "--options-json", json.dumps(WORKER_OPTIONS)]
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(
@@ -510,11 +501,8 @@ class TestClientReconnect:
             return probe.getsockname()[1]
 
     def test_client_survives_server_restart_mid_stream(self):
-        from repro.parallel.sharedmem import cleanup_segments
-
         port = self._free_port()
-        prefix = f"fbni_rt_{os.getpid()}_a_"
-        procs = [self._spawn_worker(port, prefix)]
+        procs = [self._spawn_worker(port)]
         try:
             with ServiceClient("127.0.0.1", port, retries=8,
                                retry_backoff_s=0.1) as client:
@@ -527,7 +515,7 @@ class TestClientReconnect:
                 # may transparently reconnect and resend)
                 timer = threading.Timer(
                     0.3,
-                    lambda: procs.append(self._spawn_worker(port, prefix)))
+                    lambda: procs.append(self._spawn_worker(port)))
                 timer.start()
                 try:
                     result = client.query("asia", evidence={"smoke": "yes"})
@@ -539,14 +527,10 @@ class TestClientReconnect:
                 if proc.poll() is None:
                     proc.terminate()
                     proc.wait(timeout=10 * TIME_SLACK)
-            cleanup_segments(prefix)
 
     def test_mutations_are_not_replayed_after_connection_loss(self):
-        from repro.parallel.sharedmem import cleanup_segments
-
         port = self._free_port()
-        prefix = f"fbni_rt_{os.getpid()}_b_"
-        procs = [self._spawn_worker(port, prefix)]
+        procs = [self._spawn_worker(port)]
         try:
             with ServiceClient("127.0.0.1", port, retries=5,
                                retry_backoff_s=0.05) as client:
@@ -556,7 +540,7 @@ class TestClientReconnect:
                 # server is back BEFORE the next call, so a retry would
                 # succeed — yet session_open must not be resent: the
                 # client cannot know whether the lost request executed
-                procs.append(self._spawn_worker(port, prefix))
+                procs.append(self._spawn_worker(port))
                 with pytest.raises(ServiceError) as err:
                     client.session_open("asia")
                 assert err.value.code == "connection_lost"
@@ -568,4 +552,3 @@ class TestClientReconnect:
                 if proc.poll() is None:
                     proc.terminate()
                     proc.wait(timeout=10 * TIME_SLACK)
-            cleanup_segments(prefix)

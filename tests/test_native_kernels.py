@@ -745,28 +745,25 @@ class TestWholeCases:
         assert calls.counts["_run_schedule"] == 1
 
     def test_adopted_read_only_base_is_the_copy_source(self, monkeypatch,
-                                                       native, asia):
-        """A cluster worker's shared segments (read-only) replace the
-        private CPT-product base and calibrated prior; the whole-case call
-        copies from the adopted prior, the staged path from the adopted
-        base."""
+                                                       native, asia,
+                                                       tmp_path):
+        """A mapped model file (read-only) replaces the private
+        CPT-product base and calibrated prior; the whole-case call copies
+        from the mapped prior, the staged path from the mapped base."""
+        from repro.service import modelfile
+
         with FastBNI(asia, mode="seq", kernels="native") as engine, \
                 FastBNI(asia, mode="seq", kernels="numpy") as staged:
             plan = engine.plan
             engine.kernels.lowered(plan)  # builds the prior
-            shared = plan.base_flat.copy()
-            plan.base_flat[:] = np.nan  # the private buffer is out of use
-            shared.flags.writeable = False
-            plan.adopt_base(shared)
-            with pytest.raises(ValueError, match="adopted base"):
-                plan.adopt_base(shared.astype(np.float32))
-            # The prior is swapped as the cluster worker swaps it.
-            shared = plan.prior_flat.copy()
-            plan.prior_flat[:] = np.nan
-            shared.flags.writeable = False
-            plan.prior_flat = shared
+            private = plan.base_flat, plan.prior_flat
+            assert modelfile.attach(engine, tmp_path) is False  # wrote it
+            for table in private:  # the private buffers are out of use
+                table[:] = np.nan
             assert not plan.base_flat.flags.writeable
             assert not plan.prior_flat.flags.writeable
+            with pytest.raises(ValueError, match="adopted base"):
+                plan.adopt_base(plan.base_flat.astype(np.float32))
             calls = _ForeignCalls(monkeypatch)
             for case in ({}, {"smoke": "yes", "dysp": "no"}):
                 _assert_same(engine.infer(case), staged.infer(case),
@@ -776,7 +773,6 @@ class TestWholeCases:
             _assert_same(engine.infer({"smoke": "yes"}, soft_evidence=soft),
                          staged.infer({"smoke": "yes"}, soft_evidence=soft),
                          asia.variable_names)
-
 
 def _messages_run(plan, row, read_ids) -> tuple[list, bool]:
     """The ``(src, dst)`` cliques of the messages the whole-case call
@@ -1268,20 +1264,32 @@ class TestTablesAreBoundsChecked:
             check_tables(plan.spec, tables, corrupt(prior, plan.spec))
 
     def test_an_adopted_corrupt_prior_never_reaches_c(self, monkeypatch,
-                                                      native, asia):
-        """A swapped-in prior is checked before the first call copies
-        from it."""
+                                                      native, asia,
+                                                      tmp_path):
+        """A mapped prior is checked before the first call copies from
+        it: here model files whose digest holds but whose prior has a
+        negative entry, or a separator that does not sum to 1."""
+        from repro.service import modelfile
+
         with FastBNI(asia, mode="seq", kernels="native") as engine:
-            engine.infer({})
-            good = engine.plan.prior_flat
+            modelfile.attach(engine, tmp_path)
+            (path,) = tmp_path.glob("*.npy")
+            plan = engine.plan
+            base, good = plan.base_flat.copy(), plan.prior_flat.copy()
+
+            def remap(prior) -> None:
+                path.unlink()
+                modelfile.write(path, [base, prior])
+                assert modelfile.attach(engine, tmp_path) is True
+
             calls = _ForeignCalls(monkeypatch)
-            for bad in (_with(good, 0, -1.0), good.astype(np.float32),
-                        good[:-1]):
-                engine.plan.prior_flat = bad
+            for bad in (_with(good, 0, -1.0),
+                        _with(good, plan.spec.sep_offsets[0], 1.5)):
+                remap(bad)
                 with pytest.raises(BackendError, match="calibrated prior"):
                     engine.infer({"smoke": "yes"})
             assert calls.total == 0
-            engine.plan.prior_flat = good.copy()
+            remap(good)
             engine.infer({"smoke": "yes"})
             assert calls.total == 1
 

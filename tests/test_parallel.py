@@ -1,7 +1,4 @@
-"""Tests for the parallel runtime: chunking, backends, named segments."""
-
-import multiprocessing
-import os
+"""Tests for the parallel runtime: chunking and backends."""
 
 import numpy as np
 import pytest
@@ -14,12 +11,6 @@ from repro.parallel.backend import (
     make_backend,
 )
 from repro.parallel.chunking import chunk_ranges, chunk_weighted
-from repro.parallel.sharedmem import (
-    SEGMENTS,
-    cleanup_segments,
-    list_segments,
-    share_readonly,
-)
 
 
 class TestChunkRanges:
@@ -138,103 +129,3 @@ class TestBackends:
             with pytest.raises(ValueError, match="task failed"):
                 be.run_batch([(boom, ()), (boom, ())])
 
-
-# -------------------------------------------------------- named segments
-# Spawn-context helpers must be module-level (the child imports this
-# module by name and looks the function up).
-
-def _publish_and_die(name: str) -> None:
-    """Publish a named segment, then die without any cleanup."""
-    share_readonly(name, lambda: np.arange(16.0))
-    os._exit(0)
-
-
-def _attach_readonly_sum(name: str) -> float:
-    values, owner = share_readonly(name, lambda: np.arange(16.0))
-    total = float(values.sum())
-    SEGMENTS.release(name)
-    assert not owner, "child attached to an existing segment"
-    return total
-
-
-class TestNamedSegments:
-    PREFIX = f"fbni_t_{os.getpid()}_"
-
-    def test_publish_then_attach_shares_one_segment(self):
-        name = self.PREFIX + "pub"
-        try:
-            first, owner_a = share_readonly(name, lambda: np.arange(8.0))
-            second, owner_b = share_readonly(
-                name, lambda: np.arange(8.0))
-            assert owner_a and not owner_b
-            assert not first.flags.writeable
-            np.testing.assert_array_equal(first, second)
-            assert list_segments(name) == [name]
-        finally:
-            SEGMENTS.release(name)
-            SEGMENTS.release(name)
-        assert list_segments(name) == []
-
-    def test_release_is_refcounted_and_idempotent(self):
-        name = self.PREFIX + "rc"
-        shm_a, created = SEGMENTS.acquire(name, 64)
-        shm_b, again = SEGMENTS.acquire(name, 64)
-        assert created and not again
-        assert shm_a is shm_b
-        SEGMENTS.release(name)
-        assert name in SEGMENTS.attached()  # one reference left
-        SEGMENTS.release(name)
-        assert name not in SEGMENTS.attached()
-        assert list_segments(name) == []  # owner unlinked at zero
-        SEGMENTS.release(name)  # releasing an unknown name is a no-op
-
-    def test_spawn_worker_attaches_to_published_segment(self):
-        name = self.PREFIX + "xp"
-        ctx = multiprocessing.get_context("spawn")
-        try:
-            values, owner = share_readonly(name, lambda: np.arange(16.0))
-            assert owner
-            with ctx.Pool(1) as pool:
-                total = pool.apply(_attach_readonly_sum, (name,))
-            assert total == float(values.sum())
-        finally:
-            SEGMENTS.release(name)
-        assert list_segments(name) == []
-
-    def test_process_death_leaves_no_segments(self):
-        # A worker that dies without releasing must not leak /dev/shm:
-        # its resource tracker reclaims registered segments, and the
-        # supervisor's prefix sweep catches anything the tracker missed.
-        import time
-
-        name = self.PREFIX + "die"
-        ctx = multiprocessing.get_context("spawn")
-        proc = ctx.Process(target=_publish_and_die, args=(name,))
-        proc.start()
-        proc.join(timeout=60)
-        assert proc.exitcode == 0
-        deadline = time.monotonic() + 10
-        while list_segments(name) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        cleanup_segments(name)  # the supervisor's sweep, should any remain
-        assert list_segments(name) == []
-
-    def test_cleanup_segments_sweeps_foreign_orphans(self):
-        # Simulate a segment left by a crashed process this test never
-        # tracked: create, unregister from our tracker, drop the handle.
-        from multiprocessing import shared_memory
-
-        from repro.parallel.sharedmem import _unregister_from_tracker
-
-        name = self.PREFIX + "orphan"
-        shm = shared_memory.SharedMemory(name=name, create=True, size=64)
-        _unregister_from_tracker(shm)
-        shm.close()
-        assert list_segments(name) == [name]
-        assert cleanup_segments(name) == [name]
-        assert list_segments(name) == []
-        assert cleanup_segments(name) == []  # sweep is idempotent
-
-    def test_acquire_rejects_bad_size(self):
-        with pytest.raises(BackendError):
-            SEGMENTS.acquire(self.PREFIX + "bad", 0)

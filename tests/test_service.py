@@ -241,80 +241,56 @@ class TestModelRegistry:
 
 
     @pytest.mark.parametrize("shared", [False, True])
-    def test_cache_and_sessions_share_the_engines_base_tables(self, shared):
+    def test_cache_and_sessions_share_the_engines_base_tables(self, shared,
+                                                              tmp_path):
         """The result memo holds results, never tables, and sessions read
         through the entry's engine: both use the CPT-product tables of the
-        plan it owns — also once a cluster worker's ``adopt_base`` swapped
-        them for a shared-memory segment."""
-        import os
-
-        from repro.cluster.worker import make_share_plan_hook
-        from repro.parallel.sharedmem import SEGMENTS, list_segments
-
-        prefix = f"fbni_t_{os.getpid()}_base_"
-        on_load = make_share_plan_hook(prefix) if shared else None
-        try:
-            with ModelRegistry(on_load=on_load) as registry, \
-                    SessionManager(registry) as sessions:
-                entry = registry.get("asia")
-                base = entry.engine.plan.base_cliques
-                assert base[0].flags.writeable is not shared
-                assert len(list_segments(prefix)) == int(shared)
-                sid = sessions.open("asia", {"smoke": "yes"})["session"]
-                got = sessions.query(sid, ("lung",))
-                assert entry.engine.plan.base_cliques is base
-                with FastBNI(entry.net, mode="seq") as cold:
-                    want = cold.infer({"smoke": "yes"}, ("lung",))
-                np.testing.assert_allclose(got["posteriors"]["lung"],
-                                           want.posteriors["lung"],
-                                           atol=1e-12)
-                assert entry.cache.total_bytes() == 0
-        finally:
-            for name in SEGMENTS.attached():
-                if name.startswith(prefix):
-                    SEGMENTS.release(name)
-        assert list_segments(prefix) == []
+        plan it owns — also once they are a mapped model file."""
+        with ModelRegistry(cache_dir=tmp_path if shared else None) \
+                as registry, SessionManager(registry) as sessions:
+            entry = registry.get("asia")
+            base = entry.engine.plan.base_cliques
+            assert base[0].flags.writeable is not shared
+            assert len(list(tmp_path.glob("*.npy"))) == int(shared)
+            sid = sessions.open("asia", {"smoke": "yes"})["session"]
+            got = sessions.query(sid, ("lung",))
+            assert entry.engine.plan.base_cliques is base
+            with FastBNI(entry.net, mode="seq") as cold:
+                want = cold.infer({"smoke": "yes"}, ("lung",))
+            np.testing.assert_allclose(got["posteriors"]["lung"],
+                                       want.posteriors["lung"], atol=1e-12)
+            assert entry.cache.total_bytes() == 0
 
     @pytest.mark.parametrize("shared", [False, True])
-    def test_native_entries_are_stateless_and_share_their_prior(self,
-                                                                shared):
+    def test_native_entries_are_stateless_and_share_their_prior(
+            self, shared, tmp_path):
         """A native entry answers a case in one foreign call (decided at
         load), its calibrated prior is charged to its residency, no index
         map is (a native plan builds none; the fused entry's are), and a
-        cluster worker publishes the prior beside the CPT products."""
-        import os
-
-        from repro.cluster.worker import make_share_plan_hook
+        registry with a ``cache_dir`` maps the prior from the model file
+        beside the CPT products."""
         from repro.exec.native import native_status
-        from repro.parallel.sharedmem import SEGMENTS, list_segments
 
         if not native_status()[0]:
             pytest.skip(f"native backend unavailable: {native_status()[1]}")
-        prefix = f"fbni_t_{os.getpid()}_prior_"
-        on_load = make_share_plan_hook(prefix) if shared else None
-        try:
-            with ModelRegistry(on_load=on_load, kernels="native") as native, \
-                    ModelRegistry() as fused:
-                entry, other = native.get("asia"), fused.get("asia")
-                prior = entry.engine.plan.prior_flat
-                assert entry.one_foreign_call and not other.one_foreign_call
-                assert other.engine.plan.prior_flat is None
-                maps = other.engine.plan.stats()["plan_map_entries"]
-                assert entry.engine.plan.stats()["plan_map_entries"] == 0
-                assert maps > 0
-                assert (entry.resident_bytes - other.resident_bytes
-                        == prior.nbytes - 8 * maps)
-                assert prior.flags.writeable is not shared
-                assert len(list_segments(prefix)) == 2 * int(shared)
-                np.testing.assert_allclose(
-                    entry.engine.infer({"smoke": "yes"}).posteriors["lung"],
-                    other.engine.infer({"smoke": "yes"}).posteriors["lung"],
-                    atol=1e-12)
-        finally:
-            for name in SEGMENTS.attached():
-                if name.startswith(prefix):
-                    SEGMENTS.release(name)
-        assert list_segments(prefix) == []
+        with ModelRegistry(cache_dir=tmp_path if shared else None,
+                           kernels="native") as native, \
+                ModelRegistry() as fused:
+            entry, other = native.get("asia"), fused.get("asia")
+            prior = entry.engine.plan.prior_flat
+            assert entry.one_foreign_call and not other.one_foreign_call
+            assert other.engine.plan.prior_flat is None
+            maps = other.engine.plan.stats()["plan_map_entries"]
+            assert entry.engine.plan.stats()["plan_map_entries"] == 0
+            assert maps > 0
+            assert (entry.resident_bytes - other.resident_bytes
+                    == prior.nbytes - 8 * maps)
+            assert prior.flags.writeable is not shared
+            assert len(list(tmp_path.glob("*.npy"))) == int(shared)
+            np.testing.assert_allclose(
+                entry.engine.infer({"smoke": "yes"}).posteriors["lung"],
+                other.engine.infer({"smoke": "yes"}).posteriors["lung"],
+                atol=1e-12)
 
 
 # --------------------------------------------------------------------- batcher

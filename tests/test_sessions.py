@@ -172,18 +172,18 @@ class TestSessionManager:
                 assert manager.query(sid)["served_by"] == "session"
 
     def test_byte_budget_eviction_returns_session_closed(self):
-        """Session eviction under byte pressure is an explicit error,
-        never a hang or a silent restart (acceptance)."""
+        """Session eviction under the table bound is an explicit error,
+        never a hang or a silent restart (acceptance).  Sessions are
+        charged a fixed size, so the count cap is the one bound."""
         with ModelRegistry() as registry, \
-                SessionManager(registry, max_bytes=1) as manager:
+                SessionManager(registry, max_sessions=1) as manager:
             first = manager.open("asia")["session"]
             second = manager.open("asia")["session"]
-            # Both sessions are over the 1-byte budget; opening the
-            # second evicted the LRU first (the newest always survives,
-            # mirroring the registry's never-evict-MRU rule).
+            # Opening the second evicted the LRU first (the newest always
+            # survives, mirroring the registry's never-evict-MRU rule).
             assert manager.query(second)["served_by"] == "session"
             with pytest.raises(SessionError,
-                               match="byte budget exceeded") as ei:
+                               match="table full") as ei:
                 manager.update(first, evidence={"smoke": "yes"})
             assert ei.value.code == "session_closed"
             assert manager.stats()["open"] == 1
