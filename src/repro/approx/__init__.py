@@ -14,8 +14,9 @@ compilation cannot afford:
   engine with adaptive sample-count escalation (double until the standard
   errors clear the tolerance or the budget runs out);
 * :mod:`repro.approx.planner` — :class:`QueryPlanner`, the cost model that
-  prices exact compilation via a min-fill fill-in simulation and routes
-  each network to ``exact``, ``approx``, or decides under ``auto``.
+  prices the clique tables of the junction tree an exact engine would
+  build and routes each network to ``exact``, ``approx``, or decides
+  under ``auto``.
 """
 
 from repro.approx.engine import (ApproxBatchResult, ApproxBNI,
@@ -24,7 +25,7 @@ from repro.approx.gibbs import GibbsSampler, compile_blankets
 from repro.approx.lw import LWAccumulator, sample_population
 from repro.approx.planner import (DEFAULT_MAX_EXACT_BYTES,
                                   DEFAULT_REFUSE_EXACT_BYTES, POLICIES,
-                                  PlanDecision, QueryPlanner, estimate_jt_cost)
+                                  PlanDecision, QueryPlanner)
 
 __all__ = [
     "ApproxBNI",
@@ -38,6 +39,5 @@ __all__ = [
     "PlanDecision",
     "QueryPlanner",
     "compile_blankets",
-    "estimate_jt_cost",
     "sample_population",
 ]

@@ -3,43 +3,59 @@
 Exact junction-tree calibration is exponential in induced width: one dense
 high-treewidth network can stall a serving process (or exhaust its memory)
 at *compile* time, before a single query runs.  The planner prices exact
-inference up front — a min-fill fill-in simulation over the moral graph
-(:func:`repro.graph.treewidth.fill_in_cost`) gives the induced width and an
-estimated total clique-table byte count without building any potential —
-and routes each network:
+inference up front, from the maximal cliques of the triangulation the
+exact engine builds its tree from
+(:func:`repro.jt.structure.compile_cliques`): their widths and table
+sizes, in Python ints, before any table or
+:class:`~repro.potential.domain.Domain` exists.  A clique too large to
+ever be a table is still priced, and routed or refused.  Each network
+goes to:
 
 * ``policy="exact"``   — always exact, but *refuse* (raise
-  :class:`~repro.errors.PlannerError`) when the estimate exceeds the hard
+  :class:`~repro.errors.PlannerError`) when the tables exceed the hard
   ``refuse_exact_bytes`` cap rather than thrash or OOM;
 * ``policy="approx"``  — always the sampling engine;
-* ``policy="auto"``    — exact while the estimate fits ``max_exact_bytes``,
+* ``policy="auto"``    — exact while the tables fit ``max_exact_bytes``,
   approximate beyond it (the serving default).
 
-The estimate is an upper bound (elimination cliques before merging), which
-errs toward approximation — a cheap-but-safe answer with error bars beats
-an exact compile that never finishes.
+The price is the compiled tree's own clique tables (float64), so a
+caller that triangulates once can price and then build the same tree
+(:func:`repro.jt.structure.tree_from_cliques`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.bn.network import BayesianNetwork
 from repro.errors import PlannerError
 from repro.exec.engine_api import CAPABILITIES_BY_KIND, EngineCapabilities
-from repro.graph.moralize import moralize
-from repro.graph.treewidth import EliminationCost, fill_in_cost
+from repro.jt.structure import compile_cliques
 
 POLICIES = ("exact", "approx", "auto")
 
-#: Auto-routing threshold: estimated JT tables beyond this go to sampling.
-#: 64 MiB of float64 clique tables ≈ a second-scale compile in this pure-
-#: Python engine — past that, a resident server's latency SLO is gone.
+#: Auto-routing threshold: junction-tree tables beyond this go to sampling
+#: (a quarter of the service registry's default 256 MiB budget).
 DEFAULT_MAX_EXACT_BYTES = 64 * 1024 * 1024
 
 #: Hard refusal cap for ``policy="exact"``: above this the compile is not
 #: merely slow but a process-killer, so the planner refuses outright.
 DEFAULT_REFUSE_EXACT_BYTES = 1024 * 1024 * 1024
+
+
+@dataclass(frozen=True)
+class TreeCost:
+    """Table sizes of a junction tree's cliques, in Python ints."""
+
+    #: Induced width of the triangulation (max clique size − 1).
+    width: int
+    #: Entry count of the largest clique table.
+    max_clique_entries: int
+    #: Float64 storage of all clique tables (8 bytes per entry).
+    total_table_bytes: int
+    #: ``log10`` of the largest table.
+    log10_max_clique: float
 
 
 @dataclass(frozen=True)
@@ -50,8 +66,8 @@ class PlanDecision:
     engine: str
     #: The policy that produced the decision.
     policy: str
-    #: The fill-in cost estimate the decision is based on.
-    estimate: EliminationCost
+    #: The priced junction tree the decision is based on.
+    estimate: TreeCost
     #: Human-readable justification (surfaced by the service ``info`` op).
     reason: str
 
@@ -66,21 +82,12 @@ class PlanDecision:
         return CAPABILITIES_BY_KIND[self.engine]
 
 
-def estimate_jt_cost(net: BayesianNetwork,
-                     heuristic: str = "min-fill") -> EliminationCost:
-    """Price exact compilation of ``net`` without compiling anything."""
-    adjacency = moralize(net)
-    cards = {v.name: v.cardinality for v in net.variables}
-    return fill_in_cost(adjacency, cards, heuristic=heuristic)
-
-
 class QueryPlanner:
     """Routes networks to the exact or approximate engine class.
 
-    The planner never compiles anything: a min-fill fill-in simulation
-    over the moral graph (:func:`repro.graph.treewidth.fill_in_cost`)
-    prices the would-be junction tree, and the policy compares that
-    estimate against byte thresholds.
+    The planner builds no table: it prices the maximal cliques of the
+    junction tree's triangulation, and the policy compares their table
+    bytes against byte thresholds.
 
     Parameters
     ----------
@@ -96,16 +103,11 @@ class QueryPlanner:
         :meth:`plan` raises :class:`~repro.errors.PlannerError` instead
         of letting a compile thrash or OOM (default 1 GiB; must be
         >= ``max_exact_bytes``).
-    heuristic:
-        Triangulation heuristic used for the estimate; keep it equal to
-        the engine's compile heuristic or the estimate prices the wrong
-        tree.
     """
 
     def __init__(self, policy: str = "auto",
                  max_exact_bytes: int = DEFAULT_MAX_EXACT_BYTES,
-                 refuse_exact_bytes: int = DEFAULT_REFUSE_EXACT_BYTES,
-                 heuristic: str = "min-fill") -> None:
+                 refuse_exact_bytes: int = DEFAULT_REFUSE_EXACT_BYTES) -> None:
         if policy not in POLICIES:
             raise PlannerError(
                 f"unknown engine policy {policy!r}; expected one of {POLICIES}")
@@ -117,16 +119,28 @@ class QueryPlanner:
         self.policy = policy
         self.max_exact_bytes = max_exact_bytes
         self.refuse_exact_bytes = refuse_exact_bytes
-        self.heuristic = heuristic
 
-    def plan(self, net: BayesianNetwork,
-             policy: str | None = None) -> PlanDecision:
-        """Decide the engine for ``net`` under ``policy`` (default: own)."""
+    def plan(self, net: BayesianNetwork, policy: str | None = None,
+             cliques=None) -> PlanDecision:
+        """Decide the engine for ``net`` under ``policy`` (default: own).
+
+        ``cliques`` are the maximal cliques of the tree the exact engine
+        would build (:func:`~repro.jt.structure.compile_cliques`); by
+        default a min-fill triangulation of ``net``.
+        """
         policy = policy if policy is not None else self.policy
         if policy not in POLICIES:
             raise PlannerError(
                 f"unknown engine policy {policy!r}; expected one of {POLICIES}")
-        estimate = estimate_jt_cost(net, heuristic=self.heuristic)
+        if cliques is None:
+            cliques = compile_cliques(net)
+        cards = {v.name: v.cardinality for v in net.variables}
+        entries = [math.prod(cards[v] for v in c) for c in cliques]
+        largest = max(entries, default=1)
+        estimate = TreeCost(width=max(map(len, cliques), default=1) - 1,
+                            max_clique_entries=largest,
+                            total_table_bytes=8 * sum(entries),
+                            log10_max_clique=math.log10(largest))
         size = f"width {estimate.width}, ~{estimate.total_table_bytes:,} table bytes"
         if policy == "approx":
             return PlanDecision("approx", policy, estimate,
@@ -134,7 +148,7 @@ class QueryPlanner:
         if policy == "exact":
             if estimate.total_table_bytes > self.refuse_exact_bytes:
                 raise PlannerError(
-                    f"refusing exact compilation of {net.name!r}: estimated "
+                    f"refusing exact compilation of {net.name!r}: "
                     f"junction-tree tables ({size}) exceed the hard cap of "
                     f"{self.refuse_exact_bytes:,} bytes; use engine policy "
                     "'approx' or 'auto'"
@@ -144,7 +158,7 @@ class QueryPlanner:
         if estimate.total_table_bytes > self.max_exact_bytes:
             return PlanDecision(
                 "approx", policy, estimate,
-                f"estimated exact cost ({size}) exceeds the "
+                f"exact cost ({size}) exceeds the "
                 f"{self.max_exact_bytes:,}-byte auto threshold")
         return PlanDecision("exact", policy, estimate,
-                            f"estimated exact cost ({size}) is affordable")
+                            f"exact cost ({size}) is affordable")

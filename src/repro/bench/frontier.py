@@ -25,7 +25,7 @@ import numpy as np
 from repro.bench.artifact import Artifact, Flag, csv_of
 
 from repro.approx.engine import ApproxBNI
-from repro.approx.planner import estimate_jt_cost
+from repro.approx.planner import QueryPlanner
 from repro.bn.repository import resolve_network
 from repro.bn.sampling import generate_test_cases
 from repro.core import FastBNI
@@ -61,7 +61,7 @@ def run_frontier(networks=DEFAULT_NETWORKS,
         net = resolve_network(network)
         cases = [c.evidence for c in generate_test_cases(
             net, num_cases, observed_fraction=0.2, rng=seed)]
-        estimate = estimate_jt_cost(net)
+        estimate = QueryPlanner().plan(net).estimate
 
         with FastBNI(net, mode="seq") as exact_engine:
             start = time.perf_counter()

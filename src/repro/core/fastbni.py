@@ -67,12 +67,12 @@ class FastBNI:
         whole-message backend), ``heuristic`` (triangulation) and
         ``root_strategy``.
     tree:
-        Optional pre-compiled junction tree (warm start).  Must have been
-        compiled for this exact network *object* —
-        :class:`~repro.errors.JunctionTreeError` otherwise; load
-        serialized trees with :func:`repro.jt.serialize.load_tree` first.
-        Engines sharing a tree also share its execution plan (base
-        tables, index maps).
+        Optional pre-compiled junction tree, e.g. one built with
+        :func:`repro.jt.structure.tree_from_cliques` from cliques a
+        planner already priced.  Must have been compiled for this exact
+        network *object* — :class:`~repro.errors.JunctionTreeError`
+        otherwise.  Engines sharing a tree also share its execution plan
+        (base tables, index maps).
 
     The engine owns a persistent execution backend; call :meth:`close`
     (or use it as a context manager) to release pools.  :meth:`infer`

@@ -23,7 +23,7 @@ from repro.graph.triangulate import (
     is_chordal,
     triangulate,
 )
-from repro.graph.treewidth import ordering_width, treewidth_upper_bound
+from repro.graph.treewidth import ordering_width
 
 __all__ = [
     "moralize",
@@ -37,5 +37,4 @@ __all__ = [
     "build_junction_tree",
     "JunctionTreeSkeleton",
     "ordering_width",
-    "treewidth_upper_bound",
 ]

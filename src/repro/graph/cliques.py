@@ -19,14 +19,20 @@ def elimination_cliques(candidates: tuple[frozenset[str], ...]) -> list[frozense
     order, a candidate can only be contained in a clique formed *later*
     (when its eliminated vertex's neighbourhood has grown into a larger
     clique minus the vertex), so a single backward pass suffices; we keep a
-    straightforward O(k²) subset check for robustness, which is cheap since
-    k ≤ n.
+    subset check against every kept clique sharing a member, for
+    robustness.
     """
     kept: list[frozenset[str]] = []
+    #: variable -> kept cliques holding it; a clique containing ``cand``
+    #: holds every member of it, so one member's list is enough to search.
+    holding: dict[str, list[frozenset[str]]] = {}
     # Process largest-first so subset checks only need to look at kept items.
     for cand in sorted(candidates, key=len, reverse=True):
-        if not any(cand <= k for k in kept):
+        pool = holding.get(next(iter(cand)), ()) if cand else kept
+        if not any(cand <= k for k in pool):
             kept.append(cand)
+            for var in cand:
+                holding.setdefault(var, []).append(cand)
     # Deterministic order: by (size desc, sorted members) is unstable across
     # runs only if members tie — include members in the key.
     kept.sort(key=lambda c: (-len(c), tuple(sorted(c))))

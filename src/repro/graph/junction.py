@@ -44,11 +44,16 @@ class JunctionTreeSkeleton:
         connected subtree.  Checked by union-find over tree edges restricted
         to each variable.
         """
-        for var in sorted({v for c in self.cliques for v in c}):
-            holders = [i for i, c in enumerate(self.cliques) if var in c]
-            if len(holders) <= 1:
+        holders = _holders(self.cliques)
+        carried: dict[str, list[tuple[int, int]]] = {}
+        for i, j, sep in self.edges:
+            for var in sep:
+                carried.setdefault(var, []).append((i, j))
+        for var in sorted(holders):
+            held = holders[var]
+            if len(held) <= 1:
                 continue
-            parent = {i: i for i in holders}
+            parent = {i: i for i in held}
 
             def find(x: int) -> int:
                 while parent[x] != x:
@@ -56,17 +61,25 @@ class JunctionTreeSkeleton:
                     x = parent[x]
                 return x
 
-            for i, j, sep in self.edges:
-                if var in sep:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-            roots = {find(i) for i in holders}
+            for i, j in carried.get(var, ()):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+            roots = {find(i) for i in held}
             if len(roots) != 1:
                 raise JunctionTreeError(
                     f"running-intersection violated for variable {var!r}: "
-                    f"{len(roots)} components among cliques {holders}"
+                    f"{len(roots)} components among cliques {held}"
                 )
+
+
+def _holders(cliques) -> dict[str, list[int]]:
+    """Variable -> ascending indices of the cliques holding it."""
+    holders: dict[str, list[int]] = {}
+    for i, c in enumerate(cliques):
+        for var in c:
+            holders.setdefault(var, []).append(i)
+    return holders
 
 
 class _UnionFind:
@@ -98,13 +111,10 @@ def build_junction_tree(cliques: list[frozenset[str]]) -> JunctionTreeSkeleton:
     if not cliques:
         raise JunctionTreeError("cannot build a junction tree with zero cliques")
     n = len(cliques)
-    candidates: list[tuple[int, int, int]] = []  # (weight, i, j)
-    for i in range(n):
-        ci = cliques[i]
-        for j in range(i + 1, n):
-            w = len(ci & cliques[j])
-            if w > 0:
-                candidates.append((w, i, j))
+    # Only cliques sharing a variable intersect: pair those up.
+    pairs = {(i, j) for held in _holders(cliques).values()
+             for k, i in enumerate(held) for j in held[k + 1:]}
+    candidates = [(len(cliques[i] & cliques[j]), i, j) for i, j in pairs]
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
 
     uf = _UnionFind(n)

@@ -9,7 +9,6 @@ each network).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.graph.moralize import Adjacency, copy_adjacency
 
@@ -31,11 +30,6 @@ def ordering_width(adjacency: Adjacency, order: tuple[str, ...] | list[str]) -> 
     return width
 
 
-def treewidth_upper_bound(adjacency: Adjacency, order: tuple[str, ...] | list[str]) -> int:
-    """Alias of :func:`ordering_width`; any order's width bounds treewidth."""
-    return ordering_width(adjacency, order)
-
-
 def log_max_clique_weight(
     cliques: list[frozenset[str]] | tuple[frozenset[str], ...],
     cardinalities: dict[str, int],
@@ -51,68 +45,6 @@ def log_max_clique_weight(
         w = sum(math.log10(cardinalities[v]) for v in c)
         best = max(best, w)
     return best
-
-
-@dataclass(frozen=True)
-class EliminationCost:
-    """Cost profile of a greedy fill-in simulation (see :func:`fill_in_cost`).
-
-    ``total_table_bytes`` assumes float64 clique potentials (8 bytes per
-    entry) and sums over all *elimination* cliques — an upper bound on the
-    compiled junction tree's table storage (non-maximal elimination cliques
-    get merged during compilation), which is the safe direction for a
-    planner deciding whether exact compilation is affordable.
-    """
-
-    #: Induced width of the heuristic elimination order (max clique − 1).
-    width: int
-    #: Entry count of the largest elimination-clique potential table.
-    max_clique_entries: int
-    #: Total entries across all elimination-clique tables.
-    total_table_entries: int
-    #: ``8 * total_table_entries`` — estimated float64 storage.
-    total_table_bytes: int
-    #: ``log10`` of the largest table (finite even when entries overflow).
-    log10_max_clique: float
-
-
-def fill_in_cost(
-    adjacency: Adjacency,
-    cardinalities: dict[str, int],
-    heuristic: str = "min-fill",
-) -> EliminationCost:
-    """Simulate greedy fill-in and report induced width *and* table bytes.
-
-    Runs the same elimination the junction-tree compiler would (without
-    building any potential) and aggregates the clique-table sizes that
-    elimination implies.  This is what lets a query planner price exact
-    inference *before* committing to an exponential compile.
-    """
-    from repro.graph.triangulate import triangulate
-
-    result = triangulate(adjacency, heuristic=heuristic,
-                         cardinalities=cardinalities)
-    width = 0
-    max_entries = 1
-    total_entries = 0
-    log10_max = 0.0
-    for clique in result.elimination_cliques:
-        width = max(width, len(clique) - 1)
-        entries = 1
-        log10 = 0.0
-        for v in clique:
-            entries *= cardinalities[v]
-            log10 += math.log10(cardinalities[v])
-        max_entries = max(max_entries, entries)
-        total_entries += entries
-        log10_max = max(log10_max, log10)
-    return EliminationCost(
-        width=width,
-        max_clique_entries=max_entries,
-        total_table_entries=total_entries,
-        total_table_bytes=8 * total_entries,
-        log10_max_clique=log10_max,
-    )
 
 
 def total_clique_weight(

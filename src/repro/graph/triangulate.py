@@ -15,7 +15,9 @@ Heuristics
                 ``{v} ∪ nbrs(v)`` — directly targets potential-table size,
                 which is what junction-tree cost actually depends on.
 
-Ties break on insertion order, so results are deterministic.
+Ties break on insertion order.  (``min-weight`` compares float sums of
+logs taken in set order, so two equal products can compare unequal by
+rounding, and its order can vary with the string hash seed.)
 """
 
 from __future__ import annotations
@@ -71,6 +73,13 @@ def triangulate(
 
     ``cardinalities`` is required for ``min-weight`` (state count per node).
     The input adjacency is not modified.
+
+    Each vertex keeps its score; eliminating *v* re-scores only the
+    vertices whose score it can change — *v*'s neighbours and, for
+    ``min-fill`` (whose fill edges join them), their neighbours too — and
+    the next vertex comes from a lazy heap keyed ``(score, rank)``.  A
+    score is recomputed from the same neighbour set, in the same
+    iteration order, as a full re-scan would, so the order is the scan's.
     """
     if heuristic not in HEURISTICS:
         raise JunctionTreeError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
@@ -81,22 +90,28 @@ def triangulate(
     # Insertion-order rank for deterministic tie-breaking.
     rank = {v: i for i, v in enumerate(adjacency)}
 
-    def score(v: str) -> tuple[float, int]:
+    def score(v: str) -> float:
         if heuristic == "min-fill":
-            return (float(_fill_count(work, v)), rank[v])
+            return _fill_count(work, v)
         if heuristic == "min-degree":
-            return (float(len(work[v])), rank[v])
+            return len(work[v])
         assert cardinalities is not None
-        return (_log_weight(v, work, cardinalities), rank[v])
+        return _log_weight(v, work, cardinalities)
+
+    scores = {v: score(v) for v in adjacency}
+    heap = [(s, rank[v], v) for v, s in scores.items()]
+    heapq.heapify(heap)
 
     order: list[str] = []
     fill_edges: list[tuple[str, str]] = []
     elim_cliques: list[frozenset[str]] = []
     filled = copy_adjacency(adjacency)
-    remaining = set(adjacency)
 
-    while remaining:
-        v = min(remaining, key=score)
+    while heap:
+        s, _, v = heapq.heappop(heap)
+        if scores.get(v) != s:
+            continue  # eliminated, or re-scored since this entry
+        del scores[v]
         nbrs = list(work[v])
         elim_cliques.append(frozenset([v, *nbrs]))
         # Fill-in: connect v's neighbours pairwise, in both graphs.
@@ -112,8 +127,17 @@ def triangulate(
         for u in nbrs:
             work[u].discard(v)
         del work[v]
-        remaining.discard(v)
         order.append(v)
+
+        stale = set(nbrs)
+        if heuristic == "min-fill":
+            for u in nbrs:
+                stale |= work[u]
+        for u in stale:
+            s = score(u)
+            if s != scores[u]:
+                scores[u] = s
+                heapq.heappush(heap, (s, rank[u], u))
 
     return EliminationResult(
         adjacency={u: frozenset(nbrs) for u, nbrs in filled.items()},

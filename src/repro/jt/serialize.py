@@ -1,11 +1,10 @@
 """Persist a compiled junction tree to JSON and restore it.
 
-Compilation (triangulation + spanning tree + CPT assignment) is the
-expensive, network-dependent step; production deployments compile once and
-reuse the structure across processes.  The JSON form stores only structure
-(clique/separator scopes, edges, CPT assignment) — potentials are always
-rebuilt from the network's CPTs, so a stale file cannot silently carry old
-parameters.
+The JSON form stores only structure (clique/separator scopes, edges, CPT
+assignment, root) — potentials are always rebuilt from the network's
+CPTs, so a stale file cannot silently carry old parameters.  The service
+does not cache trees (a compile is cheap); it uses :func:`tree_to_dict`
+as the structure part of a model file's digest.
 """
 
 from __future__ import annotations

@@ -254,57 +254,66 @@ class BatchTreeState:
         return state
 
 
-def assign_cpts(net: BayesianNetwork, cliques: list[Clique]) -> None:
+def assign_cpts(tree: JunctionTree) -> None:
     """Assign every CPT to the smallest clique covering its family.
+
+    Ties go to the lower clique id.  Only cliques holding the CPT's child
+    can cover its family, so those are the candidates looked at.
 
     Guaranteed to succeed: each family is a clique of the moral graph, and
     every maximal clique of the triangulated graph covers some elimination
     clique containing it.
     """
-    for k, cpt in enumerate(net.cpts):
-        family = {v.name for v in cpt.variables}
-        best = -1
-        best_key: tuple[int, int] | None = None
-        for c in cliques:
-            if family <= set(c.domain.names):
-                key = (c.size, c.id)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = c.id
-        if best < 0:
+    for k, cpt in enumerate(tree.net.cpts):
+        covering = [tree.cliques[i]
+                    for i in tree._var_to_cliques.get(cpt.child.name, ())
+                    if all(v.name in tree.cliques[i].domain for v in cpt.parents)]
+        if not covering:
             raise JunctionTreeError(
                 f"no clique covers the family of {cpt.child.name!r} — "
                 "triangulation is inconsistent with the moral graph"
             )
-        cliques[best].cpt_indices.append(k)
+        min(covering, key=lambda c: (c.size, c.id)).cpt_indices.append(k)
+
+
+def compile_cliques(net: BayesianNetwork,
+                    heuristic: str = "min-fill") -> list[frozenset[str]]:
+    """Moralize → triangulate → maximal cliques: the structure a tree is
+    built from (:func:`tree_from_cliques`) and priced by (the query
+    planner), before any table exists."""
+    net.validate()
+    cards = {v.name: v.cardinality for v in net.variables}
+    result = triangulate(moralize(net), heuristic=heuristic,
+                         cardinalities=cards)
+    return elimination_cliques(result.elimination_cliques)
+
+
+def tree_from_cliques(net: BayesianNetwork,
+                      cliques: list[frozenset[str]]) -> JunctionTree:
+    """Spanning tree over ``cliques``, clique domains and CPT assignment.
+
+    Clique domains order variables by network insertion order, so all
+    potential layouts are deterministic.
+    """
+    skeleton = build_junction_tree(cliques)
+    var_rank = {name: i for i, name in enumerate(net.variable_names)}
+
+    def domain(members: frozenset[str]) -> Domain:
+        ordered = sorted(members, key=lambda n: var_rank[n])
+        return Domain(tuple(net.variable(n) for n in ordered))
+
+    tree = JunctionTree(
+        net,
+        [Clique(i, domain(members)) for i, members in enumerate(skeleton.cliques)],
+        [Separator(sep_id, a, b, domain(members))
+         for sep_id, (a, b, members) in enumerate(skeleton.edges)])
+    assign_cpts(tree)
+    return tree
 
 
 def compile_junction_tree(
     net: BayesianNetwork,
     heuristic: str = "min-fill",
 ) -> JunctionTree:
-    """Full compile pipeline: moralize → triangulate → cliques → tree.
-
-    Clique domains order variables by network insertion order, so all
-    potential layouts are deterministic.
-    """
-    net.validate()
-    adj = moralize(net)
-    cards = {v.name: v.cardinality for v in net.variables}
-    result = triangulate(adj, heuristic=heuristic, cardinalities=cards)
-    maximal = elimination_cliques(result.elimination_cliques)
-    skeleton = build_junction_tree(maximal)
-
-    var_rank = {name: i for i, name in enumerate(net.variable_names)}
-    cliques: list[Clique] = []
-    for i, members in enumerate(skeleton.cliques):
-        ordered = sorted(members, key=lambda n: var_rank[n])
-        cliques.append(Clique(i, Domain(tuple(net.variable(n) for n in ordered))))
-    separators: list[Separator] = []
-    for sep_id, (a, b, members) in enumerate(skeleton.edges):
-        ordered = sorted(members, key=lambda n: var_rank[n])
-        separators.append(
-            Separator(sep_id, a, b, Domain(tuple(net.variable(n) for n in ordered)))
-        )
-    assign_cpts(net, cliques)
-    return JunctionTree(net, cliques, separators)
+    """Full compile pipeline: moralize → triangulate → cliques → tree."""
+    return tree_from_cliques(net, compile_cliques(net, heuristic))

@@ -162,9 +162,9 @@ class MicroBatcher:
         """Registry lookup that never compiles on the event loop.
 
         A resident hit is a dict lookup under the registry lock and is
-        taken right here; a miss compiles a junction tree (seconds on
-        large analogs) and an unplanned ``auto`` simulates a fill-in, so
-        those go to the executor or every connection stalls behind them.
+        taken right here; a miss (an unplanned ``auto`` included) compiles
+        a junction tree and builds its tables, so it goes to the executor
+        or every connection stalls behind it.
         """
         return (self.registry.get(network, engine=engine, load=False)
                 or await self.run_blocking(

@@ -16,27 +16,29 @@ Four name forms resolve, in order:
   laptop-feasible ``bench`` scale;
 * a filesystem path to a ``.bif`` file.
 
-Every load first passes through the :class:`~repro.approx.QueryPlanner`:
-a network whose estimated junction-tree cost exceeds the registry's
-engine-policy threshold loads as a resident :class:`~repro.approx.ApproxBNI`
-sampling engine instead of failing (or thrashing the LRU) on an
-exponential exact compile.  Exact and approximate residencies of the same
-network coexist under distinct keys (``name`` vs ``name@approx``), so an
-explicit ``engine="approx"`` request never evicts the exact entry.
+A load resolves the network once and triangulates it once, with the
+engine's own heuristic (:func:`~repro.jt.structure.compile_cliques`).
+The :class:`~repro.approx.QueryPlanner` prices that triangulation's
+cliques before any table exists: a network whose junction-tree tables
+exceed the registry's engine-policy threshold loads as a resident
+:class:`~repro.approx.ApproxBNI` sampling engine instead of failing (or
+thrashing the LRU) on an exponential exact compile, and an exact engine
+is built from those same cliques.  Exact and approximate residencies of
+the same network coexist under distinct keys (``name`` vs
+``name@approx``), so an explicit ``engine="approx"`` request never evicts
+the exact entry.
 
-With a ``cache_dir``, compiled tree *structure* is persisted through
-:mod:`repro.jt.serialize`, and each exact model's base tables (and, on
-native kernels, its calibrated prior) are served from one read-only
-model file there (:mod:`repro.service.modelfile`), named by a digest of
-everything its bytes depend on: processes sharing the directory share
-the tables through the page cache, a restart skips building them, an
-edited model can never be served from an old file, and an unreadable or
-incompatible cache file falls back to a fresh compile.
+With a ``cache_dir``, each exact model's base tables (and, on native
+kernels, its calibrated prior) are served from one read-only model file
+there (:mod:`repro.service.modelfile`), named by a digest of everything
+its bytes depend on: processes sharing the directory share the tables
+through the page cache, a restart skips building them, an edited model
+can never be served from an old file, and an unreadable or incompatible
+file falls back to a fresh compile.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -50,21 +52,16 @@ from repro.approx.planner import POLICIES, PlanDecision, QueryPlanner
 from repro.bn.network import BayesianNetwork
 from repro.bn.repository import resolve_network
 from repro.core.batch import BatchedFastBNI
-from repro.errors import NetworkError, PlannerError, ReproError
+from repro.core.config import FastBNIConfig
+from repro.errors import NetworkError, PlannerError
 from repro.exec.engine_api import CAPABILITIES_BY_KIND
-from repro.jt.serialize import load_tree, save_tree
-from repro.jt.structure import JunctionTree
+from repro.jt.structure import compile_cliques, tree_from_cliques
 from repro.service.cache import InferenceCache
 from repro.service.metrics import ServiceMetrics
 
 #: Default resident-set budget: generous for the bundled/bench networks,
 #: small enough that a laptop serving many models actually rotates.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-
-def _cache_key(name: str) -> str:
-    """Filesystem-safe cache-file stem for a model name (may be a path)."""
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", name).strip("_") or "model"
 
 
 @dataclass
@@ -180,6 +177,10 @@ class ModelRegistry:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.metrics = metrics
         self.engine_options = {"mode": "seq", **engine_options}
+        #: The exact engines' triangulation heuristic: the planner prices
+        #: the tree they build.
+        self.heuristic = self.engine_options.get("heuristic",
+                                                 FastBNIConfig.heuristic)
         self.approx_options = dict(approx_options or {})
         #: Result-memo policy: ``cache=False`` disables the memo entirely;
         #: ``cache_options`` forwards to
@@ -201,8 +202,8 @@ class ModelRegistry:
         self._entries: OrderedDict[str, ModelEntry] = OrderedDict()
         #: Programmatically injected networks (see :meth:`register`).
         self._nets: dict[str, BayesianNetwork] = {}
-        #: Cached planner decisions per model name (auto policy only needs
-        #: one fill-in simulation per network, not one per lookup).
+        #: Cached ``auto`` decisions per model name, recorded by every
+        #: load, so a lookup of a resident model never re-plans.
         self._plans: dict[str, PlanDecision] = {}
         self._lock = threading.RLock()
         self._evictions = 0
@@ -243,9 +244,21 @@ class ModelRegistry:
         with self._lock:
             decision = self._plans.get(name)
         if decision is None:
-            decision = self.planner.plan(self._resolve(name), policy="auto")
-            with self._lock:
-                self._plans.setdefault(name, decision)
+            net = self._resolve(name)
+            decision = self._plan(name, net, compile_cliques(net, self.heuristic))
+        return decision
+
+    def _plan(self, name: str, net: BayesianNetwork, cliques,
+              policy: str = "auto") -> PlanDecision:
+        """Price ``cliques`` under ``policy``, recording the ``auto``
+        decision for ``name`` on the way."""
+        decision = self.planner.plan(net, "auto", cliques=cliques)
+        with self._lock:
+            self._plans[name] = decision
+        if policy != "auto":
+            # "exact" must apply the refusal cap, "approx" records the
+            # forced-sampling reason.
+            decision = self.planner.plan(net, policy, cliques=cliques)
         return decision
 
     def get(self, name: str, engine: str | None = None,
@@ -285,29 +298,25 @@ class ModelRegistry:
         if policy not in POLICIES:
             raise PlannerError(
                 f"unknown engine policy {policy!r}; expected one of {POLICIES}")
-        kind = policy
-        if policy == "auto":
-            with self._lock:
-                decision = self._plans.get(name)
-            if decision is None:
-                if not load:
-                    return None
-                decision = self.plan_for(name)
-            kind = decision.engine
-        key = entry_key(name, kind)
         with self._lock:
             if self._closed:
                 raise NetworkError("model registry is closed")
-            entry = self._entries.get(key)
+            kind = policy
+            if policy == "auto":
+                decision = self._plans.get(name)
+                kind = decision.engine if decision is not None else None
+            entry = (self._entries.get(entry_key(name, kind))
+                     if kind is not None else None)
             if entry is not None:
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(entry.key)
                 entry.pins += pins
                 if self.metrics is not None:
                     self.metrics.observe_cache(hit=True)
                 return entry
         if not load:
             return None
-        loaded = self._load(name, kind)
+        loaded = self._load(name, policy)
+        key = loaded.key
         with self._lock:
             if self._closed:
                 _close_engine(loaded.engine)
@@ -373,45 +382,29 @@ class ModelRegistry:
             return sum(e.total_bytes() for e in self._entries.values())
 
     # --------------------------------------------------------------- loading
-    def _tree_cache_path(self, name: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{_cache_key(name)}.jt.json"
-
-    def _load(self, name: str, kind: str = "exact") -> ModelEntry:
+    def _load(self, name: str, policy: str) -> ModelEntry:
+        """Resolve, triangulate and plan ``name`` once, then load the
+        engine class the plan decided."""
         net = self._resolve(name)
-        with self._lock:
-            decision = self._plans.get(name)
-        if decision is None or decision.engine != kind:
-            # Plan under the explicit policy: "exact" must apply the
-            # refusal cap, "approx" records the forced-sampling reason.
-            decision = self.planner.plan(net, policy=kind)
+        cliques = compile_cliques(net, self.heuristic)
+        decision = self._plan(name, net, cliques, policy)
         # Dispatch on the decided engine class's capabilities: an exact
         # (tree-compiling) class loads with a calibrated baseline and
         # result memo, a sampling class with a sampled prior.
         if decision.capabilities.exact:
-            return self._load_exact(name, net, decision)
+            return self._load_exact(name, net, decision, cliques)
         return self._load_approx(name, net, decision)
 
     def _load_exact(self, name: str, net: BayesianNetwork,
-                    decision: PlanDecision) -> ModelEntry:
-        tree: JunctionTree | None = None
-        cache_path = self._tree_cache_path(name)
-        if cache_path is not None and cache_path.exists():
-            try:
-                tree = load_tree(cache_path, net)
-            except (ReproError, OSError, ValueError):
-                tree = None  # incompatible/corrupt cache: recompile below
-        engine = BatchedFastBNI(net, tree=tree, **self.engine_options)
+                    decision: PlanDecision, cliques) -> ModelEntry:
+        engine = BatchedFastBNI(net, tree=tree_from_cliques(net, cliques),
+                                **self.engine_options)
         from_cache = False
         if self.cache_dir is not None:  # off the serve start-up path
             from repro.service.modelfile import attach
 
             from_cache = attach(engine, self.cache_dir)
         engine.prepare_baseline()
-        if cache_path is not None and tree is None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            save_tree(engine.tree, cache_path)
 
         prior = dict(engine.infer({}).posteriors)
 

@@ -490,7 +490,7 @@ class InferenceServer(JsonLinesFront):
             raise EvidenceError("mpe supports hard evidence only")
         # Resolve the routing *before* loading: a model routed to an
         # engine class without MPE support must be rejected from the cheap
-        # fill-in estimate, not after paying the sampling-engine load (and
+        # plan, not after paying the sampling-engine load (and
         # possibly evicting a hot exact entry).
         kind = engine if engine is not None else self.registry.planner.policy
         if kind == "auto":
@@ -505,7 +505,9 @@ class InferenceServer(JsonLinesFront):
         # Pinned for the whole run: MPE holds entry.engine.tree across an
         # executor round trip, and an unpinned entry can be LRU-evicted
         # (engine closed) by any concurrent cold load in that window.
-        entry = await self.batcher.get_entry_pinned(network, kind)
+        # Looked up under the request's own policy, so an auto-routed
+        # model records the auto decision it was planned under.
+        entry = await self.batcher.get_entry_pinned(network, engine)
         try:
             entry.engine.validate_case(hard)
             assignment, log_p = await self.batcher.run_blocking(

@@ -7,14 +7,21 @@ chordality and maximal cliques.
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bn.generators import chain_network, random_network, star_network
+from repro.approx.planner import QueryPlanner
+from repro.bn.datasets import load_dataset
+from repro.bn.generators import (chain_network, grid_network, random_network,
+                                 star_network)
 from repro.errors import JunctionTreeError
 from repro.graph.cliques import elimination_cliques, is_clique, maximal_cliques_check
 from repro.graph.moralize import check_symmetric, copy_adjacency, moralize
-from repro.graph.treewidth import (fill_in_cost, log_max_clique_weight,
-                                   ordering_width, total_clique_weight)
+from repro.graph.treewidth import (log_max_clique_weight, ordering_width,
+                                   total_clique_weight)
 from repro.graph.triangulate import HEURISTICS, is_chordal, triangulate
+from repro.jt.structure import compile_junction_tree
+from tests.triangulate_oracle import scan_order
 
 
 class TestMoralize:
@@ -156,45 +163,88 @@ class TestTreewidth:
 
 
 class TestFillInCost:
-    """Pinned fill-in widths/bytes for the bundled networks.
+    """Pinned widths/bytes of the bundled networks' compiled cliques.
 
     These are the numbers the exact/approx query planner prices compiles
-    with, so a silent change in the min-fill simulation must fail here.
+    with (the maximal cliques of the min-fill triangulation, the tree's
+    own tables), so a silent change in the triangulation must fail here.
     """
 
     def _cost(self, net):
-        cards = {v.name: v.cardinality for v in net.variables}
-        return fill_in_cost(moralize(net), cards)
+        return QueryPlanner().plan(net).estimate
 
     def test_asia_pinned(self, asia):
         cost = self._cost(asia)
         assert cost.width == 2
         assert cost.max_clique_entries == 8
-        assert cost.total_table_entries == 46
-        assert cost.total_table_bytes == 368
+        assert cost.total_table_bytes == 320
 
     def test_cancer_pinned(self, cancer):
         cost = self._cost(cancer)
         assert cost.width == 2
-        assert cost.total_table_bytes == 176
+        assert cost.total_table_bytes == 128
 
     def test_sprinkler_pinned(self, sprinkler):
         cost = self._cost(sprinkler)
         assert cost.width == 2
-        assert cost.total_table_bytes == 176
+        assert cost.total_table_bytes == 128
 
     def test_bytes_are_eight_per_entry(self, asia):
         cost = self._cost(asia)
-        assert cost.total_table_bytes == 8 * cost.total_table_entries
+        stats = compile_junction_tree(asia).stats()
+        assert cost.total_table_bytes == 8 * stats["total_clique_size"]
         assert cost.log10_max_clique == pytest.approx(
             np.log10(cost.max_clique_entries))
 
     def test_grid_width_grows(self):
-        from repro.bn.generators import grid_network
-
         small = grid_network(3, 3, rng=0)
         large = grid_network(6, 6, rng=0)
         cost_small = self._cost(small)
         cost_large = self._cost(large)
         assert cost_large.width > cost_small.width
         assert cost_large.total_table_bytes > cost_small.total_table_bytes
+
+
+@st.composite
+def _graphs(draw):
+    """A random graph of drawn size and density (insertion order shuffled,
+    so rank ties and names disagree) with a state count per vertex."""
+    n = draw(st.integers(1, 30))
+    density = draw(st.floats(0.05, 0.6))
+    rng = draw(st.randoms(use_true_random=False))
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    adjacency = {v: set() for v in names}
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            if rng.random() < density:
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+    return adjacency, {v: rng.randint(1, 6) for v in names}
+
+
+class TestIncrementalOrder:
+    """The incremental loop re-scores only what an elimination changes;
+    its order must be the full re-scan's, vertex for vertex."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=_graphs(), heuristic=st.sampled_from(HEURISTICS))
+    def test_matches_the_rescan_on_random_graphs(self, graph, heuristic):
+        adjacency, cards = graph
+        assert (triangulate(adjacency, heuristic, cards).order
+                == scan_order(adjacency, heuristic, cards))
+
+    @pytest.mark.parametrize("heuristic", HEURISTICS)
+    @pytest.mark.parametrize("name", ["asia", "cancer", "sprinkler", "grid",
+                                      "chain", "random"])
+    def test_matches_the_rescan_on_networks(self, name, heuristic):
+        net = {"grid": lambda: grid_network(7, 7, rng=3),
+               "chain": lambda: chain_network(40, rng=0),
+               "random": lambda: random_network(60, state_dist=3,
+                                                avg_parents=2.0,
+                                                max_in_degree=4, rng=1),
+               }.get(name, lambda: load_dataset(name))()
+        adjacency = moralize(net)
+        cards = {v.name: v.cardinality for v in net.variables}
+        assert (triangulate(adjacency, heuristic, cards).order
+                == scan_order(adjacency, heuristic, cards))

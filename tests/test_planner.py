@@ -4,32 +4,74 @@ from __future__ import annotations
 
 import pytest
 
-from repro.approx import (DEFAULT_MAX_EXACT_BYTES, QueryPlanner,
-                          estimate_jt_cost)
+from repro.approx import QueryPlanner
+from repro.bn.cpt import CPT
 from repro.bn.generators import chain_network, grid_network
+from repro.bn.network import BayesianNetwork
+from repro.bn.variable import Variable
 from repro.errors import PlannerError
+from repro.graph.triangulate import HEURISTICS
+from repro.jt.structure import compile_cliques, compile_junction_tree
+from repro.potential.domain import Domain
+
+
+def married_roots(roots: int = 16, card: int = 16) -> BayesianNetwork:
+    """``roots`` root variables, every pair married by a binary child.
+
+    Every CPT is tiny, but the roots form one clique of ``card ** roots``
+    entries (2^64 by default): past what any table can hold.
+    """
+    net = BayesianNetwork("married-roots")
+    top = [net.add_variable(Variable.with_arity(f"r{i:02d}", card))
+           for i in range(roots)]
+    for r in top:
+        net.add_cpt(CPT.uniform(r))
+    for i, a in enumerate(top):
+        for b in top[i + 1:]:
+            child = net.add_variable(Variable.with_arity(f"{a.name}{b.name}", 2))
+            net.add_cpt(CPT.uniform(child, (a, b)))
+    return net
 
 
 class TestEstimate:
     def test_estimate_matches_fill_in(self, asia):
-        cost = estimate_jt_cost(asia)
+        cost = QueryPlanner().plan(asia).estimate
         assert cost.width == 2
-        assert cost.total_table_bytes == 368
+        assert cost.total_table_bytes == 320
 
-    def test_estimate_upper_bounds_compiled_tree(self, asia):
-        """Elimination cliques over-count merged cliques — never under."""
-        from repro.jt.structure import compile_junction_tree
+    @pytest.mark.parametrize("heuristic", HEURISTICS)
+    def test_estimate_prices_compiled_tree(self, asia, heuristic):
+        """The price is the tree the engine builds from the same cliques:
+        its tables, entry for entry."""
+        tree = compile_junction_tree(asia, heuristic=heuristic)
+        cost = QueryPlanner().plan(
+            asia, cliques=compile_cliques(asia, heuristic)).estimate
+        assert cost.total_table_bytes == 8 * tree.stats()["total_clique_size"]
+        assert cost.max_clique_entries == tree.stats()["max_clique_size"]
 
-        tree = compile_junction_tree(asia)
-        compiled_entries = int(tree.stats()["total_clique_size"])
-        assert estimate_jt_cost(asia).total_table_entries >= compiled_entries
-
-    def test_estimate_without_compiling(self):
-        """Pricing a 12-wide binary grid must not take exponential time."""
+    def test_estimate_without_compiling(self, monkeypatch):
+        """A 12-wide binary grid is priced without building a table (or
+        the domain of one)."""
         net = grid_network(12, 12, rng=0)
-        cost = estimate_jt_cost(net)
+        with monkeypatch.context() as patch:
+            def no_tables(self):
+                raise AssertionError("the planner built a domain")
+
+            patch.setattr(Domain, "__post_init__", no_tables)
+            cost = QueryPlanner().plan(net).estimate
         assert cost.width >= 12
-        assert cost.total_table_bytes > DEFAULT_MAX_EXACT_BYTES / 8
+        tree = compile_junction_tree(net)
+        assert cost.total_table_bytes == 8 * tree.stats()["total_clique_size"]
+
+    def test_clique_past_the_table_bound_is_routed_not_built(self):
+        """A clique of 2^64 entries is priced in Python ints: ``auto``
+        samples, ``exact`` refuses — no table is ever attempted."""
+        net = married_roots()
+        cost = QueryPlanner().plan(net).estimate
+        assert cost.max_clique_entries == 2 ** 64
+        assert QueryPlanner().plan(net).engine == "approx"
+        with pytest.raises(PlannerError, match="refusing exact compilation"):
+            QueryPlanner(policy="exact").plan(net)
 
 
 class TestRouting:

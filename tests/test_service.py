@@ -173,13 +173,16 @@ class TestModelRegistry:
             # An evicted model reloads transparently.
             assert registry.get("asia").net.num_variables == 8
 
-    def test_warm_start_from_serialized_tree(self, tmp_path):
-        cache = tmp_path / "jt-cache"
+    def test_warm_start_from_model_file(self, tmp_path):
+        """A warm start is the model file: the tree is compiled again (it
+        is cheap) and the tables are mapped; nothing else is cached."""
+        cache = tmp_path / "model-cache"
         with ModelRegistry(cache_dir=cache) as registry:
             cold = registry.get("asia")
             assert cold.from_cache is False
             prior_cold = {k: v.copy() for k, v in cold.prior.items()}
-        assert list(cache.glob("*.jt.json")), "compile should persist the tree"
+        assert len(list(cache.glob("*.npy"))) == 1
+        assert not list(cache.glob("*.jt.json"))
         with ModelRegistry(cache_dir=cache) as registry:
             warm = registry.get("asia")
             assert warm.from_cache is True
@@ -188,12 +191,69 @@ class TestModelRegistry:
                 np.testing.assert_allclose(warm.prior[name], vals, atol=1e-12)
 
     def test_corrupt_cache_recompiles(self, tmp_path):
-        cache = tmp_path / "jt-cache"
-        cache.mkdir()
-        (cache / "asia.jt.json").write_text("{not json")
+        cache = tmp_path / "model-cache"
+        with ModelRegistry(cache_dir=cache) as registry:
+            prior = {k: v.copy() for k, v in registry.get("asia").prior.items()}
+        (path,) = cache.glob("*.npy")
+        path.unlink()  # published read-only
+        path.write_bytes(b"{not a model file")
         with ModelRegistry(cache_dir=cache) as registry:
             entry = registry.get("asia")
             assert entry.from_cache is False
+            for name, vals in prior.items():
+                np.testing.assert_allclose(entry.prior[name], vals, atol=1e-12)
+        with ModelRegistry(cache_dir=cache) as registry:
+            assert registry.get("asia").from_cache is True  # written fresh
+
+    def test_cold_load_triangulates_once(self, monkeypatch):
+        """One cold ``get`` resolves and triangulates the network once:
+        the planner prices the cliques the engine's tree is built from."""
+        import importlib
+
+        import repro.jt.structure as structure
+
+        # The package re-exports the function under the submodule's name.
+        triangulate_module = importlib.import_module("repro.graph.triangulate")
+        calls = []
+        real = triangulate_module.triangulate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1] if len(args) > 1 else kwargs.get("heuristic"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(triangulate_module, "triangulate", counted)
+        monkeypatch.setattr(structure, "triangulate", counted)
+        with ModelRegistry() as registry:
+            registry.get("hailfinder")
+            assert len(calls) == 1
+            registry.get("hailfinder")
+            assert len(calls) == 1
+
+    def test_plan_prices_the_engines_tree(self):
+        """A min-weight registry prices the min-weight tree it serves."""
+        with ModelRegistry(heuristic="min-weight") as registry:
+            entry = registry.get("hailfinder")
+            stats = entry.engine.tree.stats()
+            assert (entry.plan.estimate.total_table_bytes
+                    == 8 * stats["total_clique_size"])
+            assert entry.plan.estimate.max_clique_entries == stats["max_clique_size"]
+
+    def test_shared_cache_dir_serves_each_heuristic_its_tree(self, tmp_path):
+        """A min-weight registry sharing a ``cache_dir`` with a min-fill
+        one is served its own tree, not the one compiled first."""
+        from repro.jt.serialize import tree_to_dict
+        from repro.jt.structure import compile_cliques
+
+        cache = tmp_path / "model-cache"
+        with ModelRegistry(cache_dir=cache) as registry:
+            min_fill = registry.get("hailfinder")
+            fill_tree = tree_to_dict(min_fill.engine.tree)
+        with ModelRegistry(cache_dir=cache, heuristic="min-weight") as registry:
+            entry = registry.get("hailfinder")
+            served = {frozenset(c.domain.names) for c in entry.engine.tree.cliques}
+            assert served == set(compile_cliques(entry.net, "min-weight"))
+            assert tree_to_dict(entry.engine.tree) != fill_tree
+            assert entry.from_cache is False  # a different tree, a new file
 
     def test_concurrent_cold_load_single_winner(self):
         import threading

@@ -102,6 +102,18 @@ class TestRegistryPolicy:
             with pytest.raises(PlannerError):
                 registry.get("big")
 
+    def test_clique_past_the_table_bound_is_routed_not_built(self):
+        """A network whose tree would hold a 2^64-entry clique is sampled
+        under ``auto`` and refused under ``exact``; the registry never
+        tries to build the table (no ``PotentialError``)."""
+        from tests.test_planner import married_roots
+
+        with make_registry() as registry:
+            registry.register("roots", married_roots())
+            assert registry.get("roots").engine_kind == "approx"
+            with pytest.raises(PlannerError, match="refusing exact"):
+                registry.get("roots", engine="exact")
+
     def test_evict_approx_key(self, grid):
         with make_registry(policy="approx") as registry:
             registry.register("grid", grid)
@@ -132,8 +144,9 @@ class TestRegistryPolicy:
             entry = registry.get("m")
             assert entry.net.num_variables == 5
             assert "Smoker" in entry.net
-            # The cached auto plan was refreshed too, not just the entry.
-            assert registry.plan_for("m").estimate.total_table_bytes == 176
+            # The cached auto plan was refreshed too, not just the entry:
+            # it prices cancer's compiled cliques (16 entries).
+            assert registry.plan_for("m").estimate.total_table_bytes == 128
 
     def test_register_validates(self):
         from repro.bn.network import BayesianNetwork
