@@ -524,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--approx-tolerance", type=float, default=0.01,
                     help="target posterior standard error for approx answers")
     sv.add_argument("--cache", default="on", choices=("on", "off"),
-                    help="result memo: an exact repeat of a query is "
+                    help="result memo: a query seen twice before is "
                          "answered without touching the tree (default: on)")
     sv.add_argument("--cache-mb", type=float, default=32.0,
                     help="per-model result-memo byte budget, charged "

@@ -32,8 +32,9 @@ all of it exactly once per (tree, root) and the engines share the result:
   backend's whole-case call all go through it, and both paths enter
   through the same two translations from names to numbers —
   :meth:`MessagePlan.variable_ids` (targets, resolved before any table
-  is touched) and :meth:`MessagePlan.evidence_matrix` (evidence,
-  validated by ``check_evidence``).
+  is touched) and :meth:`MessagePlan.evidence_matrix` (evidence, each
+  finding resolved by :meth:`MessagePlan.finding`'s rule: the plan's
+  label table, else ``check_evidence``).
 
 :class:`PlanSpec` is the plain-data slice of the plan (pure ints/tuples,
 no network or domain objects) — what the native backend lowers its
@@ -160,7 +161,7 @@ class PlanSpec:
         return 2 * len(self.edges)
 
 
-#: What :meth:`MessagePlan.evidence_matrix` finds for a name that is not a
+#: What :meth:`MessagePlan.finding` finds for a name that is not a
 #: variable: no label and no index matches, so ``check_evidence`` raises.
 _UNKNOWN = (-1, 0, {})
 
@@ -241,7 +242,8 @@ class MessagePlan:
         self._var_ids = {name: i for i, name in enumerate(self.variable_names)}
         self._all_ids = tuple(range(len(self.variable_names)))
         #: Per variable name: ``(id, cardinality, {label: index})``, what
-        #: :meth:`evidence_matrix` encodes a finding through.
+        #: :meth:`finding` and :meth:`evidence_matrix` resolve a finding
+        #: through.
         self._findings: dict[str, tuple] = {}
         for i, name in enumerate(self.variable_names):
             var = tree.net.variable(name)
@@ -475,21 +477,38 @@ class MessagePlan:
         except KeyError as exc:
             raise QueryError(f"unknown variable {exc.args[0]!r}") from None
 
+    def finding(self, name: str, state: str | int) -> tuple[int, int]:
+        """``(variable id, state index)`` of one hard finding.
+
+        A label (``str``) or an in-range ``int`` index is resolved through
+        the plan's per-variable table; any other finding — a NumPy
+        integer, an unknown variable or state — goes through
+        :func:`repro.jt.evidence.check_evidence`, which accepts it or
+        raises its ``EvidenceError``.
+        """
+        vid, card, labels = self._findings.get(name, _UNKNOWN)
+        kind = type(state)
+        index = (labels.get(state) if kind is str else
+                 state if kind is int and 0 <= state < card else
+                 None)
+        if index is None:
+            from repro.jt.evidence import check_evidence
+
+            index = check_evidence(self.tree, {name: state})[name]
+        return vid, index
+
     def evidence_matrix(self, cases: list[dict[str, str | int]]) -> np.ndarray:
         """``(cases, variables)`` int64 matrix of observed state indices.
 
-        ``-1`` marks an unobserved variable.  A label (``str``) or an
-        in-range ``int`` index is encoded through the plan's per-variable
-        table; any other finding — a NumPy integer, an unknown variable
-        or state — goes through :func:`repro.jt.evidence.check_evidence`,
-        which accepts it or raises its ``EvidenceError``.  So whatever
-        consumes the matrix — the batched reduction below, the native
-        whole-case call — only ever sees in-range states.  Each finding
-        is one store through a memoryview (no NumPy scalar assignment,
-        no index lists).
+        ``-1`` marks an unobserved variable.  Each finding is resolved as
+        :meth:`finding` resolves it (a label or in-range ``int`` through
+        the table, inlined here: a call per finding cost ~6 % of a
+        256-case pathfinder batch's CPU), so whatever consumes the
+        matrix — the batched reduction below, the native whole-case
+        call — only ever sees in-range states.  Each finding is one store
+        through a memoryview (no NumPy scalar assignment, no index
+        lists).
         """
-        from repro.jt.evidence import check_evidence
-
         n_vars = len(self.variable_names)
         matrix = np.full((len(cases), n_vars), -1, dtype=np.int64)
         flat, row = memoryview(matrix.reshape(-1)), 0
@@ -502,7 +521,7 @@ class MessagePlan:
                          state if kind is int and 0 <= state < card else
                          None)
                 if index is None:
-                    index = check_evidence(self.tree, {name: state})[name]
+                    vid, index = self.finding(name, state)
                 flat[row + vid] = index
             row += n_vars
         return matrix

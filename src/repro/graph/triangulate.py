@@ -15,9 +15,8 @@ Heuristics
                 ``{v} ∪ nbrs(v)`` — directly targets potential-table size,
                 which is what junction-tree cost actually depends on.
 
-Ties break on insertion order.  (``min-weight`` compares float sums of
-logs taken in set order, so two equal products can compare unequal by
-rounding, and its order can vary with the string hash seed.)
+Ties break on insertion order.  ``min-weight`` scores by the exact
+integer product, so equal products tie.
 """
 
 from __future__ import annotations
@@ -57,11 +56,8 @@ def _fill_count(adj: Adjacency, v: str) -> int:
     return missing
 
 
-def _log_weight(v: str, adj: Adjacency, cards: dict[str, int]) -> float:
-    total = math.log(cards[v])
-    for u in adj[v]:
-        total += math.log(cards[u])
-    return total
+def _weight(v: str, adj: Adjacency, cards: dict[str, int]) -> int:
+    return cards[v] * math.prod(cards[u] for u in adj[v])
 
 
 def triangulate(
@@ -78,8 +74,8 @@ def triangulate(
     vertices whose score it can change — *v*'s neighbours and, for
     ``min-fill`` (whose fill edges join them), their neighbours too — and
     the next vertex comes from a lazy heap keyed ``(score, rank)``.  A
-    score is recomputed from the same neighbour set, in the same
-    iteration order, as a full re-scan would, so the order is the scan's.
+    score is recomputed from the same neighbour set a full re-scan would
+    use, so the order is the scan's.
     """
     if heuristic not in HEURISTICS:
         raise JunctionTreeError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
@@ -90,13 +86,13 @@ def triangulate(
     # Insertion-order rank for deterministic tie-breaking.
     rank = {v: i for i, v in enumerate(adjacency)}
 
-    def score(v: str) -> float:
+    def score(v: str) -> int:
         if heuristic == "min-fill":
             return _fill_count(work, v)
         if heuristic == "min-degree":
             return len(work[v])
         assert cardinalities is not None
-        return _log_weight(v, work, cardinalities)
+        return _weight(v, work, cardinalities)
 
     scores = {v: score(v) for v in adjacency}
     heap = [(s, rank[v], v) for v, s in scores.items()]

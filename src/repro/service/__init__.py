@@ -12,7 +12,7 @@ on every invocation; this package amortises both behind an asyncio server:
   the :class:`~repro.approx.QueryPlanner` routes to sampling, one shared
   :class:`~repro.approx.ApproxBNI` particle population per flush);
 * :class:`~repro.service.cache.InferenceCache` — query-result memo per
-  resident model: exact repeats never touch the tree;
+  resident model: a query seen twice before never touches the tree;
 * :class:`~repro.service.sessions.SessionManager` — streaming evidence
   sessions: per-session evidence read by one whole-case call, with byte
   accounting folded into the registry budget, idle-TTL/LRU eviction and

@@ -19,8 +19,10 @@ left), per-case retry — is one job on the flush worker,
 and the loop fans its outcomes back out to the awaiting futures.  The
 exception is a flush of one request on an entry that answers a case in
 one foreign call (``ModelEntry.one_foreign_call``: native kernels in
-``seq`` mode), which runs on the loop: with one request queued there is
-nothing for the executor hand-off (~70 µs) to overlap.  The price is a
+``seq`` mode), which runs on the loop inside the flush's own callback —
+one pinned registry lookup, the case, the reply resolved; no task, no
+extra loop iteration: with one request queued there is nothing for the
+executor hand-off (~70 µs) to overlap.  The price is a
 loop stall of one case (hailfinder 0.08 ms, pathfinder 0.5 ms,
 diabetes ~10 ms) that delays all other loop work: parsing and queuing
 for every connection and every network, starting another key's flush,
@@ -31,7 +33,8 @@ lone queries spread over hailfinder and pathfinder gain throughput
 one case that never enters a queue, follows the same rule
 (:func:`runs_inline`).  ``record_cold`` never takes an executor job: it
 is pure-Python dict work that holds the GIL on any thread, so it runs on
-the loop once the replies are written.
+the loop once the replies are written (queued behind the resolved
+futures, whose handlers encode and write first).
 
 Queues are keyed by ``(network, engine kind)``: approximate and exact
 queries for the same network never mix, and a flush against an
@@ -115,10 +118,10 @@ class _Pending:
         self.outcome: InferenceResult | BaseException | None = None
 
 
-def runs_inline(entry: ModelEntry, cases: int = 1) -> bool:
-    """Whether engine work on ``cases`` cases of ``entry`` (a flush, a
+def runs_inline(entry: ModelEntry) -> bool:
+    """Whether engine work on one case of ``entry`` (a flush of one, a
     session read) runs on the loop rather than the flush worker."""
-    return cases == 1 and entry.one_foreign_call
+    return entry.one_foreign_call
 
 
 class MicroBatcher:
@@ -275,14 +278,30 @@ class MicroBatcher:
 
     # ---------------------------------------------------------------- flush
     def _flush(self, key: tuple[str, str], behind: bool = False) -> None:
-        """Start the key's queue as one flush; the caller counted it busy."""
+        """Start the key's queue as one flush; the caller counted it busy.
+
+        A flush of one on a resident entry that :func:`runs_inline` is
+        served right here (:meth:`_serve_inline`); any other flush is a
+        task that serves it on the flush worker.
+        """
         batch = self._queues.pop(key, None)
         if not batch:  # a full queue left between scheduling and now
             self._flush_done(key)
             return
         self.metrics.observe_flush(behind)
+        entry = None
+        if len(batch) == 1:
+            try:
+                entry = self.registry.get_pinned(*key, load=False)
+            except Exception as exc:  # a closed registry: the answer
+                self._resolve(batch, exc)
+                self._flush_done(key)
+                return
+            if entry is not None and runs_inline(entry):
+                self._serve_inline(key, batch, behind, entry)
+                return
         task = asyncio.get_running_loop().create_task(
-            self._run_batch(key, batch, behind))
+            self._run_batch(key, batch, behind, entry))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
         task.add_done_callback(lambda _task: self._flush_done(key))
@@ -310,21 +329,46 @@ class MicroBatcher:
                     union.append(name)
         return tuple(union)
 
-    async def _run_batch(self, key: tuple[str, str], batch: list[_Pending],
-                         behind: bool) -> None:
-        entry = None
+    def _serve_inline(self, key: tuple[str, str], batch: list[_Pending],
+                      behind: bool, entry: ModelEntry) -> None:
+        """A flush of one, start to finish on the loop, pinned ``entry``
+        released: the reply is resolved first, and ``record_cold`` and
+        the key's release are queued behind it."""
+        self.metrics.observe_inline_flush()
+        cold_items = []
         try:
-            entry = await self.get_entry_pinned(*key)
-            inline = runs_inline(entry, len(batch))
-            if inline:
-                self.metrics.observe_inline_flush()
+            cold_items = self._serve_batch(entry, batch, behind, True)
+            self._resolve(batch)
+        except BaseException as exc:  # noqa: BLE001 - as in _run_batch
+            self._resolve(batch, exc)
+            if not isinstance(exc, Exception):
+                raise
+        finally:
+            self.registry.unpin(entry)
+            asyncio.get_running_loop().call_soon(
+                self._record_inline, key, entry, cold_items)
+
+    def _record_inline(self, key: tuple[str, str], entry: ModelEntry,
+                       cold_items: list) -> None:
+        try:
+            if cold_items:
+                entry.cache.record_cold(cold_items)
+        finally:
+            self._flush_done(key)
+
+    async def _run_batch(self, key: tuple[str, str], batch: list[_Pending],
+                         behind: bool, entry: ModelEntry | None) -> None:
+        """A flush on the flush worker; ``entry`` is its pinned entry if
+        :meth:`_flush` already took one."""
+        try:
+            if entry is None:
+                entry = await self.get_entry_pinned(*key)
             cold_items = await self.run_blocking(
-                self._serve_batch, entry, batch, behind, inline,
-                inline=inline)
+                self._serve_batch, entry, batch, behind, False)
             self._resolve(batch)
             if cold_items:
-                # Memoise so an exact repeat of any of these cases is a
-                # memo hit — after one yield, so every resolved handler
+                # Offer the results to the memo (stored on a key's second
+                # sighting) — after one yield, so every resolved handler
                 # has encoded and written its reply first.  Best-effort:
                 # the handler below skips the futures already resolved.
                 await asyncio.sleep(0)

@@ -6,12 +6,22 @@ under ``(evidence, targets)``, and a full-posterior entry also answers
 any subset of its targets.  Everything else is a miss the batcher sends
 to its flush.
 
+Admission: a result is stored on the *second* sighting of its key.  The
+first leaves only the key's hash in a **doorkeeper** (the one-hit-wonder
+filter of TinyLFU; Einziger, Friedman & Manes, ACM TOS 2017), so a
+stream of novel queries costs a hash each, not a row each, and a key's
+third sighting is the first hit.  The doorkeeper holds at most
+``max_memo`` hashes (oldest out first) and is charged in
+:meth:`InferenceCache.total_bytes`.
+
 What an entry holds: one contiguous float64 *row* — the result's
 posteriors side by side, then log P(e).  Which columns belong to which
 variable is a :class:`_Layout` shared by every entry with the same
 target list, and the :class:`~repro.jt.engine.InferenceResult` (views
 into the row) is rebuilt only on a hit.  The evidence key is packed into
-``bytes`` (sorted ``(variable id, state)`` pairs).  Every row is a fresh
+``bytes`` (sorted ``(variable id, state)`` pairs), each finding resolved
+through the model's plan (:meth:`~repro.exec.plan.MessagePlan.finding`),
+as the engine resolves it.  Every row is a fresh
 copy, so an entry never keeps the engine's output buffer — or a whole
 multi-case flush block — alive.  A cold full-posterior entry so holds
 1.8 KB on hailfinder and 3.5 KB on pathfinder, against 10.4 and 22.8 KB
@@ -24,10 +34,10 @@ it off the :class:`~repro.service.registry.ModelEntry`), so the "network"
 component of the ``(network, evidence, targets)`` key is implicit.  Byte
 accounting (:meth:`InferenceCache.total_bytes`) charges what an entry
 holds — its row, its key and a fixed per-entry overhead — plus each
-layout in use, so ``max_bytes`` (``serve --cache-mb``) bounds resident
-memory; the total is folded into the registry's resident-set budget, so
-a model whose memo grows is charged for it and becomes a bigger eviction
-target.
+layout in use and each doorkeeper hash, so ``max_bytes`` (``serve
+--cache-mb``) bounds resident memory; the total is folded into the
+registry's resident-set budget, so a model whose memo grows is charged
+for it and becomes a bigger eviction target.
 
 Thread safety: all bookkeeping happens under one lock.  Hard evidence
 only: the batcher routes soft likelihood vectors to the per-case path
@@ -46,8 +56,8 @@ import numpy as np
 
 from repro.approx.engine import ApproxInferenceResult
 from repro.errors import EvidenceError, ReproError
+from repro.exec.plan import compile_plan
 from repro.jt.engine import InferenceResult
-from repro.jt.evidence import check_evidence
 from repro.jt.structure import JunctionTree
 
 #: Result-memo entries per model.
@@ -68,6 +78,9 @@ EvidenceKey = bytes
 #: and table slot, the key and value tuples and the row's ndarray header
 #: (tracemalloc on CPython 3.11, NumPy 2.x: ~200 + 112 bytes).
 _ENTRY_OVERHEAD = 320
+#: What one doorkeeper hash costs: its int and its ``OrderedDict`` slot
+#: and node (tracemalloc on CPython 3.11: ~120 bytes).
+_DOOR_HASH_BYTES = 120
 
 
 def project(result: InferenceResult, want: tuple[str, ...]) -> InferenceResult:
@@ -146,23 +159,28 @@ class InferenceCache:
     Parameters
     ----------
     tree:
-        The model's compiled junction tree (canonicalizes evidence keys).
+        The model's compiled junction tree; its plan resolves evidence
+        keys.
     max_memo / max_bytes:
-        LRU capacities: memo entries and their byte budget.  Exceeding
-        either evicts least-recently-used entries.
+        Capacities: memo entries (and doorkeeper hashes) and the byte
+        budget of both.  Exceeding either evicts least-recently-used
+        entries; past the byte budget with no entry left, the oldest
+        hashes go.
     """
 
     def __init__(self, tree: JunctionTree, *,
                  max_memo: int = DEFAULT_MAX_MEMO,
                  max_bytes: int = DEFAULT_MAX_BYTES) -> None:
-        self.tree = tree
         self.max_memo = max_memo
         self.max_bytes = max_bytes
-        names = [v.name for v in tree.net.variables]
-        self._ids = {name: i for i, name in enumerate(names)}
+        #: The engines' plan for ``tree`` (shared, not rebuilt): evidence
+        #: keys resolve findings through it.
+        self._plan = compile_plan(tree)
         #: ``(evidence key, targets key) -> (layout, row)``.
         self._memo: "OrderedDict[tuple, tuple[_Layout, np.ndarray]]" = \
             OrderedDict()
+        #: Hashes of keys sighted once and not stored, oldest first.
+        self._door: "OrderedDict[int, None]" = OrderedDict()
         self._layouts: dict[tuple[str, ...], _Layout] = {}
         self._memo_bytes = 0
         self._lock = threading.Lock()
@@ -181,9 +199,9 @@ class InferenceCache:
         """
         if isinstance(evidence, bytes):
             return evidence
-        ids = self._ids
-        pairs = sorted((ids[name], state) for name, state in
-                       check_evidence(self.tree, dict(evidence or {})).items())
+        finding = self._plan.finding
+        pairs = sorted(finding(name, state)
+                       for name, state in (evidence or {}).items())
         return array("I", [x for pair in pairs for x in pair]).tobytes()
 
     @staticmethod
@@ -220,23 +238,26 @@ class InferenceCache:
                      targets: tuple[str, ...], result: InferenceResult) -> None:
         """Memoise a finished result (evicting LRU entries over budget)."""
         key = (evidence_key, self.targets_key(targets))
-        names = tuple(result.posteriors)
         with self._lock:
-            layout = self._layouts.get(names)
-            if layout is None:
-                layout = _Layout(names, [v.size for v in
-                                         result.posteriors.values()])
-            row = layout.row(result)
-            if not layout.entries:
-                self._layouts[names] = layout
-                self._memo_bytes += layout.nbytes
-            layout.entries += 1
-            old = self._memo.pop(key, None)
-            if old is not None:
-                self._drop_locked(key, old)
-            self._memo[key] = (layout, row)
-            self._memo_bytes += _entry_bytes(key, row)
-            self._evict_locked()
+            self._store_locked(key, result)
+
+    def _store_locked(self, key: tuple, result: InferenceResult) -> None:
+        names = tuple(result.posteriors)
+        layout = self._layouts.get(names)
+        if layout is None:
+            layout = _Layout(names, [v.size for v in
+                                     result.posteriors.values()])
+        row = layout.row(result)
+        if not layout.entries:
+            self._layouts[names] = layout
+            self._memo_bytes += layout.nbytes
+        layout.entries += 1
+        old = self._memo.pop(key, None)
+        if old is not None:
+            self._drop_locked(key, old)
+        self._memo[key] = (layout, row)
+        self._memo_bytes += _entry_bytes(key, row)
+        self._evict_locked()
 
     def serve_cases(self, cases: list[tuple]
                     ) -> list["InferenceResult | BaseException | None"]:
@@ -260,21 +281,33 @@ class InferenceCache:
         return out
 
     def record_cold(self, items: list[tuple]) -> None:
-        """Memoise the ``(evidence, targets, result)`` cases the vectorised
-        cold path just served.  Evidence failing validation is skipped:
-        the cold path already reported it."""
+        """Admit the ``(evidence, targets, result)`` cases the cold path
+        just served: a key's first sighting leaves its hash in the
+        doorkeeper, its second stores the result.  Evidence failing
+        validation is skipped: the cold path already reported it."""
         for evidence, targets, result in items:
             try:
-                key = self.evidence_key(evidence)
+                key = (self.evidence_key(evidence), self.targets_key(targets))
             except EvidenceError:
                 continue
-            self.store_result(key, targets, result)
+            seen = hash(key)
+            with self._lock:
+                if seen in self._door:
+                    del self._door[seen]
+                    self._store_locked(key, result)
+                else:
+                    self._door[seen] = None
+                    self._evict_locked()
 
     # ------------------------------------------------------------- lifecycle
     def total_bytes(self) -> int:
-        """Resident bytes of the memo: its entries and their layouts."""
+        """Resident bytes of the memo: its entries, their layouts and the
+        doorkeeper's hashes."""
         with self._lock:
-            return self._memo_bytes
+            return self._bytes_locked()
+
+    def _bytes_locked(self) -> int:
+        return self._memo_bytes + len(self._door) * _DOOR_HASH_BYTES
 
     def _drop_locked(self, key: tuple,
                      entry: tuple[_Layout, np.ndarray]) -> None:
@@ -286,10 +319,14 @@ class InferenceCache:
             self._memo_bytes -= layout.nbytes
 
     def _evict_locked(self) -> None:
+        while len(self._door) > self.max_memo:
+            self._door.popitem(last=False)
         while self._memo and (len(self._memo) > self.max_memo
-                              or self._memo_bytes > self.max_bytes):
+                              or self._bytes_locked() > self.max_bytes):
             self._drop_locked(*self._memo.popitem(last=False))
             self._counters["evicted_results"] += 1
+        while self._door and self._bytes_locked() > self.max_bytes:
+            self._door.popitem(last=False)
 
     def stats(self) -> dict:
         """JSON-ready counters for the ``cache_stats`` endpoint."""
@@ -298,7 +335,8 @@ class InferenceCache:
                        + self._counters["result_misses"])
             return {
                 "memo_entries": len(self._memo),
-                "bytes": self._memo_bytes,
+                "doorkeeper_hashes": len(self._door),
+                "bytes": self._bytes_locked(),
                 "max_bytes": self.max_bytes,
                 "result_hits": self._counters["result_hits"],
                 "result_misses": self._counters["result_misses"],

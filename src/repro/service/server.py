@@ -52,8 +52,8 @@ evicted or closed session fails with a ``SessionError`` whose
 this server never issued).
 
 A ``query`` response's ``served_by`` field says how it was answered:
-``"batch"`` (a vectorised flush), ``"cache"`` (an exact repeat answered
-by the result memo, :mod:`repro.service.cache`, when the registry has it
+``"batch"`` (a vectorised flush), ``"cache"`` (an exact repeat, from
+its third sighting, answered by the result memo, :mod:`repro.service.cache`, when the registry has it
 enabled — the default), ``"single"`` (soft evidence, per case) or
 ``"baseline"`` (no evidence: the resident prior).  Session reads say
 ``"session"``.

@@ -9,9 +9,10 @@ Pinned here:
   follow-up flush, in arrival order, released by its completion;
 * ``max_batch`` flushes at once, and ``max_batch=1`` (the ``batcher``
   ablation switch) means one case per flush;
-* a flush is one executor job on the resident path, except a flush of one
-  on a native entry (one foreign call per case), which takes none; ``record_cold`` never
-  takes one and runs after the replies;
+* a flush is one task and one executor job on the resident path, except
+  a flush of one on a native entry (one foreign call per case), which
+  takes neither and runs in its flush callback; ``record_cold`` never
+  takes a job and runs after the replies;
 * every failure between enqueue and fan-out reaches the waiting clients.
 """
 
@@ -388,6 +389,45 @@ class TestInlineFlush:
                 got.posteriors["dysp"],
                 engine.infer(CASES[0]).posteriors["dysp"], atol=1e-12)
 
+    @pytest.mark.parametrize(("kernels", "cases", "tasks"), [
+        ("native", CASES[:1], 0), ("native", CASES, 1), ("fused", CASES[:1], 1)])
+    def test_a_native_flush_of_one_runs_in_its_callback(self, kernels, cases,
+                                                        tasks):
+        """A native flush of one starts no task; a flush of more than one
+        and a fused flush of one are a task each.  Every flush makes one
+        pinned registry lookup."""
+        async def scenario():
+            batcher, registry = make_batcher(kernels=kernels)
+            loop = asyncio.get_running_loop()
+            created, lookups = [], []
+            create_task, get_pinned = loop.create_task, registry.get_pinned
+
+            def counting_task(coro, **kwargs):
+                created.append(coro.__qualname__)
+                return create_task(coro, **kwargs)
+
+            def counting_lookup(*args, **kwargs):
+                lookups.append(args)
+                return get_pinned(*args, **kwargs)
+
+            loop.create_task = counting_task
+            registry.get_pinned = counting_lookup
+            try:
+                await asyncio.gather(*submit_all(batcher, cases))
+                await batcher.drain()
+                assert_quiescent(batcher)
+            finally:
+                del loop.create_task
+                await batcher.aclose()
+                registry.close()
+            return created, lookups, batches(batcher)
+
+        created, lookups, snap = run(scenario())
+        assert created.count("MicroBatcher._run_batch") == tasks
+        assert len(lookups) == 1
+        assert snap["count"] == 1
+        assert snap["flushes_inline"] == 1 - tasks
+
     def test_submits_of_one_iteration_are_one_executor_job(self):
         async def scenario():
             batcher, registry = make_batcher(cache=True, kernels="native")
@@ -567,6 +607,30 @@ class TestFailuresReachTheClients:
         for exc in failed:
             assert isinstance(exc, ReproError)
             assert "closed" in str(exc)
+
+    @needs_native
+    def test_registry_closed_while_one_native_query_is_queued(self):
+        """A flush of one that would run inline looks its entry up as it
+        starts: a closed registry is that request's error."""
+        async def scenario():
+            batcher, registry = make_batcher(kernels="native")
+            held = HeldEngine(registry)
+            try:
+                # Two coalesced cases take the flush worker and are held
+                # there; one more queues behind them as a flush of one.
+                ahead = submit_all(batcher, CASES[:2])
+                await held.wait_entered()
+                queued = submit_all(batcher, CASES[2:3])
+                await asyncio.sleep(0)
+                registry.close()
+                return await self._settle(batcher, held, ahead, queued)
+            finally:
+                held.release()
+                await batcher.aclose()
+
+        *ok, failed = run(scenario())
+        assert all("dysp" in result.posteriors for result in ok)
+        assert isinstance(failed, ReproError) and "closed" in str(failed)
 
     def test_evicted_model_whose_reload_fails(self, asia, tmp_path):
         path = tmp_path / "model.bif"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.bn.variable import Variable
 from repro.core import BatchedFastBNI, FastBNI
 from repro.errors import EvidenceError
 from repro.exec.native import native_status
+from repro.jt.evidence import check_evidence
 from repro.jt.structure import compile_junction_tree
 from repro.service import (InferenceServer, MicroBatcher, ModelRegistry,
                            QueryRequest, ServiceMetrics)
@@ -59,6 +61,31 @@ class TestCanonicalEvidence:
         cache = InferenceCache(compile_junction_tree(asia))
         with pytest.raises(EvidenceError, match="not in network"):
             cache.evidence_key({"nope": 0})
+
+    @pytest.mark.parametrize("evidence", [
+        {"smoke": "yes", "xray": "no"},
+        {"xray": 1, "smoke": 0},
+        {"smoke": np.int64(0), "xray": np.int32(1), "asia": "no"},
+        {}])
+    def test_key_is_the_packed_checked_pairs(self, asia, evidence):
+        """Resolving findings through the plan's table gives the key that
+        packing ``check_evidence``'s sorted ``(id, state)`` pairs gives."""
+        tree = compile_junction_tree(asia)
+        ids = {name: i for i, name in enumerate(asia.variable_names)}
+        pairs = sorted((ids[name], state) for name, state in
+                       check_evidence(tree, evidence).items())
+        packed = array("I", [x for pair in pairs for x in pair]).tobytes()
+        assert InferenceCache(tree).evidence_key(evidence) == packed
+
+    @pytest.mark.parametrize("evidence", [
+        {"nope": 0}, {"smoke": "maybe"}, {"smoke": 2}, {"smoke": True}])
+    def test_bad_findings_raise_the_checks_error(self, asia, evidence):
+        tree = compile_junction_tree(asia)
+        with pytest.raises(EvidenceError) as want:
+            check_evidence(tree, evidence)
+        with pytest.raises(EvidenceError) as got:
+            InferenceCache(tree).evidence_key(evidence)
+        assert str(got.value) == str(want.value)
 
 
 class TestResultMemo:
@@ -96,17 +123,57 @@ class TestResultMemo:
         assert cache.lookup_result(cache.evidence_key({"smoke": 0}), ()) is None
 
 
+class TestDoorkeeper:
+    """``record_cold`` stores a result on its key's second sighting; the
+    first leaves a hash, at most ``max_memo`` of them."""
+
+    def test_novel_queries_leave_only_hashes(self, asia):
+        cache = InferenceCache(compile_junction_tree(asia), max_memo=4)
+        with FastBNI(asia, mode="seq") as engine:
+            for i in range(16):
+                evidence = {"smoke": i % 2, "bronc": (i // 2) % 2,
+                            "asia": (i // 4) % 2}
+                targets = ("lung",) if i >= 8 else ()
+                cache.record_cold([(evidence, targets,
+                                    engine.infer(evidence, targets))])
+                stats = cache.stats()
+                assert stats["memo_entries"] == 0
+                assert stats["doorkeeper_hashes"] == min(i + 1, 4)
+        assert stats["bytes"] == cache.total_bytes() > 0
+        assert stats["evicted_results"] == 0
+
+    def test_second_sighting_stores_third_hits(self, asia):
+        cache = InferenceCache(compile_junction_tree(asia))
+        key = cache.evidence_key({"smoke": "yes"})
+        with FastBNI(asia, mode="seq") as engine:
+            result = engine.infer({"smoke": "yes"}, ("lung",))
+            other = engine.infer({"smoke": "yes"}, ("bronc",))
+        for sighting in (1, 2):
+            assert cache.serve_cases([(key, ("lung",))]) == [None]
+            cache.record_cold([({"smoke": "yes"}, ("lung",), result)])
+            stats = cache.stats()
+            assert (stats["memo_entries"], stats["doorkeeper_hashes"]) == \
+                ((0, 1) if sighting == 1 else (1, 0))
+        (hit,) = cache.serve_cases([({"smoke": 0}, ("lung",))])
+        _assert_same_result(hit, result, ("lung",))
+        # Another target list is another key: its own first sighting.
+        cache.record_cold([({"smoke": "yes"}, ("bronc",), other)])
+        assert cache.stats()["memo_entries"] == 1
+
+
 class TestServeCases:
     def test_miss_declined_to_cold_path(self, asia):
         cache = InferenceCache(compile_junction_tree(asia))
         with FastBNI(asia, mode="seq") as engine:
-            cache.record_cold([({"smoke": "yes"}, (),
-                                engine.infer({"smoke": "yes"}))])
+            cold = [({"smoke": "yes"}, (), engine.infer({"smoke": "yes"}))]
+        cache.record_cold(cold)  # first sighting: a hash, no entry
+        assert cache.serve_cases([({"smoke": "yes"}, ("lung",))]) == [None]
+        cache.record_cold(cold)
         hit, miss = cache.serve_cases([({"smoke": "yes"}, ("lung",)),
                                        ({"dysp": "yes", "bronc": "no"}, ())])
         assert set(hit.posteriors) == {"lung"} and miss is None
         stats = cache.stats()
-        assert (stats["result_hits"], stats["declined"]) == (1, 1)
+        assert (stats["result_hits"], stats["declined"]) == (1, 2)
         assert stats["delta_served"] == 0
 
     def test_unvalidatable_case_errors_alone(self, asia):
@@ -130,7 +197,9 @@ class TestServeCases:
             # eight distinct evidence sets: memoised results must rotate.
             sizing, charged = InferenceCache(tree), []
             for name in ("smoke", "bronc"):
-                sizing.record_cold([({name: 0}, (), engine.infer({name: 0}))])
+                for _ in range(2):  # the second sighting stores it
+                    sizing.record_cold([({name: 0}, (),
+                                         engine.infer({name: 0}))])
                 charged.append(sizing.total_bytes())
             budget = charged[0] + 3 * (charged[1] - charged[0])
             cache = InferenceCache(tree, max_bytes=budget)
@@ -138,7 +207,7 @@ class TestServeCases:
                 evidence = {"smoke": i % 2, "bronc": (i // 2) % 2,
                             "asia": (i // 4) % 2}
                 want = engine.infer(evidence)
-                cache.record_cold([(evidence, (), want)])
+                cache.record_cold([(evidence, (), want)] * 2)
                 (hit,) = cache.serve_cases([(evidence, ())])
                 for name in asia.variable_names:
                     np.testing.assert_allclose(
@@ -243,6 +312,26 @@ class TestMemoRows:
         charged = cache.total_bytes()
         assert 0.75 * traced <= charged <= 1.25 * traced, (charged, traced)
 
+    @pytest.mark.parametrize("network", ["hailfinder", "pathfinder"])
+    def test_doorkeeper_charge_matches_traced_allocation(self, analog_engines,
+                                                         network):
+        """360 cold cases recorded once and 120 of them again: 120 rows
+        and 240 doorkeeper hashes, charged within tracemalloc's ±25 %."""
+        engine = analog_engines[network]
+        cases = _analog_cases(engine, 360, seed=5)
+        items = [(evidence, (), engine.infer(evidence)) for evidence in cases]
+        cache = InferenceCache(engine.tree)
+
+        def store(memoise):
+            cache.record_cold(items)
+            cache.record_cold(items[:120])
+
+        traced = _traced_memo_bytes(cache, store)
+        stats = cache.stats()
+        assert (stats["memo_entries"], stats["doorkeeper_hashes"]) == (120, 240)
+        charged = cache.total_bytes()
+        assert 0.75 * traced <= charged <= 1.25 * traced, (charged, traced)
+
     def test_a_block_row_does_not_pin_its_block(self, analog_engines):
         """One case kept out of a 64-case flush holds what the same case
         kept from a flush of one holds, not the block: the memo copies
@@ -284,8 +373,10 @@ class TestMemoRows:
             _assert_same_result(hit, from_block, ("bronc", "lung"))
 
     def test_hits_through_the_batcher_are_the_stored_result(self, asia):
-        """A repeat served by the flush's memo pre-pass carries the first
-        answer's bits and ``served_by: cache``, full and subset."""
+        """Sightings 1 and 2 of a key are calibrated; the second is stored,
+        and sighting 3, served by the flush's memo pre-pass, carries the
+        first answer's bits and ``served_by: cache``, full and subset (a
+        subset query is also answered by a stored full entry)."""
         requests = [QueryRequest(evidence={"smoke": "yes"}),
                     QueryRequest(evidence={"smoke": "yes"},
                                  targets=("lung", "bronc")),
@@ -296,7 +387,7 @@ class TestMemoRows:
             batcher, registry = _make_batcher(max_batch=4)
             try:
                 answers = []
-                for request in [*requests, *requests]:
+                for request in [*requests, *requests, *requests]:
                     answers.append(await batcher.submit("asia", request))
                     await batcher.drain()  # record_cold has run
             finally:
@@ -305,9 +396,9 @@ class TestMemoRows:
             return answers
 
         answers = run(scenario())
-        first, repeats = answers[:3], answers[3:]
+        first, repeats = answers[:3], answers[6:]
         assert [r.meta.get("served_by") for r in answers] == [
-            None, "cache", None, "cache", "cache", "cache"]
+            None, None, None, None, "cache", None, "cache", "cache", "cache"]
         for want, got in zip(first, repeats):
             for name in want.posteriors:
                 assert got.posteriors[name].tobytes() == \
@@ -332,7 +423,7 @@ class TestBatcherIntegration:
                                           rng=5)]
         traffic = []
         for case in base_cases:
-            traffic += [case, case]
+            traffic += [case, case, case]  # the third sighting hits
             if case:
                 name = sorted(case)[0]
                 flipped = dict(case)
@@ -400,20 +491,22 @@ class TestBatcherIntegration:
             try:
                 first = await batcher.submit(
                     "asia", QueryRequest(evidence={"smoke": "yes"}))
-                second = await batcher.submit(
+                second, third = [await batcher.submit(
                     "asia", QueryRequest(evidence={"smoke": "yes"}))
+                    for _ in range(2)]
                 snap = batcher.metrics.snapshot()
             finally:
                 await batcher.aclose()
                 registry.close()
-            return first, second, snap
+            return first, second, third, snap
 
-        first, second, snap = run(scenario())
+        first, second, third, snap = run(scenario())
         for name in asia.variable_names:
             np.testing.assert_allclose(first.posteriors[name],
-                                       second.posteriors[name], rtol=0)
-        assert snap["incremental"]["memo_served"] >= 1
-        assert second.meta.get("served_by") == "cache"
+                                       third.posteriors[name], rtol=0)
+        assert snap["incremental"]["memo_served"] == 1
+        assert second.meta.get("served_by") is None  # stored, not served
+        assert third.meta.get("served_by") == "cache"
 
     def test_register_replacement_never_serves_stale(self):
         """ISSUE pin: register() swapping a network invalidates everything."""
@@ -450,23 +543,29 @@ class TestBatcherIntegration:
     @pytest.mark.parametrize("kernels", ["native", "fused"])
     def test_a_cold_query_validates_its_evidence_once(self, monkeypatch,
                                                       kernels):
-        """The submit-time check yields the memo key; the memo lookup and
-        ``record_cold`` reuse it (one ``check_evidence`` per query, a
-        repeat's one being its memo lookup's key)."""
+        """The submit-time key derivation validates a query's evidence
+        once; the memo lookup and ``record_cold`` reuse the key.  Label
+        findings resolve through the plan's table, so none reaches
+        ``check_evidence``, in the key or in the engine."""
         import repro.core.fastbni
         import repro.jt.evidence
-        import repro.service.cache
 
-        checked = []
-        real = repro.jt.evidence.check_evidence
+        checked, derived = [], []
+        real_check = repro.jt.evidence.check_evidence
+        real_key = InferenceCache.evidence_key
 
         def counting(tree, evidence):
             checked.append(dict(evidence))
-            return real(tree, evidence)
+            return real_check(tree, evidence)
 
-        for module in (repro.jt.evidence, repro.service.cache,
-                       repro.core.fastbni):
+        def deriving(cache, evidence):
+            if not isinstance(evidence, bytes):
+                derived.append(dict(evidence))
+            return real_key(cache, evidence)
+
+        for module in (repro.jt.evidence, repro.core.fastbni):
             monkeypatch.setattr(module, "check_evidence", counting)
+        monkeypatch.setattr(InferenceCache, "evidence_key", deriving)
         cases = [{"smoke": "yes"}, {"smoke": "no", "xray": "yes"},
                  {"bronc": "yes"}]
 
@@ -475,23 +574,21 @@ class TestBatcherIntegration:
                 max_batch=4, registry={"kernels": kernels})
             try:
                 registry.get("asia")
-                checked.clear()
-                for case in cases:
-                    await batcher.submit("asia", QueryRequest(evidence=case))
+                served = []
+                for case in [*cases, cases[0], cases[0]]:
+                    served.append((await batcher.submit(
+                        "asia", QueryRequest(evidence=case))
+                    ).meta.get("served_by"))
                     await batcher.drain()  # record_cold has run
-                cold = list(checked)
-                repeat = await batcher.submit(
-                    "asia", QueryRequest(evidence=cases[0]))
-                await batcher.drain()
             finally:
                 await batcher.aclose()
                 registry.close()
-            return cold, list(checked), repeat
+            return served
 
-        cold, every, repeat = run(scenario())
-        assert cold == cases
-        assert every == [*cases, cases[0]]
-        assert repeat.meta.get("served_by") == "cache"
+        served = run(scenario())
+        assert derived == [*cases, cases[0], cases[0]]
+        assert checked == []
+        assert served == [None, None, None, None, "cache"]
 
     def test_replacement_between_submit_and_flush_keys_on_the_new_tree(self):
         """The key derived at submit holds on that entry's tree only.  The
@@ -580,22 +677,23 @@ class TestServerIntegration:
 
                 first = await ask({"id": 1, "op": "query", "network": "asia",
                                    "evidence": {"smoke": "yes"}})
-                repeat = await ask({"id": 2, "op": "query", "network": "asia",
-                                    "evidence": {"smoke": "yes"}})
-                near = await ask({"id": 3, "op": "query", "network": "asia",
+                second, repeat = [await ask(
+                    {"id": i, "op": "query", "network": "asia",
+                     "evidence": {"smoke": "yes"}}) for i in (2, 3)]
+                near = await ask({"id": 4, "op": "query", "network": "asia",
                                   "evidence": {"smoke": "no"}})
-                stats = await ask({"id": 4, "op": "cache_stats"})
+                stats = await ask({"id": 5, "op": "cache_stats"})
                 writer.close()
                 await writer.wait_closed()
             finally:
                 await server.stop()
-            return first, repeat, near, stats
+            return first, second, repeat, near, stats
 
-        first, repeat, near, stats = run(scenario())
-        assert first["ok"] and repeat["ok"] and near["ok"]
-        assert first["result"]["served_by"] == "batch"
-        assert repeat["result"]["served_by"] == "cache"
-        assert near["result"]["served_by"] == "batch"
+        first, second, repeat, near, stats = run(scenario())
+        assert all(r["ok"] for r in (first, second, repeat, near))
+        assert [r["result"]["served_by"] for r in
+                (first, second, repeat, near)] == [
+            "batch", "batch", "cache", "batch"]
         np.testing.assert_allclose(repeat["result"]["posteriors"]["lung"],
                                    first["result"]["posteriors"]["lung"])
         body = stats["result"]
@@ -603,4 +701,5 @@ class TestServerIntegration:
         assert body["served"] == {"memo_served": 1}
         model = body["models"]["asia"]
         assert (model["result_hits"], model["delta_served"],
-                model["declined"]) == (1, 0, 2)
+                model["declined"]) == (1, 0, 3)
+        assert (model["memo_entries"], model["doorkeeper_hashes"]) == (1, 1)

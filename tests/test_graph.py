@@ -4,12 +4,18 @@ networkx is used here (and only here) as an independent cross-check for
 chordality and maximal cliques.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.approx.planner import QueryPlanner
 from repro.bn.datasets import load_dataset
 from repro.bn.generators import (chain_network, grid_network, random_network,
@@ -248,3 +254,33 @@ class TestIncrementalOrder:
         cards = {v.name: v.cardinality for v in net.variables}
         assert (triangulate(adjacency, heuristic, cards).order
                 == scan_order(adjacency, heuristic, cards))
+
+
+#: Prints a min-weight elimination order of diabetes (bench scale).
+_MIN_WEIGHT_ORDER = """
+from repro import load_network
+from repro.graph.moralize import moralize
+from repro.graph.triangulate import triangulate
+net = load_network("diabetes")
+cards = {v.name: v.cardinality for v in net.variables}
+print(" ".join(triangulate(moralize(net), "min-weight", cards).order))
+"""
+
+
+class TestMinWeightDeterminism:
+    def test_order_does_not_depend_on_the_hash_seed(self):
+        """Min-weight scores are exact integer products, so equal products
+        tie on rank whatever order a neighbour set iterates in: processes
+        with different string hash seeds eliminate in the same order."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        orders = []
+        for seed in ("0", "7"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            run = subprocess.run([sys.executable, "-c", _MIN_WEIGHT_ORDER],
+                                 env=env, capture_output=True, text=True,
+                                 timeout=120, check=True)
+            orders.append(run.stdout.split())
+        assert len(orders[0]) == 413
+        assert orders[0] == orders[1]

@@ -515,9 +515,10 @@ class TestServerObservability:
             try:
                 base = {"op": "query", "network": "asia",
                         "evidence": {"smoke": "yes"}}
-                await _pipelined(server.port, [dict(base, id=1)])
-                # Same evidence again: the result memo serves it.
-                await _pipelined(server.port, [dict(base, id=2)])
+                # Its second sighting stores the result; the third is
+                # served by the memo.
+                for i in range(3):
+                    await _pipelined(server.port, [dict(base, id=i)])
                 traces = server.tracer.traces()
             finally:
                 await server.stop()

@@ -8,7 +8,7 @@ Every step re-scores every remaining vertex and takes the minimum
 from __future__ import annotations
 
 from repro.graph.moralize import Adjacency, copy_adjacency
-from repro.graph.triangulate import _fill_count, _log_weight
+from repro.graph.triangulate import _fill_count, _weight
 
 
 def scan_order(adjacency: Adjacency, heuristic: str = "min-fill",
@@ -17,13 +17,13 @@ def scan_order(adjacency: Adjacency, heuristic: str = "min-fill",
     work = copy_adjacency(adjacency)
     rank = {v: i for i, v in enumerate(adjacency)}
 
-    def score(v: str) -> tuple[float, int]:
+    def score(v: str) -> tuple[int, int]:
         if heuristic == "min-fill":
-            return (float(_fill_count(work, v)), rank[v])
+            return (_fill_count(work, v), rank[v])
         if heuristic == "min-degree":
-            return (float(len(work[v])), rank[v])
+            return (len(work[v]), rank[v])
         assert cardinalities is not None
-        return (_log_weight(v, work, cardinalities), rank[v])
+        return (_weight(v, work, cardinalities), rank[v])
 
     order: list[str] = []
     remaining = set(adjacency)
