@@ -1,4 +1,4 @@
-"""Approximate inference subsystem: vectorised samplers + query planner.
+"""Approximate inference subsystem: one vectorised sampler + query planner.
 
 Fast-BNI's exact engines are exponential in induced treewidth; this
 package is the service's second engine class for the networks exact
@@ -6,10 +6,8 @@ compilation cannot afford:
 
 * :mod:`repro.approx.lw` — batched likelihood weighting: all N particles
   advance together as ``(N,)`` state columns, one CPT gather per node, with
-  mergeable accumulators, effective-sample-size and standard-error output;
-* :mod:`repro.approx.gibbs` — vectorised multi-chain Gibbs with
-  precomputed Markov-blanket index maps, burn-in, and split-R̂ convergence
-  diagnostics;
+  mergeable accumulators, effective-sample-size and standard-error output.
+  It is the only sampler (``docs/approx.md`` says why);
 * :mod:`repro.approx.engine` — :class:`ApproxBNI`, the ``FastBNI``-shaped
   engine with adaptive sample-count escalation (double until the standard
   errors clear the tolerance or the budget runs out);
@@ -21,7 +19,6 @@ compilation cannot afford:
 
 from repro.approx.engine import (ApproxBatchResult, ApproxBNI,
                                  ApproxInferenceResult)
-from repro.approx.gibbs import GibbsSampler, compile_blankets
 from repro.approx.lw import LWAccumulator, sample_population
 from repro.approx.planner import (DEFAULT_MAX_EXACT_BYTES,
                                   DEFAULT_REFUSE_EXACT_BYTES, POLICIES,
@@ -33,11 +30,9 @@ __all__ = [
     "ApproxInferenceResult",
     "DEFAULT_MAX_EXACT_BYTES",
     "DEFAULT_REFUSE_EXACT_BYTES",
-    "GibbsSampler",
     "LWAccumulator",
     "POLICIES",
     "PlanDecision",
     "QueryPlanner",
-    "compile_blankets",
     "sample_population",
 ]

@@ -4,8 +4,9 @@ Exposes the same ``infer`` / ``infer_batch`` / ``infer_cases`` /
 ``posteriors`` surface as :class:`repro.core.FastBNI` so the service
 registry, micro-batcher and CLI can swap it in wherever exact junction-tree
 compilation is not affordable — but every answer carries its uncertainty:
-per-state standard errors, the effective sample size, and (for Gibbs) the
-split-R̂ convergence diagnostic.
+per-state standard errors and the effective sample size.  The sampler is
+batched likelihood weighting (:mod:`repro.approx.lw`), which shares one
+particle population across coalesced cases and estimates ``log P(e)``.
 
 Sample counts adapt per query: the engine starts at ``num_samples``
 particles and doubles the population (merging accumulators, never
@@ -15,20 +16,16 @@ requested targets drops below ``tolerance`` or ``max_samples`` is reached.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.approx.gibbs import BlanketTerm, GibbsSampler, compile_blankets
 from repro.approx.lw import LWAccumulator, sample_population
 from repro.bn.network import BayesianNetwork
 from repro.errors import BackendError, EvidenceError
 from repro.exec.engine_api import APPROX_ENGINE
 from repro.jt.engine import InferenceResult
 from repro.utils.rng import as_rng
-
-METHODS = ("lw", "gibbs")
 
 #: Default escalation ceiling; callers passing a larger starting
 #: ``num_samples`` should raise ``max_samples`` with it (the CLI does).
@@ -41,14 +38,12 @@ class ApproxInferenceResult(InferenceResult):
 
     #: Per target: ``(card,)`` standard error of each posterior entry.
     stderr: dict[str, np.ndarray] = field(default_factory=dict)
-    #: Effective sample size of the estimate (Kish for LW, split-R̂ for Gibbs).
+    #: Kish effective sample size of the estimate.
     ess: float = 0.0
-    #: Particles drawn (LW) or recorded draws across chains (Gibbs).
+    #: Particles drawn.
     num_samples: int = 0
-    #: Sampler that produced the answer, ``"lw"`` or ``"gibbs"``.
+    #: Sampler that produced the answer (likelihood weighting).
     method: str = "lw"
-    #: Worst split-R̂ across targets (Gibbs only; ``nan`` for LW).
-    r_hat: float = float("nan")
 
     def max_stderr(self) -> float:
         vals = [float(se.max()) for se in self.stderr.values() if se.size]
@@ -109,20 +104,16 @@ def check_net_soft_evidence(net: BayesianNetwork,
 class ApproxBNI:
     """Adaptive sampling engine with the exact engines' calling convention.
 
+    Every call runs batched likelihood weighting, which vectorises across
+    coalesced cases.
+
     Parameters
     ----------
-    method:
-        ``"lw"`` (batched likelihood weighting, the serving default — it
-        vectorises across coalesced cases) or ``"gibbs"`` (multi-chain
-        Gibbs, better under very unlikely hard evidence).
     num_samples / max_samples:
         Starting and maximum population size of the doubling schedule.
     tolerance:
         Target worst-case per-state standard error; escalation stops once
         every requested posterior entry is below it.
-    chains / burn_in / max_r_hat:
-        Gibbs-only knobs: chain count, discarded warm-up sweeps per chain,
-        and the split-R̂ threshold that must also be met before stopping.
     seed:
         Int, ``None`` or a ``numpy.random.Generator``; int seeds make every
         :meth:`infer` call reproducible in isolation.
@@ -130,15 +121,12 @@ class ApproxBNI:
 
     #: Capability flags the service layers dispatch on.
     capabilities = APPROX_ENGINE
+    name = "approxbni-lw"
 
-    def __init__(self, net: BayesianNetwork, method: str = "lw",
-                 num_samples: int = 1024,
+    def __init__(self, net: BayesianNetwork, num_samples: int = 1024,
                  max_samples: int = DEFAULT_MAX_SAMPLES,
-                 tolerance: float = 0.01, chains: int = 4,
-                 burn_in: int = 200, max_r_hat: float = 1.1,
+                 tolerance: float = 0.01,
                  seed: "int | None | np.random.Generator" = 0) -> None:
-        if method not in METHODS:
-            raise BackendError(f"unknown approx method {method!r}; expected one of {METHODS}")
         if num_samples < 1 or max_samples < num_samples:
             raise BackendError(
                 f"need 1 <= num_samples <= max_samples, got "
@@ -148,22 +136,12 @@ class ApproxBNI:
             raise BackendError(f"tolerance must be positive, got {tolerance}")
         net.validate()
         self.net = net
-        self.method = method
         self.num_samples = num_samples
         self.max_samples = max_samples
         self.tolerance = tolerance
-        self.chains = chains
-        self.burn_in = burn_in
-        self.max_r_hat = max_r_hat
         self.seed = seed
-        self._blankets: "dict[str, list[BlanketTerm]] | None" = None
         #: Instrumentation for the last call (escalation rounds, samples).
         self.metrics: dict[str, int] = {}
-
-    # ----------------------------------------------------------------- naming
-    @property
-    def name(self) -> str:
-        return f"approxbni-{self.method}"
 
     # ------------------------------------------------------------- validation
     def validate_case(self, evidence: dict | None = None,
@@ -216,8 +194,8 @@ class ApproxBNI:
     ) -> "list[ApproxInferenceResult]":
         """Run a batch of test cases (``TestCase`` or evidence dicts).
 
-        The LW method shares one particle population across all cases in a
-        single vectorised pass (``case_workers`` is accepted for interface
+        All cases share one particle population in a single vectorised
+        pass (``case_workers`` is accepted for interface
         compatibility and ignored — there is no per-case loop to spread).
         """
         from repro.core.batch import case_evidence, case_soft_evidence
@@ -261,10 +239,6 @@ class ApproxBNI:
         for name in targets:
             if name not in self.net:
                 raise EvidenceError(f"unknown target variable {name!r}")
-        if self.method == "gibbs":
-            return ApproxBatchResult(
-                [self._infer_gibbs(ev, sv, targets)
-                 for ev, sv in zip(hard, soft)])
         return self._infer_lw(hard, soft, targets)
 
     def posteriors(self, targets, evidence: dict | None = None
@@ -336,56 +310,6 @@ class ApproxBNI:
             if finite.size:
                 worst = max(worst, float(finite.max()))
         return worst
-
-    # ------------------------------------------------------------------ Gibbs
-    def _infer_gibbs(self, evidence: dict[str, int],
-                     soft: dict | None,
-                     targets: tuple[str, ...]) -> ApproxInferenceResult:
-        if self._blankets is None:
-            self._blankets = compile_blankets(self.net)
-        names = tuple(targets) or self.net.variable_names
-        sampler = GibbsSampler(
-            self.net, evidence, soft, chains=self.chains,
-            burn_in=self.burn_in, rng=as_rng(self.seed),
-            blankets=self._blankets,
-        )
-        per_chain = max(2, math.ceil(self.num_samples / self.chains))
-        sampler.extend(per_chain)
-        rounds = 1
-        while sampler.draws * self.chains < self.max_samples:
-            diag = sampler.diagnostics(names)
-            if (diag.max_r_hat() <= self.max_r_hat
-                    and self._worst_gibbs_se(diag) <= self.tolerance):
-                break
-            sampler.extend(sampler.draws)  # double the recorded draws
-            rounds += 1
-        diag = sampler.diagnostics(names)
-        total = sampler.draws * self.chains
-        self.metrics = {"samples": total, "rounds": rounds}
-        posteriors: dict[str, np.ndarray] = {}
-        stderr: dict[str, np.ndarray] = {}
-        for n in names:
-            posteriors[n] = sampler.posterior(n)
-            if n in sampler.evidence:
-                stderr[n] = np.zeros_like(posteriors[n])
-            else:
-                stderr[n] = diag.stderr[n]
-        return ApproxInferenceResult(
-            posteriors=posteriors,
-            # MCMC does not estimate the evidence likelihood.
-            log_evidence=float("nan"),
-            stderr=stderr,
-            ess=diag.ess,
-            num_samples=total,
-            method="gibbs",
-            r_hat=diag.max_r_hat(),
-            meta={"rounds": float(rounds)},
-        )
-
-    @staticmethod
-    def _worst_gibbs_se(diag) -> float:
-        vals = [float(se.max()) for se in diag.stderr.values() if se.size]
-        return max(vals) if vals else 0.0
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> dict[str, float]:

@@ -1,14 +1,14 @@
-"""Approximate inference: likelihood weighting and Gibbs sampling.
+"""Approximate inference: a reference likelihood-weighting sampler.
 
-The exact engines are the paper's subject; these samplers complete the
-substrate a downstream user expects from a BN library and serve as slow
-*statistical* oracles: their estimates must converge to the exact
+The exact engines are the paper's subject; this sampler completes the
+substrate a downstream user expects from a BN library and serves as a slow
+*statistical* oracle: its estimates must converge to the exact
 posteriors as the sample count grows, and the vectorised production
-samplers (:mod:`repro.approx`) are cross-checked against them in the test
+sampler (:mod:`repro.approx.lw`) is cross-checked against it in the test
 suite — which guards against errors that systematic implementations could
 share.
 
-Both engines accept ``seed``/``rng`` as an int, ``None`` or an existing
+The engine accepts ``seed``/``rng`` as an int, ``None`` or an existing
 :class:`numpy.random.Generator` (threaded through
 :func:`repro.utils.rng.as_rng`).  With an int seed every ``posterior(s)``
 call draws the same stream, making reference runs reproducible; passing a
@@ -78,66 +78,3 @@ class LikelihoodWeightingEngine:
             acc[t] /= total_weight
         return acc
 
-
-class GibbsSamplingEngine:
-    """Single-site Gibbs sampler over the unobserved variables."""
-
-    name = "gibbs"
-
-    def __init__(self, net: BayesianNetwork, num_samples: int = 5_000,
-                 burn_in: int = 500,
-                 seed: "int | None | np.random.Generator" = 0, *,
-                 rng: "int | None | np.random.Generator" = None) -> None:
-        if num_samples < 1 or burn_in < 0:
-            raise ValueError("invalid sampler parameters")
-        net.validate()
-        self.net = net
-        self.num_samples = num_samples
-        self.burn_in = burn_in
-        self.seed = rng if rng is not None else seed
-        # Markov blanket factors per variable: own CPT + children CPTs.
-        self._blanket: dict[str, list] = {v.name: [net.cpt(v.name)] for v in net.variables}
-        for cpt in net.cpts:
-            for p in cpt.parents:
-                self._blanket[p.name].append(cpt)
-
-    def _conditional(self, name: str, state: dict[str, int]) -> np.ndarray:
-        var = self.net.variable(name)
-        logits = np.zeros(var.cardinality)
-        for cpt in self._blanket[name]:
-            # Evaluate the CPT row for each candidate state of `name`.
-            idx = []
-            for v in cpt.variables:
-                idx.append(slice(None) if v.name == name else state[v.name])
-            vals = cpt.table[tuple(idx)]
-            logits = logits + np.log(np.maximum(vals, 1e-300))
-        probs = np.exp(logits - logits.max())
-        return probs / probs.sum()
-
-    def posterior(self, target: str, evidence: dict[str, str | int] | None = None
-                  ) -> np.ndarray:
-        return self.posteriors((target,), evidence)[target]
-
-    def posteriors(self, targets, evidence: dict[str, str | int] | None = None
-                   ) -> dict[str, np.ndarray]:
-        """Posteriors for several targets from one chain (one shared sweep)."""
-        rng = as_rng(self.seed)
-        ev = {n: self.net.variable(n).state_index(s)
-              for n, s in (evidence or {}).items()}
-        state: dict[str, int] = dict(ev)
-        # Initialise hidden variables by forward sampling consistent order.
-        for var in self.net.topological_order():
-            if var.name not in state:
-                cpt = self.net.cpt(var.name)
-                idx = tuple(state[p.name] for p in cpt.parents)
-                state[var.name] = int(rng.choice(var.cardinality, p=cpt.table[idx]))
-        hidden = [v.name for v in self.net.variables if v.name not in ev]
-        counts = {t: np.zeros(self.net.variable(t).cardinality) for t in targets}
-        for it in range(self.burn_in + self.num_samples):
-            for name in hidden:
-                probs = self._conditional(name, state)
-                state[name] = int(rng.choice(len(probs), p=probs))
-            if it >= self.burn_in:
-                for t in counts:
-                    counts[t][state[t]] += 1
-        return {t: c / c.sum() for t, c in counts.items()}

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from repro.core.config import BACKENDS, MODES
@@ -95,7 +94,7 @@ def _make_query_engine(args: argparse.Namespace, net):
 
         if decision is not None:
             print(f"# planner: {decision.reason}")
-        return ApproxBNI(net, method=args.method, num_samples=args.samples,
+        return ApproxBNI(net, num_samples=args.samples,
                          max_samples=max(args.samples, DEFAULT_MAX_SAMPLES),
                          tolerance=args.tolerance, seed=args.seed)
     return FastBNI(net, mode=args.mode, backend=args.backend,
@@ -127,10 +126,7 @@ def _cmd_query(args: argparse.Namespace) -> None:
         if stderr is not None and name in stderr:
             dist += f"  (±{float(stderr[name].max()):.4f})"
         print(f"P({name} | e) = [{dist}]")
-    # Gibbs results carry no P(e) estimate (NaN): print n/a, not "nan".
-    log_ev = result.log_evidence
-    print(f"log P(e) = {log_ev:.6f}" if math.isfinite(log_ev)
-          else "log P(e) = n/a")
+    print(f"log P(e) = {result.log_evidence:.6f}")
     if stderr is not None:
         print(f"approx: ess = {result.ess:.0f}, samples = {result.num_samples}, "
               f"method = {result.method}")
@@ -198,12 +194,10 @@ def _run_batch_query(args: argparse.Namespace, net, evidence) -> None:
         var = net.variable(name)
         dist = ", ".join(f"{s}={p:.4f}"
                          for s, p in zip(var.states, case.posteriors[name]))
-        log_ev = (f"{case.log_evidence:.6f}"
-                  if math.isfinite(case.log_evidence) else "n/a")
         extra = ""
         if approx:
             extra = f"   ess = {case.ess:.0f}"
-        print(f"  case {i}: log P(e) = {log_ev}   "
+        print(f"  case {i}: log P(e) = {case.log_evidence:.6f}   "
               f"P({name} | e) = [{dist}]{extra}")
     if n > 10:
         print(f"  ... {n - 10} more cases")
@@ -479,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("exact", "approx", "auto"),
                    help="engine class: exact junction tree, adaptive "
                         "sampling, or let the cost planner decide")
-    q.add_argument("--method", default="lw", choices=("lw", "gibbs"),
-                   help="approx sampler (likelihood weighting or Gibbs)")
     q.add_argument("--samples", type=int, default=1024,
                    help="starting particle count for --engine approx")
     q.add_argument("--tolerance", type=float, default=0.01,

@@ -148,6 +148,10 @@ class MicroBatcher:
         #: Flushes scheduled or running per key; a key absent here is
         #: idle, and a non-empty queue always has its key present.
         self._busy: dict[tuple[str, str], int] = {}
+        #: Resolved by the flush that leaves ``_busy`` empty; exists only
+        #: while a :meth:`drain` waits.
+        self._drained: asyncio.Future | None = None
+        #: Running flush tasks (the loop holds only weak references).
         self._inflight: set[asyncio.Task] = set()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="fastbni-flush")
@@ -314,6 +318,9 @@ class MicroBatcher:
             if key in self._queues:
                 self._busy[key] = 1
                 self._flush(key, behind=True)
+            elif self._drained is not None and not self._busy:
+                self._drained.set_result(None)
+                self._drained = None
 
     @staticmethod
     def _union_targets(batch: list[_Pending]) -> tuple[str, ...]:
@@ -541,14 +548,15 @@ class MicroBatcher:
         """Wait until every queue has flushed and every flush has finished.
 
         Nothing needs forcing: a queued request always has a flush
-        scheduled for the next iteration or running ahead of it.
+        scheduled for the next iteration or running ahead of it.  The
+        wait is one future that the last ``_flush_done`` resolves, so a
+        flush that never reports done leaves ``drain`` idle, not spinning.
         """
         while self._busy:
-            if self._inflight:
-                await asyncio.gather(*list(self._inflight),
-                                     return_exceptions=True)
-            else:
-                await asyncio.sleep(0)
+            if self._drained is None:
+                self._drained = asyncio.get_running_loop().create_future()
+            # Shielded: one cancelled drainer must not cancel the others.
+            await asyncio.shield(self._drained)
 
     async def aclose(self) -> None:
         if self._closed:

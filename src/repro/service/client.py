@@ -204,7 +204,7 @@ class ServiceClient:
         """One posterior query; ``engine`` = ``exact``/``approx``/``auto``.
 
         Responses served by the sampling engine additionally carry
-        ``ess``, ``stderr``, ``num_samples`` (and ``r_hat`` for Gibbs).
+        ``method``, ``ess``, ``stderr`` and ``num_samples``.
         """
         return self.call("query", network=network, evidence=evidence,
                          targets=list(targets) if targets else None,

@@ -20,10 +20,10 @@ lets the micro-batcher coalesce them.
 ``query``/``query_batch``/``info`` accept an ``"engine"`` field
 (``"exact"``, ``"approx"`` or ``"auto"``, default: the registry policy).
 Answers served by the sampling engine carry their uncertainty — ``ess``,
-per-target ``stderr`` vectors, ``num_samples`` and (Gibbs) ``r_hat`` —
-next to the posteriors, and the response's ``engine`` field always states
-which engine class actually answered, so clients can assert the planner's
-routing decision.
+per-target ``stderr`` vectors and ``num_samples`` — next to the
+posteriors and the sampler's name (``"method": "lw"``), and the
+response's ``engine`` field always states which engine class actually
+answered, so clients can assert the planner's routing decision.
 
 The operations and their request fields are the rows of
 :data:`repro.service.ops.OPS` (all but the router-only ``cluster_*``
@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import time
 
 import numpy as np
@@ -130,8 +129,6 @@ def _result_fields(result) -> dict:
             "stderr": result.stderr,
             "num_samples": result.num_samples,
         }
-        if math.isfinite(result.r_hat):
-            fields["r_hat"] = result.r_hat
     return fields
 
 

@@ -2,11 +2,11 @@
 
 The oracle structure is layered:
 
-* the vectorised samplers must agree with **exact** junction-tree
+* the vectorised sampler must agree with **exact** junction-tree
   posteriors within 3 reported standard errors at fixed seeds (the
   acceptance criterion of the subsystem);
-* the slow per-sample baselines (:mod:`repro.baselines.approximate`) stay
-  as independent oracles: both implementations must land within combined
+* the slow per-sample baseline (:mod:`repro.baselines.approximate`) stays
+  as an independent oracle: both implementations must land within combined
   tolerance of the same exact values, guarding against shared systematic
   errors in the vectorised rewrite.
 """
@@ -16,11 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.approx import (ApproxBNI, GibbsSampler, compile_blankets,
-                          sample_population)
+from repro.approx import ApproxBNI, sample_population
 from repro.approx.engine import ApproxInferenceResult
-from repro.baselines.approximate import (GibbsSamplingEngine,
-                                         LikelihoodWeightingEngine)
+from repro.baselines.approximate import LikelihoodWeightingEngine
 from repro.bn.sampling import TestCase
 from repro.core import FastBNI
 from repro.errors import BackendError, EvidenceError
@@ -141,62 +139,6 @@ class TestLikelihoodWeighting:
                                    acc.posterior("lung")[1])
 
 
-class TestGibbs:
-    def test_matches_exact_on_cancer(self, cancer):
-        exact = exact_posteriors(cancer, {"Smoker": "True"})
-        engine = ApproxBNI(cancer, method="gibbs", num_samples=4000,
-                           max_samples=64000, tolerance=0.01, seed=7)
-        result = engine.infer({"Smoker": "True"})
-        assert_within_3se(result, exact, floor=2e-3)
-        assert result.method == "gibbs"
-        assert result.r_hat == pytest.approx(1.0, abs=0.1)
-
-    def test_matches_exact_on_sprinkler(self, sprinkler):
-        ev = {"Cloudy": sprinkler.variable("Cloudy").states[0]}
-        exact = exact_posteriors(sprinkler, ev)
-        engine = ApproxBNI(sprinkler, method="gibbs", num_samples=4000,
-                           max_samples=64000, tolerance=0.01, seed=3)
-        result = engine.infer(ev)
-        assert_within_3se(result, exact, floor=2e-3)
-
-    def test_rhat_detects_nonergodic_chain(self, asia):
-        """asia's deterministic either=tub∨lung CPT traps single-site Gibbs;
-        the split-R̂ diagnostic must expose it instead of silently
-        reporting a wrong posterior with small error bars."""
-        engine = ApproxBNI(asia, method="gibbs", num_samples=2000,
-                           max_samples=8000, tolerance=0.01, seed=7)
-        result = engine.infer({"smoke": "yes"},
-                              targets=("lung", "either", "tub"))
-        assert result.r_hat > 1.1
-
-    def test_blanket_maps_cover_all_factors(self, asia):
-        blankets = compile_blankets(asia)
-        # Each variable's blanket holds its own CPT plus one per child.
-        for var in asia.variables:
-            expected = 1 + len(asia.children(var.name))
-            assert len(blankets[var.name]) == expected
-
-    def test_gibbs_soft_evidence(self, cancer):
-        soft = {"Xray": [0.8, 0.2]}
-        exact = exact_posteriors(cancer, {"Smoker": "True"}, soft=soft)
-        engine = ApproxBNI(cancer, method="gibbs", num_samples=8000,
-                           max_samples=64000, tolerance=0.008, seed=11)
-        result = engine.infer({"Smoker": "True"}, soft_evidence=soft)
-        assert_within_3se(result, exact, floor=2e-3)
-        # Gibbs cannot estimate P(e).
-        assert np.isnan(result.log_evidence)
-
-    def test_all_observed_rejected(self, sprinkler):
-        ev = {v.name: 0 for v in sprinkler.variables}
-        sampler_args = dict(chains=4, burn_in=10, rng=0)
-        with pytest.raises(EvidenceError):
-            GibbsSampler(sprinkler, ev, **sampler_args)
-
-    def test_needs_two_chains(self, sprinkler):
-        with pytest.raises(EvidenceError):
-            GibbsSampler(sprinkler, {}, chains=1, rng=0)
-
-
 class TestApproxBatch:
     def test_batch_matches_per_case(self, asia):
         """One shared-population pass must agree with exact per case."""
@@ -252,8 +194,9 @@ class TestApproxBatch:
 
 class TestEngineConfig:
     def test_bad_method(self, asia):
-        with pytest.raises(BackendError):
-            ApproxBNI(asia, method="metropolis")
+        """Likelihood weighting is the one sampler: no method to pick."""
+        with pytest.raises(TypeError):
+            ApproxBNI(asia, method="gibbs")
 
     def test_bad_sample_counts(self, asia):
         with pytest.raises(BackendError):
@@ -268,7 +211,6 @@ class TestEngineConfig:
     def test_context_manager_and_name(self, asia):
         with ApproxBNI(asia, seed=0) as engine:
             assert engine.name == "approxbni-lw"
-        assert ApproxBNI(asia, method="gibbs").name == "approxbni-gibbs"
 
     def test_stats_numeric(self, asia):
         stats = ApproxBNI(asia).stats()
@@ -277,7 +219,7 @@ class TestEngineConfig:
 
 
 class TestBaselineOracles:
-    """The slow per-sample samplers stay as oracles for the vectorised ones."""
+    """The slow per-sample sampler stays as an oracle for the vectorised one."""
 
     def test_lw_baseline_and_vectorised_agree_with_exact(self, cancer):
         evidence = {"Smoker": "True"}
@@ -292,39 +234,17 @@ class TestBaselineOracles:
             np.testing.assert_allclose(fast_result.posteriors[name],
                                        exact.posteriors[name], atol=0.02)
 
-    def test_gibbs_baseline_and_vectorised_agree_with_exact(self, sprinkler):
-        ev = {"Cloudy": sprinkler.variable("Cloudy").states[0]}
-        exact = exact_posteriors(sprinkler, ev)
-        baseline = GibbsSamplingEngine(sprinkler, num_samples=8000,
-                                       burn_in=500, seed=5)
-        base_post = baseline.posteriors(("Rain", "WetGrass"), ev)
-        fast = ApproxBNI(sprinkler, method="gibbs", num_samples=8000,
-                         max_samples=32000, seed=5)
-        fast_result = fast.infer(ev, targets=("Rain", "WetGrass"))
-        for name in ("Rain", "WetGrass"):
-            np.testing.assert_allclose(base_post[name],
-                                       exact.posteriors[name], atol=0.03)
-            np.testing.assert_allclose(fast_result.posteriors[name],
-                                       exact.posteriors[name], atol=0.03)
-
     def test_baselines_accept_generator_rng(self, sprinkler):
         """The rng= plumbing satellite: generators thread through as_rng."""
         gen = np.random.default_rng(123)
         engine = LikelihoodWeightingEngine(sprinkler, num_samples=500, rng=gen)
         assert engine.seed is gen
         engine.posterior("Rain")  # consumes the stream without error
-        gibbs = GibbsSamplingEngine(sprinkler, num_samples=50, burn_in=10,
-                                    rng=np.random.default_rng(7))
-        gibbs.posterior("Rain")
 
     def test_baselines_int_seed_reproducible(self, sprinkler):
         a = LikelihoodWeightingEngine(sprinkler, num_samples=2000, seed=99)
         b = LikelihoodWeightingEngine(sprinkler, num_samples=2000, seed=99)
         np.testing.assert_array_equal(a.posterior("Rain"), b.posterior("Rain"))
-        g1 = GibbsSamplingEngine(sprinkler, num_samples=200, burn_in=20, seed=4)
-        g2 = GibbsSamplingEngine(sprinkler, num_samples=200, burn_in=20, seed=4)
-        np.testing.assert_array_equal(g1.posterior("Rain"),
-                                      g2.posterior("Rain"))
 
 
 class TestResultTypes:

@@ -13,7 +13,9 @@ Pinned here:
   a flush of one on a native entry (one foreign call per case), which
   takes neither and runs in its flush callback; ``record_cold`` never
   takes a job and runs after the replies;
-* every failure between enqueue and fan-out reaches the waiting clients.
+* every failure between enqueue and fan-out reaches the waiting clients;
+* ``drain`` waits on a completion, so a flush that never reports done
+  leaves it idle rather than spinning.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import asyncio
 import json
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -655,3 +658,45 @@ class TestFailuresReachTheClients:
         assert "dysp" in ok.posteriors
         for exc in failed:
             assert isinstance(exc, ReproError)
+
+
+class TestDrain:
+    def test_a_lost_flush_leaves_drain_idle(self):
+        """With one ``_flush_done`` dropped the key never empties: drain
+        must time out without burning a core while it waits."""
+        async def scenario():
+            batcher, registry = make_batcher()
+            flush_done = batcher._flush_done
+            dropped = []
+
+            def drop_first(key):
+                if dropped:
+                    flush_done(key)
+                else:
+                    dropped.append(key)
+
+            batcher._flush_done = drop_first
+            try:
+                result = await batcher.submit(
+                    "asia", QueryRequest(evidence=CASES[0]))
+                assert "dysp" in result.posteriors
+                start = time.process_time()
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(batcher.drain(), 0.5)
+                spent = time.process_time() - start
+                assert dropped == [("asia", "exact")]
+                # The lost flush reports in late: the key empties and a
+                # drain started after the timed-out one returns.
+                batcher._flush_done = flush_done
+                flush_done(dropped.pop())
+                await asyncio.wait_for(batcher.drain(), 2.0 * TIME_SLACK)
+                assert_quiescent(batcher)
+                return spent
+            finally:
+                batcher._flush_done = flush_done
+                for key in dropped:
+                    flush_done(key)
+                await batcher.aclose()
+                registry.close()
+
+        assert run(scenario()) < 0.1

@@ -36,7 +36,7 @@ from repro.errors import EvidenceError, QueryError, ReproError, SessionError
 from repro.exec.native import native_status
 from repro.service import (InferenceServer, ModelRegistry, ServiceClient,
                            ServiceMetrics, SessionManager)
-from repro.service.server import run_server
+from repro.service.server import encode_line, run_server
 
 
 NATIVE_AVAILABLE, NATIVE_REASON = native_status()
@@ -975,6 +975,44 @@ class TestNonFiniteResponses:
         assert json.loads(line)["result"] == {
             "ess": None, "bound": None, "nested": [None, [1.0, None]],
             "grid": [[None, 0.5]], "fine": 0.25}
+
+    def test_encode_line_writes_non_finite_scalars_as_null(self):
+        """NaN and ±inf, as Python floats and as NumPy scalars, are each
+        written as ``null``; finite neighbours keep their shortest text."""
+        line = encode_line({
+            "py": [float("nan"), float("inf"), float("-inf"), 0.5],
+            "f64": [np.float64("nan"), np.float64("inf"),
+                    np.float64("-inf")],
+            "f32": [np.float32("nan"), np.float32("inf"),
+                    np.float32("-inf"), np.float32(0.1)],
+        })
+        assert line == (b'{"py":[null,null,null,0.5],'
+                        b'"f64":[null,null,null],'
+                        b'"f32":[null,null,null,0.1]}\n')
+
+    def test_non_finite_request_id_is_echoed_as_null(self):
+        """The request parser takes the ``NaN`` / ``Infinity`` literals,
+        and a reply echoes its request's id: it arrives as ``null``."""
+        async def scenario():
+            server = InferenceServer(port=0)
+            await server.start()
+            lines = []
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                for literal in (b"NaN", b"Infinity", b"-Infinity"):
+                    writer.write(b'{"id": ' + literal
+                                 + b', "op": "health"}\n')
+                    await writer.drain()
+                    lines.append(await asyncio.wait_for(
+                        reader.readline(), timeout=30))
+                writer.close()
+            finally:
+                await server.stop()
+            return lines
+
+        for line in run(scenario()):
+            assert line.startswith(b'{"id":null,"ok":true,'), line
 
     def test_numpy_booleans_encode(self):
         """Regression: ``np.bool_`` is neither floating nor integer, so
