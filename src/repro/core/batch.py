@@ -24,9 +24,10 @@ block is **one foreign call**
 applies the evidence matrix, runs the messages each case needs from the
 plan's calibrated prior (``meta["messages_run"]`` counts them; on the
 staged path it is every message of every case), reads the posteriors
-and computes log P(e) case after case over one per-thread
-scratch arena — ``O(blocks)`` foreign calls and no per-message or
-per-variable interpreter work.  A sampled request runs the same calls;
+and computes log P(e) over per-thread scratch (case after case, or 16
+cases at a time table-major when the plan's arena is small enough) —
+``O(blocks)`` foreign calls and no per-message or per-variable
+interpreter work.  A sampled request runs the same calls;
 its recorder gets their time and the messages run.  The staged path
 above stays for the ``numpy``/``fused`` backends (a recorder there gets
 absorb and schedule timings); the test suite pins the two against each

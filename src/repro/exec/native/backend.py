@@ -43,11 +43,15 @@ import numpy as np
 
 from repro.errors import BackendError, EvidenceError, QueryError
 from repro.exec.kernels import KernelBackend
-from repro.exec.native.build import (AXIS_STRIDE, CASE_STRIDE, DIM_STRIDE,
-                                     MAX_AXES, META_STRIDE, TABLE_STRIDE,
-                                     VAR_STRIDE)
+from repro.exec.native.build import (AXIS_STRIDE, BLOCK, CASE_STRIDE,
+                                     DIM_STRIDE, MAX_AXES, META_STRIDE,
+                                     TABLE_STRIDE, VAR_STRIDE)
 
 EMPTY_MESSAGE = "evidence has zero probability (empty message)"
+#: The most bytes a table-major block arena (``BLOCK`` cases) may take:
+#: a plan whose arena is larger than ``BLOCK_BYTES / BLOCK`` runs every
+#: case case-major.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(eq=False)
@@ -79,12 +83,16 @@ class PlanTables:
     #: Addresses of ``meta``, ``tables``, ``axes``, ``loops``,
     #: ``var_table``, reads.
     addresses: tuple[int, ...] = field(init=False)
+    #: Doubles of a table-major block's message and read scratch.
+    block_scratch: int = field(init=False)
     #: The plan's prior last checked and handed to C, and its address;
     #: one attribute, so threads swap it whole.
     base: tuple = (None, 0)
 
     def __post_init__(self) -> None:
         self.state_limits = self.var_table[:, 2].astype(np.uint64)
+        self.block_scratch = BLOCK * max(
+            2 * self.max_sep, int(self.var_table[:, 2].max(initial=1)))
         self.addresses = tuple(a.ctypes.data for a in (
             self.meta, self.tables, self.axes, self.loops, self.var_table,
             self.all_reads[0]))
@@ -319,15 +327,14 @@ class NativeKernels(KernelBackend):
     Three granularities, coarsest first:
 
     * :meth:`infer_cases` — a block of whole hard-evidence *cases* as
-      **one** foreign call over one per-thread scratch arena
+      **one** foreign call over per-thread scratch
       (``FastBNI.infer`` with ``mode="seq"``, ``core.batch.infer_cases``,
       traced or not);
     * :meth:`run_schedule` — one caller-held state's whole calibration as
       **one** foreign call over the compiled schedule
       (``run_message_schedule``: soft evidence, the prior at lowering);
     * :meth:`message` — one call per message (the property-test
-      contract, ``inter`` mode); :meth:`message_batch` runs it once per
-      row of a case block.
+      contract, ``inter`` mode).
     """
 
     name = "native"
@@ -344,10 +351,10 @@ class NativeKernels(KernelBackend):
         self._message = lib.fbni_message
         self._run_schedule = lib.fbni_run_schedule
         self._infer_cases = lib.fbni_infer_cases
-        # Per-thread scratch (message scratch, case arena, case words) and
-        # status words: the backend is a process-wide singleton and
-        # thread-dispatched case blocks / per-case threads call into it
-        # concurrently.
+        # Per-thread scratch (message scratch, case arena, case words, the
+        # block arena and its scratch) and status words: the backend is a
+        # process-wide singleton and thread-dispatched case blocks /
+        # per-case threads call into it concurrently.
         self._local = threading.local()
         self._lowering = threading.Lock()
 
@@ -375,6 +382,19 @@ class NativeKernels(KernelBackend):
                 sizes, arrays, (arrays[3], *(a.ctypes.data for a in arrays)))
         return held[2]
 
+    def _block_scratch(self, entries: int, scratch: int) -> tuple[int, int]:
+        """This thread's table-major block arena (``entries`` doubles)
+        and block scratch (``scratch``), each its own allocation, made on
+        the first full block this thread runs and grown as needed;
+        returns their addresses."""
+        held = getattr(self._local, "block", None)
+        if held is None or held[0].size < entries or held[1].size < scratch:
+            if held is not None:
+                entries = max(entries, held[0].size)
+                scratch = max(scratch, held[1].size)
+            held = self._local.block = (np.empty(entries), np.empty(scratch))
+        return held[0].ctypes.data, held[1].ctypes.data
+
     def infer_cases(self, plan, evidence: np.ndarray,
                     read_ids: tuple[int, ...], case_offset: int | None = None):
         """Whole hard-evidence cases in **one** foreign call.
@@ -387,9 +407,20 @@ class NativeKernels(KernelBackend):
         order (variable *v* takes ``cardinality(v)`` columns), the
         ``(k,)`` log P(e) vector — neither aliases the scratch arena — and
         ``(entries walked, entries dense, messages run)`` summed over the
-        block.  Each case runs, from the plan's calibrated prior, only the
-        messages that can change a read or log P(e) (the rule is in
-        ``build.py``).
+        block.
+
+        Cases run case-major: each from the plan's calibrated prior, over
+        the entries its evidence leaves free, running only the messages
+        that can change a read or log P(e) (the rule is in ``build.py``).
+        When ``k >= BLOCK`` and ``BLOCK`` copies of the plan's arena fit
+        in :data:`BLOCK_BYTES`, every full block of ``BLOCK`` cases
+        instead runs table-major over this thread's block arena: every
+        message of the schedule once for the block, dense, each entry
+        step ``BLOCK`` cases wide.  Such a block counts every message
+        for each of its cases, and walks as many entries as it would
+        dense (``entries walked == entries dense`` for it); the cases
+        left over run case-major.  Both give the same answers to
+        rounding.
 
         Raises :class:`EvidenceError` for impossible evidence (found
         before any read, whatever ``read_ids`` asks) and
@@ -427,11 +458,15 @@ class NativeKernels(KernelBackend):
         status, arena, scratch, words, status_addr = self._case_scratch(
             spec.arena_entries, 2 * tables.max_sep,
             CASE_STRIDE * n_tables + tables.n_messages + tables.loops.size)
+        block = block_scratch = 0
+        if k >= BLOCK and BLOCK * plan.arena_bytes <= BLOCK_BYTES:
+            block, block_scratch = self._block_scratch(
+                BLOCK * spec.arena_entries, tables.block_scratch)
         self._infer_cases(
             base[1], spec.num_cliques, arena, meta, tables.n_messages,
             scratch, table_rows, n_tables, axes, loops, words, var_table,
             n_vars, evidence.ctypes.data, k, reads, len(read_ids), spec.root,
-            out.ctypes.data, entries, status_addr)
+            out.ctypes.data, entries, block, block_scratch, status_addr)
         failed, where, *visited = status.tolist()
         if failed >= 0:
             case = "" if case_offset is None else f" in case {case_offset + failed}"
@@ -524,15 +559,3 @@ class NativeKernels(KernelBackend):
         if total <= 0.0:
             raise EvidenceError(EMPTY_MESSAGE)
         return math.log(total)
-
-    def message_batch(self, src, dst, sep, edge, upward, maps=(None, None),
-                      case_offset=0):
-        log_totals = np.empty(len(src))
-        for c in range(len(src)):
-            try:
-                log_totals[c] = self.message(src[c], dst[c], sep[c], edge,
-                                             upward)
-            except EvidenceError:
-                raise EvidenceError(
-                    f"{EMPTY_MESSAGE} in case {case_offset + c}") from None
-        return log_totals

@@ -7,8 +7,10 @@ table's free axes, computing the paper's stride-triple index mapping as
 the loop goes — no index map, no run list.  Three entry points run that
 one message body: ``fbni_message`` (one message, its loop rows handed
 in), ``fbni_run_schedule`` (a whole calibration of a plan-shaped arena,
-nothing pinned) and ``fbni_infer_cases`` (whole cases, evidence pinning
-axes, from the calibrated prior).
+nothing pinned) and ``fbni_infer_cases`` (whole cases from the
+calibrated prior: one at a time with evidence pinning axes, or, for
+blocks of :data:`BLOCK` cases on small plans, table-major with every
+entry step :data:`BLOCK` cases wide).
 
 It is compiled on first use with whatever C compiler the system
 provides (``cc``/``gcc``/``clang``; :data:`CFLAGS`) into a shared
@@ -60,8 +62,10 @@ C_SOURCE = r"""
  *
  * Three entry points run messages: fbni_message (one message, the loop
  * rows handed in), fbni_run_schedule (a whole calibration over a plan's
- * arena, nothing pinned) and fbni_infer_cases (whole cases, evidence
- * pinning axes, from the calibrated prior).
+ * arena, nothing pinned) and fbni_infer_cases (whole cases from the
+ * calibrated prior, evidence pinning axes, or in table-major blocks
+ * that run each message's loops FBNI_BLOCK cases wide: block_message,
+ * the one message body's lane-wise twin).
  */
 #include <math.h>
 #include <stdint.h>
@@ -133,8 +137,8 @@ typedef struct {
 
 /* The loop of the table with axes `axes` against the target with axes
  * `target`, both in increasing variable id order; observed[v] is
- * variable v's state, or -1.  dims receives the rows and must hold
- * n_axes of them. */
+ * variable v's state, or -1 (observed NULL: nothing pinned).  dims
+ * receives the rows and must hold n_axes of them. */
 static void pin(const i64 *axes, i64 n_axes, const i64 *target,
                 i64 n_target, const i64 *observed, i64 *dims, loop_t *loop)
 {
@@ -146,7 +150,7 @@ static void pin(const i64 *axes, i64 n_axes, const i64 *target,
             ++b;
         i64 tstride = b < n_target && target[b * FBNI_AXIS_STRIDE] == axis[0]
                       ? target[b * FBNI_AXIS_STRIDE + 1] : 0;
-        i64 state = observed[axis[0]];
+        i64 state = observed ? observed[axis[0]] : -1;
         if (state >= 0) {
             off += state * axis[1];
             target_off += state * tstride;
@@ -459,18 +463,20 @@ double fbni_run_schedule(double *arena, const i64 *meta, i64 n_messages,
     return log_norm;
 }
 
-/* Whole cases in one foreign call, case after case over one single-case
- * scratch arena (so a case's tables stay cache-resident and a block of
- * cases needs no more memory than one).
+/* Whole cases in one foreign call.  Cases run case-major, one after the
+ * other over one single-case scratch arena (so a case's tables stay
+ * cache-resident), unless the caller hands in a block arena: then every
+ * full block of FBNI_BLOCK cases runs table-major (below) and only the
+ * cases left over run case-major.
  *
  * prior is the plan's arena after one no-evidence calibration, every
  * table normalised to sum 1 (clique C holds P(C), separator S P(S)).  A
  * message whose inputs the case leaves at the prior changes nothing, so
- * only these run: a collect message iff its child's subtree holds an
- * observed clique, a distribute message iff that subtree holds a read
- * clique and some observed clique lies outside it.  A skipped collect
- * message's total is 1, so log P(e) is the sum of log totals over the
- * collect messages run plus the log of the root total.
+ * a case-major case runs only these: a collect message iff its child's
+ * subtree holds an observed clique, a distribute message iff that
+ * subtree holds a read clique and some observed clique lies outside it.
+ * A skipped collect message's total is 1, so log P(e) is the sum of log
+ * totals over the collect messages run plus the log of the root total.
  *
  * The prior is read in place: a table nobody has written in this case is
  * read from prior, the first separator update reads its old values
@@ -497,7 +503,10 @@ double fbni_run_schedule(double *arena, const i64 *meta, i64 n_messages,
  * row-major, a state index or -1 per variable; reads holds n_reads
  * (variable id, offset into the output row) pairs; out is (n_cases,
  * out_entries + 1): row c receives each read's normalised marginal at
- * its offset and, last, log P(e).
+ * its offset and, last, log P(e).  block, when not NULL, holds
+ * FBNI_BLOCK doubles per arena entry and block_scratch FBNI_BLOCK times
+ * the larger of 2 * (largest separator) and the largest cardinality
+ * read.
  *
  * status[0] = -1 on success.  Otherwise the call stops at the first
  * failing case c with status[0] = c and status[1] = the index of the
@@ -506,13 +515,14 @@ double fbni_run_schedule(double *arena, const i64 *meta, i64 n_messages,
  * read r could not be normalised, its total left in the row's last slot.
  * status[2] - [4] sum over the cases the clique entries the messages run
  * walked, those every message of the schedule would walk dense, and the
- * messages run. */
+ * messages run; a table-major block runs every message dense, so it adds
+ * the dense count to both and every message for each of its cases. */
 #define FBNI_VAR_STRIDE 3
 #define FBNI_CASE_STRIDE 2
 #define FBNI_READ 1      /* the subtree a clique roots holds a read clique */
 #define FBNI_PINNED 2    /* the case observes a variable of the table */
 #define FBNI_WRITTEN 4   /* the arena copy is current, not the prior */
-#define FAIL(c, why) do { status[0] = (c); status[1] = (why); return; } while (0)
+#define FAIL(c, why) do { status[0] = (c); status[1] = (why); return 0; } while (0)
 
 /* need[m] for every message (the rule above), and no slot derived yet.
  * The collect pass sums, per clique, the observed cliques and the read
@@ -563,6 +573,16 @@ static void table_loop(const struct case_ctx *x, i64 t, i64 u, i64 *dims,
         target ? target[3] : 0, x->observed, dims, loop);
 }
 
+/* Variable var's loop in its clique against its own marginal. */
+static void read_loop(const struct case_ctx *x, i64 v, const i64 *var,
+                      i64 *dims, loop_t *loop)
+{
+    const i64 *table = x->tables + var[0] * FBNI_TABLE_STRIDE;
+    const i64 target[FBNI_AXIS_STRIDE] = {v, 1, var[2]};
+    pin(x->axes + table[2] * FBNI_AXIS_STRIDE, table[3], target, 1,
+        x->observed, dims, loop);
+}
+
 /* Loop k of message e (0 src, 1 dst, 2 the separator), against the
  * separator. */
 static loop_t message_loop(const struct case_ctx *x, const i64 *e, int k)
@@ -602,6 +622,261 @@ static double case_message(const struct case_ctx *x, const i64 *e,
     return total;
 }
 
+/* One call's arguments, shared by both bodies. */
+struct call {
+    struct case_ctx x;
+    const i64 *meta, *vars, *evidence, *reads;
+    i64 n_cliques, n_messages, n_tables, n_vars, n_reads, root, out_entries;
+    double *scratch, *out, *block, *block_scratch;
+    i64 *status;
+};
+
+/* Case c, case-major; 0 when it failed (status says why). */
+static int case_major(struct call *call, i64 c)
+{
+    struct case_ctx *x = &call->x;
+    const i64 *tables = x->tables, *axes = x->axes, *meta = call->meta;
+    const i64 *vars = call->vars, *reads = call->reads;
+    i64 *words = x->words, *status = call->status;
+    i64 n_messages = call->n_messages, n_tables = call->n_tables;
+    i64 *need = words + FBNI_CASE_STRIDE * n_tables;
+    i64 dims[FBNI_MAX_AXES * FBNI_DIM_STRIDE];
+    loop_t loop;
+    x->observed = call->evidence + c * call->n_vars;
+    i64 observed_cliques = 0;
+    for (i64 t = 0; t < n_tables; ++t) {
+        const i64 *row = tables + t * FBNI_TABLE_STRIDE;
+        i64 *mine = words + FBNI_CASE_STRIDE * t;
+        mine[0] = mine[1] = 0;
+        for (i64 a = row[2]; a < row[2] + row[3]; ++a)
+            if (x->observed[axes[a * FBNI_AXIS_STRIDE]] >= 0)
+                mine[1] = FBNI_PINNED;
+        if (mine[1] && t < call->n_cliques)
+            observed_cliques += mine[0] = 1;
+    }
+    for (i64 r = 0; r < call->n_reads; ++r)
+        words[FBNI_CASE_STRIDE * vars[reads[2 * r] * FBNI_VAR_STRIDE]
+              + 1] |= FBNI_READ;
+    select_messages(meta, n_messages, words, observed_cliques, need, x->rows);
+    double log_norm = 0.0;
+    for (i64 m = 0; m < n_messages; ++m) {
+        const i64 *e = meta + m * FBNI_META_STRIDE;
+        status[3] += tables[e[1] * FBNI_TABLE_STRIDE + 1]
+                     + tables[e[2] * FBNI_TABLE_STRIDE + 1];
+        if (!need[m])
+            continue;
+        double total = case_message(x, e, call->scratch, status + 2);
+        if (!(total > 0.0))
+            FAIL(c, m);
+        if (e[0])
+            log_norm += log(total);
+        ++status[4];
+    }
+    double root_total = 0.0;
+    table_loop(x, call->root, -1, dims, &loop);
+    marginalize(&loop, current(x, call->root), &root_total);
+    if (!(root_total > 0.0))
+        FAIL(c, n_messages);
+    double *row = call->out + c * (call->out_entries + 1);
+    for (i64 r = 0; r < call->n_reads; ++r) {
+        const i64 *var = vars + reads[2 * r] * FBNI_VAR_STRIDE;
+        double *marg = row + reads[2 * r + 1];
+        fill_range(marg, 0.0, 0, var[2]);
+        read_loop(x, reads[2 * r], var, dims, &loop);
+        marginalize(&loop, current(x, var[0]), marg);
+        double total = sum_range(marg, 0, var[2]);
+        if (!(total > 0.0) || isinf(total)) {
+            row[call->out_entries] = total;
+            FAIL(c, -(1 + r));
+        }
+        for (i64 d = 0; d < var[2]; ++d)
+            marg[d] /= total;
+    }
+    row[call->out_entries] = log_norm + log(root_total);
+    return 1;
+}
+
+/* Table-major blocks.  FBNI_BLOCK cases share one block arena laid out
+ * entry-major, case-minor: entry e of the block's case k is
+ * block[e * FBNI_BLOCK + k], so every entry step of a loop is an
+ * FBNI_BLOCK-wide run (LANES) the compiler vectorises, and each message
+ * of the schedule runs once for the block instead of once per case.  A
+ * block starts from the calibrated prior, zeroes in each case's lane
+ * the entries of its observed variables' home cliques that the finding
+ * rules out, and runs every message dense over its slot loops (nothing
+ * pinned); the root total, log P(e) and the reads are then per lane.
+ * For one case a dense walk covers more entries than the pinned one, so
+ * a block needs the case axis to pay; cases left over after the full
+ * blocks run case-major. */
+#define FBNI_BLOCK 16
+#define LANES for (int k = 0; k < FBNI_BLOCK; ++k)
+
+/* target[j] += table[i] over the loop, lane by lane. */
+static void block_marginalize(const loop_t *loop,
+                              const double *restrict table,
+                              double *restrict target)
+{
+    i64 mid[FBNI_DIM_STRIDE], in[FBNI_DIM_STRIDE];
+    inner_rows(loop, mid, in);
+    const i64 c = mid[0], s = mid[1], t = mid[2], n = in[0];
+    WALK(loop,
+         for (i64 m = 0; m < c; ++m)
+             for (i64 q = 0; q < n; ++q) {
+                 const double *a = table
+                     + (i_ + m * s + q * in[1]) * FBNI_BLOCK;
+                 double *b = target + (j_ + m * t + q * in[2]) * FBNI_BLOCK;
+                 LANES b[k] += a[k];
+             });
+}
+
+/* table[i] *= ratio[j] over the loop, lane by lane. */
+static void block_absorb(const loop_t *loop, double *restrict table,
+                         const double *restrict ratio)
+{
+    i64 mid[FBNI_DIM_STRIDE], in[FBNI_DIM_STRIDE];
+    inner_rows(loop, mid, in);
+    const i64 c = mid[0], s = mid[1], t = mid[2], n = in[0];
+    WALK(loop,
+         for (i64 m = 0; m < c; ++m)
+             for (i64 q = 0; q < n; ++q) {
+                 double *a = table + (i_ + m * s + q * in[1]) * FBNI_BLOCK;
+                 const double *r = ratio
+                     + (j_ + m * t + q * in[2]) * FBNI_BLOCK;
+                 LANES a[k] *= r[k];
+             });
+}
+
+/* One message for the whole block, the message body of message() lane
+ * by lane over the separator's sep_size entries; adds each lane's log
+ * total to log_norm (unless NULL).  0 when a lane's total is empty,
+ * leaving the block half-updated. */
+static int block_message(const loop_t *src, const loop_t *dst,
+                         const double *restrict src_t,
+                         double *restrict dst_t, double *restrict sep,
+                         i64 sep_size, double *restrict scratch,
+                         double *log_norm)
+{
+    double *restrict new_sep = scratch;
+    double *restrict ratio = scratch + sep_size * FBNI_BLOCK;
+    double total[FBNI_BLOCK] = {0};
+    int empty = 0;
+    fill_range(new_sep, 0.0, 0, sep_size * FBNI_BLOCK);
+    block_marginalize(src, src_t, new_sep);
+    for (i64 j = 0; j < sep_size * FBNI_BLOCK; j += FBNI_BLOCK)
+        LANES total[k] += new_sep[j + k];
+    LANES empty |= !(total[k] > 0.0);
+    if (empty)
+        return 0;
+    for (i64 j = 0; j < sep_size * FBNI_BLOCK; j += FBNI_BLOCK)
+        LANES {
+            double ns = new_sep[j + k] / total[k];
+            double old = sep[j + k];
+            ratio[j + k] = ns / (old + (old == 0.0 ? 1.0 : 0.0));
+            sep[j + k] = ns;
+        }
+    block_absorb(dst, dst_t, ratio);
+    if (log_norm)
+        LANES log_norm[k] += log(total[k]);
+    return 1;
+}
+
+/* The paper's reduction in lane k: zero the entries of table row where
+ * variable v is not in state (nothing when the table has no axis of v). */
+static void block_reduce(double *block, const i64 *row, const i64 *axes,
+                         i64 v, i64 state, int k)
+{
+    for (i64 a = row[2]; a < row[2] + row[3]; ++a) {
+        const i64 *axis = axes + a * FBNI_AXIS_STRIDE;
+        if (axis[0] != v)
+            continue;
+        const i64 stride = axis[1], card = axis[2];
+        for (i64 b = row[0]; b < row[0] + row[1]; b += stride * card)
+            for (i64 d = 0; d < card; ++d)
+                if (d != state)
+                    for (i64 q = 0; q < stride; ++q)
+                        block[(b + d * stride + q) * FBNI_BLOCK + k] = 0.0;
+    }
+}
+
+/* Cases c .. c + FBNI_BLOCK - 1, table-major; 0 when any of them came
+ * up empty (a message, the root or a read total), nothing in status
+ * changed. */
+static int table_major(struct call *call, i64 c)
+{
+    struct case_ctx *x = &call->x;
+    const i64 *tables = x->tables, *meta = call->meta, *vars = call->vars;
+    const i64 *reads = call->reads;
+    double *block = call->block, *scratch = call->block_scratch;
+    i64 dims[FBNI_MAX_AXES * FBNI_DIM_STRIDE];
+    loop_t loop;
+    for (i64 t = 0; t < call->n_tables; ++t) {
+        const i64 *row = tables + t * FBNI_TABLE_STRIDE;
+        for (i64 e = row[0]; e < row[0] + row[1]; ++e) {
+            const double p = x->prior[e];
+            LANES block[e * FBNI_BLOCK + k] = p;
+        }
+    }
+    for (int k = 0; k < FBNI_BLOCK; ++k) {
+        const i64 *observed = call->evidence + (c + k) * call->n_vars;
+        for (i64 v = 0; v < call->n_vars; ++v)
+            if (observed[v] >= 0)
+                block_reduce(block,
+                             tables + vars[v * FBNI_VAR_STRIDE]
+                                      * FBNI_TABLE_STRIDE,
+                             x->axes, v, observed[v], k);
+    }
+    double log_norm[FBNI_BLOCK] = {0}, root_total[FBNI_BLOCK] = {0};
+    for (i64 m = 0; m < call->n_messages; ++m) {
+        const i64 *e = meta + m * FBNI_META_STRIDE;
+        loop_t src = slot_loop(x->loops, e[4]),
+               dst = slot_loop(x->loops, e[5]);
+        const i64 *s = tables + e[3] * FBNI_TABLE_STRIDE;
+        if (!block_message(
+                &src, &dst,
+                block + tables[e[1] * FBNI_TABLE_STRIDE] * FBNI_BLOCK,
+                block + tables[e[2] * FBNI_TABLE_STRIDE] * FBNI_BLOCK,
+                block + s[0] * FBNI_BLOCK, s[1], scratch,
+                e[0] ? log_norm : NULL))
+            return 0;
+    }
+    x->observed = NULL;  /* the root total and the reads walk dense */
+    table_loop(x, call->root, -1, dims, &loop);
+    block_marginalize(&loop,
+                      block + tables[call->root * FBNI_TABLE_STRIDE]
+                              * FBNI_BLOCK,
+                      root_total);
+    int empty = 0;
+    LANES empty |= !(root_total[k] > 0.0);
+    if (empty)
+        return 0;
+    const i64 width = call->out_entries + 1;
+    double *rows = call->out + c * width;
+    for (i64 r = 0; r < call->n_reads; ++r) {
+        const i64 *var = vars + reads[2 * r] * FBNI_VAR_STRIDE;
+        const i64 card = var[2];
+        fill_range(scratch, 0.0, 0, card * FBNI_BLOCK);
+        read_loop(x, reads[2 * r], var, dims, &loop);
+        block_marginalize(&loop,
+                          block + tables[var[0] * FBNI_TABLE_STRIDE]
+                                  * FBNI_BLOCK,
+                          scratch);
+        double total[FBNI_BLOCK] = {0};
+        for (i64 d = 0; d < card; ++d)
+            LANES total[k] += scratch[d * FBNI_BLOCK + k];
+        LANES empty |= !(total[k] > 0.0) || isinf(total[k]);
+        if (empty)
+            return 0;
+        for (int k = 0; k < FBNI_BLOCK; ++k) {
+            double *marg = rows + k * width + reads[2 * r + 1];
+            for (i64 d = 0; d < card; ++d)
+                marg[d] = scratch[d * FBNI_BLOCK + k] / total[k];
+        }
+    }
+    LANES rows[k * width + call->out_entries] = log_norm[k]
+                                                + log(root_total[k]);
+    return 1;
+}
+
 void fbni_infer_cases(const double *prior, i64 n_cliques, double *arena,
                       const i64 *meta, i64 n_messages, double *scratch,
                       const i64 *tables, i64 n_tables, const i64 *axes,
@@ -609,72 +884,39 @@ void fbni_infer_cases(const double *prior, i64 n_cliques, double *arena,
                       const i64 *vars, i64 n_vars,
                       const i64 *evidence, i64 n_cases,
                       const i64 *reads, i64 n_reads, i64 root,
-                      double *out, i64 out_entries, i64 *status)
+                      double *out, i64 out_entries, double *block,
+                      double *block_scratch, i64 *status)
 {
     i64 *need = words + FBNI_CASE_STRIDE * n_tables;
-    i64 dims[FBNI_MAX_AXES * FBNI_DIM_STRIDE];
-    loop_t loop;
-    struct case_ctx x = {tables, axes, loops, NULL, words,
-                         need + n_messages, prior, arena};
+    struct call call = {
+        {tables, axes, loops, NULL, words, need + n_messages, prior, arena},
+        meta, vars, evidence, reads, n_cliques, n_messages, n_tables, n_vars,
+        n_reads, root, out_entries, scratch, out, block, block_scratch,
+        status};
+    i64 dense = 0;
+    for (i64 m = 0; m < n_messages; ++m) {
+        const i64 *e = meta + m * FBNI_META_STRIDE;
+        dense += tables[e[1] * FBNI_TABLE_STRIDE + 1]
+                 + tables[e[2] * FBNI_TABLE_STRIDE + 1];
+    }
     status[0] = status[1] = -1;
     status[2] = status[3] = status[4] = 0;
-    for (i64 c = 0; c < n_cases; ++c) {
-        x.observed = evidence + c * n_vars;
-        i64 observed_cliques = 0;
-        for (i64 t = 0; t < n_tables; ++t) {
-            const i64 *row = tables + t * FBNI_TABLE_STRIDE;
-            i64 *mine = words + FBNI_CASE_STRIDE * t;
-            mine[0] = mine[1] = 0;
-            for (i64 a = row[2]; a < row[2] + row[3]; ++a)
-                if (x.observed[axes[a * FBNI_AXIS_STRIDE]] >= 0)
-                    mine[1] = FBNI_PINNED;
-            if (mine[1] && t < n_cliques)
-                observed_cliques += mine[0] = 1;
+    i64 c = 0;
+    for (; block && c + FBNI_BLOCK <= n_cases; c += FBNI_BLOCK) {
+        if (table_major(&call, c)) {
+            status[2] += FBNI_BLOCK * dense;
+            status[3] += FBNI_BLOCK * dense;
+            status[4] += FBNI_BLOCK * n_messages;
+            continue;
         }
-        for (i64 r = 0; r < n_reads; ++r)
-            words[FBNI_CASE_STRIDE * vars[reads[2 * r] * FBNI_VAR_STRIDE]
-                  + 1] |= FBNI_READ;
-        select_messages(meta, n_messages, words, observed_cliques, need,
-                        x.rows);
-        double log_norm = 0.0;
-        for (i64 m = 0; m < n_messages; ++m) {
-            const i64 *e = meta + m * FBNI_META_STRIDE;
-            status[3] += tables[e[1] * FBNI_TABLE_STRIDE + 1]
-                         + tables[e[2] * FBNI_TABLE_STRIDE + 1];
-            if (!need[m])
-                continue;
-            double total = case_message(&x, e, scratch, status + 2);
-            if (!(total > 0.0))
-                FAIL(c, m);
-            if (e[0])
-                log_norm += log(total);
-            ++status[4];
-        }
-        double root_total = 0.0;
-        table_loop(&x, root, -1, dims, &loop);
-        marginalize(&loop, current(&x, root), &root_total);
-        if (!(root_total > 0.0))
-            FAIL(c, n_messages);
-        double *row = out + c * (out_entries + 1);
-        for (i64 r = 0; r < n_reads; ++r) {
-            const i64 *var = vars + reads[2 * r] * FBNI_VAR_STRIDE;
-            const i64 *table = tables + var[0] * FBNI_TABLE_STRIDE;
-            const i64 target[FBNI_AXIS_STRIDE] = {reads[2 * r], 1, var[2]};
-            double *marg = row + reads[2 * r + 1];
-            fill_range(marg, 0.0, 0, var[2]);
-            pin(axes + table[2] * FBNI_AXIS_STRIDE, table[3], target, 1,
-                x.observed, dims, &loop);
-            marginalize(&loop, current(&x, var[0]), marg);
-            double total = sum_range(marg, 0, var[2]);
-            if (!(total > 0.0) || isinf(total)) {
-                row[out_entries] = total;
-                FAIL(c, -(1 + r));
-            }
-            for (i64 d = 0; d < var[2]; ++d)
-                marg[d] /= total;
-        }
-        row[out_entries] = log_norm + log(root_total);
+        /* Some case came up empty: find the lowest one case-major. */
+        for (i64 d = c; d < c + FBNI_BLOCK; ++d)
+            if (!case_major(&call, d))
+                return;
     }
+    for (; c < n_cases; ++c)
+        if (!case_major(&call, c))
+            return;
 }
 
 /* Pure-ALU spin used only by the parallel-headroom probe: two threads
@@ -692,10 +934,10 @@ double fbni_probe_spin(i64 n)
 """
 
 #: i64 words per message, variable, table, table axis, loop row and
-#: per-case table, and the most axes a table may have (all mirror the
-#: FBNI_* macros).
+#: per-case table, the most axes a table may have and the cases of a
+#: table-major block (all mirror the FBNI_* macros).
 META_STRIDE, VAR_STRIDE, TABLE_STRIDE, AXIS_STRIDE, DIM_STRIDE = 7, 3, 4, 3, 3
-CASE_STRIDE, MAX_AXES = 2, 64
+CASE_STRIDE, MAX_AXES, BLOCK = 2, 64, 16
 
 #: The compiler flags of the shared object; part of its cache key.
 CFLAGS = ("-O3", "-fPIC", "-shared")
@@ -745,7 +987,7 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.fbni_infer_cases.argtypes = [ptr, i64, ptr, ptr, i64, ptr,
                                      ptr, i64, ptr, ptr, ptr,
                                      ptr, i64, ptr, i64, ptr, i64, i64,
-                                     ptr, i64, ptr]
+                                     ptr, i64, ptr, ptr, ptr]
     lib.fbni_infer_cases.restype = None
     lib.fbni_probe_spin.argtypes = [i64]
     lib.fbni_probe_spin.restype = ctypes.c_double

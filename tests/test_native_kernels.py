@@ -13,6 +13,7 @@ Everything that needs a built library is skipped — with the recorded
 reason — on machines without a C compiler.
 """
 
+import contextlib
 import os
 import threading
 import time
@@ -27,7 +28,8 @@ from repro.exec.kernels import get_kernels, run_message_schedule
 from repro.exec.kernels import _INSTANCES as _KERNEL_INSTANCES
 from repro.exec.native import (DISABLE_ENV, load_native_kernels,
                                native_status, probe_parallel_headroom)
-from repro.exec.native.build import MAX_AXES
+from repro.exec.native.backend import BLOCK_BYTES, EMPTY_MESSAGE
+from repro.exec.native.build import BLOCK, MAX_AXES
 from repro.exec.plan import compile_plan
 from repro.jt.engine import JunctionTreeEngine
 from repro.jt.structure import compile_junction_tree
@@ -80,6 +82,8 @@ class TestNativeKernelsAgree:
     @pytest.mark.parametrize("degenerate", [False, True])
     @pytest.mark.parametrize("upward", [True, False])
     def test_batched_messages(self, native, numpy_k, degenerate, upward):
+        """numpy's case-block message against one native message per
+        row of the block."""
         rng = np.random.default_rng(7 + degenerate)
         for trial in range(20):
             edge = _random_edge(rng, degenerate)
@@ -90,7 +94,8 @@ class TestNativeKernelsAgree:
             d1, s1 = dst.copy(), sep.copy()
             d2, s2 = dst.copy(), sep.copy()
             log1 = numpy_k.message_batch(src.copy(), d1, s1, edge, upward)
-            log2 = native.message_batch(src.copy(), d2, s2, edge, upward)
+            log2 = [native.message(src[c].copy(), d2[c], s2[c], edge, upward)
+                    for c in range(len(src))]
             np.testing.assert_allclose(log1, log2, atol=1e-12, rtol=0)
             np.testing.assert_allclose(s1, s2, atol=1e-12, rtol=0)
             np.testing.assert_allclose(d1, d2, atol=1e-12, rtol=0)
@@ -130,11 +135,6 @@ class TestNativeKernelsAgree:
         src, dst, sep = _message_state(rng, edge, True)
         with pytest.raises(EvidenceError, match="zero probability"):
             native.message(np.zeros_like(src), dst, sep, edge, True)
-        batch = np.zeros((2, src.size))
-        with pytest.raises(EvidenceError, match="case 5"):
-            native.message_batch(
-                batch, np.stack([dst, dst]), np.stack([sep, sep]),
-                edge, True, case_offset=5)
 
     def test_message_tables_must_match_their_edge(self, native):
         """A single message checks its tables against its edge before C
@@ -423,12 +423,13 @@ def _whole_cases_agree(net, fraction: float, n: int, seed: int) -> None:
 
 
 def _poisoned_scratch_agrees(net, seed: int) -> None:
-    """Whole cases with the case arena and message scratch filled with
-    NaN before every call still get the staged numpy path's answers:
-    what a case reads before writing it comes from the calibrated prior,
-    never from an arena entry it has not written.  All reads and
-    restricted targets; nothing, some or everything observed; impossible
-    evidence named as before."""
+    """Whole cases with the case arena, message scratch and (once a
+    full block has run) the block arena and its scratch filled with NaN
+    before every call still get the staged numpy path's answers: what a
+    case reads before writing it comes from the calibrated prior, never
+    from an arena entry it has not written.  All reads and restricted
+    targets; nothing, some or everything observed; calls below and above
+    ``BLOCK`` cases; impossible evidence named as before."""
     from repro.bn.sampling import generate_test_cases
     from repro.core import BatchedFastBNI
 
@@ -436,7 +437,8 @@ def _poisoned_scratch_agrees(net, seed: int) -> None:
     call = backend._infer_cases
 
     def poisoned(*args):
-        for scratch in backend._local.case[1][:2]:
+        for scratch in (*backend._local.case[1][:2],
+                        *getattr(backend._local, "block", ())):
             scratch.fill(np.nan)
         return call(*args)
 
@@ -446,9 +448,10 @@ def _poisoned_scratch_agrees(net, seed: int) -> None:
         rng = np.random.default_rng(seed)
         with BatchedFastBNI(net, mode="seq", kernels="native") as fast, \
                 BatchedFastBNI(net, mode="seq", kernels="numpy") as staged:
-            for fraction in (0.0, 0.2, 1.0):
+            for fraction, n in ((0.0, 3), (0.2, 3), (1.0, 3),
+                                (0.2, BLOCK + 3)):
                 cases = [c.evidence for c in
-                         generate_test_cases(net, 3, fraction, rng=rng)]
+                         generate_test_cases(net, n, fraction, rng=rng)]
                 for targets in ((), tuple(rng.choice(names, size=3))):
                     keys = tuple(dict.fromkeys(targets)) or names
                     got = fast.infer_cases(cases, targets)
@@ -461,8 +464,85 @@ def _poisoned_scratch_agrees(net, seed: int) -> None:
             if impossible is not None:
                 with pytest.raises(EvidenceError, match=r"in case 1$"):
                     fast.infer_cases([{}, impossible])
+                with pytest.raises(EvidenceError, match=r"in case 5$"):
+                    fast.infer_cases([{}] * 5 + [impossible] * 13)
     finally:
         backend._infer_cases = call
+
+
+@contextlib.contextmanager
+def _case_major():
+    """Every whole-case call case-major: no plan's block arena fits a
+    zero budget."""
+    import repro.exec.native.backend as native_backend
+
+    saved = native_backend.BLOCK_BYTES
+    native_backend.BLOCK_BYTES = 0
+    try:
+        yield
+    finally:
+        native_backend.BLOCK_BYTES = saved
+
+
+def _block_cases_agree(net, fraction: float, seed: int) -> None:
+    """A call of two full table-major blocks and a remainder gets the
+    case-major call's answers and the staged numpy path's, posteriors and
+    log P(e) at 1e-12, over every variable and a target subset; the
+    blocks ran every message for each of their cases, the remainder only
+    the messages it needs."""
+    from repro.bn.sampling import generate_test_cases
+    from repro.core import BatchedFastBNI
+
+    n = 2 * BLOCK + 5
+    cases = [c.evidence for c in
+             generate_test_cases(net, n, fraction, rng=seed + 70)]
+    names = net.variable_names
+    rng = np.random.default_rng(seed)
+    with BatchedFastBNI(net, mode="seq", kernels="native") as fast, \
+            BatchedFastBNI(net, mode="seq", kernels="numpy") as staged:
+        assert BLOCK * fast.plan.arena_bytes <= BLOCK_BYTES
+        messages = fast.plan.spec.num_messages
+        for targets in ((), tuple(rng.choice(names, size=3))):
+            keys = tuple(dict.fromkeys(targets)) or names
+            fast.infer_cases(cases[2 * BLOCK:], targets)
+            rest = fast.metrics["messages_run"]
+            blocked = fast.infer_cases(cases, targets)
+            assert fast.metrics["messages_run"] == (2 * BLOCK * messages
+                                                    + rest)
+            with _case_major():
+                single = fast.infer_cases(cases, targets)
+            ref = staged.infer_cases(cases, targets)
+            for i in range(n):
+                _assert_same(blocked.case(i), single.case(i), keys)
+                _assert_same(blocked.case(i), ref.case(i), keys)
+
+
+def _block_errors_name_the_lowest_case(net) -> None:
+    """Impossible cases in a call of more than ``BLOCK`` cases -- in the
+    first block, first in a block, mid-block, in the remainder, two in
+    one call -- name the lowest of them with the case-major call's text
+    and the staged numpy path's."""
+    from repro.bn.sampling import generate_test_cases
+    from repro.core import BatchedFastBNI
+
+    impossible = _impossible_case(net)
+    assert impossible is not None
+    cases = [c.evidence for c in
+             generate_test_cases(net, 2 * BLOCK + 5, 0.1, rng=11)]
+    with BatchedFastBNI(net, mode="seq", kernels="native") as fast, \
+            BatchedFastBNI(net, mode="seq", kernels="numpy") as staged:
+        for where in ((1,), (BLOCK,), (BLOCK + 5,), (2 * BLOCK + 2,),
+                      (BLOCK + 9, BLOCK + 3), (2 * BLOCK + 4, BLOCK + 1)):
+            bad = [impossible if i in where else case
+                   for i, case in enumerate(cases)]
+            texts = []
+            for engine, mode in ((fast, contextlib.nullcontext()),
+                                 (fast, _case_major()),
+                                 (staged, contextlib.nullcontext())):
+                with mode, pytest.raises(EvidenceError) as err:
+                    engine.infer_cases(bad)
+                texts.append(str(err.value))
+            assert texts == [f"{EMPTY_MESSAGE} in case {min(where)}"] * 3
 
 
 @needs_native
@@ -536,6 +616,24 @@ class TestWholeCases:
                     engine.metrics["entries_dense"],
                     engine.metrics["messages_run"]) == tuple(odd)
             assert totals[0] < totals[1]
+            # A full table-major block walks every message dense for each
+            # of its cases; the cases left over, and every case of a plan
+            # whose block arena is over budget, stay case-major.
+            blocked = BLOCK if name != "pathfinder" else 0
+            assert (BLOCK * plan.arena_bytes <= BLOCK_BYTES) == bool(blocked)
+            more = cases + cases[:BLOCK - 3]
+            engine.infer_cases(more)
+            want = np.zeros(3, dtype=np.int64)
+            for i, row in enumerate(plan.evidence_matrix(more)):
+                if i < blocked:
+                    want += (dense, dense, len(messages))
+                    continue
+                run, _ = _messages_run(plan, row, plan.variable_ids())
+                want += (sum(free(c, row) for m in run for c in m), dense,
+                         len(run))
+            assert (engine.metrics["entries_walked"],
+                    engine.metrics["entries_dense"],
+                    engine.metrics["messages_run"]) == tuple(want)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_walked_entries_never_exceed_either_list_alone(self, native,
@@ -583,6 +681,88 @@ class TestWholeCases:
     @pytest.mark.parametrize("name", ["det0", "det1", "hailfinder"])
     def test_unwritten_arena_entries_are_never_read(self, native, name):
         _poisoned_scratch_agrees(_named_net(name), seed=3)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("name", ["det0", "det1", "hailfinder"])
+    def test_blocks_match_case_major_and_staged(self, native, name,
+                                                fraction):
+        _block_cases_agree(_named_net(name), fraction, seed=5)
+
+    @pytest.mark.parametrize("name", ["det0", "det1"])
+    def test_impossible_case_in_a_block_keeps_its_text(self, native, name):
+        _block_errors_name_the_lowest_case(_named_net(name))
+
+    def test_thread_dispatched_blocks_agree(self, native):
+        """Two threads, each running a full table-major block and a
+        remainder over its own block arena."""
+        from repro.bn.sampling import generate_test_cases
+        from repro.core import BatchedFastBNI
+
+        hailfinder = _named_net("hailfinder")
+        cases = [c.evidence for c in
+                 generate_test_cases(hailfinder, 2 * BLOCK + 6, 0.2, rng=4)]
+        with BatchedFastBNI(hailfinder, mode="hybrid", backend="thread",
+                            num_workers=2, kernels="native") as fast, \
+                BatchedFastBNI(hailfinder, mode="seq",
+                               kernels="numpy") as staged:
+            got = fast.infer_cases(cases)
+            assert fast.metrics["dispatch_tasks"] == 2
+            ref = staged.infer_cases(cases)
+        for i in range(len(cases)):
+            _assert_same(got.case(i), ref.case(i), hailfinder.variable_names)
+
+    def test_four_threads_running_blocks_agree(self, native):
+        """Four threads on one engine, back-to-back calls of two full
+        table-major blocks and a remainder, each over its own thread's
+        block arena, under a 10 us switch interval: every answer matches
+        the staged numpy path."""
+        import sys
+
+        from repro.bn.sampling import generate_test_cases
+        from repro.core import BatchedFastBNI
+
+        net = _named_net("hailfinder")
+        calls = [[c.evidence for c in
+                  generate_test_cases(net, 2 * BLOCK + 3, 0.3, rng=seed)]
+                 for seed in range(4)]
+        with BatchedFastBNI(net, mode="seq", kernels="native") as fast, \
+                BatchedFastBNI(net, mode="seq", kernels="numpy") as staged:
+            want = [staged.infer_cases(cases) for cases in calls]
+            got: list = []
+            failures: list = []
+
+            def hammer(offset: int) -> None:
+                # Calls back to back, checked afterwards, so that the
+                # threads' foreign calls overlap.
+                try:
+                    for round_ in range(12):
+                        j = (offset + round_) % len(calls)
+                        got.append((j, fast.infer_cases(calls[j])))
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=hammer, args=(t,))
+                           for t in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(120)
+                assert not any(t.is_alive() for t in threads)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not failures, failures[0]
+        assert len(got) == 4 * 12
+        for j, result in got:
+            np.testing.assert_allclose(result.log_evidence,
+                                       want[j].log_evidence, atol=1e-12,
+                                       rtol=0)
+            for name in net.variable_names:
+                np.testing.assert_allclose(result.posteriors[name],
+                                           want[j].posteriors[name],
+                                           atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, 2, 17])
@@ -694,6 +874,11 @@ class TestWholeCases:
                     "evidence has zero probability (empty message)")
                 assert str(batched.value) == (
                     "evidence has zero probability (empty message) in case 1")
+                with pytest.raises(EvidenceError) as blocked:
+                    fast.infer_cases([{}] * 3 + [impossible] + [{}] * BLOCK,
+                                     targets)
+                assert str(blocked.value) == (
+                    "evidence has zero probability (empty message) in case 3")
 
     def test_results_never_alias_the_scratch_arena(self, native, asia):
         with FastBNI(asia, mode="seq", kernels="native") as engine:
@@ -1349,12 +1534,14 @@ def _sanitized_whole_case_loop(so_path: str) -> None:
     """Entry point of the sanitizer subprocess: every C entry point on a
     library built from ``C_SOURCE`` with ASan + UBSan — the whole-case
     property loop (also over NaN-filled scratch) and its status paths,
-    ``fbni_run_schedule`` (each plan's prior calibration, and states with
-    soft evidence absorbed), ``fbni_message`` (``inter``-mode
-    calibrations and random edges) and the loop primitives.
-    ``NativeKernels`` keeps every region C writes (case arena, message
-    scratch, case words, output block) in its own allocation, so a
-    one-word overrun lands in a redzone."""
+    case-major and in table-major blocks (full blocks, a remainder,
+    impossible cases in and after them), ``fbni_run_schedule`` (each
+    plan's prior calibration, and states with soft evidence absorbed),
+    ``fbni_message`` (``inter``-mode calibrations and random edges) and
+    the loop primitives.  ``NativeKernels`` keeps every region C writes
+    (case arena, message scratch, case words, block arena, block
+    scratch, output block) in its own allocation, so a one-word overrun
+    lands in a redzone."""
     import ctypes
 
     from repro.exec.native.backend import NativeKernels
@@ -1384,6 +1571,8 @@ def _sanitized_whole_case_loop(so_path: str) -> None:
                                         _impossible_case(net))
     for name in ("det0", "hailfinder"):
         _poisoned_scratch_agrees(_named_net(name), seed=3)
+        _block_cases_agree(_named_net(name), 0.2, seed=5)
+    _block_errors_name_the_lowest_case(_named_net("det0"))
     # The schedule runner on soft-evidence states, and single messages in
     # inter mode, against the staged numpy path.
     for name in ("det1", "hailfinder"):
