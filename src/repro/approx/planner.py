@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from repro.bn.network import BayesianNetwork
 from repro.errors import PlannerError
 from repro.exec.engine_api import CAPABILITIES_BY_KIND, EngineCapabilities
+from repro.graph.treewidth import total_clique_weight
 from repro.jt.structure import compile_cliques
 
 POLICIES = ("exact", "approx", "auto")
@@ -126,20 +127,22 @@ class QueryPlanner:
 
         ``cliques`` are the maximal cliques of the tree the exact engine
         would build (:func:`~repro.jt.structure.compile_cliques`); by
-        default a min-fill triangulation of ``net``.
+        default the cheapest triangulation of ``net``, the tree an engine
+        builds under the default heuristic.
         """
         policy = policy if policy is not None else self.policy
         if policy not in POLICIES:
             raise PlannerError(
                 f"unknown engine policy {policy!r}; expected one of {POLICIES}")
         if cliques is None:
-            cliques = compile_cliques(net)
+            cliques = compile_cliques(net).cliques
         cards = {v.name: v.cardinality for v in net.variables}
-        entries = [math.prod(cards[v] for v in c) for c in cliques]
-        largest = max(entries, default=1)
+        largest = max((math.prod(cards[v] for v in c) for c in cliques),
+                      default=1)
         estimate = TreeCost(width=max(map(len, cliques), default=1) - 1,
                             max_clique_entries=largest,
-                            total_table_bytes=8 * sum(entries),
+                            total_table_bytes=8 * total_clique_weight(
+                                cliques, cards),
                             log10_max_clique=math.log10(largest))
         size = f"width {estimate.width}, ~{estimate.total_table_bytes:,} table bytes"
         if policy == "approx":

@@ -20,6 +20,7 @@ from repro.bn.network import BayesianNetwork
 from repro.core.config import FastBNIConfig
 from repro.core.fastbni import FastBNI
 from repro.jt.engine import InferenceResult
+from repro.jt.structure import DEFAULT_HEURISTIC
 
 
 class DirectEngine:
@@ -30,7 +31,7 @@ class DirectEngine:
         net: BayesianNetwork,
         backend: str = "thread",
         num_workers: int | None = None,
-        heuristic: str = "min-fill",
+        heuristic: str = DEFAULT_HEURISTIC,
     ) -> None:
         self._engine = FastBNI(net, FastBNIConfig(
             mode="inter",

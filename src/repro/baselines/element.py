@@ -19,7 +19,7 @@ from repro.core.config import FastBNIConfig
 from repro.core.fastbni import FastBNI
 from repro.exec.kernels import triples_to_map
 from repro.jt.engine import InferenceResult
-from repro.jt.structure import TreeState
+from repro.jt.structure import DEFAULT_HEURISTIC, TreeState
 
 
 class ElementEngine:
@@ -27,7 +27,7 @@ class ElementEngine:
 
     name = "element"
 
-    def __init__(self, net: BayesianNetwork, heuristic: str = "min-fill") -> None:
+    def __init__(self, net: BayesianNetwork, heuristic: str = DEFAULT_HEURISTIC) -> None:
         self._engine = FastBNI(net, FastBNIConfig(
             mode="seq",
             heuristic=heuristic,

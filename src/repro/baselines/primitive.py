@@ -20,7 +20,7 @@ from repro.core.config import FastBNIConfig
 from repro.core.fastbni import FastBNI
 from repro.exec.kernels import chunk_dst_indices, marg_chunk, ratio_vector
 from repro.jt.engine import InferenceResult
-from repro.jt.structure import TreeState
+from repro.jt.structure import DEFAULT_HEURISTIC, TreeState
 from repro.parallel.chunking import chunk_ranges
 
 
@@ -43,7 +43,7 @@ class PrimitiveEngine:
         net: BayesianNetwork,
         backend: str = "thread",
         num_workers: int | None = None,
-        heuristic: str = "min-fill",
+        heuristic: str = DEFAULT_HEURISTIC,
         min_chunk: int = 2048,
     ) -> None:
         # Reuse FastBNI's compile + plan; calibration below is X-P's own.

@@ -22,7 +22,7 @@ from repro.errors import EvidenceError
 from repro.jt.engine import InferenceResult
 from repro.jt.evidence import absorb_evidence
 from repro.jt.root import select_root
-from repro.jt.structure import compile_junction_tree
+from repro.jt.structure import DEFAULT_HEURISTIC, compile_junction_tree
 from repro.potential.factor import Potential
 from repro.potential.ops import marginalize, multiply_into
 
@@ -32,7 +32,7 @@ class ShenoyShaferEngine:
 
     name = "shenoy-shafer"
 
-    def __init__(self, net: BayesianNetwork, heuristic: str = "min-fill") -> None:
+    def __init__(self, net: BayesianNetwork, heuristic: str = DEFAULT_HEURISTIC) -> None:
         self.net = net
         self.tree = compile_junction_tree(net, heuristic=heuristic)
         select_root(self.tree, "center")

@@ -22,7 +22,8 @@ import numpy as np
 from repro.bn.network import BayesianNetwork
 from repro.errors import EvidenceError
 from repro.jt.engine import InferenceResult
-from repro.jt.structure import JunctionTree, compile_junction_tree
+from repro.jt.structure import (DEFAULT_HEURISTIC, JunctionTree,
+                                 compile_junction_tree)
 
 
 class _Table:
@@ -53,7 +54,7 @@ class UnBBayesEngine:
 
     name = "unbbayes"
 
-    def __init__(self, net: BayesianNetwork, heuristic: str = "min-fill") -> None:
+    def __init__(self, net: BayesianNetwork, heuristic: str = DEFAULT_HEURISTIC) -> None:
         net.validate()
         self.net = net
         # Same compile pipeline (UnBBayes also builds a junction tree; the

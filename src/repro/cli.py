@@ -54,7 +54,7 @@ def _cmd_info(args: argparse.Namespace) -> None:
     tree = compile_junction_tree(net)
     select_root(tree, "center")
     schedule = compute_layers(tree)
-    stats = tree.stats()
+    stats = {"heuristic": tree.heuristic, **tree.stats()}
     stats["num_layers"] = schedule.num_layers
     stats.update(compile_plan(tree, schedule).stats())
     for k, v in stats.items():

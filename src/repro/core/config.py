@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from repro.errors import BackendError
 from repro.exec.kernels import KERNELS
+from repro.jt.structure import DEFAULT_HEURISTIC
 from repro.parallel.backend import BACKENDS
 
 MODES = ("seq", "inter", "intra", "hybrid")
@@ -26,7 +27,10 @@ class FastBNIConfig:
     num_workers:
         Worker count (the paper's *t*); ``None`` = CPU count capped at 32.
     heuristic:
-        Triangulation heuristic.
+        Triangulation heuristic: ``"cheapest"`` (the default) builds the
+        tree from whichever of min-fill, min-weight and min-degree gives
+        the fewest clique-table entries; a heuristic name forces it (see
+        :func:`repro.jt.structure.compile_cliques`).
     root_strategy:
         ``"center"`` enables the paper's root selection; ``"first"``
         disables it (ablation).
@@ -58,7 +62,7 @@ class FastBNIConfig:
     mode: str = "hybrid"
     backend: str = "thread"
     num_workers: int | None = None
-    heuristic: str = "min-fill"
+    heuristic: str = DEFAULT_HEURISTIC
     root_strategy: str = "center"
     kernels: str = "fused"
     min_chunk: int = 16384

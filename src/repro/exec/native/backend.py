@@ -459,7 +459,7 @@ class NativeKernels(KernelBackend):
             spec.arena_entries, 2 * tables.max_sep,
             CASE_STRIDE * n_tables + tables.n_messages + tables.loops.size)
         block = block_scratch = 0
-        if k >= BLOCK and BLOCK * plan.arena_bytes <= BLOCK_BYTES:
+        if k >= BLOCK and self.case_block(plan) == BLOCK:
             block, block_scratch = self._block_scratch(
                 BLOCK * spec.arena_entries, tables.block_scratch)
         self._infer_cases(
@@ -476,6 +476,13 @@ class NativeKernels(KernelBackend):
             raise QueryError(f"cannot normalise posterior of {name!r}{case} "
                              f"(total={float(out[failed, entries])})")
         return out[:, :entries], out[:, entries].copy(), tuple(visited)
+
+    @staticmethod
+    def case_block(plan) -> int:
+        """Cases one table-major block of ``plan`` runs: ``BLOCK`` when
+        ``BLOCK`` copies of its arena fit in :data:`BLOCK_BYTES`, else 1
+        (every case case-major)."""
+        return BLOCK if BLOCK * plan.arena_bytes <= BLOCK_BYTES else 1
 
     # ------------------------------------------------------ compiled schedule
     def lowered(self, plan) -> PlanTables:

@@ -51,7 +51,11 @@ def total_clique_weight(
     cliques: list[frozenset[str]] | tuple[frozenset[str], ...],
     cardinalities: dict[str, int],
 ) -> int:
-    """Sum of clique potential-table sizes (total calibration state space)."""
+    """Sum of clique potential-table sizes (total calibration state space).
+
+    The price :func:`repro.jt.structure.compile_cliques` picks the
+    cheapest triangulation by, and the query planner charges.
+    """
     total = 0
     for c in cliques:
         size = 1

@@ -19,7 +19,8 @@ from repro.jt.evidence import absorb_evidence
 from repro.jt.layers import LayerSchedule, compute_layers
 from repro.jt.query import all_posteriors, log_evidence
 from repro.jt.root import select_root
-from repro.jt.structure import JunctionTree, compile_junction_tree
+from repro.jt.structure import (DEFAULT_HEURISTIC, JunctionTree,
+                                 compile_junction_tree)
 
 
 @dataclass
@@ -76,7 +77,8 @@ class JunctionTreeEngine:
     net:
         A validated Bayesian network.
     heuristic:
-        Triangulation heuristic (see :mod:`repro.graph.triangulate`).
+        Triangulation heuristic (see
+        :func:`repro.jt.structure.compile_cliques`).
     root_strategy:
         Root selection (see :mod:`repro.jt.root`); the reference engine
         defaults to the paper's ``"center"`` since it never hurts.
@@ -89,7 +91,7 @@ class JunctionTreeEngine:
     def __init__(
         self,
         net: BayesianNetwork,
-        heuristic: str = "min-fill",
+        heuristic: str = DEFAULT_HEURISTIC,
         root_strategy: str = "center",
         method: str = "auto",
     ) -> None:

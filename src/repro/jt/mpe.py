@@ -19,7 +19,8 @@ import numpy as np
 
 from repro.errors import EvidenceError
 from repro.jt.evidence import absorb_evidence
-from repro.jt.structure import JunctionTree
+from repro.jt.structure import (DEFAULT_HEURISTIC, JunctionTree,
+                                 compile_junction_tree)
 from repro.potential.factor import Potential
 from repro.potential.maxops import max_marginalize_argmax_vec, restrict
 from repro.potential.ops import multiply_into
@@ -119,9 +120,8 @@ class MPEEngine:
 
     name = "mpe"
 
-    def __init__(self, net, heuristic: str = "min-fill") -> None:
+    def __init__(self, net, heuristic: str = DEFAULT_HEURISTIC) -> None:
         from repro.jt.root import select_root
-        from repro.jt.structure import compile_junction_tree
 
         self.net = net
         self.tree = compile_junction_tree(net, heuristic=heuristic)

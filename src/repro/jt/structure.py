@@ -11,6 +11,7 @@ test cases (exactly how FastBN amortises it across the 2000-case workload).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from repro.errors import JunctionTreeError
 from repro.graph.cliques import elimination_cliques
 from repro.graph.junction import build_junction_tree
 from repro.graph.moralize import moralize
+from repro.graph.treewidth import total_clique_weight
 from repro.graph.triangulate import triangulate
 from repro.potential.domain import Domain
 from repro.potential.factor import Potential
@@ -68,10 +70,14 @@ class JunctionTree:
         net: BayesianNetwork,
         cliques: list[Clique],
         separators: list[Separator],
+        heuristic: str | None = None,
     ) -> None:
         self.net = net
         self.cliques = cliques
         self.separators = separators
+        #: The triangulation heuristic the cliques came from (``None`` for
+        #: a tree rebuilt from its serialised form).
+        self.heuristic = heuristic
         #: adjacency: clique id -> list of (neighbour clique id, separator id)
         self.nbrs: list[list[tuple[int, int]]] = [[] for _ in cliques]
         for sep in separators:
@@ -276,24 +282,53 @@ def assign_cpts(tree: JunctionTree) -> None:
         min(covering, key=lambda c: (c.size, c.id)).cpt_indices.append(k)
 
 
+#: The default ``heuristic``: triangulate under every candidate and keep
+#: the cheapest cliques (see :func:`compile_cliques`).
+DEFAULT_HEURISTIC = "cheapest"
+
+#: The triangulations ``heuristic="cheapest"`` prices, in tie order.
+CANDIDATES = ("min-fill", "min-weight", "min-degree")
+
+
+class Triangulation(NamedTuple):
+    """The maximal cliques of one triangulation and the heuristic that
+    produced them."""
+
+    heuristic: str
+    cliques: list[frozenset[str]]
+
+
 def compile_cliques(net: BayesianNetwork,
-                    heuristic: str = "min-fill") -> list[frozenset[str]]:
+                    heuristic: str = DEFAULT_HEURISTIC) -> Triangulation:
     """Moralize → triangulate → maximal cliques: the structure a tree is
     built from (:func:`tree_from_cliques`) and priced by (the query
-    planner), before any table exists."""
+    planner), before any table exists.
+
+    ``heuristic="cheapest"`` triangulates once under each of
+    :data:`CANDIDATES` and keeps the cliques with the fewest table
+    entries (:func:`~repro.graph.treewidth.total_clique_weight`); a tie
+    goes to the earlier candidate.  Any other value forces that
+    triangulation.
+    """
     net.validate()
     cards = {v.name: v.cardinality for v in net.variables}
-    result = triangulate(moralize(net), heuristic=heuristic,
-                         cardinalities=cards)
-    return elimination_cliques(result.elimination_cliques)
+    moral = moralize(net)
+    names = CANDIDATES if heuristic == "cheapest" else (heuristic,)
+    found = [Triangulation(name, elimination_cliques(
+                 triangulate(moral, heuristic=name, cardinalities=cards)
+                 .elimination_cliques))
+             for name in names]
+    return min(found, key=lambda t: total_clique_weight(t.cliques, cards))
 
 
 def tree_from_cliques(net: BayesianNetwork,
-                      cliques: list[frozenset[str]]) -> JunctionTree:
+                      cliques: list[frozenset[str]],
+                      heuristic: str | None = None) -> JunctionTree:
     """Spanning tree over ``cliques``, clique domains and CPT assignment.
 
     Clique domains order variables by network insertion order, so all
-    potential layouts are deterministic.
+    potential layouts are deterministic.  ``heuristic`` names the
+    triangulation the cliques came from (:attr:`JunctionTree.heuristic`).
     """
     skeleton = build_junction_tree(cliques)
     var_rank = {name: i for i, name in enumerate(net.variable_names)}
@@ -306,14 +341,16 @@ def tree_from_cliques(net: BayesianNetwork,
         net,
         [Clique(i, domain(members)) for i, members in enumerate(skeleton.cliques)],
         [Separator(sep_id, a, b, domain(members))
-         for sep_id, (a, b, members) in enumerate(skeleton.edges)])
+         for sep_id, (a, b, members) in enumerate(skeleton.edges)],
+        heuristic)
     assign_cpts(tree)
     return tree
 
 
 def compile_junction_tree(
     net: BayesianNetwork,
-    heuristic: str = "min-fill",
+    heuristic: str = DEFAULT_HEURISTIC,
 ) -> JunctionTree:
     """Full compile pipeline: moralize → triangulate → cliques → tree."""
-    return tree_from_cliques(net, compile_cliques(net, heuristic))
+    heuristic, cliques = compile_cliques(net, heuristic)
+    return tree_from_cliques(net, cliques, heuristic)

@@ -16,8 +16,9 @@ Four name forms resolve, in order:
   laptop-feasible ``bench`` scale;
 * a filesystem path to a ``.bif`` file.
 
-A load resolves the network once and triangulates it once, with the
-engine's own heuristic (:func:`~repro.jt.structure.compile_cliques`).
+A load resolves the network once and triangulates it once per candidate
+of the engine's own heuristic (:func:`~repro.jt.structure.compile_cliques`;
+the default prices three and keeps the cheapest).
 The :class:`~repro.approx.QueryPlanner` prices that triangulation's
 cliques before any table exists: a network whose junction-tree tables
 exceed the registry's engine-policy threshold loads as a resident
@@ -55,7 +56,7 @@ from repro.core.batch import BatchedFastBNI
 from repro.core.config import FastBNIConfig
 from repro.errors import NetworkError, PlannerError
 from repro.exec.engine_api import CAPABILITIES_BY_KIND
-from repro.jt.structure import compile_cliques, tree_from_cliques
+from repro.jt.structure import Triangulation, compile_cliques, tree_from_cliques
 from repro.service.cache import InferenceCache
 from repro.service.metrics import ServiceMetrics
 
@@ -205,6 +206,9 @@ class ModelRegistry:
         #: Cached ``auto`` decisions per model name, recorded by every
         #: load, so a lookup of a resident model never re-plans.
         self._plans: dict[str, PlanDecision] = {}
+        #: Network and triangulation :meth:`plan_for` priced, kept for the
+        #: next load of that name so it triangulates nothing again.
+        self._priced: dict[str, tuple[BayesianNetwork, Triangulation]] = {}
         self._lock = threading.RLock()
         self._evictions = 0
         self._closed = False
@@ -224,6 +228,7 @@ class ModelRegistry:
         with self._lock:
             self._nets[name] = net
             self._plans.pop(name, None)
+            self._priced.pop(name, None)
             for kind in ("exact", "approx"):
                 entry = self._entries.pop(entry_key(name, kind), None)
                 if entry is not None:
@@ -245,7 +250,12 @@ class ModelRegistry:
             decision = self._plans.get(name)
         if decision is None:
             net = self._resolve(name)
-            decision = self._plan(name, net, compile_cliques(net, self.heuristic))
+            triangulation = compile_cliques(net, self.heuristic)
+            decision = self._plan(name, net, triangulation.cliques)
+            with self._lock:
+                # Unless a register() replaced the network meanwhile.
+                if self._nets.get(name, net) is net:
+                    self._priced[name] = (net, triangulation)
         return decision
 
     def _plan(self, name: str, net: BayesianNetwork, cliques,
@@ -383,22 +393,30 @@ class ModelRegistry:
 
     # --------------------------------------------------------------- loading
     def _load(self, name: str, policy: str) -> ModelEntry:
-        """Resolve, triangulate and plan ``name`` once, then load the
-        engine class the plan decided."""
-        net = self._resolve(name)
-        cliques = compile_cliques(net, self.heuristic)
-        decision = self._plan(name, net, cliques, policy)
+        """Resolve, triangulate and plan ``name`` once (reusing what
+        :meth:`plan_for` priced), then load the engine class the plan
+        decided."""
+        with self._lock:
+            priced = self._priced.pop(name, None)
+        if priced is not None:
+            net, triangulation = priced
+        else:
+            net = self._resolve(name)
+            triangulation = compile_cliques(net, self.heuristic)
+        decision = self._plan(name, net, triangulation.cliques, policy)
         # Dispatch on the decided engine class's capabilities: an exact
         # (tree-compiling) class loads with a calibrated baseline and
         # result memo, a sampling class with a sampled prior.
         if decision.capabilities.exact:
-            return self._load_exact(name, net, decision, cliques)
+            return self._load_exact(name, net, decision, triangulation)
         return self._load_approx(name, net, decision)
 
     def _load_exact(self, name: str, net: BayesianNetwork,
-                    decision: PlanDecision, cliques) -> ModelEntry:
-        engine = BatchedFastBNI(net, tree=tree_from_cliques(net, cliques),
-                                **self.engine_options)
+                    decision: PlanDecision,
+                    triangulation: Triangulation) -> ModelEntry:
+        tree = tree_from_cliques(net, triangulation.cliques,
+                                 triangulation.heuristic)
+        engine = BatchedFastBNI(net, tree=tree, **self.engine_options)
         from_cache = False
         if self.cache_dir is not None:  # off the serve start-up path
             from repro.service.modelfile import attach

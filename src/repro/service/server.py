@@ -532,6 +532,10 @@ class InferenceServer(JsonLinesFront):
             "variables": entry.net.num_variables,
             "engine": entry.engine_kind,
             "tree": entry.engine.stats(),
+            # The triangulation the served tree came from (None for a
+            # sampling engine, which builds no tree).
+            "heuristic": getattr(getattr(entry.engine, "tree", None),
+                                 "heuristic", None),
             "resident_bytes": entry.resident_bytes,
             "compiled_from_cache": entry.from_cache,
             # The active whole-message kernel backend and the compiled

@@ -188,10 +188,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "8 nodes" in out
         assert "num_cliques" in out
+        assert "heuristic: min-fill" in out
 
     def test_info_analog(self, capsys):
         assert main(["info", "hailfinder"]) == 0
-        assert "56 nodes" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "56 nodes" in out
+        # The tree info prints is the cheapest triangulation's.
+        assert "heuristic: min-weight" in out
+        assert "total_clique_size: 3348" in out
 
     def test_query_with_evidence(self, capsys):
         rc = main([

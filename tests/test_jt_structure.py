@@ -126,3 +126,122 @@ class TestStructureShapes:
         net = random_network(40, avg_parents=1.6, max_in_degree=3, window=8, rng=seed)
         tree = compile_junction_tree(net)
         assert tree.num_cliques >= 1
+
+
+ANALOGS = ("hailfinder", "pathfinder", "diabetes", "pigs", "munin2",
+           "munin4")
+
+
+class TestCheapestTriangulation:
+    """The default tree is the cheapest of the candidate triangulations."""
+
+    @pytest.mark.parametrize("name", ANALOGS)
+    def test_chosen_price_is_the_least(self, name):
+        from repro.bn.repository import resolve_network
+        from repro.graph.treewidth import total_clique_weight
+        from repro.jt.structure import CANDIDATES, compile_cliques
+
+        net = resolve_network(name)
+        cards = {v.name: v.cardinality for v in net.variables}
+        prices = {h: total_clique_weight(compile_cliques(net, h).cliques,
+                                         cards)
+                  for h in CANDIDATES}
+        chosen = compile_cliques(net)
+        assert total_clique_weight(chosen.cliques, cards) == min(
+            prices.values())
+        # A tie goes to the earliest candidate.
+        assert chosen.heuristic == next(
+            h for h in CANDIDATES if prices[h] == min(prices.values()))
+        assert (set(chosen.cliques)
+                == set(compile_cliques(net, chosen.heuristic).cliques))
+
+    def test_ties_keep_min_fill(self, asia):
+        """Asia's candidates all price 40 entries: min-fill wins."""
+        from repro.jt.structure import compile_cliques
+
+        assert compile_cliques(asia).heuristic == "min-fill"
+        assert compile_junction_tree(asia).heuristic == "min-fill"
+
+    def test_hailfinder_takes_min_weight(self):
+        from repro.bn.repository import resolve_network
+
+        tree = compile_junction_tree(resolve_network("hailfinder"))
+        assert tree.heuristic == "min-weight"
+        assert tree.stats()["total_clique_size"] == 3348
+        assert tree.num_cliques == 47
+
+    def test_explicit_heuristic_forces_its_triangulation(self):
+        from repro.bn.repository import resolve_network
+
+        tree = compile_junction_tree(resolve_network("hailfinder"),
+                                     heuristic="min-fill")
+        assert tree.heuristic == "min-fill"
+        assert tree.stats()["total_clique_size"] == 5025
+
+    def test_unknown_heuristic_keeps_its_text(self, asia):
+        with pytest.raises(JunctionTreeError,
+                           match=r"^unknown heuristic 'bogus'; expected one of "
+                                 r"\('min-fill', 'min-degree', 'min-weight'\)$"):
+            compile_junction_tree(asia, heuristic="bogus")
+
+    @pytest.mark.parametrize("name", ["hailfinder", "diabetes"])
+    def test_tree_is_independent_of_the_hash_seed(self, name):
+        """String hashing changes set order, never the tree."""
+        import os
+        import subprocess
+        import sys
+
+        script = ("import json, sys\n"
+                  "from repro.bn.repository import resolve_network\n"
+                  "from repro.jt.serialize import tree_to_dict\n"
+                  "from repro.jt.structure import compile_junction_tree\n"
+                  "tree = compile_junction_tree(resolve_network(sys.argv[1]))\n"
+                  "print(tree.heuristic, json.dumps(tree_to_dict(tree), "
+                  "sort_keys=True))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        outputs = set()
+        for seed in ("0", "7", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", script, name],
+                                  env=env, capture_output=True, text=True,
+                                  check=True)
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+
+    def test_cheapest_and_min_fill_trees_agree(self):
+        """Hailfinder answers the same on its cheapest and min-fill trees,
+        one case at a time and in a batch of table-major blocks."""
+        from repro.bn.repository import resolve_network
+        from repro.bn.sampling import generate_test_cases
+        from repro.core import BatchedFastBNI
+        from repro.exec.native import load_native_kernels
+
+        net = resolve_network("hailfinder")
+        cases = [c.evidence for c in generate_test_cases(net, 40, 0.2, rng=8)]
+        kernels = ["fused"] + (["native"] if load_native_kernels()[0]
+                               else [])
+        for kind in kernels:
+            with BatchedFastBNI(net, mode="seq", kernels=kind) as cheapest, \
+                    BatchedFastBNI(net, mode="seq", kernels=kind,
+                                   heuristic="min-fill") as fill:
+                assert cheapest.tree.heuristic == "min-weight"
+                assert cheapest.tree.num_cliques != fill.tree.num_cliques
+                for case in cases[:8]:
+                    got, want = cheapest.infer(case), fill.infer(case)
+                    assert got.log_evidence == pytest.approx(
+                        want.log_evidence, abs=1e-12)
+                    for name in net.variable_names:
+                        np.testing.assert_allclose(
+                            got.posteriors[name], want.posteriors[name],
+                            rtol=0, atol=1e-12)
+                got, want = cheapest.infer_cases(cases), fill.infer_cases(cases)
+                np.testing.assert_allclose(got.log_evidence,
+                                           want.log_evidence,
+                                           rtol=0, atol=1e-12)
+                for name in net.variable_names:
+                    np.testing.assert_allclose(
+                        got.posteriors[name], want.posteriors[name],
+                        rtol=0, atol=1e-12)

@@ -693,8 +693,8 @@ class TestWholeCases:
         _block_errors_name_the_lowest_case(_named_net(name))
 
     def test_thread_dispatched_blocks_agree(self, native):
-        """Two threads, each running a full table-major block and a
-        remainder over its own block arena."""
+        """Two threads, each running a full table-major block over its
+        own block arena; the remainder joins the second."""
         from repro.bn.sampling import generate_test_cases
         from repro.core import BatchedFastBNI
 
@@ -710,6 +710,25 @@ class TestWholeCases:
             ref = staged.infer_cases(cases)
         for i in range(len(cases)):
             _assert_same(got.case(i), ref.case(i), hailfinder.variable_names)
+
+    def test_threads_split_only_between_whole_blocks(self, native):
+        """A 30-case batch is under two blocks: two threads leave it one
+        call, so it runs its table-major block as ``seq`` does."""
+        from repro.bn.sampling import generate_test_cases
+        from repro.core import BatchedFastBNI
+
+        hailfinder = _named_net("hailfinder")
+        cases = [c.evidence for c in
+                 generate_test_cases(hailfinder, 30, 0.2, rng=1)]
+        with BatchedFastBNI(hailfinder, mode="hybrid", backend="thread",
+                            num_workers=2, kernels="native") as threaded, \
+                BatchedFastBNI(hailfinder, mode="seq",
+                               kernels="native") as seq:
+            threaded.infer_cases(cases)
+            seq.infer_cases(cases)
+            assert threaded.metrics["batch_blocks"] == 1
+            assert (threaded.metrics["messages_run"]
+                    == seq.metrics["messages_run"])
 
     def test_four_threads_running_blocks_agree(self, native):
         """Four threads on one engine, back-to-back calls of two full
@@ -803,7 +822,10 @@ class TestWholeCases:
         from repro.bn.sampling import generate_test_cases
         from repro.core import BatchedFastBNI
 
-        cases = [c.evidence for c in generate_test_cases(asia, 9, 0.25, rng=3)]
+        # Asia's batches split only between whole table-major blocks:
+        # three blocks and a remainder make three calls.
+        cases = [c.evidence for c in
+                 generate_test_cases(asia, 3 * BLOCK + 1, 0.25, rng=3)]
         with BatchedFastBNI(asia, mode="hybrid", backend="thread",
                             num_workers=3, kernels="native") as fast, \
                 BatchedFastBNI(asia, mode="seq", kernels="numpy") as staged:
@@ -814,7 +836,7 @@ class TestWholeCases:
             assert calls.counts["_infer_cases"] == 3
             assert calls.counts["_run_schedule"] == 1 == calls.total - 3
             ref = staged.infer_cases(cases)
-        assert batch.meta == {"cases": 9.0, "blocks": 3.0,
+        assert batch.meta == {"cases": 3.0 * BLOCK + 1, "blocks": 3.0,
                               "messages_run": fast.metrics["messages_run"]}
         for i in range(len(cases)):
             _assert_same(batch.case(i), ref.case(i), asia.variable_names)

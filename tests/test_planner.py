@@ -45,7 +45,7 @@ class TestEstimate:
         its tables, entry for entry."""
         tree = compile_junction_tree(asia, heuristic=heuristic)
         cost = QueryPlanner().plan(
-            asia, cliques=compile_cliques(asia, heuristic)).estimate
+            asia, cliques=compile_cliques(asia, heuristic).cliques).estimate
         assert cost.total_table_bytes == 8 * tree.stats()["total_clique_size"]
         assert cost.max_clique_entries == tree.stats()["max_clique_size"]
 

@@ -21,6 +21,26 @@ from repro.service import (InferenceServer, MicroBatcher, ModelRegistry,
 IMPOSSIBLE = {"lung": "no", "tub": "no", "either": "yes"}
 
 
+def _count_triangulations(monkeypatch) -> list:
+    """Record the heuristic of every ``triangulate`` call from here on."""
+    import importlib
+
+    import repro.jt.structure as structure
+
+    # The package re-exports the function under the submodule's name.
+    triangulate_module = importlib.import_module("repro.graph.triangulate")
+    calls = []
+    real = triangulate_module.triangulate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs.get("heuristic"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(triangulate_module, "triangulate", counted)
+    monkeypatch.setattr(structure, "triangulate", counted)
+    return calls
+
+
 def run(coro):
     return asyncio.run(coro)
 
@@ -206,28 +226,49 @@ class TestModelRegistry:
             assert registry.get("asia").from_cache is True  # written fresh
 
     def test_cold_load_triangulates_once(self, monkeypatch):
-        """One cold ``get`` resolves and triangulates the network once:
-        the planner prices the cliques the engine's tree is built from."""
-        import importlib
+        """One cold ``get`` resolves the network once and triangulates it
+        once per candidate: the planner prices the cliques the engine's
+        tree is built from."""
+        from repro.jt.structure import CANDIDATES
 
-        import repro.jt.structure as structure
-
-        # The package re-exports the function under the submodule's name.
-        triangulate_module = importlib.import_module("repro.graph.triangulate")
-        calls = []
-        real = triangulate_module.triangulate
-
-        def counted(*args, **kwargs):
-            calls.append(args[1] if len(args) > 1 else kwargs.get("heuristic"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(triangulate_module, "triangulate", counted)
-        monkeypatch.setattr(structure, "triangulate", counted)
+        calls = _count_triangulations(monkeypatch)
+        with ModelRegistry(heuristic="min-fill") as registry:
+            registry.get("hailfinder")
+            assert len(calls) == 1
+            registry.get("hailfinder")
+            assert len(calls) == 1
+        calls.clear()
         with ModelRegistry() as registry:
+            entry = registry.get("hailfinder")
+            assert sorted(calls) == sorted(CANDIDATES)
             registry.get("hailfinder")
-            assert len(calls) == 1
-            registry.get("hailfinder")
-            assert len(calls) == 1
+            assert len(calls) == len(CANDIDATES)
+            assert entry.engine.tree.heuristic == "min-weight"
+
+    def test_cold_auto_mpe_triangulates_each_candidate_once(self,
+                                                            monkeypatch):
+        """``mpe`` under ``engine="auto"`` plans before it loads; the load
+        builds the tree from the cliques the plan priced."""
+        from repro.jt.structure import CANDIDATES
+
+        calls = _count_triangulations(monkeypatch)
+
+        async def scenario():
+            server = InferenceServer(port=0)
+            await server.start()
+            try:
+                def attempt():
+                    with ServiceClient(port=server.port) as client:
+                        return (client.mpe("hailfinder", {}, engine="auto"),
+                                client.info("hailfinder"))
+                return await asyncio.to_thread(attempt)
+            finally:
+                await server.stop()
+
+        mpe, info = run(scenario())
+        assert mpe["log_probability"] < 0
+        assert sorted(calls) == sorted(CANDIDATES)
+        assert info["heuristic"] == "min-weight"
 
     def test_plan_prices_the_engines_tree(self):
         """A min-weight registry prices the min-weight tree it serves."""
@@ -245,13 +286,14 @@ class TestModelRegistry:
         from repro.jt.structure import compile_cliques
 
         cache = tmp_path / "model-cache"
-        with ModelRegistry(cache_dir=cache) as registry:
+        with ModelRegistry(cache_dir=cache, heuristic="min-fill") as registry:
             min_fill = registry.get("hailfinder")
             fill_tree = tree_to_dict(min_fill.engine.tree)
         with ModelRegistry(cache_dir=cache, heuristic="min-weight") as registry:
             entry = registry.get("hailfinder")
             served = {frozenset(c.domain.names) for c in entry.engine.tree.cliques}
-            assert served == set(compile_cliques(entry.net, "min-weight"))
+            assert served == set(
+                compile_cliques(entry.net, "min-weight").cliques)
             assert tree_to_dict(entry.engine.tree) != fill_tree
             assert entry.from_cache is False  # a different tree, a new file
 

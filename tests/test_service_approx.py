@@ -147,6 +147,13 @@ class TestRegistryPolicy:
             # The cached auto plan was refreshed too, not just the entry:
             # it prices cancer's compiled cliques (16 entries).
             assert registry.plan_for("m").estimate.total_table_bytes == 128
+            # A network priced by plan_for but replaced before its load
+            # is not the one loaded.
+            registry.evict("m")
+            registry.register("m", load_dataset("asia"))
+            registry.plan_for("m")
+            registry.register("m", load_dataset("sprinkler"))
+            assert registry.get("m").net.num_variables == 4
 
     def test_register_validates(self):
         from repro.bn.network import BayesianNetwork
