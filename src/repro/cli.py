@@ -79,16 +79,24 @@ def _parse_evidence_arg(text: str):
     )
 
 
-def _make_query_engine(args: argparse.Namespace, net):
-    """Build the engine ``query --engine`` selects (planner decides auto)."""
+def _make_query_engine(args: argparse.Namespace, net, batched: bool = False):
+    """Build the engine ``query --engine`` selects (planner decides auto);
+    ``batched`` builds the exact engine as :class:`BatchedFastBNI`."""
     from repro.approx import ApproxBNI, QueryPlanner
-    from repro.core import FastBNI
+    from repro.core import BatchedFastBNI, FastBNI
+    from repro.jt.structure import compile_cliques, tree_from_cliques
 
     choice = args.engine
-    decision = None
+    decision = tree = None
     if choice == "auto":
-        decision = QueryPlanner().plan(net)
+        # Triangulate once: the planner prices the cliques the exact
+        # engine then builds its tree from.
+        triangulation = compile_cliques(net)
+        decision = QueryPlanner().plan(net, cliques=triangulation.cliques)
         choice = decision.engine
+        if choice == "exact":
+            tree = tree_from_cliques(net, triangulation.cliques,
+                                     triangulation.heuristic)
     if choice == "approx":
         from repro.approx.engine import DEFAULT_MAX_SAMPLES
 
@@ -97,8 +105,9 @@ def _make_query_engine(args: argparse.Namespace, net):
         return ApproxBNI(net, num_samples=args.samples,
                          max_samples=max(args.samples, DEFAULT_MAX_SAMPLES),
                          tolerance=args.tolerance, seed=args.seed)
-    return FastBNI(net, mode=args.mode, backend=args.backend,
-                   num_workers=args.workers, kernels=args.kernels)
+    engine_cls = BatchedFastBNI if batched else FastBNI
+    return engine_cls(net, tree=tree, mode=args.mode, backend=args.backend,
+                      num_workers=args.workers, kernels=args.kernels)
 
 
 def _cmd_query(args: argparse.Namespace) -> None:
@@ -142,7 +151,7 @@ def _run_batch_query(args: argparse.Namespace, net, evidence) -> None:
     import time
 
     from repro.bn.sampling import TestCase, generate_test_cases
-    from repro.core import BatchedFastBNI, FastBNI
+    from repro.core import BatchedFastBNI
     from repro.jt.evidence_soft import split_evidence
 
     if isinstance(evidence, list):
@@ -159,18 +168,8 @@ def _run_batch_query(args: argparse.Namespace, net, evidence) -> None:
         cases = [c.evidence for c in generate_test_cases(
             net, args.batch, observed_fraction=0.2, rng=args.seed)]
     targets = tuple(args.targets.split(",")) if args.targets else ()
-    if args.engine == "exact":
-        chosen = BatchedFastBNI(net, mode=args.mode, backend=args.backend,
-                                num_workers=args.workers, kernels=args.kernels)
-    else:
-        chosen = _make_query_engine(args, net)
-        if isinstance(chosen, FastBNI):
-            # Planner picked exact: the batch path wants the case-axis-
-            # vectorised engine, not the per-case FastBNI.
-            chosen.close()
-            chosen = BatchedFastBNI(net, mode=args.mode, backend=args.backend,
-                                    num_workers=args.workers,
-                                    kernels=args.kernels)
+    # The batch path wants the case-axis-vectorised exact engine.
+    chosen = _make_query_engine(args, net, batched=True)
     approx = not isinstance(chosen, BatchedFastBNI)
     with chosen as engine:
         start = time.perf_counter()

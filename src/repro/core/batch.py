@@ -42,9 +42,9 @@ row slice of the batch state's ``(N, size)`` tables (staged) or of the
 evidence matrix (whole-case, where a thread-dispatched block runs GIL-free
 from first evidence entry to last posterior): threads share the arena, so
 nothing is copied in or out.  On a plan the native kernels run
-table-major (``case_block``), a batch splits only between whole blocks
-of 16 cases and the cases left over join the last call, so a batch of
-fewer than 32 cases stays one call whatever the worker count.
+table-major (``case_block``), every call gets at least one whole block
+of 16 cases, so a batch of fewer than 32 cases stays one call whatever
+the worker count.
 
 Correctness contract: row *i* of every batched table evolves exactly as a
 per-case :class:`~repro.jt.structure.TreeState` would for case *i* (same
@@ -152,11 +152,12 @@ def infer_cases(
 
     workers = 1 if engine.config.mode == "seq" else engine.backend.num_workers
     whole_cases = getattr(kernels, "compiles_cases", False)
-    # A thread's call runs its cases table-major only in whole blocks, so
-    # split on block boundaries there.
+    # A call runs its cases table-major only in whole blocks, so give
+    # every call at least one.
+    if whole_cases:
+        min_block = max(min_block, kernels.case_block(plan))
     blocks = chunk_cases(n, workers, min_block=min_block,
-                         blocks_per_worker=blocks_per_worker,
-                         align=kernels.case_block(plan) if whole_cases else 1)
+                         blocks_per_worker=blocks_per_worker)
     engine.metrics = {"dispatch_batches": 0, "dispatch_tasks": 0,
                       "inline_layers": 0, "messages": spec.num_messages,
                       "batch_cases": n, "batch_blocks": len(blocks)}

@@ -38,8 +38,7 @@ def chunk_ranges(size: int, num_chunks: int, min_chunk: int = 1) -> list[tuple[i
 
 
 def chunk_cases(num_cases: int, num_workers: int, min_block: int = 1,
-                blocks_per_worker: int = 1,
-                align: int = 1) -> list[tuple[int, int]]:
+                blocks_per_worker: int = 1) -> list[tuple[int, int]]:
     """Split a batch of inference cases into contiguous case blocks.
 
     The batched calibration engine parallelises over the *case* axis: each
@@ -47,26 +46,14 @@ def chunk_cases(num_cases: int, num_workers: int, min_block: int = 1,
     every table are disjoint), so one dispatch covers the whole batch — no
     per-layer barriers between blocks.  ``min_block`` keeps blocks large
     enough that the per-block NumPy calls stay vectorised.
-
-    ``align > 1`` splits only on multiples of ``align`` cases (a kernel
-    that runs ``align`` cases at a time at a lower per-case cost): the
-    cases left over join the last block, so a batch of fewer than
-    ``2 * align`` cases stays one block.
     """
-    if num_workers < 1 or blocks_per_worker < 1 or align < 1:
+    if num_workers < 1 or blocks_per_worker < 1:
         raise BackendError(
             f"invalid case chunking: num_workers={num_workers} "
-            f"blocks_per_worker={blocks_per_worker} align={align}"
+            f"blocks_per_worker={blocks_per_worker}"
         )
-    if align == 1 or num_cases == 0:
-        return chunk_ranges(num_cases, num_workers * blocks_per_worker,
-                            min_chunk=min_block)
-    units = chunk_ranges(max(1, num_cases // align),
-                         num_workers * blocks_per_worker,
-                         min_chunk=-(-min_block // align))
-    blocks = [(lo * align, hi * align) for lo, hi in units]
-    blocks[-1] = (blocks[-1][0], num_cases)
-    return blocks
+    return chunk_ranges(num_cases, num_workers * blocks_per_worker,
+                        min_chunk=min_block)
 
 
 def chunk_weighted(

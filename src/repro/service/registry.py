@@ -253,8 +253,11 @@ class ModelRegistry:
             triangulation = compile_cliques(net, self.heuristic)
             decision = self._plan(name, net, triangulation.cliques)
             with self._lock:
-                # Unless a register() replaced the network meanwhile.
-                if self._nets.get(name, net) is net:
+                # Kept only for an exact decision, the one a load follows
+                # (mpe rejects the rest), and unless a register() replaced
+                # the network meanwhile.
+                if (decision.capabilities.exact
+                        and self._nets.get(name, net) is net):
                     self._priced[name] = (net, triangulation)
         return decision
 

@@ -59,8 +59,8 @@ class TestAgreement:
 
     @pytest.mark.parametrize("kernels", ["fused", "numpy", "native"])
     def test_thread_backend_dispatches_case_blocks(self, asia, kernels):
-        # 32 cases: native splits asia's batches only between whole
-        # 16-case table-major blocks, and needs two of them to split.
+        # 32 cases: every native call of asia gets at least one whole
+        # 16-case table-major block, so two calls need two blocks.
         cases = generate_test_cases(asia, 32, 0.25, rng=3)
         with BatchedFastBNI(asia, mode="hybrid", backend="thread",
                             num_workers=2, kernels=kernels) as engine, \
@@ -297,24 +297,16 @@ class TestCaseChunking:
 
     def test_chunk_cases_min_block(self):
         assert chunk_cases(4, 8, min_block=4) == [(0, 4)]
-
-    def test_chunk_cases_aligned_splits_on_whole_blocks(self):
-        """Aligned splits cut only between whole blocks; the cases left
-        over join the last one, and fewer than two blocks stay whole."""
-        assert chunk_cases(31, 2, align=16) == [(0, 31)]
-        assert chunk_cases(5, 4, align=16) == [(0, 5)]
-        assert chunk_cases(38, 2, align=16) == [(0, 16), (16, 38)]
-        assert chunk_cases(256, 2, align=16) == [(0, 128), (128, 256)]
-        assert chunk_cases(70, 8, align=16) == [(0, 16), (16, 32), (32, 48),
-                                                (48, 70)]
-        # min_block counts whole blocks, rounded up.
-        assert chunk_cases(64, 4, min_block=20, align=16) == [(0, 32),
-                                                              (32, 64)]
+        # A native table-major block (16 cases) as the floor: under two
+        # blocks stays one call, and the cases over spread evenly.
+        assert chunk_cases(31, 2, min_block=16) == [(0, 31)]
+        assert chunk_cases(38, 2, min_block=16) == [(0, 19), (19, 38)]
+        assert chunk_cases(40, 2, min_block=16) == [(0, 20), (20, 40)]
+        assert chunk_cases(49, 3, min_block=16) == [(0, 17), (17, 33),
+                                                    (33, 49)]
 
     def test_chunk_cases_validates(self):
         from repro.errors import BackendError
 
         with pytest.raises(BackendError):
             chunk_cases(4, 0)
-        with pytest.raises(BackendError):
-            chunk_cases(4, 1, align=0)

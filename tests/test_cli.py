@@ -210,6 +210,30 @@ class TestCommands:
         assert "P(lung | e)" in out
         assert "log P(e)" in out
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_query_auto_triangulates_each_candidate_once(self, capsys,
+                                                         monkeypatch, batch):
+        """``query --engine auto`` builds the exact engine's tree from the
+        cliques the planner priced."""
+        import repro.jt.structure as structure
+        from repro.jt.structure import CANDIDATES
+
+        calls = []
+        real = structure.triangulate
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("heuristic"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(structure, "triangulate", counted)
+        rc = main(["query", "asia", "--engine", "auto", "--targets", "lung",
+                   "--mode", "seq", "--workers", "1"]
+                  + (["--batch", "3"] if batch else []))
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert ("batched 3 cases" if batch else "P(lung | e)") in out
+        assert sorted(calls) == sorted(CANDIDATES)
+
     def test_query_parallel_mode(self, capsys):
         rc = main(["query", "sprinkler", "--evidence", '{"WetGrass": "yes"}',
                    "--targets", "Rain", "--workers", "2"])

@@ -693,8 +693,8 @@ class TestWholeCases:
         _block_errors_name_the_lowest_case(_named_net(name))
 
     def test_thread_dispatched_blocks_agree(self, native):
-        """Two threads, each running a full table-major block over its
-        own block arena; the remainder joins the second."""
+        """Two threads, each running a full table-major block and a
+        remainder over its own block arena."""
         from repro.bn.sampling import generate_test_cases
         from repro.core import BatchedFastBNI
 
@@ -711,9 +711,9 @@ class TestWholeCases:
         for i in range(len(cases)):
             _assert_same(got.case(i), ref.case(i), hailfinder.variable_names)
 
-    def test_threads_split_only_between_whole_blocks(self, native):
-        """A 30-case batch is under two blocks: two threads leave it one
-        call, so it runs its table-major block as ``seq`` does."""
+    def test_threads_keep_a_batch_under_two_blocks_whole(self, native):
+        """A 30-case batch cannot give two calls a whole block each: it
+        stays one call, so it runs its table-major block as ``seq`` does."""
         from repro.bn.sampling import generate_test_cases
         from repro.core import BatchedFastBNI
 
@@ -822,8 +822,8 @@ class TestWholeCases:
         from repro.bn.sampling import generate_test_cases
         from repro.core import BatchedFastBNI
 
-        # Asia's batches split only between whole table-major blocks:
-        # three blocks and a remainder make three calls.
+        # Every native call of asia gets at least one whole table-major
+        # block (min_block=2 is raised to 16): 49 cases make three calls.
         cases = [c.evidence for c in
                  generate_test_cases(asia, 3 * BLOCK + 1, 0.25, rng=3)]
         with BatchedFastBNI(asia, mode="hybrid", backend="thread",

@@ -67,6 +67,18 @@ class TestRegistryPolicy:
             entry = registry.get("grid", engine="auto")
             assert entry.engine_kind == "approx"
 
+    def test_plan_for_keeps_only_a_triangulation_a_load_follows(self, grid):
+        """An approx decision is not followed by a load (mpe rejects it),
+        so its network and triangulation are not kept; an exact one is,
+        until its load."""
+        with make_registry(policy="auto", max_exact_bytes=5000) as registry:
+            registry.register("grid", grid)
+            assert registry.plan_for("grid").engine == "approx"
+            assert registry.plan_for("asia").engine == "exact"
+            assert set(registry._priced) == {"asia"}
+            registry.get("asia")
+            assert registry._priced == {}
+
     def test_explicit_engine_overrides_policy(self, grid):
         with make_registry(policy="auto", max_exact_bytes=5000) as registry:
             registry.register("grid", grid)
