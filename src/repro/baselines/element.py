@@ -49,7 +49,7 @@ class ElementEngine:
             absorb_evidence(state, evidence)
         # Zheng's kernels index by thread id; the plan's cached maps go unused.
         for upward, src, dst, sep_id, edge, _, _ in \
-                engine.plan.compiled_messages(maps=False):
+                engine.plan.compiled_messages():
             self._message(state, upward, src, dst, sep_id, edge)
         return InferenceResult(
             posteriors=all_posteriors(state, targets),

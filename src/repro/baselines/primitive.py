@@ -77,7 +77,7 @@ class PrimitiveEngine:
         state = engine.tree.fresh_state()
         if evidence:
             absorb_evidence(state, evidence)
-        for message in engine.plan.compiled_messages():
+        for message in engine.plan.compiled_messages(maps=True):
             self._message(state, *message)
         return InferenceResult(
             posteriors=all_posteriors(state, targets),

@@ -1,7 +1,7 @@
 """Service-level ablation matrix: does every component earn its keep?
 
-The stack has accumulated load-bearing machinery — fused and native
-kernels, the result memo, batcher coalescing, planner routing.  Each
+The stack has accumulated load-bearing machinery — native kernels, the
+result memo, batcher coalescing, planner routing.  Each
 landed with its own benchmark, but nothing proves they still pull their
 weight *together* under mixed traffic, and nothing catches a change that
 quietly erases one contribution while the others mask the regression.
@@ -56,16 +56,10 @@ SCHEMA = "fastbni-bench-ablation-v1"
 #: Components under ablation: name -> (what the switch does, the server
 #: kwargs that turn the component OFF).  Baseline gets none of these.
 COMPONENTS: dict[str, dict] = {
-    "fused_kernels": {
-        "description": "flat-arena fused kernel backend (off = numpy "
-                       "reference kernels)",
-        "off": {"kernels": "numpy"},
-    },
     "native_kernels": {
-        "description": "native C kernel backend: whole calibrations as "
-                       "GIL-free foreign calls (off = fused Python "
-                       "kernels)",
-        "off": {"kernels": "fused"},
+        "description": "native C kernel backend: whole cases as GIL-free "
+                       "foreign calls (off = numpy reference kernels)",
+        "off": {"kernels": "numpy"},
     },
     "cache": {
         "description": "result memo: exact repeats never touch the tree "
@@ -93,7 +87,7 @@ DEFAULT_CONCURRENCY = 8
 DEFAULT_MAX_EXACT_BYTES = 2 * 1024 * 1024
 #: Shared server posture (identical across all variants).  Baseline runs
 #: the native kernel backend so the ``native_kernels`` row measures its
-#: contribution; on toolchain-less machines native degrades to fused and
+#: contribution; on toolchain-less machines native degrades to numpy and
 #: the report's ``native`` field records it (the gate then exempts the
 #: row instead of failing on an off-variant identical to baseline).
 BASE_SERVER = {"max_batch": 32, "kernels": "native"}
@@ -333,7 +327,7 @@ def _vs_committed(fresh: dict, committed: dict) -> dict:
     for row in fresh["components"]:
         name = row["component"]
         ratio = committed_ratio.get(name, 0.0)
-        # Toolchain-less runner: native fell back to fused, so the
+        # Toolchain-less runner: native fell back to numpy, so the
         # off-variant equals the baseline and there is nothing to retain.
         if ratio >= MIN_CONTRIBUTION and (native or name != "native_kernels"):
             retained[name] = (float(row["rps_ratio"]) - 1.0) / (ratio - 1.0)

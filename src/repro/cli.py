@@ -481,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--workers", type=int, default=4)
     q.add_argument("--kernels", default="native", choices=KERNELS,
                    help="whole-message kernel backend: native GIL-free C "
-                        "calls (default; falls back to fused when no C "
-                        "compiler is available), fused flat-arena passes, "
-                        "or the numpy ndview reference; drives the seq "
+                        "calls (default; falls back to numpy when no C "
+                        "compiler is available) or the numpy ndview "
+                        "reference; drives the seq "
                         "and batched paths — single queries need --mode "
                         "seq (parallel modes chunk their own kernels)")
     q.set_defaults(func=_cmd_query)
@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--kernels", default="native", choices=KERNELS,
                     help="whole-message kernel backend for served models "
                          "(info/stats report the active one — native "
-                         "degrades to fused without a C compiler)")
+                         "degrades to numpy without a C compiler)")
     sv.set_defaults(func=_cmd_serve)
 
     cu = sub.add_parser("cluster",
@@ -582,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     cu.add_argument("--kernels", default="native", choices=KERNELS,
                     help="per-worker kernel backend (each worker process "
                          "compiles/loads the native library from the "
-                         "shared cache; degrades to fused without a C "
+                         "shared cache; degrades to numpy without a C "
                          "compiler)")
     cu.add_argument("--max-mb", type=float, default=256.0,
                     help="per-worker registry byte budget")

@@ -29,7 +29,7 @@ cases at a time table-major when the plan's arena is small enough) —
 ``O(blocks)`` foreign calls and no per-message or per-variable
 interpreter work.  A sampled request runs the same calls;
 its recorder gets their time and the messages run.  The staged path
-above stays for the ``numpy``/``fused`` backends (a recorder there gets
+above stays for the ``numpy`` backend (a recorder there gets
 absorb and schedule timings); the test suite pins the two against each
 other at 1e-12.
 
@@ -101,11 +101,10 @@ def calibrate_case_block(
     per-case ``log_norm`` vector.
     """
     log_norm = np.zeros(row_hi - row_lo)
-    for upward, src, dst, sep_id, edge, m_marg, m_abs in messages:
+    for upward, src, dst, sep_id, edge, *_ in messages:
         log_totals = kernels.message_batch(
             cliques[src][row_lo:row_hi], cliques[dst][row_lo:row_hi],
-            seps[sep_id][row_lo:row_hi], edge, upward, (m_marg, m_abs),
-            case_offset=row_lo)
+            seps[sep_id][row_lo:row_hi], edge, upward, case_offset=row_lo)
         if upward:
             log_norm += log_totals
     return log_norm
@@ -121,7 +120,6 @@ def infer_cases(
     engine: FastBNI,
     cases,
     targets: tuple[str, ...] = (),
-    blocks_per_worker: int = 1,
     min_block: int = MIN_CASE_BLOCK,
 ) -> BatchInferenceResult:
     """Calibrate all ``cases`` on ``engine``'s compiled plan in one batch.
@@ -151,13 +149,12 @@ def infer_cases(
     evidence = [case_evidence(c) for c in cases]
 
     workers = 1 if engine.config.mode == "seq" else engine.backend.num_workers
-    whole_cases = getattr(kernels, "compiles_cases", False)
+    whole_cases = kernels.compiles_cases
     # A call runs its cases table-major only in whole blocks, so give
     # every call at least one.
     if whole_cases:
         min_block = max(min_block, kernels.case_block(plan))
-    blocks = chunk_cases(n, workers, min_block=min_block,
-                         blocks_per_worker=blocks_per_worker)
+    blocks = chunk_cases(n, workers, min_block=min_block)
     engine.metrics = {"dispatch_batches": 0, "dispatch_tasks": 0,
                       "inline_layers": 0, "messages": spec.num_messages,
                       "batch_cases": n, "batch_blocks": len(blocks)}
@@ -202,9 +199,8 @@ def infer_cases(
         hooks.on_absorb(time.perf_counter() - absorb_start,
                         cliques=tree.num_cliques)
 
-    # The compiled sequence is built (and its index maps materialised, for
-    # kernel backends that gather) once per plan; blocks only read it.
-    messages = plan.compiled_messages(maps=kernels.wants_maps)
+    # The compiled sequence is built once per plan; blocks only read it.
+    messages = plan.compiled_messages()
     tasks = [(calibrate_case_block,
               (state.clique_pot, state.sep_pot, kernels, messages, lo, hi))
              for lo, hi in blocks]
@@ -243,15 +239,15 @@ class BatchedFastBNI(FastBNI):
 
         Long-lived callers (the service layer's micro-batcher) flush many
         small batches against one engine; this pays the batch-independent
-        work once up front — the CPT-product base tables, the per-edge
-        index maps (gather backends) and the lowered plan with its
-        calibrated prior (native) — so each subsequent :meth:`infer_cases`
+        work once up front — the CPT-product base tables, the compiled
+        message sequence and the lowered plan with its calibrated prior
+        (native) — so each subsequent :meth:`infer_cases`
         call only does per-batch work, never re-absorbing CPTs.
         Idempotent; returns ``self`` for chaining.
         """
         self.plan.base_cliques
-        self.plan.compiled_messages(maps=self.kernels.wants_maps)
-        if getattr(self.kernels, "compiles_cases", False):
+        self.plan.compiled_messages()
+        if self.kernels.compiles_cases:
             self.kernels.lowered(self.plan)
         return self
 
@@ -259,13 +255,10 @@ class BatchedFastBNI(FastBNI):
         self,
         cases,
         targets: tuple[str, ...] = (),
-        blocks_per_worker: int = 1,
         min_block: int = MIN_CASE_BLOCK,
     ) -> BatchInferenceResult:
         """Batched calibration of all ``cases``; columnar results."""
-        return infer_cases(self, cases, targets,
-                           blocks_per_worker=blocks_per_worker,
-                           min_block=min_block)
+        return infer_cases(self, cases, targets, min_block=min_block)
 
     def infer_batch(
         self,

@@ -36,12 +36,11 @@ class FastBNIConfig:
         disables it (ablation).
     kernels:
         Kernel backend for whole-message execution (the sequential, inter
-        and batched paths): ``"fused"`` (one scatter/gather pass per message
-        over the flat arena, the library default), ``"numpy"`` (the
-        N-D-view reference) or ``"native"`` (the fused message compiled to
-        a C library called GIL-free through ctypes, the default of the
-        CLI's ``query`` / ``serve`` / ``cluster``; falls back to ``fused``
-        with a logged reason when no C compiler is available).  See
+        and batched paths): ``"native"`` (strided messages compiled to a C
+        library called GIL-free through ctypes, the default here and of
+        the CLI's ``query`` / ``serve`` / ``cluster``; falls back to
+        ``numpy`` with a logged reason when no C compiler is available)
+        or ``"numpy"`` (the N-D-view reference).  See
         :mod:`repro.exec.kernels`.
     min_chunk:
         Smallest entry-range worth dispatching as its own task; tables
@@ -64,7 +63,7 @@ class FastBNIConfig:
     num_workers: int | None = None
     heuristic: str = DEFAULT_HEURISTIC
     root_strategy: str = "center"
-    kernels: str = "fused"
+    kernels: str = "native"
     min_chunk: int = 16384
     chunks_per_worker: int = 2
     parallel_threshold: int = 100_000

@@ -10,10 +10,10 @@ message ever needs).  Each :meth:`FastBNI.infer` then only touches table
 2000-case workloads.
 
 Whole-message execution (the sequential, inter and batched paths) goes
-through a pluggable kernel backend (:mod:`repro.exec.kernels`): ``"fused"``
-runs marginalize+absorb as one pass per message over the arena,
-``"numpy"`` is the N-D-view reference, ``"native"`` the C library.  The
-intra and hybrid modes chunk the same gather kernels over entry ranges
+through a pluggable kernel backend (:mod:`repro.exec.kernels`):
+``"native"`` (the default) is the C library, ``"numpy"`` the N-D-view
+reference and the fallback without a C compiler.  The intra and hybrid
+modes chunk the same gather kernels over entry ranges
 (``marg_chunk``/``absorb_chunk``) across the backend's threads.  Every
 mode iterates the plan's compiled message sequence and touches tables
 through ndarray views into the plan arena.
@@ -63,7 +63,7 @@ class FastBNI:
         :class:`~repro.errors.BackendError`).  The load-bearing ones:
         ``mode`` (``"seq"``/``"inter"``/``"intra"``/``"hybrid"``, see
         :mod:`repro.core`), ``backend`` (``"serial"``/``"thread"``),
-        ``num_workers``, ``kernels`` (``"fused"``/``"numpy"``/``"native"``
+        ``num_workers``, ``kernels`` (``"native"``/``"numpy"``
         whole-message backend), ``heuristic`` (triangulation) and
         ``root_strategy``.
     tree:
@@ -167,8 +167,7 @@ class FastBNI:
         """Whether :meth:`infer` answers a hard-evidence case in one
         foreign call from the calibrated prior: native kernels in ``seq``
         mode (the parallel modes run their schedules message by message)."""
-        return (self.config.mode == "seq"
-                and getattr(self.kernels, "compiles_cases", False))
+        return self.config.mode == "seq" and self.kernels.compiles_cases
 
     def infer(
         self,
@@ -229,9 +228,9 @@ class FastBNI:
         mode = self.config.mode
         if mode == "seq":
             # Fast-BNI-seq: whole-message execution through the kernel
-            # backend over the plan arena (fused by library default — one
-            # pass per message, the paper's own fewer-fatter-invocations
-            # recipe).
+            # backend over the plan arena (native by default — the whole
+            # calibration as one foreign call, the paper's own
+            # fewer-fatter-invocations recipe).
             sent = run_message_schedule(self.plan, state, self.kernels)
             self.count("messages", sent)
         elif mode == "inter":
@@ -306,7 +305,7 @@ class FastBNI:
         # mode gathers through) once, serially, so the concurrent cases
         # only ever read the plan.
         self.plan.compiled_messages(
-            maps=self.config.mode in ("intra", "hybrid") or self.kernels.wants_maps)
+            maps=self.config.mode in ("intra", "hybrid"))
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=case_workers) as pool:

@@ -122,5 +122,5 @@ def calibrate_hybrid(engine, state: TreeState) -> None:
     """Layer-synchronous hybrid collect + distribute."""
     cliques = [p.values for p in state.clique_pot]
     seps = [p.values for p in state.sep_pot]
-    for layer in engine.plan.compiled_layers():
+    for layer in engine.plan.compiled_layers(maps=True):
         _layer_pass(engine, state, cliques, seps, layer)

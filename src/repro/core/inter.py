@@ -31,15 +31,14 @@ def calibrate_inter(engine, state: TreeState) -> None:
     kernels = engine.kernels
     cliques = [p.values for p in state.clique_pot]
     seps = [p.values for p in state.sep_pot]
-    for layer in engine.plan.compiled_layers(maps=kernels.wants_maps):
+    for layer in engine.plan.compiled_layers():
         # Collect layers fan in (siblings share a parent); in distribute
         # layers every destination is distinct, so each task is one message.
         upward = layer[0][0]
         by_dst: dict[int, list[tuple]] = {}
-        for _, src, dst, sep_id, edge, m_marg, m_abs in layer:
+        for _, src, dst, sep_id, edge, *_ in layer:
             by_dst.setdefault(dst, []).append(
-                (cliques[src], cliques[dst], seps[sep_id], edge, upward,
-                 (m_marg, m_abs)))
+                (cliques[src], cliques[dst], seps[sep_id], edge, upward))
         tasks = [(run_messages, (kernels, tuple(msgs)))
                  for msgs in by_dst.values()]
         engine.count("dispatch_batches")

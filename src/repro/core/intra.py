@@ -57,7 +57,7 @@ def calibrate_intra(engine, state: TreeState) -> None:
     """Sequential message schedule, parallel table operations."""
     cliques = [p.values for p in state.clique_pot]
     seps = [p.values for p in state.sep_pot]
-    messages = engine.plan.compiled_messages()
+    messages = engine.plan.compiled_messages(maps=True)
     for upward, src, dst, sep_id, edge, m_marg, m_abs in messages:
         marg, absorb = edge.triples(upward)
         new_sep = parallel_marginalize(engine, cliques[src], marg,

@@ -8,10 +8,9 @@ Three pieces, consumed by every engine (see :mod:`repro.core`,
   with offsets for every clique/separator table plus per-edge
   :class:`EdgeGeometry` in both the index-map and N-D-view formulations;
 * :mod:`repro.exec.kernels` — the :class:`KernelBackend` protocol with
-  the ``numpy`` reference backend, the ``fused`` backend that executes
-  marginalize+absorb as one pass per message over the arena, and the
-  ``native`` backend (:mod:`repro.exec.native`) that compiles those
-  passes to a C library called GIL-free through ``ctypes``;
+  the default ``native`` backend (:mod:`repro.exec.native`), strided
+  messages compiled to a C library called GIL-free through ``ctypes``,
+  and the ``numpy`` reference backend it falls back to;
 * :mod:`repro.exec.engine_api` — the :class:`InferenceEngine` protocol
   and :class:`EngineCapabilities` flags the service layers dispatch on.
 """
@@ -19,9 +18,8 @@ Three pieces, consumed by every engine (see :mod:`repro.core`,
 from repro.exec.engine_api import (APPROX_ENGINE, CAPABILITIES_BY_KIND,
                                    EXACT_ENGINE, INCREMENTAL_ENGINE,
                                    EngineCapabilities, InferenceEngine)
-from repro.exec.kernels import (KERNELS, FusedKernels, KernelBackend,
-                                NumpyKernels, get_kernels,
-                                run_message_schedule)
+from repro.exec.kernels import (KERNELS, KernelBackend, NumpyKernels,
+                                get_kernels, run_message_schedule)
 
 #: Plan symbols resolve lazily: repro.exec.plan sits above the potential
 #: and jt layers, whose modules import repro.exec.kernels — an eager
@@ -51,7 +49,6 @@ __all__ = [
     "INCREMENTAL_ENGINE",
     "EdgeGeometry",
     "EngineCapabilities",
-    "FusedKernels",
     "InferenceEngine",
     "KERNELS",
     "KernelBackend",

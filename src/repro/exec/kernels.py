@@ -11,28 +11,14 @@ Two layers:
 
 * **Primitive functions** — ``gather_*`` (the paper-faithful index-mapping
   formulation: flat maps, ``bincount`` scatter, fancy-index gather) and
-  ``nd_*`` (NumPy reshape/sum/broadcast over the N-D view).  Each comes in
-  a single-case and an ``(N, table)`` batched form, and the gather pair
-  also in an entry-*range* form (``marg_chunk``/``absorb_chunk``) — the
-  unit the parallel modes dispatch.  :mod:`repro.potential.ops` wraps
-  these.
+  ``nd_*`` (NumPy reshape/sum/broadcast over the N-D view).  The gather
+  pair also comes in an entry-*range* form (``marg_chunk``/
+  ``absorb_chunk``) — the unit the Python parallel modes dispatch — and
+  the marginalizations in an ``(N, table)`` batched form.
+  :mod:`repro.potential.ops` wraps these.
 
 * **Kernel backends** — a :class:`KernelBackend` executes one whole Hugin
   message (marginalize → normalize → ratio → absorb) over arena tables:
-
-  - ``numpy``: the textbook NumPy reference — reshape the flat tables to
-    their N-D views, ``sum`` out axes to marginalize, broadcast-multiply
-    to absorb.  Clean, obviously-correct, and per-invocation expensive:
-    every call re-pays NumPy's reduction/broadcast setup, the exact
-    per-table-operation overhead the paper profiles;
-  - ``fused``: each message executes as **one fused kernel invocation
-    over the flat arena** — a single ``bincount`` scatter pass through
-    the plan's precomputed index map (marginalize) and a single
-    fancy-index gather pass (absorb), with the whole message sequence
-    pre-compiled by the plan (:meth:`repro.exec.plan.MessagePlan.
-    compiled_messages`) so the hot loop touches no domain algebra, no
-    shape bookkeeping and no per-op dispatch.  This is the paper's
-    compile-time-index-map amortisation carried to its end point.
 
   - ``native``: the paper's stride-triple mapping computed as the loop
     runs, in C (:mod:`repro.exec.native`) — compiled on first use with
@@ -44,17 +30,22 @@ Two layers:
     (a whole calibration of a plan-shaped state is one call) and
     ``compiles_cases``: engines hand it whole hard-evidence cases
     (evidence, schedule, posterior reads, log P(e)) as one call per case
-    block, traced or not, instead of driving messages.  When no C
-    compiler is available, selecting ``native`` falls back to ``fused``
-    with a logged reason; ``info``/``stats`` then honestly report the
-    active backend as ``fused``.
+    block, traced or not, instead of driving messages.  It is the
+    default (``FastBNIConfig.kernels`` and the CLI's ``--kernels``) and
+    what ``bench/`` times;
+  - ``numpy``: the textbook NumPy reference — reshape the flat tables to
+    their N-D views, ``sum`` out axes to marginalize, broadcast-multiply
+    to absorb.  Clean, obviously-correct, and per-invocation expensive:
+    every call re-pays NumPy's reduction/broadcast setup, the exact
+    per-table-operation overhead the paper profiles.  It is the oracle
+    the native backend is pinned against, and the fallback: when no C
+    compiler is available, selecting ``native`` resolves to ``numpy``
+    with a logged reason, and ``info``/``stats`` then honestly report
+    the active backend as ``numpy``.
 
-  All backends are bit-compatible to float64 round-off (the property
-  suites pin 1e-12 agreement over random and degenerate geometries).
-  ``fused`` is the library default (``FastBNIConfig.kernels``);
-  ``native`` is the serving default (``query`` / ``serve`` / ``cluster``
-  ``--kernels``) and what ``bench/`` times, and ``BENCH_ablation.json``
-  ranks what each backend buys at service level.
+  Both backends agree to float64 round-off (the property suites pin
+  1e-12 agreement over random and degenerate geometries), and
+  ``BENCH_ablation.json`` ranks what native buys at service level.
 
 Backends are per-process singletons resolved lazily from one registry;
 select one with :func:`get_kernels`.  ``KERNELS`` is derived from that
@@ -163,13 +154,7 @@ def gather_marginalize_batch(values: np.ndarray, imap: np.ndarray,
     return out
 
 
-def gather_absorb_batch(values: np.ndarray, msg: np.ndarray,
-                        imap: np.ndarray) -> None:
-    """Batched in-place ``values *= extend(msg)``: one 2-D fancy-index gather."""
-    values *= msg[:, imap]
-
-
-# --------------------------------------------------------------- ndview (fused)
+# ---------------------------------------------------------------------- ndview
 def nd_marginalize(values: np.ndarray, shape: tuple[int, ...],
                    drop_axes: tuple[int, ...]) -> np.ndarray:
     """Marginalize one flat table by summing the dropped axes of its N-D view."""
@@ -208,20 +193,6 @@ def ratio_vector(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return out
 
 
-def resolve_maps(src: np.ndarray, dst: np.ndarray, edge, upward: bool,
-                 maps: tuple[np.ndarray | None, np.ndarray | None],
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """A message's (marginalize, absorb) maps, building any the plan left out."""
-    m_marg, m_abs = maps
-    if m_marg is None or m_abs is None:
-        marg, absorb = edge.triples(upward)
-        if m_marg is None:
-            m_marg = triples_to_map(src.shape[-1], marg)
-        if m_abs is None:
-            m_abs = triples_to_map(dst.shape[-1], absorb)
-    return m_marg, m_abs
-
-
 def _normalize_batch(new_sep: np.ndarray, case_offset: int) -> np.ndarray:
     """Row-normalise a ``(k, sep)`` message block; returns per-row log totals."""
     totals = new_sep.sum(axis=1)
@@ -242,42 +213,36 @@ class KernelBackend:
     ``message``/``message_batch`` marginalize ``src`` onto the separator,
     normalise (scaled propagation), divide by the old separator, absorb
     the ratio into ``dst`` and overwrite the separator in place, returning
-    the log normalisation constant(s).  ``maps`` optionally carries the
-    cached ``(marginalize, absorb)`` index maps; gather-based backends
-    (``fused``) advertise ``wants_maps = True`` so callers prefetch them,
-    while ndview (``numpy``) and strided (``native``) backends advertise
-    ``False`` so callers skip building maps they would never read.
+    the log normalisation constant(s).  No backend reads an index map.
     """
 
     name = "abstract"
-    #: Whether this backend consumes precomputed flat index maps.
-    wants_maps = False
+    #: run_message_schedule may delegate whole calibrations to
+    #: ``run_schedule``.
+    compiles_schedule = False
+    #: Engines may delegate whole hard-evidence cases to ``infer_cases``.
+    compiles_cases = False
 
     def message(self, src: np.ndarray, dst: np.ndarray, sep: np.ndarray,
-                edge, upward: bool,
-                maps: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-                ) -> float:
+                edge, upward: bool) -> float:
         raise NotImplementedError
 
     def message_batch(self, src: np.ndarray, dst: np.ndarray, sep: np.ndarray,
-                      edge, upward: bool,
-                      maps: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-                      case_offset: int = 0) -> np.ndarray:
+                      edge, upward: bool, case_offset: int = 0) -> np.ndarray:
         raise NotImplementedError
 
 
 class NumpyKernels(KernelBackend):
     """Textbook NumPy reference: N-D views, axis sums, broadcast multiplies.
 
-    One reduction/broadcast *setup* per table operation — the baseline the
-    fused backend is measured against (the ``fused_kernels`` row of
-    ``BENCH_ablation.json``).
+    One reduction/broadcast *setup* per table operation — the oracle the
+    native backend is pinned against and its fallback (the
+    ``native_kernels`` row of ``BENCH_ablation.json``).
     """
 
     name = "numpy"
-    wants_maps = False
 
-    def message(self, src, dst, sep, edge, upward, maps=(None, None)):
+    def message(self, src, dst, sep, edge, upward):
         if upward:
             src_shape, drop = edge.child_shape, edge.up_axes
             dst_shape, bshape = edge.parent_shape, edge.parent_bshape
@@ -294,8 +259,7 @@ class NumpyKernels(KernelBackend):
         sep[:] = new_sep
         return math.log(total)
 
-    def message_batch(self, src, dst, sep, edge, upward, maps=(None, None),
-                      case_offset=0):
+    def message_batch(self, src, dst, sep, edge, upward, case_offset=0):
         k = src.shape[0]
         if upward:
             src_shape, drop = edge.child_shape, edge.up_axes
@@ -312,54 +276,10 @@ class NumpyKernels(KernelBackend):
         return log_totals
 
 
-class FusedKernels(KernelBackend):
-    """Fused flat-arena backend: one scatter + one gather pass per message.
-
-    Consumes the plan's precomputed index maps (falling back to on-the-fly
-    mixed-radix arithmetic when the map budget is spent) and never touches
-    N-D views, so the per-message cost is two single-pass C loops plus the
-    tiny separator arithmetic.
-
-    The separator update uses ``new / (old + (old == 0))`` instead of a
-    masked divide: during propagation zeros only ever *grow* (a killed
-    separator entry zeroes the matching clique entries, so later marginals
-    stay zero there), hence ``old == 0`` implies ``new == 0`` and the two
-    forms are bit-identical — while the unmasked divide skips NumPy's slow
-    ``where=`` path.  This invariant holds for calibration states (fresh
-    tables, zeroing evidence); callers feeding arbitrary tables get the
-    convention only where the invariant does.
-    """
-
-    name = "fused"
-    wants_maps = True
-
-    def message(self, src, dst, sep, edge, upward, maps=(None, None)):
-        m_marg, m_abs = resolve_maps(src, dst, edge, upward, maps)
-        new_sep = gather_marginalize(src, m_marg, edge.sep_size)
-        total = float(new_sep.sum())
-        if total <= 0.0:
-            raise EvidenceError("evidence has zero probability (empty message)")
-        new_sep /= total
-        ratio = new_sep / (sep + (sep == 0.0))
-        gather_absorb(dst, ratio, m_abs)
-        sep[:] = new_sep
-        return math.log(total)
-
-    def message_batch(self, src, dst, sep, edge, upward, maps=(None, None),
-                      case_offset=0):
-        m_marg, m_abs = resolve_maps(src, dst, edge, upward, maps)
-        new_sep = gather_marginalize_batch(src, m_marg, edge.sep_size)
-        log_totals = _normalize_batch(new_sep, case_offset)
-        ratio = new_sep / (sep + (sep == 0.0))
-        gather_absorb_batch(dst, ratio, m_abs)
-        sep[:] = new_sep
-        return log_totals
-
-
 def _make_native() -> KernelBackend:
-    """Build the native backend, degrading to ``fused`` when it can't.
+    """Build the native backend, degrading to ``numpy`` when it can't.
 
-    The fallback returns the *fused singleton itself*, so ``engine.
+    The fallback returns the *numpy singleton itself*, so ``engine.
     kernels.name`` (surfaced by ``info``/``stats``/trace spans) reports
     the backend actually executing messages, never the one requested.
     """
@@ -368,9 +288,9 @@ def _make_native() -> KernelBackend:
     backend, reason = load_native_kernels()
     if backend is None:
         logger.warning(
-            "native kernel backend unavailable (%s); falling back to fused",
+            "native kernel backend unavailable (%s); falling back to numpy",
             reason)
-        return get_kernels("fused")
+        return get_kernels("numpy")
     return backend
 
 
@@ -378,7 +298,6 @@ def _make_native() -> KernelBackend:
 #: are built lazily (``native`` compiles a C library on first use) and
 #: cached per process in ``_INSTANCES``.
 _FACTORIES = {
-    "fused": FusedKernels,
     "numpy": NumpyKernels,
     "native": _make_native,
 }
@@ -392,7 +311,7 @@ KERNELS = tuple(_FACTORIES)
 def get_kernels(name: str) -> KernelBackend:
     """Resolve a kernel-backend name from the registry (lazily built).
 
-    ``"native"`` resolves to the fused singleton (with a logged reason)
+    ``"native"`` resolves to the numpy singleton (with a logged reason)
     when no C compiler is available — callers always get a working
     backend whose ``.name`` states what actually runs.
     """
@@ -434,7 +353,7 @@ def run_message_schedule(plan, state, backend: KernelBackend,
     run_start = timer() if hooks is not None else 0.0
     # None: the state is not laid out as the plan's arena.
     done = (backend.run_schedule(plan, state)
-            if getattr(backend, "compiles_schedule", False) else None)
+            if backend.compiles_schedule else None)
     if done is None:
         done = _send_messages(plan, state, backend, hooks)
     messages, log_norm = done
@@ -448,8 +367,8 @@ def run_message_schedule(plan, state, backend: KernelBackend,
 
 def _send_messages(plan, state, backend: KernelBackend,
                    hooks) -> tuple[int, float]:
-    """The schedule as one ``backend.message`` per message (maps
-    prefetched for the backends that gather); ``(messages, log_norm)``."""
+    """The schedule as one ``backend.message`` per message;
+    ``(messages, log_norm)``."""
     cliques = [p.values for p in state.clique_pot]
     seps = [p.values for p in state.sep_pot]
     send, timer = backend.message, time.perf_counter
@@ -461,10 +380,10 @@ def _send_messages(plan, state, backend: KernelBackend,
             return out
 
     log_norm = 0.0
-    compiled = plan.compiled_messages(maps=backend.wants_maps)
-    for upward, src, dst, sep_id, edge, m_marg, m_abs in compiled:
+    compiled = plan.compiled_messages()
+    for upward, src, dst, sep_id, edge, *_ in compiled:
         log_total = send(cliques[src], cliques[dst], seps[sep_id], edge,
-                         upward, (m_marg, m_abs))
+                         upward)
         if upward:
             log_norm += log_total
     return len(compiled), log_norm

@@ -5,7 +5,7 @@ Public surface:
 * :func:`load_native_kernels` — build/load the library and return a
   ready :class:`~repro.exec.native.backend.NativeKernels`, or ``(None,
   reason)`` when the toolchain is missing (callers fall back to
-  ``fused``);
+  ``numpy``);
 * :func:`native_status` — availability probe for benches, tests and CI
   (``(available, reason)`` without constructing a backend twice).
 """

@@ -27,10 +27,10 @@ ids are range-checked per call, and a single message's tables against
 its edge.  C never sees an offset, size, loop row, state index or prior
 that was not checked here.
 
-Numerically the backend follows the ``fused`` conventions exactly (same
-``new/(old + (old == 0))`` separator update, same normalisation points),
-so the property suite pins it against ``numpy`` at 1e-12 like any other
-backend.
+Numerically the backend follows the ``numpy`` reference's normalisation
+points; its ``new/(old + (old == 0))`` separator update equals the
+masked divide wherever separator zeros only grow (calibration states),
+so the property suite pins it against ``numpy`` at 1e-12.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def lower_plan(plan) -> PlanTables:
         rows.append((off, size, first, len(axes) - first))
     msgs = [(int(upward), src, dst, spec.num_cliques + sep_id)
             for upward, src, dst, sep_id, *_ in
-            plan.compiled_messages(maps=False)]
+            plan.compiled_messages()]
     loops, words = message_loops([m[1:] for m in msgs], rows, axes)
     tables = PlanTables(
         meta=np.array([m + w for m, w in zip(msgs, words)],
@@ -338,11 +338,7 @@ class NativeKernels(KernelBackend):
     """
 
     name = "native"
-    #: The strided loops read no index map.
-    wants_maps = False
-    #: run_message_schedule may delegate whole calibrations to run_schedule.
     compiles_schedule = True
-    #: Engines may delegate whole hard-evidence cases to infer_cases.
     compiles_cases = True
 
     def __init__(self, lib, library_path) -> None:
@@ -552,7 +548,7 @@ class NativeKernels(KernelBackend):
             edge.__dict__["_native_rows"] = held
         return held[upward]
 
-    def message(self, src, dst, sep, edge, upward, maps=(None, None)):
+    def message(self, src, dst, sep, edge, upward):
         _, rows, counts, sizes = self._edge_rows(edge, upward)
         if not all(_is_f64(a, size) for a, size in zip((src, dst, sep),
                                                         sizes)):

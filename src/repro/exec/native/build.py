@@ -28,7 +28,7 @@ Failure is a *value*, not an exception: :func:`load_library` returns
 ``(lib, path, None)`` on success and ``(None, None, reason)`` when there
 is no compiler, the compile fails, or ``REPRO_NATIVE_DISABLE`` is set.
 The registry (:func:`repro.exec.kernels.get_kernels`) turns that reason
-into a logged fallback to the ``fused`` backend.
+into a logged fallback to the ``numpy`` backend.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-#: Set to any non-empty value to force the fused fallback (lets tests and
+#: Set to any non-empty value to force the numpy fallback (lets tests and
 #: compiler-less CI runners exercise the degradation path deterministically).
 DISABLE_ENV = "REPRO_NATIVE_DISABLE"
 #: Overrides the compile-cache directory.
@@ -58,7 +58,7 @@ C_SOURCE = r"""
  * new/(old + (old==0)) -- valid because separator zeros only ever grow
  * during propagation, so old==0 implies new==0 -- then absorbs the ratio
  * into the destination clique and overwrites the separator.  Matches
- * the Python `fused` backend to float64 round-off.
+ * the Python `numpy` backend to float64 round-off.
  *
  * Three entry points run messages: fbni_message (one message, the loop
  * rows handed in), fbni_run_schedule (a whole calibration over a plan's
@@ -997,7 +997,7 @@ def load_library() -> tuple[ctypes.CDLL | None, Path | None, str | None]:
     """Compile (if needed) and load the kernel library.
 
     Returns ``(lib, so_path, None)`` on success, ``(None, None, reason)``
-    on any failure — callers fall back to the fused backend and surface
+    on any failure — callers fall back to the numpy backend and surface
     the reason.
     """
     if os.environ.get(DISABLE_ENV):

@@ -13,14 +13,15 @@ all of it exactly once per (tree, root) and the engines share the result:
   out ready-to-calibrate states whose potentials are views into it;
 * per-edge :class:`EdgeGeometry` — the four stride-triple index mappings
   (the paper's formulation, chunked by the parallel engines) **and** the
-  N-D sum-axes/broadcast shapes (consumed by the fused kernel backend and
+  N-D sum-axes/broadcast shapes (consumed by the numpy kernel backend and
   the incremental engine, which previously derived them privately);
 * the **layer schedule** flattened to plain clique-id tuples
   (``up_layers`` deepest-first, ``down_layers`` shallowest-first) and,
   from it, the **compiled message sequence**
   (:meth:`MessagePlan.compiled_layers`) every engine iterates: one
   ``(upward, src, dst, sep_id, edge, marg_map, absorb_map)`` tuple per
-  message, grouped by layer, index maps attached;
+  message, grouped by layer, index maps attached on request (only the
+  Python ``intra``/``hybrid`` modes and the primitive baseline gather);
 * the cached **CPT-product base tables**, the per-edge **index-map
   cache** and (native plans) the **calibrated prior** every whole case
   starts from, so every engine sharing one tree shares one copy of each;
@@ -69,7 +70,7 @@ class EdgeGeometry:
 
     Carries both formulations of every message the edge ever sends:
     stride triples for the index-mapping (gather/scatter) kernels, and
-    sum-axes/broadcast shapes for the N-D-view (fused) kernels.  The
+    sum-axes/broadcast shapes for the N-D-view (numpy) kernels.  The
     broadcast shapes are valid because clique and separator domains are
     both ordered by network variable rank, making the separator's variable
     order a sub-order of both endpoints'.  Pure ints and tuples —
@@ -636,7 +637,7 @@ class MessagePlan:
                 layers, [m for layer in layers for m in layer])
         return compiled
 
-    def compiled_layers(self, maps: bool = True) -> list[list[tuple]]:
+    def compiled_layers(self, maps: bool = False) -> list[list[tuple]]:
         """The full calibration as map-prefetched messages, one list per layer.
 
         One ``(upward, src, dst, sep_id, edge, marg_map, absorb_map)``
@@ -646,13 +647,15 @@ class MessagePlan:
         every engine — the kernel backends' schedule loop and the parallel
         modes alike — then runs with zero per-message plan lookups, the
         compile-once counterpart of the paper's "only touch table values
-        at inference time".  ``maps=False`` leaves both map slots ``None``
-        for backends that never gather (no table-sized maps are built); a
-        map slot is also ``None`` once the cache budget is spent.
+        at inference time".  Both map slots stay ``None`` (no table-sized
+        map is built) unless ``maps=True``, which only the callers that
+        gather through index maps pass (the ``intra``/``hybrid`` modes and
+        the primitive baseline); a map slot is also ``None`` once the
+        cache budget is spent.
         """
         return self._compile(maps)[0]
 
-    def compiled_messages(self, maps: bool = True) -> list[tuple]:
+    def compiled_messages(self, maps: bool = False) -> list[tuple]:
         """:meth:`compiled_layers` flattened to one message sequence."""
         return self._compile(maps)[1]
 

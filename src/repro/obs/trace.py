@@ -38,7 +38,7 @@ calibration and the native whole-case call consult a thread-local for
 an active :class:`ScheduleRecorder`, so kernel timings surface in the
 flush span only when someone is watching — without changing which code
 runs: a native whole case reports its one foreign call, the staged
-numpy/fused path its message passes and clique absorptions.
+numpy path its message passes and clique absorptions.
 """
 
 from __future__ import annotations

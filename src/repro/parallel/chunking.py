@@ -37,8 +37,8 @@ def chunk_ranges(size: int, num_chunks: int, min_chunk: int = 1) -> list[tuple[i
     return out
 
 
-def chunk_cases(num_cases: int, num_workers: int, min_block: int = 1,
-                blocks_per_worker: int = 1) -> list[tuple[int, int]]:
+def chunk_cases(num_cases: int, num_workers: int,
+                min_block: int = 1) -> list[tuple[int, int]]:
     """Split a batch of inference cases into contiguous case blocks.
 
     The batched calibration engine parallelises over the *case* axis: each
@@ -47,13 +47,10 @@ def chunk_cases(num_cases: int, num_workers: int, min_block: int = 1,
     per-layer barriers between blocks.  ``min_block`` keeps blocks large
     enough that the per-block NumPy calls stay vectorised.
     """
-    if num_workers < 1 or blocks_per_worker < 1:
+    if num_workers < 1:
         raise BackendError(
-            f"invalid case chunking: num_workers={num_workers} "
-            f"blocks_per_worker={blocks_per_worker}"
-        )
-    return chunk_ranges(num_cases, num_workers * blocks_per_worker,
-                        min_chunk=min_block)
+            f"invalid case chunking: num_workers={num_workers}")
+    return chunk_ranges(num_cases, num_workers, min_chunk=min_block)
 
 
 def chunk_weighted(

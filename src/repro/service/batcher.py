@@ -411,7 +411,7 @@ class MicroBatcher:
 
         Memo pre-pass, one vectorised ``infer_cases`` over what it
         missed (``infer`` for a lone exact case, which on pathfinder
-        costs about half as much on fused and ~20 % less on native), and
+        costs ~20 % less than a batch of one on native), and
         the per-case retry of a poisoned batch of more than one.  Sets every
         ``pending.outcome`` (spans are recorded before the loop resolves
         the future: once the client coroutine resumes it finishes the
@@ -438,7 +438,7 @@ class MicroBatcher:
                 if entry.capabilities.batched_soft_evidence else {})
         # A sampled request in the batch turns on the kernel hooks: the
         # engine reports its kernel time and messages (native: the one
-        # whole-case call; numpy/fused: per-message and per-absorption
+        # whole-case call; numpy: per-message and per-absorption
         # timings too) through a thread-local installed around the engine
         # call only.  The engine runs the same code either way.
         recorder = (ScheduleRecorder()
@@ -450,7 +450,7 @@ class MicroBatcher:
             with install_kernel_hooks(recorder):
                 if len(batch) == 1 and entry.capabilities.exact:
                     # A flush of one is the engine's single-case read: no
-                    # batch arena (fused), no batched wrapper (native).
+                    # batch arena (numpy), no batched wrapper (native).
                     results = [engine.infer(cases[0], targets)]
                 else:
                     results = list(engine.infer_cases(cases, targets=targets,

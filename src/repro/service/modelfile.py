@@ -43,7 +43,7 @@ HEADER = 4
 
 def _with_prior(engine) -> bool:
     """Whether the engine's plan gets a calibrated prior (native)."""
-    return getattr(engine.kernels, "compiles_cases", False)
+    return engine.kernels.compiles_cases
 
 
 def file_name(engine) -> str:

@@ -2,8 +2,8 @@
 
 A serving process answers many queries against few networks, so the
 expensive, query-independent work — parsing the network, compiling the
-junction tree, multiplying CPTs into clique tables, building index maps,
-calibrating the no-evidence baseline — is paid once per model and kept
+junction tree, multiplying CPTs into clique tables, calibrating the
+no-evidence baseline — is paid once per model and kept
 resident.  Entries are LRU-ordered and evicted when the estimated resident
 bytes exceed the registry budget, so a long-lived server can rotate
 through more models than fit in memory.
@@ -474,8 +474,8 @@ class ModelRegistry:
     @staticmethod
     def _estimate_bytes(engine: BatchedFastBNI, prior: dict[str, np.ndarray]) -> int:
         """Resident footprint: base cliques + the index maps the engine
-        built (a gathering backend's; native builds none) + (native plans)
-        calibrated prior arena + prior marginals."""
+        built (only the Python ``intra``/``hybrid`` modes build any) +
+        (native plans) calibrated prior arena + prior marginals."""
         n = 8 * int(engine.tree.stats()["total_clique_size"])  # CPT products
         n += 8 * int(engine.plan.stats()["plan_map_entries"])  # int64 index maps
         n += getattr(engine.plan.prior_flat, "nbytes", 0)

@@ -10,7 +10,6 @@ from repro.core import BatchedFastBNI, FastBNI
 from repro.errors import EvidenceError, PotentialError
 from repro.exec.kernels import (
     FLAT_BINCOUNT_LIMIT,
-    gather_absorb_batch,
     gather_marginalize_batch,
     triples_to_map,
 )
@@ -57,7 +56,7 @@ class TestAgreement:
                 assert np.allclose(got.posteriors[name],
                                    truth.posteriors[name], atol=1e-9)
 
-    @pytest.mark.parametrize("kernels", ["fused", "numpy", "native"])
+    @pytest.mark.parametrize("kernels", ["numpy", "native"])
     def test_thread_backend_dispatches_case_blocks(self, asia, kernels):
         # 32 cases: every native call of asia gets at least one whole
         # 16-case table-major block, so two calls need two blocks.
@@ -256,7 +255,8 @@ class TestBatchedOps:
 
 
 class TestBatchedGatherKernels:
-    """The (k, table) gather kernels over a row block of a batched table."""
+    """The (k, table) gather marginalization over a row block of a batched
+    table."""
 
     def test_marginalize_batch_rows_match_loop(self, rng):
         triples = ((4, 2, 1), (1, 2, 2))  # src size 8 -> dst size 4
@@ -274,17 +274,6 @@ class TestBatchedGatherKernels:
         out = gather_marginalize_batch(vals, imap, 2, flat_limit=4)
         assert np.allclose(out, vals)  # identity map at these strides
         assert FLAT_BINCOUNT_LIMIT > 4  # the default takes the flat path here
-
-    def test_absorb_batch_rows_in_place(self, rng):
-        triples = ((2, 2, 1),)  # dst size 4 -> sep size 2 digits
-        dst = np.ones((3, 4))
-        ratio = rng.random((2, 2))
-        m = triples_to_map(4, triples)
-        gather_absorb_batch(dst[1:3], ratio, m)
-        expect = np.ones((3, 4))
-        expect[1] = ratio[0][m]
-        expect[2] = ratio[1][m]
-        assert np.allclose(dst, expect)
 
 
 class TestCaseChunking:

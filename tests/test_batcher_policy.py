@@ -54,7 +54,7 @@ def run(coro):
 
 
 def make_batcher(network: str = "asia", *, cache: bool = False,
-                 kernels: str = "fused", **kwargs):
+                 kernels: str = "numpy", **kwargs):
     """A batcher over a registry with ``network`` already resident."""
     metrics = ServiceMetrics()
     registry = ModelRegistry(metrics=metrics, cache=cache, kernels=kernels)
@@ -138,7 +138,7 @@ class HeldEngine:
 class TestFlushPolicy:
     def test_lone_queries_are_flushes_of_one_that_never_wait(self):
         async def scenario():
-            server = InferenceServer(port=0, cache=False)
+            server = InferenceServer(port=0, cache=False, kernels="numpy")
             server.preload(["asia"])
             await server.start()
             try:
@@ -172,7 +172,7 @@ class TestFlushPolicy:
         flushes = stats["batches"]
         assert (flushes["count"], flushes["cases"]) == (5, 5)
         assert (flushes["flushes_idle"], flushes["flushes_behind"]) == (5, 0)
-        assert flushes["flushes_inline"] == 0  # a fused entry: off the loop
+        assert flushes["flushes_inline"] == 0  # a numpy entry: off the loop
         assert stats["batcher"] == {"max_batch": 64}
         # One loop hop plus the executor hand-off: the median stays under
         # 1 ms (the deleted timer charged every one of them 2 ms).
@@ -291,7 +291,7 @@ class TestFlushPolicy:
             len(CASES), len(CASES), 1)
 
     @pytest.mark.parametrize("kernels", [
-        "fused", pytest.param("native", marks=needs_native)])
+        "numpy", pytest.param("native", marks=needs_native)])
     def test_flush_of_one_is_the_single_case_infer(self, asia, kernels):
         """A lone exact query is calibrated by ``engine.infer``: the flush
         never calls ``infer_cases``, still counts as a batch of one, and
@@ -333,7 +333,7 @@ class TestFlushPolicy:
                                                          abs=1e-12)
 
     def test_one_executor_job_per_flush(self):
-        """A lone warm query on a fused entry: one ``run_in_executor``
+        """A lone warm query on a numpy entry: one ``run_in_executor``
         stands between submit and the reply (lookup and pin are dict hits
         on the loop); ``record_cold`` then runs on the loop, after it."""
         async def scenario():
@@ -393,11 +393,11 @@ class TestInlineFlush:
                 engine.infer(CASES[0]).posteriors["dysp"], atol=1e-12)
 
     @pytest.mark.parametrize(("kernels", "cases", "tasks"), [
-        ("native", CASES[:1], 0), ("native", CASES, 1), ("fused", CASES[:1], 1)])
+        ("native", CASES[:1], 0), ("native", CASES, 1), ("numpy", CASES[:1], 1)])
     def test_a_native_flush_of_one_runs_in_its_callback(self, kernels, cases,
                                                         tasks):
         """A native flush of one starts no task; a flush of more than one
-        and a fused flush of one are a task each.  Every flush makes one
+        and a numpy flush of one are a task each.  Every flush makes one
         pinned registry lookup."""
         async def scenario():
             batcher, registry = make_batcher(kernels=kernels)
@@ -485,7 +485,7 @@ class TestInlineFlush:
         assert snap["flushes_inline"] == 2
 
     @pytest.mark.parametrize("kernels", [
-        "fused", pytest.param("native", marks=needs_native)])
+        "numpy", pytest.param("native", marks=needs_native)])
     def test_lone_impossible_query_is_calibrated_once(self, kernels):
         """A flush of one has nothing to isolate: the engine's error is
         the case's answer, from one engine call; a poisoned flush of more

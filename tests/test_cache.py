@@ -232,7 +232,7 @@ class TestServeCases:
 # ------------------------------------------------------------------ memo rows
 NATIVE_AVAILABLE, NATIVE_REASON = native_status()
 #: Both backends' results are copied into a fresh row when memoised.
-KERNELS = ["fused", pytest.param("native", marks=pytest.mark.skipif(
+KERNELS = ["numpy", pytest.param("native", marks=pytest.mark.skipif(
     not NATIVE_AVAILABLE, reason=f"native backend unavailable: {NATIVE_REASON}"))]
 
 
@@ -540,7 +540,7 @@ class TestBatcherIntegration:
         assert evidence_after.posteriors["coin"][1] == pytest.approx(1.0)
         assert evidence_after.posteriors["coin"][0] == pytest.approx(0.0)
 
-    @pytest.mark.parametrize("kernels", ["native", "fused"])
+    @pytest.mark.parametrize("kernels", ["native", "numpy"])
     def test_a_cold_query_validates_its_evidence_once(self, monkeypatch,
                                                       kernels):
         """The submit-time key derivation validates a query's evidence

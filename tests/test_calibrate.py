@@ -219,7 +219,7 @@ class TestIntegerStates:
         from repro.core import BatchedFastBNI
 
         net = loads(_DIGIT_LABELS)
-        for kernels in ("numpy", "fused", "native"):
+        for kernels in ("numpy", "native"):
             with BatchedFastBNI(net, mode="seq", kernels=kernels) as engine:
                 for kind in self.INTEGERS:
                     case = {"A": kind(1)}
@@ -241,7 +241,7 @@ class TestIntegerStates:
     def test_every_integer_type_gives_one_answer(self, asia):
         from repro.core import BatchedFastBNI
 
-        for kernels in ("numpy", "fused", "native"):
+        for kernels in ("numpy", "native"):
             with BatchedFastBNI(asia, mode="seq", kernels=kernels) as engine:
                 results = []
                 for kind in self.INTEGERS:

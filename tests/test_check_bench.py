@@ -282,7 +282,7 @@ class TestAblationCheck:
 
     def test_native_kernels_exempt_when_backend_unavailable(self, cb):
         """On a toolchain-less runner the native_kernels off-variant runs
-        the same fused backend as the matrix baseline, so its committed
+        the same numpy backend as the matrix baseline, so its committed
         contribution cannot be retained — and must not fail the gate."""
         committed = ablation_report(
             components={"cache": 1.4, "batcher": 1.3, "native_kernels": 1.5,

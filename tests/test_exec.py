@@ -9,7 +9,9 @@ from repro.bn.datasets import load_dataset
 from repro.bn.variable import Variable
 from repro.core import FastBNI
 from repro.errors import BackendError, EvidenceError
-from repro.exec.kernels import (FusedKernels, NumpyKernels, get_kernels,
+from repro.exec.kernels import (NumpyKernels, gather_absorb,
+                                gather_marginalize_batch,
+                                get_kernels, ratio_vector,
                                 run_message_schedule, triples_to_map)
 from repro.exec.plan import EdgeGeometry, compile_plan, stride_triples
 from repro.jt.engine import JunctionTreeEngine
@@ -104,7 +106,7 @@ class TestMessagePlan:
         absorb_evidence(s2, evidence)
         for a, b in zip(s1.clique_pot, s2.clique_pot):
             assert np.array_equal(a.values, b.values)
-        run_message_schedule(plan, s1, get_kernels("fused"))
+        run_message_schedule(plan, s1, get_kernels("numpy"))
         fast = plan.read_posteriors(s1)
         generic = all_posteriors(s1)
         assert set(fast) == set(generic)
@@ -145,6 +147,36 @@ class TestMessagePlan:
             get_kernels("cuda")
         with pytest.raises(BackendError, match="kernel backend"):
             FastBNI(asia, mode="seq", kernels="cuda")
+
+
+# ------------------------------------------------------------ kernel defaults
+class TestKernelDefaults:
+    def test_native_is_the_default_and_numpy_the_only_other(self):
+        from repro.core.config import FastBNIConfig
+        from repro.exec.kernels import KERNELS
+
+        assert FastBNIConfig().kernels == "native"
+        assert KERNELS == ("numpy", "native")
+
+    @pytest.mark.parametrize("kernels", ["numpy", "native"])
+    @pytest.mark.parametrize("network", ["hailfinder", "pathfinder"])
+    def test_whole_message_engines_build_no_index_map(self, network,
+                                                      kernels):
+        """Neither backend reads an index map, so a sequential engine
+        builds none: not at load, not per case, not per batch."""
+        from repro.bn.repository import resolve_network
+        from repro.bn.sampling import generate_test_cases
+        from repro.core import BatchedFastBNI
+
+        net = resolve_network(network)
+        cases = [c.evidence for c in generate_test_cases(net, 40, 0.2, rng=4)]
+        with BatchedFastBNI(net, mode="seq", kernels=kernels) as engine:
+            engine.prepare_baseline()
+            assert engine.plan.stats()["plan_map_entries"] == 0
+            engine.infer(cases[0])
+            assert engine.plan.stats()["plan_map_entries"] == 0
+            assert len(engine.infer_cases(cases)) == 40
+            assert engine.plan.stats()["plan_map_entries"] == 0
 
 
 # ----------------------------------------------------- randomized kernel duels
@@ -196,7 +228,7 @@ def _random_edge(rng, degenerate: bool):
 def _message_state(rng, edge, upward):
     """Random (src, dst, sep) respecting the calibration invariant.
 
-    The fused backend's unmasked ratio assumes ``old sep == 0`` implies
+    The native backend's unmasked ratio assumes ``old sep == 0`` implies
     ``new marginal == 0`` (zeros only grow during propagation), so the
     generator zeroes the src entries that map onto zeroed sep entries —
     exactly the states real calibration produces.
@@ -214,21 +246,39 @@ def _message_state(rng, edge, upward):
     return src, dst, sep
 
 
+def _gather_message(src, dst, sep, edge, upward):
+    """One message in the index-map formulation (flat maps, bincount
+    scatter, fancy-index gather) over ``(k, table)`` rows: the reference
+    the N-D-view ``numpy`` backend is pinned against."""
+    marg, absorb = edge.triples(upward)
+    m_marg = triples_to_map(src.shape[-1], marg)
+    m_abs = triples_to_map(dst.shape[-1], absorb)
+    new_sep = gather_marginalize_batch(src, m_marg, edge.sep_size)
+    totals = new_sep.sum(axis=1)
+    new_sep /= totals[:, None]
+    for row, (d, s) in enumerate(zip(dst, sep)):
+        gather_absorb(d, ratio_vector(new_sep[row], s), m_abs)
+    sep[:] = new_sep
+    return np.log(totals)
+
+
 class TestKernelBackendsAgree:
-    """Fused and numpy backends agree to 1e-12 over random geometries."""
+    """The numpy backend agrees with the index-map formulation to 1e-12
+    over random geometries."""
 
     @pytest.mark.parametrize("degenerate", [False, True])
     @pytest.mark.parametrize("upward", [True, False])
     def test_single_case_messages(self, degenerate, upward):
         rng = np.random.default_rng(42 + degenerate)
-        numpy_k, fused_k = NumpyKernels(), FusedKernels()
+        numpy_k = NumpyKernels()
         for trial in range(30):
             edge = _random_edge(rng, degenerate)
             src, dst, sep = _message_state(rng, edge, upward)
             d1, s1 = dst.copy(), sep.copy()
             d2, s2 = dst.copy(), sep.copy()
             log1 = numpy_k.message(src.copy(), d1, s1, edge, upward)
-            log2 = fused_k.message(src.copy(), d2, s2, edge, upward)
+            log2, = _gather_message(src[None], d2[None], s2[None], edge,
+                                    upward)
             assert log1 == pytest.approx(log2, abs=1e-12), trial
             np.testing.assert_allclose(s1, s2, atol=1e-12, rtol=0)
             np.testing.assert_allclose(d1, d2, atol=1e-12, rtol=0)
@@ -237,7 +287,7 @@ class TestKernelBackendsAgree:
     @pytest.mark.parametrize("upward", [True, False])
     def test_batched_messages(self, degenerate, upward):
         rng = np.random.default_rng(7 + degenerate)
-        numpy_k, fused_k = NumpyKernels(), FusedKernels()
+        numpy_k = NumpyKernels()
         for trial in range(20):
             edge = _random_edge(rng, degenerate)
             rows = [_message_state(rng, edge, upward) for _ in range(3)]
@@ -247,7 +297,7 @@ class TestKernelBackendsAgree:
             d1, s1 = dst.copy(), sep.copy()
             d2, s2 = dst.copy(), sep.copy()
             log1 = numpy_k.message_batch(src.copy(), d1, s1, edge, upward)
-            log2 = fused_k.message_batch(src.copy(), d2, s2, edge, upward)
+            log2 = _gather_message(src.copy(), d2, s2, edge, upward)
             np.testing.assert_allclose(log1, log2, atol=1e-12, rtol=0)
             np.testing.assert_allclose(s1, s2, atol=1e-12, rtol=0)
             np.testing.assert_allclose(d1, d2, atol=1e-12, rtol=0)
@@ -261,7 +311,7 @@ class TestKernelBackendsAgree:
         src, dst, sep = _message_state(rng, edge, True)
         d1, s1, d2, s2 = dst.copy(), sep.copy(), dst.copy(), sep.copy()
         log1 = NumpyKernels().message(src.copy(), d1, s1, edge, True)
-        log2 = FusedKernels().message(src.copy(), d2, s2, edge, True)
+        log2, = _gather_message(src[None], d2[None], s2[None], edge, True)
         assert log1 == pytest.approx(log2, abs=1e-12)
         np.testing.assert_allclose(d1, d2, atol=1e-12, rtol=0)
 
@@ -275,11 +325,11 @@ class TestKernelBackendsAgree:
         src, dst, sep = _message_state(rng, edge, True)
         d1, s1, d2, s2 = dst.copy(), sep.copy(), dst.copy(), sep.copy()
         log1 = NumpyKernels().message(src.copy(), d1, s1, edge, True)
-        log2 = FusedKernels().message(src.copy(), d2, s2, edge, True)
+        log2, = _gather_message(src[None], d2[None], s2[None], edge, True)
         assert log1 == pytest.approx(log2, abs=1e-12)
         np.testing.assert_allclose(d1, d2, atol=1e-12, rtol=0)
 
-    @pytest.mark.parametrize("kernels", ["numpy", "fused"])
+    @pytest.mark.parametrize("kernels", ["numpy"])
     def test_empty_message_raises(self, kernels):
         rng = np.random.default_rng(11)
         edge = _random_edge(rng, False)
@@ -302,7 +352,7 @@ class TestScheduleEquivalence:
         reference = JunctionTreeEngine(net)
         cases = [{}, dict([next(iter({v.name: v.states[0]
                                       for v in net.variables}.items()))])]
-        for kernels in ("fused", "numpy"):
+        for kernels in ("numpy", "native"):
             with FastBNI(net, mode="seq", kernels=kernels) as engine:
                 for case in cases:
                     got = engine.infer(case)

@@ -136,10 +136,13 @@ class TestBatchedInference:
     @pytest.mark.parametrize("mode", ["seq", "hybrid"])
     def test_case_workers_infer_each_case_once(self, asia, mode):
         """N cases cost N calibrations: the plan is warmed by compiling its
-        message sequence, not by inferring case 0 an extra time."""
+        message sequence, not by inferring case 0 an extra time (numpy
+        kernels: a native ``seq`` case is one foreign call, no staged
+        calibration)."""
         cases = generate_test_cases(asia, 5, 0.25, rng=6)
         with FastBNI(asia, mode=mode, backend="thread", num_workers=2,
-                     min_chunk=4, parallel_threshold=0) as engine:
+                     min_chunk=4, parallel_threshold=0,
+                     kernels="numpy") as engine:
             loop = [engine.infer(c.evidence) for c in cases]
             calibrations = []
             calibrate = engine._calibrate
@@ -153,9 +156,11 @@ class TestBatchedInference:
                 assert np.allclose(a.posteriors[name], b.posteriors[name], atol=1e-12)
 
     def test_case_workers_start_on_a_warm_plan(self, asia):
-        """The index maps exist before the first concurrent case reads them."""
+        """The index maps a gathering mode reads exist before the first
+        concurrent case reads them."""
         cases = generate_test_cases(asia, 4, 0.25, rng=7)
-        with FastBNI(asia, mode="seq") as engine:
+        with FastBNI(asia, mode="hybrid", backend="thread",
+                     num_workers=2) as engine:
             seen = []
             calibrate = engine._calibrate
             engine._calibrate = lambda state: (

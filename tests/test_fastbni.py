@@ -118,7 +118,7 @@ class TestCorrectness:
 
 
 class TestThreadStress:
-    @pytest.mark.parametrize("kernels", ("fused", "native"))
+    @pytest.mark.parametrize("kernels", ("numpy", "native"))
     def test_inter_messages_on_oversubscribed_threads(self, kernels):
         """Inter tasks call the shared kernel backend concurrently: more
         workers than cores, a short switch interval, and every answer —
@@ -205,7 +205,7 @@ class TestMaplessPath:
             cases = generate_test_cases(net, 5, 0.25, rng=8)
             en = EnumerationEngine(net)
             with BatchedFastBNI(net, mode="hybrid", backend="thread",
-                                num_workers=2) as eng:
+                                num_workers=2, kernels="numpy") as eng:
                 eng.plan.MAP_CACHE_LIMIT = 0
                 batch = eng.infer_cases(cases, min_block=2)
                 assert eng.stats()["plan_map_entries"] == 0
@@ -228,12 +228,14 @@ class TestPlansAndCache:
 
     def test_compiled_layers_are_the_schedule(self, asia):
         """Every mode iterates these tuples: one per message, grouped by
-        layer, collect before distribute, flat form the concatenation."""
+        layer, collect before distribute, flat form the concatenation;
+        index maps attached only when asked for."""
         with FastBNI(asia, mode="seq") as eng:
             plan, spec = eng.plan, eng.plan.spec
-            layers = plan.compiled_layers()
+            layers = plan.compiled_layers(maps=True)
             assert len(layers) == len(spec.up_layers) + len(spec.down_layers)
-            assert [m for layer in layers for m in layer] == plan.compiled_messages()
+            assert ([m for layer in layers for m in layer]
+                    == plan.compiled_messages(maps=True))
             ups = [all(m[0] for m in layer) for layer in layers]
             assert ups == sorted(ups, reverse=True)  # collect layers first
             for layer in layers:
@@ -244,7 +246,7 @@ class TestPlansAndCache:
                     assert m_marg.size == spec.clique_sizes[src]
                     assert m_abs.size == spec.clique_sizes[dst]
             assert all(m[5] is None and m[6] is None
-                       for m in plan.compiled_messages(maps=False))
+                       for m in plan.compiled_messages())
 
     def test_map_cache_populated_by_parallel_modes(self, asia):
         with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2,

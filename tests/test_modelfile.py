@@ -21,7 +21,7 @@ from repro.service.server import encode_line
 from repro.service.sessions import SessionManager
 
 
-@pytest.fixture(params=["fused", "native"])
+@pytest.fixture(params=["numpy", "native"])
 def kernels(request):
     if request.param == "native":
         from repro.exec.native import native_status

@@ -24,7 +24,8 @@ import pytest
 from repro.bn.datasets import load_dataset
 from repro.core import FastBNI
 from repro.errors import BackendError, EvidenceError
-from repro.exec.kernels import get_kernels, run_message_schedule
+from repro.exec.kernels import (KernelBackend, get_kernels,
+                                run_message_schedule)
 from repro.exec.kernels import _INSTANCES as _KERNEL_INSTANCES
 from repro.exec.native import (DISABLE_ENV, load_native_kernels,
                                native_status, probe_parallel_headroom)
@@ -187,7 +188,7 @@ class TestNativeSchedule:
 class TestRegistryFallback:
     def test_unknown_backend_error_enumerates_names(self):
         with pytest.raises(BackendError,
-                           match="available backends: fused, native, numpy"):
+                           match="available backends: native, numpy"):
             get_kernels("cuda")
 
     def test_cache_key_covers_the_compile_flags(self, monkeypatch, tmp_path):
@@ -212,7 +213,7 @@ class TestRegistryFallback:
                 f"fbni_kernels_{build.source_key(compiler)}.so")
             assert commands[0][1:4] == ["-O1", "-fPIC", "-shared"]
 
-    def test_disable_env_forces_fused_fallback(self, monkeypatch, caplog):
+    def test_disable_env_forces_numpy_fallback(self, monkeypatch, caplog):
         monkeypatch.setenv(DISABLE_ENV, "1")
         _KERNEL_INSTANCES.pop("native", None)
         try:
@@ -220,15 +221,17 @@ class TestRegistryFallback:
             assert not available and DISABLE_ENV in reason
             with caplog.at_level("WARNING", logger="repro.exec.kernels"):
                 backend = get_kernels("native")
-            assert backend.name == "fused"
-            assert backend is get_kernels("fused")
-            assert any("falling back to fused" in r.message
-                       for r in caplog.records)
-            # The engine still works end to end on the fallback.
-            with FastBNI(load_dataset("asia"), mode="seq",
-                         kernels="native") as engine:
-                assert engine.kernels.name == "fused"
-                engine.infer({})
+                # The engine still works end to end on the fallback, and
+                # the fallback is resolved (and logged) once per process.
+                with FastBNI(load_dataset("asia"), mode="seq") as engine:
+                    assert engine.kernels is backend
+                    engine.infer({})
+            assert backend.name == "numpy"
+            assert backend is get_kernels("numpy")
+            warnings = [r for r in caplog.records
+                        if r.name == "repro.exec.kernels"]
+            assert len(warnings) == 1
+            assert "falling back to numpy" in warnings[0].message
         finally:
             _KERNEL_INSTANCES.pop("native", None)
 
@@ -580,7 +583,7 @@ class TestWholeCases:
         with BatchedFastBNI(net, mode="seq", kernels="native") as engine:
             plan, spec = engine.plan, engine.plan.spec
             messages = [(src, dst) for _, src, dst, *_ in
-                        plan.compiled_messages(maps=False)]
+                        plan.compiled_messages()]
             dense = sum(spec.clique_sizes[c] for m in messages for c in m)
 
             def free(cid: int, row) -> int:
@@ -999,7 +1002,7 @@ def _messages_run(plan, row, read_ids) -> tuple[list, bool]:
             below[node].add(cid)
             node = tree.parent[node]
     run, bare = [], False
-    for upward, src, dst, _, edge, *_ in plan.compiled_messages(maps=False):
+    for upward, src, dst, _, edge, *_ in plan.compiled_messages():
         inside = below[edge.child]
         if (bool(inside & observed) if upward else
                 bool(inside & read) and bool(observed - inside)):
@@ -1175,7 +1178,7 @@ class TestWholeCaseFallbacks:
         held = _KERNEL_INSTANCES.pop("native", None)
         try:
             with BatchedFastBNI(asia, mode="seq", kernels="native") as engine:
-                assert engine.kernels.name == "fused"
+                assert engine.kernels.name == "numpy"
                 _assert_same(engine.infer(self.CASE), want,
                              asia.variable_names)
                 _assert_same(engine.infer_cases([self.CASE]).case(0), want,
@@ -1186,11 +1189,10 @@ class TestWholeCaseFallbacks:
                 _KERNEL_INSTANCES["native"] = held
 
 
-class _CountingKernels:
+class _CountingKernels(KernelBackend):
     """A kernel backend stub that only counts the messages it is asked for."""
 
     name = "counting"
-    wants_maps = False
 
     def __init__(self):
         self.messages = 0

@@ -206,7 +206,7 @@ class TestKernelHooks:
         rec.on_message(upward=True, seconds=0.002)
         rec.on_message(upward=False, seconds=0.001)
         rec.on_absorb(0.0005, cliques=7)
-        rec.on_schedule(backend="fused", messages=14, seconds=0.004,
+        rec.on_schedule(backend="numpy", messages=14, seconds=0.004,
                         arena_bytes=1024, cases=3)
         summary = rec.summary()
         assert summary["kernel_messages"] == 14
@@ -214,11 +214,11 @@ class TestKernelHooks:
         assert summary["collect_ms"] == pytest.approx(2.0)
         assert summary["distribute_ms"] == pytest.approx(1.0)
         assert summary["absorb_cliques"] == 7
-        assert summary["kernel_backend"] == "fused"
+        assert summary["kernel_backend"] == "numpy"
         assert summary["arena_bytes"] == 1024
         assert summary["kernel_cases"] == 3
 
-    @pytest.mark.parametrize("kernels", ["fused", "numpy"])
+    @pytest.mark.parametrize("kernels", ["numpy"])
     def test_run_message_schedule_reports_into_hooks(self, asia, kernels):
         from repro.exec.kernels import get_kernels, run_message_schedule
         from repro.exec.plan import compile_plan
@@ -243,7 +243,7 @@ class TestKernelHooks:
         plan = compile_plan(compile_junction_tree(asia))
         state = plan.fresh_state()
         assert current_kernel_hooks() is None
-        run_message_schedule(plan, state, get_kernels("fused"))
+        run_message_schedule(plan, state, get_kernels("numpy"))
         posteriors = plan.read_posteriors(state)
         assert set(posteriors) == set(asia.variable_names)
 
@@ -417,8 +417,8 @@ class TestServerObservability:
         """
         async def scenario():
             # cache=False pins the engine path (an execute span on every
-            # query, no cache_lookup).
-            server = InferenceServer(port=0, max_batch=8,
+            # query, no cache_lookup); numpy kernels the executor hand-off.
+            server = InferenceServer(port=0, max_batch=8, kernels="numpy",
                                      cache=False, trace_sample_rate=1.0)
             server.preload(["asia"])
             await server.start()
@@ -459,7 +459,7 @@ class TestServerObservability:
         trace = traces[-1]
         execute = next(s for s in trace["spans"] if s["name"] == "execute")
         assert execute["attributes"]["kernel_messages"] > 0
-        assert execute["attributes"]["kernel_backend"] in ("fused", "numpy")
+        assert execute["attributes"]["kernel_backend"] == "numpy"
 
     def test_sampled_native_request_is_served_like_any_other(self):
         """A native server that traces every request answers with the
@@ -531,7 +531,8 @@ class TestServerObservability:
 
     def test_metrics_slow_queries_and_trace_dump_ops(self):
         async def scenario():
-            server = InferenceServer(port=0,
+            # numpy kernels: the query is the slowest op of the five.
+            server = InferenceServer(port=0, kernels="numpy",
                                      trace_sample_rate=1.0,
                                      trace_slow_ms=0.0)
             server.preload(["asia"])
@@ -572,7 +573,7 @@ class TestServerObservability:
 
     def test_session_ops_emit_spans(self):
         """Every session op is a span; a read says how much of the tree its
-        whole-case call ran — every message on fused, those the evidence
+        whole-case call ran — every message on numpy, those the evidence
         and targets need on native."""
         async def scenario(kernels):
             server = InferenceServer(port=0, trace_sample_rate=1.0,
@@ -597,7 +598,7 @@ class TestServerObservability:
                 await server.stop()
             return traces
 
-        for kernels in ("fused", "native"):
+        for kernels in ("numpy", "native"):
             traces = run(scenario(kernels))
             spans = [s for t in traces for s in t["spans"]]
             named = {s["name"]: s for s in spans}

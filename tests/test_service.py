@@ -368,7 +368,7 @@ class TestModelRegistry:
             self, shared, tmp_path):
         """A native entry answers a case in one foreign call (decided at
         load), its calibrated prior is charged to its residency, no index
-        map is (a native plan builds none; the fused entry's are), and a
+        map is (neither a native nor a numpy plan builds one), and a
         registry with a ``cache_dir`` maps the prior from the model file
         beside the CPT products."""
         from repro.exec.native import native_status
@@ -377,16 +377,15 @@ class TestModelRegistry:
             pytest.skip(f"native backend unavailable: {native_status()[1]}")
         with ModelRegistry(cache_dir=tmp_path if shared else None,
                            kernels="native") as native, \
-                ModelRegistry() as fused:
-            entry, other = native.get("asia"), fused.get("asia")
+                ModelRegistry(kernels="numpy") as staged:
+            entry, other = native.get("asia"), staged.get("asia")
             prior = entry.engine.plan.prior_flat
             assert entry.one_foreign_call and not other.one_foreign_call
             assert other.engine.plan.prior_flat is None
-            maps = other.engine.plan.stats()["plan_map_entries"]
             assert entry.engine.plan.stats()["plan_map_entries"] == 0
-            assert maps > 0
+            assert other.engine.plan.stats()["plan_map_entries"] == 0
             assert (entry.resident_bytes - other.resident_bytes
-                    == prior.nbytes - 8 * maps)
+                    == prior.nbytes)
             assert prior.flags.writeable is not shared
             assert len(list(tmp_path.glob("*.npy"))) == int(shared)
             np.testing.assert_allclose(
@@ -822,8 +821,9 @@ class TestWarmStartHooks:
             plan = engine.plan
             messages = plan.compiled_messages()
             base = plan.base_cliques
-            assert messages and all(m[5] is not None and m[6] is not None
-                                    for m in messages)  # maps prefetched
+            assert messages and all(m[5] is None and m[6] is None
+                                    for m in messages)  # no map is built
+            assert plan.stats()["plan_map_entries"] == 0
             engine.prepare_baseline()
             assert plan.base_cliques is base
             assert plan.compiled_messages() is messages

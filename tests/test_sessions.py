@@ -351,13 +351,13 @@ class TestColdSessions:
 
     def test_cold_retract_semantics_preserved(self):
         """Merge/retract bookkeeping is the same on every kernel backend."""
-        with ModelRegistry() as fused, \
+        with ModelRegistry(kernels="numpy") as staged, \
                 ModelRegistry(kernels="native") as native, \
-                SessionManager(fused) as on_fused, \
+                SessionManager(staged) as on_numpy, \
                 SessionManager(native) as on_native, \
-                FastBNI(fused.get("asia").net, mode="seq") as cold:
+                FastBNI(staged.get("asia").net, mode="seq") as cold:
             want = cold.infer({"smoke": "yes"}, ("lung",))
-            for manager in (on_fused, on_native):
+            for manager in (on_numpy, on_native):
                 sid = manager.open(
                     "asia", evidence={"smoke": "yes", "asia": "yes"}
                 )["session"]
@@ -371,7 +371,7 @@ class TestColdSessions:
 
     def test_server_native_session_wiring(self):
         """``serve --kernels native`` serves sessions over the wire and
-        answers as a fused server does."""
+        answers as a numpy server does."""
         def one_walk(port: int):
             with ServiceClient(port=port) as client:
                 with client.session("asia",
@@ -381,10 +381,10 @@ class TestColdSessions:
                     return result["posteriors"]["lung"]
 
         async def go():
-            fused = InferenceServer(port=0, kernels="fused")
+            staged = InferenceServer(port=0, kernels="numpy")
             native = InferenceServer(port=0, kernels="native")
             answers = {}
-            for name, server in (("fused", fused), ("native", native)):
+            for name, server in (("numpy", staged), ("native", native)):
                 await server.start()
                 try:
                     answers[name] = await asyncio.to_thread(one_walk,
@@ -396,8 +396,8 @@ class TestColdSessions:
             return answers
 
         answers = run(go())
-        assert answers["native_one_call"] and not answers["fused_one_call"]
-        np.testing.assert_allclose(answers["native"], answers["fused"],
+        assert answers["native_one_call"] and not answers["numpy_one_call"]
+        np.testing.assert_allclose(answers["native"], answers["numpy"],
                                    atol=1e-12)
 
 
@@ -411,7 +411,7 @@ IMPOSSIBLE = {"asia": {"either": "no", "lung": "yes"},
 
 
 @pytest.mark.parametrize("kernels", [
-    "numpy", "fused", pytest.param("native", marks=needs_native)])
+    "numpy", pytest.param("native", marks=needs_native)])
 @pytest.mark.parametrize("network", sorted(IMPOSSIBLE))
 class TestSessionWalkOracle:
     """Randomized session walks on every kernel backend, pinned to
@@ -501,7 +501,7 @@ class TestSessionWalkOracle:
 
 # ------------------------------------------------- all-or-nothing updates
 @pytest.mark.parametrize("kernels", [
-    "fused", pytest.param("native", marks=needs_native)])
+    "numpy", pytest.param("native", marks=needs_native)])
 class TestRejectedUpdates:
     """An update that cannot be applied changes nothing, on both session
     paths; impossible evidence is applied and reported by the read."""
@@ -638,7 +638,7 @@ async def _send_all(port: int, requests: list[dict]) -> list[dict]:
 
 #: Opening evidence, then (update fields, evidence after it) per step: a
 #: merge, a change, a retraction, a replace.  The table-only step (no
-#: ``targets``) is pipelined between reads, so on fused it must queue on
+#: ``targets``) is pipelined between reads, so on numpy it must queue on
 #: the flush worker behind the read ahead of it.
 _WALK_OPEN = {"asia": "yes"}
 _WALK = [
@@ -651,7 +651,7 @@ _WALK = [
      {"dysp": "yes"}),
 ]
 
-SERVING = ["fused", pytest.param("native", marks=needs_native)]
+SERVING = ["numpy", pytest.param("native", marks=needs_native)]
 
 
 class TestSessionDispatch:
@@ -661,7 +661,7 @@ class TestSessionDispatch:
     ops apply in arrival order."""
 
     @pytest.mark.parametrize("kernels, mode, on_loop", [
-        ("fused", "seq", False),
+        ("numpy", "seq", False),
         pytest.param("native", "seq", True, marks=needs_native),
         pytest.param("native", "inter", False, marks=needs_native),
     ])
