@@ -535,7 +535,7 @@ class TestRejectedUpdates:
             assert got["log_evidence"] == pytest.approx(want.log_evidence,
                                                         abs=1e-12)
 
-    def test_impossible_evidence_applies_and_the_session_recovers(
+    def test_impossible_evidence_applies_and_session_recovers(
             self, kernels):
         with ModelRegistry(kernels=kernels) as registry, \
                 SessionManager(registry) as manager, \
