@@ -44,14 +44,14 @@ def main() -> None:
     print("\n=== Batched inference across cases ===")
     cases = generate_test_cases(net, 50, observed_fraction=0.25, rng=3)
     with FastBNI(net, mode="seq") as engine:
-        results = engine.infer_batch(cases, case_workers=4)
+        results = engine.infer_batch(cases)  # one batched calibration
     mean_lp = np.mean([r.log_evidence for r in results])
     print(f"{len(results)} cases, mean log P(e) = {mean_lp:.3f}")
 
     # ------------------------------- architecture & statistical checks
     print("\n=== Independent cross-checks ===")
     ss = ShenoyShaferEngine(net)
-    with FastBNI(net, mode="hybrid", backend="thread", num_workers=4) as engine:
+    with FastBNI(net, mode="hybrid", num_workers=4) as engine:
         a = engine.infer(evidence).posteriors["lung"]
     b = ss.infer(evidence).posteriors["lung"]
     print(f"Hugin-style hybrid : {a.round(6)}")

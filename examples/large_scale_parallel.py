@@ -10,7 +10,7 @@ Run:  python examples/large_scale_parallel.py
 
 import time
 
-from repro import BatchedFastBNI, FastBNI, generate_test_cases, load_network
+from repro import FastBNI, generate_test_cases, load_network
 
 
 def time_engine(engine, cases) -> float:
@@ -36,31 +36,31 @@ def main() -> None:
 
     print("\n=== Parallel granularities (t=8) ===")
     for mode in ("inter", "intra", "hybrid"):
-        with FastBNI(net, mode=mode, backend="thread", num_workers=8) as engine:
+        with FastBNI(net, mode=mode, num_workers=8) as engine:
             t = time_engine(engine, cases)
         print(f"  {mode:7s}: {t:.3f} s/case  ({seq_time / t:.2f}x vs seq)")
 
     print("\n=== Thread sweep for the hybrid engine (paper Fig A) ===")
-    for t in (1, 2, 4, 8, 16):
-        backend = "serial" if t == 1 else "thread"
-        with FastBNI(net, mode="hybrid", backend=backend, num_workers=t) as engine:
+    for t in (1, 2, 4, 8, 16):  # one worker runs inline, more on threads
+        with FastBNI(net, mode="hybrid", num_workers=t) as engine:
             per_case = time_engine(engine, cases)
         print(f"  t={t:2d}: {per_case:.3f} s/case")
 
     # ------------------------------------------------------ Batched inference
     # The paper's real workload is *many* cases over one compiled tree.
-    # Instead of looping the schedule per case, BatchedFastBNI stacks all
-    # cases into (N, table) arrays and calibrates them in ONE pass of the
-    # layer schedule — O(messages) large NumPy calls instead of
-    # O(messages x cases) small ones.  Case blocks then parallelise across
-    # the backend as a single dispatch.
+    # Instead of one call per case, infer_cases hands the whole batch to
+    # the kernels at once: on native, one foreign call per case block
+    # (table-major for small plans); on numpy, all cases stacked into
+    # (N, table) arrays and calibrated in ONE pass of the layer schedule.
+    # Case blocks then parallelise across the engine's workers as a single
+    # dispatch.
     print("\n=== Batched inference: one calibration pass for the whole batch ===")
     batch_cases = generate_test_cases(net, 16, observed_fraction=0.2, rng=2)
     with FastBNI(net, mode="seq") as engine:
         start = time.perf_counter()
-        engine.infer_batch(batch_cases)  # per-case loop
+        for case in batch_cases:  # per-case loop
+            engine.infer(case.evidence)
         loop_time = time.perf_counter() - start
-    with BatchedFastBNI(net, mode="seq") as engine:
         start = time.perf_counter()
         result = engine.infer_cases(batch_cases)  # vectorised case axis
         vec_time = time.perf_counter() - start
@@ -70,7 +70,7 @@ def main() -> None:
     print(f"  log P(e) of the batch: {result.log_evidence.round(2)}")
 
     print("\nPosterior check: one query on the calibrated tree")
-    with FastBNI(net, mode="hybrid", backend="thread", num_workers=8) as engine:
+    with FastBNI(net, mode="hybrid", num_workers=8) as engine:
         result = engine.infer(cases[0].evidence)
         name = next(n for n in net.variable_names if n not in cases[0].evidence)
         print(f"  P({name} | e) = {result.posteriors[name].round(4)}")

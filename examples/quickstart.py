@@ -15,10 +15,11 @@ def main() -> None:
     net = load_dataset("asia")
     print(net.summary())
 
-    # 2. Build the engine.  mode="hybrid" is Fast-BNI-par — the paper's
-    #    hybrid inter/intra-clique parallelism; use mode="seq" for the
-    #    optimised sequential engine.
-    engine = FastBNI(net, mode="hybrid", backend="thread", num_workers=4)
+    # 2. Build the engine.  The default is Fast-BNI-seq, the optimised
+    #    sequential engine (one native call per case); mode="hybrid",
+    #    num_workers=4 is Fast-BNI-par, the paper's hybrid
+    #    inter/intra-clique parallelism on four threads.
+    engine = FastBNI(net)
 
     # 3. A patient walks in: dyspnoea, smoker, recent trip to Asia.
     evidence = {"dysp": "yes", "smoke": "yes", "asia": "yes"}

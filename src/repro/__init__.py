@@ -7,7 +7,7 @@ Quickstart
 ----------
 >>> from repro import FastBNI, load_dataset
 >>> net = load_dataset("asia")
->>> engine = FastBNI(net, mode="hybrid", backend="thread", num_workers=4)
+>>> engine = FastBNI(net, mode="hybrid", num_workers=4)
 >>> result = engine.infer({"dysp": "yes", "smoke": "yes"})
 >>> result.posteriors["lung"]  # P(lung | dysp=yes, smoke=yes)  # doctest: +SKIP
 array([...])

@@ -188,15 +188,12 @@ class ApproxBNI:
     def infer_batch(
         self,
         cases,
-        case_workers: int = 1,
         targets: tuple[str, ...] = (),
-        vectorized: bool = True,
     ) -> "list[ApproxInferenceResult]":
         """Run a batch of test cases (``TestCase`` or evidence dicts).
 
         All cases share one particle population in a single vectorised
-        pass (``case_workers`` is accepted for interface
-        compatibility and ignored — there is no per-case loop to spread).
+        pass.
         """
         from repro.core.batch import case_evidence, case_soft_evidence
 

@@ -29,13 +29,11 @@ class DirectEngine:
     def __init__(
         self,
         net: BayesianNetwork,
-        backend: str = "thread",
         num_workers: int | None = None,
         heuristic: str = DEFAULT_HEURISTIC,
     ) -> None:
         self._engine = FastBNI(net, FastBNIConfig(
             mode="inter",
-            backend=backend,
             num_workers=num_workers,
             heuristic=heuristic,
             root_strategy="first",

@@ -21,7 +21,7 @@ from repro.core.fastbni import FastBNI
 from repro.exec.kernels import chunk_dst_indices, marg_chunk, ratio_vector
 from repro.jt.engine import InferenceResult
 from repro.jt.structure import DEFAULT_HEURISTIC, TreeState
-from repro.parallel.chunking import chunk_ranges
+from repro.parallel.chunking import CHUNKS_PER_WORKER, chunk_ranges
 
 
 def extend_chunk(out: np.ndarray, lo: int, hi: int, triples, sep_values: np.ndarray,
@@ -41,7 +41,6 @@ class PrimitiveEngine:
     def __init__(
         self,
         net: BayesianNetwork,
-        backend: str = "thread",
         num_workers: int | None = None,
         heuristic: str = DEFAULT_HEURISTIC,
         min_chunk: int = 2048,
@@ -49,7 +48,6 @@ class PrimitiveEngine:
         # Reuse FastBNI's compile + plan; calibration below is X-P's own.
         self._engine = FastBNI(net, FastBNIConfig(
             mode="intra",  # placeholder; we drive calibration ourselves
-            backend=backend,
             num_workers=num_workers,
             heuristic=heuristic,
             root_strategy="first",
@@ -89,7 +87,8 @@ class PrimitiveEngine:
         engine = self._engine
         if size < engine.config.min_chunk:
             return [(0, size)]
-        return chunk_ranges(size, engine.backend.num_workers * engine.config.chunks_per_worker,
+        return chunk_ranges(size,
+                            engine.backend.num_workers * CHUNKS_PER_WORKER,
                             min_chunk=engine.config.min_chunk)
 
     def _message(self, state: TreeState, upward: bool, src: int, dst: int,

@@ -73,22 +73,15 @@ def build_workload(name: str, num_cases: int | None = None,
 EngineFactory = Callable[[BayesianNetwork, int], object]
 
 
-def _dispatch(num_workers: int) -> str:
-    return "serial" if num_workers == 1 else "thread"
-
-
 #: Table-1 columns, as ``(net, num_workers) -> engine``.  Sequential
 #: engines ignore ``num_workers``.
 ENGINE_FACTORIES: dict[str, EngineFactory] = {
     "unbbayes": lambda net, _t: UnBBayesEngine(net),
     "fastbni-seq": lambda net, _t: FastBNI(net, mode="seq"),
     "element": lambda net, _t: ElementEngine(net),
-    "direct": lambda net, t: DirectEngine(
-        net, backend=_dispatch(t), num_workers=t),
-    "primitive": lambda net, t: PrimitiveEngine(
-        net, backend=_dispatch(t), num_workers=t),
-    "fastbni-par": lambda net, t: FastBNI(
-        net, mode="hybrid", backend=_dispatch(t), num_workers=t),
+    "direct": lambda net, t: DirectEngine(net, num_workers=t),
+    "primitive": lambda net, t: PrimitiveEngine(net, num_workers=t),
+    "fastbni-par": lambda net, t: FastBNI(net, mode="hybrid", num_workers=t),
 }
 
 SEQUENTIAL_ENGINES = ("unbbayes", "fastbni-seq", "element")

@@ -28,7 +28,7 @@ import argparse
 import json
 import sys
 
-from repro.core.config import BACKENDS, MODES
+from repro.core.config import MODES
 from repro.exec.kernels import KERNELS
 
 
@@ -79,11 +79,10 @@ def _parse_evidence_arg(text: str):
     )
 
 
-def _make_query_engine(args: argparse.Namespace, net, batched: bool = False):
-    """Build the engine ``query --engine`` selects (planner decides auto);
-    ``batched`` builds the exact engine as :class:`BatchedFastBNI`."""
+def _make_query_engine(args: argparse.Namespace, net):
+    """Build the engine ``query --engine`` selects (planner decides auto)."""
     from repro.approx import ApproxBNI, QueryPlanner
-    from repro.core import BatchedFastBNI, FastBNI
+    from repro.core import FastBNI
     from repro.jt.structure import compile_cliques, tree_from_cliques
 
     choice = args.engine
@@ -105,9 +104,8 @@ def _make_query_engine(args: argparse.Namespace, net, batched: bool = False):
         return ApproxBNI(net, num_samples=args.samples,
                          max_samples=max(args.samples, DEFAULT_MAX_SAMPLES),
                          tolerance=args.tolerance, seed=args.seed)
-    engine_cls = BatchedFastBNI if batched else FastBNI
-    return engine_cls(net, tree=tree, mode=args.mode, backend=args.backend,
-                      num_workers=args.workers, kernels=args.kernels)
+    return FastBNI(net, tree=tree, mode=args.mode, num_workers=args.workers,
+                   kernels=args.kernels)
 
 
 def _cmd_query(args: argparse.Namespace) -> None:
@@ -151,7 +149,6 @@ def _run_batch_query(args: argparse.Namespace, net, evidence) -> None:
     import time
 
     from repro.bn.sampling import TestCase, generate_test_cases
-    from repro.core import BatchedFastBNI
     from repro.jt.evidence_soft import split_evidence
 
     if isinstance(evidence, list):
@@ -168,14 +165,13 @@ def _run_batch_query(args: argparse.Namespace, net, evidence) -> None:
         cases = [c.evidence for c in generate_test_cases(
             net, args.batch, observed_fraction=0.2, rng=args.seed)]
     targets = tuple(args.targets.split(",")) if args.targets else ()
-    # The batch path wants the case-axis-vectorised exact engine.
-    chosen = _make_query_engine(args, net, batched=True)
-    approx = not isinstance(chosen, BatchedFastBNI)
+    chosen = _make_query_engine(args, net)
+    approx = not chosen.capabilities.exact
     with chosen as engine:
         start = time.perf_counter()
-        # The exact engine's vectorised default falls back to the per-case
-        # loop when any case carries soft evidence; the approx engine
-        # shares one particle population across all cases either way.
+        # The exact engine runs soft-evidence cases one by one and the
+        # rest in one batched calibration; the approx engine shares one
+        # particle population across all cases either way.
         results = engine.infer_batch(cases, targets=targets)
         elapsed = time.perf_counter() - start
         blocks = int(engine.metrics.get("batch_blocks", 0))
@@ -183,7 +179,10 @@ def _run_batch_query(args: argparse.Namespace, net, evidence) -> None:
     if approx:
         detail = " (one shared particle population)"
     else:
-        detail = f", {blocks} case blocks" if blocks else " (per-case fallback)"
+        detail = f", {blocks} case blocks" if blocks else ""
+        soft = sum(1 for c in cases if getattr(c, "soft_evidence", None))
+        if soft:
+            detail += f", {soft} soft: per-case fallback"
     print(f"batched {n} cases in {elapsed * 1e3:.1f} ms "
           f"({elapsed / max(n, 1) * 1e3:.2f} ms/case{detail})")
     shown = targets[:1] or list(net.variable_names)[:1]
@@ -242,8 +241,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             trace_buffer=args.trace_buffer,
             trace_slow_ms=args.trace_slow_ms,
             trace_slow_log=args.trace_slow_log,
-            mode=args.mode, backend=args.backend, num_workers=args.workers,
-            kernels=args.kernels,
+            mode=args.mode, num_workers=args.workers, kernels=args.kernels,
         ))
     except KeyboardInterrupt:
         pass
@@ -476,16 +474,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="starting particle count for --engine approx")
     q.add_argument("--tolerance", type=float, default=0.01,
                    help="target worst-case posterior standard error")
-    q.add_argument("--mode", default="hybrid", choices=MODES)
-    q.add_argument("--backend", default="thread", choices=BACKENDS)
+    q.add_argument("--mode", default="seq", choices=MODES,
+                   help="engine mode (default: seq, one native call per "
+                        "case; the parallel modes run --workers threads)")
     q.add_argument("--workers", type=int, default=4)
     q.add_argument("--kernels", default="native", choices=KERNELS,
                    help="whole-message kernel backend: native GIL-free C "
                         "calls (default; falls back to numpy when no C "
                         "compiler is available) or the numpy ndview "
-                        "reference; drives the seq "
-                        "and batched paths — single queries need --mode "
-                        "seq (parallel modes chunk their own kernels)")
+                        "reference")
     q.set_defaults(func=_cmd_query)
 
     sv = sub.add_parser("serve", help="run the resident inference server "
@@ -542,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--mode", default="seq", choices=MODES,
                     help="engine mode for served models (default: seq — "
                          "throughput comes from batching, not worker pools)")
-    sv.add_argument("--backend", default="thread", choices=BACKENDS)
     sv.add_argument("--workers", type=int, default=1)
     sv.add_argument("--kernels", default="native", choices=KERNELS,
                     help="whole-message kernel backend for served models "

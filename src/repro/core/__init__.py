@@ -3,8 +3,8 @@
 :class:`~repro.core.fastbni.FastBNI` is the public engine.  Its four modes
 correspond to the paper's design space:
 
-* ``mode="seq"``    — Fast-BNI-seq: optimised sequential engine (index-
-  mapping formulation, vectorised kernels, no parallel dispatch);
+* ``mode="seq"``    — Fast-BNI-seq, the default: optimised sequential
+  engine (one native call per hard-evidence case, no parallel dispatch);
 * ``mode="inter"``  — coarse-grained inter-clique parallelism only
   (BFS layering + root selection, one task per message);
 * ``mode="intra"``  — fine-grained intra-clique parallelism only
@@ -12,10 +12,17 @@ correspond to the paper's design space:
 * ``mode="hybrid"`` — Fast-BNI-par: the paper's hybrid — per layer, all
   table entries are flattened into one balanced task pool
   (:mod:`repro.core.hybrid`).
+
+In every mode ``infer_cases`` / ``infer_batch`` run a whole workload as
+case blocks (:mod:`repro.core.batch`), and ``num_workers`` alone decides
+whether work runs inline (one worker) or on a thread pool.
 """
 
-from repro.core.batch import BatchedFastBNI
 from repro.core.config import FastBNIConfig
 from repro.core.fastbni import FastBNI
+
+#: The batched engine was folded into :class:`FastBNI` (``infer_cases``,
+#: ``prepare_baseline``); the name stays for existing imports.
+BatchedFastBNI = FastBNI
 
 __all__ = ["BatchedFastBNI", "FastBNI", "FastBNIConfig"]

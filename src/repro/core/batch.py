@@ -3,7 +3,7 @@
 Why this exists
 ---------------
 The paper's headline workload is 2000 inference cases over *one* compiled
-junction tree.  :meth:`repro.core.fastbni.FastBNI.infer_batch` amortises
+junction tree.  Looping :meth:`repro.core.fastbni.FastBNI.infer` amortises
 the compile step but still walks the message schedule once per case: 2000
 Python-level traversals, each built from small NumPy calls whose fixed
 per-call overhead dominates on mid-sized tables.
@@ -48,29 +48,32 @@ the worker count.
 
 Correctness contract: row *i* of every batched table evolves exactly as a
 per-case :class:`~repro.jt.structure.TreeState` would for case *i* (same
-geometry, same normalisation points), so ``BatchedFastBNI`` results match
+geometry, same normalisation points), so batched results match
 ``FastBNI.infer`` case-by-case to float64 round-off; the test suite pins
 both against the enumeration oracle.
 
 Limits: hard evidence only (soft/virtual evidence would need per-case
-likelihood columns; ``FastBNI.infer_batch(vectorized=True)`` detects it
-and falls back to the per-case loop).
+likelihood columns; ``FastBNI.infer_batch`` runs such cases one by one
+through ``FastBNI.infer``).
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.fastbni import FastBNI
 from repro.errors import EvidenceError
 from repro.exec.kernels import KernelBackend
 from repro.obs.trace import current_kernel_hooks
 from repro.jt.engine import BatchInferenceResult
 from repro.jt.query import all_posteriors_batch, log_evidence_batch
 from repro.parallel.chunking import chunk_cases
+
+if TYPE_CHECKING:
+    from repro.core.fastbni import FastBNI
 
 
 def case_evidence(case) -> dict:
@@ -117,7 +120,7 @@ MIN_CASE_BLOCK = 4
 
 
 def infer_cases(
-    engine: FastBNI,
+    engine: "FastBNI",
     cases,
     targets: tuple[str, ...] = (),
     min_block: int = MIN_CASE_BLOCK,
@@ -127,14 +130,14 @@ def infer_cases(
     Cases are ``TestCase``-like objects (``.evidence`` mapping names to
     states) or plain evidence dicts; they may observe heterogeneous
     variable sets.  Hard evidence only — soft evidence raises (callers that
-    want a silent fallback use ``FastBNI.infer_batch(vectorized=True)``).
+    mix both use ``FastBNI.infer_batch``).
     """
     cases = list(cases)
     softs = [case_soft_evidence(c) for c in cases]
     if any(softs):
         raise EvidenceError(
             "batched calibration supports hard evidence only; use "
-            "infer_batch(vectorized=True) for a per-case fallback"
+            "infer_batch to run soft-evidence cases one by one"
         )
     n = len(cases)
     if n == 0:
@@ -148,7 +151,7 @@ def infer_cases(
     read_ids = plan.variable_ids(targets)  # unknown targets raise here
     evidence = [case_evidence(c) for c in cases]
 
-    workers = 1 if engine.config.mode == "seq" else engine.backend.num_workers
+    workers = engine.backend.num_workers
     whole_cases = kernels.compiles_cases
     # A call runs its cases table-major only in whole blocks, so give
     # every call at least one.
@@ -158,7 +161,7 @@ def infer_cases(
     engine.metrics = {"dispatch_batches": 0, "dispatch_tasks": 0,
                       "inline_layers": 0, "messages": spec.num_messages,
                       "batch_cases": n, "batch_blocks": len(blocks)}
-    if len(blocks) == 1 or engine.backend.name == "serial":
+    if len(blocks) == 1:
         engine.count("inline_layers")
     else:
         engine.count("dispatch_batches")
@@ -217,55 +220,3 @@ def infer_cases(
         posteriors=all_posteriors_batch(state, targets),
         log_evidence=log_evidence_batch(state),
         meta={**meta, "messages_run": float(n * spec.num_messages)})
-
-
-class BatchedFastBNI(FastBNI):
-    """Fast-BNI with the case axis vectorised (see the module docstring).
-
-    Construction is identical to :class:`FastBNI` (same compile pipeline,
-    shared plan and backend); :meth:`infer_cases` runs a whole workload in
-    one batched calibration and returns the columnar
-    :class:`~repro.jt.engine.BatchInferenceResult`, while
-    :meth:`infer_batch` keeps the list-of-results interface with
-    ``vectorized=True`` as its default.
-    """
-
-    @property
-    def name(self) -> str:
-        return f"batched-{super().name}"
-
-    def prepare_baseline(self) -> "BatchedFastBNI":
-        """Precompute everything a batch calibration reuses across flushes.
-
-        Long-lived callers (the service layer's micro-batcher) flush many
-        small batches against one engine; this pays the batch-independent
-        work once up front — the CPT-product base tables, the compiled
-        message sequence and the lowered plan with its calibrated prior
-        (native) — so each subsequent :meth:`infer_cases`
-        call only does per-batch work, never re-absorbing CPTs.
-        Idempotent; returns ``self`` for chaining.
-        """
-        self.plan.base_cliques
-        self.plan.compiled_messages()
-        if self.kernels.compiles_cases:
-            self.kernels.lowered(self.plan)
-        return self
-
-    def infer_cases(
-        self,
-        cases,
-        targets: tuple[str, ...] = (),
-        min_block: int = MIN_CASE_BLOCK,
-    ) -> BatchInferenceResult:
-        """Batched calibration of all ``cases``; columnar results."""
-        return infer_cases(self, cases, targets, min_block=min_block)
-
-    def infer_batch(
-        self,
-        cases,
-        case_workers: int = 1,
-        targets: tuple[str, ...] = (),
-        vectorized: bool = True,
-    ) -> list:
-        return super().infer_batch(cases, case_workers=case_workers,
-                                   targets=targets, vectorized=vectorized)

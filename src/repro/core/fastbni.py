@@ -18,8 +18,13 @@ modes chunk the same gather kernels over entry ranges
 mode iterates the plan's compiled message sequence and touches tables
 through ndarray views into the plan arena.
 
-One shortcut sits in front of all that: a sequential engine on the native
-backend answers a hard-evidence request as a single foreign call
+Many cases at once go through :mod:`repro.core.batch`
+(:meth:`FastBNI.infer_cases`, :meth:`FastBNI.infer_batch`), as case
+blocks over the engine's own workers.
+
+One shortcut sits in front of all that: a sequential engine (the
+default) on the native backend answers a hard-evidence request as a
+single foreign call
 (:meth:`~repro.exec.native.backend.NativeKernels.infer_cases`), traced or
 not — an installed recorder gets that call's time and message count.  The
 staged absorb → calibrate → read path below it is the oracle that call
@@ -34,18 +39,19 @@ import time
 import numpy as np
 
 from repro.bn.network import BayesianNetwork
+from repro.core import batch
 from repro.core.config import FastBNIConfig
 from repro.errors import BackendError, EvidenceError, JunctionTreeError
 from repro.exec.engine_api import EXACT_ENGINE
 from repro.exec.kernels import get_kernels, run_message_schedule
 from repro.exec.plan import MessagePlan, compile_plan
-from repro.jt.engine import InferenceResult
+from repro.jt.engine import BatchInferenceResult, InferenceResult
 from repro.jt.evidence import check_evidence
 from repro.jt.layers import LayerSchedule
 from repro.jt.root import select_root
 from repro.jt.structure import JunctionTree, TreeState, compile_junction_tree
 from repro.obs.trace import current_kernel_hooks
-from repro.parallel.backend import Backend, SerialBackend, make_backend
+from repro.parallel.backend import Backend, make_backend
 
 
 class FastBNI:
@@ -61,9 +67,9 @@ class FastBNI:
         Either a :class:`~repro.core.config.FastBNIConfig` object or its
         fields as keywords (never both — that raises
         :class:`~repro.errors.BackendError`).  The load-bearing ones:
-        ``mode`` (``"seq"``/``"inter"``/``"intra"``/``"hybrid"``, see
-        :mod:`repro.core`), ``backend`` (``"serial"``/``"thread"``),
-        ``num_workers``, ``kernels`` (``"native"``/``"numpy"``
+        ``mode`` (``"seq"``, the default, or ``"inter"``/``"intra"``/
+        ``"hybrid"``, see :mod:`repro.core`), ``num_workers`` (one runs
+        inline, more on a thread pool), ``kernels`` (``"native"``/``"numpy"``
         whole-message backend), ``heuristic`` (triangulation) and
         ``root_strategy``.
     tree:
@@ -108,10 +114,9 @@ class FastBNI:
         self.schedule: LayerSchedule = self.plan.schedule
         #: Whole-message kernel backend (seq, inter and batched paths).
         self.kernels = get_kernels(config.kernels)
-        if config.mode == "seq":
-            self.backend: Backend = SerialBackend()
-        else:
-            self.backend = make_backend(config.backend, config.num_workers)
+        #: Inline for ``seq`` or one worker, a thread pool otherwise.
+        self.backend: Backend = make_backend(
+            1 if config.mode == "seq" else config.num_workers)
         #: Instrumentation for the last infer() call: how often the backend
         #: was invoked and how many tasks it received — the quantitative
         #: form of the paper's "parallelization overhead" argument — and,
@@ -265,54 +270,55 @@ class FastBNI:
             state.log_norm += math.log(total)
         return values
 
-    def infer_batch(
-        self,
-        cases,
-        case_workers: int = 1,
-        targets: tuple[str, ...] = (),
-        vectorized: bool = False,
-    ) -> list[InferenceResult]:
-        """Run a batch of test cases, optionally parallel *across* cases.
+    def infer_batch(self, cases,
+                    targets: tuple[str, ...] = ()) -> list[InferenceResult]:
+        """Run a workload; one result per case, in case order.
 
-        The paper parallelises within one inference; a 2000-case workload
-        also admits the orthogonal axis of running whole cases
-        concurrently (each case calibrates sequentially on its own
-        TreeState; the compiled tree and index-map cache are shared
-        read-only).  ``case_workers=1`` is a plain loop.
-
-        ``vectorized=True`` selects the batched fast path
-        (:mod:`repro.core.batch`): all cases are calibrated together in one
-        pass of the layer schedule over ``(N, table)`` arrays, dispatched
-        to this engine's backend as case blocks.  It supersedes
-        ``case_workers`` — across-case parallelism then comes from the
-        engine backend's workers, not a per-call thread pool.  Cases
-        carrying soft evidence fall back cleanly to the per-case loop
-        (batched reduction expresses hard evidence only), where
-        ``case_workers`` applies again.
+        Hard-evidence cases run together as one batched calibration
+        (:func:`repro.core.batch.infer_cases`), across this engine's own
+        workers; cases carrying soft evidence, which the batched reduction
+        cannot express, run one by one through :meth:`infer`.
+        ``metrics`` then describe the batched call.
         """
-        from repro.core.batch import case_evidence, case_soft_evidence
-
         cases = list(cases)
-        if vectorized and cases and not any(case_soft_evidence(c) for c in cases):
-            from repro.core.batch import infer_cases
+        results: list = [None] * len(cases)
+        hard = []
+        for i, case in enumerate(cases):
+            soft = batch.case_soft_evidence(case)
+            if soft:
+                results[i] = self.infer(batch.case_evidence(case), targets,
+                                        soft_evidence=soft)
+            else:
+                hard.append(i)
+        if hard:
+            done = batch.infer_cases(self, [cases[i] for i in hard], targets)
+            for i, result in zip(hard, done):
+                results[i] = result
+        return results
 
-            return list(infer_cases(self, cases, targets))
-        if case_workers <= 1 or len(cases) <= 1:
-            return [self.infer(case_evidence(c), targets,
-                               soft_evidence=case_soft_evidence(c))
-                    for c in cases]
-        # Compile the message sequence (and with it every index map the
-        # mode gathers through) once, serially, so the concurrent cases
-        # only ever read the plan.
-        self.plan.compiled_messages(
-            maps=self.config.mode in ("intra", "hybrid"))
-        from concurrent.futures import ThreadPoolExecutor
+    def infer_cases(self, cases, targets: tuple[str, ...] = (),
+                    min_block: int = batch.MIN_CASE_BLOCK
+                    ) -> BatchInferenceResult:
+        """Batched calibration of hard-evidence ``cases``; columnar results
+        (see :func:`repro.core.batch.infer_cases`)."""
+        return batch.infer_cases(self, cases, targets, min_block=min_block)
 
-        with ThreadPoolExecutor(max_workers=case_workers) as pool:
-            futures = [pool.submit(self.infer, case_evidence(c), targets,
-                                   case_soft_evidence(c))
-                       for c in cases]
-            return [f.result() for f in futures]
+    def prepare_baseline(self) -> "FastBNI":
+        """Precompute everything a batch calibration reuses across flushes.
+
+        Long-lived callers (the service layer's micro-batcher) flush many
+        small batches against one engine; this pays the batch-independent
+        work once up front — the CPT-product base tables, the compiled
+        message sequence and the lowered plan with its calibrated prior
+        (native) — so each subsequent :meth:`infer_cases`
+        call only does per-batch work, never re-absorbing CPTs.
+        Idempotent; returns ``self`` for chaining.
+        """
+        self.plan.base_cliques
+        self.plan.compiled_messages()
+        if self.kernels.compiles_cases:
+            self.kernels.lowered(self.plan)
+        return self
 
     def stats(self) -> dict[str, float]:
         s = self.tree.stats()

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.exec.kernels import absorb_chunk, marg_chunk, ratio_vector
 from repro.jt.structure import TreeState
-from repro.parallel.chunking import chunk_weighted
+from repro.parallel.chunking import CHUNKS_PER_WORKER, chunk_weighted
 
 
 def run_marg_group(specs: tuple[tuple, ...]) -> list[tuple[int, np.ndarray]]:
@@ -73,7 +73,7 @@ def _run_pool(engine, run_group, items: list[tuple], sizes: list[int],
         return [run_group(tuple((0, size, *item)
                                 for item, size in zip(items, sizes)))]
     groups = chunk_weighted(
-        sizes, engine.backend.num_workers * engine.config.chunks_per_worker,
+        sizes, engine.backend.num_workers * CHUNKS_PER_WORKER,
         min_chunk=engine.config.min_chunk)
     tasks = [(run_group, (tuple((lo, hi, *items[i]) for i, lo, hi in group),))
              for group in groups]

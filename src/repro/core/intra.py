@@ -15,13 +15,13 @@ import numpy as np
 
 from repro.exec.kernels import absorb_chunk, marg_chunk, ratio_vector
 from repro.jt.structure import TreeState
-from repro.parallel.chunking import chunk_ranges
+from repro.parallel.chunking import CHUNKS_PER_WORKER, chunk_ranges
 
 
 def _chunks(engine, size: int) -> list[tuple[int, int]]:
     """Entry ranges of one table (a single range below ``min_chunk``)."""
     return chunk_ranges(
-        size, engine.backend.num_workers * engine.config.chunks_per_worker,
+        size, engine.backend.num_workers * CHUNKS_PER_WORKER,
         min_chunk=engine.config.min_chunk)
 
 

@@ -31,37 +31,22 @@ class EngineCapabilities:
     kind: str
     #: Posteriors are exact (suitable for 1e-12 pins and MPE).
     exact: bool
-    #: ``infer_cases`` runs a whole case list in one vectorised pass.
-    vectorized_batches: bool
-    #: Accepts per-case soft (likelihood) evidence on ``infer``.
-    soft_evidence: bool
     #: Soft-evidence cases may join a vectorised ``infer_cases`` flush
     #: (otherwise the batcher detours them to the per-case path).
     batched_soft_evidence: bool
-    #: Results carry uncertainty (stderr / ess / num_samples).
-    reports_uncertainty: bool
     #: A junction tree is compiled, so MPE queries can be served.
     supports_mpe: bool
-    #: Supports evidence-delta recalibration (cheap ``update``/``clone``).
-    incremental: bool = False
 
 
 #: Capability records of the built-in engine classes.  The planner maps
 #: its routing decision through this table so downstream layers receive
 #: flags, never bare strings.
 EXACT_ENGINE = EngineCapabilities(
-    kind="exact", exact=True, vectorized_batches=True, soft_evidence=True,
-    batched_soft_evidence=False, reports_uncertainty=False, supports_mpe=True,
-)
+    kind="exact", exact=True, batched_soft_evidence=False, supports_mpe=True)
 APPROX_ENGINE = EngineCapabilities(
-    kind="approx", exact=False, vectorized_batches=True, soft_evidence=True,
-    batched_soft_evidence=True, reports_uncertainty=True, supports_mpe=False,
-)
+    kind="approx", exact=False, batched_soft_evidence=True, supports_mpe=False)
 INCREMENTAL_ENGINE = EngineCapabilities(
-    kind="exact", exact=True, vectorized_batches=False, soft_evidence=False,
-    batched_soft_evidence=False, reports_uncertainty=False, supports_mpe=False,
-    incremental=True,
-)
+    kind="exact", exact=True, batched_soft_evidence=False, supports_mpe=False)
 
 CAPABILITIES_BY_KIND = {"exact": EXACT_ENGINE, "approx": APPROX_ENGINE}
 
@@ -85,7 +70,7 @@ class InferenceEngine(Protocol):
 
     def infer(self, evidence=None, targets=(), **kwargs): ...
 
-    def infer_batch(self, cases, case_workers=1, targets=(), **kwargs): ...
+    def infer_batch(self, cases, targets=()): ...
 
     def posteriors(self, targets=(), evidence=None): ...
 

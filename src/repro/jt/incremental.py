@@ -512,15 +512,13 @@ class IncrementalEngine:
                   "dirty_cliques": float(len(delta.dirty_cliques))},
         )
 
-    def infer_batch(self, cases, case_workers: int = 1,
-                    targets: tuple[str, ...] = (),
-                    vectorized: bool = False) -> list[InferenceResult]:
+    def infer_batch(self, cases,
+                    targets: tuple[str, ...] = ()) -> list[InferenceResult]:
         """Protocol hook: chain the cases through this state's delta path.
 
         The incremental engine has no vectorised case axis — its batch
         form is sequential chaining, which is exactly where it shines when
-        consecutive cases overlap (``case_workers``/``vectorized`` are
-        accepted for interface compatibility and ignored).
+        consecutive cases overlap.
         """
         from repro.core.batch import case_evidence, case_soft_evidence
 

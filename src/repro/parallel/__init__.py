@@ -18,7 +18,6 @@ model's tables through the page cache instead, by mapping one model file
 """
 
 from repro.parallel.backend import (
-    BACKENDS,
     Backend,
     SerialBackend,
     ThreadBackend,
@@ -27,7 +26,6 @@ from repro.parallel.backend import (
 from repro.parallel.chunking import chunk_ranges, chunk_weighted
 
 __all__ = [
-    "BACKENDS",
     "Backend",
     "SerialBackend",
     "ThreadBackend",

@@ -1,4 +1,4 @@
-"""Execution backends: serial and thread pool.
+"""Execution backends: serial and thread pool, chosen by worker count.
 
 A :class:`Backend` executes a batch of independent tasks and blocks until
 all complete — exactly the semantics of one OpenMP ``parallel for`` region,
@@ -85,25 +85,15 @@ class ThreadBackend(Backend):
         self._pool.shutdown(wait=True)
 
 
-#: name -> factory taking the worker count.
-_FACTORIES = {"serial": lambda num_workers: SerialBackend(),
-              "thread": ThreadBackend}
-
-#: Accepted ``backend`` names (``FastBNIConfig`` and the CLI validate against
-#: this) — derived from the registry so they cannot drift from what resolves.
-BACKENDS = tuple(_FACTORIES)
-
-
-def make_backend(kind: str, num_workers: int | None = None) -> Backend:
-    """Factory: ``"serial"`` or ``"thread"``.
+def make_backend(num_workers: int | None = None) -> Backend:
+    """The backend for ``num_workers`` workers: inline for one, a thread
+    pool for more.
 
     ``num_workers`` defaults to the CPU count (capped at 32, the paper's
     maximum thread count).
     """
-    factory = _FACTORIES.get(kind)
-    if factory is None:
-        raise BackendError(
-            f"unknown backend {kind!r}; expected one of {BACKENDS}")
     if num_workers is None:
         num_workers = min(os.cpu_count() or 1, 32)
-    return factory(num_workers)
+    if num_workers == 1:
+        return SerialBackend()
+    return ThreadBackend(num_workers)

@@ -11,6 +11,11 @@ from __future__ import annotations
 
 from repro.errors import BackendError
 
+#: Oversubscription factor of the entry-range modes: a table or flattened
+#: layer pool is cut into up to ``num_workers * CHUNKS_PER_WORKER`` tasks,
+#: letting faster workers steal the remainder of an unbalanced layer.
+CHUNKS_PER_WORKER = 2
+
 
 def chunk_ranges(size: int, num_chunks: int, min_chunk: int = 1) -> list[tuple[int, int]]:
     """Split ``[0, size)`` into at most ``num_chunks`` near-equal ranges.

@@ -7,8 +7,8 @@ on every invocation; this package amortises both behind an asyncio server:
   (LRU under a byte budget, serialized-tree warm start, resident
   calibrated baselines);
 * :class:`~repro.service.batcher.MicroBatcher` — dynamic micro-batching of
-  concurrent single-case queries into vectorised
-  :class:`~repro.core.batch.BatchedFastBNI` calibrations (or, for models
+  concurrent single-case queries into batched
+  :meth:`~repro.core.FastBNI.infer_cases` calibrations (or, for models
   the :class:`~repro.approx.QueryPlanner` routes to sampling, one shared
   :class:`~repro.approx.ApproxBNI` particle population per flush);
 * :class:`~repro.service.cache.InferenceCache` — query-result memo per

@@ -2,9 +2,9 @@
 
 The paper's contribution — amortising one compiled junction tree across
 many evidence cases — is worth the most when *independent* requests are
-coalesced server-side: ``BatchedFastBNI`` calibrates N cases in one pass
-of the layer schedule for far less than N single passes, but only if a
-batch exists.  This module manufactures those batches from single-case
+coalesced server-side: ``FastBNI.infer_cases`` calibrates N cases in one
+pass of the layer schedule for far less than N single passes, but only if
+a batch exists.  This module manufactures those batches from single-case
 traffic.
 
 The flush policy is work-conserving — there is no timer.  A query that

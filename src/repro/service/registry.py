@@ -52,8 +52,8 @@ from repro.approx.engine import ApproxBNI, ApproxInferenceResult
 from repro.approx.planner import POLICIES, PlanDecision, QueryPlanner
 from repro.bn.network import BayesianNetwork
 from repro.bn.repository import resolve_network
-from repro.core.batch import BatchedFastBNI
 from repro.core.config import FastBNIConfig
+from repro.core.fastbni import FastBNI
 from repro.errors import NetworkError, PlannerError
 from repro.exec.engine_api import CAPABILITIES_BY_KIND
 from repro.jt.structure import Triangulation, compile_cliques, tree_from_cliques
@@ -71,7 +71,7 @@ class ModelEntry:
 
     name: str
     net: BayesianNetwork
-    engine: "BatchedFastBNI | ApproxBNI"
+    engine: "FastBNI | ApproxBNI"
     #: No-evidence marginals ``{var: (card,) array}``, computed once at
     #: load so prior queries (and the ``info`` endpoint) never propagate.
     prior: dict[str, np.ndarray]
@@ -151,10 +151,10 @@ def entry_key(name: str, kind: str) -> str:
 class ModelRegistry:
     """LRU registry of compiled, baseline-calibrated inference engines.
 
-    ``engine_options`` are forwarded to :class:`BatchedFastBNI`; the
-    default is the sequential vectorised engine (``mode="seq"``), which is
-    the right serving configuration for small/medium models — throughput
-    comes from micro-batching, not per-query worker pools.
+    ``engine_options`` are forwarded to :class:`~repro.core.FastBNI`; its
+    default ``mode="seq"`` is the right serving configuration for
+    small/medium models — throughput comes from micro-batching, not
+    per-query worker pools.
 
     ``policy`` sets the default engine routing (``"exact"``, ``"approx"``
     or ``"auto"``); per-lookup ``engine=`` overrides it, so one registry
@@ -177,7 +177,7 @@ class ModelRegistry:
         self.max_bytes = max_bytes
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.metrics = metrics
-        self.engine_options = {"mode": "seq", **engine_options}
+        self.engine_options = engine_options
         #: The exact engines' triangulation heuristic: the planner prices
         #: the tree they build.
         self.heuristic = self.engine_options.get("heuristic",
@@ -419,7 +419,7 @@ class ModelRegistry:
                     triangulation: Triangulation) -> ModelEntry:
         tree = tree_from_cliques(net, triangulation.cliques,
                                  triangulation.heuristic)
-        engine = BatchedFastBNI(net, tree=tree, **self.engine_options)
+        engine = FastBNI(net, tree=tree, **self.engine_options)
         from_cache = False
         if self.cache_dir is not None:  # off the serve start-up path
             from repro.service.modelfile import attach
@@ -472,7 +472,7 @@ class ModelRegistry:
         )
 
     @staticmethod
-    def _estimate_bytes(engine: BatchedFastBNI, prior: dict[str, np.ndarray]) -> int:
+    def _estimate_bytes(engine: FastBNI, prior: dict[str, np.ndarray]) -> int:
         """Resident footprint: base cliques + the index maps the engine
         built (only the Python ``intra``/``hybrid`` modes build any) +
         (native plans) calibrated prior arena + prior marginals."""

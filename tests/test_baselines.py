@@ -54,7 +54,7 @@ class TestDirect:
             check_against_enumeration(eng, asia)
 
     def test_serial_backend(self, asia):
-        with DirectEngine(asia, backend="serial") as eng:
+        with DirectEngine(asia, num_workers=1) as eng:
             check_against_enumeration(eng, asia, num_cases=3)
 
     def test_uses_first_root(self, asia):

@@ -36,7 +36,7 @@ class TestAgreement:
     @pytest.mark.parametrize("dataset", ["asia", "cancer", "sprinkler"])
     @pytest.mark.parametrize("backend_kwargs", [
         {"mode": "seq"},
-        {"mode": "hybrid", "backend": "thread", "num_workers": 3},
+        {"mode": "hybrid", "num_workers": 3},
     ])
     def test_matches_per_case_and_oracle(self, request, dataset, backend_kwargs):
         net = request.getfixturevalue(dataset)
@@ -61,7 +61,7 @@ class TestAgreement:
         # 32 cases: every native call of asia gets at least one whole
         # 16-case table-major block, so two calls need two blocks.
         cases = generate_test_cases(asia, 32, 0.25, rng=3)
-        with BatchedFastBNI(asia, mode="hybrid", backend="thread",
+        with BatchedFastBNI(asia, mode="hybrid",
                             num_workers=2, kernels=kernels) as engine, \
                 FastBNI(asia, mode="seq") as seq:
             # min_block=2 forces two blocks so real thread dispatch runs
@@ -110,7 +110,7 @@ class TestRandomNetworkProperty:
     def test_impossible_evidence_under_threads(self, sprinkler):
         impossible = {"Sprinkler": "off", "Rain": "no", "WetGrass": "yes"}
         cases = [{}, {}, {}, impossible]
-        with BatchedFastBNI(sprinkler, mode="hybrid", backend="thread",
+        with BatchedFastBNI(sprinkler, mode="hybrid",
                             num_workers=2) as engine:
             with pytest.raises(EvidenceError, match="case 3"):
                 engine.infer_cases(cases, min_block=1)  # two dispatched blocks
@@ -146,10 +146,12 @@ class TestBatchEdgeCases:
             assert engine.infer_batch([]) == []
 
     def test_vectorized_infer_batch_matches_loop(self, asia):
+        """``infer_batch`` runs hard cases as one batched calibration."""
         cases = generate_test_cases(asia, 5, 0.25, rng=13)
         with FastBNI(asia, mode="seq") as engine:
-            vec = engine.infer_batch(cases, vectorized=True)
-            loop = engine.infer_batch(cases, vectorized=False)
+            vec = engine.infer_batch(cases)
+            assert engine.metrics["batch_cases"] == len(cases)
+            loop = [engine.infer(c.evidence) for c in cases]
         for a, b in zip(vec, loop):
             assert a.log_evidence == pytest.approx(b.log_evidence, abs=1e-9)
             for name in asia.variable_names:
@@ -157,12 +159,15 @@ class TestBatchEdgeCases:
                                    atol=1e-9)
 
     def test_vectorized_falls_back_on_soft_evidence(self, asia):
+        """A soft case runs through per-case ``infer``; the hard cases
+        beside it still run batched."""
         cases = [
             TestCase(evidence={"smoke": 0}),
             TestCase(evidence={"smoke": 0}, soft_evidence={"xray": (0.8, 0.1)}),
         ]
         with FastBNI(asia, mode="seq") as engine:
-            results = engine.infer_batch(cases, vectorized=True)
+            results = engine.infer_batch(cases)
+            assert engine.metrics["batch_cases"] == 1
             ref_soft = engine.infer(evidence={"smoke": 0},
                                     soft_evidence={"xray": (0.8, 0.1)})
             ref_hard = engine.infer(evidence={"smoke": 0})

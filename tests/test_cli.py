@@ -59,25 +59,29 @@ class TestParser:
     ])
     def test_unknown_mode_or_backend_is_a_parse_error(self, capsys, command,
                                                       flag, value):
-        from repro.core.config import BACKENDS, MODES
+        """An unknown mode names the accepted ones; ``--backend`` is no
+        option at all (the worker count picks the dispatch)."""
+        from repro.core.config import MODES
 
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([*command, flag, value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
+        if flag == "--backend":
+            assert f"unrecognized arguments: {flag} {value}" in err
+            return
         assert f"error: argument {flag}: invalid choice: '{value}'" in err
-        for accepted in (MODES if flag == "--mode" else BACKENDS):
+        for accepted in MODES:
             assert f"'{accepted}'" in err
 
     @pytest.mark.parametrize("command", [["query", "asia"], ["serve"]])
-    def test_every_mode_and_backend_parses(self, command):
-        from repro.core.config import BACKENDS, MODES
+    def test_every_mode_parses(self, command):
+        from repro.core.config import MODES
 
+        assert build_parser().parse_args(command).mode == "seq"
         for mode in MODES:
-            for backend in BACKENDS:
-                args = build_parser().parse_args(
-                    [*command, "--mode", mode, "--backend", backend])
-                assert (args.mode, args.backend) == (mode, backend)
+            args = build_parser().parse_args([*command, "--mode", mode])
+            assert args.mode == mode and not hasattr(args, "backend")
 
     def test_client_defaults(self):
         args = build_parser().parse_args(["client", "asia"])

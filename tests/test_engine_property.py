@@ -59,7 +59,7 @@ class TestEndToEndProperties:
     def test_hybrid_matches_seq(self, pair):
         net, evidence = pair
         with FastBNI(net, mode="seq") as seq, \
-                FastBNI(net, mode="hybrid", backend="thread", num_workers=4,
+                FastBNI(net, mode="hybrid", num_workers=4,
                         min_chunk=8, parallel_threshold=0) as par:
             a, b = seq.infer(evidence), par.infer(evidence)
         for name in net.variable_names:
@@ -81,7 +81,7 @@ class TestEndToEndProperties:
     @SETTINGS
     def test_posteriors_are_distributions(self, pair):
         net, evidence = pair
-        with FastBNI(net, mode="hybrid", backend="serial") as engine:
+        with FastBNI(net, mode="hybrid", num_workers=1) as engine:
             result = engine.infer(evidence)
         for name, dist in result.posteriors.items():
             assert dist.shape == (net.variable(name).cardinality,)

@@ -46,7 +46,7 @@ def make_engine(kind: str, net):
     if kind == "seq":
         return FastBNI(net, mode="seq")
     if kind == "hybrid":
-        return FastBNI(net, mode="hybrid", backend="thread", num_workers=2)
+        return FastBNI(net, mode="hybrid", num_workers=2)
     if kind == "batched":
         return BatchedFastBNI(net, mode="seq")
     if kind == "incremental":
@@ -109,10 +109,15 @@ def test_capability_flags_describe_behaviour(kind, nets):
         if kind in ("seq", "hybrid", "batched", "incremental"):
             assert caps.exact
         if kind == "approx":
-            assert not caps.exact and caps.reports_uncertainty
+            # Inexact answers carry their uncertainty.
+            result = engine.infer({"smoke": "yes"})
+            assert not caps.exact
+            assert set(result.stderr) == set(result.posteriors)
             assert caps.batched_soft_evidence
         if kind == "incremental":
-            assert caps.incremental and not caps.vectorized_batches
+            # Delta recalibration, no vectorised case axis.
+            assert callable(engine.update)
+            assert not hasattr(engine, "infer_cases")
         if caps.supports_mpe:
             assert caps.exact  # MPE needs a junction tree
     finally:
@@ -157,7 +162,7 @@ def test_soft_evidence_matrix(kind, dataset, nets):
     hard, soft = SOFT_CASES[dataset]
     engine = make_engine(kind, net)
     try:
-        if not engine.capabilities.soft_evidence:
+        if kind == "incremental":  # expresses hard evidence only
             with pytest.raises(EvidenceError):
                 engine.validate_case(hard, soft)
             return

@@ -178,6 +178,49 @@ class TestKernelDefaults:
             assert len(engine.infer_cases(cases)) == 40
             assert engine.plan.stats()["plan_map_entries"] == 0
 
+    @pytest.mark.parametrize("network", ["hailfinder", "pathfinder"])
+    def test_default_engine_is_one_call_per_case(self, network):
+        """``FastBNI(net)`` with no options is Fast-BNI-seq: one native
+        call per hard case, no index map built by ``infer`` or a 40-case
+        ``infer_batch``, and a batch mixing hard and soft cases matches
+        per-case ``infer`` at 1e-12."""
+        from repro.bn.repository import resolve_network
+        from repro.bn.sampling import TestCase, generate_test_cases
+
+        net = resolve_network(network)
+        cases = generate_test_cases(net, 40, 0.2, rng=5)
+        with FastBNI(net) as engine:
+            if engine.kernels.name != "native":
+                pytest.skip("no C compiler: the default fell back to numpy")
+            assert engine.one_call_per_case
+            engine.infer(cases[0].evidence)
+            assert engine.metrics["messages_run"] >= 0
+            assert engine.plan.stats()["plan_map_entries"] == 0
+            assert len(engine.infer_batch(cases)) == 40
+            assert engine.plan.stats()["plan_map_entries"] == 0
+
+            rng = np.random.default_rng(6)
+            mixed = []
+            for i, case in enumerate(cases[:12]):
+                soft = None
+                if i % 3 == 1:
+                    var = next(v for v in net.variables
+                               if v.name not in case.evidence)
+                    soft = {var.name: rng.random(var.cardinality) + 0.1}
+                mixed.append(TestCase(evidence=case.evidence,
+                                      soft_evidence=soft))
+            got = engine.infer_batch(mixed)
+            assert engine.metrics["batch_cases"] == 8
+            for case, result in zip(mixed, got):
+                want = engine.infer(case.evidence,
+                                    soft_evidence=case.soft_evidence)
+                assert result.log_evidence == pytest.approx(
+                    want.log_evidence, abs=1e-12)
+                assert result.posteriors.keys() == want.posteriors.keys()
+                for name, values in want.posteriors.items():
+                    np.testing.assert_allclose(result.posteriors[name],
+                                               values, atol=1e-12, rtol=0)
+
 
 # ----------------------------------------------------- randomized kernel duels
 def _pool(rng, degenerate: bool):

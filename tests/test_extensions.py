@@ -128,45 +128,10 @@ class TestBatchedInference:
         cases = generate_test_cases(asia, 6, 0.25, rng=4)
         with FastBNI(asia, mode="seq") as engine:
             loop = [engine.infer(c.evidence) for c in cases]
-            batch = engine.infer_batch(cases, case_workers=4)
+            batch = engine.infer_batch(cases)
         for a, b in zip(loop, batch):
             for name in asia.variable_names:
                 assert np.allclose(a.posteriors[name], b.posteriors[name], atol=1e-12)
-
-    @pytest.mark.parametrize("mode", ["seq", "hybrid"])
-    def test_case_workers_infer_each_case_once(self, asia, mode):
-        """N cases cost N calibrations: the plan is warmed by compiling its
-        message sequence, not by inferring case 0 an extra time (numpy
-        kernels: a native ``seq`` case is one foreign call, no staged
-        calibration)."""
-        cases = generate_test_cases(asia, 5, 0.25, rng=6)
-        with FastBNI(asia, mode=mode, backend="thread", num_workers=2,
-                     min_chunk=4, parallel_threshold=0,
-                     kernels="numpy") as engine:
-            loop = [engine.infer(c.evidence) for c in cases]
-            calibrations = []
-            calibrate = engine._calibrate
-            engine._calibrate = lambda state: (calibrations.append(1),
-                                               calibrate(state))
-            batch = engine.infer_batch(cases, case_workers=3)
-        assert len(calibrations) == len(cases)
-        for a, b in zip(loop, batch):
-            assert a.log_evidence == pytest.approx(b.log_evidence, abs=1e-12)
-            for name in asia.variable_names:
-                assert np.allclose(a.posteriors[name], b.posteriors[name], atol=1e-12)
-
-    def test_case_workers_start_on_a_warm_plan(self, asia):
-        """The index maps a gathering mode reads exist before the first
-        concurrent case reads them."""
-        cases = generate_test_cases(asia, 4, 0.25, rng=7)
-        with FastBNI(asia, mode="hybrid", backend="thread",
-                     num_workers=2) as engine:
-            seen = []
-            calibrate = engine._calibrate
-            engine._calibrate = lambda state: (
-                seen.append(engine.stats()["plan_map_entries"]), calibrate(state))
-            engine.infer_batch(cases, case_workers=2)
-        assert seen and min(seen) == max(seen) > 0
 
     def test_batch_single_worker(self, asia):
         cases = generate_test_cases(asia, 3, 0.25, rng=5)
@@ -187,7 +152,7 @@ class TestMetrics:
             assert engine.metrics["messages"] == 2 * (engine.tree.num_cliques - 1)
 
     def test_hybrid_dispatch_bounded_by_layers(self, asia):
-        with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2,
+        with FastBNI(asia, mode="hybrid", num_workers=2,
                      min_chunk=1, parallel_threshold=0) as engine:
             engine.infer({})
             # ≤ 2 batches per layer pass (marg + absorb).
@@ -202,7 +167,7 @@ class TestMetrics:
                              window=8, rng=77)
         counts = {}
         for mode in ("intra", "hybrid"):
-            with FastBNI(net, mode=mode, backend="thread", num_workers=4,
+            with FastBNI(net, mode=mode, num_workers=4,
                          min_chunk=1, parallel_threshold=0) as engine:
                 engine.infer({})
                 counts[mode] = engine.metrics["dispatch_batches"]

@@ -75,15 +75,13 @@ class TestHostileEvidence:
     def test_contradictory_deterministic_evidence(self, asia):
         """'either' is an OR gate; lung=yes with either=no has P=0."""
         for mode in ("seq", "hybrid"):
-            with FastBNI(asia, mode=mode,
-                         backend="serial" if mode == "seq" else "thread",
-                         num_workers=2) as eng:
+            with FastBNI(asia, mode=mode, num_workers=2) as eng:
                 with pytest.raises(EvidenceError):
                     eng.infer({"lung": "yes", "either": "no"})
 
     def test_engine_usable_after_failed_inference(self, asia):
         """A zero-probability case must not poison subsequent calls."""
-        with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2) as eng:
+        with FastBNI(asia, mode="hybrid", num_workers=2) as eng:
             with pytest.raises(EvidenceError):
                 eng.infer({"lung": "yes", "either": "no"})
             result = eng.infer({"smoke": "yes"})

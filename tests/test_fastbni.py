@@ -14,28 +14,23 @@ MODES = ("seq", "inter", "intra", "hybrid")
 
 class TestConfig:
     def test_defaults(self):
+        """Fast-BNI-seq is the default; the worker count alone picks the
+        dispatch, so there is no backend option."""
         cfg = FastBNIConfig()
-        assert cfg.mode == "hybrid"
-        assert cfg.backend == "thread"
+        assert cfg.mode == "seq"
+        assert not hasattr(cfg, "backend")
+        assert not hasattr(cfg, "chunks_per_worker")
 
     @pytest.mark.parametrize("bad", [
         dict(mode="warp"),
-        dict(backend="gpu"),
+        dict(kernels="gpu"),
         dict(num_workers=0),
         dict(min_chunk=0),
-        dict(chunks_per_worker=0),
         dict(parallel_threshold=-1),
     ])
     def test_invalid_config(self, bad):
         with pytest.raises(BackendError):
             FastBNIConfig(**bad)
-
-    def test_process_backend_rejected_naming_accepted(self):
-        from repro.core.config import BACKENDS
-
-        assert BACKENDS == ("serial", "thread")
-        with pytest.raises(BackendError, match=r"serial.*thread"):
-            FastBNIConfig(backend="process")
 
     def test_config_and_kwargs_mutually_exclusive(self, asia):
         with pytest.raises(BackendError):
@@ -46,8 +41,8 @@ class TestCorrectness:
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_enumeration_asia(self, asia, mode):
         en = EnumerationEngine(asia)
-        with FastBNI(asia, mode=mode, backend="thread" if mode != "seq" else "serial",
-                     num_workers=4, min_chunk=4, parallel_threshold=0) as eng:
+        with FastBNI(asia, mode=mode, num_workers=4, min_chunk=4,
+                     parallel_threshold=0) as eng:
             for case in generate_test_cases(asia, 8, 0.25, rng=1):
                 got = eng.infer(case.evidence)
                 want = en.infer(case.evidence)
@@ -60,7 +55,7 @@ class TestCorrectness:
     def test_serial_backend_matches(self, asia, mode):
         """All parallel schedules degenerate correctly at t=1."""
         en = EnumerationEngine(asia)
-        with FastBNI(asia, mode=mode, backend="serial", min_chunk=4,
+        with FastBNI(asia, mode=mode, num_workers=1, min_chunk=4,
                      parallel_threshold=0) as eng:
             for case in generate_test_cases(asia, 5, 0.25, rng=2):
                 got = eng.infer(case.evidence)
@@ -75,9 +70,8 @@ class TestCorrectness:
         results = {}
         case = generate_test_cases(net, 1, 0.3, rng=seed)[0]
         for mode in MODES:
-            with FastBNI(net, mode=mode,
-                         backend="serial" if mode == "seq" else "thread",
-                         num_workers=4, min_chunk=8, parallel_threshold=0) as eng:
+            with FastBNI(net, mode=mode, num_workers=4, min_chunk=8,
+                         parallel_threshold=0) as eng:
                 results[mode] = eng.infer(case.evidence)
         ref = results["seq"]
         for mode in MODES[1:]:
@@ -89,7 +83,7 @@ class TestCorrectness:
         """Chain (deep) and star (flat) both calibrate correctly in hybrid."""
         for net in (chain_network(18, rng=0), star_network(17, rng=0)):
             en = EnumerationEngine(net)
-            with FastBNI(net, mode="hybrid", backend="thread", num_workers=4,
+            with FastBNI(net, mode="hybrid", num_workers=4,
                          min_chunk=4, parallel_threshold=0) as eng:
                 case = generate_test_cases(net, 1, 0.2, rng=1)[0]
                 got, want = eng.infer(case.evidence), en.infer(case.evidence)
@@ -103,13 +97,13 @@ class TestCorrectness:
             assert set(res.posteriors) == {"lung"}
 
     def test_impossible_evidence_raises(self, asia):
-        with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2) as eng:
+        with FastBNI(asia, mode="hybrid", num_workers=2) as eng:
             with pytest.raises(EvidenceError):
                 eng.infer({"lung": "yes", "either": "no"})
 
     def test_repeated_inference_independent(self, asia):
         """Engine state must fully reset between infer() calls."""
-        with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2) as eng:
+        with FastBNI(asia, mode="hybrid", num_workers=2) as eng:
             r1 = eng.infer({"smoke": "yes"})
             _ = eng.infer({"smoke": "no"})
             r3 = eng.infer({"smoke": "yes"})
@@ -131,7 +125,7 @@ class TestThreadStress:
         interval = sys.getswitchinterval()
         try:
             with FastBNI(net, mode="seq", kernels=kernels) as seq, \
-                    FastBNI(net, mode="inter", backend="thread", num_workers=8,
+                    FastBNI(net, mode="inter", num_workers=8,
                             kernels=kernels) as eng:
                 sys.setswitchinterval(1e-5)
                 want = [seq.infer(c.evidence) for c in cases]
@@ -178,7 +172,8 @@ class TestMaplessPath:
         monkeypatch.setattr(kernels, "chunk_dst_indices", spy)
         for net in self._nets(asia):
             en = EnumerationEngine(net)
-            with FastBNI(net, mode=mode, backend=backend, num_workers=3,
+            with FastBNI(net, mode=mode,
+                         num_workers=1 if backend == "serial" else 3,
                          min_chunk=2, parallel_threshold=0) as eng:
                 eng.plan.MAP_CACHE_LIMIT = 0
                 for case in generate_test_cases(net, 4, 0.25, rng=7):
@@ -204,7 +199,7 @@ class TestMaplessPath:
         for net in self._nets(asia):
             cases = generate_test_cases(net, 5, 0.25, rng=8)
             en = EnumerationEngine(net)
-            with BatchedFastBNI(net, mode="hybrid", backend="thread",
+            with BatchedFastBNI(net, mode="hybrid",
                                 num_workers=2, kernels="numpy") as eng:
                 eng.plan.MAP_CACHE_LIMIT = 0
                 batch = eng.infer_cases(cases, min_block=2)
@@ -249,31 +244,31 @@ class TestPlansAndCache:
                        for m in plan.compiled_messages())
 
     def test_map_cache_populated_by_parallel_modes(self, asia):
-        with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2,
+        with FastBNI(asia, mode="hybrid", num_workers=2,
                      min_chunk=1, parallel_threshold=0) as eng:
             eng.infer({})
             assert eng.stats()["plan_map_entries"] > 0  # maps built and cached
 
     def test_map_cache_respects_limit(self, asia):
-        with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2) as eng:
+        with FastBNI(asia, mode="hybrid", num_workers=2) as eng:
             eng.plan.MAP_CACHE_LIMIT = 0
             assert eng.plan.index_map(0, 0, ()) is None
 
     def test_cache_hit_returns_same_array(self, asia):
-        with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2) as eng:
+        with FastBNI(asia, mode="hybrid", num_workers=2) as eng:
             cid, edge = next(iter(eng.plan.spec.edges.items()))
             m1 = eng.plan.index_map(cid, edge.sep_id, edge.marg_up)
             m2 = eng.plan.index_map(cid, edge.sep_id, edge.marg_up)
             assert m1 is m2
 
     def test_stats(self, asia):
-        with FastBNI(asia, mode="hybrid", backend="thread", num_workers=3) as eng:
+        with FastBNI(asia, mode="hybrid", num_workers=3) as eng:
             s = eng.stats()
             assert s["num_workers"] == 3
             assert s["num_layers"] >= 1
 
     def test_name_includes_mode_and_backend(self, asia):
-        with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2) as eng:
+        with FastBNI(asia, mode="hybrid", num_workers=2) as eng:
             assert "hybrid" in eng.name and "thread" in eng.name
         with FastBNI(asia, mode="seq") as eng:
             assert eng.name == "fastbni-seq"

@@ -31,7 +31,7 @@ def all_engines(net):
         DirectEngine(net, num_workers=2),
         PrimitiveEngine(net, num_workers=2, min_chunk=8),
         FastBNI(net, mode="seq"),
-        FastBNI(net, mode="hybrid", backend="thread", num_workers=4,
+        FastBNI(net, mode="hybrid", num_workers=4,
                 min_chunk=16, parallel_threshold=0),
     ]
 
@@ -88,7 +88,7 @@ class TestAgreementMediumNetwork:
         net = load_network("hailfinder")
         ve = VariableEliminationEngine(net)
         engines = [FastBNI(net, mode="seq"),
-                   FastBNI(net, mode="hybrid", backend="thread", num_workers=4)]
+                   FastBNI(net, mode="hybrid", num_workers=4)]
         try:
             for case in generate_test_cases(net, 2, 0.2, rng=5):
                 want = ve.infer(case.evidence, targets=tuple(net.variable_names[:10]))
@@ -103,7 +103,7 @@ class TestAgreementMediumNetwork:
     def test_pigs_analog_seq_vs_hybrid(self):
         net = load_network("pigs")
         seq = FastBNI(net, mode="seq")
-        par = FastBNI(net, mode="hybrid", backend="thread", num_workers=8)
+        par = FastBNI(net, mode="hybrid", num_workers=8)
         try:
             case = generate_test_cases(net, 1, 0.2, rng=9)[0]
             a, b = seq.infer(case.evidence), par.infer(case.evidence)

@@ -29,7 +29,7 @@ class TestCombinedEvidence:
         assert np.allclose(got.posteriors["lung"], expected, atol=1e-10)
 
     def test_soft_evidence_on_parallel_engine(self, asia):
-        with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2) as par, \
+        with FastBNI(asia, mode="hybrid", num_workers=2) as par, \
                 FastBNI(asia, mode="seq") as seq:
             soft = {"dysp": [0.9, 0.3]}
             a = par.infer(soft_evidence=soft)
@@ -41,9 +41,9 @@ class TestCombinedEvidence:
 class TestBatchedHybrid:
     def test_hybrid_batch_matches_seq_batch(self, asia):
         cases = generate_test_cases(asia, 4, 0.25, rng=8)
-        with FastBNI(asia, mode="hybrid", backend="thread", num_workers=2) as h, \
+        with FastBNI(asia, mode="hybrid", num_workers=2) as h, \
                 FastBNI(asia, mode="seq") as s:
-            hb = h.infer_batch(cases, case_workers=2)
+            hb = h.infer_batch(cases)
             sb = s.infer_batch(cases)
         for a, b in zip(hb, sb):
             for name in asia.variable_names:

@@ -308,7 +308,7 @@ class TestGilRelease:
             return time.perf_counter() - start
 
         with BatchedFastBNI(asia, mode="seq", kernels="native") as one, \
-                BatchedFastBNI(asia, mode="hybrid", backend="thread",
+                BatchedFastBNI(asia, mode="hybrid",
                                num_workers=2, kernels="native") as two:
             timed(one); timed(two)  # warm pool and scratch
             serial = parallel = float("inf")
@@ -704,7 +704,7 @@ class TestWholeCases:
         hailfinder = _named_net("hailfinder")
         cases = [c.evidence for c in
                  generate_test_cases(hailfinder, 2 * BLOCK + 6, 0.2, rng=4)]
-        with BatchedFastBNI(hailfinder, mode="hybrid", backend="thread",
+        with BatchedFastBNI(hailfinder, mode="hybrid",
                             num_workers=2, kernels="native") as fast, \
                 BatchedFastBNI(hailfinder, mode="seq",
                                kernels="numpy") as staged:
@@ -723,7 +723,7 @@ class TestWholeCases:
         hailfinder = _named_net("hailfinder")
         cases = [c.evidence for c in
                  generate_test_cases(hailfinder, 30, 0.2, rng=1)]
-        with BatchedFastBNI(hailfinder, mode="hybrid", backend="thread",
+        with BatchedFastBNI(hailfinder, mode="hybrid",
                             num_workers=2, kernels="native") as threaded, \
                 BatchedFastBNI(hailfinder, mode="seq",
                                kernels="native") as seq:
@@ -829,7 +829,7 @@ class TestWholeCases:
         # block (min_block=2 is raised to 16): 49 cases make three calls.
         cases = [c.evidence for c in
                  generate_test_cases(asia, 3 * BLOCK + 1, 0.25, rng=3)]
-        with BatchedFastBNI(asia, mode="hybrid", backend="thread",
+        with BatchedFastBNI(asia, mode="hybrid",
                             num_workers=3, kernels="native") as fast, \
                 BatchedFastBNI(asia, mode="seq", kernels="numpy") as staged:
             calls = _ForeignCalls(monkeypatch)
@@ -849,7 +849,7 @@ class TestWholeCases:
 
         impossible = {"Sprinkler": "off", "Rain": "no", "WetGrass": "yes"}
         cases = [{"WetGrass": "yes"}, {}, impossible, {"Rain": "yes"}]
-        with BatchedFastBNI(sprinkler, mode="hybrid", backend="thread",
+        with BatchedFastBNI(sprinkler, mode="hybrid",
                             num_workers=2, kernels="native") as engine, \
                 FastBNI(sprinkler, mode="seq", kernels="numpy") as staged:
             with pytest.raises(EvidenceError, match=r"\(empty message\) in "
@@ -1147,7 +1147,7 @@ class TestWholeCaseFallbacks:
 
     def test_parallel_modes_stay_staged(self, monkeypatch, native, asia):
         want = self._reference(asia)
-        with FastBNI(asia, mode="inter", backend="thread", num_workers=2,
+        with FastBNI(asia, mode="inter", num_workers=2,
                      kernels="native") as engine:
             calls = _ForeignCalls(monkeypatch)
             _assert_same(engine.infer(self.CASE), want, asia.variable_names)
@@ -1603,7 +1603,7 @@ def _sanitized_whole_case_loop(so_path: str) -> None:
         net = _named_net(name)
         rng = np.random.default_rng(4)
         with FastBNI(net, mode="seq", kernels="native") as fast, \
-                FastBNI(net, mode="inter", backend="serial",
+                FastBNI(net, mode="inter", num_workers=1,
                         kernels="native") as inter, \
                 FastBNI(net, mode="seq", kernels="numpy") as staged:
             for case in generate_test_cases(net, 3, 0.2, rng=rng):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import BackendError
-from repro.parallel.backend import (
-    BACKENDS,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
-)
+from repro.parallel.backend import SerialBackend, ThreadBackend, make_backend
 from repro.parallel.chunking import chunk_ranges, chunk_weighted
 
 
@@ -85,7 +80,8 @@ def _write_range(arr, lo, hi, value):
 class TestBackends:
     @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_results_in_order(self, kind):
-        with make_backend(kind, 4) as be:
+        with make_backend(1 if kind == "serial" else 4) as be:
+            assert be.name == kind
             results = be.run_batch([(_add, (i, i)) for i in range(20)])
         assert results == [2 * i for i in range(20)]
 
@@ -102,19 +98,18 @@ class TestBackends:
         assert np.all(arr[75:] == 3.0)
 
     def test_make_backend_default_workers(self):
-        be = make_backend("thread")
+        be = make_backend()
         assert 1 <= be.num_workers <= 32
         be.close()
 
-    def test_unknown_backend(self):
-        with pytest.raises(BackendError):
-            make_backend("gpu")
-
     def test_process_backend_is_gone(self):
-        """Threads over the plan arena are the one parallel substrate; the
-        rejection names what is accepted."""
-        assert BACKENDS == ("serial", "thread")
-        with pytest.raises(BackendError, match=r"serial.*thread"):
+        """Threads over the plan arena are the one parallel substrate, and
+        the worker count alone picks the dispatch: one worker runs inline,
+        more run on the pool.  There is no backend kind to name."""
+        assert isinstance(make_backend(1), SerialBackend)
+        with make_backend(2) as be:
+            assert isinstance(be, ThreadBackend) and be.num_workers == 2
+        with pytest.raises(TypeError):
             make_backend("process", 2)
 
     def test_invalid_worker_count(self):
